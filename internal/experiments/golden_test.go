@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"meshcast/internal/faults"
 	"meshcast/internal/metric"
 )
 
@@ -64,20 +65,7 @@ func TestGoldenSimcoreOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := formatRunResult(res)
-	path := filepath.Join("testdata", "golden_simcore.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("stats output drifted from golden file (rerun with -update if intentional):\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "golden_simcore.txt", formatRunResult(res))
 }
 
 // TestGoldenSimcoreOutputExplicitProtocol runs the golden scenario with the
@@ -165,5 +153,93 @@ func TestGoldenSimcoreOutputNoCellIndex(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("brute-force fan-out diverged from the indexed golden output:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// checkGolden compares got against testdata/<name>, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("output drifted from %s (rerun with -update if intentional):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// multiSourceScenario is the golden scenario with three sources per group —
+// the paper50-mcst-3src benchmark shape. Only here do the two protocols
+// diverge: ODMRP runs one flood per source and unions the meshes, MCST
+// elects one core per group, suppresses the other sources' announces and
+// grafts them as senders.
+func multiSourceScenario(t *testing.T, protocol string) ScenarioConfig {
+	t.Helper()
+	cfg, err := DefaultScenarioWith(metric.SPP, 1, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Protocol = protocol
+	cfg.TrafficStart = 10 * time.Second
+	cfg.Duration = 18 * time.Second
+	return cfg
+}
+
+// TestGoldenMultiSource pins the three-sources-per-group run of each
+// protocol: per-source rounds sharing one forwarding group (ODMRP), core
+// election, announce suppression and sender grafts (MCST).
+func TestGoldenMultiSource(t *testing.T) {
+	for _, protocol := range []string{"odmrp", "mcst"} {
+		t.Run(protocol, func(t *testing.T) {
+			res, err := RunScenario(multiSourceScenario(t, protocol))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "golden_3src_"+protocol+".txt", formatRunResult(res))
+		})
+	}
+}
+
+// TestGoldenCrashRestart pins a multi-source run of each protocol through a
+// scripted crash and restart, the path that exercises Router.Reset. Group
+// 1's lowest-ID source (MCST's core) is down from 11 s to 26 s: the
+// suppressed sources' watchdogs, armed when they stepped down at
+// TrafficStart, find the core still fresh at 17 s and silent at 24 s, so one
+// reclaims the core role then and hands it back after the restart. A
+// group-2 member crashes with floods and replies in flight. Half the paper's
+// send rate keeps the MAC unsaturated, the regime the multi-source golden
+// does not cover, and the run cheap.
+func TestGoldenCrashRestart(t *testing.T) {
+	for _, protocol := range []string{"odmrp", "mcst"} {
+		t.Run(protocol, func(t *testing.T) {
+			cfg := multiSourceScenario(t, protocol)
+			cfg.Duration = 29 * time.Second
+			cfg.SendInterval = 100 * time.Millisecond
+			core := cfg.Groups[0].Sources[0]
+			for _, s := range cfg.Groups[0].Sources {
+				if s < core {
+					core = s
+				}
+			}
+			cfg.Faults = &faults.Plan{Outages: []faults.Outage{
+				{Node: core, Start: 11 * time.Second, Duration: 15 * time.Second},
+				{Node: cfg.Groups[1].Members[0], Start: 13 * time.Second, Duration: 3 * time.Second},
+			}}
+			res, err := RunScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Faulted != 2 {
+				t.Fatalf("injected %d outages, want 2", res.Faulted)
+			}
+			checkGolden(t, "golden_crash_"+protocol+".txt", formatRunResult(res))
+		})
 	}
 }
