@@ -456,47 +456,6 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-func TestWatchComputesWindowedPDR(t *testing.T) {
-	var tick atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := tick.Add(1)
-		st := Stats{Expected: uint64(100 * n), Delivered: uint64(80 * n), EtherUp: true}
-		json.NewEncoder(w).Encode(st)
-	}))
-	defer srv.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c := NewClient(srv.URL)
-	ch := Watch(ctx, c, 10*time.Millisecond)
-
-	var got []WatchSample
-	for s := range ch {
-		if s.Err != nil {
-			t.Fatal(s.Err)
-		}
-		got = append(got, s)
-		if len(got) == 3 {
-			cancel()
-			break
-		}
-	}
-	if got[0].HasPDR {
-		t.Fatal("first sample has PDR (no baseline yet)")
-	}
-	for _, s := range got[1:] {
-		if !s.HasPDR {
-			t.Fatalf("sample missing PDR: %+v", s)
-		}
-		if s.DeltaExpected != 100 || s.DeltaDelivered != 80 {
-			t.Fatalf("deltas = %d/%d, want 100/80", s.DeltaDelivered, s.DeltaExpected)
-		}
-		if s.PDR < 0.79 || s.PDR > 0.81 {
-			t.Fatalf("PDR = %v, want 0.8", s.PDR)
-		}
-	}
-}
-
 func TestScriptRequestRoundTrip(t *testing.T) {
 	ctl := &fakeController{}
 	srv := newTestServer(t, ctl, ServerConfig{})

@@ -269,8 +269,8 @@ func writeSSE(w http.ResponseWriter, ev StreamEvent) {
 // reconnect resumes via Last-Event-ID so no delta window is ever seen
 // twice. Events surface as WatchSamples (anomaly events set Anomaly);
 // connection failures surface as samples with Err set and the stream
-// keeps going, like the polling Watch. The channel closes when ctx is
-// done.
+// keeps going, so a watcher rides out a restarting server. The channel
+// closes when ctx is done.
 func WatchStream(ctx context.Context, c *Client) <-chan WatchSample {
 	ch := make(chan WatchSample)
 	go func() {

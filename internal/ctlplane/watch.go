@@ -1,75 +1,26 @@
 package ctlplane
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
-// WatchSample is one tick of a Watch poll: the raw cumulative stats plus
-// the deltas against the previous successful sample, from which PDR over
-// the window is derived.
+// WatchSample is one event of a WatchStream: the raw cumulative stats plus
+// the server-computed deltas against the previous window, from which PDR
+// over the window is derived.
 type WatchSample struct {
-	// T is when the poll completed.
+	// T is when the event arrived.
 	T time.Time
-	// Err is set when this tick's poll failed; the other fields are then
-	// zero and the previous baseline is kept for the next tick.
+	// Err is set when the connection failed; the other fields are then
+	// zero and the stream reconnects.
 	Err error
 	// Stats is the raw cumulative snapshot.
 	Stats Stats
-	// DeltaExpected / DeltaDelivered are the counter increments since the
-	// previous successful sample (zero on the first).
+	// DeltaExpected / DeltaDelivered are the counter increments over the
+	// event's window (zero on the first).
 	DeltaExpected  uint64
 	DeltaDelivered uint64
 	// PDR is DeltaDelivered/DeltaExpected for this window; HasPDR is false
 	// on the first sample and in windows with no expected deliveries.
 	PDR    float64
 	HasPDR bool
-	// Anomaly is set on stream-sourced anomaly samples (WatchStream); the
-	// polling Watch never sets it.
+	// Anomaly is set on anomaly events.
 	Anomaly string
-}
-
-// Watch polls /stats at interval and streams delta samples until ctx is
-// done, then closes the channel. Poll failures surface as samples with Err
-// set — the stream keeps going, so a watcher rides out a restarting
-// server. Both meshstat -watch and the soak smoke consume this.
-func Watch(ctx context.Context, c *Client, interval time.Duration) <-chan WatchSample {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ch := make(chan WatchSample)
-	go func() {
-		defer close(ch)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		var prev *Stats
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			st, err := c.Stats(ctx)
-			s := WatchSample{T: time.Now(), Err: err}
-			if err == nil {
-				s.Stats = st
-				if prev != nil && st.Expected >= prev.Expected && st.Delivered >= prev.Delivered {
-					s.DeltaExpected = st.Expected - prev.Expected
-					s.DeltaDelivered = st.Delivered - prev.Delivered
-					if s.DeltaExpected > 0 {
-						s.PDR = float64(s.DeltaDelivered) / float64(s.DeltaExpected)
-						s.HasPDR = true
-					}
-				}
-				cp := st
-				prev = &cp
-			}
-			select {
-			case ch <- s:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return ch
 }

@@ -40,6 +40,7 @@ import (
 	"meshcast/internal/multicast"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
+	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -108,53 +109,33 @@ func ParamsFor(k metric.Kind) Params {
 	return DefaultParams()
 }
 
-// Stats counts protocol activity at one node.
-type Stats struct {
-	AnnouncesOriginated   uint64
-	AnnouncesForwarded    uint64
-	DupAnnouncesForwarded uint64
-	JoinsSent             uint64
-	CoreHandovers         uint64
-	DataOriginated        uint64
-	DataForwarded         uint64
-	DataDelivered         uint64
-	DataDuplicates        uint64
-	ControlBytesSent      uint64
-}
-
-// groupCore keys per-(group, core) announce-round state.
-type groupCore struct {
-	group packet.GroupID
-	core  packet.NodeID
-}
-
-// groupSource keys per-(group, source) data duplicate windows.
-type groupSource struct {
-	group packet.GroupID
-	src   packet.NodeID
-}
-
-// announceRound holds the state of the latest CORE ANNOUNCE flood round
-// seen for one (group, core). It mirrors ODMRP's query round: the same
-// best-cost tracking drives both duplicate re-flooding and parent selection.
-type announceRound struct {
-	seq       uint32
-	firstSeen time.Duration
-	// firstUpstream is the previous hop of the first copy received; the
-	// fallback parent when no copy has a usable (fully measured) cost yet.
-	firstUpstream packet.NodeID
-	bestCost      float64
-	bestUpstream  packet.NodeID
-	bestHops      uint8
-	// bestForwarded is the best cost this node has re-flooded for this
-	// round; duplicates must beat it to be forwarded again.
-	bestForwarded float64
-	forwardedAny  bool
-	// joinScheduled marks that a δ join timer is pending; joined marks that
-	// a TREE JOIN (member, sender, or on-tree propagation) has been sent
-	// for this round already.
-	joinScheduled bool
-	joined        bool
+// policy is MCST as the flood-round kernel sees it: CORE ANNOUNCE floods
+// answered by TREE JOIN grafts, timed by params. The tree is shared, so the
+// core relays other senders' data by role (OriginRelays).
+func policy(params Params) multicast.Policy {
+	return multicast.Policy{
+		Name:          Name,
+		FloodKind:     packet.TypeCoreAnnounce,
+		GraftKind:     packet.TypeTreeJoin,
+		FloodInterval: params.AnnounceInterval,
+		FlagTimeout:   params.TreeTimeout,
+		Delta:         params.JoinDelta,
+		Alpha:         params.DupAlpha,
+		TTL:           params.TTL,
+		FloodJitter:   params.AnnounceJitter,
+		GraftJitter:   params.JoinJitter,
+		DataJitter:    params.DataJitter,
+		OriginRelays:  true,
+		FloodCat:      trace.CatCore,
+		GraftCat:      trace.CatJoin,
+		OriginateMsg:  "announce grp=%v seq=%d",
+		ForwardMsg:    "announce-fwd grp=%v core=%v seq=%d cost=%.4g",
+		ForwardDupMsg: "announce-fwd-dup grp=%v core=%v seq=%d cost=%.4g",
+		GraftMsg:      "join grp=%v core=%v seq=%d parent=%v",
+		FlagSetMsg:    "tree-set grp=%v (from %v)",
+		FloodNoun:     "announces",
+		GraftNoun:     "joins",
+	}
 }
 
 // coreBinding tracks the core a node has adopted for a group.
@@ -163,122 +144,50 @@ type coreBinding struct {
 	lastHeard time.Duration
 }
 
-// Router is one node's MCST instance.
+// Router is one node's MCST instance: the shared flood-round kernel under
+// MCST's policy, plus core election, announce suppression and failover. The
+// node acts as core of a group exactly while the kernel originates its
+// flood.
 type Router struct {
-	// Send broadcasts a packet via the node's MAC; reports acceptance.
-	Send func(p *packet.Packet) bool
-	// OnDeliver is called for every data packet delivered to this node as
-	// a group member (first copy only).
-	OnDeliver func(p *packet.Packet, from packet.NodeID)
-	// Tracer, when non-nil, receives protocol events.
-	Tracer *trace.Tracer
-	// Stats accumulates protocol counters.
-	Stats Stats
-	// Telem holds the run-wide telemetry instruments (zero value disabled).
-	Telem Telemetry
+	*multicast.Kernel
+	// CoreHandovers counts core-binding changes seen by this node.
+	CoreHandovers uint64
 
-	id     packet.NodeID
 	engine *sim.Engine
-	rng    *sim.RNG
 	params Params
-	pm     metric.PathMetric
-	table  *linkquality.Table
 
-	members map[packet.GroupID]bool
-	// sources marks groups this node actively sends to; announcers holds
-	// the announce tickers of groups where it currently acts as core.
-	sources     map[packet.GroupID]bool
-	announcers  map[packet.GroupID]*sim.Ticker
-	announceSeq map[packet.GroupID]uint32
-	dataSeq     map[packet.GroupID]uint32
-
-	cores     map[packet.GroupID]*coreBinding
-	rounds    map[groupCore]*announceRound
-	treeUntil map[packet.GroupID]time.Duration
-	dups      map[groupSource]*multicast.DupWindow
+	// sources marks groups this node actively sends to.
+	sources map[packet.GroupID]bool
+	cores   map[packet.GroupID]*coreBinding
 	// failover marks groups with a pending core-liveness watchdog (armed
 	// while this node is a suppressed source).
 	failover map[packet.GroupID]bool
-
-	// edgeUse counts data packets carried per directed link into this node
-	// (delivered or forwarded), for tree analysis.
-	edgeUse map[multicast.Edge]uint64
+	// coreHandovers is the run-wide "mcst.core_handovers" counter.
+	coreHandovers *telemetry.Counter
 }
 
 // New creates a router for node id using path metric pm and neighbor table
 // table.
 func New(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table, params Params) *Router {
 	return &Router{
-		id:          id,
-		engine:      engine,
-		rng:         engine.RNG().Split(),
-		params:      params,
-		pm:          pm,
-		table:       table,
-		members:     make(map[packet.GroupID]bool),
-		sources:     make(map[packet.GroupID]bool),
-		announcers:  make(map[packet.GroupID]*sim.Ticker),
-		announceSeq: make(map[packet.GroupID]uint32),
-		dataSeq:     make(map[packet.GroupID]uint32),
-		cores:       make(map[packet.GroupID]*coreBinding),
-		rounds:      make(map[groupCore]*announceRound),
-		treeUntil:   make(map[packet.GroupID]time.Duration),
-		dups:        make(map[groupSource]*multicast.DupWindow),
-		failover:    make(map[packet.GroupID]bool),
-		edgeUse:     make(map[multicast.Edge]uint64),
+		Kernel:   multicast.NewKernel(engine, id, pm, table, policy(params)),
+		engine:   engine,
+		params:   params,
+		sources:  make(map[packet.GroupID]bool),
+		cores:    make(map[packet.GroupID]*coreBinding),
+		failover: make(map[packet.GroupID]bool),
 	}
 }
 
-// ID returns the node ID.
-func (r *Router) ID() packet.NodeID { return r.id }
-
-// Metric returns the router's path metric.
-func (r *Router) Metric() metric.PathMetric { return r.pm }
-
-// Reset purges all soft state, modeling a node crash: announce rounds, core
-// bindings, on-tree flags, duplicate windows, and the active source/core
-// roles are discarded. Group membership survives (configuration), and so do
-// the announce/data sequence counters (a restarted core must not reuse round
-// numbers its neighbors' round state has already seen). A source stopped
-// here must be re-registered via StartSource after restart.
+// Reset purges all soft state, modeling a node crash: the kernel's rounds,
+// flags, duplicate windows and announce floods, and the core bindings and
+// source roles. A source stopped here must be re-registered via StartSource
+// after restart.
 func (r *Router) Reset() {
-	for g, t := range r.announcers {
-		t.Stop()
-		delete(r.announcers, g)
-	}
+	r.Kernel.Reset()
 	r.sources = make(map[packet.GroupID]bool)
 	r.failover = make(map[packet.GroupID]bool)
 	r.cores = make(map[packet.GroupID]*coreBinding)
-	r.rounds = make(map[groupCore]*announceRound)
-	r.treeUntil = make(map[packet.GroupID]time.Duration)
-	r.dups = make(map[groupSource]*multicast.DupWindow)
-}
-
-// JoinGroup registers this node as a receiver member of group.
-func (r *Router) JoinGroup(group packet.GroupID) { r.members[group] = true }
-
-// LeaveGroup removes receiver membership.
-func (r *Router) LeaveGroup(group packet.GroupID) { delete(r.members, group) }
-
-// IsMember reports receiver membership.
-func (r *Router) IsMember(group packet.GroupID) bool { return r.members[group] }
-
-// IsForwarder reports whether this node currently relays data for group: it
-// is on the shared tree, or it is the acting core.
-func (r *Router) IsForwarder(group packet.GroupID) bool {
-	if _, core := r.announcers[group]; core {
-		return true
-	}
-	return r.engine.Now() < r.treeUntil[group]
-}
-
-// EdgeUse returns a copy of the per-link data usage counters.
-func (r *Router) EdgeUse() map[multicast.Edge]uint64 {
-	out := make(map[multicast.Edge]uint64, len(r.edgeUse))
-	for e, n := range r.edgeUse {
-		out[e] = n
-	}
-	return out
 }
 
 // StartSource registers this node as an active source for group. Unless a
@@ -289,111 +198,28 @@ func (r *Router) StartSource(group packet.GroupID) {
 		return
 	}
 	r.sources[group] = true
-	if b := r.cores[group]; b != nil && b.core < r.id && r.coreFresh(b) {
+	if b := r.cores[group]; b != nil && b.core < r.ID() && r.coreFresh(b) {
 		// A better core is alive: graft as a sender on its next announce,
 		// and watch its liveness in case it dies (core failover).
 		r.armFailover(group)
 		return
 	}
-	r.becomeCore(group)
+	r.StartFlood(group)
 }
 
 // StopSource stops sending to group, relinquishing the core role if held.
 func (r *Router) StopSource(group packet.GroupID) {
 	delete(r.sources, group)
-	if t, ok := r.announcers[group]; ok {
-		t.Stop()
-		delete(r.announcers, group)
-	}
+	r.StopFlood(group)
 }
 
 func (r *Router) coreFresh(b *coreBinding) bool {
 	return r.engine.Now() < b.lastHeard+r.params.CoreTimeout
 }
 
-func (r *Router) becomeCore(group packet.GroupID) {
-	if _, ok := r.announcers[group]; ok {
-		return
-	}
-	r.floodAnnounce(group)
-	r.announcers[group] = sim.NewTicker(r.engine, r.params.AnnounceInterval, r.params.AnnounceInterval/10, r.rng,
-		func() { r.announceTick(group) })
-}
-
-// announceTick fires once per announce interval while holding the core
-// role. If the adopted core expired (we were suppressed but kept sources),
-// this is also where failover would re-elect us — the ticker only runs for
-// acting cores, so just flood.
-func (r *Router) announceTick(group packet.GroupID) {
-	r.floodAnnounce(group)
-}
-
-func (r *Router) floodAnnounce(group packet.GroupID) {
-	seq := r.announceSeq[group]
-	r.announceSeq[group] = seq + 1
-	a := &packet.Packet{
-		Kind:    packet.TypeCoreAnnounce,
-		Src:     r.id,
-		PrevHop: r.id,
-		Group:   group,
-		Seq:     seq,
-		TTL:     r.params.TTL,
-		Cost:    r.pm.Initial(),
-		SentAt:  r.engine.Now(),
-		TraceID: r.Tracer.NewTraceID(r.id),
-	}
-	if r.send(a) {
-		r.Stats.AnnouncesOriginated++
-		r.Telem.AnnouncesOriginated.Inc()
-		r.Tracer.Emit(r.id, trace.CatCore, "announce grp=%v seq=%d", group, seq)
-		r.Tracer.Span(trace.SpanOriginate, r.id, r.id, a)
-	}
-}
-
-// SendData multicasts one application payload of payloadBytes to group.
-// The node must be a registered source (StartSource) for the tree to carry
-// its traffic, but SendData does not enforce that.
-func (r *Router) SendData(group packet.GroupID, payloadBytes int) {
-	seq := r.dataSeq[group]
-	r.dataSeq[group] = seq + 1
-	p := &packet.Packet{
-		Kind:         packet.TypeData,
-		Src:          r.id,
-		PrevHop:      r.id,
-		Group:        group,
-		Seq:          seq,
-		TTL:          r.params.TTL,
-		PayloadBytes: payloadBytes,
-		SentAt:       r.engine.Now(),
-		TraceID:      r.Tracer.NewTraceID(r.id),
-	}
-	// Mark our own packet as seen so an echoed copy is not re-forwarded.
-	r.dupFor(groupSource{group, r.id}).Seen(seq)
-	if r.Send != nil && r.Send(p) {
-		r.Stats.DataOriginated++
-		r.Telem.DataOriginated.Inc()
-		r.Tracer.Emit(r.id, trace.CatData, "originate grp=%v seq=%d", group, seq)
-		r.Tracer.Span(trace.SpanOriginate, r.id, r.id, p)
-	}
-}
-
-func (r *Router) dupFor(key groupSource) *multicast.DupWindow {
-	w, ok := r.dups[key]
-	if !ok {
-		w = &multicast.DupWindow{}
-		r.dups[key] = w
-	}
-	return w
-}
-
-// send broadcasts control packets and accounts their bytes.
-func (r *Router) send(p *packet.Packet) bool {
-	if r.Send == nil || !r.Send(p) {
-		return false
-	}
-	r.Stats.ControlBytesSent += uint64(p.SizeBytes())
-	r.Telem.ControlBytes.Add(uint64(p.SizeBytes()))
-	return true
+func (r *Router) handover() {
+	r.CoreHandovers++
+	r.coreHandovers.Inc()
 }
 
 // Handle processes a received MCST packet. It reports whether the packet
@@ -401,11 +227,14 @@ func (r *Router) send(p *packet.Packet) bool {
 func (r *Router) Handle(p *packet.Packet, from packet.NodeID) bool {
 	switch p.Kind {
 	case packet.TypeCoreAnnounce:
-		r.onAnnounce(p, from)
+		// Members and suppressed senders graft onto the tree.
+		if p.Src != r.ID() && r.adoptCore(p.Group, p.Src) {
+			r.HandleFlood(p, from, r.sources[p.Group])
+		}
 	case packet.TypeTreeJoin:
-		r.onJoin(p, from)
+		r.HandleGraft(p, from)
 	case packet.TypeData:
-		r.onData(p, from)
+		r.HandleData(p, from)
 	default:
 		return false
 	}
@@ -417,33 +246,31 @@ func (r *Router) Handle(p *packet.Packet, from packet.NodeID) bool {
 // than a live adopted one and must be suppressed.
 func (r *Router) adoptCore(group packet.GroupID, core packet.NodeID) bool {
 	now := r.engine.Now()
+	acting := r.Originating(group)
 	// While we act as core ourselves, only a strictly lower ID displaces us.
-	if _, acting := r.announcers[group]; acting && core > r.id {
+	if acting && core > r.ID() {
 		return false
 	}
 	b := r.cores[group]
 	switch {
 	case b == nil || !r.coreFresh(b):
 		if b != nil && b.core != core {
-			r.Stats.CoreHandovers++
-			r.Telem.CoreHandovers.Inc()
+			r.handover()
 		}
 		r.cores[group] = &coreBinding{core: core, lastHeard: now}
 	case core == b.core:
 		b.lastHeard = now
 	case core < b.core:
-		r.Stats.CoreHandovers++
-		r.Telem.CoreHandovers.Inc()
+		r.handover()
 		r.cores[group] = &coreBinding{core: core, lastHeard: now}
 	default:
 		return false // live better core already adopted
 	}
 	// A suppressed source steps down from the core role but keeps watching
 	// the winner: if it goes silent, the source reclaims the role.
-	if t, acting := r.announcers[group]; acting && core < r.id {
-		t.Stop()
-		delete(r.announcers, group)
-		r.Tracer.Emit(r.id, trace.CatCore, "core-stepdown grp=%v core=%v", group, core)
+	if acting && core < r.ID() {
+		r.StopFlood(group)
+		r.Tracer.Emit(r.ID(), trace.CatCore, "core-stepdown grp=%v core=%v", group, core)
 		if r.sources[group] {
 			r.armFailover(group)
 		}
@@ -463,246 +290,15 @@ func (r *Router) armFailover(group packet.GroupID) {
 	r.failover[group] = true
 	r.engine.Schedule(r.params.CoreTimeout, func() {
 		delete(r.failover, group)
-		if !r.sources[group] {
-			return
-		}
-		if _, acting := r.announcers[group]; acting {
+		if !r.sources[group] || r.Originating(group) {
 			return
 		}
 		if b := r.cores[group]; b != nil && r.coreFresh(b) {
 			r.armFailover(group)
 			return
 		}
-		r.Stats.CoreHandovers++
-		r.Telem.CoreHandovers.Inc()
-		r.Tracer.Emit(r.id, trace.CatCore, "core-failover grp=%v", group)
-		r.becomeCore(group)
+		r.handover()
+		r.Tracer.Emit(r.ID(), trace.CatCore, "core-failover grp=%v", group)
+		r.StartFlood(group)
 	})
-}
-
-func (r *Router) onAnnounce(p *packet.Packet, from packet.NodeID) {
-	if p.Src == r.id {
-		return // our own flood echoed back
-	}
-	if !r.adoptCore(p.Group, p.Src) {
-		return
-	}
-	now := r.engine.Now()
-	key := groupCore{p.Group, p.Src}
-
-	// Accumulate the cost of the link we just traversed (from → us), as
-	// measured by our NEIGHBOR TABLE.
-	linkCost := r.pm.LinkCost(r.table.Estimate(uint16(from), now))
-	newCost := r.pm.Accumulate(p.Cost, linkCost)
-	hops := p.HopCount + 1
-
-	round, ok := r.rounds[key]
-	if ok && p.Seq < round.seq {
-		return // stale round
-	}
-	first := !ok || p.Seq > round.seq
-	if first {
-		round = &announceRound{
-			seq:           p.Seq,
-			firstSeen:     now,
-			firstUpstream: from,
-			bestCost:      r.pm.Worst(),
-			bestForwarded: r.pm.Worst(),
-		}
-		r.rounds[key] = round
-	}
-
-	// Track the best parent candidate for this round.
-	if r.pm.Better(newCost, round.bestCost) {
-		round.bestCost = newCost
-		round.bestUpstream = from
-		round.bestHops = hops
-	}
-
-	// Members and suppressed senders graft onto the tree.
-	if r.members[p.Group] || r.sources[p.Group] {
-		if r.params.JoinDelta <= 0 {
-			// First-copy behavior: join via the first announce heard.
-			if first {
-				r.sendJoin(p.Group, p.Src, p.Seq, from)
-				round.joined = true
-			}
-		} else if !round.joinScheduled {
-			round.joinScheduled = true
-			r.engine.Schedule(r.params.JoinDelta, func() {
-				cur := r.rounds[key]
-				if cur == nil || cur.seq != p.Seq || cur.joined {
-					return
-				}
-				cur.joined = true
-				r.sendJoin(p.Group, p.Src, p.Seq, r.parentOf(cur))
-			})
-		}
-	}
-
-	// Flooding behavior: rebroadcast the first copy; within α, also
-	// rebroadcast duplicates that improve on the best cost forwarded so far.
-	if p.TTL <= 1 {
-		return
-	}
-	forward := false
-	if !round.forwardedAny {
-		forward = true
-	} else if r.params.DupAlpha > 0 &&
-		now <= round.firstSeen+r.params.DupAlpha &&
-		r.pm.Better(newCost, round.bestForwarded) {
-		forward = true
-		r.Stats.DupAnnouncesForwarded++
-		r.Telem.DupAnnouncesForwarded.Inc()
-	}
-	if !forward {
-		return
-	}
-	wasFirst := !round.forwardedAny
-	round.forwardedAny = true
-	round.bestForwarded = newCost
-
-	fwd := p.Clone()
-	fwd.PrevHop = r.id
-	fwd.Cost = newCost
-	fwd.HopCount = hops
-	fwd.TTL = p.TTL - 1
-	r.jitterSend(fwd, r.params.AnnounceJitter, func() {
-		r.Tracer.Span(trace.SpanForward, r.id, from, fwd)
-		if wasFirst {
-			r.Stats.AnnouncesForwarded++
-			r.Telem.AnnouncesForwarded.Inc()
-			r.Tracer.Emit(r.id, trace.CatCore, "announce-fwd grp=%v core=%v seq=%d cost=%.4g",
-				fwd.Group, fwd.Src, fwd.Seq, fwd.Cost)
-		} else {
-			r.Tracer.Emit(r.id, trace.CatCore, "announce-fwd-dup grp=%v core=%v seq=%d cost=%.4g",
-				fwd.Group, fwd.Src, fwd.Seq, fwd.Cost)
-		}
-	})
-}
-
-// parentOf returns the upstream parent toward the core for an announce
-// round: the best-cost upstream when a usable (fully measured) path was
-// seen, otherwise the first copy's upstream, which keeps the tree
-// bootstrapping while probes warm up.
-func (r *Router) parentOf(round *announceRound) packet.NodeID {
-	if r.pm.Usable(round.bestCost) {
-		return round.bestUpstream
-	}
-	return round.firstUpstream
-}
-
-// sendJoin broadcasts a TREE JOIN naming parent as the upstream relay
-// toward core for the given announce round.
-func (r *Router) sendJoin(group packet.GroupID, core packet.NodeID, seq uint32, parent packet.NodeID) {
-	if parent == r.id {
-		return
-	}
-	join := &packet.Packet{
-		Kind:    packet.TypeTreeJoin,
-		Src:     r.id,
-		PrevHop: r.id,
-		Group:   group,
-		Seq:     seq,
-		SentAt:  r.engine.Now(),
-		Replies: []packet.ReplyEntry{{Source: core, NextHop: parent}},
-		TraceID: r.Tracer.NewTraceID(r.id),
-	}
-	r.jitterSend(join, r.params.JoinJitter, func() {
-		r.Stats.JoinsSent++
-		r.Telem.JoinsSent.Inc()
-		r.Tracer.Emit(r.id, trace.CatJoin, "join grp=%v core=%v seq=%d parent=%v", group, core, seq, parent)
-		r.Tracer.Span(trace.SpanOriginate, r.id, r.id, join)
-	})
-}
-
-func (r *Router) onJoin(p *packet.Packet, from packet.NodeID) {
-	for _, entry := range p.Replies {
-		if entry.NextHop != r.id {
-			continue
-		}
-		// We are the named parent: set/refresh the on-tree flag.
-		until := r.engine.Now() + r.params.TreeTimeout
-		if until > r.treeUntil[p.Group] {
-			if r.engine.Now() >= r.treeUntil[p.Group] {
-				r.Tracer.Emit(r.id, trace.CatJoin, "tree-set grp=%v (from %v)", p.Group, from)
-			}
-			r.treeUntil[p.Group] = until
-		}
-		if entry.Source == r.id {
-			// The join reached the core: the branch is complete.
-			continue
-		}
-		// Propagate our own TREE JOIN one hop further toward the core,
-		// once per announce round.
-		key := groupCore{p.Group, entry.Source}
-		round := r.rounds[key]
-		if round == nil || round.joined {
-			continue
-		}
-		round.joined = true
-		r.sendJoin(p.Group, entry.Source, round.seq, r.parentOf(round))
-	}
-}
-
-func (r *Router) onData(p *packet.Packet, from packet.NodeID) {
-	if p.Src == r.id {
-		return
-	}
-	key := groupSource{p.Group, p.Src}
-	if r.dupFor(key).Seen(p.Seq) {
-		r.Stats.DataDuplicates++
-		r.Telem.DupSuppressed.Inc()
-		r.Tracer.Span(trace.SpanDupSuppress, r.id, from, p)
-		return
-	}
-	carried := false
-	if r.members[p.Group] {
-		r.Stats.DataDelivered++
-		r.Telem.DataDelivered.Inc()
-		carried = true
-		r.Tracer.Emit(r.id, trace.CatData, "deliver grp=%v src=%v seq=%d from=%v", p.Group, p.Src, p.Seq, from)
-		r.Tracer.Span(trace.SpanDeliver, r.id, from, p)
-		if r.OnDeliver != nil {
-			r.OnDeliver(p, from)
-		}
-	}
-	if r.IsForwarder(p.Group) && p.TTL > 1 {
-		fwd := p.Clone()
-		fwd.PrevHop = r.id
-		fwd.TTL = p.TTL - 1
-		carried = true
-		r.jitterSend(fwd, r.params.DataJitter, func() {
-			r.Stats.DataForwarded++
-			r.Telem.DataForwarded.Inc()
-			r.Tracer.Emit(r.id, trace.CatData, "forward grp=%v src=%v seq=%d", fwd.Group, fwd.Src, fwd.Seq)
-			r.Tracer.Span(trace.SpanForward, r.id, from, fwd)
-		})
-	}
-	if carried {
-		r.edgeUse[multicast.Edge{From: from, To: r.id}]++
-	}
-}
-
-// jitterSend broadcasts p after a uniform random delay in [0, jitter),
-// invoking onSent if the MAC accepted it.
-func (r *Router) jitterSend(p *packet.Packet, jitter time.Duration, onSent func()) {
-	send := func() {
-		ok := r.Send != nil && r.Send(p)
-		if !ok {
-			return
-		}
-		if p.Kind != packet.TypeData {
-			r.Stats.ControlBytesSent += uint64(p.SizeBytes())
-		}
-		if onSent != nil {
-			onSent()
-		}
-	}
-	if jitter <= 0 {
-		send()
-		return
-	}
-	d := time.Duration(r.rng.Float64() * float64(jitter))
-	r.engine.Schedule(d, send)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"meshcast/internal/multicast"
-	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
-	"meshcast/internal/trace"
 )
 
 // Name is the registered protocol name.
@@ -33,28 +31,11 @@ func init() {
 // Name implements multicast.Protocol.
 func (r *Router) Name() string { return Name }
 
-// SetSend implements multicast.Protocol.
-func (r *Router) SetSend(send func(p *packet.Packet) bool) { r.Send = send }
-
-// SetOnDeliver implements multicast.Protocol.
-func (r *Router) SetOnDeliver(fn func(p *packet.Packet, from packet.NodeID)) { r.OnDeliver = fn }
-
-// SetTracer implements multicast.Protocol.
-func (r *Router) SetTracer(t *trace.Tracer) { r.Tracer = t }
-
 // AttachTelemetry implements multicast.Protocol, registering the "mcst."
-// instruments on reg.
-func (r *Router) AttachTelemetry(reg *telemetry.Registry) { r.Telem = NewTelemetry(reg) }
-
-// Counters implements multicast.Protocol.
-func (r *Router) Counters() multicast.Stats {
-	return multicast.Stats{
-		ControlBytesSent: r.Stats.ControlBytesSent,
-		DataOriginated:   r.Stats.DataOriginated,
-		DataForwarded:    r.Stats.DataForwarded,
-		DataDelivered:    r.Stats.DataDelivered,
-		DataDuplicates:   r.Stats.DataDuplicates,
-	}
+// instruments on reg: the kernel's set plus MCST's own handover counter.
+func (r *Router) AttachTelemetry(reg *telemetry.Registry) {
+	r.Kernel.AttachTelemetry(reg)
+	r.coreHandovers = reg.Counter(Name + ".core_handovers")
 }
 
 var _ multicast.Protocol = (*Router)(nil)

@@ -1,8 +1,10 @@
 // Package multicast defines the protocol-agnostic multicast plane: the
 // Protocol interface every multicast routing protocol implements, the
-// registry that maps protocol names to factories, and forwarding-plane
-// building blocks shared across protocol families (the duplicate-suppression
-// window, directed data edges, common counters).
+// registry that maps protocol names to factories, and the flood-round kernel
+// the in-tree protocols embed (kernel.go): per-(group, origin) rounds with
+// best-cost upstream tracking, the δ graft timer and α re-flood window,
+// reverse-path grafts and forwarder flags, the data plane with its
+// duplicate-suppression window, and the common counters and telemetry.
 //
 // The node assembly, traffic generators, experiment harness, and live
 // testbed all depend only on this package; concrete protocols (mesh-based
@@ -23,10 +25,19 @@ type Edge struct {
 	From, To packet.NodeID
 }
 
-// Stats is the protocol-independent counter set every protocol maintains.
-// Protocols keep richer internal counters (query/announce breakdowns); this
-// is the common currency the experiment layers aggregate.
+// Stats is the counter set every protocol maintains, in the kernel's
+// vocabulary: a flood is the protocol's route-establishment broadcast (JOIN
+// QUERY, CORE ANNOUNCE), a graft its reverse-path answer (JOIN REPLY, TREE
+// JOIN). It is the common currency the experiment layers aggregate.
 type Stats struct {
+	// FloodsOriginated / FloodsForwarded count floods this node started
+	// and first copies it rebroadcast; DupFloodsForwarded counts improving
+	// duplicates re-flooded within α.
+	FloodsOriginated   uint64
+	FloodsForwarded    uint64
+	DupFloodsForwarded uint64
+	// GraftsSent counts grafts sent, own and propagated.
+	GraftsSent uint64
 	// ControlBytesSent counts control-plane bytes handed to the MAC.
 	ControlBytesSent uint64
 	// DataOriginated / DataForwarded / DataDelivered count data-plane

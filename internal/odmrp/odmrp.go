@@ -29,6 +29,7 @@ import (
 	"meshcast/internal/multicast"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
+	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -99,395 +100,104 @@ func OriginalParams() Params {
 	return p
 }
 
-// Stats counts protocol activity at one node.
-type Stats struct {
-	QueriesOriginated   uint64
-	QueriesForwarded    uint64
-	DupQueriesForwarded uint64
-	RepliesSent         uint64
-	ReplyRetransmits    uint64
-	DataOriginated      uint64
-	DataForwarded       uint64
-	DataDelivered       uint64
-	DataDuplicates      uint64
-	ControlBytesSent    uint64
-}
-
 // Edge is a directed link used by delivered or forwarded data, for tree
 // analysis (paper Figure 5). It aliases the protocol-agnostic edge type.
 type Edge = multicast.Edge
 
-// groupSource keys per-(group, source) state.
-type groupSource struct {
-	group packet.GroupID
-	src   packet.NodeID
+// policy is ODMRP as the flood-round kernel sees it: JOIN QUERY floods
+// answered by JOIN REPLY grafts, timed by params. The mesh is per source, so
+// a source is not a forwarder of its own group by role (OriginRelays false).
+func policy(params Params) multicast.Policy {
+	return multicast.Policy{
+		Name:          Name,
+		FloodKind:     packet.TypeJoinQuery,
+		GraftKind:     packet.TypeJoinReply,
+		FloodInterval: params.RefreshInterval,
+		FlagTimeout:   params.FGTimeout,
+		Delta:         params.MemberDelta,
+		Alpha:         params.DupAlpha,
+		TTL:           params.TTL,
+		FloodJitter:   params.QueryJitter,
+		GraftJitter:   params.ReplyJitter,
+		DataJitter:    params.DataJitter,
+		FloodCat:      trace.CatQuery,
+		GraftCat:      trace.CatReply,
+		OriginateMsg:  "originate grp=%v seq=%d",
+		ForwardMsg:    "forward grp=%v src=%v seq=%d cost=%.4g",
+		ForwardDupMsg: "forward-dup grp=%v src=%v seq=%d cost=%.4g",
+		GraftMsg:      "reply grp=%v src=%v seq=%d nexthop=%v",
+		FlagSetMsg:    "fg-set grp=%v (from %v)",
+		FloodNoun:     "queries",
+		GraftNoun:     "replies",
+	}
 }
 
-// queryRound holds the state of the latest JOIN QUERY flood round seen for
-// one (group, source).
-type queryRound struct {
-	seq       uint32
-	firstSeen time.Duration
-	// firstUpstream is the previous hop of the first copy received; the
-	// fallback path when no copy has a usable (fully measured) cost yet.
-	firstUpstream packet.NodeID
-	// bestCost / bestUpstream track the best path offered by any copy of
-	// this round's query (used by members when replying and by FG nodes
-	// when propagating replies).
-	bestCost     float64
-	bestUpstream packet.NodeID
-	bestHops     uint8
-	// bestForwarded is the best cost this node has re-broadcast for this
-	// round; duplicates must beat it to be forwarded again.
-	bestForwarded float64
-	forwardedAny  bool
-	// replyScheduled marks that a member reply timer is pending.
-	replyScheduled bool
-	// replied marks that a JOIN REPLY (member or FG propagation) has been
-	// sent for this round already.
-	replied bool
-}
-
-// Router is one node's ODMRP instance.
+// Router is one node's ODMRP instance: the shared flood-round kernel under
+// ODMRP's policy, plus passive-acknowledgment supervision of sent replies.
 type Router struct {
-	// Send broadcasts a packet via the node's MAC; reports acceptance.
-	Send func(p *packet.Packet) bool
-	// OnDeliver is called for every data packet delivered to this node as
-	// a group member (first copy only).
-	OnDeliver func(p *packet.Packet, from packet.NodeID)
-	// Tracer, when non-nil, receives protocol events (query/reply/data).
-	Tracer *trace.Tracer
-	// Stats accumulates protocol counters.
-	Stats Stats
-	// Telem holds the run-wide telemetry instruments (zero value disabled).
-	Telem Telemetry
+	*multicast.Kernel
+	// ReplyRetransmits counts JOIN REPLY retransmissions by this node.
+	ReplyRetransmits uint64
 
-	id     packet.NodeID
-	engine *sim.Engine
-	rng    *sim.RNG
-	params Params
-	pm     metric.PathMetric
-	table  *linkquality.Table
-
-	members map[packet.GroupID]bool
-	sources map[packet.GroupID]*sim.Ticker
-	srcSeq  map[packet.GroupID]uint32
-	dataSeq map[packet.GroupID]uint32
-
-	rounds  map[groupSource]*queryRound
-	fgUntil map[packet.GroupID]time.Duration
-	dups    map[groupSource]*multicast.DupWindow
-	pending map[groupSource]*pendingReply
-
-	// edgeUse counts data packets carried per directed link into this node
-	// (delivered or forwarded), for tree analysis.
-	edgeUse map[Edge]uint64
+	engine  *sim.Engine
+	params  Params
+	pending map[multicast.Flow]*pendingReply
+	// replyRetransmits is the run-wide "odmrp.reply_retransmits" counter.
+	replyRetransmits *telemetry.Counter
 }
 
 // New creates a router for node id using path metric pm and neighbor table
 // table. For the original ODMRP baseline pass metric.MustNew(metric.MinHop)
 // and OriginalParams().
 func New(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table, params Params) *Router {
-	return &Router{
-		id:      id,
+	r := &Router{
+		Kernel:  multicast.NewKernel(engine, id, pm, table, policy(params)),
 		engine:  engine,
-		rng:     engine.RNG().Split(),
 		params:  params,
-		pm:      pm,
-		table:   table,
-		members: make(map[packet.GroupID]bool),
-		sources: make(map[packet.GroupID]*sim.Ticker),
-		srcSeq:  make(map[packet.GroupID]uint32),
-		dataSeq: make(map[packet.GroupID]uint32),
-		rounds:  make(map[groupSource]*queryRound),
-		fgUntil: make(map[packet.GroupID]time.Duration),
-		dups:    make(map[groupSource]*multicast.DupWindow),
-		pending: make(map[groupSource]*pendingReply),
-		edgeUse: make(map[Edge]uint64),
+		pending: make(map[multicast.Flow]*pendingReply),
 	}
+	r.OnGraftSent = r.armReplyAck
+	return r
 }
 
-// ID returns the node ID.
-func (r *Router) ID() packet.NodeID { return r.id }
-
-// Reset purges all of the router's soft state, modeling a node crash: query
-// rounds, forwarding-group flags, duplicate windows, pending reply-ack
-// supervision, and active source floods are all discarded. Group membership
-// survives (it is configuration, reloaded on restart), and so do the source
-// sequence counters (a restarted source must not reuse sequence numbers its
-// receivers' duplicate windows have already seen — real implementations
-// derive them from stable storage or a clock). A source stopped here must be
-// re-registered via StartSource after restart.
+// Reset purges all of the router's soft state, modeling a node crash: the
+// kernel's rounds, flags, duplicate windows and source floods, and pending
+// reply-ack supervision. A source stopped here must be re-registered via
+// StartSource after restart.
 func (r *Router) Reset() {
-	for g, t := range r.sources {
-		t.Stop()
-		delete(r.sources, g)
+	r.Kernel.Reset()
+	for flow, p := range r.pending {
+		p.timer.Stop()
+		delete(r.pending, flow)
 	}
-	for key, p := range r.pending {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
-		delete(r.pending, key)
-	}
-	r.rounds = make(map[groupSource]*queryRound)
-	r.fgUntil = make(map[packet.GroupID]time.Duration)
-	r.dups = make(map[groupSource]*multicast.DupWindow)
-}
-
-// Metric returns the router's path metric.
-func (r *Router) Metric() metric.PathMetric { return r.pm }
-
-// JoinGroup registers this node as a receiver member of group.
-func (r *Router) JoinGroup(group packet.GroupID) { r.members[group] = true }
-
-// LeaveGroup removes receiver membership.
-func (r *Router) LeaveGroup(group packet.GroupID) { delete(r.members, group) }
-
-// IsMember reports receiver membership.
-func (r *Router) IsMember(group packet.GroupID) bool { return r.members[group] }
-
-// IsForwarder reports whether the FG flag for group is currently set.
-func (r *Router) IsForwarder(group packet.GroupID) bool {
-	return r.engine.Now() < r.fgUntil[group]
-}
-
-// EdgeUse returns a copy of the per-link data usage counters.
-func (r *Router) EdgeUse() map[Edge]uint64 {
-	out := make(map[Edge]uint64, len(r.edgeUse))
-	for e, n := range r.edgeUse {
-		out[e] = n
-	}
-	return out
 }
 
 // StartSource begins periodic JOIN QUERY floods for group, making this node
 // an active multicast source. The first flood is sent immediately.
-func (r *Router) StartSource(group packet.GroupID) {
-	if _, ok := r.sources[group]; ok {
-		return
-	}
-	r.floodQuery(group)
-	r.sources[group] = sim.NewTicker(r.engine, r.params.RefreshInterval, r.params.RefreshInterval/10, r.rng,
-		func() { r.floodQuery(group) })
-}
+func (r *Router) StartSource(group packet.GroupID) { r.StartFlood(group) }
 
 // StopSource halts the query floods for group.
-func (r *Router) StopSource(group packet.GroupID) {
-	if t, ok := r.sources[group]; ok {
-		t.Stop()
-		delete(r.sources, group)
-	}
-}
-
-func (r *Router) floodQuery(group packet.GroupID) {
-	seq := r.srcSeq[group]
-	r.srcSeq[group] = seq + 1
-	q := &packet.Packet{
-		Kind:    packet.TypeJoinQuery,
-		Src:     r.id,
-		PrevHop: r.id,
-		Group:   group,
-		Seq:     seq,
-		TTL:     r.params.TTL,
-		Cost:    r.pm.Initial(),
-		SentAt:  r.engine.Now(),
-		TraceID: r.Tracer.NewTraceID(r.id),
-	}
-	if r.send(q) {
-		r.Stats.QueriesOriginated++
-		r.Telem.QueriesOriginated.Inc()
-		r.Tracer.Emit(r.id, trace.CatQuery, "originate grp=%v seq=%d", group, seq)
-		r.Tracer.Span(trace.SpanOriginate, r.id, r.id, q)
-	}
-}
-
-// SendData multicasts one application payload of payloadBytes to group.
-// The node must be a registered source (StartSource) for routes to exist,
-// but SendData does not enforce that.
-func (r *Router) SendData(group packet.GroupID, payloadBytes int) {
-	seq := r.dataSeq[group]
-	r.dataSeq[group] = seq + 1
-	p := &packet.Packet{
-		Kind:         packet.TypeData,
-		Src:          r.id,
-		PrevHop:      r.id,
-		Group:        group,
-		Seq:          seq,
-		TTL:          r.params.TTL,
-		PayloadBytes: payloadBytes,
-		SentAt:       r.engine.Now(),
-		TraceID:      r.Tracer.NewTraceID(r.id),
-	}
-	// Mark our own packet as seen so an echoed copy is not re-forwarded.
-	r.dupFor(groupSource{group, r.id}).Seen(seq)
-	if r.Send != nil && r.Send(p) {
-		r.Stats.DataOriginated++
-		r.Telem.DataOriginated.Inc()
-		r.Tracer.Emit(r.id, trace.CatData, "originate grp=%v seq=%d", group, seq)
-		r.Tracer.Span(trace.SpanOriginate, r.id, r.id, p)
-	}
-}
-
-func (r *Router) dupFor(key groupSource) *multicast.DupWindow {
-	w, ok := r.dups[key]
-	if !ok {
-		w = &multicast.DupWindow{}
-		r.dups[key] = w
-	}
-	return w
-}
-
-// send broadcasts control packets and accounts their bytes.
-func (r *Router) send(p *packet.Packet) bool {
-	if r.Send == nil {
-		return false
-	}
-	if !r.Send(p) {
-		return false
-	}
-	r.Stats.ControlBytesSent += uint64(p.SizeBytes())
-	r.Telem.ControlBytes.Add(uint64(p.SizeBytes()))
-	return true
-}
+func (r *Router) StopSource(group packet.GroupID) { r.StopFlood(group) }
 
 // Handle processes a received ODMRP packet. It reports whether the packet
 // kind belonged to ODMRP.
 func (r *Router) Handle(p *packet.Packet, from packet.NodeID) bool {
 	switch p.Kind {
 	case packet.TypeJoinQuery:
-		r.onQuery(p, from)
+		r.HandleFlood(p, from, false)
 	case packet.TypeJoinReply:
-		r.onReply(p, from)
+		// Any overheard reply from our chosen upstream confirms it took
+		// over propagation (passive acknowledgment).
+		for _, entry := range p.Replies {
+			r.confirmReplyAck(multicast.Flow{Group: p.Group, Origin: entry.Source}, p.Seq, from)
+		}
+		r.HandleGraft(p, from)
 	case packet.TypeData:
-		r.onData(p, from)
+		r.HandleData(p, from)
 	default:
 		return false
 	}
 	return true
-}
-
-func (r *Router) onQuery(p *packet.Packet, from packet.NodeID) {
-	if p.Src == r.id {
-		return // our own flood echoed back
-	}
-	now := r.engine.Now()
-	key := groupSource{p.Group, p.Src}
-
-	// Accumulate the cost of the link we just traversed (from → us), as
-	// measured by our NEIGHBOR TABLE.
-	linkCost := r.pm.LinkCost(r.table.Estimate(uint16(from), now))
-	newCost := r.pm.Accumulate(p.Cost, linkCost)
-	hops := p.HopCount + 1
-
-	round, ok := r.rounds[key]
-	stale := ok && p.Seq < round.seq
-	if stale {
-		return
-	}
-	first := !ok || p.Seq > round.seq
-	if first {
-		round = &queryRound{
-			seq:           p.Seq,
-			firstSeen:     now,
-			firstUpstream: from,
-			bestCost:      r.pm.Worst(),
-			bestForwarded: r.pm.Worst(),
-		}
-		r.rounds[key] = round
-	}
-
-	// Track the best candidate path for this round.
-	if r.pm.Better(newCost, round.bestCost) {
-		round.bestCost = newCost
-		round.bestUpstream = from
-		round.bestHops = hops
-	}
-
-	// Member behavior.
-	if r.members[p.Group] {
-		if r.params.MemberDelta <= 0 {
-			// Original ODMRP: reply immediately to the first copy.
-			if first {
-				r.sendReply(p.Group, p.Src, p.Seq, from)
-				round.replied = true
-			}
-		} else if !round.replyScheduled {
-			round.replyScheduled = true
-			r.engine.Schedule(r.params.MemberDelta, func() {
-				cur := r.rounds[key]
-				if cur == nil || cur.seq != p.Seq || cur.replied {
-					return
-				}
-				cur.replied = true
-				r.sendReply(p.Group, p.Src, p.Seq, r.upstreamOf(cur))
-			})
-		}
-	}
-
-	// Forwarding behavior: rebroadcast the first copy; within α, also
-	// rebroadcast duplicates that improve on the best cost forwarded so far.
-	if p.TTL <= 1 {
-		return
-	}
-	forward := false
-	if !round.forwardedAny {
-		forward = true
-	} else if r.params.DupAlpha > 0 &&
-		now <= round.firstSeen+r.params.DupAlpha &&
-		r.pm.Better(newCost, round.bestForwarded) {
-		forward = true
-		r.Stats.DupQueriesForwarded++
-		r.Telem.DupQueriesForwarded.Inc()
-	}
-	if !forward {
-		return
-	}
-	wasFirst := !round.forwardedAny
-	round.forwardedAny = true
-	round.bestForwarded = newCost
-
-	fwd := p.Clone()
-	fwd.PrevHop = r.id
-	fwd.Cost = newCost
-	fwd.HopCount = hops
-	fwd.TTL = p.TTL - 1
-	r.jitterSend(fwd, r.params.QueryJitter, func() {
-		r.Tracer.Span(trace.SpanForward, r.id, from, fwd)
-		if wasFirst {
-			r.Stats.QueriesForwarded++
-			r.Telem.QueriesForwarded.Inc()
-			r.Tracer.Emit(r.id, trace.CatQuery, "forward grp=%v src=%v seq=%d cost=%.4g",
-				fwd.Group, fwd.Src, fwd.Seq, fwd.Cost)
-		} else {
-			r.Tracer.Emit(r.id, trace.CatQuery, "forward-dup grp=%v src=%v seq=%d cost=%.4g",
-				fwd.Group, fwd.Src, fwd.Seq, fwd.Cost)
-		}
-	})
-}
-
-// sendReply broadcasts a JOIN REPLY naming nextHop as the upstream relay
-// toward src for the given query round.
-func (r *Router) sendReply(group packet.GroupID, src packet.NodeID, seq uint32, nextHop packet.NodeID) {
-	if nextHop == r.id {
-		return
-	}
-	reply := &packet.Packet{
-		Kind:    packet.TypeJoinReply,
-		Src:     r.id,
-		PrevHop: r.id,
-		Group:   group,
-		Seq:     seq,
-		SentAt:  r.engine.Now(),
-		Replies: []packet.ReplyEntry{{Source: src, NextHop: nextHop}},
-		TraceID: r.Tracer.NewTraceID(r.id),
-	}
-	r.jitterSend(reply, r.params.ReplyJitter, func() {
-		r.Stats.RepliesSent++
-		r.Telem.RepliesSent.Inc()
-		r.Tracer.Emit(r.id, trace.CatReply, "reply grp=%v src=%v seq=%d nexthop=%v", group, src, seq, nextHop)
-		r.Tracer.Span(trace.SpanOriginate, r.id, r.id, reply)
-		r.armReplyAck(group, src, seq, nextHop, reply)
-	})
 }
 
 // pendingReply tracks a JOIN REPLY awaiting passive acknowledgment.
@@ -502,159 +212,48 @@ type pendingReply struct {
 // armReplyAck schedules passive-ack supervision of a sent reply. The
 // confirmation is overhearing nextHop's own JOIN REPLY for the same source
 // at the same (or newer) round.
-func (r *Router) armReplyAck(group packet.GroupID, src packet.NodeID, seq uint32, nextHop packet.NodeID, pkt *packet.Packet) {
-	if r.params.ReplyRetries <= 0 || nextHop == src {
+func (r *Router) armReplyAck(flow multicast.Flow, seq uint32, nextHop packet.NodeID, pkt *packet.Packet) {
+	if r.params.ReplyRetries <= 0 || nextHop == flow.Origin {
 		// A reply whose next hop is the source itself has no downstream
 		// reply to overhear; the source's data flow is the implicit ack.
 		return
 	}
-	key := groupSource{group, src}
-	p := r.pending[key]
+	p := r.pending[flow]
 	if p == nil || p.seq != seq {
-		if p != nil && p.timer != nil {
+		if p != nil {
 			p.timer.Stop()
 		}
 		p = &pendingReply{seq: seq, nextHop: nextHop, pkt: pkt}
-		r.pending[key] = p
+		r.pending[flow] = p
 	}
-	p.timer = r.engine.Schedule(r.params.ReplyAckTimeout, func() { r.replyAckTimeout(key, p) })
+	p.timer = r.engine.Schedule(r.params.ReplyAckTimeout, func() { r.replyAckTimeout(flow, p) })
 }
 
-func (r *Router) replyAckTimeout(key groupSource, p *pendingReply) {
-	if r.pending[key] != p {
+func (r *Router) replyAckTimeout(flow multicast.Flow, p *pendingReply) {
+	if r.pending[flow] != p {
 		return // superseded
 	}
 	if p.attempts >= r.params.ReplyRetries {
-		delete(r.pending, key)
+		delete(r.pending, flow)
 		return
 	}
 	p.attempts++
-	if r.Send != nil && r.Send(p.pkt.Clone()) {
-		r.Stats.ReplyRetransmits++
-		r.Telem.ReplyRetransmits.Inc()
-		r.Stats.ControlBytesSent += uint64(p.pkt.SizeBytes())
-		r.Telem.ControlBytes.Add(uint64(p.pkt.SizeBytes()))
-		r.Tracer.Emit(r.id, trace.CatReply, "reply-retx grp=%v src=%v seq=%d attempt=%d",
-			key.group, key.src, p.seq, p.attempts)
+	if r.Transmit(p.pkt.Clone()) {
+		r.ReplyRetransmits++
+		r.replyRetransmits.Inc()
+		r.Tracer.Emit(r.ID(), trace.CatReply, "reply-retx grp=%v src=%v seq=%d attempt=%d",
+			flow.Group, flow.Origin, p.seq, p.attempts)
 	}
-	p.timer = r.engine.Schedule(r.params.ReplyAckTimeout, func() { r.replyAckTimeout(key, p) })
+	p.timer = r.engine.Schedule(r.params.ReplyAckTimeout, func() { r.replyAckTimeout(flow, p) })
 }
 
 // confirmReplyAck cancels supervision when the expected upstream reply is
 // overheard.
-func (r *Router) confirmReplyAck(group packet.GroupID, src packet.NodeID, seq uint32, from packet.NodeID) {
-	key := groupSource{group, src}
-	p := r.pending[key]
+func (r *Router) confirmReplyAck(flow multicast.Flow, seq uint32, from packet.NodeID) {
+	p := r.pending[flow]
 	if p == nil || from != p.nextHop || seq < p.seq {
 		return
 	}
-	if p.timer != nil {
-		p.timer.Stop()
-	}
-	delete(r.pending, key)
-}
-
-// upstreamOf returns the next hop toward the source for a query round: the
-// best-cost upstream when a usable (fully measured) path was seen, otherwise
-// the first copy's upstream (original ODMRP behavior), which keeps routes
-// bootstrapping while probes warm up.
-func (r *Router) upstreamOf(round *queryRound) packet.NodeID {
-	if r.pm.Usable(round.bestCost) {
-		return round.bestUpstream
-	}
-	return round.firstUpstream
-}
-
-func (r *Router) onReply(p *packet.Packet, from packet.NodeID) {
-	for _, entry := range p.Replies {
-		// Any overheard reply from our chosen upstream confirms it took
-		// over propagation (passive acknowledgment).
-		r.confirmReplyAck(p.Group, entry.Source, p.Seq, from)
-		if entry.NextHop != r.id {
-			continue
-		}
-		if entry.Source == r.id {
-			// The reply reached the source: the branch is complete.
-			continue
-		}
-		// We are on the path: set/refresh the forwarding-group flag.
-		until := r.engine.Now() + r.params.FGTimeout
-		if until > r.fgUntil[p.Group] {
-			if r.engine.Now() >= r.fgUntil[p.Group] {
-				r.Tracer.Emit(r.id, trace.CatReply, "fg-set grp=%v (from %v)", p.Group, from)
-			}
-			r.fgUntil[p.Group] = until
-		}
-		// Propagate our own JOIN REPLY one hop further toward the source,
-		// once per query round.
-		key := groupSource{p.Group, entry.Source}
-		round := r.rounds[key]
-		if round == nil || round.replied {
-			continue
-		}
-		round.replied = true
-		r.sendReply(p.Group, entry.Source, round.seq, r.upstreamOf(round))
-	}
-}
-
-func (r *Router) onData(p *packet.Packet, from packet.NodeID) {
-	if p.Src == r.id {
-		return
-	}
-	key := groupSource{p.Group, p.Src}
-	if r.dupFor(key).Seen(p.Seq) {
-		r.Stats.DataDuplicates++
-		r.Telem.DupSuppressed.Inc()
-		r.Tracer.Span(trace.SpanDupSuppress, r.id, from, p)
-		return
-	}
-	carried := false
-	if r.members[p.Group] {
-		r.Stats.DataDelivered++
-		r.Telem.DataDelivered.Inc()
-		carried = true
-		r.Tracer.Emit(r.id, trace.CatData, "deliver grp=%v src=%v seq=%d from=%v", p.Group, p.Src, p.Seq, from)
-		r.Tracer.Span(trace.SpanDeliver, r.id, from, p)
-		if r.OnDeliver != nil {
-			r.OnDeliver(p, from)
-		}
-	}
-	if r.IsForwarder(p.Group) && p.TTL > 1 {
-		fwd := p.Clone()
-		fwd.PrevHop = r.id
-		fwd.TTL = p.TTL - 1
-		carried = true
-		r.jitterSend(fwd, r.params.DataJitter, func() {
-			r.Stats.DataForwarded++
-			r.Telem.DataForwarded.Inc()
-			r.Tracer.Emit(r.id, trace.CatData, "forward grp=%v src=%v seq=%d", fwd.Group, fwd.Src, fwd.Seq)
-			r.Tracer.Span(trace.SpanForward, r.id, from, fwd)
-		})
-	}
-	if carried {
-		r.edgeUse[Edge{From: from, To: r.id}]++
-	}
-}
-
-// jitterSend broadcasts p after a uniform random delay in [0, jitter),
-// invoking onSent if the MAC accepted it.
-func (r *Router) jitterSend(p *packet.Packet, jitter time.Duration, onSent func()) {
-	send := func() {
-		ok := r.Send != nil && r.Send(p)
-		if !ok {
-			return
-		}
-		if p.Kind != packet.TypeData {
-			r.Stats.ControlBytesSent += uint64(p.SizeBytes())
-		}
-		if onSent != nil {
-			onSent()
-		}
-	}
-	if jitter <= 0 {
-		send()
-		return
-	}
-	d := time.Duration(r.rng.Float64() * float64(jitter))
-	r.engine.Schedule(d, send)
+	p.timer.Stop()
+	delete(r.pending, flow)
 }

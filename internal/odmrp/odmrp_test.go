@@ -7,107 +7,47 @@ import (
 	"meshcast/internal/linkquality"
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
+	"meshcast/internal/multicast/multicasttest"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
 )
 
-// fakeNet is a deterministic lossless network with per-link delivery delays,
-// letting protocol tests control which JOIN QUERY copy arrives first without
-// PHY/MAC noise.
-type fakeNet struct {
-	engine  *sim.Engine
-	routers map[packet.NodeID]*Router
-	tables  map[packet.NodeID]*linkquality.Table
-	delays  map[Edge]time.Duration
-}
+// fakeNet is the shared lossless test network building ODMRP routers.
+type fakeNet struct{ *multicasttest.Net }
 
-func newFakeNet(seed uint64) *fakeNet {
-	return &fakeNet{
-		engine:  sim.NewEngine(seed),
-		routers: make(map[packet.NodeID]*Router),
-		tables:  make(map[packet.NodeID]*linkquality.Table),
-		delays:  make(map[Edge]time.Duration),
-	}
-}
+func newFakeNet(seed uint64) *fakeNet { return &fakeNet{multicasttest.NewNet(seed)} }
 
 // addNode creates a router with the given metric and params.
 func (f *fakeNet) addNode(id packet.NodeID, kind metric.Kind, params Params) *Router {
-	table := linkquality.NewTable(512, 10, 0)
-	r := New(f.engine, id, metric.MustNew(kind), table, params)
-	f.routers[id] = r
-	f.tables[id] = table
-	r.Send = func(p *packet.Packet) bool {
-		for edge, delay := range f.delays {
-			if edge.From != id {
-				continue
-			}
-			to := f.routers[edge.To]
-			if to == nil {
-				continue
-			}
-			c := p.Clone()
-			f.engine.Schedule(delay, func() { to.Handle(c, id) })
-		}
-		return true
-	}
+	table := multicasttest.NewTable()
+	r := New(f.Engine, id, metric.MustNew(kind), table, params)
+	f.Attach(r, table)
 	return r
 }
 
-// connect links a and b bidirectionally with the given one-way delay and
-// forward delivery probabilities recorded in each receiver's neighbor table.
-func (f *fakeNet) connect(a, b packet.NodeID, delay time.Duration, dfAB, dfBA float64) {
-	f.delays[Edge{From: a, To: b}] = delay
-	f.delays[Edge{From: b, To: a}] = delay
-	f.tables[b].SetStatic(uint16(a), metric.LinkEstimate{
-		DeliveryProb: dfAB, PairDelaySeconds: 0.002 / dfAB, BandwidthBps: 2e6 * dfAB, PacketBytes: 512,
-	})
-	f.tables[a].SetStatic(uint16(b), metric.LinkEstimate{
-		DeliveryProb: dfBA, PairDelaySeconds: 0.002 / dfBA, BandwidthBps: 2e6 * dfBA, PacketBytes: 512,
-	})
+// conformance runs the kernel behaviours under ODMRP's packets and timing.
+var conformance = multicasttest.Harness{
+	New: func(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table,
+		delta, alpha time.Duration, ttl uint8) multicast.Protocol {
+		params := DefaultParams()
+		params.MemberDelta, params.DupAlpha, params.TTL = delta, alpha, ttl
+		return New(engine, id, pm, table, params)
+	},
+	FloodKind:   packet.TypeJoinQuery,
+	FlagTimeout: DefaultParams().FGTimeout,
 }
 
-func TestDupWindow(t *testing.T) {
-	var w multicast.DupWindow
-	if w.Seen(5) {
-		t.Fatal("first packet reported as duplicate")
-	}
-	if !w.Seen(5) {
-		t.Fatal("repeat not detected")
-	}
-	if w.Seen(6) || w.Seen(4) {
-		t.Fatal("fresh nearby seqs reported as duplicates")
-	}
-	if !w.Seen(4) {
-		t.Fatal("repeat of reordered seq not detected")
-	}
-	if w.Seen(100) {
-		t.Fatal("big jump forward reported as duplicate")
-	}
-	if !w.Seen(5) {
-		t.Fatal("seq far behind the window must be treated as duplicate")
-	}
-	if w.Seen(99) {
-		t.Fatal("seq just inside the window reported as duplicate")
-	}
-	if !w.Seen(99) {
-		t.Fatal("repeat inside window not detected")
-	}
-}
-
-func TestDupWindowShiftBeyond64(t *testing.T) {
-	var w multicast.DupWindow
-	w.Seen(0)
-	if w.Seen(64) {
-		t.Fatal("seq 64 is new")
-	}
-	// seq 0 is now exactly 64 behind: outside the window, counts duplicate.
-	if !w.Seen(0) {
-		t.Fatal("seq aged out of window must count as duplicate")
-	}
-	if w.Seen(63) {
-		t.Fatal("seq 63 is inside the window and unseen")
-	}
-}
+func TestBestPathSelectionSPP(t *testing.T)                  { conformance.BestPathAfterDelta(t) }
+func TestOriginalModePicksFirstCopy(t *testing.T)            { conformance.FirstCopyAtZeroDelta(t) }
+func TestDuplicateQueryForwardingWithinAlpha(t *testing.T)   { conformance.RefloodWithinAlpha(t) }
+func TestDuplicateQueryBeyondAlphaNotForwarded(t *testing.T) { conformance.NoRefloodBeyondAlpha(t) }
+func TestStaleQueryIgnored(t *testing.T)                     { conformance.StaleRoundIgnored(t) }
+func TestQueryTTLBoundsFlood(t *testing.T)                   { conformance.FloodTTLBound(t) }
+func TestDataTTLBoundsForwarding(t *testing.T)               { conformance.DataTTLBound(t) }
+func TestFGFlagExpires(t *testing.T)                         { conformance.FlagExpires(t) }
+func TestFGRefreshExtendsExpiry(t *testing.T)                { conformance.FlagRefreshExtends(t) }
+func TestWarmupFallsBackToFirstCopy(t *testing.T)            { conformance.WarmupFallback(t) }
+func TestSourceDoesNotDeliverOwnData(t *testing.T)           { conformance.OwnEchoIgnored(t) }
 
 // chain builds S(0) — F(1) — M(2) and runs one query round.
 func chain(t *testing.T, kind metric.Kind, params Params) (*fakeNet, *Router, *Router, *Router) {
@@ -116,8 +56,8 @@ func chain(t *testing.T, kind metric.Kind, params Params) (*fakeNet, *Router, *R
 	s := f.addNode(0, kind, params)
 	fw := f.addNode(1, kind, params)
 	m := f.addNode(2, kind, params)
-	f.connect(0, 1, time.Millisecond, 0.9, 0.9)
-	f.connect(1, 2, time.Millisecond, 0.9, 0.9)
+	f.Connect(0, 1, time.Millisecond, 0.9, 0.9)
+	f.Connect(1, 2, time.Millisecond, 0.9, 0.9)
 	return f, s, fw, m
 }
 
@@ -130,8 +70,8 @@ func TestTreeFormationChain(t *testing.T) {
 			}
 			f, s, fw, m := chain(t, kind, params)
 			m.JoinGroup(1)
-			f.engine.Schedule(0, func() { s.StartSource(1) })
-			f.engine.Run(time.Second)
+			f.Engine.Schedule(0, func() { s.StartSource(1) })
+			f.Engine.Run(time.Second)
 			if !fw.IsForwarder(1) {
 				t.Fatal("middle node did not acquire the FG flag")
 			}
@@ -140,8 +80,8 @@ func TestTreeFormationChain(t *testing.T) {
 			}
 			delivered := 0
 			m.OnDeliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-			f.engine.Schedule(0, func() { s.SendData(1, 512) })
-			f.engine.Run(2 * time.Second)
+			f.Engine.Schedule(0, func() { s.SendData(1, 512) })
+			f.Engine.Run(2 * time.Second)
 			if delivered != 1 {
 				t.Fatalf("delivered = %d, want 1", delivered)
 			}
@@ -161,20 +101,27 @@ func TestDataDuplicateSuppression(t *testing.T) {
 	a := f.addNode(1, metric.SPP, params)
 	b := f.addNode(2, metric.SPP, params)
 	m := f.addNode(3, metric.SPP, params)
-	f.connect(0, 1, time.Millisecond, 0.9, 0.9)
-	f.connect(0, 2, time.Millisecond, 0.9, 0.9)
-	f.connect(1, 3, time.Millisecond, 0.9, 0.9)
-	f.connect(2, 3, time.Millisecond, 0.9, 0.9)
+	f.Connect(0, 1, time.Millisecond, 0.9, 0.9)
+	f.Connect(0, 2, time.Millisecond, 0.9, 0.9)
+	f.Connect(1, 3, time.Millisecond, 0.9, 0.9)
+	f.Connect(2, 3, time.Millisecond, 0.9, 0.9)
 	m.JoinGroup(1)
 	// Force both relays into the forwarding group.
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	a.fgUntil[1] = f.engine.Now() + time.Hour
-	b.fgUntil[1] = f.engine.Now() + time.Hour
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Run(time.Second)
+	for _, relay := range []*Router{a, b} {
+		relay.Handle(&packet.Packet{
+			Kind: packet.TypeJoinReply, Src: 3, Group: 1,
+			Replies: []packet.ReplyEntry{{Source: 9, NextHop: relay.ID()}},
+		}, 3)
+		if !relay.IsForwarder(1) {
+			t.Fatal("a reply naming the relay did not set its FG flag")
+		}
+	}
 	delivered := 0
 	m.OnDeliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	f.engine.Schedule(0, func() { s.SendData(1, 512) })
-	f.engine.Run(2 * time.Second)
+	f.Engine.Schedule(0, func() { s.SendData(1, 512) })
+	f.Engine.Run(2 * time.Second)
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want exactly 1 (duplicate suppression)", delivered)
 	}
@@ -183,202 +130,11 @@ func TestDataDuplicateSuppression(t *testing.T) {
 	}
 }
 
-func TestBestPathSelectionSPP(t *testing.T) {
-	// Diamond where the fast path (via B) is lossy and the slow path
-	// (via A) is clean. With δ-wait the member must pick A.
-	f := newFakeNet(3)
-	params := DefaultParams()
-	s := f.addNode(0, metric.SPP, params)
-	a := f.addNode(1, metric.SPP, params)
-	b := f.addNode(2, metric.SPP, params)
-	m := f.addNode(3, metric.SPP, params)
-	f.connect(0, 1, 2*time.Millisecond, 0.9, 0.9) // slow, clean
-	f.connect(1, 3, 2*time.Millisecond, 0.9, 0.9)
-	f.connect(0, 2, time.Millisecond, 0.5, 0.5) // fast, lossy
-	f.connect(2, 3, time.Millisecond, 0.5, 0.5)
-	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	if !a.IsForwarder(1) {
-		t.Fatal("clean relay A should hold the FG flag under SPP")
-	}
-	if b.IsForwarder(1) {
-		t.Fatal("lossy relay B should not hold the FG flag under SPP")
-	}
-}
-
-func TestOriginalModePicksFirstCopy(t *testing.T) {
-	// Same diamond, original ODMRP: the member replies to the first copy,
-	// which travels the fast lossy path via B.
-	f := newFakeNet(3)
-	params := OriginalParams()
-	s := f.addNode(0, metric.MinHop, params)
-	a := f.addNode(1, metric.MinHop, params)
-	b := f.addNode(2, metric.MinHop, params)
-	m := f.addNode(3, metric.MinHop, params)
-	f.connect(0, 1, 2*time.Millisecond, 0.9, 0.9)
-	f.connect(1, 3, 2*time.Millisecond, 0.9, 0.9)
-	f.connect(0, 2, time.Millisecond, 0.5, 0.5)
-	f.connect(2, 3, time.Millisecond, 0.5, 0.5)
-	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	if !b.IsForwarder(1) {
-		t.Fatal("original ODMRP should route along the first (fast) copy via B")
-	}
-	if a.IsForwarder(1) {
-		t.Fatal("original ODMRP should not select the slower relay A")
-	}
-}
-
-func TestDuplicateQueryForwardingWithinAlpha(t *testing.T) {
-	// F first hears the query along a lossy branch, then within α along a
-	// clean branch: the improving duplicate must be re-forwarded.
-	f := newFakeNet(4)
-	params := DefaultParams()
-	params.MemberDelta = 50 * time.Millisecond
-	params.DupAlpha = 20 * time.Millisecond
-	s := f.addNode(0, metric.SPP, params)
-	f.addNode(1, metric.SPP, params)
-	y := f.addNode(2, metric.SPP, params)
-	fw := f.addNode(3, metric.SPP, params)
-	m := f.addNode(4, metric.SPP, params)
-	f.connect(0, 1, time.Millisecond, 1, 1)
-	f.connect(0, 2, time.Millisecond, 1, 1)
-	f.connect(1, 3, time.Millisecond, 0.5, 0.5)    // lossy, fast overall
-	f.connect(2, 3, 10*time.Millisecond, 0.9, 0.9) // clean, 9ms later
-	f.connect(3, 4, time.Millisecond, 0.9, 0.9)
-	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	if fw.Stats.DupQueriesForwarded == 0 {
-		t.Fatal("improving duplicate within α was not re-forwarded")
-	}
-	// The member should have learned the better cost via the duplicate.
-	if !y.IsForwarder(1) {
-		t.Fatal("clean relay Y should be on the selected path")
-	}
-}
-
-func TestDuplicateQueryBeyondAlphaNotForwarded(t *testing.T) {
-	f := newFakeNet(4)
-	params := DefaultParams()
-	params.MemberDelta = 100 * time.Millisecond
-	params.DupAlpha = 5 * time.Millisecond
-	s := f.addNode(0, metric.SPP, params)
-	f.addNode(1, metric.SPP, params)
-	f.addNode(2, metric.SPP, params)
-	fw := f.addNode(3, metric.SPP, params)
-	m := f.addNode(4, metric.SPP, params)
-	f.connect(0, 1, time.Millisecond, 1, 1)
-	f.connect(0, 2, time.Millisecond, 1, 1)
-	f.connect(1, 3, time.Millisecond, 0.5, 0.5)
-	f.connect(2, 3, 30*time.Millisecond, 0.9, 0.9) // arrives after α closes
-	f.connect(3, 4, time.Millisecond, 0.9, 0.9)
-	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	if fw.Stats.DupQueriesForwarded != 0 {
-		t.Fatalf("duplicate beyond α forwarded %d times, want 0", fw.Stats.DupQueriesForwarded)
-	}
-}
-
-func TestStaleQueryIgnored(t *testing.T) {
-	f := newFakeNet(5)
-	r := f.addNode(1, metric.SPP, DefaultParams())
-	f.tables[1].SetStatic(0, metric.LinkEstimate{DeliveryProb: 0.9})
-	sent := 0
-	r.Send = func(*packet.Packet) bool { sent++; return true }
-	newer := &packet.Packet{Kind: packet.TypeJoinQuery, Src: 0, Group: 1, Seq: 5, TTL: 8, Cost: 1}
-	older := &packet.Packet{Kind: packet.TypeJoinQuery, Src: 0, Group: 1, Seq: 4, TTL: 8, Cost: 1}
-	r.Handle(newer, 0)
-	f.engine.Run(time.Second)
-	sentAfterNewer := sent
-	r.Handle(older, 0)
-	f.engine.Run(2 * time.Second)
-	if sent != sentAfterNewer {
-		t.Fatal("stale (older seq) query was forwarded")
-	}
-}
-
-func TestQueryTTLBoundsFlood(t *testing.T) {
-	f := newFakeNet(6)
-	params := DefaultParams()
-	params.TTL = 3
-	var routers []*Router
-	for i := packet.NodeID(0); i < 5; i++ {
-		routers = append(routers, f.addNode(i, metric.SPP, params))
-	}
-	for i := packet.NodeID(0); i < 4; i++ {
-		f.connect(i, i+1, time.Millisecond, 0.9, 0.9)
-	}
-	routers[4].JoinGroup(1)
-	f.engine.Schedule(0, func() { routers[0].StartSource(1) })
-	f.engine.Run(time.Second)
-	// TTL 3: the query reaches nodes 1, 2, 3; node 3 must not forward.
-	if routers[3].Stats.QueriesForwarded != 0 {
-		t.Fatal("node at TTL boundary forwarded the query")
-	}
-	if _, ok := routers[4].rounds[groupSource{1, 0}]; ok {
-		t.Fatal("query escaped the TTL bound")
-	}
-}
-
-func TestFGFlagExpires(t *testing.T) {
-	f, s, fw, m := chain(t, metric.SPP, DefaultParams())
-	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	if !fw.IsForwarder(1) {
-		t.Fatal("FG flag not set")
-	}
-	// Stop refreshes; flag must lapse after FGTimeout.
-	s.StopSource(1)
-	f.engine.Run(f.engine.Now() + DefaultParams().FGTimeout + time.Second)
-	if fw.IsForwarder(1) {
-		t.Fatal("FG flag did not expire")
-	}
-	delivered := 0
-	m.OnDeliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	f.engine.Schedule(0, func() { s.SendData(1, 512) })
-	f.engine.Run(f.engine.Now() + time.Second)
-	if delivered != 0 {
-		t.Fatalf("data delivered through an expired forwarding group")
-	}
-}
-
-func TestWarmupFallsBackToFirstCopy(t *testing.T) {
-	// No static estimates: every link is unmeasured, so metric costs are
-	// unusable and the protocol must still bootstrap via first-copy paths.
-	f := newFakeNet(7)
-	params := DefaultParams()
-	s := f.addNode(0, metric.SPP, params)
-	fw := f.addNode(1, metric.SPP, params)
-	m := f.addNode(2, metric.SPP, params)
-	f.delays[Edge{From: 0, To: 1}] = time.Millisecond
-	f.delays[Edge{From: 1, To: 0}] = time.Millisecond
-	f.delays[Edge{From: 1, To: 2}] = time.Millisecond
-	f.delays[Edge{From: 2, To: 1}] = time.Millisecond
-	m.JoinGroup(1)
-	delivered := 0
-	m.OnDeliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
-	if !fw.IsForwarder(1) {
-		t.Fatal("warmup fallback did not establish the forwarding group")
-	}
-	f.engine.Schedule(0, func() { s.SendData(1, 512) })
-	f.engine.Run(f.engine.Now() + time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-}
-
 func TestNonForwarderDoesNotForwardData(t *testing.T) {
 	f, s, fw, m := chain(t, metric.SPP, DefaultParams())
 	// No membership, no query flood: nothing should be forwarded.
-	f.engine.Schedule(0, func() { s.SendData(1, 512) })
-	f.engine.Run(time.Second)
+	f.Engine.Schedule(0, func() { s.SendData(1, 512) })
+	f.Engine.Run(time.Second)
 	if fw.Stats.DataForwarded != 0 {
 		t.Fatal("non-FG node forwarded data")
 	}
@@ -390,12 +146,12 @@ func TestNonForwarderDoesNotForwardData(t *testing.T) {
 func TestEdgeUseRecordsTree(t *testing.T) {
 	f, s, fw, m := chain(t, metric.SPP, DefaultParams())
 	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Run(time.Second)
 	for i := 0; i < 5; i++ {
-		f.engine.Schedule(time.Duration(i)*50*time.Millisecond, func() { s.SendData(1, 512) })
+		f.Engine.Schedule(time.Duration(i)*50*time.Millisecond, func() { s.SendData(1, 512) })
 	}
-	f.engine.Run(f.engine.Now() + time.Second)
+	f.Engine.Run(f.Engine.Now() + time.Second)
 	fwUse := fw.EdgeUse()
 	if fwUse[Edge{From: 0, To: 1}] != 5 {
 		t.Fatalf("edge S->F use = %d, want 5", fwUse[Edge{From: 0, To: 1}])
@@ -415,12 +171,12 @@ func TestMultipleSourcesShareForwardingGroup(t *testing.T) {
 	fw := f.addNode(1, metric.SPP, params)
 	m := f.addNode(2, metric.SPP, params)
 	s2 := f.addNode(3, metric.SPP, params)
-	f.connect(0, 1, time.Millisecond, 0.9, 0.9)
-	f.connect(1, 2, time.Millisecond, 0.9, 0.9)
-	f.connect(3, 1, time.Millisecond, 0.9, 0.9) // s2 also adjacent to fw
+	f.Connect(0, 1, time.Millisecond, 0.9, 0.9)
+	f.Connect(1, 2, time.Millisecond, 0.9, 0.9)
+	f.Connect(3, 1, time.Millisecond, 0.9, 0.9) // s2 also adjacent to fw
 	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s1.StartSource(1) })
-	f.engine.Run(time.Second)
+	f.Engine.Schedule(0, func() { s1.StartSource(1) })
+	f.Engine.Run(time.Second)
 	if !fw.IsForwarder(1) {
 		t.Fatal("FG flag not set by source 1's flood")
 	}
@@ -431,8 +187,8 @@ func TestMultipleSourcesShareForwardingGroup(t *testing.T) {
 			delivered++
 		}
 	}
-	f.engine.Schedule(0, func() { s2.SendData(1, 512) })
-	f.engine.Run(f.engine.Now() + time.Second)
+	f.Engine.Schedule(0, func() { s2.SendData(1, 512) })
+	f.Engine.Run(f.Engine.Now() + time.Second)
 	if delivered != 1 {
 		t.Fatalf("source-2 data delivered = %d, want 1 via shared FG", delivered)
 	}
@@ -444,13 +200,13 @@ func TestJoinLeaveGroup(t *testing.T) {
 	if !m.IsMember(1) {
 		t.Fatal("JoinGroup did not register membership")
 	}
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Run(time.Second)
 	m.LeaveGroup(1)
 	delivered := 0
 	m.OnDeliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	f.engine.Schedule(0, func() { s.SendData(1, 512) })
-	f.engine.Run(f.engine.Now() + time.Second)
+	f.Engine.Schedule(0, func() { s.SendData(1, 512) })
+	f.Engine.Run(f.Engine.Now() + time.Second)
 	if delivered != 0 {
 		t.Fatal("data delivered after LeaveGroup")
 	}

@@ -16,8 +16,8 @@ func lossyChain(t *testing.T, params Params) (*fakeNet, *Router, *Router, *Route
 	s := f.addNode(0, metric.SPP, params)
 	fw := f.addNode(1, metric.SPP, params)
 	m := f.addNode(2, metric.SPP, params)
-	f.connect(0, 1, time.Millisecond, 0.9, 0.9)
-	f.connect(1, 2, time.Millisecond, 0.9, 0.9)
+	f.Connect(0, 1, time.Millisecond, 0.9, 0.9)
+	f.Connect(1, 2, time.Millisecond, 0.9, 0.9)
 
 	// Wrap the forwarder's Send so its JOIN REPLY transmissions can be
 	// dropped while a flag is set.
@@ -44,16 +44,16 @@ func TestReplyRetransmissionRecoversBranch(t *testing.T) {
 	// and once we stop dropping, the forwarder's retransmitted reply
 	// establishes the branch.
 	*dropReplies = true
-	f.engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
 	// Member replies at ~δ(30ms)+jitter; first ack timeout ~10ms later.
-	f.engine.Run(100 * time.Millisecond)
+	f.Engine.Run(100 * time.Millisecond)
 	// Member sent its reply but never overheard the forwarder's: it should
 	// be retransmitting.
-	if m.Stats.ReplyRetransmits == 0 {
+	if m.ReplyRetransmits == 0 {
 		t.Fatal("member did not retransmit unacknowledged reply")
 	}
 	*dropReplies = false
-	f.engine.Run(400 * time.Millisecond)
+	f.Engine.Run(400 * time.Millisecond)
 	if !fw.IsForwarder(1) {
 		t.Fatal("branch not recovered after reply retransmission")
 	}
@@ -65,13 +65,13 @@ func TestReplyAckConfirmedNoRetransmit(t *testing.T) {
 	params.ReplyAckTimeout = 10 * time.Millisecond
 	f, s, fw, m, _ := lossyChain(t, params)
 	m.JoinGroup(1)
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(time.Second)
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Run(time.Second)
 	if !fw.IsForwarder(1) {
 		t.Fatal("branch not built")
 	}
-	if m.Stats.ReplyRetransmits != 0 {
-		t.Fatalf("member retransmitted %d times despite overhearing the ack", m.Stats.ReplyRetransmits)
+	if m.ReplyRetransmits != 0 {
+		t.Fatalf("member retransmitted %d times despite overhearing the ack", m.ReplyRetransmits)
 	}
 }
 
@@ -83,9 +83,9 @@ func TestReplyRetriesDisabledByDefault(t *testing.T) {
 	f, s, _, m, dropReplies := lossyChain(t, params)
 	m.JoinGroup(1)
 	*dropReplies = true
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(500 * time.Millisecond)
-	if m.Stats.ReplyRetransmits != 0 {
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Run(500 * time.Millisecond)
+	if m.ReplyRetransmits != 0 {
 		t.Fatal("retransmissions occurred with ReplyRetries = 0")
 	}
 }
@@ -97,9 +97,9 @@ func TestReplyRetransmitBounded(t *testing.T) {
 	f, s, _, m, dropReplies := lossyChain(t, params)
 	m.JoinGroup(1)
 	*dropReplies = true // forwarder never acks
-	f.engine.Schedule(0, func() { s.StartSource(1) })
-	f.engine.Run(200 * time.Millisecond)
-	if m.Stats.ReplyRetransmits > 2 {
-		t.Fatalf("retransmits = %d, want <= 2 per round", m.Stats.ReplyRetransmits)
+	f.Engine.Schedule(0, func() { s.StartSource(1) })
+	f.Engine.Run(200 * time.Millisecond)
+	if m.ReplyRetransmits > 2 {
+		t.Fatalf("retransmits = %d, want <= 2 per round", m.ReplyRetransmits)
 	}
 }
