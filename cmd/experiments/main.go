@@ -14,12 +14,15 @@
 //	go run ./cmd/experiments -full      # paper scale: 10 seeds, 400 s
 //	go run ./cmd/experiments -j 8 -cache-dir .expcache -o EXPERIMENTS.md
 //	go run ./cmd/experiments -skip-ablations
-//	go run ./cmd/experiments -protocol mcst   # ODMRP-vs-MCST comparison
-//	go run ./cmd/experiments -bench-runner BENCH_runner.json
+//	go run ./cmd/experiments -telemetry DIR   # record the harness itself (meshstat DIR)
+//	go run ./cmd/experiments -protocol mcst   # ODMRP-vs-MCST comparison, then exit
+//	go run ./cmd/experiments -mobility        # ODMRP-vs-MCST speed sweep, then exit
+//
+// Performance numbers are not this command's job: see benchmark/README.md
+// (bash benchmark/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -46,15 +49,8 @@ func main() {
 	testbedRuns := flag.Int("testbed-runs", 5, "testbed runs per metric")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation jobs (output is byte-identical for any value)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (empty disables caching)")
-	benchOut := flag.String("bench-runner", "", "benchmark the job harness (serial vs -j parallel reduced sweep), write JSON here, and exit")
-	benchTelemetry := flag.String("bench-telemetry", "", "benchmark disabled-instrument overhead, write JSON here, and exit")
-	benchSim := flag.String("bench-simcore", "", "benchmark the simulation core (link cache on/off, transmit fan-out allocations), write JSON here, and exit")
-	benchTrace := flag.String("bench-trace", "", "benchmark packet-journey tracing overhead and reconstruction throughput, write JSON here, and exit")
-	benchScaleOut := flag.String("bench-scale", "", "benchmark metro-scale growth (events/sec, setup time, per-transmit cost per -scale-nodes tier), write JSON here, and exit")
-	scaleNodes := flag.String("scale-nodes", "1000,5000,10000", "comma-separated node counts for -bench-scale")
 	mobilitySweep := flag.Bool("mobility", false, "run the ODMRP-vs-MCST mobility speed sweep and exit")
 	mobilitySpeeds := flag.String("mobility-speeds", "0,1,5,10,20", "comma-separated max speeds (m/s) for -mobility; 0 is the static control")
-	benchMobilityOut := flag.String("bench-mobility", "", "benchmark radio motion (moves/sec, incremental vs full link-cache invalidation), write JSON here, and exit")
 	telemetryDir := flag.String("telemetry", "", "record sweep-harness telemetry (cache hits/misses, job latency) to this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -66,20 +62,8 @@ func main() {
 	switch {
 	case *protocol != "":
 		err = runProtocolComparison(*protocol, *out, *full, *jobs, *cacheDir)
-	case *benchSim != "":
-		err = benchSimcore(*benchSim)
-	case *benchTelemetry != "":
-		err = benchTelemetryOverhead(*benchTelemetry)
-	case *benchTrace != "":
-		err = benchTraceOverhead(*benchTrace)
-	case *benchMobilityOut != "":
-		err = benchMobility(*benchMobilityOut)
 	case *mobilitySweep:
 		err = runMobilitySweep(*mobilitySpeeds, *out, *full, *jobs, *cacheDir)
-	case *benchScaleOut != "":
-		err = benchScale(*benchScaleOut, *scaleNodes)
-	case *benchOut != "":
-		err = benchRunner(*benchOut, *jobs, *cacheDir)
 	default:
 		err = run(*full, *out, *skipAblations, *testbedRuns, *jobs, *cacheDir, *telemetryDir)
 	}
@@ -111,17 +95,7 @@ func runProtocolComparison(protocol, out string, full bool, jobs int, cacheDir s
 	opts.SourcesPerGroup = 3
 	opts.Workers = jobs
 	opts.CacheDir = cacheDir
-	opts.Progress = func(p runner.Progress) {
-		suffix := ""
-		if p.Cached {
-			suffix = " (cached)"
-		}
-		if p.Err != nil {
-			suffix = " FAILED: " + p.Err.Error()
-		}
-		fmt.Fprintf(os.Stderr, "[%7s] [%d/%d] %s done%s\n",
-			time.Since(start).Round(time.Second), p.Done, p.Total, p.Label, suffix)
-	}
+	opts.Progress = jobProgress(start)
 	protocols := []string{multicast.Default}
 	if name != multicast.Default {
 		protocols = append(protocols, name)
@@ -133,11 +107,7 @@ func runProtocolComparison(protocol, out string, full bool, jobs int, cacheDir s
 	report := experiments.NewReport(opts, 0, 0)
 	report.ProtocolSection(cmp)
 	report.Elapsed(time.Since(start))
-	if out == "" {
-		fmt.Print(report.String())
-		return nil
-	}
-	return os.WriteFile(out, []byte(report.String()), 0o644)
+	return emit(out, report.String())
 }
 
 // runMobilitySweep executes the ODMRP-vs-MCST waypoint speed sweep and
@@ -158,7 +128,22 @@ func runMobilitySweep(speedCsv, out string, full bool, jobs int, cacheDir string
 	}
 	opts.Workers = jobs
 	opts.CacheDir = cacheDir
-	opts.Progress = func(p runner.Progress) {
+	opts.Progress = jobProgress(start)
+	sweep, err := experiments.RunMobilitySweep(opts, []string{"odmrp", "mcst"}, speeds)
+	if err != nil {
+		return err
+	}
+	report := experiments.NewReport(opts, 0, 0)
+	report.MobilitySection(sweep)
+	report.Elapsed(time.Since(start))
+	return emit(out, report.String())
+}
+
+// jobProgress returns the per-job completion printer every sweep installs as
+// Options.Progress: "[    41s] [12/50] etx seed 3 done (cached)" on stderr,
+// timed from start. Callbacks are serialized by the pool.
+func jobProgress(start time.Time) func(runner.Progress) {
+	return func(p runner.Progress) {
 		suffix := ""
 		if p.Cached {
 			suffix = " (cached)"
@@ -169,21 +154,19 @@ func runMobilitySweep(speedCsv, out string, full bool, jobs int, cacheDir string
 		fmt.Fprintf(os.Stderr, "[%7s] [%d/%d] %s done%s\n",
 			time.Since(start).Round(time.Second), p.Done, p.Total, p.Label, suffix)
 	}
-	sweep, err := experiments.RunMobilitySweep(opts, []string{"odmrp", "mcst"}, speeds)
-	if err != nil {
-		return err
-	}
-	report := experiments.NewReport(opts, 0, 0)
-	report.MobilitySection(sweep)
-	report.Elapsed(time.Since(start))
-	if out == "" {
-		fmt.Print(report.String())
-		return nil
-	}
-	return os.WriteFile(out, []byte(report.String()), 0o644)
 }
 
-func run(full bool, out string, skipAblations bool, testbedRuns, jobs int, cacheDir, telemetryDir string) error {
+// emit writes a finished report to the file named by out, or to stdout when
+// out is empty.
+func emit(out, report string) error {
+	if out == "" {
+		fmt.Print(report)
+		return nil
+	}
+	return os.WriteFile(out, []byte(report), 0o644)
+}
+
+func run(full bool, out string, skipAblations bool, testbedRuns, jobs int, cacheDir, telemetryDir string) (err error) {
 	start := time.Now()
 	opts := experiments.QuickOptions()
 	testbedSeconds := 150
@@ -197,30 +180,32 @@ func run(full bool, out string, skipAblations bool, testbedRuns, jobs int, cache
 	}
 	opts.Workers = jobs
 	opts.CacheDir = cacheDir
+	opts.Progress = jobProgress(start)
 	// -telemetry records the sweep harness itself (cache hit/miss counters,
 	// job wall-clock latency histogram); there is no virtual clock to sample,
 	// so the manifest carries the final instrument state and the series stays
 	// empty.
-	var rec *telemetry.Recorder
 	if telemetryDir != "" {
-		var err error
-		rec, err = telemetry.NewRecorder(telemetryDir, 0)
-		if err != nil {
-			return err
+		rec, recErr := telemetry.NewRecorder(telemetryDir, 0)
+		if recErr != nil {
+			return recErr
 		}
 		opts.PoolMetrics = runner.NewMetrics(rec.Registry())
-	}
-	// Per-job completion lines under each phase banner: "[12/50] etx seed 3
-	// done (cached)". Callbacks are serialized by the pool.
-	opts.Progress = func(p runner.Progress) {
-		suffix := ""
-		if p.Cached {
-			suffix = " (cached)"
-		}
-		if p.Err != nil {
-			suffix = " FAILED: " + p.Err.Error()
-		}
-		progress("[%d/%d] %s done%s", p.Done, p.Total, p.Label, suffix)
+		// Finalize when a phase fails too: NewRecorder has already created
+		// series.jsonl, and meshstat cannot load a directory that has the
+		// series but no manifest.
+		defer func() {
+			label := "experiments sweep"
+			if err != nil {
+				label += " (failed)"
+			}
+			ferr := rec.Finalize(telemetry.Manifest{Label: label})
+			if ferr == nil {
+				progress("telemetry: wrote %s", rec.Dir())
+			} else if err == nil {
+				err = ferr
+			}
+		}()
 	}
 	// secondary scales down the probing-rate variants and ablations, which
 	// sweep many configurations; the headline Figure 2 column keeps the
@@ -313,97 +298,5 @@ func run(full bool, out string, skipAblations bool, testbedRuns, jobs int, cache
 	report.Deviations()
 	report.Elapsed(time.Since(start))
 	progress("done")
-
-	if rec != nil {
-		if err := rec.Finalize(telemetry.Manifest{Label: "experiments sweep"}); err != nil {
-			return err
-		}
-		progress("telemetry: wrote %s", rec.Dir())
-	}
-
-	if out == "" {
-		fmt.Print(report.String())
-		return nil
-	}
-	return os.WriteFile(out, []byte(report.String()), 0o644)
-}
-
-// benchReport is the BENCH_runner.json schema: the job harness's measured
-// wall-clock on a reduced sweep, serial vs parallel, on this machine.
-type benchReport struct {
-	GeneratedAt     string  `json:"generatedAt"`
-	Cores           int     `json:"cores"`
-	Workers         int     `json:"workers"`
-	Jobs            int     `json:"jobs"`
-	SerialSeconds   float64 `json:"serialSeconds"`
-	ParallelSeconds float64 `json:"parallelSeconds"`
-	Speedup         float64 `json:"speedup"`
-	ByteIdentical   bool    `json:"byteIdentical"`
-	Config          string  `json:"config"`
-}
-
-// benchRunner measures the harness: one reduced SPP-vs-baseline sweep run
-// serially (-j 1) and once with the requested worker count, reporting
-// wall-clock, speedup, and whether the two reports were byte-identical.
-func benchRunner(out string, workers int, cacheDir string) error {
-	o := experiments.QuickOptions()
-	o.Seeds = []uint64{1, 2, 3, 4}
-	o.TrafficSeconds = 40
-	o.WarmupSeconds = 20
-	o.Metrics = []metric.Kind{metric.SPP}
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	render := func(sims *experiments.PaperSims) string {
-		r := experiments.NewReport(o, 0, 0)
-		r.Fig2SimTable("bench", sims, nil, "")
-		r.DelayTable(sims)
-		r.Table1(sims)
-		return r.String()
-	}
-	timeRun := func(j int, dir string) (string, float64, error) {
-		opts := o
-		opts.Workers = j
-		opts.CacheDir = dir
-		start := time.Now()
-		sims, err := experiments.RunPaperSims(opts)
-		if err != nil {
-			return "", 0, err
-		}
-		return render(sims), time.Since(start).Seconds(), nil
-	}
-
-	fmt.Fprintf(os.Stderr, "bench: %d jobs serial...\n", 2*len(o.Seeds))
-	serialReport, serialSec, err := timeRun(1, "")
-	if err != nil {
-		return fmt.Errorf("bench serial: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "bench: %d jobs with %d workers...\n", 2*len(o.Seeds), workers)
-	parallelReport, parallelSec, err := timeRun(workers, cacheDir)
-	if err != nil {
-		return fmt.Errorf("bench parallel: %w", err)
-	}
-
-	rep := benchReport{
-		GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
-		Cores:           runtime.NumCPU(),
-		Workers:         workers,
-		Jobs:            2 * len(o.Seeds),
-		SerialSeconds:   serialSec,
-		ParallelSeconds: parallelSec,
-		Speedup:         serialSec / parallelSec,
-		ByteIdentical:   serialReport == parallelReport,
-		Config:          fmt.Sprintf("%d seeds x %d s traffic (+%d s warmup), baseline+SPP", len(o.Seeds), o.TrafficSeconds, o.WarmupSeconds),
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: serial %.2fs, parallel %.2fs (%.2fx on %d cores), byte-identical=%v -> %s\n",
-		serialSec, parallelSec, rep.Speedup, rep.Cores, rep.ByteIdentical, out)
-	return nil
+	return emit(out, report.String())
 }

@@ -115,47 +115,6 @@ func TestGoldenSimcoreOutputMCSTSingleSource(t *testing.T) {
 	}
 }
 
-// TestGoldenSimcoreOutputUncached runs the same scenario with the static
-// link cache disabled and requires the identical golden output — the cache's
-// determinism contract (see docs/PERFORMANCE.md): same candidate order, same
-// skip set, same RNG draw sequence, byte-identical results.
-func TestGoldenSimcoreOutputUncached(t *testing.T) {
-	t.Setenv("MESHCAST_NO_LINK_CACHE", "1")
-	res, err := RunScenario(goldenScenario(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := formatRunResult(res)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_simcore.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("uncached run diverged from the cached golden output:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestGoldenSimcoreOutputNoCellIndex runs the scenario with the spatial cell
-// index disabled (brute-force candidate scan) and requires the identical
-// golden output — the index's determinism contract addendum (see grid.go):
-// the merged cell probe reproduces the brute-force candidate list bit for
-// bit, so the indexed fan-out cannot perturb a single RNG draw.
-func TestGoldenSimcoreOutputNoCellIndex(t *testing.T) {
-	t.Setenv("MESHCAST_NO_CELL_INDEX", "1")
-	res, err := RunScenario(goldenScenario(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := formatRunResult(res)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_simcore.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("brute-force fan-out diverged from the indexed golden output:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 // checkGolden compares got against testdata/<name>, rewriting the file
 // first under -update.
 func checkGolden(t *testing.T, name, got string) {

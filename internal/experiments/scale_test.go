@@ -1,23 +1,6 @@
 package experiments
 
-import (
-	"testing"
-)
-
-// runMetro runs the ~400-node metro scenario and returns its formatted
-// result, the same rendering the golden tests pin.
-func runMetro(t *testing.T, n int) string {
-	t.Helper()
-	cfg, err := MetroScenario(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return formatRunResult(res)
-}
+import "testing"
 
 // TestMetroScenarioEndToEnd proves a clustered metro topology runs the whole
 // stack (placement, floods, MAC contention, CBR delivery) and actually
@@ -39,21 +22,5 @@ func TestMetroScenarioEndToEnd(t *testing.T) {
 	}
 	if res.Summary.PacketsDelivered == 0 {
 		t.Fatal("metro run delivered nothing; the clustered topology is not carrying traffic")
-	}
-}
-
-// TestMetroScenarioByteIdenticalWithoutCellIndex runs the same metro scenario
-// with the spatial cell index disabled. At this scale the topology spans
-// multiple cells, so this exercises the indexed fan-out where it actually
-// narrows the probe — and requires byte-identical results anyway.
-func TestMetroScenarioByteIdenticalWithoutCellIndex(t *testing.T) {
-	if testing.Short() {
-		t.Skip("metro determinism pair is a few seconds of simulation")
-	}
-	indexed := runMetro(t, 400)
-	t.Setenv("MESHCAST_NO_CELL_INDEX", "1")
-	brute := runMetro(t, 400)
-	if indexed != brute {
-		t.Fatalf("metro run diverged without the cell index:\n--- indexed ---\n%s--- brute ---\n%s", indexed, brute)
 	}
 }

@@ -18,17 +18,18 @@ import (
 // transmitter the first time that transmitter is heard, and reuses it for
 // every subsequent frame until an attach or a move invalidates it.
 //
-// Determinism contract: the cached fan-out must draw from the medium's RNG
-// in exactly the order the uncached loop does, so that fixed-seed runs are
-// byte-identical with the cache on or off (the golden regression test in
-// internal/experiments asserts this). The list therefore keeps radios in
-// attach order and bakes in the same skip set: under the physics models,
-// pairs whose mean power is below ignoreBelowW are dropped up front — the
-// uncached loop skips them before any fading draw — and under a LinkFunc
-// every other radio is a candidate, because the oracle is consulted per
-// frame. Radio power state (SetDown) is deliberately not part of the cache;
-// a down radio still receives arrivals and discards them at delivery, same
-// as the uncached path.
+// Determinism contract: the fan-out draws from the medium's RNG once per list
+// entry, in list order, so a fixed-seed run is a function of the lists alone.
+// A list holds the transmitter's candidates in attach order with the skip set
+// baked in: under the physics models, pairs whose mean power is below
+// ignoreBelowW are dropped up front (no fading draw is spent on them), and
+// under a LinkFunc every other radio is a candidate, because the oracle is
+// consulted per frame. Whatever builds or invalidates lists must reproduce
+// what a from-scratch buildLinksBrute over the current positions would give;
+// the in-package reference media of the tests (no index, lists rebuilt for
+// every frame) pin that run for run. Radio power state (SetDown) is
+// deliberately not part of the cache; a down radio still receives arrivals
+// and discards them at delivery.
 //
 // The cache is invalidated by SetLinkFunc (the skip set changes shape) and,
 // incrementally, by AttachRadio and MoveRadio: only transmitters within the
@@ -63,15 +64,15 @@ func (m *Medium) linksFrom(src *Radio) []link {
 // (grid.go); under a LinkFunc oracle every other radio is a candidate, so
 // the index cannot narrow anything and the brute-force scan runs.
 func (m *Medium) buildLinks(src *Radio) []link {
-	if m.linkFunc == nil && m.grid != nil && !m.gridOff {
+	if m.linkFunc == nil && m.grid != nil {
 		return m.buildLinksIndexed(src)
 	}
 	return m.buildLinksBrute(src)
 }
 
 // buildLinksBrute is the reference all-radios scan the cell index replaced;
-// it stays as the fallback (LinkFunc, no computable interference radius,
-// MESHCAST_NO_CELL_INDEX) and as the oracle the index is tested against.
+// it stays as the fallback (LinkFunc, no computable interference radius) and
+// as the oracle the index is tested against.
 func (m *Medium) buildLinksBrute(src *Radio) []link {
 	ls := make([]link, 0, len(m.radios)-1)
 	for _, rx := range m.radios {
@@ -112,16 +113,6 @@ func (m *Medium) LinksConsistent(src *Radio) bool {
 	return true
 }
 
-// SetLinkCache enables or disables the static link cache (enabled by
-// default; setting the MESHCAST_NO_LINK_CACHE environment variable disables
-// it at construction). Both paths produce byte-identical simulations; the
-// uncached path exists so benchmarks and the determinism regression tests
-// can compare against the recompute-everything fan-out.
-func (m *Medium) SetLinkCache(enabled bool) {
-	m.cacheOff = !enabled
-	m.invalidateLinks()
-}
-
 // newArrival takes an arrival from the pool (or allocates one) and
 // initializes it for one (frame, receiver) delivery.
 func (m *Medium) newArrival(rx *Radio, f *packet.Frame, power float64) *arrival {
@@ -137,18 +128,13 @@ func (m *Medium) newArrival(rx *Radio, f *packet.Frame, power float64) *arrival 
 	return a
 }
 
-// freeArrival returns a finished arrival to the pool. Arrivals allocated by
-// the uncached path are not pooled (the pool would only ever grow); they are
-// left to the garbage collector, matching the seed implementation.
+// freeArrival returns a finished arrival to the pool.
 func (m *Medium) freeArrival(a *arrival) {
-	if m.cacheOff {
-		return
-	}
 	a.rx, a.frame, a.power, a.corrupted = nil, nil, 0, false
 	m.arrivalPool = append(m.arrivalPool, a)
 }
 
-// Static event callbacks for sim.Engine.ScheduleArg: scheduling through
+// Static event callbacks for sim.Engine.ScheduleArgPooled: scheduling through
 // these instead of fresh closures removes two allocations per (frame,
 // receiver) pair from the transmit fan-out.
 func beginArrivalThunk(x any) { a := x.(*arrival); a.rx.beginArrival(a) }

@@ -32,8 +32,8 @@ import (
 // brute scan before applying the *same* mean-power filter: same RNG draw
 // sequence per frame, byte-identical output. The property test
 // TestCellIndexMatchesBruteForce compares the two builders link by link on
-// random topologies; the golden scenario is additionally pinned with the
-// index on, off, and with the whole cache off.
+// random topologies, and the storm tests replay whole runs against a medium
+// built without the index.
 //
 // The index assumes mean received power is nonincreasing in distance beyond
 // the interference radius — true for Friis and two-ray, the models this
@@ -180,7 +180,7 @@ func (ci *cellIndex) gather(p geom.Point, dst []*Radio) []*Radio {
 // buildLinksIndexed assembles src's candidate list from the 3×3 cell probe.
 // It must produce exactly buildLinksBrute's output (see the determinism
 // contract above); callers guarantee the physics models are active and the
-// index is enabled.
+// index exists.
 func (m *Medium) buildLinksIndexed(src *Radio) []link {
 	cand := m.grid.gather(src.Pos, m.scratch[:0])
 	ls := make([]link, 0, len(cand))
@@ -203,13 +203,13 @@ func (m *Medium) buildLinksIndexed(src *Radio) []link {
 // radio r can appear in: transmitters within the interference radius of r,
 // all of which live in r's 3×3 cell neighborhood. The cache also grows a
 // (nil, lazily built) slot for r itself. Falls back to full invalidation
-// when the affected set cannot be bounded (no index, index disabled, or a
-// LinkFunc oracle, under which every list contains every radio).
+// when the affected set cannot be bounded (no index, or a LinkFunc oracle,
+// under which every list contains every radio).
 func (m *Medium) invalidateLinksAround(r *Radio) {
 	if m.links == nil {
 		return
 	}
-	if m.grid == nil || m.gridOff || m.linkFunc != nil {
+	if m.grid == nil || m.linkFunc != nil {
 		m.invalidateLinks()
 		return
 	}
@@ -229,14 +229,13 @@ func (m *Medium) invalidateLinksAround(r *Radio) {
 // both endpoints — anyone outside both blocks was beyond the interference
 // radius of r before the move and still is, so their lists are untouched.
 // Falls back to full invalidation when the affected set cannot be bounded
-// (no index, index disabled, or a LinkFunc oracle: oracle lists contain
-// every radio but bake in distance-derived propagation delays, so membership
-// bounds don't help).
+// (no index, or a LinkFunc oracle: oracle lists contain every radio but bake
+// in distance-derived propagation delays, so membership bounds don't help).
 func (m *Medium) invalidateLinksMoved(r *Radio, old geom.Point) {
 	if m.links == nil {
 		return
 	}
-	if m.grid == nil || m.gridOff || m.linkFunc != nil {
+	if m.grid == nil || m.linkFunc != nil {
 		m.invalidateLinks()
 		return
 	}
@@ -247,15 +246,4 @@ func (m *Medium) invalidateLinksMoved(r *Radio, old geom.Point) {
 		m.links[other.index] = nil
 	}
 	m.scratch = near[:0]
-}
-
-// SetCellIndex enables or disables the spatial cell index inside the cached
-// fan-out (enabled by default when an interference radius exists; the
-// MESHCAST_NO_CELL_INDEX environment variable disables it at construction).
-// Both builders produce byte-identical candidate lists; the brute-force
-// builder exists as the reference for the determinism regression tests and
-// the scale benchmark.
-func (m *Medium) SetCellIndex(enabled bool) {
-	m.gridOff = !enabled
-	m.invalidateLinks()
 }

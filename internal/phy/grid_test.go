@@ -91,36 +91,22 @@ func TestCellIndexMatchesBruteForce(t *testing.T) {
 }
 
 func TestBuildLinksFallsBackWithoutIndex(t *testing.T) {
-	engine := sim.NewEngine(7)
-	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
-	for i := 0; i < 30; i++ {
-		medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i) * 137, Y: float64(i%5) * 211})
-	}
-	medium.SetCellIndex(false)
-	for _, src := range medium.radios {
-		sameLinks(t, medium.buildLinks(src), medium.buildLinksBrute(src), "index disabled")
-	}
-	medium.SetCellIndex(true)
-	for _, src := range medium.radios {
-		sameLinks(t, medium.buildLinks(src), medium.buildLinksBrute(src), "index re-enabled")
-	}
-}
-
-func TestNoCellIndexEnv(t *testing.T) {
-	t.Setenv("MESHCAST_NO_CELL_INDEX", "1")
-	engine := sim.NewEngine(7)
-	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
-	if !medium.gridOff {
-		t.Fatal("MESHCAST_NO_CELL_INDEX did not disable the cell index")
-	}
-	tx := medium.AttachRadio(0, geom.Point{})
-	rx := medium.AttachRadio(1, geom.Point{X: 150})
-	delivered := 0
-	rx.ReceiveFrame = func(*packet.Frame) { delivered++ }
-	engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 64)) })
-	engine.RunAll()
-	if delivered != 1 {
-		t.Fatalf("delivered = %d with the index disabled, want 1", delivered)
+	for _, tc := range []struct {
+		label string
+		setup func(*Medium)
+	}{
+		{"no index", withoutIndex},
+		{"indexed", asBuilt},
+	} {
+		engine := sim.NewEngine(7)
+		medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+		tc.setup(medium)
+		for i := 0; i < 30; i++ {
+			medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i) * 137, Y: float64(i%5) * 211})
+		}
+		for _, src := range medium.radios {
+			sameLinks(t, medium.buildLinks(src), medium.buildLinksBrute(src), tc.label)
+		}
 	}
 }
 
@@ -201,17 +187,14 @@ func TestAttachRadioDeliveryAcrossCells(t *testing.T) {
 	}
 }
 
-// TestCellIndexedRunByteIdenticalToBrute replays the dense mini scenario of
-// TestLinkCacheByteIdenticalToUncached with the cell index on vs off (cache
+// TestCellIndexedRunByteIdenticalToBrute replays the dense storm of
+// TestLinkCacheByteIdenticalToUncached with and without the cell index (cache
 // on in both): the indexed fan-out must not change a single RNG draw. The
 // scenario spans 450 m — a single cell here — so the wide topology below
 // additionally exercises the multi-cell case.
 func TestCellIndexedRunByteIdenticalToBrute(t *testing.T) {
-	run := func(indexOn bool) string {
-		return denseStormTrace(t, func(m *Medium) { m.SetCellIndex(indexOn) }, 150)
-	}
-	indexed := run(true)
-	brute := run(false)
+	indexed := denseStormTrace(t, asBuilt, 150)
+	brute := denseStormTrace(t, withoutIndex, 150)
 	if indexed != brute {
 		t.Fatalf("indexed and brute-force builders diverged:\nindexed:\n%s\nbrute:\n%s", indexed, brute)
 	}
@@ -224,16 +207,18 @@ func TestCellIndexedRunByteIdenticalToBruteMultiCell(t *testing.T) {
 	// 900 m pitch spreads the 4×3 lattice across ~2700 m — multiple cells,
 	// with some pairs beyond the interference radius entirely, so the probe
 	// actually skips cells and the skip set is non-trivial.
-	run := func(indexOn bool) string {
-		return denseStormTrace(t, func(m *Medium) { m.SetCellIndex(indexOn) }, 900)
-	}
-	if indexed, brute := run(true), run(false); indexed != brute {
+	indexed := denseStormTrace(t, asBuilt, 900)
+	brute := denseStormTrace(t, withoutIndex, 900)
+	if indexed != brute {
 		t.Fatalf("multi-cell indexed and brute runs diverged:\nindexed:\n%s\nbrute:\n%s", indexed, brute)
 	}
 }
 
-// denseStormTrace is miniScenarioTrace (phy_test.go) parameterized over
-// medium setup and node pitch, shared by the cell-index determinism tests.
+// denseStormTrace runs a 12-radio broadcast storm on a 4×3 lattice of the
+// given pitch with Rayleigh fading and a probabilistic impairment — every RNG
+// consumer on the transmit path — and returns a full trace of deliveries plus
+// final counters. setup sees the medium before the first attach (see the
+// reference media in phy_test.go).
 func denseStormTrace(t *testing.T, setup func(*Medium), pitch float64) string {
 	t.Helper()
 	engine := sim.NewEngine(99)
@@ -254,6 +239,9 @@ func denseStormTrace(t *testing.T, setup func(*Medium), pitch float64) string {
 		}
 		radios = append(radios, r)
 	}
+	// 256 B frames are on air ~1.2 ms; a 1.1 ms pitch keeps most frames
+	// clean while the tail of each still overlaps the next transmitter's
+	// start, so collision, capture, and half-duplex branches all run.
 	for i := 0; i < 300; i++ {
 		r := radios[i%len(radios)]
 		engine.At(time.Duration(i)*1100*time.Microsecond, func() { r.Transmit(dataFrame(r.ID, 256)) })

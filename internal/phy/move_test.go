@@ -141,14 +141,14 @@ func TestMoveRadioDeliveryFollowsPosition(t *testing.T) {
 
 // TestMoveRadioStormByteIdentical replays a dense storm with deterministic
 // mid-run moves three ways — incremental invalidation, full invalidation
-// after every move, and the cache off entirely — and requires the same
-// delivery trace from all three.
+// after every move, and no index with the lists rebuilt for every frame — and
+// requires the same delivery trace from all three.
 func TestMoveRadioStormByteIdentical(t *testing.T) {
 	run := func(mode string) string {
 		engine := sim.NewEngine(99)
 		medium := NewMedium(engine, propagation.NewTwoRay(), propagation.Rayleigh{}, DefaultParams())
 		if mode == "uncached" {
-			medium.SetLinkCache(false)
+			rebuiltEveryFrame(medium)
 		}
 		var radios []*Radio
 		var log strings.Builder
@@ -218,36 +218,77 @@ func TestMoveRadioUnderLinkFunc(t *testing.T) {
 }
 
 // TestTransmitAllocs pins the allocation budget of the fan-out hot path:
-// zero allocations per transmit on the cached path (pooled arrivals, pooled
-// events), and at most one per receiver — the deliberately unpooled arrival —
-// on the uncached reference path.
+// zero allocations per transmit (pooled arrivals, pooled events).
 func TestTransmitAllocs(t *testing.T) {
-	build := func(cached bool) (*sim.Engine, *Radio, int) {
-		engine := sim.NewEngine(31)
-		medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
-		medium.SetLinkCache(cached)
-		for i := 0; i < 6; i++ {
-			medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i) * 120})
-		}
-		return engine, medium.radios[0], len(medium.radios)
+	engine := sim.NewEngine(31)
+	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	for i := 0; i < 6; i++ {
+		medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i) * 120})
 	}
-
-	engine, tx, _ := build(true)
+	tx := medium.radios[0]
 	frame := dataFrame(0, 256)
-	cached := testing.AllocsPerRun(50, func() {
+	allocs := testing.AllocsPerRun(50, func() {
 		tx.Transmit(frame)
 		engine.RunAll()
 	})
-	if cached != 0 {
-		t.Fatalf("cached fan-out allocates %.1f per transmit, want 0", cached)
+	if allocs != 0 {
+		t.Fatalf("fan-out allocates %.1f per transmit, want 0", allocs)
 	}
+}
 
-	engine, tx, n := build(false)
-	uncached := testing.AllocsPerRun(50, func() {
-		tx.Transmit(frame)
-		engine.RunAll()
-	})
-	if max := float64(n - 1); uncached > max {
-		t.Fatalf("uncached fan-out allocates %.1f per transmit, want <= %.0f (one unpooled arrival per receiver)", uncached, max)
+// flatTail is a path-loss model whose mean power never falls below the
+// medium's modeling floor: decodable within 250 m, and beyond that a constant
+// too weak to decode or sense but still above ignoreBelowW.
+type flatTail struct{ near, tail float64 }
+
+func (f flatTail) ReceivedPower(_, d float64) float64 {
+	if d <= 250 {
+		return f.near
 	}
+	return f.tail
+}
+
+// TestFanOutWithoutInterferenceRadius drives the selection NewMedium makes on
+// its own: under a path-loss model with no interference radius it builds no
+// cell index, so lists come from the brute-force scan and every attach and
+// move falls back to full invalidation. Late attaches and moves must still
+// reach the fan-out.
+func TestFanOutWithoutInterferenceRadius(t *testing.T) {
+	p := DefaultParams()
+	engine := sim.NewEngine(17)
+	medium := NewMedium(engine, flatTail{near: p.RxThresholdW * 10, tail: p.CSThresholdW / 100}, propagation.NoFading{}, p)
+	if medium.grid != nil {
+		t.Fatal("cell index built although the floor is never crossed")
+	}
+	heard := make(map[packet.NodeID]int)
+	attach := func(id packet.NodeID, pos geom.Point) *Radio {
+		r := medium.AttachRadio(id, pos)
+		r.ReceiveFrame = func(*packet.Frame) { heard[id]++ }
+		return r
+	}
+	tx := attach(0, geom.Point{})
+	rx := attach(1, geom.Point{X: 150})
+	step := func(label string, want1, want2 int) {
+		t.Helper()
+		engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 64)) })
+		engine.RunAll()
+		if heard[1] != want1 || heard[2] != want2 {
+			t.Fatalf("%s: radios 1/2 heard %d/%d frames, want %d/%d", label, heard[1], heard[2], want1, want2)
+		}
+		for _, r := range medium.Radios() {
+			if !medium.LinksConsistent(r) {
+				t.Fatalf("%s: radio %d's candidate list is stale", label, r.ID)
+			}
+		}
+	}
+	step("first frame", 1, 0)
+	attach(2, geom.Point{X: 100})
+	step("after a late attach", 2, 1)
+	medium.MoveRadio(rx, geom.Point{X: 5000})
+	step("receiver moved out of range", 2, 2)
+	if rx.Stats.BelowThreshold != 1 {
+		t.Fatalf("BelowThreshold = %d at the far position, want 1 (the tail is still modeled)", rx.Stats.BelowThreshold)
+	}
+	medium.MoveRadio(rx, geom.Point{X: 120})
+	step("receiver moved back", 3, 3)
 }

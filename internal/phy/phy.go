@@ -12,12 +12,10 @@
 // Node positions change only through Medium.MoveRadio (mobility models), so
 // the fan-out runs off a precomputed per-transmitter link cache (distance,
 // mean power, propagation delay — see cache.go and docs/PERFORMANCE.md) that
-// a move invalidates incrementally; the cached and uncached paths are
-// byte-identical by construction.
+// a move invalidates incrementally.
 package phy
 
 import (
-	"os"
 	"time"
 
 	"meshcast/internal/geom"
@@ -96,22 +94,19 @@ type Medium struct {
 
 	// links is the static link cache (see cache.go): per transmitter index,
 	// the precomputed candidate receivers in attach order. nil means not
-	// built; cacheOff forces the recompute-everything fan-out.
-	links    [][]link
-	cacheOff bool
+	// built.
+	links [][]link
 
 	// grid is the spatial cell index (see grid.go): radios bucketed into
 	// cells sized to the interference radius implied by ignoreBelowW, so
 	// candidate-list construction probes ~9 cells instead of every radio.
-	// nil when no interference radius exists for the path-loss model;
-	// gridOff forces the brute-force builder while keeping the cache.
-	grid    *cellIndex
-	gridOff bool
+	// nil when no interference radius exists for the path-loss model.
+	grid *cellIndex
 	// scratch is a reusable buffer for cell-neighborhood probes.
 	scratch []*Radio
 
-	// arrivalPool recycles arrival objects between frames (cached path
-	// only); arrivals live from transmit until their endArrival event.
+	// arrivalPool recycles arrival objects between frames; arrivals live
+	// from transmit until their endArrival event.
 	arrivalPool []*arrival
 
 	// OnTransmit, when set, observes every frame as it is put on the air
@@ -172,8 +167,6 @@ func NewMedium(engine *sim.Engine, pathLoss propagation.PathLoss, fading propaga
 		rng:          engine.RNG().Split(),
 		params:       params,
 		ignoreBelowW: params.CSThresholdW / 200,
-		cacheOff:     os.Getenv("MESHCAST_NO_LINK_CACHE") != "",
-		gridOff:      os.Getenv("MESHCAST_NO_CELL_INDEX") != "",
 	}
 	if radius := interferenceRadius(pathLoss, params.TxPowerW, m.ignoreBelowW); radius > 0 {
 		m.grid = newCellIndex(radius)
@@ -217,8 +210,7 @@ func (m *Medium) Radios() []*Radio { return m.radios }
 //
 // A move affects future transmissions only: frames already in flight carry
 // the power and propagation delay computed when they were put on the air
-// (no Doppler, no mid-flight re-routing), matching how the uncached fan-out
-// behaves.
+// (no Doppler, no mid-flight re-routing).
 func (m *Medium) MoveRadio(r *Radio, pos geom.Point) {
 	if r.Pos == pos {
 		return
@@ -263,19 +255,15 @@ func (m *Medium) DeliveryProbability(a, b geom.Point) float64 {
 	return propagation.ReceptionProbability(mean, m.params.RxThresholdW)
 }
 
-// transmit distributes a frame from radio src across the medium. The cached
-// fan-out iterates src's precomputed candidate list; per candidate it only
-// draws the fading (or oracle) power, consults the impairment hook, and
-// schedules the pooled arrival's begin/end events through static callbacks.
-// The RNG draw order is identical to transmitUncached's by construction —
-// see the determinism contract in cache.go.
+// transmit distributes a frame from radio src across the medium. The fan-out
+// iterates src's precomputed candidate list; per candidate it only draws the
+// fading (or oracle) power, consults the impairment hook, and schedules the
+// pooled arrival's begin/end events through static callbacks. The RNG draw
+// order is fixed by the list's attach order — see the determinism contract in
+// cache.go.
 func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration) {
 	if m.OnTransmit != nil {
 		m.OnTransmit(m.engine.Now(), frame)
-	}
-	if m.cacheOff {
-		m.transmitUncached(src, frame, airtime)
-		return
 	}
 	now := m.engine.Now()
 	links := m.linksFrom(src)
@@ -302,52 +290,6 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 		a := m.newArrival(l.rx, frame, power)
 		m.engine.ScheduleArgPooled(l.propDelay, beginArrivalThunk, a)
 		m.engine.ScheduleArgPooled(l.propDelay+airtime, endArrivalThunk, a)
-	}
-}
-
-// transmitUncached is the recompute-everything fan-out the link cache
-// replaced, kept as the reference path for determinism tests and benchmarks
-// (SetLinkCache(false), MESHCAST_NO_LINK_CACHE).
-func (m *Medium) transmitUncached(src *Radio, frame *packet.Frame, airtime time.Duration) {
-	// One clock read for the whole fan-out, like the cached path: the two
-	// loops must hand LinkFunc/ImpairFunc the same timestamps so they cannot
-	// diverge if a hook ever advances the clock, and the reference path
-	// should not pay N redundant Now() calls either.
-	now := m.engine.Now()
-	for _, rx := range m.radios {
-		if rx == src {
-			continue
-		}
-		var power float64
-		if m.linkFunc != nil {
-			power = m.linkFunc(src.ID, rx.ID, now, m.rng)
-		} else {
-			mean := m.pathLoss.ReceivedPower(m.params.TxPowerW, src.Pos.Distance(rx.Pos))
-			if mean < m.ignoreBelowW {
-				continue
-			}
-			power = m.fading.Apply(mean, m.rng)
-		}
-		if m.impair != nil {
-			imp := m.impair(src.ID, rx.ID, now)
-			if imp.DropProb >= 1 || (imp.DropProb > 0 && m.rng.Float64() < imp.DropProb) {
-				continue
-			}
-			if imp.Attenuation > 0 {
-				power *= imp.Attenuation
-			}
-		}
-		if power < m.ignoreBelowW {
-			continue
-		}
-		propDelay := propagation.Delay(src.Pos.Distance(rx.Pos))
-		// The arrival itself is deliberately not pooled here (see freeArrival),
-		// but the two events per receiver go through the engine's event pool —
-		// the same static thunks as the cached path, so event times and
-		// ordering are identical by construction.
-		a := &arrival{rx: rx, frame: frame, power: power}
-		m.engine.ScheduleArgPooled(propDelay, beginArrivalThunk, a)
-		m.engine.ScheduleArgPooled(propDelay+airtime, endArrivalThunk, a)
 	}
 }
 

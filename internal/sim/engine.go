@@ -150,9 +150,10 @@ func (e *Engine) At(t time.Duration, fn func()) *Event {
 
 // ScheduleArg is Schedule for hot paths: instead of capturing state in a
 // fresh closure, the event carries a static callback and the argument to
-// pass it at fire time. The PHY fan-out schedules two events per (frame,
-// receiver) pair through this form, saving one closure allocation per event.
-// fn must be non-nil. A negative delay is treated as zero.
+// pass it at fire time, saving one closure allocation per event. The caller
+// gets the Event back and may Stop it; fire-and-forget hot paths (the PHY
+// fan-out) use ScheduleArgPooled instead. fn must be non-nil. A negative
+// delay is treated as zero.
 func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) *Event {
 	if d < 0 {
 		d = 0

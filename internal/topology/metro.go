@@ -17,7 +17,7 @@ import (
 // produce that shape while holding the paper's density, so per-node radio
 // neighborhoods — and thus per-transmit fan-out cost — stay comparable as N
 // grows. That property is what the spatial cell index in internal/phy
-// exploits and what the -bench-scale trend measures.
+// exploits and what the benchmark's metro1k-minhop workload measures.
 
 // PaperDensityPerKm2 is the node density of the paper's 50-node scenario.
 const PaperDensityPerKm2 = 50
