@@ -123,10 +123,16 @@ type MAC struct {
 	backoffSlots int
 	navUntil     time.Duration
 
-	slotEvent  *sim.Event // pending backoff slot tick
-	difsEvent  *sim.Event // pending end-of-DIFS check
-	timerEvent *sim.Event // pending CTS/ACK timeout
-	navEvent   *sim.Event // pending NAV expiry re-check
+	// The fixed-callback timers are owned and re-armed (sim.NewTimer), so a
+	// backoff slot or a DIFS wait allocates nothing; each is pending exactly
+	// while its wait is in progress.
+	slotTimer   *sim.Event // backoff slot tick
+	difsTimer   *sim.Event // end-of-DIFS check
+	txDoneTimer *sim.Event // end of a broadcast's airtime
+	// The CTS/ACK timeout and the NAV re-check are scheduled per use; nil
+	// when not pending.
+	timerEvent *sim.Event
+	navEvent   *sim.Event
 }
 
 // New creates a MAC bound to radio, drawing randomness from a sub-stream of
@@ -140,6 +146,9 @@ func New(engine *sim.Engine, radio *phy.Radio, params Params) *MAC {
 		state:  stateIdle,
 		cw:     params.CWMin,
 	}
+	m.slotTimer = engine.NewTimer(m.slotTick)
+	m.difsTimer = engine.NewTimer(m.afterDIFS)
+	m.txDoneTimer = engine.NewTimer(m.dequeueHead)
 	radio.ReceiveFrame = m.onFrame
 	radio.BusyChanged = m.onBusyChanged
 	return m
@@ -151,12 +160,17 @@ func (m *MAC) ID() packet.NodeID { return m.radio.ID }
 // Reset returns the MAC to idle, dropping every queued frame and canceling
 // all pending contention/timeout timers — the volatile-state loss of a node
 // crash or power cycle. Counters in Stats are preserved (they model an
-// external observer, not on-node state).
+// external observer, not on-node state). The owned timers are stopped, not
+// discarded: the restarted node re-arms them. That includes the
+// end-of-broadcast timer — a frame the crash cut off must not come back and
+// dequeue whatever the node queues next.
 func (m *MAC) Reset() {
-	for _, ev := range []*sim.Event{m.slotEvent, m.difsEvent, m.timerEvent, m.navEvent} {
-		ev.Stop()
-	}
-	m.slotEvent, m.difsEvent, m.timerEvent, m.navEvent = nil, nil, nil, nil
+	m.slotTimer.Stop()
+	m.difsTimer.Stop()
+	m.txDoneTimer.Stop()
+	m.timerEvent.Stop()
+	m.navEvent.Stop()
+	m.timerEvent, m.navEvent = nil, nil
 	m.queue = nil
 	m.state = stateIdle
 	m.cw = m.params.CWMin
@@ -220,11 +234,10 @@ func (m *MAC) startContention() {
 		return
 	}
 	m.state = stateDeferring
-	m.difsEvent = m.engine.Schedule(m.params.DIFS, m.afterDIFS)
+	m.difsTimer.Reset(m.params.DIFS)
 }
 
 func (m *MAC) afterDIFS() {
-	m.difsEvent = nil
 	if m.state != stateDeferring {
 		return
 	}
@@ -233,15 +246,10 @@ func (m *MAC) afterDIFS() {
 		return
 	}
 	m.state = stateBackoff
-	m.scheduleSlot()
-}
-
-func (m *MAC) scheduleSlot() {
-	m.slotEvent = m.engine.Schedule(m.params.SlotTime, m.slotTick)
+	m.slotTimer.Reset(m.params.SlotTime)
 }
 
 func (m *MAC) slotTick() {
-	m.slotEvent = nil
 	if m.state != stateBackoff {
 		return
 	}
@@ -253,7 +261,7 @@ func (m *MAC) slotTick() {
 	}
 	m.backoffSlots--
 	if m.backoffSlots > 0 {
-		m.scheduleSlot()
+		m.slotTimer.Reset(m.params.SlotTime)
 		return
 	}
 	m.transmitHead()
@@ -269,33 +277,32 @@ func (m *MAC) armNAVCheck() {
 	until := m.navUntil - m.engine.Now()
 	m.navEvent = m.engine.Schedule(until, func() {
 		m.navEvent = nil
-		if m.state == stateDeferring && !m.channelBusy() {
-			m.difsEvent = m.engine.Schedule(m.params.DIFS, m.afterDIFS)
-		}
+		m.resumeIfIdle()
 	})
+}
+
+// resumeIfIdle starts the DIFS wait of a deferring MAC once both carrier
+// senses read idle, unless the wait is already running: a NAV that expires at
+// the instant the channel falls idle reaches here twice.
+func (m *MAC) resumeIfIdle() {
+	if m.state == stateDeferring && !m.difsTimer.Pending() && !m.channelBusy() {
+		m.difsTimer.Reset(m.params.DIFS)
+	}
 }
 
 func (m *MAC) onBusyChanged(busy bool) {
 	if busy {
 		// Cancel any DIFS wait or slot tick in flight; countdown state is
 		// preserved in backoffSlots.
-		if m.difsEvent != nil {
-			m.difsEvent.Stop()
-			m.difsEvent = nil
-		}
-		if m.slotEvent != nil {
-			m.slotEvent.Stop()
-			m.slotEvent = nil
-		}
+		m.difsTimer.Stop()
+		m.slotTimer.Stop()
 		if m.state == stateBackoff {
 			m.state = stateDeferring
 		}
 		return
 	}
 	// Channel became idle: resume contention after DIFS.
-	if m.state == stateDeferring && m.difsEvent == nil && !m.channelBusy() {
-		m.difsEvent = m.engine.Schedule(m.params.DIFS, m.afterDIFS)
-	}
+	m.resumeIfIdle()
 }
 
 func (m *MAC) transmitHead() {
@@ -320,10 +327,8 @@ func (m *MAC) transmitBroadcast(o outgoing) {
 	m.Telem.BroadcastsSent.Inc()
 	m.Stats.BytesSent += uint64(f.SizeBytes())
 	m.Telem.BytesSent.Add(uint64(f.SizeBytes()))
-	m.engine.Schedule(airtime, func() {
-		// One shot: done regardless of reception anywhere.
-		m.dequeueHead()
-	})
+	// One shot: done regardless of reception anywhere.
+	m.txDoneTimer.Reset(airtime)
 }
 
 func (m *MAC) dequeueHead() {

@@ -335,3 +335,79 @@ func TestPowerDownUnblocksDeferringMAC(t *testing.T) {
 			sender.Stats.BroadcastsSent)
 	}
 }
+
+// TestBackoffSlotAllocatesNothing: counting down a backoff re-arms the MAC's
+// own slot timer, so a slot costs no allocation (it used to cost an Event and
+// a method-value closure — three quarters of a run's allocations).
+func TestBackoffSlotAllocatesNothing(t *testing.T) {
+	engine, macs := testNet(t, 3, geom.Point{})
+	m := macs[0]
+	m.cw = 1 << 16 // a backoff long enough to measure inside
+	m.SendBroadcast(dataPkt(0, 1, 64))
+	engine.Run(m.params.DIFS + m.params.SlotTime)
+	if m.state != stateBackoff {
+		t.Fatalf("state = %d after DIFS, want backoff", m.state)
+	}
+	before := m.backoffSlots
+	allocs := testing.AllocsPerRun(100, func() {
+		engine.Run(engine.Now() + m.params.SlotTime)
+	})
+	if allocs != 0 {
+		t.Fatalf("a backoff slot allocates %.1f, want 0", allocs)
+	}
+	if m.state != stateBackoff || before-m.backoffSlots != 101 {
+		t.Fatalf("counted down %d slots in state %d; the measurement did not stay inside one backoff",
+			before-m.backoffSlots, m.state)
+	}
+}
+
+// TestResetStopsOwnedTimersAndNodeContendsAgain crashes a MAC at each point
+// of a broadcast — waiting out DIFS, counting down slots, frame on the air —
+// and requires that Reset leaves nothing of the MAC's on the event queue and
+// that the same MAC, with the same timers, sends its next frame normally.
+func TestResetStopsOwnedTimersAndNodeContendsAgain(t *testing.T) {
+	p := DefaultParams()
+	cases := []struct {
+		name    string
+		crashAt time.Duration
+		state   macState
+	}{
+		{"during DIFS", p.DIFS / 2, stateDeferring},
+		{"during backoff", p.DIFS + p.SlotTime/2, stateBackoff},
+		{"frame on the air", p.DIFS + time.Duration(p.CWMin+1)*p.SlotTime + 100*time.Microsecond, stateTx},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			engine, macs := testNet(t, 9, geom.Point{}, geom.Point{X: 100})
+			m := macs[0]
+			delivered := 0
+			macs[1].Deliver = func(*packet.Packet, packet.NodeID) { delivered++ }
+			m.SendBroadcast(dataPkt(0, 1, 512))
+			m.SendBroadcast(dataPkt(0, 2, 512))
+			engine.Run(tc.crashAt)
+			if m.state != tc.state {
+				t.Fatalf("state = %d at the crash, want %d", m.state, tc.state)
+			}
+			m.Reset()
+			if m.slotTimer.Pending() || m.difsTimer.Pending() || m.txDoneTimer.Pending() {
+				t.Fatal("Reset left an owned timer armed")
+			}
+			// What is still queued belongs to the PHY (a frame already on the
+			// air finishes); once it drains nothing may touch the MAC again.
+			engine.RunAll()
+			if m.state != stateIdle || m.QueueLen() != 0 {
+				t.Fatalf("after Reset: state %d, %d queued; a stale timer fired", m.state, m.QueueLen())
+			}
+			sent, got := m.Stats.BroadcastsSent, delivered
+			m.SendBroadcast(dataPkt(0, 3, 512))
+			engine.RunAll()
+			if m.Stats.BroadcastsSent != sent+1 || delivered != got+1 {
+				t.Fatalf("restarted MAC sent %d and delivered %d frames, want 1 and 1",
+					m.Stats.BroadcastsSent-sent, delivered-got)
+			}
+			if m.state != stateIdle {
+				t.Fatalf("state = %d after the restarted send, want idle", m.state)
+			}
+		})
+	}
+}

@@ -1,9 +1,9 @@
 package phy
 
 import (
+	"slices"
 	"time"
 
-	"meshcast/internal/packet"
 	"meshcast/internal/propagation"
 )
 
@@ -19,7 +19,12 @@ import (
 // every subsequent frame until an attach or a move invalidates it.
 //
 // Determinism contract: the fan-out draws from the medium's RNG once per list
-// entry, in list order, so a fixed-seed run is a function of the lists alone.
+// entry, in list order, reserves the frame's event sequence numbers in list
+// order (two per surviving entry), and delivers the frame's arrivals in
+// (propDelay, list order); event keys are unique, so the engine's pop order
+// does not depend on when an arrival was queued, and a fixed-seed run is a
+// function of the lists alone.
+//
 // A list holds the transmitter's candidates in attach order with the skip set
 // baked in: under the physics models, pairs whose mean power is below
 // ignoreBelowW are dropped up front (no fading draw is spent on them), and
@@ -34,7 +39,7 @@ import (
 // The cache is invalidated by SetLinkFunc (the skip set changes shape) and,
 // incrementally, by AttachRadio and MoveRadio: only transmitters within the
 // interference radius of the new radio (for a move: of either endpoint) can
-// see their candidate set change, so only their lists are discarded (see
+// see their candidate set change, so only their lists are marked stale (see
 // invalidateLinksAround and invalidateLinksMoved in grid.go).
 
 // link is one precomputed (tx, rx) entry: the receiver, its mean (pre-fading)
@@ -46,35 +51,92 @@ type link struct {
 	propDelay time.Duration
 }
 
-// linksFrom returns src's candidate-receiver list, building it on first use.
-func (m *Medium) linksFrom(src *Radio) []link {
-	if m.links == nil {
-		m.links = make([][]link, len(m.radios))
-	}
-	ls := m.links[src.index]
-	if ls == nil {
-		ls = m.buildLinks(src)
-		m.links[src.index] = ls
-	}
-	return ls
+// candidates is one transmitter's slot in the cache: its list in attach order
+// and, for laying a frame's arrivals out in delivery order (flight.go), the
+// list's delay-order permutation — slot[i] is the rank of links[i] when the
+// list is sorted by (propDelay, i). An invalidated list keeps its backing
+// arrays and is rebuilt into them: moving radios invalidate hundreds of lists
+// per step, and allocating each rebuild afresh was half the bytes a mobile run
+// allocated.
+type candidates struct {
+	links []link
+	slot  []int32
+	valid bool
 }
 
-// buildLinks computes src's candidate list in radio-attach order. Under the
-// physics models it probes the spatial cell index when one is available
-// (grid.go); under a LinkFunc oracle every other radio is a candidate, so
-// the index cannot narrow anything and the brute-force scan runs.
-func (m *Medium) buildLinks(src *Radio) []link {
-	if m.linkFunc == nil && m.grid != nil {
-		return m.buildLinksIndexed(src)
+// linksFrom returns src's candidate-receiver list, building it on first use.
+func (m *Medium) linksFrom(src *Radio) *candidates {
+	if m.links == nil {
+		m.links = make([]candidates, len(m.radios))
 	}
-	return m.buildLinksBrute(src)
+	c := &m.links[src.index]
+	if !c.valid {
+		m.buildLinks(src, c)
+	}
+	return c
+}
+
+// buildLinks computes src's candidate list in radio-attach order, and its
+// delay-order permutation, into c. Under the physics models it probes the
+// spatial cell index when one is available (grid.go); under a LinkFunc oracle
+// every other radio is a candidate, so the index cannot narrow anything and
+// the brute-force scan runs. The list is assembled in a scratch buffer and
+// copied, so a first build allocates what it keeps (the cell probe sees ~1.6×
+// the radios a metro list ends up with) and a rebuild allocates nothing.
+func (m *Medium) buildLinks(src *Radio, c *candidates) {
+	if m.linkFunc == nil && m.grid != nil {
+		m.linkScratch = m.buildLinksIndexed(src, m.linkScratch[:0])
+	} else {
+		m.linkScratch = m.buildLinksBrute(src, m.linkScratch[:0])
+	}
+	c.links = append(c.links[:0], m.linkScratch...)
+
+	order := m.delayOrder(c.links)
+	c.slot = append(c.slot[:0], order...)
+	for rank, i := range order {
+		c.slot[i] = int32(rank)
+	}
+	c.valid = true
+}
+
+// delayOrder returns the positions of links sorted by (propDelay, position),
+// in a scratch buffer valid until the next call. It is a byte-wise LSD radix
+// sort — stable, so equal delays keep list order without a second key, and
+// two passes for any list the cell index builds (delays under 65 µs). A
+// comparison sort here cost more than assembling the list, and a moving
+// radio invalidates hundreds of lists per step.
+func (m *Medium) delayOrder(links []link) []int32 {
+	from, to := m.orderScratch[0][:0], m.orderScratch[1][:0]
+	var longest time.Duration
+	for i := range links {
+		from, to = append(from, int32(i)), append(to, 0)
+		longest = max(longest, links[i].propDelay)
+	}
+	m.orderScratch = [2][]int32{from, to}
+	for shift := 0; longest>>shift > 0; shift += 8 {
+		// start[d+1] counts digit d; after the running sum start[d] is where
+		// digit d's run begins in to.
+		var start [257]int
+		for i := range links {
+			start[(links[i].propDelay>>shift)&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, i := range from {
+			d := (links[i].propDelay >> shift) & 0xff
+			to[start[d]] = i
+			start[d]++
+		}
+		from, to = to, from
+	}
+	return from
 }
 
 // buildLinksBrute is the reference all-radios scan the cell index replaced;
 // it stays as the fallback (LinkFunc, no computable interference radius) and
-// as the oracle the index is tested against.
-func (m *Medium) buildLinksBrute(src *Radio) []link {
-	ls := make([]link, 0, len(m.radios)-1)
+// as the oracle the index is tested against. The list is appended to dst.
+func (m *Medium) buildLinksBrute(src *Radio, dst []link) []link {
 	for _, rx := range m.radios {
 		if rx == src {
 			continue
@@ -87,13 +149,17 @@ func (m *Medium) buildLinksBrute(src *Radio) []link {
 				continue
 			}
 		}
-		ls = append(ls, link{rx: rx, meanPower: mean, propDelay: propagation.Delay(d)})
+		dst = append(dst, link{rx: rx, meanPower: mean, propDelay: propagation.Delay(d)})
 	}
-	return ls
+	return dst
 }
 
-// invalidateLinks discards every cached candidate list.
-func (m *Medium) invalidateLinks() { m.links = nil }
+// invalidateLinks marks every cached candidate list stale.
+func (m *Medium) invalidateLinks() {
+	for i := range m.links {
+		m.links[i].valid = false
+	}
+}
 
 // LinksConsistent reports whether src's cached candidate list (built on
 // demand) matches a brute-force recomputation entry for entry. It exists so
@@ -101,42 +167,8 @@ func (m *Medium) invalidateLinks() { m.links = nil }
 // radios mid-run — can assert the incremental invalidation never leaves a
 // stale list behind.
 func (m *Medium) LinksConsistent(src *Radio) bool {
-	got, want := m.linksFrom(src), m.buildLinksBrute(src)
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(m.linksFrom(src).links, m.buildLinksBrute(src, nil))
 }
 
-// newArrival takes an arrival from the pool (or allocates one) and
-// initializes it for one (frame, receiver) delivery.
-func (m *Medium) newArrival(rx *Radio, f *packet.Frame, power float64) *arrival {
-	var a *arrival
-	if n := len(m.arrivalPool); n > 0 {
-		a = m.arrivalPool[n-1]
-		m.arrivalPool[n-1] = nil
-		m.arrivalPool = m.arrivalPool[:n-1]
-	} else {
-		a = new(arrival)
-	}
-	a.rx, a.frame, a.power = rx, f, power
-	return a
-}
-
-// freeArrival returns a finished arrival to the pool.
-func (m *Medium) freeArrival(a *arrival) {
-	a.rx, a.frame, a.power, a.corrupted = nil, nil, 0, false
-	m.arrivalPool = append(m.arrivalPool, a)
-}
-
-// Static event callbacks for sim.Engine.ScheduleArgPooled: scheduling through
-// these instead of fresh closures removes two allocations per (frame,
-// receiver) pair from the transmit fan-out.
-func beginArrivalThunk(x any) { a := x.(*arrival); a.rx.beginArrival(a) }
-func endArrivalThunk(x any)   { a := x.(*arrival); a.rx.endArrival(a) }
-func txEndThunk(x any)        { r := x.(*Radio); r.notifyBusy(r.CarrierBusy()) }
+// txEndThunk is the static callback for the pooled transmit-end event.
+func txEndThunk(x any) { r := x.(*Radio); r.notifyBusy(r.CarrierBusy()) }

@@ -177,13 +177,12 @@ func (ci *cellIndex) gather(p geom.Point, dst []*Radio) []*Radio {
 	}
 }
 
-// buildLinksIndexed assembles src's candidate list from the 3×3 cell probe.
-// It must produce exactly buildLinksBrute's output (see the determinism
-// contract above); callers guarantee the physics models are active and the
-// index exists.
-func (m *Medium) buildLinksIndexed(src *Radio) []link {
+// buildLinksIndexed appends src's candidate list, assembled from the 3×3 cell
+// probe, to dst. It must produce exactly buildLinksBrute's output (see the
+// determinism contract above); callers guarantee the physics models are
+// active and the index exists.
+func (m *Medium) buildLinksIndexed(src *Radio, dst []link) []link {
 	cand := m.grid.gather(src.Pos, m.scratch[:0])
-	ls := make([]link, 0, len(cand))
 	for _, rx := range cand {
 		if rx == src {
 			continue
@@ -193,37 +192,35 @@ func (m *Medium) buildLinksIndexed(src *Radio) []link {
 		if mean < m.ignoreBelowW {
 			continue
 		}
-		ls = append(ls, link{rx: rx, meanPower: mean, propDelay: propagation.Delay(d)})
+		dst = append(dst, link{rx: rx, meanPower: mean, propDelay: propagation.Delay(d)})
 	}
 	m.scratch = cand[:0]
-	return ls
+	return dst
 }
 
-// invalidateLinksAround discards only the candidate lists the newly attached
-// radio r can appear in: transmitters within the interference radius of r,
-// all of which live in r's 3×3 cell neighborhood. The cache also grows a
-// (nil, lazily built) slot for r itself. Falls back to full invalidation
+// invalidateLinksAround marks stale only the candidate lists the newly
+// attached radio r can appear in: transmitters within the interference radius
+// of r, all of which live in r's 3×3 cell neighborhood. The cache also grows
+// an (empty, lazily built) slot for r itself. Falls back to full invalidation
 // when the affected set cannot be bounded (no index, or a LinkFunc oracle,
 // under which every list contains every radio).
 func (m *Medium) invalidateLinksAround(r *Radio) {
 	if m.links == nil {
 		return
 	}
+	m.links = append(m.links, candidates{})
 	if m.grid == nil || m.linkFunc != nil {
 		m.invalidateLinks()
 		return
 	}
-	m.links = append(m.links, nil)
 	near := m.grid.neighborhood(r.Pos, m.scratch[:0])
 	for _, other := range near {
-		if other != r {
-			m.links[other.index] = nil
-		}
+		m.links[other.index].valid = false
 	}
 	m.scratch = near[:0]
 }
 
-// invalidateLinksMoved discards the candidate lists a completed move of r
+// invalidateLinksMoved marks stale the candidate lists a completed move of r
 // (from old to r.Pos) can have changed: r's own list (every distance in it
 // shifted) and the lists of all transmitters in the 3×3 neighborhoods of
 // both endpoints — anyone outside both blocks was beyond the interference
@@ -239,11 +236,11 @@ func (m *Medium) invalidateLinksMoved(r *Radio, old geom.Point) {
 		m.invalidateLinks()
 		return
 	}
-	m.links[r.index] = nil
+	m.links[r.index].valid = false
 	near := m.grid.neighborhood(old, m.scratch[:0])
 	near = m.grid.neighborhood(r.Pos, near)
 	for _, other := range near {
-		m.links[other.index] = nil
+		m.links[other.index].valid = false
 	}
 	m.scratch = near[:0]
 }

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,9 @@ func TestInterferenceRadiusDisabledCases(t *testing.T) {
 	}
 }
 
+// built reports whether radio i's candidate list is currently cached.
+func (m *Medium) built(i int) bool { return m.links != nil && m.links[i].valid }
+
 // sameLinks requires two candidate lists to be identical entry for entry:
 // same receivers in the same (attach) order, same mean power, same delay.
 func sameLinks(t *testing.T, got, want []link, label string) {
@@ -83,8 +87,8 @@ func TestCellIndexMatchesBruteForce(t *testing.T) {
 			})
 		}
 		for _, src := range medium.radios {
-			got := medium.buildLinksIndexed(src)
-			want := medium.buildLinksBrute(src)
+			got := medium.buildLinksIndexed(src, nil)
+			want := medium.buildLinksBrute(src, nil)
 			sameLinks(t, got, want, "indexed")
 		}
 	}
@@ -105,7 +109,7 @@ func TestBuildLinksFallsBackWithoutIndex(t *testing.T) {
 			medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i) * 137, Y: float64(i%5) * 211})
 		}
 		for _, src := range medium.radios {
-			sameLinks(t, medium.buildLinks(src), medium.buildLinksBrute(src), tc.label)
+			sameLinks(t, medium.linksFrom(src).links, medium.buildLinksBrute(src, nil), tc.label)
 		}
 	}
 }
@@ -123,9 +127,9 @@ func TestAttachRadioIncrementalInvalidation(t *testing.T) {
 	near := medium.AttachRadio(0, geom.Point{X: 0, Y: 0})
 	far := medium.AttachRadio(1, geom.Point{X: 3 * cell, Y: 0})
 	// Build both candidate lists.
-	nearList := medium.linksFrom(near)
-	farList := medium.linksFrom(far)
-	if nearList == nil || farList == nil {
+	medium.linksFrom(near)
+	medium.linksFrom(far)
+	if !medium.built(near.index) || !medium.built(far.index) {
 		t.Fatal("candidate lists not built")
 	}
 
@@ -135,15 +139,15 @@ func TestAttachRadioIncrementalInvalidation(t *testing.T) {
 	if len(medium.links) != 3 {
 		t.Fatalf("cache has %d slots after attach, want 3", len(medium.links))
 	}
-	if medium.links[near.index] != nil {
+	if medium.built(near.index) {
 		t.Fatal("near transmitter's list not invalidated by a neighboring attach")
 	}
-	if medium.links[far.index] == nil {
+	if !medium.built(far.index) {
 		t.Fatal("far transmitter's list discarded by an attach outside its neighborhood")
 	}
 
 	// And the rebuilt list must now include the newcomer.
-	rebuilt := medium.linksFrom(near)
+	rebuilt := medium.linksFrom(near).links
 	found := false
 	for _, l := range rebuilt {
 		if l.rx.ID == 2 {
@@ -153,7 +157,7 @@ func TestAttachRadioIncrementalInvalidation(t *testing.T) {
 	if !found {
 		t.Fatal("rebuilt list does not include the newly attached radio")
 	}
-	sameLinks(t, rebuilt, medium.buildLinksBrute(near), "rebuilt after attach")
+	sameLinks(t, rebuilt, medium.buildLinksBrute(near, nil), "rebuilt after attach")
 }
 
 // TestAttachRadioDeliveryAcrossCells is the end-to-end version: a busy
@@ -252,4 +256,60 @@ func denseStormTrace(t *testing.T, setup func(*Medium), pitch float64) string {
 	}
 	fmt.Fprintf(&log, "events=%d now=%v\n", engine.Processed, engine.Now())
 	return log.String()
+}
+
+// TestCandidateSlotsAreDelayOrder pins the permutation transmit lays a frame's
+// arrivals out by: slot[i] is the rank of links[i] under (propDelay, i). The
+// radios sit on a coarse lattice so that many delays tie (ties must keep list
+// order — that is the order the sequence numbers are reserved in), and the
+// brute-force medium spans enough distance that the radix sort needs a third
+// byte.
+func TestCandidateSlotsAreDelayOrder(t *testing.T) {
+	for _, tc := range []struct {
+		label string
+		prep  func(*Medium)
+		pitch float64
+	}{
+		{"indexed", asBuilt, 150},
+		{"brute force, long delays", withoutIndex, 9000},
+	} {
+		engine := sim.NewEngine(11)
+		medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+		tc.prep(medium)
+		rng := sim.NewRNG(5)
+		for i := 0; i < 300; i++ {
+			medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(rng.Intn(12)) * tc.pitch, Y: float64(rng.Intn(12)) * tc.pitch})
+		}
+		if medium.grid == nil {
+			// An oracle makes every radio a candidate, however far.
+			medium.SetLinkFunc(func(_, _ packet.NodeID, _ time.Duration, _ *sim.RNG) float64 { return 1 })
+		}
+		ties, longest := 0, time.Duration(0)
+		for _, src := range medium.radios {
+			c := medium.linksFrom(src)
+			want := make([]int, len(c.links))
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return c.links[want[a]].propDelay < c.links[want[b]].propDelay })
+			if len(c.slot) != len(c.links) {
+				t.Fatalf("%s: %d slots for %d links", tc.label, len(c.slot), len(c.links))
+			}
+			for rank, i := range want {
+				if int(c.slot[i]) != rank {
+					t.Fatalf("%s: radio %d: link %d has slot %d, want %d", tc.label, src.index, i, c.slot[i], rank)
+				}
+				if rank > 0 && c.links[i].propDelay == c.links[want[rank-1]].propDelay {
+					ties++
+				}
+				longest = max(longest, c.links[i].propDelay)
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("%s: no two candidates share a delay; tie order is untested", tc.label)
+		}
+		if tc.pitch > 1000 && longest < 1<<16 {
+			t.Fatalf("%s: longest delay %v fits two bytes; the long-delay passes are untested", tc.label, longest)
+		}
+	}
 }

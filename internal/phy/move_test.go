@@ -40,7 +40,7 @@ func TestMoveRadioIncrementalMatchesFullInvalidation(t *testing.T) {
 				Y: rng.Float64() * side,
 			})
 			for _, src := range medium.radios {
-				sameLinks(t, medium.linksFrom(src), medium.buildLinksBrute(src), "after move")
+				sameLinks(t, medium.linksFrom(src).links, medium.buildLinksBrute(src, nil), "after move")
 			}
 		}
 	}
@@ -61,16 +61,16 @@ func TestMoveRadioLeavesFarListsWarm(t *testing.T) {
 		medium.linksFrom(r)
 	}
 	medium.MoveRadio(mover, geom.Point{X: 6*cell + 100})
-	if medium.links[nearOld.index] != nil {
+	if medium.built(nearOld.index) {
 		t.Fatal("list near the old position survived the move")
 	}
-	if medium.links[nearNew.index] != nil {
+	if medium.built(nearNew.index) {
 		t.Fatal("list near the new position survived the move")
 	}
-	if medium.links[mover.index] != nil {
+	if medium.built(mover.index) {
 		t.Fatal("the moved radio's own list survived the move")
 	}
-	if medium.links[far.index] == nil {
+	if !medium.built(far.index) {
 		t.Fatal("a list far from both endpoints was discarded (invalidation not incremental)")
 	}
 }
@@ -208,20 +208,25 @@ func TestMoveRadioUnderLinkFunc(t *testing.T) {
 	medium.linksFrom(a)
 	medium.linksFrom(b)
 	medium.MoveRadio(b, geom.Point{X: 90000})
-	if medium.links != nil {
+	if medium.built(a.index) || medium.built(b.index) {
 		t.Fatal("move under a LinkFunc oracle must invalidate the whole cache")
 	}
-	ls := medium.linksFrom(a)
+	ls := medium.linksFrom(a).links
 	if len(ls) != 1 || ls[0].propDelay != propagation.Delay(a.Pos.Distance(b.Pos)) {
 		t.Fatal("rebuilt oracle list does not reflect the new distance")
 	}
 }
 
 // TestTransmitAllocs pins the allocation budget of the fan-out hot path:
-// zero allocations per transmit (pooled arrivals, pooled events).
+// zero allocations per transmit (pooled flight records, owned cursor events),
+// and zero for a move followed by a transmit — the invalidated list and its
+// delay-order permutation are rebuilt into their old backing arrays.
 func TestTransmitAllocs(t *testing.T) {
 	engine := sim.NewEngine(31)
 	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	if medium.grid == nil {
+		t.Fatal("no cell index; the move half would measure the brute-force path")
+	}
 	for i := 0; i < 6; i++ {
 		medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i) * 120})
 	}
@@ -233,6 +238,27 @@ func TestTransmitAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fan-out allocates %.1f per transmit, want 0", allocs)
+	}
+
+	// The mover shuttles between two spots of one cell, so the index itself
+	// has nothing to grow; each move invalidates every list here.
+	mover := medium.radios[3]
+	spots := [2]geom.Point{mover.Pos, {X: mover.Pos.X + 30, Y: 40}}
+	if medium.grid.keyFor(spots[0]) != medium.grid.keyFor(spots[1]) {
+		t.Fatal("the two spots are in different cells")
+	}
+	spot := 0
+	allocs = testing.AllocsPerRun(50, func() {
+		spot ^= 1
+		medium.MoveRadio(mover, spots[spot])
+		if medium.built(tx.index) {
+			t.Fatal("move left the transmitter's list cached; nothing is rebuilt")
+		}
+		tx.Transmit(frame)
+		engine.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("move + transmit allocates %.1f per cycle, want 0 (lists must be rebuilt in place)", allocs)
 	}
 }
 

@@ -12,7 +12,10 @@
 // Node positions change only through Medium.MoveRadio (mobility models), so
 // the fan-out runs off a precomputed per-transmitter link cache (distance,
 // mean power, propagation delay — see cache.go and docs/PERFORMANCE.md) that
-// a move invalidates incrementally.
+// a move invalidates incrementally. A frame in flight is one pooled record
+// holding its arrivals in delivery order and two self-re-arming engine events
+// that walk them (flight.go), so the event queue holds two entries per frame
+// on the air, not two per (frame, receiver) pair.
 package phy
 
 import (
@@ -93,9 +96,12 @@ type Medium struct {
 	impair ImpairFunc
 
 	// links is the static link cache (see cache.go): per transmitter index,
-	// the precomputed candidate receivers in attach order. nil means not
-	// built.
-	links [][]link
+	// the precomputed candidate receivers in attach order. The table is nil
+	// until the first list is asked for and then has one slot per radio.
+	links []candidates
+	// linkScratch and orderScratch are reusable buffers for list builds.
+	linkScratch  []link
+	orderScratch [2][]int32
 
 	// grid is the spatial cell index (see grid.go): radios bucketed into
 	// cells sized to the interference radius implied by ignoreBelowW, so
@@ -105,9 +111,9 @@ type Medium struct {
 	// scratch is a reusable buffer for cell-neighborhood probes.
 	scratch []*Radio
 
-	// arrivalPool recycles arrival objects between frames; arrivals live
-	// from transmit until their endArrival event.
-	arrivalPool []*arrival
+	// flightPool recycles the per-frame records (flight.go); a record lives
+	// from transmit until its last arrival ends.
+	flightPool []*flight
 
 	// OnTransmit, when set, observes every frame as it is put on the air
 	// (packet capture, statistics).
@@ -257,18 +263,21 @@ func (m *Medium) DeliveryProbability(a, b geom.Point) float64 {
 
 // transmit distributes a frame from radio src across the medium. The fan-out
 // iterates src's precomputed candidate list; per candidate it only draws the
-// fading (or oracle) power, consults the impairment hook, and schedules the
-// pooled arrival's begin/end events through static callbacks. The RNG draw
-// order is fixed by the list's attach order — see the determinism contract in
-// cache.go.
+// fading (or oracle) power and consults the impairment hook, in the list's
+// attach order (the RNG draw order — see the determinism contract in cache.go),
+// and writes the surviving arrival into the frame's record at its
+// delivery-order slot. The record's two cursor events then deliver the
+// arrivals one by one (flight.go); nothing is scheduled per receiver.
 func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration) {
 	if m.OnTransmit != nil {
 		m.OnTransmit(m.engine.Now(), frame)
 	}
 	now := m.engine.Now()
-	links := m.linksFrom(src)
-	for i := range links {
-		l := &links[i]
+	c := m.linksFrom(src)
+	fl := m.newFlight(frame, now, airtime, len(c.links))
+	survivors := 0
+	for i := range c.links {
+		l := &c.links[i]
 		var power float64
 		if m.linkFunc != nil {
 			power = m.linkFunc(src.ID, l.rx.ID, now, m.rng)
@@ -287,19 +296,10 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 		if power < m.ignoreBelowW {
 			continue
 		}
-		a := m.newArrival(l.rx, frame, power)
-		m.engine.ScheduleArgPooled(l.propDelay, beginArrivalThunk, a)
-		m.engine.ScheduleArgPooled(l.propDelay+airtime, endArrivalThunk, a)
+		fl.arrivals[c.slot[i]] = arrival{rx: l.rx, power: power, delay: l.propDelay, rank: uint32(survivors)}
+		survivors++
 	}
-}
-
-// arrival is one frame's signal as seen by one receiver.
-type arrival struct {
-	rx        *Radio
-	frame     *packet.Frame
-	power     float64
-	corrupted bool
-	index     int // position in rx.arrivals while in flight
+	fl.launch(survivors)
 }
 
 // RadioStats counts PHY-level outcomes at one radio.
@@ -345,7 +345,6 @@ type Radio struct {
 	// first frame's end event.
 	txUntil     time.Duration
 	locked      *arrival
-	arrivals    []*arrival
 	sensedPower float64 // sum of in-flight arrival powers
 	lastBusy    bool    // last state reported through BusyChanged
 }
@@ -432,14 +431,12 @@ func (r *Radio) notifyBusy(busy bool) {
 }
 
 func (r *Radio) beginArrival(a *arrival) {
-	a.index = len(r.arrivals)
-	r.arrivals = append(r.arrivals, a)
 	r.sensedPower += a.power
 
 	switch {
 	case r.down:
-		// Powered off: the signal passes through undetected. It still sits
-		// in arrivals/sensedPower so endArrival stays symmetric, but a dead
+		// Powered off: the signal passes through undetected. It still counts
+		// in sensedPower so endArrival stays symmetric, but a dead
 		// radio reports no carrier and decodes nothing. Only decodable
 		// arrivals count as drops: a sub-threshold signal would have been
 		// lost with the radio up too (see docs/OBSERVABILITY.md).
@@ -489,15 +486,7 @@ func (r *Radio) beginArrival(a *arrival) {
 	r.notifyBusy(r.CarrierBusy())
 }
 
-func (r *Radio) endArrival(a *arrival) {
-	// Swap-remove by the index recorded in beginArrival; arrival order in
-	// the slice carries no meaning (sensedPower is a sum, locking is
-	// tracked separately), so O(1) bookkeeping replaces the linear scan.
-	i, last := a.index, len(r.arrivals)-1
-	r.arrivals[i] = r.arrivals[last]
-	r.arrivals[i].index = i
-	r.arrivals[last] = nil
-	r.arrivals = r.arrivals[:last]
+func (r *Radio) endArrival(a *arrival, f *packet.Frame) {
 	r.sensedPower -= a.power
 	if r.sensedPower < 0 {
 		r.sensedPower = 0 // guard against float drift
@@ -507,12 +496,11 @@ func (r *Radio) endArrival(a *arrival) {
 		if !a.corrupted {
 			r.Stats.FramesDelivered++
 			r.medium.Telem.FramesDelivered.Inc()
-			r.medium.Tracer.Span(trace.SpanPhyArrive, r.ID, a.frame.Src, a.frame.Payload)
+			r.medium.Tracer.Span(trace.SpanPhyArrive, r.ID, f.Src, f.Payload)
 			if r.ReceiveFrame != nil {
-				r.ReceiveFrame(a.frame)
+				r.ReceiveFrame(f)
 			}
 		}
 	}
 	r.notifyBusy(r.CarrierBusy())
-	r.medium.freeArrival(a)
 }

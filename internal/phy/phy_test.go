@@ -545,7 +545,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 			engine, medium := registryMedium(t, propagation.NoFading{})
 			r := medium.AttachRadio(0, geom.Point{})
 			power := tc.setup(engine, r)
-			a := &arrival{rx: r, frame: dataFrame(1, 64), power: power}
+			a := &arrival{rx: r, power: power}
 			r.beginArrival(a)
 			tc.check(t, r, a)
 		})
@@ -711,22 +711,32 @@ func TestDeliveryProbabilityPanicsUnderLinkFunc(t *testing.T) {
 	medium.DeliveryProbability(geom.Point{}, geom.Point{X: 100})
 }
 
-// assertPoolClean verifies every pooled arrival had its fields reset by
-// freeArrival — a stale rx/frame/power/corrupted here would leak into the
-// next frame that draws the object from the pool.
+// assertPoolClean verifies every pooled flight record came back reset: no
+// frame, and every arrival slot — up to capacity, not just the length of the
+// last use — zero. A stale rx/power/corrupted here would leak into the next
+// frame that draws the record from the pool (an occupied slot is a phantom
+// arrival; the cursors tell empty slots by rx == nil).
 func assertPoolClean(t *testing.T, m *Medium) {
 	t.Helper()
-	for i, a := range m.arrivalPool {
-		if a.rx != nil || a.frame != nil || a.power != 0 || a.corrupted {
-			t.Fatalf("pooled arrival %d not reset: %+v", i, *a)
+	for i, fl := range m.flightPool {
+		if fl.frame != nil {
+			t.Fatalf("pooled flight %d still holds its frame", i)
+		}
+		if fl.begin.Pending() || fl.end.Pending() {
+			t.Fatalf("pooled flight %d has a cursor still armed", i)
+		}
+		for j, a := range fl.arrivals[:cap(fl.arrivals)] {
+			if a != (arrival{}) {
+				t.Fatalf("pooled flight %d slot %d not reset: %+v", i, j, a)
+			}
 		}
 	}
 }
 
 // TestArrivalPoolReuseAcrossSetDownMidFlight powers the receiver down while
-// an arrival is locked (corrupting it), lets the arrival return to the pool,
-// and reuses the pool for a clean delivery: the corrupted flag from the
-// aborted frame must not leak into the recycled arrival.
+// an arrival is locked (corrupting it), lets the frame's record return to the
+// pool, and reuses it for a clean delivery: the corrupted flag from the
+// aborted frame must not leak into the recycled record.
 func TestArrivalPoolReuseAcrossSetDownMidFlight(t *testing.T) {
 	engine, medium := newTestMedium(t, propagation.NoFading{})
 	tx := medium.AttachRadio(0, geom.Point{X: 0, Y: 0})
@@ -734,27 +744,27 @@ func TestArrivalPoolReuseAcrossSetDownMidFlight(t *testing.T) {
 	delivered := 0
 	rx.ReceiveFrame = func(*packet.Frame) { delivered++ }
 	// Frame 1: rx powers down mid-flight. SetDown corrupts the locked
-	// arrival; endArrival still runs and returns it to the pool.
+	// arrival; endArrival still runs and the record returns to the pool.
 	engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 512)) })
 	engine.Schedule(time.Millisecond, func() { rx.SetDown(true) })
 	engine.RunAll()
 	if delivered != 0 {
 		t.Fatal("frame delivered despite mid-flight power-down")
 	}
-	if len(medium.arrivalPool) == 0 {
-		t.Fatal("aborted arrival not returned to the pool")
+	if len(medium.flightPool) == 0 {
+		t.Fatal("aborted frame's record not returned to the pool")
 	}
 	assertPoolClean(t, medium)
-	// Frame 2: the recycled arrival must deliver cleanly.
+	// Frame 2: the recycled record must deliver cleanly.
 	rx.SetDown(false)
-	poolBefore := len(medium.arrivalPool)
+	poolBefore := len(medium.flightPool)
 	engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 512)) })
 	engine.RunAll()
 	if delivered != 1 {
-		t.Fatalf("delivered = %d reusing the pooled arrival, want 1", delivered)
+		t.Fatalf("delivered = %d reusing the pooled record, want 1", delivered)
 	}
-	if len(medium.arrivalPool) != poolBefore {
-		t.Fatalf("pool size %d after reuse cycle, want %d", len(medium.arrivalPool), poolBefore)
+	if len(medium.flightPool) != poolBefore {
+		t.Fatalf("pool size %d after reuse cycle, want %d", len(medium.flightPool), poolBefore)
 	}
 	assertPoolClean(t, medium)
 }

@@ -1,98 +1,108 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a priority queue of events. All model
-// code (PHY, MAC, routing, traffic) runs inside event callbacks on a single
-// goroutine, so no locking is needed anywhere in the simulation core.
-// Determinism is guaranteed by (a) a strict (time, sequence) ordering of
-// events and (b) routing all randomness through seeded sub-streams of one
-// root RNG (see RNG).
+// The engine owns a virtual clock and a priority queue of events (a 4-ary
+// min-heap, see queue.go). All model code (PHY, MAC, routing, traffic) runs
+// inside event callbacks on a single goroutine, so no locking is needed
+// anywhere in the simulation core. Determinism is guaranteed by (a) a strict
+// (time, sequence) ordering of events — sequence numbers never repeat, so the
+// firing order is a function of the keys alone — and (b) routing all
+// randomness through seeded sub-streams of one root RNG (see RNG).
+//
+// There are four ways to put a callback on the queue. They fire in the same
+// (time, sequence) order and differ only in who owns the Event and what a
+// firing costs:
+//
+//   - Schedule / At: a one-shot closure. Allocates the Event (and usually the
+//     closure), returns it so the caller can Stop it. The default; use it
+//     wherever the callback captures per-call state or fires rarely.
+//   - NewTimer + Event.Reset: a timer the caller owns for its whole life and
+//     re-arms. One Event and one callback value for any number of firings, so
+//     arming and firing allocate nothing. For fixed-callback timers on hot
+//     paths (MAC backoff slots, Ticker). Reset takes its sequence number at
+//     the call, exactly where Schedule would.
+//   - ScheduleArgPooled: fire-and-forget. The engine owns and recycles the
+//     Event, so it cannot be cancelled; a static callback plus an argument
+//     replaces the closure.
+//   - ReserveSeq + Event.ArmReserved: a cursor over work whose sequence
+//     numbers were set aside up front. One owned Event walks a sorted list of
+//     sub-events, re-arming itself at each one's reserved key, and the run is
+//     event for event what scheduling every sub-event at reservation time
+//     would have been while the queue holds one entry instead of the whole
+//     list. The PHY delivers a frame to its receivers this way.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
-// Event is a scheduled callback. The zero Event is invalid; events are
-// created through Engine.Schedule / Engine.At.
+// Event is a scheduled callback: created armed by Engine.Schedule / At, or
+// unarmed by Engine.NewTimer. The zero Event is invalid.
 type Event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
-	// argFn/arg are the ScheduleArg form: a static callback plus its
-	// argument, so hot paths can schedule without allocating a closure.
-	// Exactly one of fn and argFn is set.
-	argFn   func(any)
-	arg     any
-	engine  *Engine
-	index   int // heap index; -1 once popped or canceled
-	stopped bool
+	// argFn/arg are the ScheduleArgPooled form: a static callback plus its
+	// argument. Exactly one of fn and argFn is set.
+	argFn  func(any)
+	arg    any
+	engine *Engine
+	index  int // position in the queue; -1 while not queued
 	// pooled marks events created by ScheduleArgPooled: the engine owns the
 	// Event and recycles it after the callback returns. Pooled events are
-	// never handed to callers, so they can never be Stopped.
+	// never handed to callers, so they can never be stopped or re-armed.
 	pooled bool
 }
 
-// call invokes the event's callback in whichever form it was scheduled.
-func (e *Event) call() {
-	if e.argFn != nil {
-		e.argFn(e.arg)
-		return
-	}
-	e.fn()
-}
-
-// Stop cancels the event if it has not fired yet, removing it from the
-// engine's queue immediately (so mass cancellation — churn, crashed nodes —
-// cannot accumulate dead entries in the heap). Stopping an already-fired or
-// already-stopped event is a no-op. Stop reports whether the event was still
-// pending.
-func (e *Event) Stop() bool {
-	if e == nil || e.stopped || e.index == -1 {
+// Stop cancels the event if it is pending, removing it from the engine's
+// queue immediately (so mass cancellation — churn, crashed nodes — cannot
+// accumulate dead entries in the heap). Stopping an event that is not queued
+// (fired, stopped, never armed, or running its own callback right now) is a
+// no-op. Stop reports whether the event was pending. A stopped event can be
+// armed again with Reset.
+func (ev *Event) Stop() bool {
+	if ev == nil || ev.index < 0 {
 		return false
 	}
-	e.stopped = true
-	heap.Remove(&e.engine.queue, e.index)
+	ev.engine.queue.remove(ev)
 	return true
 }
 
-// eventQueue implements heap.Interface ordered by (time, sequence).
-type eventQueue []*Event
+// Pending reports whether the event is queued to fire. It is false inside the
+// event's own callback.
+func (ev *Event) Pending() bool { return ev.index >= 0 }
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// Reset arms the event to fire after delay d (negative is treated as zero),
+// taking a fresh sequence number: the firing is indistinguishable from a
+// Schedule(d, fn) made at the same point. Resetting a pending event moves it
+// — the earlier arming is dropped, as by Stop — so one Event never fires
+// twice for one Reset.
+func (ev *Event) Reset(d time.Duration) {
+	e := ev.engine
+	if d < 0 {
+		d = 0
 	}
-	return q[i].seq < q[j].seq
+	ev.arm(e.now+d, e.seq)
+	e.seq++
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*Event)
-	if !ok {
-		// Silently dropping a foreign value would corrupt the schedule in a
-		// way that only shows up as missing events much later; fail loudly.
-		panic("sim: eventQueue.Push called with a non-*Event value")
+// ArmReserved arms the event at absolute time t (clamped to the current time)
+// under a sequence number obtained from ReserveSeq. The caller is responsible
+// for using each reserved number at most once; see the package comment for
+// what the form is for.
+func (ev *Event) ArmReserved(t time.Duration, seq uint64) {
+	if t < ev.engine.now {
+		t = ev.engine.now
 	}
-	e.index = len(*q)
-	*q = append(*q, e)
+	ev.arm(t, seq)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// arm queues the event under the key (t, seq), moving it if it is already
+// queued.
+func (ev *Event) arm(t time.Duration, seq uint64) {
+	if ev.index >= 0 {
+		ev.engine.queue.rekey(ev, t, seq)
+		return
+	}
+	ev.at, ev.seq = t, seq
+	ev.engine.queue.push(ev)
 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use.
@@ -130,47 +140,41 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // already scheduled for that time). It returns the event so callers can
 // cancel it.
 func (e *Engine) Schedule(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
+	ev := e.NewTimer(fn)
+	ev.Reset(d)
+	return ev
 }
 
 // At runs fn at absolute virtual time t. Times in the past are clamped to
 // the current time.
 func (e *Engine) At(t time.Duration, fn func()) *Event {
-	if t < e.now {
-		t = e.now
-	}
-	ev := &Event{at: t, seq: e.seq, fn: fn, engine: e}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	return e.Schedule(t-e.now, fn)
 }
 
-// ScheduleArg is Schedule for hot paths: instead of capturing state in a
-// fresh closure, the event carries a static callback and the argument to
-// pass it at fire time, saving one closure allocation per event. The caller
-// gets the Event back and may Stop it; fire-and-forget hot paths (the PHY
-// fan-out) use ScheduleArgPooled instead. fn must be non-nil. A negative
-// delay is treated as zero.
-func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) *Event {
-	if d < 0 {
-		d = 0
-	}
-	ev := &Event{at: e.now + d, seq: e.seq, argFn: fn, arg: arg, engine: e}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+// NewTimer returns an unarmed event bound to fn. The caller owns it: Reset
+// (or ArmReserved) arms it, Stop cancels it, and it can be armed again after
+// it fired or was stopped — including from inside fn — without allocating.
+func (e *Engine) NewTimer(fn func()) *Event {
+	return &Event{fn: fn, engine: e, index: -1}
 }
 
-// ScheduleArgPooled is ScheduleArg for fire-and-forget events: the engine
-// keeps ownership of the Event and recycles it after the callback returns,
-// so steady-state scheduling through this form allocates nothing. Because
-// the Event is reused, it is not returned — an event that must be cancelable
-// (Stop) has to go through Schedule/ScheduleArg instead, where the caller
-// holds the only reference. The PHY fan-out schedules its begin/end arrival
-// and transmit-end events through this form.
+// ReserveSeq sets aside n consecutive sequence numbers and returns the first.
+// Events armed under them (Event.ArmReserved) tie-break as if they had been
+// scheduled at the moment of the reservation, whenever they are actually
+// queued.
+func (e *Engine) ReserveSeq(n int) uint64 {
+	first := e.seq
+	e.seq += uint64(n)
+	return first
+}
+
+// ScheduleArgPooled schedules fn(arg) after delay d (negative is treated as
+// zero) as a fire-and-forget event: the engine keeps ownership of the Event
+// and recycles it after the callback returns, so steady-state scheduling
+// through this form allocates nothing. Because the Event is reused, it is not
+// returned — an event that must be cancelable has to go through Schedule or
+// NewTimer instead, where the caller holds the only reference. fn must be
+// non-nil. The PHY schedules its transmit-end events through this form.
 func (e *Engine) ScheduleArgPooled(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
@@ -180,20 +184,32 @@ func (e *Engine) ScheduleArgPooled(d time.Duration, fn func(any), arg any) {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = Event{at: e.now + d, seq: e.seq, argFn: fn, arg: arg, engine: e, pooled: true}
+		ev.argFn, ev.arg = fn, arg
 	} else {
-		ev = &Event{at: e.now + d, seq: e.seq, argFn: fn, arg: arg, engine: e, pooled: true}
+		ev = &Event{argFn: fn, arg: arg, engine: e, index: -1, pooled: true}
 	}
+	ev.arm(e.now+d, e.seq)
 	e.seq++
-	heap.Push(&e.queue, ev)
 }
 
-// recycle returns a fired pooled event to the free list. Called by the run
-// loops after the callback returns; by then nothing references the event
-// (pooled events are never handed out), so it is safe to reuse.
-func (e *Engine) recycle(ev *Event) {
-	ev.arg, ev.argFn = nil, nil
-	e.free = append(e.free, ev)
+// fire pops the earliest event, which the caller has checked exists, advances
+// the clock to it and runs it. The event is off the queue while its callback
+// runs, so the callback may Stop it (a no-op) or re-arm it freely. A fired
+// pooled event returns to the free list: nothing else references it.
+func (e *Engine) fire() {
+	ev := e.queue.popMin()
+	e.now = ev.at
+	e.Processed++
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		ev.argFn(ev.arg)
+	}
+	if ev.pooled {
+		ev.arg, ev.argFn = nil, nil
+		e.free = append(e.free, ev)
+	}
+	e.queue.close()
 }
 
 // Run executes events until the queue empties or the clock passes until.
@@ -202,18 +218,8 @@ func (e *Engine) recycle(ev *Event) {
 // event, so pending earlier events cannot move it backwards on a subsequent
 // Run or RunAll.
 func (e *Engine) Run(until time.Duration) time.Duration {
-	for len(e.queue) > 0 && !e.halted {
-		next := e.queue[0]
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.queue)
-		e.now = next.at
-		e.Processed++
-		next.call()
-		if next.pooled {
-			e.recycle(next)
-		}
+	for e.queue.len() > 0 && !e.halted && e.queue.min().at <= until {
+		e.fire()
 	}
 	if !e.halted && e.now < until {
 		e.now = until
@@ -223,15 +229,8 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 
 // RunAll executes events until the queue is empty.
 func (e *Engine) RunAll() time.Duration {
-	for len(e.queue) > 0 && !e.halted {
-		next := e.queue[0]
-		heap.Pop(&e.queue)
-		e.now = next.at
-		e.Processed++
-		next.call()
-		if next.pooled {
-			e.recycle(next)
-		}
+	for e.queue.len() > 0 && !e.halted {
+		e.fire()
 	}
 	return e.now
 }
@@ -245,14 +244,14 @@ func (e *Engine) Resume() { e.halted = false }
 
 // Pending returns the exact number of events still queued; canceled events
 // are removed from the queue at Stop time and never counted.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.len() }
 
 // PeekNext returns the scheduled time of the earliest pending event. The
 // second result is false when the queue is empty. Real-time drivers use it
 // to decide how long to sleep.
 func (e *Engine) PeekNext() (time.Duration, bool) {
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	return e.queue.min().at, true
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,16 +144,6 @@ func TestEventStopPreservesOrdering(t *testing.T) {
 	}
 }
 
-func TestEventQueuePushRejectsForeignValues(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Push of a non-*Event did not panic")
-		}
-	}()
-	var q eventQueue
-	q.Push("not an event")
-}
-
 func TestEventStopAfterFire(t *testing.T) {
 	e := NewEngine(1)
 	ev := e.Schedule(time.Second, func() {})
@@ -254,39 +245,6 @@ func TestRunAllAfterHaltKeepsClockMonotonic(t *testing.T) {
 	}
 	if e.Now() != 5*time.Second {
 		t.Fatalf("final Now() = %v, want 5s", e.Now())
-	}
-}
-
-func TestScheduleArg(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	record := func(x any) { got = append(got, x.(int)) }
-	e.ScheduleArg(2*time.Second, record, 2)
-	e.ScheduleArg(time.Second, record, 1)
-	e.Schedule(3*time.Second, func() { got = append(got, 3) })
-	e.ScheduleArg(-time.Second, record, 0) // negative delay fires first
-	e.RunAll()
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
-func TestScheduleArgStop(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.ScheduleArg(time.Second, func(any) { fired = true }, nil)
-	if !ev.Stop() {
-		t.Fatal("Stop on pending arg event returned false")
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("stopped arg event fired")
 	}
 }
 
@@ -427,5 +385,113 @@ func TestEngineOrderingProperty(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTimerRearm: one owned event is armed again after it fired and after it
+// was stopped, each arming fires once, and every arming takes its sequence
+// number at the Reset call — an event scheduled between two Resets for the
+// same instant fires between them.
+func TestTimerRearm(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	tm := e.NewTimer(func() { got = append(got, "timer@"+e.Now().String()) })
+	if tm.Pending() || tm.Stop() {
+		t.Fatal("a new timer is pending before any Reset")
+	}
+	tm.Reset(time.Second)
+	e.RunAll()
+	tm.Reset(time.Second) // after fire
+	if !tm.Pending() {
+		t.Fatal("Reset after fire did not arm the timer")
+	}
+	if !tm.Stop() || tm.Pending() {
+		t.Fatal("Stop on the re-armed timer did not cancel it")
+	}
+	e.Schedule(time.Second, func() { got = append(got, "before") })
+	tm.Reset(time.Second) // after Stop; same instant as "before", later seq
+	e.Schedule(time.Second, func() { got = append(got, "after") })
+	e.RunAll()
+	want := []string{"timer@1s", "before", "timer@2s", "after"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestTimerResetWhilePending pins the one defined behaviour: the pending
+// arming is dropped and the timer fires once, at the new time, under the
+// sequence number of the second Reset — in both directions, later and earlier.
+func TestTimerResetWhilePending(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	tm := e.NewTimer(func() { got = append(got, "timer@"+e.Now().String()) })
+	for i := 0; i < 30; i++ { // bystanders, so the re-key moves through a real heap
+		e.Schedule(time.Duration(i)*time.Second, func() {})
+	}
+	tm.Reset(5 * time.Second)
+	tm.Reset(20 * time.Second) // later
+	if e.Pending() != 31 {
+		t.Fatalf("pending = %d after Reset of a pending timer, want 31 (moved, not duplicated)", e.Pending())
+	}
+	e.Run(10 * time.Second)
+	if len(got) != 0 {
+		t.Fatalf("timer fired at its dropped arming: %v", got)
+	}
+	e.Schedule(time.Second, func() { got = append(got, "tie") })
+	tm.Reset(time.Second) // earlier: 11s, the same instant as "tie" and after it
+	checkHeap(t, e.queue, "after re-keying a pending timer")
+	e.RunAll()
+	if want := []string{"tie", "timer@11s"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestTimerStopAndResetFromOwnCallback: inside its callback the timer is off
+// the queue, so Stop reports false and touches nothing, and Reset arms the
+// next firing.
+func TestTimerStopAndResetFromOwnCallback(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	var tm *Event
+	tm = e.NewTimer(func() {
+		fired++
+		if tm.Pending() || tm.Stop() {
+			t.Error("timer reports pending inside its own callback")
+		}
+		if fired < 3 {
+			tm.Reset(time.Second)
+		}
+	})
+	other := e.Schedule(10*time.Second, func() {})
+	tm.Reset(time.Second)
+	e.Run(5 * time.Second)
+	if fired != 3 {
+		t.Fatalf("fired = %d, want 3", fired)
+	}
+	if e.Pending() != 1 || !other.Pending() {
+		t.Fatalf("pending = %d, want only the bystander", e.Pending())
+	}
+}
+
+// TestTimerAndTickerAllocateNothing pins what the owned timer is for.
+func TestTimerAndTickerAllocateNothing(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	tm := e.NewTimer(func() { fired++ })
+	if allocs := testing.AllocsPerRun(100, func() {
+		tm.Reset(time.Microsecond)
+		e.RunAll()
+	}); allocs != 0 {
+		t.Fatalf("timer re-arm + fire allocates %.1f, want 0", allocs)
+	}
+	NewTicker(e, time.Millisecond, time.Microsecond, e.RNG().Split(), func() { fired++ })
+	before := fired
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Run(e.Now() + time.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("ticker tick allocates %.1f, want 0", allocs)
+	}
+	if fired-before < 100 {
+		t.Fatalf("ticker fired %d times in 101 intervals; the measurement is vacuous", fired-before)
 	}
 }

@@ -6,12 +6,11 @@ import "time"
 // simulation-side analogue of time.Ticker, used for probe transmission,
 // ODMRP refresh floods, CBR traffic, and bookkeeping timers.
 type Ticker struct {
-	engine   *Engine
 	interval time.Duration
 	jitter   time.Duration
 	rng      *RNG
 	fn       func()
-	ev       *Event
+	ev       *Event // the one timer every firing re-arms
 	stopped  bool
 }
 
@@ -21,7 +20,8 @@ type Ticker struct {
 // are jittered to avoid synchronized collisions, and the paper's probing and
 // refresh floods rely on that. rng may be nil when jitter is zero.
 func NewTicker(engine *Engine, interval, jitter time.Duration, rng *RNG, fn func()) *Ticker {
-	t := &Ticker{engine: engine, interval: interval, jitter: jitter, rng: rng, fn: fn}
+	t := &Ticker{interval: interval, jitter: jitter, rng: rng, fn: fn}
+	t.ev = engine.NewTimer(t.fire)
 	t.schedule()
 	return t
 }
@@ -31,7 +31,7 @@ func (t *Ticker) schedule() {
 	if t.jitter > 0 {
 		d += time.Duration(t.rng.Float64() * float64(t.jitter))
 	}
-	t.ev = t.engine.Schedule(d, t.fire)
+	t.ev.Reset(d)
 }
 
 func (t *Ticker) fire() {
@@ -48,7 +48,5 @@ func (t *Ticker) fire() {
 // within the ticker's own callback.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Stop()
-	}
+	t.ev.Stop()
 }
