@@ -15,7 +15,6 @@ import (
 	"meshcast/internal/faults"
 	"meshcast/internal/geom"
 	"meshcast/internal/linkquality"
-	"meshcast/internal/mac"
 	"meshcast/internal/metric"
 	"meshcast/internal/mobility"
 	"meshcast/internal/multicast"
@@ -30,6 +29,7 @@ import (
 	"meshcast/internal/topology"
 	"meshcast/internal/trace"
 	"meshcast/internal/traffic"
+	"meshcast/internal/world"
 )
 
 // GroupSpec declares one multicast group's sources and receiver members by
@@ -230,7 +230,10 @@ func (t *faultTarget) Restore() {
 	}
 }
 
-// RunScenario executes one simulation and returns its measurements.
+// RunScenario executes one simulation and returns its measurements. The
+// stack is wired and counted by internal/world; what is added here is the
+// scenario's own: frame capture, fault injection, mobility, their trackers
+// and the telemetry manifest.
 func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("experiments: scenario has no topology")
@@ -239,12 +242,29 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	engine := sim.NewEngine(cfg.Seed)
-	fading := cfg.Fading
-	if fading == nil {
-		fading = propagation.Rayleigh{}
+
+	nodeCfg := node.DefaultConfig(cfg.Metric)
+	if cfg.ProbeRateFactor > 0 && cfg.ProbeRateFactor != 1 {
+		nodeCfg.Probe = linkquality.ConfigFor(cfg.Metric).ScaleRate(cfg.ProbeRateFactor)
 	}
-	medium := phy.NewMedium(engine, propagation.NewTwoRay(), fading, phy.DefaultParams())
+	nodeCfg.Protocol = proto
+	if cfg.ODMRP != nil {
+		nodeCfg.Tuning = cfg.ODMRP
+	}
+	if cfg.WindowSize > 0 {
+		nodeCfg.WindowSize = cfg.WindowSize
+	}
+	if cfg.PayloadBytes > 0 {
+		nodeCfg.DataPacketBytes = cfg.PayloadBytes
+	}
+	w := world.New(world.Config{
+		Seed:         cfg.Seed,
+		Fading:       cfg.Fading,
+		Node:         nodeCfg,
+		PayloadBytes: cfg.PayloadBytes,
+		SendInterval: cfg.SendInterval,
+	})
+	engine, medium := w.Engine, w.Medium
 	if cfg.CapturePath != "" {
 		f, err := os.Create(cfg.CapturePath)
 		if err != nil {
@@ -264,142 +284,69 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		}()
 		medium.OnTransmit = cw.Capture
 	}
-
-	nodeCfg := node.DefaultConfig(cfg.Metric)
-	if cfg.ProbeRateFactor > 0 && cfg.ProbeRateFactor != 1 {
-		nodeCfg.Probe = linkquality.ConfigFor(cfg.Metric).ScaleRate(cfg.ProbeRateFactor)
-	}
-	nodeCfg.Protocol = proto
-	if cfg.ODMRP != nil {
-		nodeCfg.Tuning = cfg.ODMRP
-	}
-	if cfg.WindowSize > 0 {
-		nodeCfg.WindowSize = cfg.WindowSize
-	}
-	nodeCfg.MAC = mac.DefaultParams()
-	if cfg.PayloadBytes > 0 {
-		nodeCfg.DataPacketBytes = cfg.PayloadBytes
-	}
 	if cfg.TraceSink != nil || cfg.SpanSink != nil {
-		nodeCfg.Tracer = trace.New(cfg.TraceSink, engine.Now, cfg.TraceCats...)
-		nodeCfg.Tracer.SetSpanSink(cfg.SpanSink)
+		tracer := trace.New(cfg.TraceSink, engine.Now, cfg.TraceCats...)
+		tracer.SetSpanSink(cfg.SpanSink)
+		w.SetTracer(tracer)
 	}
 	var reg *telemetry.Registry
 	if cfg.Telemetry != nil {
 		reg = cfg.Telemetry.Registry()
-		nodeCfg.Telemetry = reg
+		w.Instrument(reg)
+		if buf, ok := cfg.TraceSink.(*trace.Buffer); ok {
+			reg.GaugeFunc("trace.dropped", func() float64 { return float64(buf.Dropped()) })
+		}
 	}
 
-	nodes := make([]*node.Node, cfg.Topology.NodeCount())
-	for i := range nodes {
-		n, err := node.New(engine, medium, packet.NodeID(i), cfg.Topology.Positions[i], nodeCfg)
+	for i, pos := range cfg.Topology.Positions {
+		n, err := w.AddNode(packet.NodeID(i), pos)
 		if err != nil {
 			return nil, fmt.Errorf("build node %d: %w", i, err)
 		}
 		if cfg.PairHistoryWeight > 0 {
 			n.Table.PairHistoryWeight = cfg.PairHistoryWeight
 		}
-		nodes[i] = n
-		n.Start()
 	}
 
-	// Scenario-level instruments. All of these are nil-safe no-ops when no
-	// recorder is attached (reg == nil hands out nil instruments).
-	dataBytesReceived := reg.Counter("stats.data_bytes_received")
-	probeWarmupGauge := reg.Gauge("linkquality.probe_bytes_warmup")
-	if reg != nil {
-		reg.GaugeFunc(proto+".fg_size", func() float64 {
-			n := 0
-			for _, spec := range cfg.Groups {
-				for _, nd := range nodes {
-					if nd.Router.IsForwarder(spec.Group) {
-						n++
-					}
-				}
-			}
-			return float64(n)
-		})
-		reg.GaugeFunc(proto+".rounds", func() float64 {
-			n := 0
-			for _, nd := range nodes {
-				n += nd.Router.RoundCount()
-			}
-			return float64(n)
-		})
-		reg.GaugeFunc(proto+".dup_windows", func() float64 {
-			n := 0
-			for _, nd := range nodes {
-				n += nd.Router.DupWindowCount()
-			}
-			return float64(n)
-		})
-		reg.GaugeFunc("linkquality.table_entries", func() float64 {
-			n := 0
-			for _, nd := range nodes {
-				n += nd.Table.Len()
-			}
-			return float64(n)
-		})
-		if buf, ok := cfg.TraceSink.(*trace.Buffer); ok {
-			reg.GaugeFunc("trace.dropped", func() float64 { return float64(buf.Dropped()) })
-		}
-	}
-
-	collector := stats.NewCollector()
-	var delays stats.DelayTracker
-	var flows []*traffic.CBR
+	// Health and motion trackers account delivery opportunities: one per
+	// (packet, receiving member), matching the collector's PDR denominator.
 	var health *stats.HealthTracker   // set below iff faults are injected
 	var motion *stats.MobilityTracker // set below iff radios move
-	flowsByNode := make(map[int][]*traffic.CBR)
-
-	for _, spec := range cfg.Groups {
-		spec := spec
-		for _, m := range spec.Members {
-			nodes[m].Router.JoinGroup(spec.Group)
-			member := packet.NodeID(m)
-			for _, s := range spec.Sources {
-				collector.Subscribe(member, spec.Group, packet.NodeID(s))
-			}
-			r := nodes[m].Router
-			r.SetOnDeliver(func(p *packet.Packet, _ packet.NodeID) {
-				delay := engine.Now() - p.SentAt
-				collector.RecordDelivered(r.ID(), p.Group, p.Src, p.PayloadBytes, delay)
-				dataBytesReceived.Add(uint64(p.PayloadBytes))
-				delays.Observe(delay)
-				if health != nil {
-					health.RecordDelivered(p.Group, engine.Now())
-				}
-				if motion != nil {
-					motion.RecordDelivered(p.Group, engine.Now())
-				}
-			})
+	w.OnDeliver = func(p *packet.Packet, at time.Duration) {
+		if health != nil {
+			health.RecordDelivered(p.Group, at)
 		}
-		nMembers := len(spec.Members)
-		for _, s := range spec.Sources {
-			cbr := traffic.NewCBR(engine, nodes[s].Router, traffic.CBRConfig{
-				Group:        spec.Group,
-				PayloadBytes: cfg.PayloadBytes,
-				Interval:     cfg.SendInterval,
-				Jitter:       cfg.SendInterval / 10,
-				Start:        cfg.TrafficStart,
-			})
-			// Health and motion trackers account delivery opportunities: one
-			// per (packet, member), matching the collector's PDR denominator.
-			cbr.OnSend = func(at time.Duration) {
-				for i := 0; i < nMembers; i++ {
-					if health != nil {
-						health.RecordSent(spec.Group, at)
-					}
-					if motion != nil {
-						motion.RecordSent(spec.Group, at)
-					}
-				}
+		if motion != nil {
+			motion.RecordDelivered(p.Group, at)
+		}
+	}
+	w.OnSend = func(group packet.GroupID, at time.Duration, receivers int) {
+		for i := 0; i < receivers; i++ {
+			if health != nil {
+				health.RecordSent(group, at)
 			}
-			cbr.Start()
-			flows = append(flows, cbr)
+			if motion != nil {
+				motion.RecordSent(group, at)
+			}
+		}
+	}
+
+	flowsByNode := make(map[int][]*traffic.CBR)
+	for _, spec := range cfg.Groups {
+		for _, m := range spec.Members {
+			if err := w.Join(packet.NodeID(m), spec.Group); err != nil {
+				return nil, fmt.Errorf("experiments: group %v member: %w", spec.Group, err)
+			}
+		}
+		for _, s := range spec.Sources {
+			cbr, err := w.AddSource(packet.NodeID(s), spec.Group, cfg.TrafficStart)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: group %v source: %w", spec.Group, err)
+			}
 			flowsByNode[s] = append(flowsByNode[s], cbr)
 		}
 	}
+	nodes := w.Nodes()
 
 	var sched *faults.Scheduler
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
@@ -419,8 +366,8 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		medium.SetImpairment(sched.Impairment)
 		fw := sched.Windows()
 		windows := make([]stats.Window, len(fw))
-		for i, w := range fw {
-			windows[i] = stats.Window{Start: w.Start, End: w.End}
+		for i, win := range fw {
+			windows[i] = stats.Window{Start: win.Start, End: win.End}
 		}
 		health = stats.NewHealthTracker(sched.Onsets(), windows)
 		sched.Start()
@@ -461,19 +408,10 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		mover.Start()
 	}
 
-	// Snapshot probe bytes when traffic starts so that the reported probing
-	// overhead covers the measurement window, not the warmup.
-	var probeBytesAtStart uint64
+	// The reported probing overhead covers the measurement window, not the
+	// warmup.
 	if cfg.TrafficStart > 0 {
-		engine.At(cfg.TrafficStart, func() {
-			for _, n := range nodes {
-				probeBytesAtStart += n.Prober.Stats.BytesSent
-			}
-			// Recorded so the manifest alone can reproduce the paper-table
-			// probe-overhead figure: 100 * (probe_bytes_sent - warmup) /
-			// data_bytes_received.
-			probeWarmupGauge.Set(float64(probeBytesAtStart))
-		})
+		w.MeasureFrom(cfg.TrafficStart)
 	}
 
 	if cfg.Telemetry != nil {
@@ -482,36 +420,19 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 
 	engine.Run(cfg.Duration)
 
-	// Feed per-flow sent counts into the collector.
-	idx := 0
-	for _, spec := range cfg.Groups {
-		for _, s := range spec.Sources {
-			collector.SetSent(spec.Group, packet.NodeID(s), flows[idx].Sent)
-			idx++
-		}
-	}
-
+	h := w.Harvest()
 	res := &RunResult{
-		EdgeUse: make(map[multicast.Edge]uint64),
-		Events:  engine.Processed,
+		Summary:        h.Summary,
+		PerMember:      h.PerMember,
+		ControlBytes:   h.ControlBytes,
+		ProbeBytes:     h.ProbeBytes,
+		MACCollisions:  h.Collisions,
+		DataForwards:   h.DataForwards,
+		ForwarderState: h.ForwarderState,
+		EdgeUse:        h.EdgeUse,
+		Delay:          h.Delay,
+		Events:         h.Events,
 	}
-	for _, n := range nodes {
-		counters := n.Router.Counters()
-		res.ProbeBytes += n.Prober.Stats.BytesSent
-		res.ControlBytes += counters.ControlBytesSent
-		res.MACCollisions += n.Radio.Stats.Collisions
-		res.DataForwards += counters.DataForwarded
-		res.ForwarderState += n.Router.RoundCount() + n.Router.DupWindowCount()
-		for e, c := range n.Router.EdgeUse() {
-			res.EdgeUse[e] += c
-		}
-	}
-	res.ProbeBytes -= probeBytesAtStart
-	collector.ProbeBytes = res.ProbeBytes
-	collector.ControlBytes = res.ControlBytes
-	res.Summary = collector.Summarize()
-	res.PerMember = collector.PerMemberPDR()
-	res.Delay = delays.Percentiles()
 	if health != nil {
 		res.Health = health.Health()
 		res.Faulted = sched.DownCount()

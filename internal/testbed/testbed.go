@@ -26,6 +26,7 @@ import (
 	"meshcast/internal/sim"
 	"meshcast/internal/stats"
 	"meshcast/internal/traffic"
+	"meshcast/internal/world"
 
 	"meshcast/internal/metric"
 )
@@ -204,18 +205,28 @@ func Run(cfg Config) (*Result, error) {
 // RunScenario executes a testbed emulation of an arbitrary scenario
 // (PaperScenario or a GenerateFloor deployment).
 func RunScenario(cfg Config, sc Scenario) (*Result, error) {
-	engine := sim.NewEngine(cfg.Seed)
-	params := phy.DefaultParams()
-	medium := phy.NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, params)
+	nodeCfg := node.DefaultConfig(cfg.Metric)
+	nodeCfg.Protocol = cfg.Protocol
+	w := world.New(world.Config{
+		Seed:         cfg.Seed,
+		Fading:       propagation.NoFading{},
+		Node:         nodeCfg,
+		PayloadBytes: 512,
+		SendInterval: 50 * time.Millisecond,
+	})
+	engine := w.Engine
 
-	// Build the loss processes and install the link oracle.
+	// Build the loss processes and install the link oracle. The RNG splits
+	// below come before the first node so that a seed draws the same loss
+	// trace whatever the node count.
+	params := phy.DefaultParams()
 	lossRNG := engine.RNG().Split()
 	processes := make(map[[2]packet.NodeID]*lossProcess, len(sc.Links))
 	for _, l := range sc.Links {
 		processes[linkKey(l.A, l.B)] = newLossProcess(l.Class, lossRNG.Split())
 	}
 	drawRNG := engine.RNG().Split()
-	medium.SetLinkFunc(func(tx, rx packet.NodeID, _ time.Duration, _ *sim.RNG) float64 {
+	w.Medium.SetLinkFunc(func(tx, rx packet.NodeID, _ time.Duration, _ *sim.RNG) float64 {
 		proc, ok := processes[linkKey(tx, rx)]
 		if !ok {
 			return 0 // no link: not even carrier sense (hidden terminals)
@@ -231,77 +242,44 @@ func RunScenario(cfg Config, sc Scenario) (*Result, error) {
 		}
 	})
 
-	nodeCfg := node.DefaultConfig(cfg.Metric)
-	nodeCfg.Protocol = cfg.Protocol
-	nodes := make(map[packet.NodeID]*node.Node, len(sc.Nodes))
 	for _, id := range sc.Nodes {
-		n, err := node.New(engine, medium, id, sc.Positions[id], nodeCfg)
-		if err != nil {
+		if _, err := w.AddNode(id, sc.Positions[id]); err != nil {
 			return nil, fmt.Errorf("testbed node %v: %w", id, err)
 		}
-		nodes[id] = n
-		n.Start()
 	}
-	groups := sc.Groups
 
-	collector := stats.NewCollector()
 	series := stats.NewTimeSeries(20 * time.Second)
-	var delays stats.DelayTracker
 	warmup := time.Duration(cfg.WarmupSeconds) * time.Second
-	var flows []*traffic.CBR
-	for _, g := range groups {
+	w.OnDeliver = func(p *packet.Packet, _ time.Duration) { series.RecordDelivered(p.SentAt - warmup) }
+	w.OnSend = func(_ packet.GroupID, at time.Duration, _ int) { series.RecordSent(at - warmup) }
+	flows := make([]*traffic.CBR, len(sc.Groups))
+	for i, g := range sc.Groups {
 		for _, m := range g.Members {
-			nodes[m].Router.JoinGroup(g.Group)
-			collector.Subscribe(m, g.Group, g.Source)
-			r := nodes[m].Router
-			r.SetOnDeliver(func(p *packet.Packet, _ packet.NodeID) {
-				collector.RecordDelivered(r.ID(), p.Group, p.Src, p.PayloadBytes, engine.Now()-p.SentAt)
-				series.RecordDelivered(p.SentAt - warmup)
-				delays.Observe(engine.Now() - p.SentAt)
-			})
+			if err := w.Join(m, g.Group); err != nil {
+				return nil, fmt.Errorf("testbed group %v: %w", g.Group, err)
+			}
 		}
-		cbr := traffic.NewCBR(engine, nodes[g.Source].Router, traffic.CBRConfig{
-			Group:        g.Group,
-			PayloadBytes: 512,
-			Interval:     50 * time.Millisecond,
-			Jitter:       5 * time.Millisecond,
-			Start:        warmup,
-		})
-		cbr.OnSend = func(at time.Duration) { series.RecordSent(at - warmup) }
-		cbr.Start()
-		flows = append(flows, cbr)
+		var err error
+		if flows[i], err = w.AddSource(g.Source, g.Group, warmup); err != nil {
+			return nil, fmt.Errorf("testbed group %v: %w", g.Group, err)
+		}
 	}
-
-	var probeAtStart uint64
-	engine.At(warmup, func() {
-		for _, n := range nodes {
-			probeAtStart += n.Prober.Stats.BytesSent
-		}
-	})
+	w.MeasureFrom(warmup)
 
 	engine.Run(warmup + time.Duration(cfg.TrafficSeconds)*time.Second)
 
+	h := w.Harvest()
 	res := &Result{
-		EdgeUse: make(map[multicast.Edge]uint64),
-		Sent:    make(map[packet.NodeID]uint64),
+		Summary:   h.Summary,
+		PerMember: h.PerMember,
+		EdgeUse:   h.EdgeUse,
+		Sent:      make(map[packet.NodeID]uint64, len(flows)),
+		Series:    series.Points(),
+		Delay:     h.Delay,
 	}
-	for i, g := range groups {
-		collector.SetSent(g.Group, g.Source, flows[i].Sent)
+	for i, g := range sc.Groups {
 		res.Sent[g.Source] = flows[i].Sent
 	}
-	var probeBytes uint64
-	for _, id := range sc.Nodes {
-		n := nodes[id]
-		probeBytes += n.Prober.Stats.BytesSent
-		for e, c := range n.Router.EdgeUse() {
-			res.EdgeUse[e] += c
-		}
-	}
-	collector.ProbeBytes = probeBytes - probeAtStart
-	res.Summary = collector.Summarize()
-	res.PerMember = collector.PerMemberPDR()
-	res.Series = series.Points()
-	res.Delay = delays.Percentiles()
 	return res, nil
 }
 

@@ -1,0 +1,357 @@
+// Package world is the one place a simulated run is wired and counted. It
+// owns the engine, the medium and the nodes in the order they were added,
+// group membership and CBR sources with the single subscription rule, the
+// delivery collector and delay tracker, the probe-overhead window, the
+// run-level telemetry instruments, and the end-of-run harvest.
+//
+// Its three clients add only what is their own: experiments.RunScenario the
+// capture writer, fault scheduler, mover and their trackers;
+// testbed.RunScenario the loss processes and link oracle; meshcast.Simulation
+// a typed façade. Outside this package, internal/emu (live daemons) and test
+// harnesses, nothing calls node.New, stats.NewCollector, traffic.NewCBR or
+// Protocol.SetOnDeliver.
+package world
+
+import (
+	"fmt"
+	"time"
+
+	"meshcast/internal/geom"
+	"meshcast/internal/multicast"
+	"meshcast/internal/node"
+	"meshcast/internal/packet"
+	"meshcast/internal/phy"
+	"meshcast/internal/propagation"
+	"meshcast/internal/sim"
+	"meshcast/internal/stats"
+	"meshcast/internal/telemetry"
+	"meshcast/internal/trace"
+	"meshcast/internal/traffic"
+)
+
+// Config describes a world before any node exists.
+type Config struct {
+	// Seed drives all randomness.
+	Seed uint64
+	// Fading selects the fading model; nil means Rayleigh (the paper's).
+	Fading propagation.Fading
+	// Node is the template every AddNode builds from. Its Tracer and
+	// Telemetry are set through SetTracer and Instrument, which need the
+	// world's engine to exist first.
+	Node node.Config
+	// PayloadBytes and SendInterval shape every CBR flow; each packet is
+	// jittered by a tenth of the interval.
+	PayloadBytes int
+	SendInterval time.Duration
+}
+
+// group is one multicast group's declared receivers and sources, in the
+// order they were declared.
+type group struct {
+	id      packet.GroupID
+	members []packet.NodeID
+	sources []packet.NodeID
+}
+
+// receivers counts the group's members other than src: the delivery
+// opportunities one packet from src creates.
+func (g *group) receivers(src packet.NodeID) int {
+	n := len(g.members)
+	for _, m := range g.members {
+		if m == src {
+			n--
+		}
+	}
+	return n
+}
+
+type flow struct {
+	group packet.GroupID
+	src   packet.NodeID
+	cbr   *traffic.CBR
+}
+
+// World is a wired simulation: engine, medium, nodes, groups, flows and
+// the measurements taken on them.
+type World struct {
+	Engine *sim.Engine
+	Medium *phy.Medium
+
+	// OnDeliver, when non-nil, observes every first-copy delivery of a data
+	// packet to a group member, after it has been counted.
+	OnDeliver func(p *packet.Packet, at time.Duration)
+	// OnSend, when non-nil, observes every data packet a source hands to its
+	// router, with the number of delivery opportunities it creates: the
+	// group's members other than the source.
+	OnSend func(group packet.GroupID, at time.Duration, receivers int)
+
+	cfg    Config
+	nodes  []*node.Node
+	byID   map[packet.NodeID]*node.Node
+	groups []*group
+	flows  []flow
+
+	collector *stats.Collector
+	delays    stats.DelayTracker
+	// warmupProbeBytes is what the probers had sent when the measurement
+	// window opened (MeasureFrom); zero when it never did.
+	warmupProbeBytes uint64
+	dataBytes        *telemetry.Counter
+}
+
+// New builds an empty world: an engine on cfg.Seed and a two-ray medium
+// with the default 802.11 PHY parameters.
+func New(cfg Config) *World {
+	engine := sim.NewEngine(cfg.Seed)
+	fading := cfg.Fading
+	if fading == nil {
+		fading = propagation.Rayleigh{}
+	}
+	return &World{
+		Engine:    engine,
+		Medium:    phy.NewMedium(engine, propagation.NewTwoRay(), fading, phy.DefaultParams()),
+		cfg:       cfg,
+		byID:      make(map[packet.NodeID]*node.Node),
+		collector: stats.NewCollector(),
+	}
+}
+
+// SetTracer hands every node added from now on the tracer.
+func (w *World) SetTracer(t *trace.Tracer) { w.cfg.Node.Tracer = t }
+
+// Instrument wires every node added from now on to reg and registers the
+// run-level instruments, once. Call it before adding nodes: each node wires
+// its layers at creation.
+func (w *World) Instrument(reg *telemetry.Registry) {
+	w.cfg.Node.Telemetry = reg
+	w.dataBytes = reg.Counter("stats.data_bytes_received")
+	proto := w.cfg.Node.Protocol
+	if proto == "" {
+		proto = multicast.Default
+	}
+	sum := func(per func(*node.Node) int) func() float64 {
+		return func() float64 {
+			n := 0
+			for _, nd := range w.nodes {
+				n += per(nd)
+			}
+			return float64(n)
+		}
+	}
+	// Forwarder-set size (forwarding group / shared tree) summed over every
+	// group with a member or a source.
+	reg.GaugeFunc(proto+".fg_size", sum(func(nd *node.Node) int {
+		n := 0
+		for _, g := range w.groups {
+			if nd.Router.IsForwarder(g.id) {
+				n++
+			}
+		}
+		return n
+	}))
+	reg.GaugeFunc(proto+".rounds", sum(func(nd *node.Node) int { return nd.Router.RoundCount() }))
+	reg.GaugeFunc(proto+".dup_windows", sum(func(nd *node.Node) int { return nd.Router.DupWindowCount() }))
+	reg.GaugeFunc("linkquality.table_entries", sum(func(nd *node.Node) int { return nd.Table.Len() }))
+	// With this gauge a manifest alone reproduces the probe-overhead figure:
+	// 100 * (probe_bytes_sent - warmup) / data_bytes_received.
+	reg.GaugeFunc("linkquality.probe_bytes_warmup", func() float64 { return float64(w.warmupProbeBytes) })
+}
+
+// AddNode builds a node at pos, starts its probing and appends it to the
+// world. A node added while the clock is running starts from there.
+func (w *World) AddNode(id packet.NodeID, pos geom.Point) (*node.Node, error) {
+	n, err := node.New(w.Engine, w.Medium, id, pos, w.cfg.Node)
+	if err != nil {
+		return nil, err
+	}
+	n.Router.SetOnDeliver(func(p *packet.Packet, _ packet.NodeID) {
+		now := w.Engine.Now()
+		delay := now - p.SentAt
+		w.collector.RecordDelivered(id, p.Group, p.Src, p.PayloadBytes, delay)
+		w.dataBytes.Add(uint64(p.PayloadBytes))
+		w.delays.Observe(delay)
+		if w.OnDeliver != nil {
+			w.OnDeliver(p, now)
+		}
+	})
+	w.nodes = append(w.nodes, n)
+	w.byID[id] = n
+	n.Start()
+	return n, nil
+}
+
+// Nodes returns the nodes in the order they were added. The slice is the
+// world's own; callers must not modify it.
+func (w *World) Nodes() []*node.Node { return w.nodes }
+
+// Node returns the node with the given ID.
+func (w *World) Node(id packet.NodeID) (*node.Node, error) {
+	n, ok := w.byID[id]
+	if !ok {
+		return nil, fmt.Errorf("unknown node %v", id)
+	}
+	return n, nil
+}
+
+func (w *World) group(id packet.GroupID) *group {
+	for _, g := range w.groups {
+		if g.id == id {
+			return g
+		}
+	}
+	g := &group{id: id}
+	w.groups = append(w.groups, g)
+	return g
+}
+
+// subscribe is the one subscription rule: a member expects every packet of
+// every source of its group, except that a source is not its own receiver
+// (the protocol never delivers a node its own packets).
+func (w *World) subscribe(member packet.NodeID, group packet.GroupID, src packet.NodeID) {
+	if member != src {
+		w.collector.Subscribe(member, group, src)
+	}
+}
+
+// Join makes node id a receiver of group. It may come before or after the
+// group's sources are declared.
+func (w *World) Join(id packet.NodeID, groupID packet.GroupID) error {
+	n, err := w.Node(id)
+	if err != nil {
+		return err
+	}
+	n.Router.JoinGroup(groupID)
+	g := w.group(groupID)
+	for _, m := range g.members {
+		if m == id {
+			return nil
+		}
+	}
+	g.members = append(g.members, id)
+	for _, s := range g.sources {
+		w.subscribe(id, groupID, s)
+	}
+	return nil
+}
+
+// AddSource attaches a CBR flow from node id to group and starts it: the
+// first packet leaves start after the call.
+func (w *World) AddSource(id packet.NodeID, groupID packet.GroupID, start time.Duration) (*traffic.CBR, error) {
+	n, err := w.Node(id)
+	if err != nil {
+		return nil, err
+	}
+	g := w.group(groupID)
+	g.sources = append(g.sources, id)
+	for _, m := range g.members {
+		w.subscribe(m, groupID, id)
+	}
+	cbr := traffic.NewCBR(w.Engine, n.Router, traffic.CBRConfig{
+		Group:        groupID,
+		PayloadBytes: w.cfg.PayloadBytes,
+		Interval:     w.cfg.SendInterval,
+		Jitter:       w.cfg.SendInterval / 10,
+		Start:        start,
+	})
+	cbr.OnSend = func(at time.Duration) {
+		if w.OnSend != nil {
+			w.OnSend(groupID, at, g.receivers(id))
+		}
+	}
+	cbr.Start()
+	w.flows = append(w.flows, flow{groupID, id, cbr})
+	return cbr, nil
+}
+
+// MeasureFrom opens the probe-overhead window at virtual time t: probe
+// bytes sent before t are warm-up and excluded from the reported overhead.
+// Without it every probe byte counts.
+func (w *World) MeasureFrom(t time.Duration) {
+	w.Engine.At(t, func() { w.warmupProbeBytes = w.probeBytesSent() })
+}
+
+func (w *World) probeBytesSent() uint64 {
+	var total uint64
+	for _, n := range w.nodes {
+		total += n.Prober.Stats.BytesSent
+	}
+	return total
+}
+
+// sync feeds the collector what is counted outside it: per-flow sent
+// counts and the probe bytes of the measurement window.
+func (w *World) sync() {
+	for _, f := range w.flows {
+		w.collector.SetSent(f.group, f.src, f.cbr.Sent)
+	}
+	w.collector.ProbeBytes = w.probeBytesSent() - w.warmupProbeBytes
+}
+
+// Summary returns the delivery statistics of the run so far.
+func (w *World) Summary() stats.Summary {
+	w.sync()
+	return w.collector.Summarize()
+}
+
+// GroupSummary returns the delivery statistics of one group.
+func (w *World) GroupSummary(group packet.GroupID) stats.Summary {
+	w.sync()
+	return w.collector.GroupSummary(group)
+}
+
+// PerMember returns each subscription's delivery ratio.
+func (w *World) PerMember() []stats.MemberPDR {
+	w.sync()
+	return w.collector.PerMemberPDR()
+}
+
+// Delay summarizes the end-to-end delay of every delivery so far.
+func (w *World) Delay() stats.Percentiles { return w.delays.Percentiles() }
+
+// EdgeUse merges the per-node counts of data packets carried per directed
+// link.
+func (w *World) EdgeUse() map[multicast.Edge]uint64 {
+	out := make(map[multicast.Edge]uint64)
+	for _, n := range w.nodes {
+		for e, c := range n.Router.EdgeUse() {
+			out[e] += c
+		}
+	}
+	return out
+}
+
+// Harvest is everything a batch run reports about the shared stack.
+type Harvest struct {
+	Summary   stats.Summary
+	PerMember []stats.MemberPDR
+	Delay     stats.Percentiles
+	EdgeUse   map[multicast.Edge]uint64
+	// ProbeBytes covers the measurement window; ControlBytes, Collisions and
+	// DataForwards are run totals over the nodes.
+	ProbeBytes, ControlBytes, Collisions, DataForwards uint64
+	// ForwarderState sums the nodes' live route soft state (rounds +
+	// duplicate windows).
+	ForwarderState int
+	// Events is the number of simulation events processed.
+	Events uint64
+}
+
+// Harvest collects the run's measurements.
+func (w *World) Harvest() Harvest {
+	h := Harvest{
+		Summary:   w.Summary(),
+		PerMember: w.collector.PerMemberPDR(),
+		Delay:     w.Delay(),
+		EdgeUse:   w.EdgeUse(),
+		Events:    w.Engine.Processed,
+	}
+	h.ProbeBytes = w.collector.ProbeBytes
+	for _, n := range w.nodes {
+		counters := n.Router.Counters()
+		h.ControlBytes += counters.ControlBytesSent
+		h.Collisions += n.Radio.Stats.Collisions
+		h.DataForwards += counters.DataForwarded
+		h.ForwarderState += n.Router.RoundCount() + n.Router.DupWindowCount()
+	}
+	return h
+}

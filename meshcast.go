@@ -40,8 +40,8 @@ import (
 	"meshcast/internal/telemetry"
 	"meshcast/internal/testbed"
 	"meshcast/internal/topology"
-	"meshcast/internal/traffic"
 	"meshcast/internal/viz"
+	"meshcast/internal/world"
 )
 
 // Metric identifies a multicast routing metric.
@@ -134,24 +134,12 @@ type SimulationConfig struct {
 }
 
 // Simulation is a programmable mesh-network simulation: place nodes, join
-// groups, attach sources, run, inspect.
+// groups, attach sources, run, inspect. Nodes, members and sources may be
+// added at any point, also between Run calls; each starts when it is added.
 type Simulation struct {
-	engine    *sim.Engine
-	medium    *phy.Medium
-	nodes     []*node.Node
-	collector *stats.Collector
-	delays    stats.DelayTracker
-	flows     []*traffic.CBR
-	flowKeys  []flowKey
-	cfg       SimulationConfig
-	started   bool
-	telem     *telemetry.Registry
-	groups    map[GroupID]struct{}
-}
-
-type flowKey struct {
-	group GroupID
-	src   NodeID
+	world *world.World
+	cfg   SimulationConfig
+	telem *telemetry.Registry
 }
 
 // NewSimulation creates an empty simulation.
@@ -165,44 +153,32 @@ func NewSimulation(cfg SimulationConfig) *Simulation {
 	if cfg.SendInterval == 0 {
 		cfg.SendInterval = 50 * time.Millisecond
 	}
-	engine := sim.NewEngine(cfg.Seed)
 	var fading propagation.Fading = propagation.Rayleigh{}
 	if cfg.DisableFading {
 		fading = propagation.NoFading{}
 	}
+	nodeCfg := node.DefaultConfig(cfg.Metric)
+	nodeCfg.Protocol = cfg.Protocol
+	nodeCfg.DataPacketBytes = cfg.PayloadBytes
 	return &Simulation{
-		engine:    engine,
-		medium:    phy.NewMedium(engine, propagation.NewTwoRay(), fading, phy.DefaultParams()),
-		collector: stats.NewCollector(),
-		cfg:       cfg,
+		world: world.New(world.Config{
+			Seed:         cfg.Seed,
+			Fading:       fading,
+			Node:         nodeCfg,
+			PayloadBytes: cfg.PayloadBytes,
+			SendInterval: cfg.SendInterval,
+		}),
+		cfg: cfg,
 	}
 }
 
 // AddNode places a mesh router at (x, y) metres and returns its ID.
 func (s *Simulation) AddNode(x, y float64) (NodeID, error) {
-	id := NodeID(len(s.nodes))
-	n, err := node.New(s.engine, s.medium, id, geom.Point{X: x, Y: y}, s.nodeConfig())
-	if err != nil {
+	id := NodeID(s.NodeCount())
+	if _, err := s.world.AddNode(id, geom.Point{X: x, Y: y}); err != nil {
 		return 0, err
 	}
-	s.nodes = append(s.nodes, n)
 	return id, nil
-}
-
-func (s *Simulation) nodeConfig() node.Config {
-	cfg := node.DefaultConfig(s.cfg.Metric)
-	cfg.Protocol = s.cfg.Protocol
-	cfg.DataPacketBytes = s.cfg.PayloadBytes
-	cfg.Telemetry = s.telem
-	return cfg
-}
-
-// protocolName returns the resolved protocol name for instrument prefixes.
-func (s *Simulation) protocolName() string {
-	if s.cfg.Protocol != "" {
-		return s.cfg.Protocol
-	}
-	return multicast.Default
 }
 
 // EnableTelemetry attaches a cross-layer metrics registry to the
@@ -214,20 +190,7 @@ func (s *Simulation) EnableTelemetry() {
 		return
 	}
 	s.telem = telemetry.NewRegistry()
-	s.groups = make(map[GroupID]struct{})
-	// Forwarder-set size (forwarding group / shared tree) across every
-	// group with members or sources, evaluated lazily at snapshot time.
-	s.telem.GaugeFunc(s.protocolName()+".fg_size", func() float64 {
-		n := 0
-		for _, nd := range s.nodes {
-			for g := range s.groups {
-				if nd.Router.IsForwarder(g) {
-					n++
-				}
-			}
-		}
-		return float64(n)
-	})
+	s.world.Instrument(s.telem)
 }
 
 // Telemetry returns a snapshot of every registered instrument. ok is false
@@ -242,7 +205,7 @@ func (s *Simulation) Telemetry() (snap TelemetrySnapshot, ok bool) {
 // AddRandomNodes places n nodes uniformly in a side × side square, redrawing
 // until the 250 m disc graph is connected. It returns the IDs.
 func (s *Simulation) AddRandomNodes(n int, side float64) ([]NodeID, error) {
-	topo, err := topology.RandomConnected(s.engine.RNG().Split(), n, geom.Square(side), 250, 500)
+	topo, err := topology.RandomConnected(s.world.Engine.RNG().Split(), n, geom.Square(side), 250, 500)
 	if err != nil {
 		return nil, err
 	}
@@ -258,125 +221,52 @@ func (s *Simulation) AddRandomNodes(n int, side float64) ([]NodeID, error) {
 }
 
 // NodeCount returns the number of placed nodes.
-func (s *Simulation) NodeCount() int { return len(s.nodes) }
+func (s *Simulation) NodeCount() int { return len(s.world.Nodes()) }
 
-// Join subscribes a node to a multicast group as a receiver.
+// Join subscribes a node to a multicast group as a receiver of every source
+// of the group, declared before or after. A node that is also a source of
+// the group is not its own receiver.
 func (s *Simulation) Join(id NodeID, group GroupID) error {
-	n, err := s.node(id)
-	if err != nil {
-		return err
-	}
-	n.Router.JoinGroup(group)
-	if s.groups != nil {
-		s.groups[group] = struct{}{}
-	}
-	r := n.Router
-	r.SetOnDeliver(func(p *packet.Packet, _ packet.NodeID) {
-		delay := s.engine.Now() - p.SentAt
-		s.collector.RecordDelivered(r.ID(), p.Group, p.Src, p.PayloadBytes, delay)
-		s.delays.Observe(delay)
-	})
-	// Subscribe this member to every known source of the group.
-	for _, fk := range s.flowKeys {
-		if fk.group == group {
-			s.collector.Subscribe(id, group, fk.src)
-		}
+	if err := s.world.Join(id, group); err != nil {
+		return fmt.Errorf("meshcast: %w", err)
 	}
 	return nil
 }
 
-// AddSource attaches a CBR multicast flow from node id to group, starting at
-// the given offset into the run. Declare sources before Run.
+// AddSource attaches a CBR multicast flow from node id to group. The first
+// packet leaves start after the call: before the first Run that is an
+// offset into the run, later it counts from the current virtual time.
 func (s *Simulation) AddSource(id NodeID, group GroupID, start time.Duration) error {
-	n, err := s.node(id)
-	if err != nil {
-		return err
-	}
-	cbr := traffic.NewCBR(s.engine, n.Router, traffic.CBRConfig{
-		Group:        group,
-		PayloadBytes: s.cfg.PayloadBytes,
-		Interval:     s.cfg.SendInterval,
-		Jitter:       s.cfg.SendInterval / 10,
-		Start:        start,
-	})
-	s.flows = append(s.flows, cbr)
-	s.flowKeys = append(s.flowKeys, flowKey{group, id})
-	if s.groups != nil {
-		s.groups[group] = struct{}{}
-	}
-	// Existing members of the group subscribe to the new source.
-	for _, m := range s.nodes {
-		if m.Router.IsMember(group) && m.ID != id {
-			s.collector.Subscribe(m.ID, group, id)
-		}
+	if _, err := s.world.AddSource(id, group, start); err != nil {
+		return fmt.Errorf("meshcast: %w", err)
 	}
 	return nil
-}
-
-func (s *Simulation) node(id NodeID) (*node.Node, error) {
-	if int(id) >= len(s.nodes) {
-		return nil, fmt.Errorf("meshcast: unknown node %v", id)
-	}
-	return s.nodes[int(id)], nil
 }
 
 // Run advances the simulation to the given absolute virtual time. It may be
 // called repeatedly with increasing times.
-func (s *Simulation) Run(until time.Duration) {
-	if !s.started {
-		s.started = true
-		for _, n := range s.nodes {
-			n.Start()
-		}
-		for _, f := range s.flows {
-			f.Start()
-		}
-	}
-	s.engine.Run(until)
-}
+func (s *Simulation) Run(until time.Duration) { s.world.Engine.Run(until) }
 
 // Now returns the current virtual time.
-func (s *Simulation) Now() time.Duration { return s.engine.Now() }
+func (s *Simulation) Now() time.Duration { return s.world.Engine.Now() }
 
 // Summary returns aggregated delivery statistics for the run so far.
-func (s *Simulation) Summary() Summary {
-	s.syncSent()
-	return s.collector.Summarize()
-}
+func (s *Simulation) Summary() Summary { return s.world.Summary() }
 
 // PerMember returns each member's per-flow delivery ratio.
-func (s *Simulation) PerMember() []MemberPDR {
-	s.syncSent()
-	return s.collector.PerMemberPDR()
-}
+func (s *Simulation) PerMember() []MemberPDR { return s.world.PerMember() }
 
 // GroupSummary returns delivery statistics restricted to one group.
-func (s *Simulation) GroupSummary(group GroupID) Summary {
-	s.syncSent()
-	return s.collector.GroupSummary(group)
-}
-
-func (s *Simulation) syncSent() {
-	var probeBytes uint64
-	for _, n := range s.nodes {
-		probeBytes += n.Prober.Stats.BytesSent
-	}
-	s.collector.ProbeBytes = probeBytes
-	for i, f := range s.flows {
-		s.collector.SetSent(s.flowKeys[i].group, s.flowKeys[i].src, f.Sent)
-	}
-}
+func (s *Simulation) GroupSummary(group GroupID) Summary { return s.world.GroupSummary(group) }
 
 // DelayPercentiles summarizes the end-to-end delay distribution of every
 // delivery so far.
-func (s *Simulation) DelayPercentiles() Percentiles {
-	return s.delays.Percentiles()
-}
+func (s *Simulation) DelayPercentiles() Percentiles { return s.world.Delay() }
 
 // IsForwarder reports whether a node currently relays data for a group
 // (forwarding-group flag for ODMRP, on-tree flag for MCST).
 func (s *Simulation) IsForwarder(id NodeID, group GroupID) bool {
-	n, err := s.node(id)
+	n, err := s.world.Node(id)
 	if err != nil {
 		return false
 	}
@@ -385,15 +275,7 @@ func (s *Simulation) IsForwarder(id NodeID, group GroupID) bool {
 
 // EdgeUse merges the per-node counters of data packets carried per directed
 // link — the multicast tree, weighted by use.
-func (s *Simulation) EdgeUse() map[Edge]uint64 {
-	out := make(map[Edge]uint64)
-	for _, n := range s.nodes {
-		for e, c := range n.Router.EdgeUse() {
-			out[e] += c
-		}
-	}
-	return out
-}
+func (s *Simulation) EdgeUse() map[Edge]uint64 { return s.world.EdgeUse() }
 
 // OptimalSPP returns, for every node, the best achievable end-to-end
 // delivery probability from source over the simulation's analytic link
@@ -401,14 +283,15 @@ func (s *Simulation) EdgeUse() map[Edge]uint64 {
 // the ceiling routing can reach per transmission chain. Compare against
 // PerMember PDRs to grade routing efficiency.
 func (s *Simulation) OptimalSPP(source NodeID) ([]float64, error) {
-	if int(source) >= len(s.nodes) {
+	nodes := s.world.Nodes()
+	if int(source) >= len(nodes) {
 		return nil, fmt.Errorf("meshcast: unknown node %v", source)
 	}
-	positions := make([]geom.Point, len(s.nodes))
-	for i, n := range s.nodes {
+	positions := make([]geom.Point, len(nodes))
+	for i, n := range nodes {
 		positions[i] = n.Radio.Pos
 	}
-	g := analysis.FromPositions(positions, s.medium, s.cfg.PayloadBytes, 0.001)
+	g := analysis.FromPositions(positions, s.world.Medium, s.cfg.PayloadBytes, 0.001)
 	return analysis.OptimalSPP(g, int(source))
 }
 
