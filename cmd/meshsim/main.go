@@ -119,7 +119,7 @@ func main() {
 	flag.Float64Var(&opt.ProbeRate, "probe-rate", def.ProbeRate, "probing rate factor (5 = high-overhead column)")
 	flag.BoolVar(&opt.NoFading, "no-fading", def.NoFading, "disable Rayleigh fading")
 	flag.BoolVar(&opt.Verbose, "v", def.Verbose, "print per-member delivery ratios")
-	flag.StringVar(&opt.TraceCats, "trace", def.TraceCats, "comma-separated trace categories to print (query,reply,data,probe,mac,core,join)")
+	flag.StringVar(&opt.TraceCats, "trace", def.TraceCats, "comma-separated trace categories to print ("+traceCatNames()+")")
 	flag.StringVar(&opt.Spans, "spans", def.Spans, "record packet-journey spans to this JSONL file (see meshstat -journeys)")
 	flag.StringVar(&opt.Capture, "capture", def.Capture, "record every transmitted frame to this file (see cmd/meshdump)")
 	flag.Float64Var(&opt.Churn, "churn", def.Churn, "fraction of nodes subject to crash/restart churn (0 disables)")
@@ -227,25 +227,33 @@ func noteTelemetry(rec *telemetry.Recorder) {
 	}
 }
 
+// traceCats lists the -trace values in help order.
+var traceCats = []trace.Category{trace.CatQuery, trace.CatReply, trace.CatData, trace.CatCore, trace.CatJoin}
+
+// traceCatNames renders the valid -trace values: the lower-cased category
+// names.
+func traceCatNames() string {
+	names := make([]string, len(traceCats))
+	for i, c := range traceCats {
+		names[i] = strings.ToLower(c.String())
+	}
+	return strings.Join(names, ",")
+}
+
 // parseTraceCats maps flag names to trace categories.
 func parseTraceCats(s string) ([]trace.Category, error) {
 	if s == "" {
 		return nil, nil
 	}
-	names := map[string]trace.Category{
-		"query": trace.CatQuery,
-		"reply": trace.CatReply,
-		"data":  trace.CatData,
-		"probe": trace.CatProbe,
-		"mac":   trace.CatMAC,
-		"core":  trace.CatCore,
-		"join":  trace.CatJoin,
+	byName := make(map[string]trace.Category, len(traceCats))
+	for _, c := range traceCats {
+		byName[strings.ToLower(c.String())] = c
 	}
 	var out []trace.Category
 	for _, part := range strings.Split(s, ",") {
-		c, ok := names[strings.TrimSpace(part)]
+		c, ok := byName[strings.TrimSpace(part)]
 		if !ok {
-			return nil, fmt.Errorf("unknown trace category %q", part)
+			return nil, fmt.Errorf("unknown trace category %q (valid: %s)", part, traceCatNames())
 		}
 		out = append(out, c)
 	}

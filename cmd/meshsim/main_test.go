@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,16 +21,20 @@ func TestParseTraceCats(t *testing.T) {
 	if got, err := parseTraceCats(""); err != nil || got != nil {
 		t.Fatalf("empty input = %v, %v", got, err)
 	}
-	if _, err := parseTraceCats("query,bogus"); err == nil {
-		t.Fatal("unknown category accepted")
+	// An unknown name — including the two categories that never had an
+	// emitter — fails listing the valid ones.
+	for _, bad := range []string{"query,bogus", "probe", "mac"} {
+		_, err := parseTraceCats(bad)
+		if err == nil || !strings.Contains(err.Error(), "valid: query,reply,data,core,join") {
+			t.Fatalf("parseTraceCats(%q) error = %v, want one listing the valid names", bad, err)
+		}
 	}
-	all := "query,reply,data,probe,mac"
-	got, err = parseTraceCats(all)
+	got, err = parseTraceCats(traceCatNames())
 	if err != nil || len(got) != 5 {
 		t.Fatalf("all categories = %v, %v", got, err)
 	}
 	// Whitespace tolerated.
-	if got, err := parseTraceCats(" mac , probe "); err != nil || len(got) != 2 {
+	if got, err := parseTraceCats(" core , join "); err != nil || len(got) != 2 {
 		t.Fatalf("whitespace input = %v, %v", got, err)
 	}
 }

@@ -7,12 +7,8 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sort"
 
-	"meshcast/internal/multicast"
-	"meshcast/internal/packet"
 	"meshcast/internal/runner"
-	"meshcast/internal/stats"
 	"meshcast/internal/testbed"
 )
 
@@ -22,14 +18,18 @@ type ScenarioJob = runner.Job[ScenarioConfig]
 // ScenarioResult is one scenario job's outcome, in submission order.
 type ScenarioResult = runner.Result[*RunResult]
 
-// runScenarioJobs executes scenario jobs through the worker pool configured
-// by the Options (Workers, CacheDir, Progress). Results come back in
-// submission order with per-job errors captured, so aggregation never
-// depends on completion order.
-func (o Options) runScenarioJobs(jobs []ScenarioJob) ([]ScenarioResult, error) {
-	pool := &runner.Pool[ScenarioConfig, *RunResult]{
+// runJobs executes jobs through the worker pool configured by the Options
+// (Workers, CacheDir, Progress). Results come back in submission order with
+// per-job errors captured, so aggregation never depends on completion
+// order. A cached result is the result struct's own JSON: integers round-
+// trip trivially and float64 through encoding/json's shortest-exact
+// formatting, so a cache hit reproduces the byte-identical report a fresh
+// run would have produced, and a field added to R is cached without
+// further code.
+func runJobs[C, R any](o Options, jobs []runner.Job[C], run func(C) (*R, error), key func(C) (string, bool)) ([]runner.Result[*R], error) {
+	pool := &runner.Pool[C, *R]{
 		Workers:    o.Workers,
-		Run:        RunScenario,
+		Run:        run,
 		OnProgress: o.Progress,
 		Metrics:    o.PoolMetrics,
 	}
@@ -39,11 +39,29 @@ func (o Options) runScenarioJobs(jobs []ScenarioJob) ([]ScenarioResult, error) {
 			return nil, err
 		}
 		pool.Cache = cache
-		pool.Key = ScenarioKey
-		pool.Encode = encodeRunResult
-		pool.Decode = decodeRunResult
+		pool.Key = key
+		pool.Encode = encodeResult[R]
+		pool.Decode = decodeResult[R]
 	}
 	return pool.Execute(jobs), nil
+}
+
+func encodeResult[R any](r *R) ([]byte, error) { return json.Marshal(r) }
+
+func decodeResult[R any](data []byte) (*R, error) {
+	r := new(R)
+	if err := json.Unmarshal(data, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func (o Options) runScenarioJobs(jobs []ScenarioJob) ([]ScenarioResult, error) {
+	return runJobs(o, jobs, RunScenario, ScenarioKey)
+}
+
+func (o Options) runTestbedJobs(jobs []TestbedJob) ([]TestbedResult, error) {
+	return runJobs(o, jobs, testbed.Run, TestbedKey)
 }
 
 // BatchOptions configures a standalone batch run through the harness,
@@ -96,7 +114,7 @@ func ScenarioKey(cfg ScenarioConfig) (string, bool) {
 		return "", false
 	}
 	w := hashWriter{sha256.New()}
-	w.str("meshcast/scenario/v3\n")
+	w.str("meshcast/scenario/v4\n")
 	w.str("proto=%s;", cfg.Protocol)
 	w.str("seed=%d;metric=%s;dur=%d;payload=%d;interval=%d;start=%d;win=%d;",
 		cfg.Seed, cfg.Metric, cfg.Duration, cfg.PayloadBytes, cfg.SendInterval,
@@ -166,95 +184,6 @@ func ScenarioKey(cfg ScenarioConfig) (string, bool) {
 	return hex.EncodeToString(w.h.Sum(nil)), true
 }
 
-// edgeCount is one EdgeUse entry flattened for JSON (struct map keys cannot
-// be JSON object keys).
-type edgeCount struct {
-	From, To packet.NodeID
-	Count    uint64
-}
-
-// cachedRunResult is RunResult's serialized form. Every numeric field
-// round-trips exactly: integers trivially, float64 via encoding/json's
-// shortest-exact formatting — so a cache hit reproduces the byte-identical
-// report a fresh run would have produced.
-type cachedRunResult struct {
-	Summary        stats.Summary
-	PerMember      []stats.MemberPDR
-	ControlBytes   uint64
-	ProbeBytes     uint64
-	MACCollisions  uint64
-	DataForwards   uint64
-	ForwarderState int
-	EdgeUse        []edgeCount
-	Delay          stats.Percentiles
-	Events         uint64
-	Health         []stats.GroupHealth
-	Faulted        int
-	Mobility       *MobilityResult
-}
-
-func flattenEdges(m map[multicast.Edge]uint64) []edgeCount {
-	out := make([]edgeCount, 0, len(m))
-	for e, c := range m {
-		out = append(out, edgeCount{From: e.From, To: e.To, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}
-
-func unflattenEdges(s []edgeCount) map[multicast.Edge]uint64 {
-	out := make(map[multicast.Edge]uint64, len(s))
-	for _, e := range s {
-		out[multicast.Edge{From: e.From, To: e.To}] = e.Count
-	}
-	return out
-}
-
-func encodeRunResult(r *RunResult) ([]byte, error) {
-	return json.Marshal(cachedRunResult{
-		Summary:        r.Summary,
-		PerMember:      r.PerMember,
-		ControlBytes:   r.ControlBytes,
-		ProbeBytes:     r.ProbeBytes,
-		MACCollisions:  r.MACCollisions,
-		DataForwards:   r.DataForwards,
-		ForwarderState: r.ForwarderState,
-		EdgeUse:        flattenEdges(r.EdgeUse),
-		Delay:          r.Delay,
-		Events:         r.Events,
-		Health:         r.Health,
-		Faulted:        r.Faulted,
-		Mobility:       r.Mobility,
-	})
-}
-
-func decodeRunResult(data []byte) (*RunResult, error) {
-	var c cachedRunResult
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Summary:        c.Summary,
-		PerMember:      c.PerMember,
-		ControlBytes:   c.ControlBytes,
-		ProbeBytes:     c.ProbeBytes,
-		MACCollisions:  c.MACCollisions,
-		DataForwards:   c.DataForwards,
-		ForwarderState: c.ForwarderState,
-		EdgeUse:        unflattenEdges(c.EdgeUse),
-		Delay:          c.Delay,
-		Events:         c.Events,
-		Health:         c.Health,
-		Faulted:        c.Faulted,
-		Mobility:       c.Mobility,
-	}, nil
-}
-
 // --- testbed jobs -----------------------------------------------------------
 
 // TestbedJob is one labeled testbed emulation for the job harness.
@@ -267,66 +196,8 @@ type TestbedResult = runner.Result[*testbed.Result]
 // config fully determines the run).
 func TestbedKey(cfg testbed.Config) (string, bool) {
 	w := hashWriter{sha256.New()}
-	w.str("meshcast/testbed/v2\n")
+	w.str("meshcast/testbed/v3\n")
 	w.str("proto=%s;metric=%s;seed=%d;traffic=%d;warmup=%d;vary=%d;",
 		cfg.Protocol, cfg.Metric, cfg.Seed, cfg.TrafficSeconds, cfg.WarmupSeconds, cfg.VariationInterval)
 	return hex.EncodeToString(w.h.Sum(nil)), true
-}
-
-// cachedTestbedResult flattens testbed.Result's struct-keyed map for JSON.
-type cachedTestbedResult struct {
-	Summary   stats.Summary
-	PerMember []stats.MemberPDR
-	EdgeUse   []edgeCount
-	Sent      map[packet.NodeID]uint64
-	Series    []stats.Point
-	Delay     stats.Percentiles
-}
-
-func encodeTestbedResult(r *testbed.Result) ([]byte, error) {
-	return json.Marshal(cachedTestbedResult{
-		Summary:   r.Summary,
-		PerMember: r.PerMember,
-		EdgeUse:   flattenEdges(r.EdgeUse),
-		Sent:      r.Sent,
-		Series:    r.Series,
-		Delay:     r.Delay,
-	})
-}
-
-func decodeTestbedResult(data []byte) (*testbed.Result, error) {
-	var c cachedTestbedResult
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
-	}
-	return &testbed.Result{
-		Summary:   c.Summary,
-		PerMember: c.PerMember,
-		EdgeUse:   unflattenEdges(c.EdgeUse),
-		Sent:      c.Sent,
-		Series:    c.Series,
-		Delay:     c.Delay,
-	}, nil
-}
-
-// runTestbedJobs executes testbed jobs through the pool configured by the
-// Options.
-func (o Options) runTestbedJobs(jobs []TestbedJob) ([]TestbedResult, error) {
-	pool := &runner.Pool[testbed.Config, *testbed.Result]{
-		Workers:    o.Workers,
-		Run:        testbed.Run,
-		OnProgress: o.Progress,
-		Metrics:    o.PoolMetrics,
-	}
-	if o.CacheDir != "" {
-		cache, err := runner.OpenCache(o.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		pool.Cache = cache
-		pool.Key = TestbedKey
-		pool.Encode = encodeTestbedResult
-		pool.Decode = decodeTestbedResult
-	}
-	return pool.Execute(jobs), nil
 }

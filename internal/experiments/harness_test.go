@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"meshcast/internal/faults"
 	"meshcast/internal/metric"
+	"meshcast/internal/mobility"
 	"meshcast/internal/odmrp"
 	"meshcast/internal/packet"
 	"meshcast/internal/runner"
@@ -174,36 +176,59 @@ func TestScenarioKeySinksUncachable(t *testing.T) {
 	}
 }
 
-// TestRunResultCodecRoundtrip encodes a real run's result and checks the
-// decoded copy is exactly the original (the property that makes cache hits
+// requireAllFieldsSet fails unless every exported field of the struct v
+// points to is non-zero: a codec fixture that leaves a field empty cannot
+// show that the field survives the round trip, and a field added later must
+// be added to the fixture.
+func requireAllFieldsSet(t *testing.T, v any) {
+	t.Helper()
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Type().Field(i); f.IsExported() && rv.Field(i).IsZero() {
+			t.Errorf("fixture leaves %s.%s zero", rv.Type().Name(), f.Name)
+		}
+	}
+}
+
+// TestRunResultCodecRoundtrip encodes a real run's result — with faults and
+// mobility, so that every field is populated — and checks the decoded copy
+// is exactly the original (the property that makes cache hits
 // byte-identical).
 func TestRunResultCodecRoundtrip(t *testing.T) {
-	res, err := RunScenario(smallScenario(t, metric.SPP, 7, 20*time.Second))
+	cfg := smallScenario(t, metric.SPP, 7, 20*time.Second)
+	cfg.Faults = &faults.Plan{Outages: []faults.Outage{{Node: 5, Start: 5 * time.Second, Duration: 4 * time.Second}}}
+	cfg.Mobility = &mobility.Config{Model: mobility.ModelWaypoint, MaxSpeedMps: 10, Start: cfg.TrafficStart}
+	res, err := RunScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := encodeRunResult(res)
+	requireAllFieldsSet(t, res)
+	data, err := encodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeRunResult(data)
+	back, err := decodeResult[RunResult](data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Normalize the one representational difference: an empty map may
-	// round-trip as empty-but-non-nil.
-	if len(res.EdgeUse) == 0 && len(back.EdgeUse) == 0 {
-		back.EdgeUse, res.EdgeUse = nil, nil
 	}
 	if !reflect.DeepEqual(res, back) {
 		t.Fatalf("roundtrip mismatch:\n%+v\nvs\n%+v", res, back)
 	}
-	data2, err := encodeRunResult(back)
+	data2, err := encodeResult(back)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, data2) {
 		t.Fatal("re-encoding a decoded result changed bytes")
+	}
+	// A corrupt entry must fail to decode, so that the pool reruns the job.
+	// (encoding/json writes the '>' of an edge key as \u003e.)
+	corrupt := bytes.Replace(data, []byte(`\u003e`), []byte(`-`), 1)
+	if bytes.Equal(corrupt, data) {
+		t.Fatal("no edge key found to corrupt")
+	}
+	if _, err := decodeResult[RunResult](corrupt); err == nil {
+		t.Fatal("a malformed edge key decoded without error")
 	}
 }
 
@@ -216,11 +241,12 @@ func TestTestbedCodecRoundtrip(t *testing.T) {
 		Series:    []stats.Point{{Start: 0, Sent: 10, Delivered: 8, Ratio: 0.8}},
 		Delay:     stats.Percentiles{P50: time.Millisecond, P90: 2 * time.Millisecond, P99: 3 * time.Millisecond, Max: 4 * time.Millisecond, Count: 75},
 	}
-	data, err := encodeTestbedResult(res)
+	requireAllFieldsSet(t, res)
+	data, err := encodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeTestbedResult(data)
+	back, err := decodeResult[testbed.Result](data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"meshcast/internal/faults"
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
 	"meshcast/internal/propagation"
@@ -185,5 +186,45 @@ func TestSpecScenarioShadowedFading(t *testing.T) {
 	ln, ok := comp[0].(propagation.LogNormal)
 	if !ok || ln.SigmaDB != 8 {
 		t.Fatalf("shadowing component = %#v", comp[0])
+	}
+}
+
+// TestSpecSourceAlsoMember runs a spec whose group lists node 0 as both
+// source and member: a source is not its own receiver, so there is no 0→0
+// row, and the health and motion trackers count one delivery opportunity
+// per send for each *other* member.
+func TestSpecSourceAlsoMember(t *testing.T) {
+	s := validSpec()
+	s.Fading = "none"
+	s.Nodes = nil
+	s.RandomNodes = &RandomNodesSpec{Count: 8, SideM: 300}
+	s.Mobility, s.MaxSpeedMps = "waypoint", 2
+	s.Groups = []GroupSpecJSON{{Group: 1, Sources: []int{0}, Members: []int{0, 1, 2}}}
+	cfg, err := s.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Plan{Outages: []faults.Outage{{Node: 5, Start: 15 * time.Second, Duration: 5 * time.Second}}}
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerMember) != 2 {
+		t.Fatalf("PerMember = %v, want rows for members 1 and 2 only", res.PerMember)
+	}
+	for _, m := range res.PerMember {
+		if m.Member == m.Source {
+			t.Fatalf("self-subscription row %v", m)
+		}
+	}
+	if res.Summary.PDR < 0.9 {
+		t.Fatalf("PDR = %.3f on a dense clean mesh; a self row would cap it at 2/3", res.Summary.PDR)
+	}
+	want := 2 * res.Summary.PacketsSent
+	if h := res.Health[0]; h.SentInWindows+h.SentOutside != want {
+		t.Fatalf("health counted %d delivery opportunities for %d sends to 2 other members", h.SentInWindows+h.SentOutside, res.Summary.PacketsSent)
+	}
+	if m := res.Mobility.Groups[0]; m.SentInMotion+m.SentStatic != want {
+		t.Fatalf("motion counted %d delivery opportunities for %d sends to 2 other members", m.SentInMotion+m.SentStatic, res.Summary.PacketsSent)
 	}
 }

@@ -13,6 +13,10 @@
 package multicast
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
@@ -23,6 +27,33 @@ import (
 // tree/mesh analysis (paper Figure 5).
 type Edge struct {
 	From, To packet.NodeID
+}
+
+// MarshalText renders the edge as "from>to" in decimal node IDs, which lets
+// a map keyed by Edge be a JSON object (encoding/json sorts text keys, so
+// the output is deterministic).
+func (e Edge) MarshalText() ([]byte, error) {
+	b := strconv.AppendUint(nil, uint64(e.From), 10)
+	b = append(b, '>')
+	return strconv.AppendUint(b, uint64(e.To), 10), nil
+}
+
+// UnmarshalText parses the "from>to" form.
+func (e *Edge) UnmarshalText(text []byte) error {
+	from, to, ok := strings.Cut(string(text), ">")
+	if !ok {
+		return fmt.Errorf("multicast: edge %q is not from>to", text)
+	}
+	f, err := strconv.ParseUint(from, 10, 16)
+	if err != nil {
+		return fmt.Errorf("multicast: edge %q: %w", text, err)
+	}
+	t, err := strconv.ParseUint(to, 10, 16)
+	if err != nil {
+		return fmt.Errorf("multicast: edge %q: %w", text, err)
+	}
+	e.From, e.To = packet.NodeID(f), packet.NodeID(t)
+	return nil
 }
 
 // Stats is the counter set every protocol maintains, in the kernel's

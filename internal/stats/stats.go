@@ -31,10 +31,9 @@ type Collector struct {
 	delaySum    map[memberKey]time.Duration
 	subscribers map[memberKey]bool
 
-	// ProbeBytes and ControlBytes are network-layer byte totals fed in at
-	// the end of a run from the per-node counters.
-	ProbeBytes   uint64
-	ControlBytes uint64
+	// ProbeBytes is the probing byte total of the measurement window, fed
+	// in from the per-node counters; Summarize reports it as overhead.
+	ProbeBytes uint64
 }
 
 // NewCollector returns an empty collector.

@@ -24,10 +24,6 @@ const (
 	CatReply
 	// CatData covers data origination, forwarding and delivery.
 	CatData
-	// CatProbe covers link-quality probing.
-	CatProbe
-	// CatMAC covers MAC transmissions and drops.
-	CatMAC
 	// CatCore covers MCST CORE ANNOUNCE traffic, core election and
 	// failover.
 	CatCore
@@ -44,10 +40,6 @@ func (c Category) String() string {
 		return "REPLY"
 	case CatData:
 		return "DATA"
-	case CatProbe:
-		return "PROBE"
-	case CatMAC:
-		return "MAC"
 	case CatCore:
 		return "CORE"
 	case CatJoin:

@@ -21,7 +21,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestTracerAllCategoriesByDefault(t *testing.T) {
 	var buf Buffer
 	tr := New(&buf, fixedNow(time.Second))
-	for _, c := range []Category{CatQuery, CatReply, CatData, CatProbe, CatMAC} {
+	for _, c := range []Category{CatQuery, CatReply, CatData, CatCore, CatJoin} {
 		if !tr.Enabled(c) {
 			t.Fatalf("category %v not enabled by default", c)
 		}
@@ -59,8 +59,8 @@ func TestEventString(t *testing.T) {
 func TestWriterSink(t *testing.T) {
 	var sb strings.Builder
 	tr := New(Writer{W: &sb}, fixedNow(time.Second))
-	tr.Emit(2, CatMAC, "sent %d bytes", 512)
-	if !strings.Contains(sb.String(), "sent 512 bytes") || !strings.Contains(sb.String(), "MAC") {
+	tr.Emit(2, CatData, "sent %d bytes", 512)
+	if !strings.Contains(sb.String(), "sent 512 bytes") || !strings.Contains(sb.String(), "DATA") {
 		t.Fatalf("writer output = %q", sb.String())
 	}
 }

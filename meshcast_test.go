@@ -307,3 +307,78 @@ func TestSimulationTelemetryDoesNotPerturb(t *testing.T) {
 		t.Fatalf("telemetry perturbed the run:\nbare = %+v\ninst = %+v", bare, instrumented)
 	}
 }
+
+// TestSimulationSourceIsNotItsOwnReceiver declares node a as both source
+// and member of a group, in both call orders: the routing protocol never
+// delivers a node its own packets, so a→a is not a subscription and the
+// results do not depend on the order.
+func TestSimulationSourceIsNotItsOwnReceiver(t *testing.T) {
+	run := func(joinFirst bool) (Summary, []MemberPDR) {
+		s := NewSimulation(SimulationConfig{Seed: 1, DisableFading: true})
+		a, _ := s.AddNode(0, 0)
+		b, _ := s.AddNode(150, 0)
+		join := func() {
+			for _, id := range []NodeID{a, b} {
+				if err := s.Join(id, 7); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if joinFirst {
+			join()
+		}
+		if err := s.AddSource(a, 7, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !joinFirst {
+			join()
+		}
+		s.Run(30 * time.Second)
+		return s.Summary(), s.PerMember()
+	}
+	joinFirst, joinFirstRows := run(true)
+	sourceFirst, sourceFirstRows := run(false)
+	for _, rows := range [][]MemberPDR{joinFirstRows, sourceFirstRows} {
+		if len(rows) != 1 || rows[0].Source != 0 || rows[0].Member != 1 || rows[0].PDR != 1 {
+			t.Fatalf("PerMember = %v, want the single row g7/n0->n1: 1.000", rows)
+		}
+	}
+	if joinFirst.PDR != 1 || joinFirst.Fairness != 1 || joinFirst.PDR != sourceFirst.PDR || joinFirst.Fairness != sourceFirst.Fairness {
+		t.Fatalf("call order changed the result:\njoin first   %+v\nsource first %+v", joinFirst, sourceFirst)
+	}
+}
+
+// TestSimulationLateAdditions adds a source and a node after the first Run:
+// both start when they are added.
+func TestSimulationLateAdditions(t *testing.T) {
+	probesSent := func(lateNode bool) uint64 {
+		s := NewSimulation(SimulationConfig{Seed: 1, DisableFading: true})
+		s.EnableTelemetry()
+		a, _ := s.AddNode(0, 0)
+		if !lateNode {
+			s.AddNode(150, 0)
+		}
+		s.Run(time.Second)
+		if lateNode {
+			s.AddNode(150, 0)
+		}
+		b := NodeID(1)
+		if err := s.Join(b, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddSource(a, 7, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(61 * time.Second)
+		if sum := s.Summary(); sum.PacketsSent == 0 || sum.PDR < 0.9 {
+			t.Fatalf("late node %v: a source added after Run(1s): %+v", lateNode, sum)
+		}
+		snap, _ := s.Telemetry()
+		return snap.Counters["linkquality.probes_sent"]
+	}
+	upFront, late := probesSent(false), probesSent(true)
+	// The late node loses at most the second it missed: one probe interval.
+	if late+1 < upFront || late > upFront {
+		t.Fatalf("probes sent: %d with the node added after Run(1s), %d with it added up front", late, upFront)
+	}
+}
