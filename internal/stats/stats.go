@@ -51,12 +51,6 @@ func (c *Collector) RecordSent(group packet.GroupID, src packet.NodeID) {
 	c.sent[flowKey{group, src}]++
 }
 
-// SetSent overwrites the sent count for a flow; scenario runners that track
-// source counters externally feed them in at the end of a run.
-func (c *Collector) SetSent(group packet.GroupID, src packet.NodeID, n uint64) {
-	c.sent[flowKey{group, src}] = n
-}
-
 // RecordDelivered notes that member received a data packet of the given
 // payload size from src on group, with end-to-end delay d.
 func (c *Collector) RecordDelivered(member packet.NodeID, group packet.GroupID, src packet.NodeID, payloadBytes int, d time.Duration) {

@@ -27,17 +27,6 @@ type CBRConfig struct {
 	Stop time.Duration
 }
 
-// DefaultCBR returns the paper's CBR workload for a group: 512-byte packets
-// at 20 packets/second.
-func DefaultCBR(group packet.GroupID) CBRConfig {
-	return CBRConfig{
-		Group:        group,
-		PayloadBytes: 512,
-		Interval:     50 * time.Millisecond,
-		Jitter:       5 * time.Millisecond,
-	}
-}
-
 // Source is the slice of the multicast protocol a traffic generator
 // drives: source registration and data emission.
 type Source interface {

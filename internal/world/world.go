@@ -65,12 +65,6 @@ func (g *group) receivers(src packet.NodeID) int {
 	return n
 }
 
-type flow struct {
-	group packet.GroupID
-	src   packet.NodeID
-	cbr   *traffic.CBR
-}
-
 // World is a wired simulation: engine, medium, nodes, groups, flows and
 // the measurements taken on them.
 type World struct {
@@ -89,7 +83,6 @@ type World struct {
 	nodes  []*node.Node
 	byID   map[packet.NodeID]*node.Node
 	groups []*group
-	flows  []flow
 
 	collector *stats.Collector
 	delays    stats.DelayTracker
@@ -254,12 +247,12 @@ func (w *World) AddSource(id packet.NodeID, groupID packet.GroupID, start time.D
 		Start:        start,
 	})
 	cbr.OnSend = func(at time.Duration) {
+		w.collector.RecordSent(groupID, id)
 		if w.OnSend != nil {
 			w.OnSend(groupID, at, g.receivers(id))
 		}
 	}
 	cbr.Start()
-	w.flows = append(w.flows, flow{groupID, id, cbr})
 	return cbr, nil
 }
 
@@ -278,54 +271,23 @@ func (w *World) probeBytesSent() uint64 {
 	return total
 }
 
-// sync feeds the collector what is counted outside it: per-flow sent
-// counts and the probe bytes of the measurement window.
-func (w *World) sync() {
-	for _, f := range w.flows {
-		w.collector.SetSent(f.group, f.src, f.cbr.Sent)
-	}
-	w.collector.ProbeBytes = w.probeBytesSent() - w.warmupProbeBytes
-}
+// sync feeds the collector the probe bytes of the measurement window.
+func (w *World) sync() { w.collector.ProbeBytes = w.probeBytesSent() - w.warmupProbeBytes }
 
-// Summary returns the delivery statistics of the run so far.
-func (w *World) Summary() stats.Summary {
-	w.sync()
-	return w.collector.Summarize()
-}
-
-// GroupSummary returns the delivery statistics of one group.
+// GroupSummary returns the delivery statistics of one group so far.
 func (w *World) GroupSummary(group packet.GroupID) stats.Summary {
 	w.sync()
 	return w.collector.GroupSummary(group)
 }
 
-// PerMember returns each subscription's delivery ratio.
-func (w *World) PerMember() []stats.MemberPDR {
-	w.sync()
-	return w.collector.PerMemberPDR()
-}
-
-// Delay summarizes the end-to-end delay of every delivery so far.
-func (w *World) Delay() stats.Percentiles { return w.delays.Percentiles() }
-
-// EdgeUse merges the per-node counts of data packets carried per directed
-// link.
-func (w *World) EdgeUse() map[multicast.Edge]uint64 {
-	out := make(map[multicast.Edge]uint64)
-	for _, n := range w.nodes {
-		for e, c := range n.Router.EdgeUse() {
-			out[e] += c
-		}
-	}
-	return out
-}
-
-// Harvest is everything a batch run reports about the shared stack.
+// Harvest is everything a run reports about the shared stack.
 type Harvest struct {
 	Summary   stats.Summary
 	PerMember []stats.MemberPDR
 	Delay     stats.Percentiles
-	EdgeUse   map[multicast.Edge]uint64
+	// EdgeUse merges the per-node counts of data packets carried per
+	// directed link.
+	EdgeUse map[multicast.Edge]uint64
 	// ProbeBytes covers the measurement window; ControlBytes, Collisions and
 	// DataForwards are run totals over the nodes.
 	ProbeBytes, ControlBytes, Collisions, DataForwards uint64
@@ -336,22 +298,26 @@ type Harvest struct {
 	Events uint64
 }
 
-// Harvest collects the run's measurements.
+// Harvest collects the measurements of the run so far.
 func (w *World) Harvest() Harvest {
+	w.sync()
 	h := Harvest{
-		Summary:   w.Summary(),
-		PerMember: w.collector.PerMemberPDR(),
-		Delay:     w.Delay(),
-		EdgeUse:   w.EdgeUse(),
-		Events:    w.Engine.Processed,
+		Summary:    w.collector.Summarize(),
+		PerMember:  w.collector.PerMemberPDR(),
+		Delay:      w.delays.Percentiles(),
+		EdgeUse:    make(map[multicast.Edge]uint64),
+		ProbeBytes: w.collector.ProbeBytes,
+		Events:     w.Engine.Processed,
 	}
-	h.ProbeBytes = w.collector.ProbeBytes
 	for _, n := range w.nodes {
 		counters := n.Router.Counters()
 		h.ControlBytes += counters.ControlBytesSent
 		h.Collisions += n.Radio.Stats.Collisions
 		h.DataForwards += counters.DataForwarded
 		h.ForwarderState += n.Router.RoundCount() + n.Router.DupWindowCount()
+		for e, c := range n.Router.EdgeUse() {
+			h.EdgeUse[e] += c
+		}
 	}
 	return h
 }

@@ -38,7 +38,7 @@ func line(t *testing.T, n int, reg *telemetry.Registry) *World {
 
 func rows(w *World) []string {
 	var out []string
-	for _, m := range w.PerMember() {
+	for _, m := range w.Harvest().PerMember {
 		out = append(out, fmt.Sprintf("g%d/%d->%d", m.Group, m.Source, m.Member))
 	}
 	return out
@@ -80,7 +80,7 @@ func TestSubscriptionMatrix(t *testing.T) {
 		if got := rows(w); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: subscriptions %v, want %v", name, got, want)
 		}
-		if s := w.Summary(); s.PDR < 0.9 {
+		if s := w.Harvest().Summary; s.PDR < 0.9 {
 			t.Errorf("%s: PDR %.3f on a clean line; a self-subscription would hold it under 5/6", name, s.PDR)
 		}
 	}
@@ -128,7 +128,7 @@ func TestHooks(t *testing.T) {
 		}
 	}
 	w.Engine.Run(6 * time.Second)
-	s := w.Summary()
+	s := w.Harvest().Summary
 	if delivered == 0 || delivered != s.PacketsDelivered {
 		t.Errorf("OnDeliver fired %d times for %d deliveries", delivered, s.PacketsDelivered)
 	}
@@ -268,7 +268,7 @@ func TestLateAdditions(t *testing.T) {
 	if late.Prober.Stats.BytesSent == 0 {
 		t.Error("a node added at 10 s never probed")
 	}
-	if s := w.Summary(); s.PacketsSent == 0 || s.PDR < 0.9 {
+	if s := w.Harvest().Summary; s.PacketsSent == 0 || s.PDR < 0.9 {
 		t.Errorf("late member on a clean line: %+v", s)
 	}
 }

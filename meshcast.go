@@ -251,17 +251,17 @@ func (s *Simulation) Run(until time.Duration) { s.world.Engine.Run(until) }
 func (s *Simulation) Now() time.Duration { return s.world.Engine.Now() }
 
 // Summary returns aggregated delivery statistics for the run so far.
-func (s *Simulation) Summary() Summary { return s.world.Summary() }
+func (s *Simulation) Summary() Summary { return s.world.Harvest().Summary }
 
 // PerMember returns each member's per-flow delivery ratio.
-func (s *Simulation) PerMember() []MemberPDR { return s.world.PerMember() }
+func (s *Simulation) PerMember() []MemberPDR { return s.world.Harvest().PerMember }
 
 // GroupSummary returns delivery statistics restricted to one group.
 func (s *Simulation) GroupSummary(group GroupID) Summary { return s.world.GroupSummary(group) }
 
 // DelayPercentiles summarizes the end-to-end delay distribution of every
 // delivery so far.
-func (s *Simulation) DelayPercentiles() Percentiles { return s.world.Delay() }
+func (s *Simulation) DelayPercentiles() Percentiles { return s.world.Harvest().Delay }
 
 // IsForwarder reports whether a node currently relays data for a group
 // (forwarding-group flag for ODMRP, on-tree flag for MCST).
@@ -275,7 +275,7 @@ func (s *Simulation) IsForwarder(id NodeID, group GroupID) bool {
 
 // EdgeUse merges the per-node counters of data packets carried per directed
 // link — the multicast tree, weighted by use.
-func (s *Simulation) EdgeUse() map[Edge]uint64 { return s.world.EdgeUse() }
+func (s *Simulation) EdgeUse() map[Edge]uint64 { return s.world.Harvest().EdgeUse }
 
 // OptimalSPP returns, for every node, the best achievable end-to-end
 // delivery probability from source over the simulation's analytic link
