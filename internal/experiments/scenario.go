@@ -308,29 +308,6 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		}
 	}
 
-	// Health and motion trackers account delivery opportunities: one per
-	// (packet, receiving member), matching the collector's PDR denominator.
-	var health *stats.HealthTracker   // set below iff faults are injected
-	var motion *stats.MobilityTracker // set below iff radios move
-	w.OnDeliver = func(p *packet.Packet, at time.Duration) {
-		if health != nil {
-			health.RecordDelivered(p.Group, at)
-		}
-		if motion != nil {
-			motion.RecordDelivered(p.Group, at)
-		}
-	}
-	w.OnSend = func(group packet.GroupID, at time.Duration, receivers int) {
-		for i := 0; i < receivers; i++ {
-			if health != nil {
-				health.RecordSent(group, at)
-			}
-			if motion != nil {
-				motion.RecordSent(group, at)
-			}
-		}
-	}
-
 	flowsByNode := make(map[int][]*traffic.CBR)
 	for _, spec := range cfg.Groups {
 		for _, m := range spec.Members {
@@ -348,6 +325,8 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	}
 	nodes := w.Nodes()
 
+	var health *stats.HealthTracker   // set below iff faults are injected
+	var motion *stats.MobilityTracker // set below iff radios move
 	var sched *faults.Scheduler
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		targets := make([]faults.Target, len(nodes))
@@ -406,6 +385,29 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 			mover.Telem = mobility.NewTelemetry(reg)
 		}
 		mover.Start()
+	}
+
+	// Health and motion trackers account delivery opportunities: one per
+	// (packet, receiving member), matching the collector's PDR denominator.
+	if health != nil || motion != nil {
+		w.OnDeliver = func(p *packet.Packet, at time.Duration) {
+			if health != nil {
+				health.RecordDelivered(p.Group, at)
+			}
+			if motion != nil {
+				motion.RecordDelivered(p.Group, at)
+			}
+		}
+		w.OnSend = func(group packet.GroupID, at time.Duration, receivers int) {
+			for i := 0; i < receivers; i++ {
+				if health != nil {
+					health.RecordSent(group, at)
+				}
+				if motion != nil {
+					motion.RecordSent(group, at)
+				}
+			}
+		}
 	}
 
 	// The reported probing overhead covers the measurement window, not the

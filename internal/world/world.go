@@ -271,12 +271,8 @@ func (w *World) probeBytesSent() uint64 {
 	return total
 }
 
-// sync feeds the collector the probe bytes of the measurement window.
-func (w *World) sync() { w.collector.ProbeBytes = w.probeBytesSent() - w.warmupProbeBytes }
-
 // GroupSummary returns the delivery statistics of one group so far.
 func (w *World) GroupSummary(group packet.GroupID) stats.Summary {
-	w.sync()
 	return w.collector.GroupSummary(group)
 }
 
@@ -300,7 +296,7 @@ type Harvest struct {
 
 // Harvest collects the measurements of the run so far.
 func (w *World) Harvest() Harvest {
-	w.sync()
+	w.collector.ProbeBytes = w.probeBytesSent() - w.warmupProbeBytes
 	h := Harvest{
 		Summary:    w.collector.Summarize(),
 		PerMember:  w.collector.PerMemberPDR(),

@@ -137,9 +137,9 @@ type SimulationConfig struct {
 // groups, attach sources, run, inspect. Nodes, members and sources may be
 // added at any point, also between Run calls; each starts when it is added.
 type Simulation struct {
-	world *world.World
-	cfg   SimulationConfig
-	telem *telemetry.Registry
+	world        *world.World
+	payloadBytes int
+	telem        *telemetry.Registry
 }
 
 // NewSimulation creates an empty simulation.
@@ -168,7 +168,7 @@ func NewSimulation(cfg SimulationConfig) *Simulation {
 			PayloadBytes: cfg.PayloadBytes,
 			SendInterval: cfg.SendInterval,
 		}),
-		cfg: cfg,
+		payloadBytes: cfg.PayloadBytes,
 	}
 }
 
@@ -291,7 +291,7 @@ func (s *Simulation) OptimalSPP(source NodeID) ([]float64, error) {
 	for i, n := range nodes {
 		positions[i] = n.Radio.Pos
 	}
-	g := analysis.FromPositions(positions, s.world.Medium, s.cfg.PayloadBytes, 0.001)
+	g := analysis.FromPositions(positions, s.world.Medium, s.payloadBytes, 0.001)
 	return analysis.OptimalSPP(g, int(source))
 }
 
