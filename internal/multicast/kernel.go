@@ -553,6 +553,7 @@ func (k *Kernel) HandleData(p *packet.Packet, from packet.NodeID) {
 	if k.IsForwarder(p.Group) && p.TTL > 1 {
 		fwd := p.Clone()
 		fwd.PrevHop = k.id
+		fwd.HopCount = p.HopCount + 1
 		fwd.TTL = p.TTL - 1
 		carried = true
 		k.jitterSend(fwd, k.policy.DataJitter, func() {

@@ -153,3 +153,24 @@ func TestKernelOriginRelays(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelDataRelayCountsHops pins that a relayed data packet leaves one
+// hop deeper and one TTL shorter than it arrived, as a relayed flood does.
+func TestKernelDataRelayCountsHops(t *testing.T) {
+	engine := sim.NewEngine(1)
+	k, sent := testKernel(engine, 1, false)
+	k.HandleFlood(flood(k, 0, 0), 0, false)
+	k.HandleGraft(graft(2, 0, 1), 2) // node 1 becomes a forwarder for group 1
+	k.HandleData(&packet.Packet{Kind: packet.TypeData, Src: 0, PrevHop: 3, Group: 1, Seq: 7, TTL: 4, HopCount: 2}, 3)
+	engine.Run(time.Second)
+	for _, p := range *sent {
+		if p.Kind != packet.TypeData {
+			continue
+		}
+		if p.HopCount != 3 || p.TTL != 3 || p.PrevHop != 1 {
+			t.Fatalf("relayed data has hop %d ttl %d prev %v, want 3, 3, 1", p.HopCount, p.TTL, p.PrevHop)
+		}
+		return
+	}
+	t.Fatal("forwarder did not relay the data packet")
+}
