@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
@@ -133,6 +134,45 @@ func TestRunTinySimulation(t *testing.T) {
 	}
 	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
 		t.Fatalf("capture not written: %v", err)
+	}
+}
+
+// TestRunWithSpans drives -spans end to end: the file the run leaves loads
+// through the one reader and every data packet's forwarding tree explains
+// its deliveries, with relays one hop deeper than the source.
+func TestRunWithSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small simulation")
+	}
+	path := t.TempDir() + "/spans.jsonl"
+	opt := tinyOptions()
+	opt.Spans = path
+	if err := run(opt); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := trace.LoadSpans(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, delivered, relayed := 0, 0, 0
+	for _, j := range trace.Reconstruct(spans) {
+		if j.PktKind != packet.TypeData {
+			continue
+		}
+		data++
+		delivered += len(j.Deliveries)
+		if !j.Complete() {
+			t.Fatalf("data journey %x (seq %d) has a delivery its hops do not reach", j.TraceID, j.Seq)
+		}
+		if j.Forwards > 0 && j.MaxHopCount > 0 {
+			relayed++
+		}
+	}
+	if data == 0 || delivered == 0 {
+		t.Fatalf("%d data journeys with %d deliveries in %d spans", data, delivered, len(spans))
+	}
+	if relayed == 0 {
+		t.Fatal("no relayed data journey reports a hop count above 0")
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"time"
 
 	"meshcast/internal/packet"
@@ -67,8 +69,8 @@ type Span struct {
 	TraceID uint64
 	// Node is where the step happened.
 	Node packet.NodeID
-	// Peer is the transmitting node for SpanPhyArrive (who we heard),
-	// and equals Node otherwise.
+	// Peer is the transmitting node (who we heard) for SpanPhyArrive and
+	// the routing steps that follow a reception, and equals Node otherwise.
 	Peer packet.NodeID
 	// PktKind, Group, Seq and Hop snapshot the packet at this step.
 	PktKind packet.Type
@@ -157,8 +159,9 @@ func (b *SpanBuffer) Spans() []Span {
 // Dropped returns the number of discarded spans.
 func (b *SpanBuffer) Dropped() uint64 { return b.dropped }
 
-// spanRecord is the JSONL persistence schema for a Span. Times are
-// seconds of virtual time; kinds are the SpanKind strings.
+// spanRecord is the JSONL persistence schema for a Span, as ReadSpans
+// decodes it: one object per line, keys in this order. t is seconds of
+// virtual time; kind and pkt are the SpanKind and packet.Type strings.
 type spanRecord struct {
 	T    float64 `json:"t"`
 	Kind string  `json:"kind"`
@@ -181,12 +184,28 @@ var spanKindByName = map[string]SpanKind{
 	SpanDeliver.String():     SpanDeliver,
 }
 
+var pktTypeByName = func() map[string]packet.Type {
+	m := make(map[string]packet.Type)
+	for k := packet.TypeData; k <= packet.TypeTreeJoin; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
+
+// spanFlushAt is the buffered size at which EmitSpan hands its buffer to the
+// io.Writer. spanLineMax exceeds the longest line (about 170 bytes), so the
+// buffer allocated by NewSpanJSONLWriter never grows.
+const (
+	spanFlushAt = 64 << 10
+	spanLineMax = 256
+)
+
 // SpanJSONLWriter is a SpanSink streaming spans as JSON lines (one object
-// per line) to a buffered writer; call Flush before closing the
-// underlying file.
+// per '\n'-terminated line, the spanRecord schema) through a buffer it
+// owns; call Flush before closing the underlying file.
 type SpanJSONLWriter struct {
-	w   *bufio.Writer
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte
 	err error
 }
 
@@ -194,38 +213,84 @@ var _ SpanSink = (*SpanJSONLWriter)(nil)
 
 // NewSpanJSONLWriter wraps w in a SpanJSONLWriter.
 func NewSpanJSONLWriter(w io.Writer) *SpanJSONLWriter {
-	bw := bufio.NewWriter(w)
-	return &SpanJSONLWriter{w: bw, enc: json.NewEncoder(bw)}
+	return &SpanJSONLWriter{w: w, buf: make([]byte, 0, spanFlushAt+spanLineMax)}
 }
 
-// EmitSpan implements SpanSink. Encoding errors are sticky and reported by
-// Flush.
+// EmitSpan implements SpanSink: it appends the span's line to the buffer
+// without allocating, and writes the buffer out once it holds spanFlushAt
+// bytes. Write errors are sticky and reported by Flush.
 func (w *SpanJSONLWriter) EmitSpan(s Span) {
 	if w.err != nil {
 		return
 	}
-	w.err = w.enc.Encode(spanRecord{
-		T:    s.At.Seconds(),
-		Kind: s.Kind.String(),
-		ID:   s.TraceID,
-		Node: uint16(s.Node),
-		Peer: uint16(s.Peer),
-		Pkt:  s.PktKind.String(),
-		Grp:  uint16(s.Group),
-		Seq:  s.Seq,
-		Hop:  s.Hop,
-	})
+	b := append(w.buf, `{"t":`...)
+	b = appendSeconds(b, s.At)
+	b = append(b, `,"kind":"`...)
+	b = append(b, s.Kind.String()...)
+	b = append(b, `","id":`...)
+	b = strconv.AppendUint(b, s.TraceID, 10)
+	b = append(b, `,"node":`...)
+	b = strconv.AppendUint(b, uint64(s.Node), 10)
+	b = append(b, `,"peer":`...)
+	b = strconv.AppendUint(b, uint64(s.Peer), 10)
+	b = append(b, `,"pkt":"`...)
+	b = append(b, s.PktKind.String()...)
+	b = append(b, `","grp":`...)
+	b = strconv.AppendUint(b, uint64(s.Group), 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, uint64(s.Seq), 10)
+	b = append(b, `,"hop":`...)
+	b = strconv.AppendUint(b, uint64(s.Hop), 10)
+	w.buf = append(b, '}', '\n')
+	if len(w.buf) >= spanFlushAt {
+		w.writeOut()
+	}
+}
+
+// appendSeconds appends d as exact decimal seconds: the integer nanoseconds
+// with the point moved nine places, trailing zeros trimmed.
+func appendSeconds(b []byte, d time.Duration) []byte {
+	ns := uint64(d)
+	if d < 0 {
+		b = append(b, '-')
+		ns = -ns
+	}
+	b = strconv.AppendUint(b, ns/1e9, 10)
+	frac := ns % 1e9
+	if frac == 0 {
+		return b
+	}
+	width := 9
+	for frac%10 == 0 {
+		frac /= 10
+		width--
+	}
+	b = append(b, ".000000000"[:1+width]...)
+	for i := len(b) - 1; frac > 0; i-- {
+		b[i] = '0' + byte(frac%10)
+		frac /= 10
+	}
+	return b
+}
+
+// writeOut hands the buffered lines to the io.Writer and empties the buffer.
+func (w *SpanJSONLWriter) writeOut() {
+	_, w.err = w.w.Write(w.buf)
+	w.buf = w.buf[:0]
 }
 
 // Flush drains the buffer and returns the first error seen.
 func (w *SpanJSONLWriter) Flush() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil && len(w.buf) > 0 {
+		w.writeOut()
 	}
-	return w.w.Flush()
+	return w.err
 }
 
-// ReadSpans decodes a spans JSONL stream written by SpanJSONLWriter.
+// ReadSpans decodes a spans JSONL stream written by SpanJSONLWriter. A time
+// is rounded to the nearest nanosecond, which recovers the written instant
+// exactly below 2^51 ns (26 days), also from files whose t went through a
+// float64 (the format before t was written as an exact decimal).
 func ReadSpans(r io.Reader) ([]Span, error) {
 	var out []Span
 	dec := json.NewDecoder(r)
@@ -240,13 +305,17 @@ func ReadSpans(r io.Reader) ([]Span, error) {
 		if !ok {
 			return out, fmt.Errorf("trace: bad span record %d: unknown kind %q", len(out), rec.Kind)
 		}
+		pkt, ok := pktTypeByName[rec.Pkt]
+		if !ok {
+			return out, fmt.Errorf("trace: bad span record %d: unknown pkt %q", len(out), rec.Pkt)
+		}
 		out = append(out, Span{
-			At:      time.Duration(rec.T * float64(time.Second)),
+			At:      time.Duration(math.Round(rec.T * float64(time.Second))),
 			Kind:    kind,
 			TraceID: rec.ID,
 			Node:    packet.NodeID(rec.Node),
 			Peer:    packet.NodeID(rec.Peer),
-			PktKind: pktTypeByName(rec.Pkt),
+			PktKind: pkt,
 			Group:   packet.GroupID(rec.Grp),
 			Seq:     rec.Seq,
 			Hop:     rec.Hop,
@@ -262,13 +331,4 @@ func LoadSpans(path string) ([]Span, error) {
 	}
 	defer f.Close()
 	return ReadSpans(bufio.NewReader(f))
-}
-
-func pktTypeByName(name string) packet.Type {
-	for k := packet.TypeData; k <= packet.TypeTreeJoin; k++ {
-		if k.String() == name {
-			return k
-		}
-	}
-	return 0
 }

@@ -2,6 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,6 +159,277 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestSpanJSONLRoundTripExactNanoseconds pins that a span time survives the
+// file to the nanosecond: random instants up to two hours, and the instant
+// ISSUE 17 cites as read back one nanosecond early.
+func TestSpanJSONLRoundTripExactNanoseconds(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	instants := []time.Duration{271211445515, 0, 1, 2 * time.Hour}
+	for len(instants) < 20000 {
+		instants = append(instants, time.Duration(rng.Int63n(int64(2*time.Hour))))
+	}
+	var out bytes.Buffer
+	w := NewSpanJSONLWriter(&out)
+	for _, at := range instants {
+		w.EmitSpan(Span{At: at, Kind: SpanMACTx, TraceID: 1, PktKind: packet.TypeData})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSpans(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(instants) {
+		t.Fatalf("round-tripped %d spans, want %d", len(got), len(instants))
+	}
+	for i, at := range instants {
+		if got[i].At != at {
+			t.Fatalf("instant %d ns read back as %d ns", at, got[i].At)
+		}
+	}
+}
+
+// TestSpanJSONLWriterAllocationFree runs long enough to cross several buffer
+// hand-offs (io.Discard allocates nothing itself).
+func TestSpanJSONLWriterAllocationFree(t *testing.T) {
+	w := NewSpanJSONLWriter(io.Discard)
+	s := Span{At: 271211445515, Kind: SpanPhyArrive, TraceID: 6<<40 | 99, Node: 7, Peer: 5,
+		PktKind: packet.TypeJoinQuery, Group: 2, Seq: 1234, Hop: 3}
+	w.EmitSpan(s)
+	if allocs := testing.AllocsPerRun(5000, func() { w.EmitSpan(s) }); allocs != 0 {
+		t.Fatalf("EmitSpan allocates %.2f per span, want 0", allocs)
+	}
+}
+
+// TestSpanJSONLLineMatchesSchema checks the hand-written line against
+// encoding/json: every kind, every packet type and the extreme field values
+// unmarshal into the spanRecord the reflecting encoder used to be given, with
+// the keys in schema order and one line per span.
+func TestSpanJSONLLineMatchesSchema(t *testing.T) {
+	var spans []Span
+	for k := SpanOriginate; k <= SpanDeliver; k++ {
+		for p := packet.TypeData; p <= packet.TypeTreeJoin; p++ {
+			spans = append(spans, Span{At: 1503 * time.Millisecond, Kind: k, TraceID: 0x42,
+				Node: 4, Peer: 3, PktKind: p, Group: 2, Seq: 17, Hop: 1})
+		}
+	}
+	extreme := Span{Kind: SpanForward, TraceID: math.MaxUint64, Node: 65535, Peer: 65535,
+		PktKind: packet.TypeCoreAnnounce, Group: 65535, Seq: math.MaxUint32, Hop: 255}
+	for _, at := range []time.Duration{0, 1, 10, 999999999, time.Second, 1000000001,
+		300 * time.Second, time.Hour + 1, math.MaxInt64, -1500 * time.Millisecond} {
+		extreme.At = at
+		spans = append(spans, extreme, Span{At: at, Kind: SpanOriginate, PktKind: packet.TypeData})
+	}
+
+	var out bytes.Buffer
+	w := NewSpanJSONLWriter(&out)
+	for _, s := range spans {
+		w.EmitSpan(s)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(out.String(), "\n")
+	if last := len(lines) - 1; lines[last] != "" {
+		t.Fatalf("output does not end in a newline: %q", lines[last])
+	} else {
+		lines = lines[:last]
+	}
+	if len(lines) != len(spans) {
+		t.Fatalf("%d lines for %d spans", len(lines), len(spans))
+	}
+	for i, s := range spans {
+		want := spanRecord{T: s.At.Seconds(), Kind: s.Kind.String(), ID: s.TraceID,
+			Node: uint16(s.Node), Peer: uint16(s.Peer), Pkt: s.PktKind.String(),
+			Grp: uint16(s.Group), Seq: s.Seq, Hop: s.Hop}
+		var got spanRecord
+		dec := json.NewDecoder(strings.NewReader(lines[i]))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("line %q: %v", lines[i], err)
+		}
+		// Duration.Seconds is not correctly rounded, so the exact decimal may
+		// parse to a neighbouring float64; the round-trip test pins exactness.
+		if math.Abs(got.T-want.T) > 1e-15*math.Abs(want.T) {
+			t.Fatalf("line %q has t = %v, want %v", lines[i], got.T, want.T)
+		}
+		got.T = want.T
+		if got != want {
+			t.Fatalf("line %q decodes to %+v, want %+v", lines[i], got, want)
+		}
+		// Same keys in the same order as the reflecting encoder wrote them:
+		// re-encoding the record differs from the line only in how t is spelt.
+		enc, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if afterT(lines[i]) != afterT(string(enc)+"\n") {
+			t.Fatalf("line %q, want the fields of %s", lines[i], enc)
+		}
+	}
+}
+
+// afterT cuts a span line's leading {"t":<number> off.
+func afterT(line string) string {
+	return line[strings.Index(line, `,"kind"`):]
+}
+
+func TestSpanJSONLTimeIsExactDecimal(t *testing.T) {
+	for at, want := range map[time.Duration]string{
+		0:                        "0",
+		1:                        "0.000000001",
+		1500 * time.Millisecond:  "1.5",
+		271211445515:             "271.211445515",
+		2 * time.Hour:            "7200",
+		time.Second + 10:         "1.00000001",
+		-1500 * time.Millisecond: "-1.5",
+	} {
+		if got := string(appendSeconds(nil, at)); got != want {
+			t.Errorf("appendSeconds(%d ns) = %s, want %s", at, got, want)
+		}
+	}
+}
+
+// TestReadSpansParentFormat reads three lines as the reflecting encoder wrote
+// them before ISSUE 17 (t through a float64, including its exponent form).
+func TestReadSpansParentFormat(t *testing.T) {
+	const file = `{"t":271.211445515,"kind":"phy-arrive","id":7696581394433,"node":12,"peer":6,"pkt":"DATA","grp":1,"seq":4012,"hop":0}
+{"t":1e-09,"kind":"originate","id":1099511627777,"node":0,"peer":0,"pkt":"JOIN_QUERY","grp":2,"seq":1,"hop":0}
+{"t":20.000448,"kind":"mac-tx","id":1099511627778,"node":49,"peer":49,"pkt":"TREE_JOIN","grp":1,"seq":3,"hop":4}
+`
+	want := []Span{
+		{At: 271211445515, Kind: SpanPhyArrive, TraceID: 7696581394433, Node: 12, Peer: 6,
+			PktKind: packet.TypeData, Group: 1, Seq: 4012},
+		{At: 1, Kind: SpanOriginate, TraceID: 1099511627777, PktKind: packet.TypeJoinQuery, Group: 2, Seq: 1},
+		{At: 20000448 * time.Microsecond, Kind: SpanMACTx, TraceID: 1099511627778, Node: 49, Peer: 49,
+			PktKind: packet.TypeTreeJoin, Group: 1, Seq: 3, Hop: 4},
+	}
+	got, err := ReadSpans(strings.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestReadSpansRejectsUnknownNames(t *testing.T) {
+	const good = `{"t":1,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}` + "\n"
+	for bad, want := range map[string]string{
+		`{"t":1,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATUM","grp":1,"seq":1,"hop":0}`:  `record 1: unknown pkt "DATUM"`,
+		`{"t":1,"kind":"teleport","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}`: `record 1: unknown kind "teleport"`,
+	} {
+		got, err := ReadSpans(strings.NewReader(good + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadSpans error = %v, want it to contain %q", err, want)
+		}
+		if len(got) != 1 {
+			t.Errorf("ReadSpans kept %d spans before the bad record, want 1", len(got))
+		}
+	}
+}
+
+// failAfter accepts ok writes, then fails every later one.
+type failAfter struct {
+	ok     int
+	writes [][]byte
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(f.writes) >= f.ok {
+		return 0, errSinkFull
+	}
+	f.writes = append(f.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func TestSpanJSONLWriterStickyError(t *testing.T) {
+	s := Span{At: time.Second, Kind: SpanMACTx, TraceID: 1, PktKind: packet.TypeData}
+
+	// A span still buffered at Flush reaches the writer, in one write.
+	sink := &failAfter{ok: 1}
+	w := NewSpanJSONLWriter(sink)
+	w.EmitSpan(s)
+	if len(sink.writes) != 0 {
+		t.Fatalf("one span caused %d writes before Flush, want 0", len(sink.writes))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.writes) != 1 || bytes.Count(sink.writes[0], []byte{'\n'}) != 1 {
+		t.Fatalf("Flush wrote %q, want one line", sink.writes)
+	}
+	if err := w.Flush(); err != nil || len(sink.writes) != 1 {
+		t.Fatalf("Flush of an empty buffer: err %v, %d writes", err, len(sink.writes))
+	}
+
+	// The second hand-off fails: the error sticks, EmitSpan stops buffering
+	// and writing, and Flush keeps returning that first error.
+	for i := 0; len(sink.writes) == 1 && w.err == nil; i++ {
+		if i > 2*spanFlushAt {
+			t.Fatal("buffer never handed off")
+		}
+		w.EmitSpan(s)
+	}
+	if !errors.Is(w.err, errSinkFull) {
+		t.Fatalf("writer error = %v, want %v", w.err, errSinkFull)
+	}
+	sink.ok = 10 // the sink recovering must not revive the writer
+	for i := 0; i < 3; i++ {
+		w.EmitSpan(s)
+	}
+	if len(w.buf) != 0 || len(sink.writes) != 1 {
+		t.Fatalf("after the error: %d bytes buffered, %d writes; want 0 and 1", len(w.buf), len(sink.writes))
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Flush(); !errors.Is(err, errSinkFull) {
+			t.Fatalf("Flush = %v, want %v", err, errSinkFull)
+		}
+	}
+}
+
+// TestSpanJSONLWriterHandsOffWholeLines pins the buffer discipline: writes
+// arrive in chunks of about spanFlushAt bytes, each ending on a line boundary,
+// and the buffer never outgrows its first allocation.
+func TestSpanJSONLWriterHandsOffWholeLines(t *testing.T) {
+	sink := &failAfter{ok: math.MaxInt}
+	w := NewSpanJSONLWriter(sink)
+	capBefore := cap(w.buf)
+	s := Span{At: math.MaxInt64, Kind: SpanDupSuppress, TraceID: math.MaxUint64, Node: 65535, Peer: 65535,
+		PktKind: packet.TypeCoreAnnounce, Group: 65535, Seq: math.MaxUint32, Hop: 255}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		w.EmitSpan(s)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.buf) != capBefore {
+		t.Fatalf("buffer grew from %d to %d bytes", capBefore, cap(w.buf))
+	}
+	lines := 0
+	for i, chunk := range sink.writes {
+		if chunk[len(chunk)-1] != '\n' {
+			t.Fatalf("write %d ends mid-line", i)
+		}
+		if i < len(sink.writes)-1 && (len(chunk) < spanFlushAt || len(chunk) >= spanFlushAt+spanLineMax) {
+			t.Fatalf("write %d is %d bytes, want [%d, %d)", i, len(chunk), spanFlushAt, spanFlushAt+spanLineMax)
+		}
+		lines += bytes.Count(chunk, []byte{'\n'})
+	}
+	if lines != n || len(sink.writes) < 2 {
+		t.Fatalf("%d lines in %d writes, want %d lines in several writes", lines, len(sink.writes), n)
 	}
 }
 
