@@ -290,6 +290,9 @@ func faultPlan(opt options) (*faults.Plan, error) {
 }
 
 func run(opt options) error {
+	if opt.Seconds < 0 || opt.Warmup < 0 {
+		return fmt.Errorf("-seconds and -warmup must not be negative, got %d and %d", opt.Seconds, opt.Warmup)
+	}
 	kind, err := metric.ParseKind(opt.Metric)
 	if err != nil {
 		return err
@@ -311,13 +314,17 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
+	groups, err := experiments.DefaultGroups(rng.Split(), opt.Nodes, opt.Groups, opt.Sources, opt.Members)
+	if err != nil {
+		return fmt.Errorf("-groups/-sources/-members: %w", err)
+	}
 	cfg := experiments.ScenarioConfig{
 		Seed:            opt.Seed,
 		Metric:          kind,
 		Protocol:        proto,
 		Topology:        topo,
 		Duration:        time.Duration(opt.Warmup+opt.Seconds) * time.Second,
-		Groups:          experiments.DefaultGroups(rng.Split(), opt.Nodes, opt.Groups, opt.Sources, opt.Members),
+		Groups:          groups,
 		PayloadBytes:    512,
 		SendInterval:    50 * time.Millisecond,
 		ProbeRateFactor: opt.ProbeRate,

@@ -80,6 +80,42 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsImpossibleShapes covers the group shapes and durations the
+// topology cannot hold: they used to panic in DefaultGroups (slice bounds) or
+// silently simulate nothing.
+func TestRunRejectsImpossibleShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*options)
+		want string
+	}{
+		{"more members than nodes", func(o *options) { o.Members = 60 }, "do not fit in 6 nodes"},
+		{"one node", func(o *options) { o.Nodes = 1 }, "do not fit in 1 nodes"},
+		{"sources plus members one over", func(o *options) { o.Sources, o.Members = 3, 4 }, "do not fit in 6 nodes"},
+		{"no groups", func(o *options) { o.Groups = 0 }, "at least one group"},
+		{"no sources", func(o *options) { o.Sources = 0 }, "at least one group"},
+		{"no members", func(o *options) { o.Members = 0 }, "at least one group"},
+		{"negative members", func(o *options) { o.Members = -1 }, "at least one group"},
+		{"negative seconds", func(o *options) { o.Seconds = -5 }, "must not be negative"},
+		{"negative warmup", func(o *options) { o.Warmup = -1 }, "must not be negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tinyOptions()
+			tc.set(&opt)
+			err := run(opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// The largest shape that fits still runs.
+	opt := tinyOptions()
+	opt.Sources, opt.Members = 2, 4
+	if err := run(opt); err != nil {
+		t.Fatalf("2 sources + 4 members on 6 nodes: %v", err)
+	}
+}
+
 func TestFaultPlanMergesFlagsAndScript(t *testing.T) {
 	opt := defaultOptions()
 	if plan, err := faultPlan(opt); err != nil || plan != nil {

@@ -46,11 +46,9 @@ func main() {
 	topN := flag.Int("top", 5, "how many counters the top-counters table lists")
 	diff := flag.Bool("diff", false, "diff two runs: meshstat -diff A B")
 	watch := flag.String("watch", "", "control-plane base URL to stream live (host:port or http://...)")
-	interval := flag.Duration("interval", time.Second, "unused with the stream; kept for compatibility")
 	journeys := flag.Bool("journeys", false, "packet-journey report from a span stream: meshstat -journeys SPANS")
 	journeyN := flag.Int("n", 5, "how many slowest/lossiest journeys -journeys details")
 	flag.Parse()
-	_ = interval
 	var err error
 	switch {
 	case *watch != "":

@@ -29,7 +29,10 @@ func MetroScenario(n int, seed uint64) (ScenarioConfig, error) {
 		Nodes:           n,
 		GatewaySpacingM: 2000,
 	})
-	groups := DefaultGroups(topoRNG.Split(), topo.NodeCount(), 2, 1, 10)
+	groups, err := DefaultGroups(topoRNG.Split(), topo.NodeCount(), 2, 1, 10)
+	if err != nil {
+		return ScenarioConfig{}, fmt.Errorf("metro scenario: %w", err)
+	}
 	return ScenarioConfig{
 		Seed:            seed,
 		Metric:          metric.MinHop,

@@ -129,7 +129,10 @@ func DefaultScenarioWith(k metric.Kind, seed uint64, sourcesPer, membersPer int)
 	if err != nil {
 		return ScenarioConfig{}, fmt.Errorf("default scenario: %w", err)
 	}
-	groups := DefaultGroups(topoRNG.Split(), topo.NodeCount(), 2, sourcesPer, membersPer)
+	groups, err := DefaultGroups(topoRNG.Split(), topo.NodeCount(), 2, sourcesPer, membersPer)
+	if err != nil {
+		return ScenarioConfig{}, fmt.Errorf("default scenario: %w", err)
+	}
 	return ScenarioConfig{
 		Seed:            seed,
 		Metric:          k,
@@ -144,8 +147,17 @@ func DefaultScenarioWith(k metric.Kind, seed uint64, sourcesPer, membersPer int)
 }
 
 // DefaultGroups picks sources and members for nGroups groups uniformly at
-// random without overlap inside a group (a source is not its own member).
-func DefaultGroups(rng *sim.RNG, nodeCount, nGroups, sourcesPer, membersPer int) []GroupSpec {
+// random without overlap inside a group (a source is not its own member). It
+// fails on a shape with no group, no source or no member, or whose groups
+// need more nodes than there are.
+func DefaultGroups(rng *sim.RNG, nodeCount, nGroups, sourcesPer, membersPer int) ([]GroupSpec, error) {
+	switch {
+	case nGroups < 1 || sourcesPer < 1 || membersPer < 1:
+		return nil, fmt.Errorf("need at least one group, one source and one member per group, got %d groups of %d sources and %d members",
+			nGroups, sourcesPer, membersPer)
+	case sourcesPer+membersPer > nodeCount:
+		return nil, fmt.Errorf("%d sources + %d members per group do not fit in %d nodes", sourcesPer, membersPer, nodeCount)
+	}
 	groups := make([]GroupSpec, 0, nGroups)
 	for g := 0; g < nGroups; g++ {
 		perm := rng.Perm(nodeCount)
@@ -154,7 +166,7 @@ func DefaultGroups(rng *sim.RNG, nodeCount, nGroups, sourcesPer, membersPer int)
 		spec.Members = append(spec.Members, perm[sourcesPer:sourcesPer+membersPer]...)
 		groups = append(groups, spec)
 	}
-	return groups
+	return groups, nil
 }
 
 // RunResult aggregates a run's outcome.

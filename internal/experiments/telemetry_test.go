@@ -175,3 +175,38 @@ func TestScenarioKeyTelemetryUncachable(t *testing.T) {
 		t.Fatal("telemetry-attached scenario must be uncachable")
 	}
 }
+
+// TestSimVitalsGauges checks the simulator's own vitals on a short run of the
+// paper's scenario: the event count in the manifest is the run's, and most
+// events are PHY edges delivered in place, without a trip through the queue.
+func TestSimVitalsGauges(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := telemetry.NewRecorder(dir, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := DefaultScenario(metric.SPP, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TrafficStart, cfg.Duration = 5*time.Second, 10*time.Second
+	cfg.Telemetry = rec
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := telemetry.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, inPlace := m.Gauges["sim.events"], m.Gauges["sim.events_in_place"]
+	if events != float64(res.Events) || events == 0 {
+		t.Fatalf("sim.events = %v, the run fired %d", events, res.Events)
+	}
+	if inPlace > events || inPlace/events <= 0.5 {
+		t.Fatalf("sim.events_in_place = %v of %v events; want more than half and no more than all", inPlace, events)
+	}
+	if _, ok := m.Gauges["sim.queue_depth"]; !ok {
+		t.Fatal("gauge sim.queue_depth not registered")
+	}
+}

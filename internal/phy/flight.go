@@ -4,27 +4,35 @@ import (
 	"time"
 
 	"meshcast/internal/packet"
-	"meshcast/internal/sim"
 )
 
-// A frame in flight.
+// Frames in flight.
 //
 // Every surviving (frame, receiver) pair needs two callbacks: the signal's
 // leading edge at t0 + propDelay (beginArrival) and its trailing edge one
 // airtime later (endArrival). Scheduling both for every receiver at transmit
 // time put 2·k entries per frame on the event queue — the bulk of all events
 // on every workload. Instead a frame is one pooled record holding its arrivals
-// in delivery order, (propDelay, list order), and two cursor events: each
-// delivers one arrival per firing and re-arms itself at the next arrival's
-// key, so the queue holds two entries per frame on the air.
+// in delivery order, (propDelay, list order), and two cursors, one walking the
+// leading edges and one the trailing edges.
 //
 // The keys are the ones per-receiver scheduling in list order would have
 // assigned: transmit reserves 2·k consecutive sequence numbers and the
 // arrival that survived rank-th in list order fires its begin under base +
 // 2·rank and its end under base + 2·rank + 1. Within a cursor the arrivals are
-// sorted by exactly that key, so the cursor always holds its earliest
-// remaining one, and since keys are unique the engine pops the same callbacks
-// in the same order as if all 2·k had been queued up front.
+// sorted by exactly that key, so the cursor always stands on its earliest
+// remaining one.
+//
+// The medium merges the cursors of every frame on the air in one small
+// min-heap on those keys (Medium.air) and owns the only engine event of the
+// PHY's delivery path, armed at the heap's root. When it fires, deliver takes
+// the earliest edge, then keeps taking the next for as long as the engine
+// confirms (sim.Engine.StepReserved) that nothing on its queue comes first —
+// frames that collide or share a backoff slot interleave their edges within a
+// propagation delay, and no MAC timer falls between most of them — and arms
+// the event again when something does. Since keys are unique every callback
+// runs at the instant and in the order it would have were all 2·k queued up
+// front.
 
 // arrival is one frame's signal as seen by one receiver. The zero arrival is
 // an empty slot of a flight record.
@@ -50,11 +58,30 @@ type flight struct {
 	arrivals []arrival
 	// beginAt and endAt are the slots the two cursors deliver next.
 	beginAt, endAt int
-	begin, end     *sim.Event
 }
 
-// newFlight takes a record from the pool (or allocates one, with its two
-// cursor events) and sizes it for a transmitter with n candidates.
+// cursor is one entry of the medium's merge heap: the key of the next edge a
+// flight's begin (or end) cursor delivers.
+type cursor struct {
+	at  time.Duration
+	seq uint64
+	fl  *flight
+	end bool
+}
+
+// beginCursor and endCursor key the flight's cursors at their current slots.
+func (fl *flight) beginCursor() cursor {
+	a := &fl.arrivals[fl.beginAt]
+	return cursor{at: fl.t0 + a.delay, seq: fl.base + 2*uint64(a.rank), fl: fl}
+}
+
+func (fl *flight) endCursor() cursor {
+	a := &fl.arrivals[fl.endAt]
+	return cursor{at: fl.t0 + a.delay + fl.airtime, seq: fl.base + 2*uint64(a.rank) + 1, fl: fl, end: true}
+}
+
+// newFlight takes a record from the pool (or allocates one) and sizes it for a
+// transmitter with n candidates.
 func (m *Medium) newFlight(f *packet.Frame, t0, airtime time.Duration, n int) *flight {
 	var fl *flight
 	if last := len(m.flightPool) - 1; last >= 0 {
@@ -63,8 +90,6 @@ func (m *Medium) newFlight(f *packet.Frame, t0, airtime time.Duration, n int) *f
 		m.flightPool = m.flightPool[:last]
 	} else {
 		fl = &flight{medium: m}
-		fl.begin = m.engine.NewTimer(fl.deliverBegin)
-		fl.end = m.engine.NewTimer(fl.deliverEnd)
 	}
 	fl.frame, fl.t0, fl.airtime = f, t0, airtime
 	if cap(fl.arrivals) < n {
@@ -76,17 +101,24 @@ func (m *Medium) newFlight(f *packet.Frame, t0, airtime time.Duration, n int) *f
 
 // launch starts the cursors of a record transmit has filled with k arrivals,
 // reserving the sequence numbers 2·k per-receiver events would have consumed.
-// A frame nobody hears goes straight back to the pool.
+// A frame nobody hears goes straight back to the pool. Inside a delivery the
+// loop in deliver arms the event once it is done; outside one the event moves
+// if the new frame's first edge is now the earliest in the air.
 func (fl *flight) launch(k int) {
 	if k == 0 {
 		fl.free()
 		return
 	}
-	fl.base = fl.medium.engine.ReserveSeq(2 * k)
+	m := fl.medium
+	fl.base = m.engine.ReserveSeq(2 * k)
 	fl.beginAt = fl.next(0)
 	fl.endAt = fl.beginAt
-	fl.armBegin()
-	fl.armEnd()
+	begin := fl.beginCursor()
+	m.pushCursor(begin)
+	m.pushCursor(fl.endCursor())
+	if !m.delivering && m.air[0].seq == begin.seq {
+		m.edge.ArmReserved(begin.at, begin.seq)
+	}
 }
 
 // free returns the record, every slot of which has been cleared, to the pool.
@@ -103,42 +135,110 @@ func (fl *flight) next(i int) int {
 	return i
 }
 
-func (fl *flight) armBegin() {
-	a := &fl.arrivals[fl.beginAt]
-	fl.begin.ArmReserved(fl.t0+a.delay, fl.base+2*uint64(a.rank))
-}
-
-func (fl *flight) armEnd() {
-	a := &fl.arrivals[fl.endAt]
-	fl.end.ArmReserved(fl.t0+a.delay+fl.airtime, fl.base+2*uint64(a.rank)+1)
-}
-
-// deliverBegin is the begin cursor's callback: one leading edge. The cursor
-// moves on to the next arrival first — the keys are fixed, so the order does
-// not matter to the run, and the engine re-queues an event cheapest when it is
-// the first thing its callback does.
-func (fl *flight) deliverBegin() {
-	a := &fl.arrivals[fl.beginAt]
-	if fl.beginAt = fl.next(fl.beginAt + 1); fl.beginAt < len(fl.arrivals) {
-		fl.armBegin()
+// deliver is the callback of the medium's event: the edge the event was armed
+// for, then every further edge the engine lets through in place.
+func (m *Medium) deliver() {
+	m.delivering = true
+	for {
+		m.deliverRoot()
+		if len(m.air) == 0 {
+			break
+		}
+		if next := &m.air[0]; !m.engine.StepReserved(next.at, next.seq) {
+			m.edge.ArmReserved(next.at, next.seq)
+			break
+		}
 	}
-	a.rx.beginArrival(a)
+	m.delivering = false
 }
 
-// deliverEnd is the end cursor's callback: one trailing edge; after the last
-// one the record is done. The begin cursor is always ahead (an arrival begins
-// an airtime before it ends), so clearing the slot here cannot hide an
-// arrival from it.
-func (fl *flight) deliverEnd() {
+// deliverRoot delivers the edge at the root of the merge heap. The cursor
+// moves on to its flight's next arrival (or leaves the heap) first, so the
+// heap is in order when the receiver's callbacks run: a MAC answering a
+// decoded frame may transmit from inside them, which pushes two cursors.
+func (m *Medium) deliverRoot() {
+	fl := m.air[0].fl
+	if !m.air[0].end {
+		a := &fl.arrivals[fl.beginAt]
+		if fl.beginAt = fl.next(fl.beginAt + 1); fl.beginAt < len(fl.arrivals) {
+			m.replaceRoot(fl.beginCursor())
+		} else {
+			m.popRoot()
+		}
+		a.rx.beginArrival(a)
+		return
+	}
+	// A trailing edge; after the last one the record is done. The begin
+	// cursor is always ahead (an arrival begins an airtime before it ends),
+	// so clearing the slot here cannot hide an arrival from it.
 	a := &fl.arrivals[fl.endAt]
 	fl.endAt = fl.next(fl.endAt + 1)
 	last := fl.endAt == len(fl.arrivals)
-	if !last {
-		fl.armEnd()
+	if last {
+		m.popRoot()
+	} else {
+		m.replaceRoot(fl.endCursor())
 	}
 	a.rx.endArrival(a, fl.frame)
 	*a = arrival{}
 	if last {
 		fl.free()
+	}
+}
+
+// The merge heap: a binary min-heap of cursors by (at, seq), held by value.
+// It has as many entries as two per frame on the air — a handful on the
+// 50-node topology, tens in a 1000-node city — and only ever loses its root,
+// so entries need no back-pointers.
+
+func (c *cursor) before(d *cursor) bool {
+	return c.at < d.at || (c.at == d.at && c.seq < d.seq)
+}
+
+func (m *Medium) pushCursor(c cursor) {
+	m.air = append(m.air, c)
+	h := m.air
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !c.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = c
+}
+
+// replaceRoot puts c, the root cursor's next key, in the root's place.
+func (m *Medium) replaceRoot(c cursor) {
+	h := m.air
+	n := len(h)
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			l = r
+		}
+		if !h[l].before(&c) {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	h[i] = c
+}
+
+// popRoot drops the root cursor, whose flight has no further edge of its kind.
+func (m *Medium) popRoot() {
+	n := len(m.air) - 1
+	last := m.air[n]
+	m.air[n] = cursor{}
+	m.air = m.air[:n]
+	if n > 0 {
+		m.replaceRoot(last)
 	}
 }

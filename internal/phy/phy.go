@@ -13,9 +13,9 @@
 // the fan-out runs off a precomputed per-transmitter link cache (distance,
 // mean power, propagation delay — see cache.go and docs/PERFORMANCE.md) that
 // a move invalidates incrementally. A frame in flight is one pooled record
-// holding its arrivals in delivery order and two self-re-arming engine events
-// that walk them (flight.go), so the event queue holds two entries per frame
-// on the air, not two per (frame, receiver) pair.
+// holding its arrivals in delivery order and two cursors that walk them; the
+// medium merges the cursors of all frames on the air behind one engine event
+// and delivers most edges without a trip through the event queue (flight.go).
 package phy
 
 import (
@@ -114,6 +114,12 @@ type Medium struct {
 	// flightPool recycles the per-frame records (flight.go); a record lives
 	// from transmit until its last arrival ends.
 	flightPool []*flight
+	// air is the merge heap of the cursors of every frame on the air and edge
+	// the one engine event standing for its root; delivering is set while
+	// edge's callback runs (flight.go).
+	air        []cursor
+	edge       *sim.Event
+	delivering bool
 
 	// OnTransmit, when set, observes every frame as it is put on the air
 	// (packet capture, statistics).
@@ -174,6 +180,7 @@ func NewMedium(engine *sim.Engine, pathLoss propagation.PathLoss, fading propaga
 		params:       params,
 		ignoreBelowW: params.CSThresholdW / 200,
 	}
+	m.edge = engine.NewTimer(m.deliver)
 	if radius := interferenceRadius(pathLoss, params.TxPowerW, m.ignoreBelowW); radius > 0 {
 		m.grid = newCellIndex(radius)
 	}
@@ -266,8 +273,9 @@ func (m *Medium) DeliveryProbability(a, b geom.Point) float64 {
 // fading (or oracle) power and consults the impairment hook, in the list's
 // attach order (the RNG draw order — see the determinism contract in cache.go),
 // and writes the surviving arrival into the frame's record at its
-// delivery-order slot. The record's two cursor events then deliver the
-// arrivals one by one (flight.go); nothing is scheduled per receiver.
+// delivery-order slot. The record's two cursors join the medium's merge heap,
+// which delivers the arrivals one by one (flight.go); nothing is scheduled
+// per receiver.
 func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration) {
 	if m.OnTransmit != nil {
 		m.OnTransmit(m.engine.Now(), frame)

@@ -712,18 +712,22 @@ func TestDeliveryProbabilityPanicsUnderLinkFunc(t *testing.T) {
 }
 
 // assertPoolClean verifies every pooled flight record came back reset: no
-// frame, and every arrival slot — up to capacity, not just the length of the
-// last use — zero. A stale rx/power/corrupted here would leak into the next
-// frame that draws the record from the pool (an occupied slot is a phantom
-// arrival; the cursors tell empty slots by rx == nil).
+// frame, no cursor left in the medium's merge heap, and every arrival slot —
+// up to capacity, not just the length of the last use — zero. A stale
+// rx/power/corrupted here would leak into the next frame that draws the record
+// from the pool (an occupied slot is a phantom arrival; the cursors tell empty
+// slots by rx == nil), and a stale cursor would deliver the next frame's
+// arrivals under the last one's keys.
 func assertPoolClean(t *testing.T, m *Medium) {
 	t.Helper()
 	for i, fl := range m.flightPool {
 		if fl.frame != nil {
 			t.Fatalf("pooled flight %d still holds its frame", i)
 		}
-		if fl.begin.Pending() || fl.end.Pending() {
-			t.Fatalf("pooled flight %d has a cursor still armed", i)
+		for _, c := range m.air {
+			if c.fl == fl {
+				t.Fatalf("pooled flight %d has a cursor left in the merge heap: %+v", i, c)
+			}
 		}
 		for j, a := range fl.arrivals[:cap(fl.arrivals)] {
 			if a != (arrival{}) {

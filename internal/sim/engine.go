@@ -8,9 +8,9 @@
 // firing order is a function of the keys alone — and (b) routing all
 // randomness through seeded sub-streams of one root RNG (see RNG).
 //
-// There are four ways to put a callback on the queue. They fire in the same
-// (time, sequence) order and differ only in who owns the Event and what a
-// firing costs:
+// There are four ways to fire a callback. They fire in the same (time,
+// sequence) order and differ only in who owns the Event and what a firing
+// costs:
 //
 //   - Schedule / At: a one-shot closure. Allocates the Event (and usually the
 //     closure), returns it so the caller can Stop it. The default; use it
@@ -23,15 +23,25 @@
 //   - ScheduleArgPooled: fire-and-forget. The engine owns and recycles the
 //     Event, so it cannot be cancelled; a static callback plus an argument
 //     replaces the closure.
-//   - ReserveSeq + Event.ArmReserved: a cursor over work whose sequence
-//     numbers were set aside up front. One owned Event walks a sorted list of
-//     sub-events, re-arming itself at each one's reserved key, and the run is
-//     event for event what scheduling every sub-event at reservation time
-//     would have been while the queue holds one entry instead of the whole
-//     list. The PHY delivers a frame to its receivers this way.
+//   - ReserveSeq + Event.ArmReserved + StepReserved: a cursor over work whose
+//     sequence numbers were set aside up front. The owner keeps its sub-events
+//     sorted by their reserved (time, sequence) keys and one owned Event
+//     stands on the queue for the earliest of them. When it fires the owner
+//     delivers that sub-event and then asks StepReserved whether the next one
+//     is what the run loop would fire next: if so the engine advances the
+//     clock and the event count and the owner delivers it in the same
+//     callback, otherwise the owner arms the Event at that key and returns.
+//     Keys are unique and the question is asked again after every callback,
+//     so the run is event for event what scheduling every sub-event at
+//     reservation time would have been, while the queue holds one entry and
+//     most sub-events never touch it. The PHY delivers every frame on the air
+//     to its receivers this way.
 package sim
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Event is a scheduled callback: created armed by Engine.Schedule / At, or
 // unarmed by Engine.NewTimer. The zero Event is invalid.
@@ -107,7 +117,10 @@ func (ev *Event) arm(t time.Duration, seq uint64) {
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use.
 type Engine struct {
-	now    time.Duration
+	now time.Duration
+	// until is the bound of the Run or RunAll in progress, which StepReserved
+	// must respect like the loop itself does; negative outside a run.
+	until  time.Duration
 	seq    uint64
 	queue  eventQueue
 	halted bool
@@ -120,12 +133,15 @@ type Engine struct {
 	// Processed counts events executed so far; useful for progress reporting
 	// and performance benchmarks.
 	Processed uint64
+	// InPlace counts the events among Processed that StepReserved fired
+	// without a trip through the queue.
+	InPlace uint64
 }
 
 // NewEngine returns an engine with its clock at zero and a root RNG seeded
 // with seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{rng: NewRNG(seed), until: -1}
 }
 
 // Now returns the current virtual time.
@@ -166,6 +182,27 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 	first := e.seq
 	e.seq += uint64(n)
 	return first
+}
+
+// StepReserved reports whether a sub-event with the reserved key (t, seq), t
+// clamped to the current time as by ArmReserved, is what the run loop would
+// fire next were it queued: the engine is inside a run that has not been
+// halted, t is within the run's bound, and the key precedes every queued
+// event. If so the engine counts the event and advances the clock to t, and
+// the caller — inside its own event's callback — runs the sub-event at once;
+// if not it changes nothing, and the caller arms its event at the key. See the
+// package comment.
+func (e *Engine) StepReserved(t time.Duration, seq uint64) bool {
+	if t < e.now {
+		t = e.now
+	}
+	if e.halted || t > e.until || !e.queue.allAfter(t, seq) {
+		return false
+	}
+	e.now = t
+	e.Processed++
+	e.InPlace++
+	return true
 }
 
 // ScheduleArgPooled schedules fn(arg) after delay d (negative is treated as
@@ -218,9 +255,11 @@ func (e *Engine) fire() {
 // event, so pending earlier events cannot move it backwards on a subsequent
 // Run or RunAll.
 func (e *Engine) Run(until time.Duration) time.Duration {
+	e.until = until
 	for e.queue.len() > 0 && !e.halted && e.queue.min().at <= until {
 		e.fire()
 	}
+	e.until = -1
 	if !e.halted && e.now < until {
 		e.now = until
 	}
@@ -229,9 +268,11 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 
 // RunAll executes events until the queue is empty.
 func (e *Engine) RunAll() time.Duration {
+	e.until = math.MaxInt64
 	for e.queue.len() > 0 && !e.halted {
 		e.fire()
 	}
+	e.until = -1
 	return e.now
 }
 

@@ -495,3 +495,45 @@ func TestTimerAndTickerAllocateNothing(t *testing.T) {
 		t.Fatalf("ticker fired %d times in 101 intervals; the measurement is vacuous", fired-before)
 	}
 }
+
+// TestStepReservedOnlyInsideARun pins the edges of the in-place step that the
+// cursor comparison in queue_test.go reaches only by chance: no run loop, an
+// empty queue, the run's bound, a tie on time decided by the sequence number.
+func TestStepReservedOnlyInsideARun(t *testing.T) {
+	e := NewEngine(1)
+	if e.StepReserved(0, e.ReserveSeq(1)) {
+		t.Fatal("stepped in place with no run loop to stand in for")
+	}
+	early := e.ReserveSeq(2)
+	var steps []bool
+	e.Schedule(time.Millisecond, func() {
+		e.Schedule(time.Millisecond, func() {}) // queued at 2 ms under a later number than early
+		steps = append(steps,
+			e.StepReserved(3*time.Millisecond, early),           // behind the queued event
+			e.StepReserved(2*time.Millisecond, early),           // same instant, earlier number
+			e.StepReserved(2*time.Millisecond, early+1),         // again: the clock is there already
+			e.StepReserved(2*time.Millisecond, e.ReserveSeq(1))) // same instant, later number
+	})
+	e.Run(2 * time.Millisecond)
+	if want := []bool{false, true, true, false}; !slices.Equal(steps, want) {
+		t.Fatalf("steps granted = %v, want %v", steps, want)
+	}
+	if e.Processed != 4 || e.InPlace != 2 {
+		t.Fatalf("Processed %d, InPlace %d; want 4 and 2", e.Processed, e.InPlace)
+	}
+	e.Schedule(0, func() {
+		if e.StepReserved(e.Now()+time.Nanosecond, e.ReserveSeq(1)) {
+			t.Error("stepped past the bound of the Run in progress")
+		}
+	})
+	e.Run(e.Now())
+	e.Schedule(0, func() {
+		if !e.StepReserved(e.Now()+time.Hour, e.ReserveSeq(1)) {
+			t.Error("RunAll has no bound, yet the step was refused")
+		}
+	})
+	e.RunAll()
+	if e.StepReserved(e.Now(), e.ReserveSeq(1)) {
+		t.Fatal("stepped in place after the run returned")
+	}
+}

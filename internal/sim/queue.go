@@ -40,6 +40,23 @@ func (q *eventQueue) min() *Event {
 	return q.heap[0]
 }
 
+// allAfter reports whether every queued event fires after the key (at, seq).
+// The earliest event is the root, or, inside a callback that has not touched
+// the queue yet, one of the children of the root popMin left open; looking at
+// those leaves the root open for the push that typically follows.
+func (q *eventQueue) allAfter(at time.Duration, seq uint64) bool {
+	earliest := q.heap[:min(1, len(q.heap))]
+	if q.open {
+		earliest = q.heap[1:min(5, len(q.heap))]
+	}
+	for _, ev := range earliest {
+		if ev.at < at || (ev.at == at && ev.seq <= seq) {
+			return false
+		}
+	}
+	return true
+}
+
 // push adds ev, which must not be queued.
 func (q *eventQueue) push(ev *Event) {
 	if q.open {

@@ -34,7 +34,8 @@ func checkHeap(t *testing.T, queue eventQueue, when string) {
 // drawing timestamps from a handful of values so that most comparisons fall
 // through to the sequence number. Every popped event's callback runs a short
 // random program of the same operations, which is where the root is open: the
-// first push fills it, anything else has to close it first. The structural
+// first push fills it, anything else has to close it first — except allAfter,
+// which is checked against the reference in both states. The structural
 // check after every operation is what catches a sift-down that skips a last,
 // partial group of children or a removal that only sifts one way, at the
 // operation that broke the heap.
@@ -55,6 +56,23 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 				})
 			}
 			delay := func() time.Duration { return time.Duration(rng.Intn(7)) * time.Millisecond }
+			// checkAllAfter asks the queue, root open or closed, about the keys
+			// either side of the boundary: the earliest event's own key and
+			// the ones just before it in sequence and in time (which no event
+			// holds: it would sort first).
+			checkAllAfter := func() {
+				if len(ref) == 0 {
+					if !e.queue.allAfter(0, 0) {
+						t.Fatal("allAfter false on an empty queue")
+					}
+					return
+				}
+				first := ref[0]
+				if e.queue.allAfter(first.at, first.seq) || !e.queue.allAfter(first.at-1, first.seq) ||
+					(first.seq > 0 && !e.queue.allAfter(first.at, first.seq-1)) {
+					t.Fatalf("allAfter misplaces the earliest event (%v, %d), root open: %v", first.at, first.seq, e.queue.open)
+				}
+			}
 			push := func() {
 				var ev *Event
 				ev = e.Schedule(delay(), func() {
@@ -92,6 +110,7 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 				if e.Pending() != len(ref) {
 					t.Fatalf("%d pending, reference has %d", e.Pending(), len(ref))
 				}
+				checkAllAfter()
 			}
 			for step := 0; step < 3000; step++ {
 				if len(ref) == 0 || rng.Intn(3) > 0 {
@@ -106,6 +125,7 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 					if e.Pending() != len(ref) {
 						t.Fatalf("%d pending inside a callback, reference has %d", e.Pending(), len(ref))
 					}
+					checkAllAfter() // the root is open here
 					for n := rng.Intn(4); n > 0; n-- {
 						mutate()
 					}
@@ -133,25 +153,98 @@ type subEvent struct {
 	label int
 }
 
+// cursorFrame is a frame of the deferred and merged modes: its sub-events, the
+// order its cursors walk them in and the keys it reserved.
+type cursorFrame struct {
+	subs []subEvent
+	walk []int // list positions in (delay, position) order
+	t0   time.Duration
+	air  time.Duration
+	base uint64
+}
+
+// frameCursor walks the begin or the end callbacks of one frame.
+type frameCursor struct {
+	fr  *cursorFrame
+	end bool
+	at  int // position in fr.walk of the sub-event it delivers next
+}
+
+// key is the reserved key of the callback the cursor delivers next, label that
+// callback's label.
+func (c *frameCursor) key() (time.Duration, uint64) {
+	i := c.fr.walk[c.at]
+	when, seq := c.fr.t0+c.fr.subs[i].delay, c.fr.base+2*uint64(i)
+	if c.end {
+		when, seq = when+c.fr.air, seq+1
+	}
+	return when, seq
+}
+
+func (c *frameCursor) label() int {
+	l := c.fr.subs[c.fr.walk[c.at]].label
+	if c.end {
+		l++
+	}
+	return l
+}
+
+// firing is one callback as a run saw it; label -1 marks a return of Run.
+type firing struct {
+	label int
+	now   time.Duration
+}
+
+// The three ways TestDeferredCursorsMatchEagerScheduling runs a frame.
+const (
+	eager    = iota // every callback scheduled up front
+	deferred        // two self-re-arming cursor events per frame
+	merged          // all frames' cursors behind one event, stepped in place
+)
+
 // TestDeferredCursorsMatchEagerScheduling is the engine-level statement of
 // what the PHY relies on. A "frame" is a list of sub-events, each with a begin
 // and an end callback. Eagerly, every callback of the frame is scheduled up
-// front in list order through ScheduleArgPooled; deferred, the frame reserves
+// front in list order through ScheduleArgPooled. Deferred, the frame reserves
 // as many sequence numbers and two cursors walk the list in (delay, list
-// order), each re-arming itself under the reserved number of the next
-// sub-event. Around the frames runs unrelated traffic — events scheduled and
-// stopped, including from inside sub-event callbacks, on a time grid coarse
-// enough that most instants are shared — and both runs must fire the same
-// callbacks in the same order. A reservation off by one, or a cursor that
-// takes a fresh sequence number when it re-arms, reorders a tie.
+// order), each an event re-arming itself under the reserved number of the next
+// sub-event. Merged — the form the PHY uses — the cursors of every frame in
+// progress share one event: its callback delivers the earliest sub-event and
+// keeps going while StepReserved grants the next, arming the event when it
+// does not. Around the frames runs unrelated traffic — events scheduled and
+// stopped, including from inside sub-event callbacks, for the current instant
+// and for instants before the next sub-event, on a time grid coarse enough
+// that most instants are shared; sub-event callbacks also start frames of
+// their own, and some callbacks halt the engine. The run is driven by Run
+// calls whose bounds advance in steps shorter than a frame, so bounds and
+// halts fall inside batches of in-place steps. All three runs must fire the
+// same callbacks in the same order at the same Now(), return from every Run
+// at the same instant and count the same Processed. A reservation off by one,
+// or a cursor that takes a fresh sequence number when it re-arms, reorders a
+// tie; an in-place step past something queued, past the bound or after a halt
+// fires a callback early.
 func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 	const tick = time.Microsecond
-	run := func(seed uint64, deferred bool) (order []int, processed uint64) {
+	type result struct {
+		order                 []firing
+		processed, inPlace    uint64
+		cutByBound, cutByHalt int // in-place steps refused at a Run bound / after a Halt
+	}
+	run := func(seed uint64, mode int) (res result) {
 		rng := NewRNG(seed)
 		e := NewEngine(seed)
-		record := func(label int) { order = append(order, label) }
+		until := time.Duration(0) // the bound of the Run in progress
 		label := 0
 		nextLabel := func() int { label++; return label }
+		record := func(l int) {
+			if e.Now() > until {
+				t.Fatalf("seed %d mode %d: callback %d fired at %v, past the Run bound %v", seed, mode, l, e.Now(), until)
+			}
+			res.order = append(res.order, firing{l, e.Now()})
+			if l%41 == 0 {
+				e.Halt()
+			}
+		}
 
 		var stoppable []*Event
 		noise := func() {
@@ -167,22 +260,76 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 			}
 		}
 
-		frame := func() {
+		// The merged mode's state: the cursors in progress, the one event that
+		// stands for the earliest, and whether its callback is running.
+		var active []*frameCursor
+		var shared *Event
+		delivering := false
+		earliest := func() int {
+			best := 0
+			bt, bs := active[0].key()
+			for i, c := range active[1:] {
+				if ct, cs := c.key(); ct < bt || (ct == bt && cs < bs) {
+					best, bt, bs = i+1, ct, cs
+				}
+			}
+			return best
+		}
+
+		var frame func()
+		// A sub-event callback reacts the way a MAC does: sometimes it
+		// schedules something of its own, now and then a whole frame.
+		fire := func(l int) {
+			record(l)
+			if rng.Intn(3) == 0 {
+				noise()
+			}
+			if rng.Intn(15) == 0 {
+				frame()
+			}
+		}
+		// step advances cursor c past the callback it stands on and runs it;
+		// requeue puts c back wherever the mode keeps a cursor with more to do.
+		step := func(c *frameCursor, requeue func()) {
+			l := c.label()
+			if c.at++; c.at < len(c.fr.walk) {
+				requeue()
+			}
+			fire(l)
+		}
+		shared = e.NewTimer(func() {
+			delivering = true
+			for {
+				i := earliest()
+				c := active[i]
+				active = slices.Delete(active, i, i+1)
+				step(c, func() { active = append(active, c) })
+				if len(active) == 0 {
+					break
+				}
+				when, seq := active[earliest()].key()
+				if !e.StepReserved(when, seq) {
+					switch {
+					case e.halted:
+						res.cutByHalt++
+					case when > until:
+						res.cutByBound++
+					}
+					shared.ArmReserved(when, seq)
+					break
+				}
+			}
+			delivering = false
+		})
+
+		frame = func() {
 			subs := make([]subEvent, rng.Intn(9))
 			for i := range subs {
 				subs[i] = subEvent{delay: time.Duration(rng.Intn(4)) * tick, label: nextLabel()}
 				nextLabel() // the end callback's label
 			}
 			air := time.Duration(1+rng.Intn(3)) * tick
-			// A sub-event callback reacts the way a MAC does: sometimes it
-			// schedules something of its own.
-			fire := func(l int) {
-				record(l)
-				if rng.Intn(3) == 0 {
-					noise()
-				}
-			}
-			if !deferred {
+			if mode == eager {
 				for _, s := range subs {
 					s := s
 					e.ScheduleArgPooled(s.delay, func(any) { fire(s.label) }, nil)
@@ -193,35 +340,24 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 			if len(subs) == 0 {
 				return
 			}
-			t0, base := e.Now(), e.ReserveSeq(2*len(subs))
-			walk := make([]int, len(subs)) // list positions in (delay, position) order
-			for i := range walk {
-				walk[i] = i
+			fr := &cursorFrame{subs: subs, walk: make([]int, len(subs)), t0: e.Now(), air: air, base: e.ReserveSeq(2 * len(subs))}
+			for i := range fr.walk {
+				fr.walk[i] = i
 			}
-			slices.SortStableFunc(walk, func(a, b int) int { return int(subs[a].delay - subs[b].delay) })
+			slices.SortStableFunc(fr.walk, func(a, b int) int { return int(subs[a].delay - subs[b].delay) })
 			for _, end := range []bool{false, true} {
-				end, at := end, 0
-				var cursor *Event
-				arm := func() {
-					i := walk[at]
-					key := base + 2*uint64(i)
-					when := t0 + subs[i].delay
-					if end {
-						key, when = key+1, when+air
-					}
-					cursor.ArmReserved(when, key)
+				c := &frameCursor{fr: fr, end: end}
+				if mode == merged {
+					active = append(active, c)
+					continue
 				}
-				cursor = e.NewTimer(func() {
-					l := subs[walk[at]].label
-					if end {
-						l++
-					}
-					if at++; at < len(walk) {
-						arm()
-					}
-					fire(l)
-				})
+				var own *Event
+				arm := func() { own.ArmReserved(c.key()) }
+				own = e.NewTimer(func() { step(c, arm) })
 				arm()
+			}
+			if mode == merged && !delivering {
+				shared.ArmReserved(active[earliest()].key())
 			}
 		}
 
@@ -233,26 +369,53 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 				e.At(at, noise)
 			}
 		}
-		e.RunAll()
-		return order, e.Processed
+		for e.Pending() > 0 {
+			now := e.Run(until)
+			res.order = append(res.order, firing{-1, now})
+			switch {
+			case e.halted:
+				e.Resume()
+			case now != until:
+				t.Fatalf("seed %d mode %d: Run(%v) drained and returned %v", seed, mode, until, now)
+			default:
+				until += 2 * tick
+			}
+		}
+		res.processed, res.inPlace = e.Processed, e.InPlace
+		return res
 	}
 
 	for seed := uint64(1); seed <= 20; seed++ {
-		eager, eagerN := run(seed, false)
-		lazy, lazyN := run(seed, true)
-		if len(eager) < 500 {
-			t.Fatalf("seed %d: only %d callbacks fired; the comparison is thin", seed, len(eager))
+		want := run(seed, eager)
+		if len(want.order) < 500 {
+			t.Fatalf("seed %d: only %d callbacks fired; the comparison is thin", seed, len(want.order))
 		}
-		if eagerN != lazyN {
-			t.Fatalf("seed %d: Processed %d eager, %d deferred", seed, eagerN, lazyN)
-		}
-		if !slices.Equal(eager, lazy) {
-			for i := range eager {
-				if i >= len(lazy) || eager[i] != lazy[i] {
-					t.Fatalf("seed %d: firing order diverges at callback %d of %d", seed, i, len(eager))
-				}
+		for _, mode := range []int{deferred, merged} {
+			got := run(seed, mode)
+			if got.processed != want.processed {
+				t.Fatalf("seed %d mode %d: Processed %d, eager %d", seed, mode, got.processed, want.processed)
 			}
-			t.Fatalf("seed %d: deferred run fired %d callbacks, eager %d", seed, len(lazy), len(eager))
+			if !slices.Equal(got.order, want.order) {
+				for i := range want.order {
+					if i >= len(got.order) || got.order[i] != want.order[i] {
+						t.Fatalf("seed %d mode %d: diverges from eager at firing %d of %d", seed, mode, i, len(want.order))
+					}
+				}
+				t.Fatalf("seed %d mode %d: %d firings, eager %d", seed, mode, len(got.order), len(want.order))
+			}
+			if mode != merged {
+				if got.inPlace != 0 {
+					t.Fatalf("seed %d mode %d: %d in-place steps without a StepReserved call", seed, mode, got.inPlace)
+				}
+				continue
+			}
+			// The merged run must have exercised what it is here for.
+			if got.inPlace*4 < got.processed {
+				t.Fatalf("seed %d: only %d of %d events stepped in place", seed, got.inPlace, got.processed)
+			}
+			if got.cutByBound == 0 || got.cutByHalt == 0 {
+				t.Fatalf("seed %d: %d batches cut by a Run bound, %d by a Halt; want both", seed, got.cutByBound, got.cutByHalt)
+			}
 		}
 	}
 }

@@ -148,6 +148,11 @@ func (w *World) Instrument(reg *telemetry.Registry) {
 	// With this gauge a manifest alone reproduces the probe-overhead figure:
 	// 100 * (probe_bytes_sent - warmup) / data_bytes_received.
 	reg.GaugeFunc("linkquality.probe_bytes_warmup", func() float64 { return float64(w.warmupProbeBytes) })
+	// The simulator's own vitals: events fired, how many of them the PHY
+	// delivered without a trip through the event queue, and the queue's depth.
+	reg.GaugeFunc("sim.events", func() float64 { return float64(w.Engine.Processed) })
+	reg.GaugeFunc("sim.events_in_place", func() float64 { return float64(w.Engine.InPlace) })
+	reg.GaugeFunc("sim.queue_depth", func() float64 { return float64(w.Engine.Pending()) })
 }
 
 // AddNode builds a node at pos, starts its probing and appends it to the

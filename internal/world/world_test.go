@@ -230,6 +230,8 @@ func TestHarvestTotalsAndInstruments(t *testing.T) {
 		"odmrp.rounds":                   float64(h.ForwarderState) - snap.Gauges["odmrp.dup_windows"],
 		"linkquality.table_entries":      float64(entries),
 		"linkquality.probe_bytes_warmup": float64(probe - h.ProbeBytes),
+		"sim.events":                     float64(h.Events),
+		"sim.events_in_place":            float64(w.Engine.InPlace),
 	}
 	for name, want := range wantGauges {
 		if got, ok := snap.Gauges[name]; !ok || got != want || want == 0 {
