@@ -166,8 +166,8 @@ func TestGoldenMultiSource(t *testing.T) {
 	}
 }
 
-// TestGoldenCrashRestart pins a multi-source run of each protocol through a
-// scripted crash and restart, the path that exercises Router.Reset. Group
+// crashRestartScenario is a multi-source run through a scripted crash and
+// restart, the path that exercises Router.Reset. Group
 // 1's lowest-ID source (MCST's core) is down from 11 s to 26 s: the
 // suppressed sources' watchdogs, armed when they stepped down at
 // TrafficStart, find the core still fresh at 17 s and silent at 24 s, so one
@@ -175,23 +175,29 @@ func TestGoldenMultiSource(t *testing.T) {
 // group-2 member crashes with floods and replies in flight. Half the paper's
 // send rate keeps the MAC unsaturated, the regime the multi-source golden
 // does not cover, and the run cheap.
+func crashRestartScenario(t *testing.T, protocol string) ScenarioConfig {
+	t.Helper()
+	cfg := multiSourceScenario(t, protocol)
+	cfg.Duration = 29 * time.Second
+	cfg.SendInterval = 100 * time.Millisecond
+	core := cfg.Groups[0].Sources[0]
+	for _, s := range cfg.Groups[0].Sources {
+		if s < core {
+			core = s
+		}
+	}
+	cfg.Faults = &faults.Plan{Outages: []faults.Outage{
+		{Node: core, Start: 11 * time.Second, Duration: 15 * time.Second},
+		{Node: cfg.Groups[1].Members[0], Start: 13 * time.Second, Duration: 3 * time.Second},
+	}}
+	return cfg
+}
+
+// TestGoldenCrashRestart pins crashRestartScenario's output for each protocol.
 func TestGoldenCrashRestart(t *testing.T) {
 	for _, protocol := range []string{"odmrp", "mcst"} {
 		t.Run(protocol, func(t *testing.T) {
-			cfg := multiSourceScenario(t, protocol)
-			cfg.Duration = 29 * time.Second
-			cfg.SendInterval = 100 * time.Millisecond
-			core := cfg.Groups[0].Sources[0]
-			for _, s := range cfg.Groups[0].Sources {
-				if s < core {
-					core = s
-				}
-			}
-			cfg.Faults = &faults.Plan{Outages: []faults.Outage{
-				{Node: core, Start: 11 * time.Second, Duration: 15 * time.Second},
-				{Node: cfg.Groups[1].Members[0], Start: 13 * time.Second, Duration: 3 * time.Second},
-			}}
-			res, err := RunScenario(cfg)
+			res, err := RunScenario(crashRestartScenario(t, protocol))
 			if err != nil {
 				t.Fatal(err)
 			}
