@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -27,6 +28,7 @@ import (
 	"meshcast/internal/mobility"
 	"meshcast/internal/multicast"
 	_ "meshcast/internal/multicast/protocols" // populate the protocol registry
+	"meshcast/internal/packet"
 	"meshcast/internal/prof"
 	"meshcast/internal/propagation"
 	"meshcast/internal/sim"
@@ -50,7 +52,7 @@ type options struct {
 	ProbeRate float64
 	NoFading  bool
 	Verbose   bool
-	TraceCats string
+	Trace     string
 	Spans     string
 	Capture   string
 
@@ -119,7 +121,7 @@ func main() {
 	flag.Float64Var(&opt.ProbeRate, "probe-rate", def.ProbeRate, "probing rate factor (5 = high-overhead column)")
 	flag.BoolVar(&opt.NoFading, "no-fading", def.NoFading, "disable Rayleigh fading")
 	flag.BoolVar(&opt.Verbose, "v", def.Verbose, "print per-member delivery ratios")
-	flag.StringVar(&opt.TraceCats, "trace", def.TraceCats, "comma-separated trace categories to print ("+traceCatNames()+")")
+	flag.StringVar(&opt.Trace, "trace", def.Trace, "comma-separated packet types whose journey spans are printed to stderr ("+traceNames+")")
 	flag.StringVar(&opt.Spans, "spans", def.Spans, "record packet-journey spans to this JSONL file (see meshstat -journeys)")
 	flag.StringVar(&opt.Capture, "capture", def.Capture, "record every transmitted frame to this file (see cmd/meshdump)")
 	flag.Float64Var(&opt.Churn, "churn", def.Churn, "fraction of nodes subject to crash/restart churn (0 disables)")
@@ -191,31 +193,40 @@ func runSpec(path string, opt options) error {
 	return nil
 }
 
-// attachSpans wires -spans to the scenario: every packet-journey span goes
-// to a JSONL stream for meshstat -journeys. The returned close function
-// flushes and closes the file.
+// attachSpans wires -spans and -trace to the scenario: every packet-journey
+// span goes to a JSONL stream for meshstat -journeys, and the spans of the
+// packet types -trace names are printed to stderr on their way there. The
+// returned close function flushes and closes the file.
 func attachSpans(cfg *experiments.ScenarioConfig, opt options) (func() error, error) {
-	if opt.Spans == "" {
-		return func() error { return nil }, nil
-	}
-	f, err := os.Create(opt.Spans)
+	pkts, err := parseTrace(opt.Trace)
 	if err != nil {
-		return nil, fmt.Errorf("-spans: %w", err)
+		return nil, err
 	}
-	w := trace.NewSpanJSONLWriter(f)
-	cfg.SpanSink = w
-	return func() error {
-		flushErr := w.Flush()
-		closeErr := f.Close()
-		if flushErr != nil {
-			return fmt.Errorf("-spans: %w", flushErr)
+	closeSpans := func() error { return nil }
+	if opt.Spans != "" {
+		f, err := os.Create(opt.Spans)
+		if err != nil {
+			return nil, fmt.Errorf("-spans: %w", err)
 		}
-		if closeErr != nil {
-			return fmt.Errorf("-spans: %w", closeErr)
+		w := trace.NewSpanJSONLWriter(f)
+		cfg.SpanSink = w
+		closeSpans = func() error {
+			flushErr := w.Flush()
+			closeErr := f.Close()
+			if flushErr != nil {
+				return fmt.Errorf("-spans: %w", flushErr)
+			}
+			if closeErr != nil {
+				return fmt.Errorf("-spans: %w", closeErr)
+			}
+			fmt.Fprintf(os.Stderr, "spans: wrote %s (try: go run ./cmd/meshstat -journeys %s)\n", opt.Spans, opt.Spans)
+			return nil
 		}
-		fmt.Fprintf(os.Stderr, "spans: wrote %s (try: go run ./cmd/meshstat -journeys %s)\n", opt.Spans, opt.Spans)
-		return nil
-	}, nil
+	}
+	if pkts != nil {
+		cfg.SpanSink = &spanPrinter{w: os.Stderr, pkts: pkts, next: cfg.SpanSink}
+	}
+	return closeSpans, nil
 }
 
 // noteTelemetry points the user at the artifacts on stderr (stdout stays
@@ -227,37 +238,51 @@ func noteTelemetry(rec *telemetry.Recorder) {
 	}
 }
 
-// traceCats lists the -trace values in help order.
-var traceCats = []trace.Category{trace.CatQuery, trace.CatReply, trace.CatData, trace.CatCore, trace.CatJoin}
-
-// traceCatNames renders the valid -trace values: the lower-cased category
-// names.
-func traceCatNames() string {
-	names := make([]string, len(traceCats))
-	for i, c := range traceCats {
-		names[i] = strings.ToLower(c.String())
-	}
-	return strings.Join(names, ",")
+// tracePkts maps each -trace name to the packet type whose spans it
+// selects; traceNames lists the names in help order.
+var tracePkts = map[string]packet.Type{
+	"query": packet.TypeJoinQuery,
+	"reply": packet.TypeJoinReply,
+	"data":  packet.TypeData,
+	"core":  packet.TypeCoreAnnounce,
+	"join":  packet.TypeTreeJoin,
 }
 
-// parseTraceCats maps flag names to trace categories.
-func parseTraceCats(s string) ([]trace.Category, error) {
+const traceNames = "query,reply,data,core,join"
+
+// parseTrace maps -trace names to the set of packet types to print; nil when
+// the flag is empty.
+func parseTrace(s string) (map[packet.Type]bool, error) {
 	if s == "" {
 		return nil, nil
 	}
-	byName := make(map[string]trace.Category, len(traceCats))
-	for _, c := range traceCats {
-		byName[strings.ToLower(c.String())] = c
-	}
-	var out []trace.Category
+	out := make(map[packet.Type]bool)
 	for _, part := range strings.Split(s, ",") {
-		c, ok := byName[strings.TrimSpace(part)]
+		pkt, ok := tracePkts[strings.TrimSpace(part)]
 		if !ok {
-			return nil, fmt.Errorf("unknown trace category %q (valid: %s)", part, traceCatNames())
+			return nil, fmt.Errorf("unknown trace category %q (valid: %s)", part, traceNames)
 		}
-		out = append(out, c)
+		out[pkt] = true
 	}
 	return out, nil
+}
+
+// spanPrinter is the -trace sink: it prints the spans of the selected packet
+// types, one line each, and passes every span on to next (the -spans writer)
+// when there is one.
+type spanPrinter struct {
+	w    io.Writer
+	pkts map[packet.Type]bool
+	next trace.SpanSink
+}
+
+func (p *spanPrinter) EmitSpan(s trace.Span) {
+	if p.pkts[s.PktKind] {
+		fmt.Fprintln(p.w, s)
+	}
+	if p.next != nil {
+		p.next.EmitSpan(s)
+	}
 }
 
 // faultPlan assembles the fault plan from -fault-script and -churn.
@@ -301,10 +326,6 @@ func run(opt options) error {
 	if err != nil {
 		return fmt.Errorf("-protocol: %w", err)
 	}
-	cats, err := parseTraceCats(opt.TraceCats)
-	if err != nil {
-		return err
-	}
 	plan, err := faultPlan(opt)
 	if err != nil {
 		return err
@@ -341,10 +362,6 @@ func run(opt options) error {
 	}
 	if opt.NoFading {
 		cfg.Fading = propagation.NoFading{}
-	}
-	if opt.TraceCats != "" {
-		cfg.TraceSink = trace.Writer{W: os.Stderr}
-		cfg.TraceCats = cats
 	}
 	cfg.CapturePath = opt.Capture
 	if cfg.Telemetry, err = newRecorder(opt); err != nil {

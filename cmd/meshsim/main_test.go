@@ -11,32 +11,118 @@ import (
 	"meshcast/internal/trace"
 )
 
-func TestParseTraceCats(t *testing.T) {
-	got, err := parseTraceCats("query,data")
+func TestParseTrace(t *testing.T) {
+	got, err := parseTrace("query,data")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != trace.CatQuery || got[1] != trace.CatData {
-		t.Fatalf("parseTraceCats = %v", got)
+	if len(got) != 2 || !got[packet.TypeJoinQuery] || !got[packet.TypeData] {
+		t.Fatalf("parseTrace = %v", got)
 	}
-	if got, err := parseTraceCats(""); err != nil || got != nil {
+	if got, err := parseTrace(""); err != nil || got != nil {
 		t.Fatalf("empty input = %v, %v", got, err)
 	}
-	// An unknown name — including the two categories that never had an
-	// emitter — fails listing the valid ones.
+	// An unknown name — a packet type that is never traced included — fails
+	// listing the valid ones.
 	for _, bad := range []string{"query,bogus", "probe", "mac"} {
-		_, err := parseTraceCats(bad)
+		_, err := parseTrace(bad)
 		if err == nil || !strings.Contains(err.Error(), "valid: query,reply,data,core,join") {
-			t.Fatalf("parseTraceCats(%q) error = %v, want one listing the valid names", bad, err)
+			t.Fatalf("parseTrace(%q) error = %v, want one listing the valid names", bad, err)
 		}
 	}
-	got, err = parseTraceCats(traceCatNames())
+	got, err = parseTrace(traceNames)
 	if err != nil || len(got) != 5 {
 		t.Fatalf("all categories = %v, %v", got, err)
 	}
 	// Whitespace tolerated.
-	if got, err := parseTraceCats(" core , join "); err != nil || len(got) != 2 {
+	if got, err := parseTrace(" core , join "); err != nil || len(got) != 2 {
 		t.Fatalf("whitespace input = %v, %v", got, err)
+	}
+}
+
+// captureRun runs the simulation with os.Stdout and os.Stderr redirected to
+// files and returns what it wrote to each.
+func captureRun(t *testing.T, opt options) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outFile, err := os.Create(dir + "/stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFile, err := os.Create(dir + "/stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outFile, errFile
+	runErr := run(opt)
+	os.Stdout, os.Stderr = oldOut, oldErr
+	outFile.Close()
+	errFile.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	out, err := os.ReadFile(outFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errOut, err := os.ReadFile(errFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), string(errOut)
+}
+
+// TestTraceFlagPrintsSelectedSpans drives -trace end to end on a
+// three-source MCST run: stdout is the untraced run's, stderr carries one
+// span line per step of the selected packet types and nothing of the others,
+// a graft raising a forwarder flag among them, and the stream still reaches
+// the -spans file whole.
+func TestTraceFlagPrintsSelectedSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small simulation")
+	}
+	opt := tinyOptions()
+	opt.Nodes, opt.Side = 12, 500
+	opt.Protocol, opt.Sources = "mcst", 3
+	plain, _ := captureRun(t, opt)
+
+	opt.Trace = "core,join"
+	opt.Spans = t.TempDir() + "/spans.jsonl"
+	traced, stderr := captureRun(t, opt)
+	if traced != plain {
+		t.Fatalf("-trace changed stdout:\n%s\nwithout:\n%s", traced, plain)
+	}
+	lines, kinds := 0, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(stderr), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasSuffix(f[0], "s") || !strings.HasPrefix(f[1], "n") {
+			continue // the timing and -spans notes
+		}
+		if f[3] != "CORE_ANNOUNCE" && f[3] != "TREE_JOIN" {
+			t.Fatalf("-trace core,join printed %q", line)
+		}
+		lines++
+		kinds[f[2]]++
+	}
+	if kinds["originate"] == 0 || kinds["flag-set"] == 0 || kinds["core-stepdown"] == 0 {
+		t.Fatalf("span kinds printed = %v, want originate, flag-set and core-stepdown among them", kinds)
+	}
+	spans, err := trace.LoadSpans(opt.Spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected, data := 0, 0
+	for _, s := range spans {
+		switch s.PktKind {
+		case packet.TypeCoreAnnounce, packet.TypeTreeJoin:
+			selected++
+		case packet.TypeData:
+			data++
+		}
+	}
+	if selected != lines || data == 0 {
+		t.Fatalf("-spans file holds %d core/join spans and %d data spans; stderr printed %d lines", selected, data, lines)
 	}
 }
 
@@ -64,9 +150,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		t.Fatal("bad protocol accepted")
 	}
 	opt = tinyOptions()
-	opt.TraceCats = "nope"
-	if err := run(opt); err == nil {
-		t.Fatal("bad trace category accepted")
+	opt.Trace = "nope"
+	if err := run(opt); err == nil || !strings.Contains(err.Error(), "valid: query,reply,data,core,join") {
+		t.Fatalf("-trace nope: error = %v, want one listing the valid names", err)
 	}
 	opt = tinyOptions()
 	opt.FaultScript = "/does/not/exist.json"

@@ -231,6 +231,14 @@ func (d *Daemon) SentCount() uint64 {
 	return d.sent
 }
 
+// ReadRouter applies read — a line of the protocol's counter export table,
+// multicast.Counter.Read — to the daemon's router under the driver's lock,
+// so it is safe from any goroutine while the daemon runs.
+func (d *Daemon) ReadRouter(read func(multicast.Protocol) uint64) (v uint64) {
+	d.driver.Do(func() { v = read(d.router) })
+	return v
+}
+
 // Protocol returns the registered name of the multicast protocol this
 // daemon runs.
 func (d *Daemon) Protocol() string { return d.router.Name() }

@@ -536,6 +536,18 @@ func (f *Fleet) Totals() (sent uint64, delivered uint64) {
 	return sent, delivered
 }
 
+// SumRouters adds read over the routers of the daemons now alive. The sum
+// falls when a daemon is killed or restarted: a router's counts die with it.
+func (f *Fleet) SumRouters(read func(multicast.Protocol) uint64) uint64 {
+	var total uint64
+	for id := range f.slots {
+		if d := f.Daemon(id); d != nil {
+			total += d.ReadRouter(read)
+		}
+	}
+	return total
+}
+
 func (f *Fleet) recordSend(g packet.GroupID, at time.Time) {
 	f.expected.Add(uint64(f.members[g]))
 	if f.health != nil {

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"meshcast/internal/sim"
@@ -16,6 +17,9 @@ import (
 type Driver struct {
 	engine *sim.Engine
 	inject chan func()
+	// mu is held by Run whenever it executes events or injected callbacks,
+	// so Do can read the components' state from another goroutine.
+	mu sync.Mutex
 }
 
 // maxSleep bounds how long the driver sleeps between polls so late-arriving
@@ -47,6 +51,16 @@ func (d *Driver) Inject(fn func()) {
 	}
 }
 
+// Do runs fn between events: the driver goroutine is not inside the engine
+// or an injected callback while fn runs. For reading the state of the
+// components the engine drives (a router's counters) from outside; fn must
+// not block.
+func (d *Driver) Do(fn func()) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fn()
+}
+
 // drainBacklog runs queued injections without sleeping.
 func (d *Driver) drainBacklog() {
 	for {
@@ -67,10 +81,13 @@ func (d *Driver) Run(ctx context.Context) {
 	defer timer.Stop()
 	for {
 		// Execute everything due up to the current wall time.
+		d.mu.Lock()
 		d.engine.Run(now())
+		next, pending := d.engine.PeekNext()
+		d.mu.Unlock()
 
 		sleep := maxSleep
-		if next, ok := d.engine.PeekNext(); ok {
+		if pending {
 			if until := next - now(); until < sleep {
 				sleep = until
 			}
@@ -90,9 +107,11 @@ func (d *Driver) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case fn := <-d.inject:
+			d.mu.Lock()
 			d.engine.Run(now()) // advance the clock before handling input
 			fn()
 			d.drainBacklog()
+			d.mu.Unlock()
 		case <-timer.C:
 		}
 	}

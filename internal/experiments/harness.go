@@ -110,7 +110,7 @@ func (w hashWriter) f64(label string, v float64) {
 // and are never cached. Bump the version prefix whenever RunResult or the
 // simulation's behavior changes incompatibly: old entries then simply miss.
 func ScenarioKey(cfg ScenarioConfig) (string, bool) {
-	if cfg.TraceSink != nil || cfg.SpanSink != nil || cfg.CapturePath != "" || cfg.Telemetry != nil {
+	if cfg.SpanSink != nil || cfg.CapturePath != "" || cfg.Telemetry != nil {
 		return "", false
 	}
 	w := hashWriter{sha256.New()}

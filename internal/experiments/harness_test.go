@@ -156,20 +156,16 @@ func TestScenarioKeyDeterminismAndSensitivity(t *testing.T) {
 	}
 }
 
-type discardSink struct{}
-
-func (discardSink) Emit(trace.Event) {}
-
 func TestScenarioKeySinksUncachable(t *testing.T) {
 	cfg, err := DefaultScenario(metric.SPP, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceSink = discardSink{}
+	cfg.SpanSink = &trace.SpanBuffer{}
 	if _, ok := ScenarioKey(cfg); ok {
 		t.Fatal("traced scenario must not be cachable")
 	}
-	cfg.TraceSink = nil
+	cfg.SpanSink = nil
 	cfg.CapturePath = "/tmp/x.mcap"
 	if _, ok := ScenarioKey(cfg); ok {
 		t.Fatal("captured scenario must not be cachable")

@@ -74,16 +74,11 @@ type ScenarioConfig struct {
 	// PairHistoryWeight optionally overrides PP's EWMA history weight
 	// (history-length ablation); zero keeps the paper's 0.9.
 	PairHistoryWeight float64
-	// TraceSink, when non-nil, receives protocol trace events from every
-	// node, filtered to TraceCats (all categories when empty).
-	TraceSink trace.Sink
-	// TraceCats filters traced categories.
-	TraceCats []trace.Category
 	// SpanSink, when non-nil, enables packet-journey span tracing: every
 	// originated packet is stamped with a trace ID and phy/mac/routing
 	// emit typed span records to this sink (see trace.Reconstruct). Span
-	// tracing is independent of TraceSink and changes no protocol or RNG
-	// behavior, so results stay byte-identical either way.
+	// tracing changes no protocol or RNG behavior, so results stay
+	// byte-identical either way.
 	SpanSink trace.SpanSink
 	// CapturePath, when non-empty, records every transmitted frame to this
 	// file in the capture format (see internal/capture, cmd/meshdump).
@@ -101,8 +96,8 @@ type ScenarioConfig struct {
 	// scenario Duration.
 	Mobility *mobility.Config
 	// Telemetry, when non-nil, instruments the run with this recorder:
-	// every layer's counters register in the recorder's registry, the
-	// sampler streams snapshots to series.jsonl on the recorder's interval,
+	// every layer's counters are exported through the recorder's registry,
+	// the sampler streams snapshots to series.jsonl on the recorder's interval,
 	// and RunScenario finalizes manifest.json before returning. A run with
 	// telemetry attached is never served from the result cache (the
 	// artifacts are a side effect the cache cannot reproduce).
@@ -296,18 +291,13 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		}()
 		medium.OnTransmit = cw.Capture
 	}
-	if cfg.TraceSink != nil || cfg.SpanSink != nil {
-		tracer := trace.New(cfg.TraceSink, engine.Now, cfg.TraceCats...)
-		tracer.SetSpanSink(cfg.SpanSink)
-		w.SetTracer(tracer)
+	if cfg.SpanSink != nil {
+		w.SetTracer(trace.New(cfg.SpanSink, engine.Now))
 	}
 	var reg *telemetry.Registry
 	if cfg.Telemetry != nil {
 		reg = cfg.Telemetry.Registry()
 		w.Instrument(reg)
-		if buf, ok := cfg.TraceSink.(*trace.Buffer); ok {
-			reg.GaugeFunc("trace.dropped", func() float64 { return float64(buf.Dropped()) })
-		}
 	}
 
 	for i, pos := range cfg.Topology.Positions {
@@ -393,9 +383,9 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 			motion.RecordBreaks(breaks, now)
 			motion.RecordForms(forms, now)
 		}
-		if reg != nil {
-			mover.Telem = mobility.NewTelemetry(reg)
-		}
+		reg.CounterFunc("mobility.moves", func() uint64 { return mover.Moves })
+		reg.CounterFunc("mobility.link_breaks", func() uint64 { return mover.Breaks })
+		reg.CounterFunc("mobility.link_forms", func() uint64 { return mover.Forms })
 		mover.Start()
 	}
 
@@ -468,8 +458,6 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		// scenario run uninstrumented.
 		hashCfg := cfg
 		hashCfg.Telemetry = nil
-		hashCfg.TraceSink = nil
-		hashCfg.TraceCats = nil
 		hashCfg.SpanSink = nil
 		hashCfg.CapturePath = ""
 		hash, _ := ScenarioKey(hashCfg)

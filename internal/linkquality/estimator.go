@@ -210,8 +210,8 @@ type Table struct {
 	// estimators when non-zero (history-length ablation); the default is
 	// the paper's 0.9.
 	PairHistoryWeight float64
-	// Telem holds the run-wide telemetry instruments (zero value disabled).
-	Telem Telemetry
+	// Stats counts the probes observed; it survives Reset.
+	Stats Stats
 
 	entries map[uint16]*Entry
 	static  map[uint16]metric.LinkEstimate
@@ -270,7 +270,7 @@ func (t *Table) ObserveProbe(neighbor uint16, seq uint32, now time.Duration) {
 	e := t.entry(neighbor)
 	e.Loss.Observe(seq)
 	e.UpdatedAt = now
-	t.Telem.ProbesReceived.Inc()
+	t.Stats.ProbesReceived++
 }
 
 // ObservePairSmall records the small half of a probe pair from neighbor.
@@ -278,17 +278,17 @@ func (t *Table) ObservePairSmall(neighbor uint16, seq uint32, now time.Duration)
 	e := t.entry(neighbor)
 	e.Pair.ObserveSmall(seq, now)
 	e.UpdatedAt = now
-	t.Telem.ProbesReceived.Inc()
+	t.Stats.ProbesReceived++
 }
 
 // ObservePairLarge records the large half of a probe pair from neighbor.
 func (t *Table) ObservePairLarge(neighbor uint16, seq uint32, now time.Duration, sizeBytes int) {
 	e := t.entry(neighbor)
 	if e.Pair.ObserveLarge(seq, now, sizeBytes) {
-		t.Telem.EWMAUpdates.Inc()
+		t.Stats.EWMAUpdates++
 	}
 	e.UpdatedAt = now
-	t.Telem.ProbesReceived.Inc()
+	t.Stats.ProbesReceived++
 }
 
 // Estimate returns the current link estimate for the link neighbor → this
@@ -317,6 +317,10 @@ func (t *Table) Estimate(neighbor uint16, now time.Duration) metric.LinkEstimate
 		PacketBytes:      t.PacketBytes,
 	}
 }
+
+// Len returns the number of neighbor entries held (live or stale), for
+// table-size gauges.
+func (t *Table) Len() int { return len(t.entries) }
 
 // Neighbors returns the IDs with live entries.
 func (t *Table) Neighbors(now time.Duration) []uint16 {

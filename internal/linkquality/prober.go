@@ -85,12 +85,17 @@ func (c Config) ScaleRate(factor float64) Config {
 	return c
 }
 
-// Stats counts probing activity at one node.
+// Stats counts probing activity at one node: the Prober fills the sent
+// half, the Table the received half.
 type Stats struct {
 	// ProbesSent counts probe packets handed to the MAC.
 	ProbesSent uint64
 	// BytesSent counts network-layer probe bytes handed to the MAC.
 	BytesSent uint64
+	// ProbesReceived counts probe receptions fed into the neighbor table.
+	ProbesReceived uint64
+	// EWMAUpdates counts packet-pair EWMA refreshes from complete pairs.
+	EWMAUpdates uint64
 }
 
 // Prober periodically broadcasts probes on behalf of one node.
@@ -100,8 +105,6 @@ type Prober struct {
 	Send func(p *packet.Packet) bool
 	// Stats accumulates counters.
 	Stats Stats
-	// Telem holds the run-wide telemetry instruments (zero value disabled).
-	Telem Telemetry
 
 	id     packet.NodeID
 	engine *sim.Engine
@@ -171,8 +174,6 @@ func (p *Prober) emit(pkt *packet.Packet) {
 	if p.Send != nil && p.Send(pkt) {
 		p.Stats.ProbesSent++
 		p.Stats.BytesSent += uint64(pkt.SizeBytes())
-		p.Telem.ProbesSent.Inc()
-		p.Telem.ProbeBytesSent.Add(uint64(pkt.SizeBytes()))
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/phy"
 	"meshcast/internal/sim"
+	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -80,6 +81,9 @@ type Stats struct {
 	// BytesSent counts all bytes put on the air, including MAC framing and
 	// control frames.
 	BytesSent uint64
+	// Backoffs counts fresh backoff draws; Retries counts unicast
+	// retransmission attempts.
+	Backoffs, Retries uint64
 }
 
 type macState int
@@ -105,8 +109,9 @@ type MAC struct {
 	Deliver func(p *packet.Packet, transmitter packet.NodeID)
 	// Stats accumulates counters.
 	Stats Stats
-	// Telem holds the run-wide telemetry instruments (zero value disabled).
-	Telem Telemetry
+	// QueueDepth, when non-nil, observes the queue length after every
+	// successful enqueue; every MAC on a run shares one histogram.
+	QueueDepth *telemetry.Histogram
 	// Tracer emits packet-journey spans for MAC transmissions and drops
 	// (nil disables).
 	Tracer *trace.Tracer
@@ -196,14 +201,12 @@ func (m *MAC) SendUnicast(p *packet.Packet, dst packet.NodeID) bool {
 func (m *MAC) enqueue(o outgoing) bool {
 	if len(m.queue) >= m.params.QueueCap {
 		m.Stats.QueueDrops++
-		m.Telem.QueueDrops.Inc()
 		m.Tracer.Span(trace.SpanMACDrop, m.radio.ID, m.radio.ID, o.pkt)
 		return false
 	}
 	m.Stats.Enqueued++
-	m.Telem.Enqueued.Inc()
 	m.queue = append(m.queue, o)
-	m.Telem.QueueDepth.Observe(float64(len(m.queue)))
+	m.QueueDepth.Observe(float64(len(m.queue)))
 	if m.state == stateIdle {
 		m.startContention()
 	}
@@ -226,7 +229,7 @@ func (m *MAC) startContention() {
 	}
 	if m.backoffSlots == 0 {
 		m.backoffSlots = 1 + m.rng.Intn(m.cw)
-		m.Telem.Backoffs.Inc()
+		m.Stats.Backoffs++
 	}
 	if m.channelBusy() {
 		m.state = stateDeferring
@@ -324,9 +327,7 @@ func (m *MAC) transmitBroadcast(o outgoing) {
 	airtime := m.radio.Transmit(f)
 	m.Tracer.Span(trace.SpanMACTx, m.radio.ID, m.radio.ID, o.pkt)
 	m.Stats.BroadcastsSent++
-	m.Telem.BroadcastsSent.Inc()
 	m.Stats.BytesSent += uint64(f.SizeBytes())
-	m.Telem.BytesSent.Add(uint64(f.SizeBytes()))
 	// One shot: done regardless of reception anywhere.
 	m.txDoneTimer.Reset(airtime)
 }
@@ -351,13 +352,11 @@ func (m *MAC) transmitUnicast(o outgoing) {
 		rts := &packet.Frame{Kind: packet.FrameRTS, Src: m.radio.ID, Dst: o.dst, DurationNAV: nav}
 		at := m.radio.Transmit(rts)
 		m.Stats.BytesSent += uint64(rts.SizeBytes())
-		m.Telem.BytesSent.Add(uint64(rts.SizeBytes()))
 		timeout := at + m.params.SIFS + m.airtime(packet.CTSBytes) + 2*m.params.SlotTime
 		m.timerEvent = m.engine.Schedule(timeout, func() {
 			m.timerEvent = nil
 			if m.state == stateWaitCTS {
 				m.Stats.CTSTimeouts++
-				m.Telem.CTSTimeouts.Inc()
 				m.retryHead()
 			}
 		})
@@ -372,15 +371,12 @@ func (m *MAC) sendUnicastData(o outgoing) {
 	at := m.radio.Transmit(f)
 	m.Tracer.Span(trace.SpanMACTx, m.radio.ID, m.radio.ID, o.pkt)
 	m.Stats.UnicastsSent++
-	m.Telem.UnicastsSent.Inc()
 	m.Stats.BytesSent += uint64(f.SizeBytes())
-	m.Telem.BytesSent.Add(uint64(f.SizeBytes()))
 	timeout := at + m.params.SIFS + m.airtime(packet.ACKBytes) + 2*m.params.SlotTime
 	m.timerEvent = m.engine.Schedule(timeout, func() {
 		m.timerEvent = nil
 		if m.state == stateWaitACK {
 			m.Stats.AckTimeouts++
-			m.Telem.AckTimeouts.Inc()
 			m.retryHead()
 		}
 	})
@@ -390,10 +386,9 @@ func (m *MAC) sendUnicastData(o outgoing) {
 // frame, dropping it once the retry limit is reached.
 func (m *MAC) retryHead() {
 	m.retries++
-	m.Telem.Retries.Inc()
+	m.Stats.Retries++
 	if m.retries > m.params.RetryLimit {
 		m.Stats.RetryDrops++
-		m.Telem.RetryDrops.Inc()
 		if len(m.queue) > 0 {
 			m.Tracer.Span(trace.SpanMACDrop, m.radio.ID, m.radio.ID, m.queue[0].pkt)
 		}
@@ -437,7 +432,6 @@ func (m *MAC) onData(f *packet.Frame) {
 			ack := &packet.Frame{Kind: packet.FrameACK, Src: m.radio.ID, Dst: f.Src}
 			m.radio.Transmit(ack)
 			m.Stats.BytesSent += uint64(ack.SizeBytes())
-			m.Telem.BytesSent.Add(uint64(ack.SizeBytes()))
 		})
 	}
 	if m.Deliver != nil && f.Payload != nil {
@@ -458,7 +452,6 @@ func (m *MAC) onRTS(f *packet.Frame) {
 		cts := &packet.Frame{Kind: packet.FrameCTS, Src: m.radio.ID, Dst: f.Src, DurationNAV: nav}
 		m.radio.Transmit(cts)
 		m.Stats.BytesSent += uint64(cts.SizeBytes())
-		m.Telem.BytesSent.Add(uint64(cts.SizeBytes()))
 	})
 }
 

@@ -40,7 +40,6 @@ import (
 	"meshcast/internal/multicast"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -126,13 +125,6 @@ func policy(params Params) multicast.Policy {
 		GraftJitter:   params.JoinJitter,
 		DataJitter:    params.DataJitter,
 		OriginRelays:  true,
-		FloodCat:      trace.CatCore,
-		GraftCat:      trace.CatJoin,
-		OriginateMsg:  "announce grp=%v seq=%d",
-		ForwardMsg:    "announce-fwd grp=%v core=%v seq=%d cost=%.4g",
-		ForwardDupMsg: "announce-fwd-dup grp=%v core=%v seq=%d cost=%.4g",
-		GraftMsg:      "join grp=%v core=%v seq=%d parent=%v",
-		FlagSetMsg:    "tree-set grp=%v (from %v)",
 		FloodNoun:     "announces",
 		GraftNoun:     "joins",
 	}
@@ -162,8 +154,6 @@ type Router struct {
 	// failover marks groups with a pending core-liveness watchdog (armed
 	// while this node is a suppressed source).
 	failover map[packet.GroupID]bool
-	// coreHandovers is the run-wide "mcst.core_handovers" counter.
-	coreHandovers *telemetry.Counter
 }
 
 // New creates a router for node id using path metric pm and neighbor table
@@ -217,18 +207,13 @@ func (r *Router) coreFresh(b *coreBinding) bool {
 	return r.engine.Now() < b.lastHeard+r.params.CoreTimeout
 }
 
-func (r *Router) handover() {
-	r.CoreHandovers++
-	r.coreHandovers.Inc()
-}
-
 // Handle processes a received MCST packet. It reports whether the packet
 // kind belonged to MCST.
 func (r *Router) Handle(p *packet.Packet, from packet.NodeID) bool {
 	switch p.Kind {
 	case packet.TypeCoreAnnounce:
 		// Members and suppressed senders graft onto the tree.
-		if p.Src != r.ID() && r.adoptCore(p.Group, p.Src) {
+		if p.Src != r.ID() && r.adoptCore(p, from) {
 			r.HandleFlood(p, from, r.sources[p.Group])
 		}
 	case packet.TypeTreeJoin:
@@ -241,10 +226,11 @@ func (r *Router) Handle(p *packet.Packet, from packet.NodeID) bool {
 	return true
 }
 
-// adoptCore updates the group's core binding for an announce heard from
-// core. It reports false when the announce is from a worse (higher-ID) core
-// than a live adopted one and must be suppressed.
-func (r *Router) adoptCore(group packet.GroupID, core packet.NodeID) bool {
+// adoptCore updates the group's core binding for the announce p heard from
+// neighbor from. It reports false when the announce is from a worse
+// (higher-ID) core than a live adopted one and must be suppressed.
+func (r *Router) adoptCore(p *packet.Packet, from packet.NodeID) bool {
+	group, core := p.Group, p.Src
 	now := r.engine.Now()
 	acting := r.Originating(group)
 	// While we act as core ourselves, only a strictly lower ID displaces us.
@@ -255,13 +241,13 @@ func (r *Router) adoptCore(group packet.GroupID, core packet.NodeID) bool {
 	switch {
 	case b == nil || !r.coreFresh(b):
 		if b != nil && b.core != core {
-			r.handover()
+			r.CoreHandovers++
 		}
 		r.cores[group] = &coreBinding{core: core, lastHeard: now}
 	case core == b.core:
 		b.lastHeard = now
 	case core < b.core:
-		r.handover()
+		r.CoreHandovers++
 		r.cores[group] = &coreBinding{core: core, lastHeard: now}
 	default:
 		return false // live better core already adopted
@@ -270,7 +256,7 @@ func (r *Router) adoptCore(group packet.GroupID, core packet.NodeID) bool {
 	// the winner: if it goes silent, the source reclaims the role.
 	if acting && core < r.ID() {
 		r.StopFlood(group)
-		r.Tracer.Emit(r.ID(), trace.CatCore, "core-stepdown grp=%v core=%v", group, core)
+		r.Tracer.Span(trace.SpanCoreStepdown, r.ID(), from, p)
 		if r.sources[group] {
 			r.armFailover(group)
 		}
@@ -297,8 +283,9 @@ func (r *Router) armFailover(group packet.GroupID) {
 			r.armFailover(group)
 			return
 		}
-		r.handover()
-		r.Tracer.Emit(r.ID(), trace.CatCore, "core-failover grp=%v", group)
+		// In a trace the failover is the originate span of the announce
+		// StartFlood sends at once.
+		r.CoreHandovers++
 		r.StartFlood(group)
 	})
 }

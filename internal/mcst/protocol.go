@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"meshcast/internal/multicast"
-	"meshcast/internal/telemetry"
 )
 
 // Name is the registered protocol name.
@@ -25,17 +24,13 @@ func init() {
 			return nil, fmt.Errorf("mcst: unsupported tuning type %T", tuning)
 		}
 		return New(env.Engine, env.ID, env.Metric, env.Table, params), nil
-	})
+	}, append(policy(Params{}).Counters(), multicast.Counter{
+		Name: Name + ".core_handovers",
+		Read: func(p multicast.Protocol) uint64 { return p.(*Router).CoreHandovers },
+	}))
 }
 
 // Name implements multicast.Protocol.
 func (r *Router) Name() string { return Name }
-
-// AttachTelemetry implements multicast.Protocol, registering the "mcst."
-// instruments on reg: the kernel's set plus MCST's own handover counter.
-func (r *Router) AttachTelemetry(reg *telemetry.Registry) {
-	r.Kernel.AttachTelemetry(reg)
-	r.coreHandovers = reg.Counter(Name + ".core_handovers")
-}
 
 var _ multicast.Protocol = (*Router)(nil)

@@ -30,7 +30,6 @@ import (
 	"meshcast/internal/geom"
 	"meshcast/internal/phy"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
 )
 
 // Model names accepted by Config.Model.
@@ -107,23 +106,6 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
-// Telemetry holds the mover's instruments; the zero value is disabled.
-type Telemetry struct {
-	// Moves counts MoveRadio calls issued; Breaks and Forms count edges of
-	// the link-range neighbor graph lost and gained across ticks.
-	Moves, Breaks, Forms *telemetry.Counter
-}
-
-// NewTelemetry returns mobility instruments under the "mobility." prefix.
-// A nil registry yields the disabled zero value.
-func NewTelemetry(reg *telemetry.Registry) Telemetry {
-	return Telemetry{
-		Moves:  reg.Counter("mobility.moves"),
-		Breaks: reg.Counter("mobility.link_breaks"),
-		Forms:  reg.Counter("mobility.link_forms"),
-	}
-}
-
 // Mover samples a mobility model on a virtual-time ticker and applies the
 // positions to the medium. Create with NewMover, then Start.
 type Mover struct {
@@ -143,16 +125,13 @@ type Mover struct {
 	buckets          map[linkCell][]int32
 	scanned          bool
 
-	// Moves counts MoveRadio calls issued; Breaks and Forms accumulate the
-	// neighbor-graph diff. All three are also mirrored to Telem when enabled.
+	// Moves counts MoveRadio calls issued; Breaks and Forms count edges of
+	// the link-range neighbor graph lost and gained across ticks.
 	Moves, Breaks, Forms uint64
 
 	// OnLinkEvent, when set, observes each tick's neighbor-graph diff
 	// (breaks first). Stats trackers subscribe here.
 	OnLinkEvent func(breaks, forms int, now time.Duration)
-
-	// Telem holds the mover's telemetry instruments (zero value disabled).
-	Telem Telemetry
 }
 
 type linkCell struct{ x, y int32 }
@@ -246,7 +225,6 @@ func (mv *Mover) tick() {
 			if p := mv.model.position(i, now); p != r.Pos {
 				mv.medium.MoveRadio(r, p)
 				mv.Moves++
-				mv.Telem.Moves.Inc()
 			}
 		}
 	}
@@ -305,14 +283,8 @@ func (mv *Mover) scanLinks(now time.Duration) {
 	}
 	mv.scanned = true
 	mv.pairs, mv.prevPairs = mv.prevPairs, cur
-	if breaks > 0 {
-		mv.Breaks += uint64(breaks)
-		mv.Telem.Breaks.Add(uint64(breaks))
-	}
-	if forms > 0 {
-		mv.Forms += uint64(forms)
-		mv.Telem.Forms.Add(uint64(forms))
-	}
+	mv.Breaks += uint64(breaks)
+	mv.Forms += uint64(forms)
 	if mv.OnLinkEvent != nil && (breaks > 0 || forms > 0) {
 		mv.OnLinkEvent(breaks, forms, now)
 	}

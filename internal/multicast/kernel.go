@@ -7,7 +7,6 @@ import (
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -16,11 +15,10 @@ import (
 // control packet accumulating a link-quality path cost, a δ wait before
 // answering along the best-cost upstream, an α window for re-flooding
 // improving duplicates, a reverse-path graft that sets forwarder flags — and
-// a protocol says which packets carry it, how it is timed, and what it is
-// called in traces and telemetry. The kernel never asks which protocol it
-// serves.
+// a protocol says which packets carry it, how it is timed, and what its
+// counters are called. The kernel never asks which protocol it serves.
 type Policy struct {
-	// Name prefixes the telemetry instruments ("<Name>.control_bytes").
+	// Name prefixes the exported counters ("<Name>.control_bytes").
 	Name string
 	// FloodKind is the periodically originated, cost-accumulating flood
 	// (JOIN QUERY, CORE ANNOUNCE); GraftKind the hop-by-hop answer naming an
@@ -47,19 +45,29 @@ type Policy struct {
 	// flood.
 	OriginRelays bool
 
-	// FloodCat and GraftCat are the legacy trace categories; the messages
-	// are the legacy formats, kept verbatim so traces stay comparable
-	// across versions. Arguments: OriginateMsg (group, seq); ForwardMsg
-	// and ForwardDupMsg (group, origin, seq, cost); GraftMsg (group,
-	// origin, seq, next hop); FlagSetMsg (group, from).
-	FloodCat, GraftCat        trace.Category
-	OriginateMsg              string
-	ForwardMsg, ForwardDupMsg string
-	GraftMsg, FlagSetMsg      string
-	// FloodNoun and GraftNoun name the control-plane telemetry counters:
+	// FloodNoun and GraftNoun name the control-plane counters:
 	// "<Name>.<FloodNoun>_originated", "_forwarded",
 	// "<Name>.dup_<FloodNoun>_forwarded" and "<Name>.<GraftNoun>_sent".
 	FloodNoun, GraftNoun string
+}
+
+// Counters is the kernel's part of a protocol's counter export table: every
+// field of Stats, under the policy's name and nouns.
+func (p Policy) Counters() []Counter {
+	stat := func(what string, read func(Stats) uint64) Counter {
+		return Counter{Name: p.Name + "." + what, Read: func(pr Protocol) uint64 { return read(pr.Counters()) }}
+	}
+	return []Counter{
+		stat(p.FloodNoun+"_originated", func(s Stats) uint64 { return s.FloodsOriginated }),
+		stat(p.FloodNoun+"_forwarded", func(s Stats) uint64 { return s.FloodsForwarded }),
+		stat("dup_"+p.FloodNoun+"_forwarded", func(s Stats) uint64 { return s.DupFloodsForwarded }),
+		stat(p.GraftNoun+"_sent", func(s Stats) uint64 { return s.GraftsSent }),
+		stat("control_bytes", func(s Stats) uint64 { return s.ControlBytesSent }),
+		stat("data_originated", func(s Stats) uint64 { return s.DataOriginated }),
+		stat("data_forwarded", func(s Stats) uint64 { return s.DataForwarded }),
+		stat("data_delivered", func(s Stats) uint64 { return s.DataDelivered }),
+		stat("dup_suppressed", func(s Stats) uint64 { return s.DataDuplicates }),
+	}
 }
 
 // Flow keys per-(group, origin) state: a flood round by its origin, a data
@@ -90,18 +98,6 @@ type round struct {
 	grafted        bool
 }
 
-// instruments are the kernel's run-wide telemetry counters, shared by every
-// node on the run. The zero value is fully disabled.
-type instruments struct {
-	floodsOriginated, floodsForwarded, dupFloodsForwarded, graftsSent *telemetry.Counter
-	// dataOriginated, dataForwarded and dataDelivered count data-plane
-	// activity; dupSuppressed counts data copies dropped by the duplicate
-	// window.
-	dataOriginated, dataForwarded, dataDelivered, dupSuppressed *telemetry.Counter
-	// controlBytes counts control bytes handed to the MAC.
-	controlBytes *telemetry.Counter
-}
-
 // Kernel is one node's flood-round, reverse-path and data-plane machinery.
 // A protocol embeds it, which supplies most of the Protocol method set, and
 // adds Name, StartSource, StopSource, Handle and whatever state is its own.
@@ -111,7 +107,8 @@ type Kernel struct {
 	// OnDeliver is called for every data packet delivered to this node as
 	// a group member (first copy only).
 	OnDeliver func(p *packet.Packet, from packet.NodeID)
-	// Tracer, when non-nil, receives protocol events.
+	// Tracer, when non-nil, receives the packet-journey spans of the
+	// routing steps.
 	Tracer *trace.Tracer
 	// OnGraftSent, when non-nil, is called after the MAC accepted a graft
 	// this node sent for flow's round seq toward nextHop.
@@ -123,7 +120,6 @@ type Kernel struct {
 	engine *sim.Engine
 	rng    *sim.RNG
 	policy Policy
-	telem  instruments
 	pm     metric.PathMetric
 	table  *linkquality.Table
 
@@ -194,25 +190,8 @@ func (k *Kernel) SetSend(send func(p *packet.Packet) bool) { k.Send = send }
 // SetOnDeliver installs the member delivery callback.
 func (k *Kernel) SetOnDeliver(fn func(p *packet.Packet, from packet.NodeID)) { k.OnDeliver = fn }
 
-// SetTracer installs the protocol event tracer (nil disables).
+// SetTracer installs the span tracer (nil disables).
 func (k *Kernel) SetTracer(t *trace.Tracer) { k.Tracer = t }
-
-// AttachTelemetry registers the kernel's instruments on reg under the
-// policy's name and nouns. A nil registry yields the disabled zero value.
-func (k *Kernel) AttachTelemetry(reg *telemetry.Registry) {
-	pre, flood := k.policy.Name+".", k.policy.FloodNoun
-	k.telem = instruments{
-		floodsOriginated:   reg.Counter(pre + flood + "_originated"),
-		floodsForwarded:    reg.Counter(pre + flood + "_forwarded"),
-		dupFloodsForwarded: reg.Counter(pre + "dup_" + flood + "_forwarded"),
-		graftsSent:         reg.Counter(pre + k.policy.GraftNoun + "_sent"),
-		dataOriginated:     reg.Counter(pre + "data_originated"),
-		dataForwarded:      reg.Counter(pre + "data_forwarded"),
-		dataDelivered:      reg.Counter(pre + "data_delivered"),
-		dupSuppressed:      reg.Counter(pre + "dup_suppressed"),
-		controlBytes:       reg.Counter(pre + "control_bytes"),
-	}
-}
 
 // Counters returns the counter snapshot.
 func (k *Kernel) Counters() Stats { return k.Stats }
@@ -290,8 +269,6 @@ func (k *Kernel) originate(group packet.GroupID) {
 	}
 	if k.Transmit(f) {
 		k.Stats.FloodsOriginated++
-		k.telem.floodsOriginated.Inc()
-		k.Tracer.Emit(k.id, k.policy.FloodCat, k.policy.OriginateMsg, group, seq)
 		k.Tracer.Span(trace.SpanOriginate, k.id, k.id, f)
 	}
 }
@@ -317,8 +294,6 @@ func (k *Kernel) SendData(group packet.GroupID, payloadBytes int) {
 	k.dupFor(Flow{group, k.id}).Seen(seq)
 	if k.Transmit(p) {
 		k.Stats.DataOriginated++
-		k.telem.dataOriginated.Inc()
-		k.Tracer.Emit(k.id, trace.CatData, "originate grp=%v seq=%d", group, seq)
 		k.Tracer.Span(trace.SpanOriginate, k.id, k.id, p)
 	}
 }
@@ -340,9 +315,7 @@ func (k *Kernel) Transmit(p *packet.Packet) bool {
 		return false
 	}
 	if p.Kind != packet.TypeData {
-		n := uint64(p.SizeBytes())
-		k.Stats.ControlBytesSent += n
-		k.telem.controlBytes.Add(n)
+		k.Stats.ControlBytesSent += uint64(p.SizeBytes())
 	}
 	return true
 }
@@ -434,7 +407,6 @@ func (k *Kernel) HandleFlood(p *packet.Packet, from packet.NodeID, wantsRoute bo
 			return
 		}
 		k.Stats.DupFloodsForwarded++
-		k.telem.dupFloodsForwarded.Inc()
 	}
 	r.forwardedAny = true
 	r.bestForwarded = newCost
@@ -446,13 +418,9 @@ func (k *Kernel) HandleFlood(p *packet.Packet, from packet.NodeID, wantsRoute bo
 	fwd.TTL = p.TTL - 1
 	k.jitterSend(fwd, k.policy.FloodJitter, func() {
 		k.Tracer.Span(trace.SpanForward, k.id, from, fwd)
-		msg := k.policy.ForwardDupMsg
 		if wasFirst {
 			k.Stats.FloodsForwarded++
-			k.telem.floodsForwarded.Inc()
-			msg = k.policy.ForwardMsg
 		}
-		k.Tracer.Emit(k.id, k.policy.FloodCat, msg, fwd.Group, fwd.Src, fwd.Seq, fwd.Cost)
 	})
 }
 
@@ -485,8 +453,6 @@ func (k *Kernel) sendGraft(flow Flow, seq uint32, nextHop packet.NodeID) {
 	}
 	k.jitterSend(graft, k.policy.GraftJitter, func() {
 		k.Stats.GraftsSent++
-		k.telem.graftsSent.Inc()
-		k.Tracer.Emit(k.id, k.policy.GraftCat, k.policy.GraftMsg, flow.Group, flow.Origin, seq, nextHop)
 		k.Tracer.Span(trace.SpanOriginate, k.id, k.id, graft)
 		if k.OnGraftSent != nil {
 			k.OnGraftSent(flow, seq, nextHop, graft)
@@ -510,7 +476,7 @@ func (k *Kernel) HandleGraft(p *packet.Packet, from packet.NodeID) {
 		now := k.engine.Now()
 		if until := now + k.policy.FlagTimeout; until > k.flagUntil[p.Group] {
 			if now >= k.flagUntil[p.Group] {
-				k.Tracer.Emit(k.id, k.policy.GraftCat, k.policy.FlagSetMsg, p.Group, from)
+				k.Tracer.Span(trace.SpanFlagSet, k.id, from, p)
 			}
 			k.flagUntil[p.Group] = until
 		}
@@ -535,16 +501,13 @@ func (k *Kernel) HandleData(p *packet.Packet, from packet.NodeID) {
 	}
 	if k.dupFor(Flow{p.Group, p.Src}).Seen(p.Seq) {
 		k.Stats.DataDuplicates++
-		k.telem.dupSuppressed.Inc()
 		k.Tracer.Span(trace.SpanDupSuppress, k.id, from, p)
 		return
 	}
 	carried := false
 	if k.members[p.Group] {
 		k.Stats.DataDelivered++
-		k.telem.dataDelivered.Inc()
 		carried = true
-		k.Tracer.Emit(k.id, trace.CatData, "deliver grp=%v src=%v seq=%d from=%v", p.Group, p.Src, p.Seq, from)
 		k.Tracer.Span(trace.SpanDeliver, k.id, from, p)
 		if k.OnDeliver != nil {
 			k.OnDeliver(p, from)
@@ -558,8 +521,6 @@ func (k *Kernel) HandleData(p *packet.Packet, from packet.NodeID) {
 		carried = true
 		k.jitterSend(fwd, k.policy.DataJitter, func() {
 			k.Stats.DataForwarded++
-			k.telem.dataForwarded.Inc()
-			k.Tracer.Emit(k.id, trace.CatData, "forward grp=%v src=%v seq=%d", fwd.Group, fwd.Src, fwd.Seq)
 			k.Tracer.Span(trace.SpanForward, k.id, from, fwd)
 		})
 	}

@@ -4,7 +4,7 @@
 // the in-tree protocols embed (kernel.go): per-(group, origin) rounds with
 // best-cost upstream tracking, the δ graft timer and α re-flood window,
 // reverse-path grafts and forwarder flags, the data plane with its
-// duplicate-suppression window, and the common counters and telemetry.
+// duplicate-suppression window, and the common counters.
 //
 // The node assembly, traffic generators, experiment harness, and live
 // testbed all depend only on this package; concrete protocols (mesh-based
@@ -19,7 +19,6 @@ import (
 
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
-	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -119,12 +118,8 @@ type Protocol interface {
 	SetSend(send func(p *packet.Packet) bool)
 	// SetOnDeliver installs the member delivery callback (first copy only).
 	SetOnDeliver(fn func(p *packet.Packet, from packet.NodeID))
-	// SetTracer installs the protocol event tracer (nil disables).
+	// SetTracer installs the packet-journey span tracer (nil disables).
 	SetTracer(t *trace.Tracer)
-	// AttachTelemetry wires the protocol's run-wide instruments, registered
-	// under a "<name>." prefix, to reg. All nodes built against the same
-	// registry share one counter set.
-	AttachTelemetry(reg *telemetry.Registry)
 
 	// Counters returns the protocol-independent counter snapshot.
 	Counters() Stats

@@ -30,25 +30,44 @@ type Env struct {
 // of a foreign type with an error rather than ignore them.
 type Factory func(env Env, tuning any) (Protocol, error)
 
-var factories = map[string]Factory{}
+// Counter is one line of a protocol's counter export table: the name the
+// count is recorded under ("<protocol>.<what>") and how to read it from one
+// node's instance. Whoever holds the instances — the run driver, a live
+// fleet — sums Read over them; the protocol only increments its own fields.
+type Counter struct {
+	Name string
+	Read func(Protocol) uint64
+}
 
-// Register installs a protocol factory under name. It panics on a duplicate
-// or empty name — registration happens in package init and a collision is a
-// programming error.
-func Register(name string, f Factory) {
+// registration is what Register was given for one protocol name.
+type registration struct {
+	factory  Factory
+	counters []Counter
+}
+
+var registered = map[string]registration{}
+
+// Register installs a protocol factory and the protocol's counter export
+// table under name. It panics on a duplicate or empty name — registration
+// happens in package init and a collision is a programming error.
+func Register(name string, f Factory, counters []Counter) {
 	if name == "" || f == nil {
 		panic("multicast: Register with empty name or nil factory")
 	}
-	if _, dup := factories[name]; dup {
+	if _, dup := registered[name]; dup {
 		panic("multicast: duplicate protocol " + name)
 	}
-	factories[name] = f
+	registered[name] = registration{f, counters}
 }
+
+// Counters returns the counter export table of a registered protocol; Read
+// takes an instance of that protocol.
+func Counters(name string) []Counter { return registered[name].counters }
 
 // Names returns the registered protocol names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(factories))
-	for name := range factories {
+	out := make([]string, 0, len(registered))
+	for name := range registered {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -62,7 +81,7 @@ func Resolve(name string) (string, error) {
 	if name == "" {
 		name = Default
 	}
-	if _, ok := factories[name]; !ok {
+	if _, ok := registered[name]; !ok {
 		return "", fmt.Errorf("unknown protocol %q (registered: %s)", name, namesList())
 	}
 	return name, nil
@@ -74,7 +93,7 @@ func New(name string, env Env, tuning any) (Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return factories[name](env, tuning)
+	return registered[name].factory(env, tuning)
 }
 
 func namesList() string {

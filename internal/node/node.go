@@ -16,7 +16,6 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/phy"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
 )
 
@@ -41,12 +40,8 @@ type Config struct {
 	TableStaleAfter time.Duration
 	// WindowSize is the probe loss-window length.
 	WindowSize int
-	// Tracer, when non-nil, receives this node's protocol events.
+	// Tracer, when non-nil, receives this node's packet-journey spans.
 	Tracer *trace.Tracer
-	// Telemetry, when non-nil, wires every layer's instruments to this
-	// registry. All nodes built against the same registry share the same
-	// run-wide counters.
-	Telemetry *telemetry.Registry
 }
 
 // DefaultConfig returns the paper's configuration for a given metric. The
@@ -120,17 +115,6 @@ func New(engine *sim.Engine, medium *phy.Medium, id packet.NodeID, pos geom.Poin
 	m.Tracer = cfg.Tracer
 	medium.Tracer = cfg.Tracer
 	m.Deliver = n.dispatch
-	if reg := cfg.Telemetry; reg != nil {
-		// Get-or-create semantics make these idempotent: every node on the
-		// run shares one set of counters per layer, and re-assigning the
-		// medium's instruments on each node is harmless.
-		medium.Telem = phy.NewTelemetry(reg)
-		m.Telem = mac.NewTelemetry(reg)
-		lq := linkquality.NewTelemetry(reg)
-		table.Telem = lq
-		prober.Telem = lq
-		router.AttachTelemetry(reg)
-	}
 	return n, nil
 }
 

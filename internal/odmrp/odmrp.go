@@ -29,8 +29,6 @@ import (
 	"meshcast/internal/multicast"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
-	"meshcast/internal/trace"
 )
 
 // Params configures the protocol.
@@ -120,13 +118,6 @@ func policy(params Params) multicast.Policy {
 		FloodJitter:   params.QueryJitter,
 		GraftJitter:   params.ReplyJitter,
 		DataJitter:    params.DataJitter,
-		FloodCat:      trace.CatQuery,
-		GraftCat:      trace.CatReply,
-		OriginateMsg:  "originate grp=%v seq=%d",
-		ForwardMsg:    "forward grp=%v src=%v seq=%d cost=%.4g",
-		ForwardDupMsg: "forward-dup grp=%v src=%v seq=%d cost=%.4g",
-		GraftMsg:      "reply grp=%v src=%v seq=%d nexthop=%v",
-		FlagSetMsg:    "fg-set grp=%v (from %v)",
 		FloodNoun:     "queries",
 		GraftNoun:     "replies",
 	}
@@ -142,8 +133,6 @@ type Router struct {
 	engine  *sim.Engine
 	params  Params
 	pending map[multicast.Flow]*pendingReply
-	// replyRetransmits is the run-wide "odmrp.reply_retransmits" counter.
-	replyRetransmits *telemetry.Counter
 }
 
 // New creates a router for node id using path metric pm and neighbor table
@@ -238,11 +227,10 @@ func (r *Router) replyAckTimeout(flow multicast.Flow, p *pendingReply) {
 		return
 	}
 	p.attempts++
+	// The clone keeps the reply's trace ID: in a trace a retransmission is a
+	// second mac-tx of the same packet at this node.
 	if r.Transmit(p.pkt.Clone()) {
 		r.ReplyRetransmits++
-		r.replyRetransmits.Inc()
-		r.Tracer.Emit(r.ID(), trace.CatReply, "reply-retx grp=%v src=%v seq=%d attempt=%d",
-			flow.Group, flow.Origin, p.seq, p.attempts)
 	}
 	p.timer = r.engine.Schedule(r.params.ReplyAckTimeout, func() { r.replyAckTimeout(flow, p) })
 }

@@ -5,7 +5,6 @@ import (
 
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
-	"meshcast/internal/telemetry"
 )
 
 // Name is the registered protocol name.
@@ -36,17 +35,13 @@ func init() {
 			return nil, fmt.Errorf("odmrp: unsupported tuning type %T", tuning)
 		}
 		return New(env.Engine, env.ID, env.Metric, env.Table, params), nil
-	})
+	}, append(policy(Params{}).Counters(), multicast.Counter{
+		Name: Name + ".reply_retransmits",
+		Read: func(p multicast.Protocol) uint64 { return p.(*Router).ReplyRetransmits },
+	}))
 }
 
 // Name implements multicast.Protocol.
 func (r *Router) Name() string { return Name }
-
-// AttachTelemetry implements multicast.Protocol, registering the "odmrp."
-// instruments on reg: the kernel's set plus ODMRP's own retransmit counter.
-func (r *Router) AttachTelemetry(reg *telemetry.Registry) {
-	r.Kernel.AttachTelemetry(reg)
-	r.replyRetransmits = reg.Counter(Name + ".reply_retransmits")
-}
 
 var _ multicast.Protocol = (*Router)(nil)

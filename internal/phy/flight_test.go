@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/propagation"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
 )
 
 // edgePerEvent is the reference medium for the delivery path: every leading
@@ -55,8 +53,8 @@ func edgePerEvent(m *Medium) (afterTransmit func()) {
 
 // TestMergedDeliveryMatchesEdgePerEvent replays one storm on a production
 // medium and on the edge-per-event reference and requires the same run:
-// delivery trace, carrier-sense edges, per-radio stats, telemetry counters,
-// event count, final clock. The storm has every RNG consumer of the transmit
+// delivery trace, carrier-sense edges, per-radio stats (capture wins,
+// radio-down drops and moves among them), event count, final clock. The storm has every RNG consumer of the transmit
 // path (Rayleigh fading, a probabilistic impairment), bursts of eight frames
 // started within a frame time of each other so that their cursors interleave
 // edge by edge (two of them at the same instant), lone frames that decode cleanly, radios that answer a decoded
@@ -71,8 +69,6 @@ func TestMergedDeliveryMatchesEdgePerEvent(t *testing.T) {
 	run := func(reference bool) outcome {
 		engine := sim.NewEngine(7)
 		medium := NewMedium(engine, propagation.NewTwoRay(), propagation.Rayleigh{}, DefaultParams())
-		reg := telemetry.NewRegistry()
-		medium.Telem = NewTelemetry(reg)
 		afterTransmit := func() {}
 		if reference {
 			afterTransmit = edgePerEvent(medium)
@@ -139,15 +135,6 @@ func TestMergedDeliveryMatchesEdgePerEvent(t *testing.T) {
 		engine.RunAll()
 		for _, r := range radios {
 			fmt.Fprintf(&log, "radio %d: %+v\n", r.ID, r.Stats)
-		}
-		counters := reg.Snapshot().Counters
-		names := make([]string, 0, len(counters))
-		for name := range counters {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		for _, name := range names {
-			fmt.Fprintf(&log, "%s=%d\n", name, counters[name])
 		}
 		fmt.Fprintf(&log, "events=%d now=%v\n", engine.Processed, engine.Now())
 		if len(medium.air) != 0 || medium.edge.Pending() {

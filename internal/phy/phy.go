@@ -125,12 +125,8 @@ type Medium struct {
 	// (packet capture, statistics).
 	OnTransmit func(at time.Duration, f *packet.Frame)
 
-	// Telem holds the medium-wide telemetry instruments, shared by every
-	// attached radio. The zero value is disabled.
-	Telem Telemetry
-
 	// Tracer emits packet-journey spans for decoded arrivals (nil
-	// disables). Shared by every attached radio, like Telem.
+	// disables). Shared by every attached radio.
 	Tracer *trace.Tracer
 }
 
@@ -233,7 +229,7 @@ func (m *Medium) MoveRadio(r *Radio, pos geom.Point) {
 		m.grid.move(r, pos)
 	}
 	r.Pos = pos
-	m.Telem.RadioMoves.Inc()
+	r.Stats.RadioMoves++
 	m.invalidateLinksMoved(r, old)
 }
 
@@ -322,6 +318,18 @@ type RadioStats struct {
 	BelowThreshold uint64
 	// HalfDuplexLoss counts frames that arrived while transmitting.
 	HalfDuplexLoss uint64
+	// CaptureWins counts decodes that survived overlapping interference via
+	// capture.
+	CaptureWins uint64
+	// RadioDownDrops counts frames the radio would have handled had it not
+	// been powered off: transmissions it discarded, plus arrivals at or
+	// above the receive threshold that passed through undecoded.
+	// Sub-threshold arrivals at a down radio are not counted — they would
+	// have been lost regardless of power state (those count as
+	// BelowThreshold when the radio is up).
+	RadioDownDrops uint64
+	// RadioMoves counts position changes applied through MoveRadio.
+	RadioMoves uint64
 }
 
 // Radio is one node's half-duplex transceiver.
@@ -394,12 +402,11 @@ func (r *Radio) Down() bool { return r.down }
 // powered-off radio silently discards the frame (zero airtime).
 func (r *Radio) Transmit(f *packet.Frame) time.Duration {
 	if r.down {
-		r.medium.Telem.RadioDownDrops.Inc()
+		r.Stats.RadioDownDrops++
 		return 0
 	}
 	airtime := r.medium.params.AirTime(f.SizeBytes())
 	r.Stats.FramesSent++
-	r.medium.Telem.FramesSent.Inc()
 	if end := r.medium.engine.Now() + airtime; end > r.txUntil {
 		r.txUntil = end
 	}
@@ -407,7 +414,6 @@ func (r *Radio) Transmit(f *packet.Frame) time.Duration {
 	if r.locked != nil {
 		r.locked.corrupted = true
 		r.Stats.HalfDuplexLoss++
-		r.medium.Telem.HalfDuplexLoss.Inc()
 		r.locked = nil
 	}
 	r.medium.transmit(r, f, airtime)
@@ -450,29 +456,26 @@ func (r *Radio) beginArrival(a *arrival) {
 		// lost with the radio up too (see docs/OBSERVABILITY.md).
 		a.corrupted = true
 		if a.power >= r.medium.params.RxThresholdW {
-			r.medium.Telem.RadioDownDrops.Inc()
+			r.Stats.RadioDownDrops++
 		}
 	case r.transmitting():
 		// Receiver deaf while transmitting.
 		a.corrupted = true
 		r.Stats.HalfDuplexLoss++
-		r.medium.Telem.HalfDuplexLoss.Inc()
 	case a.power < r.medium.params.RxThresholdW:
 		// Too weak to decode; still contributes interference and carrier
 		// sense.
 		a.corrupted = true
 		r.Stats.BelowThreshold++
-		r.medium.Telem.BelowThreshold.Inc()
 	case r.locked == nil:
 		// Try to lock. Existing interference may already drown the frame.
 		interference := r.sensedPower - a.power
 		if interference > 0 && a.power < r.medium.params.CaptureRatio*interference {
 			a.corrupted = true
 			r.Stats.Collisions++
-			r.medium.Telem.Collisions.Inc()
 		} else {
 			if interference > 0 {
-				r.medium.Telem.CaptureWins.Inc()
+				r.Stats.CaptureWins++
 			}
 			r.locked = a
 		}
@@ -485,9 +488,8 @@ func (r *Radio) beginArrival(a *arrival) {
 			r.locked.corrupted = true
 			r.locked = nil
 			r.Stats.Collisions++
-			r.medium.Telem.Collisions.Inc()
 		} else {
-			r.medium.Telem.CaptureWins.Inc()
+			r.Stats.CaptureWins++
 		}
 	}
 
@@ -503,7 +505,6 @@ func (r *Radio) endArrival(a *arrival, f *packet.Frame) {
 		r.locked = nil
 		if !a.corrupted {
 			r.Stats.FramesDelivered++
-			r.medium.Telem.FramesDelivered.Inc()
 			r.medium.Tracer.Span(trace.SpanPhyArrive, r.ID, f.Src, f.Payload)
 			if r.ReceiveFrame != nil {
 				r.ReceiveFrame(f)

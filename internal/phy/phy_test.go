@@ -10,7 +10,6 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/propagation"
 	"meshcast/internal/sim"
-	"meshcast/internal/telemetry"
 )
 
 func newTestMedium(t *testing.T, fading propagation.Fading) (*sim.Engine, *Medium) {
@@ -408,15 +407,6 @@ func TestRadioDown(t *testing.T) {
 	}
 }
 
-// registryMedium is newTestMedium with telemetry instruments attached, so
-// branch tests can assert counter semantics.
-func registryMedium(t *testing.T, fading propagation.Fading) (*sim.Engine, *Medium) {
-	t.Helper()
-	engine, medium := newTestMedium(t, fading)
-	medium.Telem = NewTelemetry(telemetry.NewRegistry())
-	return engine, medium
-}
-
 func TestBeginArrivalBranches(t *testing.T) {
 	p := DefaultParams()
 	strong := p.RxThresholdW * 100
@@ -432,7 +422,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 			name:  "down radio counts decodable arrival as drop",
 			setup: func(_ *sim.Engine, r *Radio) float64 { r.SetDown(true); return strong },
 			check: func(t *testing.T, r *Radio, a *arrival) {
-				if got := r.medium.Telem.RadioDownDrops.Value(); got != 1 {
+				if got := r.Stats.RadioDownDrops; got != 1 {
 					t.Fatalf("RadioDownDrops = %d, want 1", got)
 				}
 				if !a.corrupted || r.locked != nil {
@@ -447,7 +437,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 				// Regression: sub-threshold signals could never have been
 				// decoded, so they must not inflate RadioDownDrops — and a
 				// dead radio does not observe them as BelowThreshold either.
-				if got := r.medium.Telem.RadioDownDrops.Value(); got != 0 {
+				if got := r.Stats.RadioDownDrops; got != 0 {
 					t.Fatalf("RadioDownDrops = %d, want 0 for sub-threshold arrival", got)
 				}
 				if r.Stats.BelowThreshold != 0 {
@@ -516,7 +506,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 				if r.locked == nil || r.locked == a {
 					t.Fatal("locked frame must survive a weak newcomer")
 				}
-				if got := r.medium.Telem.CaptureWins.Value(); got != 1 {
+				if got := r.Stats.CaptureWins; got != 1 {
 					t.Fatalf("CaptureWins = %d, want 1", got)
 				}
 			},
@@ -542,7 +532,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			engine, medium := registryMedium(t, propagation.NoFading{})
+			engine, medium := newTestMedium(t, propagation.NoFading{})
 			r := medium.AttachRadio(0, geom.Point{})
 			power := tc.setup(engine, r)
 			a := &arrival{rx: r, power: power}

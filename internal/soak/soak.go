@@ -17,6 +17,7 @@ import (
 	"meshcast/internal/ctlplane"
 	"meshcast/internal/emu"
 	"meshcast/internal/metric"
+	"meshcast/internal/multicast"
 	"meshcast/internal/telemetry"
 	"meshcast/internal/testbed"
 )
@@ -148,11 +149,16 @@ func New(cfg Config) (*Runner, error) {
 		r.rec = rec
 		// The flight recorder keeps the black box around anomalies: recent
 		// stats windows and supervisor events, dumped into the telemetry
-		// directory when a trigger fires. Its core-handover watch must
-		// touch the registry here, before Run's sampler goroutine starts
-		// reading it — instrument creation mutates the registry map.
+		// directory when a trigger fires. Its core-handover watch reads the
+		// fleet's routers through the line of the protocol's counter export
+		// table the simulator's run driver reads its nodes through; a
+		// protocol without that line (ODMRP) leaves the watch nil.
 		r.flight = telemetry.NewFlightRecorder(cfg.TelemetryDir, 0)
-		r.coreWatch = telemetry.NewCounterWatch(rec.Registry().Counter("mcst.core_handovers"))
+		for _, c := range multicast.Counters(fleet.Protocol()) {
+			if c.Name == "mcst.core_handovers" {
+				r.coreWatch = telemetry.NewCounterWatch(func() uint64 { return fleet.SumRouters(c.Read) })
+			}
+		}
 	}
 	return r, nil
 }

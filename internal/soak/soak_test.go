@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"meshcast/internal/ctlplane"
+	"meshcast/internal/multicast"
+	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
 )
 
@@ -160,6 +162,45 @@ func TestSoakRotation(t *testing.T) {
 	for i := 1; i < len(series); i++ {
 		if series[i].T < series[i-1].T {
 			t.Fatalf("stitched series out of order at %d: %v after %v", i, series[i].T, series[i-1].T)
+		}
+	}
+}
+
+// TestCoreHandoverWatchReadsTheFleet checks that the flight recorder's
+// core-handover trigger watches the daemons' routers: a handover inside one
+// router shows in the next poll. (It used to watch a registry counter that
+// no live daemon incremented.) The fleet is built but never run; the
+// announces are handed to the router under the daemon's driver lock.
+func TestCoreHandoverWatchReadsTheFleet(t *testing.T) {
+	for _, proto := range []string{"mcst", "odmrp"} {
+		r, err := New(Config{Nodes: 6, Seed: 3, Protocol: proto, TelemetryDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.close()
+		if proto == "odmrp" {
+			if r.coreWatch != nil {
+				t.Fatal("an ODMRP fleet has no cores to watch")
+			}
+			continue
+		}
+		if d := r.coreWatch.Delta(); d != 0 {
+			t.Fatalf("delta before any handover = %d", d)
+		}
+		announce := func(core packet.NodeID) *packet.Packet {
+			return &packet.Packet{Kind: packet.TypeCoreAnnounce, Src: core, PrevHop: core, Group: 1, TTL: 1}
+		}
+		daemon := r.fleet.Daemon(r.fleet.NodeIDs()[0])
+		daemon.ReadRouter(func(router multicast.Protocol) uint64 {
+			router.Handle(announce(901), 901) // adopted
+			router.Handle(announce(900), 900) // a lower ID displaces it
+			return 0
+		})
+		if d := r.coreWatch.Delta(); d != 1 {
+			t.Fatalf("delta after one handover = %d, want 1", d)
+		}
+		if d := r.coreWatch.Delta(); d != 0 {
+			t.Fatalf("repeat delta = %d, want 0", d)
 		}
 	}
 }

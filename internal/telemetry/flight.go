@@ -97,8 +97,7 @@ func (f *FlightRecorder) Record(source, format string, args ...any) {
 // EmitSpan implements trace.SpanSink, so the recorder can retain recent
 // packet-journey spans from a live run.
 func (f *FlightRecorder) EmitSpan(s trace.Span) {
-	f.Record("span", "%s id=%x node=%v peer=%v pkt=%v grp=%v seq=%d hop=%d at=%.4fs",
-		s.Kind, s.TraceID, s.Node, s.Peer, s.PktKind, s.Group, s.Seq, s.Hop, s.At.Seconds())
+	f.Record("span", "%v", s)
 }
 
 // Dumps returns how many anomaly dumps have been written.
@@ -201,30 +200,32 @@ func (d *PDRDipDetector) Observe(pdr float64) bool {
 	return false
 }
 
-// CounterWatch fires whenever a watched counter increments between polls
-// (e.g. mcst.core_handovers: every core failover is anomalous enough to
-// keep the black box).
+// CounterWatch fires whenever a watched count rises between polls (e.g. the
+// fleet's core handovers: every core failover is anomalous enough to keep
+// the black box).
 type CounterWatch struct {
-	c    *Counter
+	read func() uint64
 	last uint64
 }
 
-// NewCounterWatch starts watching c (which may be nil: never fires).
-func NewCounterWatch(c *Counter) *CounterWatch {
-	w := &CounterWatch{c: c}
-	if c != nil {
-		w.last = c.Value()
-	}
-	return w
+// NewCounterWatch starts watching the count read returns; what it reads now
+// is the baseline.
+func NewCounterWatch(read func() uint64) *CounterWatch {
+	return &CounterWatch{read: read, last: read()}
 }
 
-// Delta returns the increment since the previous poll.
+// Delta returns the increment since the previous poll. A count that fell (a
+// sum over daemons, one of which restarted) re-bases the watch and reports
+// zero.
 func (w *CounterWatch) Delta() uint64 {
-	if w == nil || w.c == nil {
+	if w == nil {
 		return 0
 	}
-	v := w.c.Value()
+	v := w.read()
 	d := v - w.last
+	if v < w.last {
+		d = 0
+	}
 	w.last = v
 	return d
 }

@@ -137,21 +137,30 @@ func TestPDRDipDetector(t *testing.T) {
 }
 
 func TestCounterWatch(t *testing.T) {
-	if w := NewCounterWatch(nil); w.Delta() != 0 {
+	var nilWatch *CounterWatch
+	if nilWatch.Delta() != 0 {
 		t.Fatal("nil counter watch fired")
 	}
-	reg := NewRegistry()
-	c := reg.Counter("mcst.core_handovers")
-	c.Add(3)
-	w := NewCounterWatch(c) // baseline absorbs pre-existing increments
+	c := uint64(3)
+	w := NewCounterWatch(func() uint64 { return c }) // baseline absorbs pre-existing increments
 	if d := w.Delta(); d != 0 {
 		t.Fatalf("initial delta = %d, want 0", d)
 	}
-	c.Add(2)
+	c += 2
 	if d := w.Delta(); d != 2 {
 		t.Fatalf("delta = %d, want 2", d)
 	}
 	if d := w.Delta(); d != 0 {
 		t.Fatalf("repeat delta = %d, want 0", d)
+	}
+	// A restarted daemon takes its count out of a fleet-wide sum: the watch
+	// re-bases instead of reporting a wrapped difference.
+	c = 1
+	if d := w.Delta(); d != 0 {
+		t.Fatalf("delta after the count fell = %d, want 0", d)
+	}
+	c++
+	if d := w.Delta(); d != 1 {
+		t.Fatalf("delta after re-basing = %d, want 1", d)
 	}
 }

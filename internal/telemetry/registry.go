@@ -1,9 +1,14 @@
 // Package telemetry is the cross-layer metrics subsystem: a registry of
-// named counters, gauges, and fixed-bucket histograms that every simulation
-// layer (PHY, MAC, ODMRP, link quality, faults, the job harness) instruments
-// itself with, plus a virtual-time sampler that snapshots the registry on a
-// sim-clock interval and a recorder that persists each run as a JSONL time
-// series and a run-manifest JSON.
+// named counters, gauges, and fixed-bucket histograms, plus a virtual-time
+// sampler that snapshots the registry on a sim-clock interval and a recorder
+// that persists each run as a JSONL time series and a run-manifest JSON.
+//
+// The simulation layers (PHY, MAC, link quality, the multicast kernel,
+// mobility) do not hold instruments: each counts into the plain Stats struct
+// of its node, and the run driver (internal/world) exports the sums over the
+// nodes as CounterFuncs read at snapshot time. Instruments proper are for
+// what has no such struct: the job harness, the MAC's queue-depth histogram,
+// the delivered-bytes counter.
 //
 // The design constraint is the same one package trace solves with its nil
 // *Tracer: instrumentation must be free when disabled. Every instrument is
@@ -12,21 +17,17 @@
 // nil *Registry hands out nil instruments. Components therefore hold
 // instrument pointers unconditionally and never test "is telemetry on".
 //
-// Like trace.Sink, instruments follow the single-sim-goroutine contract:
+// Like trace.SpanSink, instruments follow the single-sim-goroutine contract:
 // updates are not synchronized. Callers that update instruments from
 // multiple goroutines (the runner's worker pool) must serialize externally.
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counter is a monotonically increasing event count. A nil Counter discards
 // updates.
 type Counter struct {
-	name string
-	v    uint64
+	v uint64
 }
 
 // Inc adds one.
@@ -54,8 +55,7 @@ func (c *Counter) Value() uint64 {
 // Gauge is a point-in-time value that can move in both directions. A nil
 // Gauge discards updates.
 type Gauge struct {
-	name string
-	v    float64
+	v float64
 }
 
 // Set replaces the gauge's value.
@@ -84,7 +84,6 @@ func (g *Gauge) Value() float64 {
 // registration time. Bucket i counts observations <= Bounds[i]; one implicit
 // overflow bucket counts the rest. A nil Histogram discards observations.
 type Histogram struct {
-	name   string
 	bounds []float64
 	counts []uint64
 	sum    float64
@@ -152,8 +151,8 @@ func (s HistogramSnapshot) Mean() float64 {
 
 // Registry is the run-wide instrument namespace. Instruments are created on
 // first use and shared on every later request for the same name, so each
-// node's MAC (for example) asks for "mac.retries" and they all increment one
-// run-wide counter. A nil *Registry hands out nil instruments, making the
+// node's MAC asks for "mac.queue_depth" and they all observe into one
+// run-wide histogram. A nil *Registry hands out nil instruments, making the
 // zero wiring a no-op everywhere.
 //
 // Names are dotted, layer-first: "mac.retries", "odmrp.fg_size". meshstat
@@ -163,15 +162,19 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	gaugeFuncs map[string]func() float64
+	// counterFuncs are counts kept elsewhere (the per-node Stats structs)
+	// and read at snapshot time.
+	counterFuncs map[string]func() uint64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		gaugeFuncs: make(map[string]func() float64),
+		counters:     make(map[string]*Counter),
+		gauges:       make(map[string]*Gauge),
+		histograms:   make(map[string]*Histogram),
+		gaugeFuncs:   make(map[string]func() float64),
+		counterFuncs: make(map[string]func() uint64),
 	}
 }
 
@@ -183,7 +186,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -197,7 +200,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -215,7 +218,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if !ok {
 		b := make([]float64, len(bounds))
 		copy(b, bounds)
-		h = &Histogram{name: name, bounds: b, counts: make([]uint64, len(b)+1)}
+		h = &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
 		r.histograms[name] = h
 		return h
 	}
@@ -237,8 +240,21 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gaugeFuncs[name] = fn
 }
 
+// CounterFunc registers a callback evaluated at snapshot time for a count
+// whose owner already keeps it: a layer increments a plain field on its hot
+// path and the run driver exports the sum over the nodes under this name.
+// fn must be monotone. Re-registering a name replaces the callback. No-op on
+// a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
+	if r == nil {
+		return
+	}
+	r.counterFuncs[name] = fn
+}
+
 // Snapshot is one point-in-time view of every registered instrument.
-// Gauge-func values appear under Gauges next to the settable gauges.
+// Gauge-func and counter-func values appear under Gauges and Counters next
+// to the settable instruments.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -252,12 +268,15 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Counters:   make(map[string]uint64, len(r.counters)),
+		Counters:   make(map[string]uint64, len(r.counters)+len(r.counterFuncs)),
 		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFuncs)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.v
+	}
+	for name, fn := range r.counterFuncs {
+		s.Counters[name] = fn()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.v
@@ -273,26 +292,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = HistogramSnapshot{Bounds: bounds, Counts: counts, Sum: h.sum, Count: h.n}
 	}
 	return s
-}
-
-// Names returns every registered instrument name, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.histograms))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.gaugeFuncs {
-		out = append(out, n)
-	}
-	for n := range r.histograms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -36,12 +36,10 @@ func TestNilRegistryHandsOutNilInstruments(t *testing.T) {
 		t.Fatal("nil registry returned non-nil instrument")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 })
+	r.CounterFunc("c", func() uint64 { return 1 })
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
-	}
-	if r.Names() != nil {
-		t.Fatal("nil registry Names not nil")
 	}
 }
 
@@ -113,6 +111,22 @@ func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 	v = 5
 	if got := r.Snapshot().Gauges["odmrp.fg_size"]; got != 5 {
 		t.Fatalf("gauge func after update = %v", got)
+	}
+}
+
+// TestCounterFuncEvaluatedAtSnapshot: a counter func reads its owner's count
+// at each snapshot and lands under Counters, not Gauges.
+func TestCounterFuncEvaluatedAtSnapshot(t *testing.T) {
+	r := NewRegistry()
+	n := uint64(1)
+	r.CounterFunc("phy.frames_sent", func() uint64 { return n })
+	snap := r.Snapshot()
+	if _, isGauge := snap.Gauges["phy.frames_sent"]; snap.Counters["phy.frames_sent"] != 1 || isGauge {
+		t.Fatalf("counter func = %v under counters, under gauges %v", snap.Counters["phy.frames_sent"], isGauge)
+	}
+	n = 7
+	if got := r.Snapshot().Counters["phy.frames_sent"]; got != 7 {
+		t.Fatalf("counter func after update = %v", got)
 	}
 }
 

@@ -20,7 +20,9 @@ type SpanKind uint8
 const (
 	// SpanOriginate marks a packet entering the network at its source.
 	SpanOriginate SpanKind = iota + 1
-	// SpanMACTx marks the MAC putting the packet on the air.
+	// SpanMACTx marks the MAC putting the packet on the air. A second one
+	// for the same trace ID at the same node is a retransmission (ODMRP's
+	// passive-ack JOIN REPLY retry).
 	SpanMACTx
 	// SpanMACDrop marks the MAC discarding the packet (queue overflow,
 	// retry exhaustion).
@@ -33,28 +35,34 @@ const (
 	SpanForward
 	// SpanDeliver marks delivery to a group member.
 	SpanDeliver
+	// SpanFlagSet marks a graft (JOIN REPLY, TREE JOIN) raising the
+	// forwarder flag of the node it names, off to on; refreshes of a flag
+	// already set emit nothing.
+	SpanFlagSet
+	// SpanCoreStepdown marks an acting MCST core yielding to the lower-ID
+	// core whose CORE ANNOUNCE this is.
+	SpanCoreStepdown
 )
+
+// spanKindNames are the kinds' names in the JSONL schema and the text form.
+var spanKindNames = [...]string{
+	SpanOriginate:    "originate",
+	SpanMACTx:        "mac-tx",
+	SpanMACDrop:      "mac-drop",
+	SpanPhyArrive:    "phy-arrive",
+	SpanDupSuppress:  "dup-suppress",
+	SpanForward:      "forward",
+	SpanDeliver:      "deliver",
+	SpanFlagSet:      "flag-set",
+	SpanCoreStepdown: "core-stepdown",
+}
 
 // String implements fmt.Stringer.
 func (k SpanKind) String() string {
-	switch k {
-	case SpanOriginate:
-		return "originate"
-	case SpanMACTx:
-		return "mac-tx"
-	case SpanMACDrop:
-		return "mac-drop"
-	case SpanPhyArrive:
-		return "phy-arrive"
-	case SpanDupSuppress:
-		return "dup-suppress"
-	case SpanForward:
-		return "forward"
-	case SpanDeliver:
-		return "deliver"
-	default:
+	if k == 0 || int(k) >= len(spanKindNames) {
 		return fmt.Sprintf("span(%d)", uint8(k))
 	}
+	return spanKindNames[k]
 }
 
 // Span is one typed step in a packet journey. Spans sharing a TraceID
@@ -79,53 +87,20 @@ type Span struct {
 	Hop     uint8
 }
 
+// String renders the span as one line of the `meshsim -trace` stream and of
+// a flight-recorder dump: time, node, step, then the packet it happened to
+// and the neighbor it came from (the node itself where there is none):
+//
+//	20.0312s n7    flag-set      TREE_JOIN grp=g1 seq=0 hop=0 from=n12 id=d0000000003
+func (s Span) String() string {
+	return fmt.Sprintf("%10.4fs %-5v %-13v %v grp=%v seq=%d hop=%d from=%v id=%x",
+		s.At.Seconds(), s.Node, s.Kind, s.PktKind, s.Group, s.Seq, s.Hop, s.Peer, s.TraceID)
+}
+
 // SpanSink consumes spans. Implementations run on the single simulation
 // goroutine (or a single daemon receive loop); the Tracer adds no locking.
 type SpanSink interface {
 	EmitSpan(s Span)
-}
-
-// SetSpanSink enables span tracing through s (nil disables it again).
-func (t *Tracer) SetSpanSink(s SpanSink) {
-	t.spans = s
-}
-
-// SpanEnabled reports whether span tracing is active. The nil receiver is
-// valid, so hot paths pay one check.
-func (t *Tracer) SpanEnabled() bool {
-	return t != nil && t.spans != nil
-}
-
-// NewTraceID allocates a trace ID for a packet originated by node, or 0
-// when span tracing is disabled (zero means "untraced" on the wire). The
-// node occupies the high bits so IDs from independently-counting live
-// daemons never collide.
-func (t *Tracer) NewTraceID(node packet.NodeID) uint64 {
-	if !t.SpanEnabled() {
-		return 0
-	}
-	t.nextTraceID++
-	return (uint64(node)+1)<<40 | t.nextTraceID
-}
-
-// Span records one journey step for the packet p. It is a no-op on a nil
-// tracer, a disabled span sink, or an untraced packet (TraceID zero), and
-// allocates nothing in those cases.
-func (t *Tracer) Span(kind SpanKind, node, peer packet.NodeID, p *packet.Packet) {
-	if t == nil || t.spans == nil || p == nil || p.TraceID == 0 {
-		return
-	}
-	t.spans.EmitSpan(Span{
-		At:      t.now(),
-		Kind:    kind,
-		TraceID: p.TraceID,
-		Node:    node,
-		Peer:    peer,
-		PktKind: p.Kind,
-		Group:   p.Group,
-		Seq:     p.Seq,
-		Hop:     p.HopCount,
-	})
 }
 
 // SpanBuffer is a SpanSink retaining spans in memory (bounded), for tests,
@@ -174,15 +149,13 @@ type spanRecord struct {
 	Hop  uint8   `json:"hop"`
 }
 
-var spanKindByName = map[string]SpanKind{
-	SpanOriginate.String():   SpanOriginate,
-	SpanMACTx.String():       SpanMACTx,
-	SpanMACDrop.String():     SpanMACDrop,
-	SpanPhyArrive.String():   SpanPhyArrive,
-	SpanDupSuppress.String(): SpanDupSuppress,
-	SpanForward.String():     SpanForward,
-	SpanDeliver.String():     SpanDeliver,
-}
+var spanKindByName = func() map[string]SpanKind {
+	m := make(map[string]SpanKind)
+	for k := SpanOriginate; int(k) < len(spanKindNames); k++ {
+		m[spanKindNames[k]] = k
+	}
+	return m
+}()
 
 var pktTypeByName = func() map[string]packet.Type {
 	m := make(map[string]packet.Type)

@@ -16,24 +16,15 @@ import (
 
 func spanTracer(sink SpanSink) (*Tracer, *time.Duration) {
 	now := new(time.Duration)
-	t := New(nil, func() time.Duration { return *now })
-	t.SetSpanSink(sink)
-	return t, now
+	return New(sink, func() time.Duration { return *now }), now
 }
 
 func TestSpanNilSafety(t *testing.T) {
-	var nilTracer *Tracer
 	p := &packet.Packet{TraceID: 1}
-	nilTracer.Span(SpanMACTx, 1, 2, p) // must not panic
-	if nilTracer.SpanEnabled() {
-		t.Fatal("nil tracer reports spans enabled")
-	}
-	if id := nilTracer.NewTraceID(3); id != 0 {
-		t.Fatalf("nil tracer allocated trace ID %d, want 0", id)
-	}
-
-	// A tracer without a span sink behaves the same.
-	noSink := New(nil, func() time.Duration { return 0 })
+	// A tracer without a span sink behaves like a nil tracer, also after
+	// its sink is taken away again.
+	noSink := New(&SpanBuffer{}, func() time.Duration { return 0 })
+	noSink.SetSpanSink(nil)
 	noSink.Span(SpanMACTx, 1, 2, p)
 	if noSink.SpanEnabled() {
 		t.Fatal("sink-less tracer reports spans enabled")
@@ -140,6 +131,10 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 			PktKind: packet.TypeData, Group: 2, Seq: 17, Hop: 1},
 		{At: 1600 * time.Millisecond, Kind: SpanDeliver, TraceID: 0x42, Node: 4, Peer: 4,
 			PktKind: packet.TypeTreeJoin, Group: 2, Seq: 17, Hop: 2},
+		{At: 1601 * time.Millisecond, Kind: SpanFlagSet, TraceID: 0x43, Node: 5, Peer: 4,
+			PktKind: packet.TypeTreeJoin, Group: 2, Seq: 17, Hop: 0},
+		{At: 1602 * time.Millisecond, Kind: SpanCoreStepdown, TraceID: 0x44, Node: 6, Peer: 5,
+			PktKind: packet.TypeCoreAnnounce, Group: 2, Seq: 18, Hop: 1},
 	}
 	for _, s := range want {
 		w.EmitSpan(s)
@@ -459,7 +454,12 @@ func buildJourneySpans() []Span {
 }
 
 func TestReconstructJourney(t *testing.T) {
-	js := Reconstruct(buildJourneySpans())
+	// The two kinds that record a protocol state change on a packet's way
+	// are not journey steps: with them in, every count below is unchanged.
+	spans := append(buildJourneySpans(),
+		Span{At: 15 * time.Millisecond, Kind: SpanFlagSet, TraceID: 0x99, Node: 2, Peer: 1, PktKind: packet.TypeData, Group: 1, Seq: 5},
+		Span{At: 15 * time.Millisecond, Kind: SpanCoreStepdown, TraceID: 0x99, Node: 2, Peer: 1, PktKind: packet.TypeData, Group: 1, Seq: 5})
+	js := Reconstruct(spans)
 	if len(js) != 1 {
 		t.Fatalf("got %d journeys, want 1", len(js))
 	}

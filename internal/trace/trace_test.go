@@ -4,95 +4,30 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-func fixedNow(d time.Duration) func() time.Duration {
-	return func() time.Duration { return d }
-}
+	"meshcast/internal/packet"
+)
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(1, CatData, "should not panic %d", 42)
-	if tr.Enabled(CatData) {
-		t.Fatal("nil tracer reports enabled")
+	tr.Span(SpanMACTx, 1, 2, &packet.Packet{TraceID: 1}) // must not panic
+	if tr.SpanEnabled() {
+		t.Fatal("nil tracer reports spans enabled")
+	}
+	if id := tr.NewTraceID(3); id != 0 {
+		t.Fatalf("nil tracer allocated trace ID %d, want 0", id)
 	}
 }
 
-func TestTracerAllCategoriesByDefault(t *testing.T) {
-	var buf Buffer
-	tr := New(&buf, fixedNow(time.Second))
-	for _, c := range []Category{CatQuery, CatReply, CatData, CatCore, CatJoin} {
-		if !tr.Enabled(c) {
-			t.Fatalf("category %v not enabled by default", c)
-		}
-		tr.Emit(3, c, "hello")
+// TestSpanString pins the one text form of a span, the `meshsim -trace` line.
+func TestSpanString(t *testing.T) {
+	s := Span{At: 12345600 * time.Microsecond, Kind: SpanFlagSet, TraceID: 0xd0000000003, Node: 7, Peer: 12,
+		PktKind: packet.TypeTreeJoin, Group: 1, Seq: 3, Hop: 2}
+	const want = "   12.3456s n7    flag-set      TREE_JOIN grp=g1 seq=3 hop=2 from=n12 id=d0000000003"
+	if got := s.String(); got != want {
+		t.Fatalf("String() =\n%q, want\n%q", got, want)
 	}
-	if got := len(buf.Events()); got != 5 {
-		t.Fatalf("events = %d, want 5", got)
-	}
-}
-
-func TestTracerCategoryFilter(t *testing.T) {
-	var buf Buffer
-	tr := New(&buf, fixedNow(0), CatData)
-	tr.Emit(1, CatQuery, "filtered")
-	tr.Emit(1, CatData, "kept")
-	events := buf.Events()
-	if len(events) != 1 || events[0].Cat != CatData {
-		t.Fatalf("events = %v", events)
-	}
-	if tr.Enabled(CatQuery) {
-		t.Fatal("CatQuery should be filtered")
-	}
-}
-
-func TestEventString(t *testing.T) {
-	e := Event{At: 12345600 * time.Microsecond, Node: 7, Cat: CatQuery, Msg: "forward seq=3"}
-	s := e.String()
-	for _, want := range []string{"12.3456", "n7", "QUERY", "forward seq=3"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
-		}
-	}
-}
-
-func TestWriterSink(t *testing.T) {
-	var sb strings.Builder
-	tr := New(Writer{W: &sb}, fixedNow(time.Second))
-	tr.Emit(2, CatData, "sent %d bytes", 512)
-	if !strings.Contains(sb.String(), "sent 512 bytes") || !strings.Contains(sb.String(), "DATA") {
-		t.Fatalf("writer output = %q", sb.String())
-	}
-}
-
-func TestBufferCapAndDropped(t *testing.T) {
-	buf := Buffer{Cap: 2}
-	tr := New(&buf, fixedNow(0))
-	for i := 0; i < 5; i++ {
-		tr.Emit(1, CatData, "e%d", i)
-	}
-	if len(buf.Events()) != 2 {
-		t.Fatalf("retained = %d, want 2", len(buf.Events()))
-	}
-	if buf.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", buf.Dropped())
-	}
-}
-
-func TestBufferCountByCategory(t *testing.T) {
-	var buf Buffer
-	tr := New(&buf, fixedNow(0))
-	tr.Emit(1, CatData, "a")
-	tr.Emit(1, CatData, "b")
-	tr.Emit(1, CatQuery, "c")
-	counts := buf.CountByCategory()
-	if counts[CatData] != 2 || counts[CatQuery] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestCategoryStrings(t *testing.T) {
-	if CatQuery.String() != "QUERY" || Category(99).String() != "CAT(99)" {
-		t.Fatal("category strings wrong")
+	if got := SpanKind(99).String(); got != "span(99)" || !strings.HasPrefix(SpanKind(0).String(), "span(") {
+		t.Fatalf("unknown kinds render as %q and %q", got, SpanKind(0))
 	}
 }

@@ -35,9 +35,8 @@ type Config struct {
 	Seed uint64
 	// Fading selects the fading model; nil means Rayleigh (the paper's).
 	Fading propagation.Fading
-	// Node is the template every AddNode builds from. Its Tracer and
-	// Telemetry are set through SetTracer and Instrument, which need the
-	// world's engine to exist first.
+	// Node is the template every AddNode builds from. Its Tracer is set
+	// through SetTracer, which needs the world's engine to exist first.
 	Node node.Config
 	// PayloadBytes and SendInterval shape every CBR flow; each packet is
 	// jittered by a tenth of the interval.
@@ -89,7 +88,10 @@ type World struct {
 	// warmupProbeBytes is what the probers had sent when the measurement
 	// window opened (MeasureFrom); zero when it never did.
 	warmupProbeBytes uint64
-	dataBytes        *telemetry.Counter
+	// dataBytes and queueDepth are the two instruments with no per-node
+	// field behind them; nil until Instrument.
+	dataBytes  *telemetry.Counter
+	queueDepth *telemetry.Histogram
 }
 
 // New builds an empty world: an engine on cfg.Seed and a two-ray medium
@@ -112,28 +114,73 @@ func New(cfg Config) *World {
 // SetTracer hands every node added from now on the tracer.
 func (w *World) SetTracer(t *trace.Tracer) { w.cfg.Node.Tracer = t }
 
-// Instrument wires every node added from now on to reg and registers the
-// run-level instruments, once. Call it before adding nodes: each node wires
-// its layers at creation.
+// counters is the export table of the per-node counts: the name a count is
+// recorded under and the field behind it. The layers only increment the
+// field; a run's registry reads each name as the sum over the nodes at
+// snapshot time. The routing protocol's lines come from multicast.Counters.
+var counters = []struct {
+	name string
+	read func(*node.Node) uint64
+}{
+	{"phy.frames_sent", func(n *node.Node) uint64 { return n.Radio.Stats.FramesSent }},
+	{"phy.frames_delivered", func(n *node.Node) uint64 { return n.Radio.Stats.FramesDelivered }},
+	{"phy.collisions", func(n *node.Node) uint64 { return n.Radio.Stats.Collisions }},
+	{"phy.capture_wins", func(n *node.Node) uint64 { return n.Radio.Stats.CaptureWins }},
+	{"phy.below_threshold", func(n *node.Node) uint64 { return n.Radio.Stats.BelowThreshold }},
+	{"phy.half_duplex_loss", func(n *node.Node) uint64 { return n.Radio.Stats.HalfDuplexLoss }},
+	{"phy.radio_down_drops", func(n *node.Node) uint64 { return n.Radio.Stats.RadioDownDrops }},
+	{"phy.radio_moves", func(n *node.Node) uint64 { return n.Radio.Stats.RadioMoves }},
+	{"mac.backoffs", func(n *node.Node) uint64 { return n.MAC.Stats.Backoffs }},
+	{"mac.retries", func(n *node.Node) uint64 { return n.MAC.Stats.Retries }},
+	{"mac.cts_timeouts", func(n *node.Node) uint64 { return n.MAC.Stats.CTSTimeouts }},
+	{"mac.ack_timeouts", func(n *node.Node) uint64 { return n.MAC.Stats.AckTimeouts }},
+	{"mac.retry_drops", func(n *node.Node) uint64 { return n.MAC.Stats.RetryDrops }},
+	{"mac.enqueued", func(n *node.Node) uint64 { return n.MAC.Stats.Enqueued }},
+	{"mac.queue_drops", func(n *node.Node) uint64 { return n.MAC.Stats.QueueDrops }},
+	{"mac.broadcasts_sent", func(n *node.Node) uint64 { return n.MAC.Stats.BroadcastsSent }},
+	{"mac.unicasts_sent", func(n *node.Node) uint64 { return n.MAC.Stats.UnicastsSent }},
+	{"mac.bytes_sent", func(n *node.Node) uint64 { return n.MAC.Stats.BytesSent }},
+	{"linkquality.probes_sent", func(n *node.Node) uint64 { return n.Prober.Stats.ProbesSent }},
+	{"linkquality.probe_bytes_sent", func(n *node.Node) uint64 { return n.Prober.Stats.BytesSent }},
+	{"linkquality.probes_received", func(n *node.Node) uint64 { return n.Table.Stats.ProbesReceived }},
+	{"linkquality.ewma_updates", func(n *node.Node) uint64 { return n.Table.Stats.EWMAUpdates }},
+}
+
+// sum adds per(n) over the nodes added so far.
+func sum[T int | uint64](w *World, per func(*node.Node) T) T {
+	var total T
+	for _, n := range w.nodes {
+		total += per(n)
+	}
+	return total
+}
+
+// Instrument registers the run-level instruments on reg, once: every
+// per-node count as the sum over the nodes at snapshot time (so they cost
+// the hot path nothing beyond the field increment), the state-size gauges
+// and the simulator's vitals. Call it before adding nodes: a node's MAC is
+// handed the shared queue-depth histogram at creation.
 func (w *World) Instrument(reg *telemetry.Registry) {
-	w.cfg.Node.Telemetry = reg
 	w.dataBytes = reg.Counter("stats.data_bytes_received")
+	w.queueDepth = reg.Histogram("mac.queue_depth", telemetry.DepthBuckets)
 	proto := w.cfg.Node.Protocol
 	if proto == "" {
 		proto = multicast.Default
 	}
-	sum := func(per func(*node.Node) int) func() float64 {
-		return func() float64 {
-			n := 0
-			for _, nd := range w.nodes {
-				n += per(nd)
-			}
-			return float64(n)
-		}
+	for _, c := range counters {
+		reg.CounterFunc(c.name, func() uint64 { return sum(w, c.read) })
+	}
+	for _, c := range multicast.Counters(proto) {
+		reg.CounterFunc(c.Name, func() uint64 {
+			return sum(w, func(n *node.Node) uint64 { return c.Read(n.Router) })
+		})
+	}
+	gauge := func(name string, per func(*node.Node) int) {
+		reg.GaugeFunc(name, func() float64 { return float64(sum(w, per)) })
 	}
 	// Forwarder-set size (forwarding group / shared tree) summed over every
 	// group with a member or a source.
-	reg.GaugeFunc(proto+".fg_size", sum(func(nd *node.Node) int {
+	gauge(proto+".fg_size", func(nd *node.Node) int {
 		n := 0
 		for _, g := range w.groups {
 			if nd.Router.IsForwarder(g.id) {
@@ -141,10 +188,10 @@ func (w *World) Instrument(reg *telemetry.Registry) {
 			}
 		}
 		return n
-	}))
-	reg.GaugeFunc(proto+".rounds", sum(func(nd *node.Node) int { return nd.Router.RoundCount() }))
-	reg.GaugeFunc(proto+".dup_windows", sum(func(nd *node.Node) int { return nd.Router.DupWindowCount() }))
-	reg.GaugeFunc("linkquality.table_entries", sum(func(nd *node.Node) int { return nd.Table.Len() }))
+	})
+	gauge(proto+".rounds", func(nd *node.Node) int { return nd.Router.RoundCount() })
+	gauge(proto+".dup_windows", func(nd *node.Node) int { return nd.Router.DupWindowCount() })
+	gauge("linkquality.table_entries", func(nd *node.Node) int { return nd.Table.Len() })
 	// With this gauge a manifest alone reproduces the probe-overhead figure:
 	// 100 * (probe_bytes_sent - warmup) / data_bytes_received.
 	reg.GaugeFunc("linkquality.probe_bytes_warmup", func() float64 { return float64(w.warmupProbeBytes) })
@@ -162,6 +209,7 @@ func (w *World) AddNode(id packet.NodeID, pos geom.Point) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.MAC.QueueDepth = w.queueDepth
 	n.Router.SetOnDeliver(func(p *packet.Packet, _ packet.NodeID) {
 		now := w.Engine.Now()
 		delay := now - p.SentAt
@@ -269,11 +317,7 @@ func (w *World) MeasureFrom(t time.Duration) {
 }
 
 func (w *World) probeBytesSent() uint64 {
-	var total uint64
-	for _, n := range w.nodes {
-		total += n.Prober.Stats.BytesSent
-	}
-	return total
+	return sum(w, func(n *node.Node) uint64 { return n.Prober.Stats.BytesSent })
 }
 
 // GroupSummary returns the delivery statistics of one group so far.

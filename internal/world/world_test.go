@@ -2,13 +2,17 @@ package world
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
 
 	"meshcast/internal/geom"
+	"meshcast/internal/mcst"
 	"meshcast/internal/metric"
+	"meshcast/internal/multicast"
 	"meshcast/internal/node"
+	"meshcast/internal/odmrp"
 	"meshcast/internal/packet"
 	"meshcast/internal/propagation"
 	"meshcast/internal/telemetry"
@@ -243,6 +247,130 @@ func TestHarvestTotalsAndInstruments(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["odmrp.dup_windows"]; !ok {
 		t.Error("gauge odmrp.dup_windows not registered")
+	}
+}
+
+// TestExportedCountersAreNodeSums runs each protocol on a five-node line that
+// exercises every counted occurrence — two sources (an MCST core election), a
+// crash and restart, a moved radio, packet-pair probing, unicasts that are
+// delivered, time out and exhaust their retries, an overflowing queue — and
+// requires every name under `counters` to equal the sum over the nodes of
+// the field behind it, to be non-zero, and to be listed here.
+func TestExportedCountersAreNodeSums(t *testing.T) {
+	kernel := func(field func(multicast.Stats) uint64) func(*node.Node) uint64 {
+		return func(n *node.Node) uint64 { return field(n.Router.Counters()) }
+	}
+	fields := map[string]func(*node.Node) uint64{
+		"phy.frames_sent":              func(n *node.Node) uint64 { return n.Radio.Stats.FramesSent },
+		"phy.frames_delivered":         func(n *node.Node) uint64 { return n.Radio.Stats.FramesDelivered },
+		"phy.collisions":               func(n *node.Node) uint64 { return n.Radio.Stats.Collisions },
+		"phy.capture_wins":             func(n *node.Node) uint64 { return n.Radio.Stats.CaptureWins },
+		"phy.below_threshold":          func(n *node.Node) uint64 { return n.Radio.Stats.BelowThreshold },
+		"phy.half_duplex_loss":         func(n *node.Node) uint64 { return n.Radio.Stats.HalfDuplexLoss },
+		"phy.radio_down_drops":         func(n *node.Node) uint64 { return n.Radio.Stats.RadioDownDrops },
+		"phy.radio_moves":              func(n *node.Node) uint64 { return n.Radio.Stats.RadioMoves },
+		"mac.backoffs":                 func(n *node.Node) uint64 { return n.MAC.Stats.Backoffs },
+		"mac.retries":                  func(n *node.Node) uint64 { return n.MAC.Stats.Retries },
+		"mac.cts_timeouts":             func(n *node.Node) uint64 { return n.MAC.Stats.CTSTimeouts },
+		"mac.ack_timeouts":             func(n *node.Node) uint64 { return n.MAC.Stats.AckTimeouts },
+		"mac.retry_drops":              func(n *node.Node) uint64 { return n.MAC.Stats.RetryDrops },
+		"mac.enqueued":                 func(n *node.Node) uint64 { return n.MAC.Stats.Enqueued },
+		"mac.queue_drops":              func(n *node.Node) uint64 { return n.MAC.Stats.QueueDrops },
+		"mac.broadcasts_sent":          func(n *node.Node) uint64 { return n.MAC.Stats.BroadcastsSent },
+		"mac.unicasts_sent":            func(n *node.Node) uint64 { return n.MAC.Stats.UnicastsSent },
+		"mac.bytes_sent":               func(n *node.Node) uint64 { return n.MAC.Stats.BytesSent },
+		"linkquality.probes_sent":      func(n *node.Node) uint64 { return n.Prober.Stats.ProbesSent },
+		"linkquality.probe_bytes_sent": func(n *node.Node) uint64 { return n.Prober.Stats.BytesSent },
+		"linkquality.probes_received":  func(n *node.Node) uint64 { return n.Table.Stats.ProbesReceived },
+		"linkquality.ewma_updates":     func(n *node.Node) uint64 { return n.Table.Stats.EWMAUpdates },
+	}
+	protocols := map[string]map[string]func(*node.Node) uint64{
+		"odmrp": {
+			"odmrp.queries_originated":    kernel(func(s multicast.Stats) uint64 { return s.FloodsOriginated }),
+			"odmrp.queries_forwarded":     kernel(func(s multicast.Stats) uint64 { return s.FloodsForwarded }),
+			"odmrp.dup_queries_forwarded": kernel(func(s multicast.Stats) uint64 { return s.DupFloodsForwarded }),
+			"odmrp.replies_sent":          kernel(func(s multicast.Stats) uint64 { return s.GraftsSent }),
+			"odmrp.control_bytes":         kernel(func(s multicast.Stats) uint64 { return s.ControlBytesSent }),
+			"odmrp.data_originated":       kernel(func(s multicast.Stats) uint64 { return s.DataOriginated }),
+			"odmrp.data_forwarded":        kernel(func(s multicast.Stats) uint64 { return s.DataForwarded }),
+			"odmrp.data_delivered":        kernel(func(s multicast.Stats) uint64 { return s.DataDelivered }),
+			"odmrp.dup_suppressed":        kernel(func(s multicast.Stats) uint64 { return s.DataDuplicates }),
+			"odmrp.reply_retransmits":     func(n *node.Node) uint64 { return n.Router.(*odmrp.Router).ReplyRetransmits },
+		},
+		"mcst": {
+			"mcst.announces_originated":    kernel(func(s multicast.Stats) uint64 { return s.FloodsOriginated }),
+			"mcst.announces_forwarded":     kernel(func(s multicast.Stats) uint64 { return s.FloodsForwarded }),
+			"mcst.dup_announces_forwarded": kernel(func(s multicast.Stats) uint64 { return s.DupFloodsForwarded }),
+			"mcst.joins_sent":              kernel(func(s multicast.Stats) uint64 { return s.GraftsSent }),
+			"mcst.control_bytes":           kernel(func(s multicast.Stats) uint64 { return s.ControlBytesSent }),
+			"mcst.data_originated":         kernel(func(s multicast.Stats) uint64 { return s.DataOriginated }),
+			"mcst.data_forwarded":          kernel(func(s multicast.Stats) uint64 { return s.DataForwarded }),
+			"mcst.data_delivered":          kernel(func(s multicast.Stats) uint64 { return s.DataDelivered }),
+			"mcst.dup_suppressed":          kernel(func(s multicast.Stats) uint64 { return s.DataDuplicates }),
+			"mcst.core_handovers":          func(n *node.Node) uint64 { return n.Router.(*mcst.Router).CoreHandovers },
+		},
+	}
+	for proto, own := range protocols {
+		t.Run(proto, func(t *testing.T) {
+			cfg := node.DefaultConfig(metric.PP)
+			cfg.Protocol = proto
+			if proto == "odmrp" {
+				params := odmrp.DefaultParams()
+				params.ReplyRetries = 2
+				cfg.Tuning = &params
+			}
+			w := New(Config{Seed: 1, Node: cfg, PayloadBytes: 512, SendInterval: 50 * time.Millisecond})
+			reg := telemetry.NewRegistry()
+			w.Instrument(reg)
+			for i := 0; i < 5; i++ {
+				if _, err := w.AddNode(packet.NodeID(i), geom.Point{X: float64(i) * 150}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, m := range []packet.NodeID{1, 2, 3} {
+				if err := w.Join(m, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The higher-ID source starts first, so under MCST it is adopted
+			// as core and then displaced.
+			for _, src := range []packet.NodeID{4, 0} {
+				if _, err := w.AddSource(src, 1, time.Duration(14-src)*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nodes := w.Nodes()
+			unicast := func(from int, to packet.NodeID, bytes int) {
+				nodes[from].MAC.SendUnicast(&packet.Packet{Kind: packet.TypeData, Src: packet.NodeID(from), PayloadBytes: bytes}, to)
+			}
+			w.Engine.At(5*time.Second, func() {
+				unicast(0, 1, 512) // RTS/CTS, acknowledged
+				unicast(1, 9, 512) // nobody answers the RTS: retried, then dropped
+				unicast(2, 9, 64)  // below the RTS threshold: the ACK never comes
+				for i := 0; i < 70; i++ {
+					unicast(3, 4, 64) // five more than the queue holds
+				}
+			})
+			w.Engine.At(14*time.Second, nodes[2].Fail)
+			w.Engine.At(17*time.Second, nodes[2].Restore)
+			w.Engine.At(18*time.Second, func() { w.Medium.MoveRadio(nodes[4].Radio, geom.Point{X: 590}) })
+			w.Engine.Run(25 * time.Second)
+
+			fields := maps.Clone(fields)
+			maps.Copy(fields, own)
+			counters := reg.Snapshot().Counters
+			for name, field := range fields {
+				got, ok := counters[name]
+				if want := sum(w, field); !ok || got != want || want == 0 {
+					t.Errorf("%s = %d (exported %v), the node fields sum to %d (want non-zero)", name, got, ok, want)
+				}
+			}
+			for name := range counters {
+				if _, ok := fields[name]; !ok && name != "stats.data_bytes_received" {
+					t.Errorf("%s is exported but has no line in this test", name)
+				}
+			}
+		})
 	}
 }
 

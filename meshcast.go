@@ -182,9 +182,10 @@ func (s *Simulation) AddNode(x, y float64) (NodeID, error) {
 }
 
 // EnableTelemetry attaches a cross-layer metrics registry to the
-// simulation. Call it before adding nodes: each node wires its PHY, MAC,
-// link-quality and routing instruments at creation, so nodes added earlier
-// stay uninstrumented. Safe to call more than once.
+// simulation. Call it before adding nodes: a node's MAC is handed the
+// queue-depth histogram at creation, so nodes added earlier stay out of
+// mac.queue_depth (their counters are read all the same). Safe to call more
+// than once.
 func (s *Simulation) EnableTelemetry() {
 	if s.telem != nil {
 		return
