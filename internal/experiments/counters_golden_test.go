@@ -9,27 +9,17 @@ import (
 
 	"meshcast/internal/metric"
 	"meshcast/internal/mobility"
-	"meshcast/internal/odmrp"
 	"meshcast/internal/telemetry"
 )
 
 // TestGoldenCounters pins the `counters` block a recorded run persists —
 // every name, that it is a counter and not a gauge, and its fixed-seed value
 // — for both protocols and a mobile run on the 50-node scenario. The crash
-// runs are the crash/restart golden's (radio-down drops, core handovers),
-// with ODMRP's reply retransmission switched on so its counter moves too.
+// runs (crashRetryScenario) move the radio-down drops, the core handovers
+// and ODMRP's reply retransmissions.
 // It was written against the per-layer registry instruments and must pass
 // unchanged now that the registry derives the same names from the nodes.
 func TestGoldenCounters(t *testing.T) {
-	crash := func(protocol string) ScenarioConfig {
-		cfg := crashRestartScenario(t, protocol)
-		if protocol == "odmrp" {
-			params := odmrp.DefaultParams()
-			params.ReplyRetries = 2
-			cfg.ODMRP = &params
-		}
-		return cfg
-	}
 	mobile := goldenScenario(t)
 	mobile.Metric = metric.PP // packet pairs, so the EWMA counter moves
 	mobile.Duration = 18 * time.Second
@@ -38,8 +28,8 @@ func TestGoldenCounters(t *testing.T) {
 		name string
 		cfg  ScenarioConfig
 	}{
-		{"odmrp", crash("odmrp")},
-		{"mcst", crash("mcst")},
+		{"odmrp", crashRetryScenario(t, "odmrp")},
+		{"mcst", crashRetryScenario(t, "mcst")},
 		{"waypoint", mobile},
 	} {
 		t.Run(run.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"meshcast/internal/faults"
 	"meshcast/internal/metric"
+	"meshcast/internal/odmrp"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
@@ -190,6 +191,19 @@ func crashRestartScenario(t *testing.T, protocol string) ScenarioConfig {
 		{Node: core, Start: 11 * time.Second, Duration: 15 * time.Second},
 		{Node: cfg.Groups[1].Members[0], Start: 13 * time.Second, Duration: 3 * time.Second},
 	}}
+	return cfg
+}
+
+// crashRetryScenario is crashRestartScenario with, under ODMRP, the
+// passive-ack JOIN REPLY retransmission switched on (two retries).
+func crashRetryScenario(t *testing.T, protocol string) ScenarioConfig {
+	t.Helper()
+	cfg := crashRestartScenario(t, protocol)
+	if protocol == "odmrp" {
+		params := odmrp.DefaultParams()
+		params.ReplyRetries = 2
+		cfg.ODMRP = &params
+	}
 	return cfg
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"meshcast/internal/metric"
-	"meshcast/internal/odmrp"
 	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
@@ -105,12 +104,7 @@ func TestScenarioJourneysReconstruct(t *testing.T) {
 func TestProtocolEventsReadOffSpans(t *testing.T) {
 	for _, protocol := range []string{"odmrp", "mcst"} {
 		t.Run(protocol, func(t *testing.T) {
-			cfg := crashRestartScenario(t, protocol)
-			if protocol == "odmrp" {
-				params := odmrp.DefaultParams()
-				params.ReplyRetries = 2
-				cfg.ODMRP = &params
-			}
+			cfg := crashRetryScenario(t, protocol)
 			rec, err := telemetry.NewRecorder(t.TempDir(), cfg.Duration)
 			if err != nil {
 				t.Fatal(err)

@@ -222,9 +222,9 @@ func (w *CounterWatch) Delta() uint64 {
 		return 0
 	}
 	v := w.read()
-	d := v - w.last
-	if v < w.last {
-		d = 0
+	var d uint64
+	if v > w.last {
+		d = v - w.last
 	}
 	w.last = v
 	return d
