@@ -218,6 +218,9 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 		fmt.Printf("etherd shaping: delay=%v jitter=%v dup=%.3f\n", delay, jitter, dup)
 	}
 
+	// etherd has no fleet and so no run driver: the moment it starts is its
+	// run clock, for the fault script and the schedule loop alike.
+	start := time.Now()
 	var chaos *emu.Chaos
 	if faultScript != "" {
 		nodes, err := scriptNodes(nodesFlag, paperTestbed)
@@ -230,7 +233,7 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 		}
 		chaos, err = emu.NewChaos(emu.ChaosConfig{
 			Plan: plan, Seed: uint64(seed), TimeScale: timeScale,
-		}, nodes)
+		}, nodes, func() time.Duration { return time.Since(start) })
 		if err != nil {
 			return err
 		}
@@ -258,7 +261,7 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 	// daemons).
 	var ctlSrv *http.Server
 	if listen != "" {
-		ctl := &ctlplane.MediumController{LinksTable: links, Ether: m.get, StartedAt: time.Now()}
+		ctl := &ctlplane.MediumController{LinksTable: links, Ether: m.get, StartedAt: start}
 		ln, err := net.Listen("tcp", listen)
 		if err != nil {
 			return fmt.Errorf("control listener: %w", err)
@@ -273,12 +276,10 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 
 	var schedule []emu.ChaosEvent
 	if chaos != nil {
-		chaos.Begin(time.Now())
 		schedule = chaos.Events()
 		fmt.Printf("etherd fault schedule: %d events over %v (time scale %.3g)\n",
 			len(schedule), scheduleSpan(schedule), timeScale)
 	}
-	start := time.Now()
 	next := 0
 
 	ticker := time.NewTicker(100 * time.Millisecond)

@@ -167,11 +167,7 @@ func run(id uint, ether, metricName, protocol, join, source string, rate, payloa
 
 	fmt.Println("final:", daemon.Summary())
 	if len(joinGroups) > 0 {
-		perSource := map[packet.NodeID]int{}
-		for _, p := range daemon.Delivered() {
-			perSource[p.Src]++
-		}
-		for src, n := range perSource {
+		for src, n := range daemon.DeliveredBySource() {
 			fmt.Printf("  received %d packets from source %v\n", n, src)
 		}
 	}

@@ -35,6 +35,7 @@ import (
 	"meshcast/internal/faults"
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 	"meshcast/internal/telemetry"
 	"meshcast/internal/testbed"
 )
@@ -158,7 +159,7 @@ func runMetric(m metric.Kind, plan faults.Plan, seed uint64, timeScale float64, 
 		Seed:      seed,
 		TimeScale: timeScale,
 		Horizon:   time.Duration(float64(wall) / scaleOf(timeScale)),
-	}, fleet.NodeIDs())
+	}, fleet.NodeIDs(), fleet.Driver().Now)
 	if err != nil {
 		fleet.Close()
 		return nil, err
@@ -174,32 +175,22 @@ func runMetric(m metric.Kind, plan faults.Plan, seed uint64, timeScale float64, 
 			return nil, err
 		}
 		emu.InstrumentFleet(rec.Registry(), fleet, chaos, sup)
+		// Sampling is one more ticker on the run engine, beside the
+		// supervisor's schedule and watchdog.
+		engine, sampler := fleet.Driver().Engine(), rec.Sampler()
+		sim.NewTicker(engine, sampler.Interval(), 0, nil, func() { sampler.Sample(engine.Now()) })
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), wall)
-	supDone := make(chan error, 1)
-	go func() { supDone <- sup.Run(ctx) }()
-	var samplerDone chan struct{}
-	if rec != nil {
-		samplerDone = make(chan struct{})
-		go func() {
-			defer close(samplerDone)
-			<-fleet.Started()
-			telemetry.RunWall(ctx, rec.Sampler(), fleet.StartTime())
-		}()
-	}
-
-	start := time.Now()
 	fleet.Run(ctx)
-	elapsed := time.Since(start)
 	cancel()
-	<-supDone
-	if samplerDone != nil {
-		<-samplerDone
+	elapsed := fleet.Driver().Now()
+	if rec != nil {
+		rec.Sampler().Sample(elapsed) // the last partial window
 	}
 
 	res := fleet.Result()
-	rep := sup.Report(elapsed)
+	rep := sup.Report()
 	etherStats := fleet.EtherStats()
 	fleet.Close()
 

@@ -125,9 +125,7 @@ func (c *FleetController) Stats() Stats {
 			Registrations: es.Registrations,
 		},
 	}
-	if start := c.fleet.StartTime(); !start.IsZero() {
-		s.UptimeSeconds = time.Since(start).Seconds()
-	}
+	s.UptimeSeconds = c.fleet.Driver().Now().Seconds()
 	return s
 }
 
@@ -227,11 +225,12 @@ func (c *FleetController) RestartNode(node int) error {
 // InjectScript implements Controller: the script compiles against the
 // fleet's node list (bad scripts fail here with the offending event named),
 // its link faults and partitions join the live impairment chain, and its
-// node/ether events merge into the supervisor's schedule, all offset from
-// the moment of injection.
+// node/ether events merge into the supervisor's schedule, all offset by the
+// run time at the moment of injection.
 func (c *FleetController) InjectScript(req ScriptRequest) (ScriptResult, error) {
-	start := c.fleet.StartTime()
-	if start.IsZero() {
+	now := c.fleet.Driver().Now
+	offset := now()
+	if offset == 0 {
 		return ScriptResult{}, RequestError{Msg: "fleet not running"}
 	}
 	plan, err := faults.ParsePlan(req.Script)
@@ -240,26 +239,19 @@ func (c *FleetController) InjectScript(req ScriptRequest) (ScriptResult, error) 
 	}
 	chaos, err := emu.NewChaos(emu.ChaosConfig{
 		Plan: plan, Seed: req.Seed, TimeScale: req.TimeScale,
-	}, c.fleet.NodeIDs())
+	}, c.fleet.NodeIDs(), func() time.Duration { return now() - offset })
 	if err != nil {
 		return ScriptResult{}, RequestError{Msg: err.Error()}
 	}
-	now := time.Now()
-	chaos.Begin(now)
 	events := chaos.Events()
-	var span time.Duration
-	if len(events) > 0 {
-		span = events[len(events)-1].At
+	var span time.Duration // the last event's offset: events are time-sorted
+	for i := range events {
+		span = events[i].At
+		events[i].At += offset
 	}
-	c.fleet.AddImpairment(chaos.DropProb, now.Add(span+c.cfg.ScriptSlack))
-	if c.sup != nil {
-		offset := now.Sub(start)
-		shifted := make([]emu.ChaosEvent, len(events))
-		for i, ev := range events {
-			ev.At += offset
-			shifted[i] = ev
-		}
-		c.sup.Inject(shifted)
+	c.fleet.AddImpairment(chaos.DropProb, offset+span+c.cfg.ScriptSlack)
+	if c.sup != nil && !c.sup.Inject(events) {
+		return ScriptResult{}, RequestError{Msg: "fleet stopped"}
 	}
 	return ScriptResult{Events: len(events), SpanSeconds: span.Seconds()}, nil
 }

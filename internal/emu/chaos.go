@@ -3,7 +3,6 @@ package emu
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"meshcast/internal/faults"
@@ -15,7 +14,7 @@ import (
 // ChaosConfig compiles a fault plan for the live testbed. The same JSON
 // fault scripts the simulator consumes (internal/faults) drive the live
 // fleet: node indices address the fleet's sorted node-ID list, and the
-// script's virtual times are mapped to the wall clock by TimeScale.
+// script's virtual times are mapped to run time by TimeScale.
 type ChaosConfig struct {
 	// Plan is the fault plan (e.g. faults.LoadPlan of a JSON script).
 	Plan faults.Plan
@@ -31,9 +30,9 @@ type ChaosConfig struct {
 	Horizon time.Duration
 }
 
-// ChaosEvent is one entry of the wall-clock fault schedule.
+// ChaosEvent is one entry of the live fault schedule.
 type ChaosEvent struct {
-	// At is the wall-clock offset from the run start.
+	// At is the offset from the run start, in run time.
 	At time.Duration
 	// Kind is one of the faults.Event* constants.
 	Kind string
@@ -43,26 +42,27 @@ type ChaosEvent struct {
 	ID packet.NodeID
 }
 
-// Chaos adapts a compiled fault plan to the live testbed's wall clock. It
-// is the virtual→wall bridge: the schedule (Events, Onsets, Windows) comes
-// out pre-scaled, and DropProb evaluates the plan's link faults and
-// partitions at the wall-mapped virtual "now" so it can serve as the
-// ether's impairment hook.
+// Chaos adapts a compiled fault plan to a live run's clock. It is the
+// virtual→wall bridge: the schedule (Events, Onsets, Windows) comes out
+// pre-scaled, and DropProb evaluates the plan's link faults and partitions
+// at the plan time the run's "now" maps to, so it can serve as the ether's
+// impairment hook.
 type Chaos struct {
 	compiled *faults.Compiled
 	outages  []faults.Outage // cached: NodeDown runs on the ether hot path
 	nodes    []packet.NodeID
 	scale    float64
-
-	mu    sync.Mutex
-	start time.Time
+	now      func() time.Duration
 }
 
 // NewChaos compiles cfg.Plan against the given node-ID list (index i of the
 // plan addresses nodes[i]; pass the fleet's NodeIDs). The compilation is
 // deterministic: one (plan, seed, nodes, horizon) tuple always yields the
-// same timeline.
-func NewChaos(cfg ChaosConfig, nodes []packet.NodeID) (*Chaos, error) {
+// same timeline. now is the run time the schedule's offsets count from —
+// a fleet's Driver().Now, or that minus the moment a script was injected —
+// and must be safe from any goroutine: the ether evaluates DropProb per
+// frame. Only a Chaos read for nothing but its schedule may leave it nil.
+func NewChaos(cfg ChaosConfig, nodes []packet.NodeID, now func() time.Duration) (*Chaos, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("emu: chaos needs at least one node")
 	}
@@ -83,7 +83,7 @@ func NewChaos(cfg ChaosConfig, nodes []packet.NodeID) (*Chaos, error) {
 	}
 	ids := append([]packet.NodeID(nil), nodes...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return &Chaos{compiled: compiled, outages: compiled.Outages(), nodes: ids, scale: scale}, nil
+	return &Chaos{compiled: compiled, outages: compiled.Outages(), nodes: ids, scale: scale, now: now}, nil
 }
 
 // Nodes returns the index→ID mapping (sorted node IDs).
@@ -96,24 +96,10 @@ func (c *Chaos) wall(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.scale)
 }
 
-// virtualNow maps the current wall clock back to plan time (zero before
-// Begin). A zero scale cannot occur (NewChaos defaults it to 1).
+// virtualNow maps the run time back to plan time. A zero scale cannot occur
+// (NewChaos defaults it to 1).
 func (c *Chaos) virtualNow() time.Duration {
-	c.mu.Lock()
-	start := c.start
-	c.mu.Unlock()
-	if start.IsZero() {
-		return 0
-	}
-	return time.Duration(float64(time.Since(start)) / c.scale)
-}
-
-// Begin anchors the schedule to the run's wall-clock start. Call it when
-// the fleet starts running; DropProb evaluates to "no impairment" before.
-func (c *Chaos) Begin(start time.Time) {
-	c.mu.Lock()
-	c.start = start
-	c.mu.Unlock()
+	return time.Duration(float64(c.now()) / c.scale)
 }
 
 // Events returns the full wall-clock fault schedule, sorted by time. It is
@@ -159,7 +145,7 @@ func (c *Chaos) Windows() []stats.Window {
 func (c *Chaos) DownCount() int { return c.compiled.DownCount() }
 
 // ActiveFaults returns how many fault episodes are active at the current
-// wall time (0 before Begin) — the live "chaos.active" telemetry gauge.
+// run time — the live "chaos.active" telemetry gauge.
 func (c *Chaos) ActiveFaults() int {
 	return c.compiled.ActiveFaults(c.virtualNow())
 }

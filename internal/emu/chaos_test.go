@@ -31,7 +31,7 @@ func chaosPlan() faults.Plan {
 func TestChaosScheduleDeterministic(t *testing.T) {
 	nodes := []packet.NodeID{1, 2, 3, 4, 5}
 	mk := func() *Chaos {
-		c, err := NewChaos(ChaosConfig{Plan: chaosPlan(), Seed: 9, Horizon: 60 * time.Second}, nodes)
+		c, err := NewChaos(ChaosConfig{Plan: chaosPlan(), Seed: 9, Horizon: 60 * time.Second}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +54,11 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 // linearly.
 func TestChaosTimeScale(t *testing.T) {
 	nodes := []packet.NodeID{1, 2, 3, 4, 5}
-	full, err := NewChaos(ChaosConfig{Plan: chaosPlan(), Seed: 9, Horizon: 60 * time.Second}, nodes)
+	full, err := NewChaos(ChaosConfig{Plan: chaosPlan(), Seed: 9, Horizon: 60 * time.Second}, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := NewChaos(ChaosConfig{Plan: chaosPlan(), Seed: 9, Horizon: 60 * time.Second, TimeScale: 0.5}, nodes)
+	half, err := NewChaos(ChaosConfig{Plan: chaosPlan(), Seed: 9, Horizon: 60 * time.Second, TimeScale: 0.5}, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestChaosTimeScale(t *testing.T) {
 // list arrives unsorted.
 func TestChaosIDMapping(t *testing.T) {
 	plan := faults.Plan{Outages: []faults.Outage{{Node: 1, Start: time.Second, Duration: time.Second}}}
-	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1}, []packet.NodeID{10, 3, 7})
+	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1}, []packet.NodeID{10, 3, 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +96,25 @@ func TestChaosIDMapping(t *testing.T) {
 	}
 }
 
-// TestChaosNodeDownAndDropProb anchors the schedule in the past so the
-// current wall time falls inside the fault windows.
+// TestChaosNodeDownAndDropProb positions the run time through the injected
+// clock: before, then inside the fault windows.
 func TestChaosNodeDownAndDropProb(t *testing.T) {
 	plan := faults.Plan{
 		Outages:    []faults.Outage{{Node: 0, Start: time.Second, Duration: 10 * time.Second}},
 		LinkFaults: []faults.LinkFault{{From: 1, To: 2, Start: time.Second, Duration: 10 * time.Second, DropProb: 0.7}},
 	}
-	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1}, []packet.NodeID{4, 5, 6})
+	var now time.Duration
+	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1}, []packet.NodeID{4, 5, 6}, func() time.Duration { return now })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NodeDown(4) {
-		t.Fatal("node down before Begin")
+	if c.NodeDown(4) || c.DropProb(5, 6) != 0 || c.ActiveFaults() != 0 {
+		t.Fatal("faults active at run time zero, before their windows")
 	}
-	c.Begin(time.Now().Add(-2 * time.Second)) // virtual now ≈ 2s, inside both windows
+	now = 2 * time.Second // inside both windows
+	if got := c.ActiveFaults(); got != 2 {
+		t.Fatalf("ActiveFaults = %d inside both windows, want 2", got)
+	}
 	if !c.NodeDown(4) {
 		t.Fatal("node 4 (index 0) not down inside its outage window")
 	}
@@ -132,7 +136,7 @@ func TestChaosNodeDownAndDropProb(t *testing.T) {
 // ether-down/ether-up events with Node -1.
 func TestChaosEtherRestartEvents(t *testing.T) {
 	plan := faults.Plan{EtherRestarts: []faults.EtherRestart{{Start: 3 * time.Second, Duration: time.Second}}}
-	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1, TimeScale: 0.5}, []packet.NodeID{1, 2})
+	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1, TimeScale: 0.5}, []packet.NodeID{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

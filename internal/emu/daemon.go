@@ -3,6 +3,7 @@ package emu
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -34,22 +35,12 @@ type DaemonConfig struct {
 	// Seed drives protocol randomness.
 	Seed uint64
 	// OnDeliver, when set, observes every application-layer delivery (in
-	// addition to the daemon's own log). Called from the daemon's driver
-	// goroutine; must be cheap and thread-safe.
-	OnDeliver func(g packet.GroupID, src packet.NodeID, at time.Time)
+	// addition to the daemon's own per-source counts). Called from the
+	// daemon's driver goroutine; must be cheap and thread-safe.
+	OnDeliver func(g packet.GroupID, src packet.NodeID)
 	// OnSend, when set, observes every CBR data packet the daemon
 	// originates. Same contract as OnDeliver.
-	OnSend func(g packet.GroupID, at time.Time)
-}
-
-// DeliveredPacket records one data packet delivered to the daemon's
-// application layer.
-type DeliveredPacket struct {
-	Group packet.GroupID
-	Src   packet.NodeID
-	Seq   uint32
-	// At is the wall-clock arrival time.
-	At time.Time
+	OnSend func(g packet.GroupID)
 }
 
 // Daemon is a live ODMRP node: the paper's odmrpd (§5.2) over the emulated
@@ -63,10 +54,13 @@ type Daemon struct {
 	prober *linkquality.Prober
 	table  *linkquality.Table
 
-	mu           sync.Mutex
-	delivered    []DeliveredPacket
-	sent         uint64
-	lastActivity time.Time
+	mu        sync.Mutex
+	delivered map[packet.NodeID]int // per source; counts, so a soak's memory stays flat
+	sent      uint64
+	// lastActivity is the daemon's run time (driver.Now) at its latest
+	// packet sent or received; active says there has been one.
+	lastActivity time.Duration
+	active       bool
 }
 
 // NewDaemon connects to the ether and assembles the protocol stack. Call
@@ -105,7 +99,10 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 
-	d := &Daemon{cfg: cfg, conn: conn, driver: driver, router: router, prober: prober, table: table}
+	d := &Daemon{
+		cfg: cfg, conn: conn, driver: driver, router: router, prober: prober, table: table,
+		delivered: make(map[packet.NodeID]int),
+	}
 	// Every frame the daemon puts on the air is a liveness heartbeat: the
 	// prober's periodic probes guarantee a send cadence even on idle nodes,
 	// so a healthy daemon's LastActivity keeps advancing.
@@ -116,14 +113,11 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	prober.Send = send
 	router.SetSend(send)
 	router.SetOnDeliver(func(p *packet.Packet, _ packet.NodeID) {
-		at := time.Now()
 		d.mu.Lock()
-		d.delivered = append(d.delivered, DeliveredPacket{
-			Group: p.Group, Src: p.Src, Seq: p.Seq, At: at,
-		})
+		d.delivered[p.Src]++
 		d.mu.Unlock()
 		if cfg.OnDeliver != nil {
-			cfg.OnDeliver(p.Group, p.Src, at)
+			cfg.OnDeliver(p.Group, p.Src)
 		}
 	})
 	conn.SetOnPacket(func(p *packet.Packet, from packet.NodeID) {
@@ -143,7 +137,7 @@ func (d *Daemon) dispatch(p *packet.Packet, from packet.NodeID) {
 // touch stamps protocol activity (any packet sent or received).
 func (d *Daemon) touch() {
 	d.mu.Lock()
-	d.lastActivity = time.Now()
+	d.lastActivity, d.active = d.driver.Now(), true
 	d.mu.Unlock()
 }
 
@@ -174,7 +168,7 @@ func scheduleCBR(d *Daemon, g packet.GroupID) {
 		d.sent++
 		d.mu.Unlock()
 		if d.cfg.OnSend != nil {
-			d.cfg.OnSend(g, time.Now())
+			d.cfg.OnSend(g)
 		}
 		d.driver.Engine().Schedule(d.cfg.SendInterval, tick)
 	}
@@ -188,14 +182,6 @@ func (d *Daemon) Close() error { return d.conn.Close() }
 // registration recently.
 func (d *Daemon) Registered() bool { return d.conn.Registered() }
 
-// LastActivity returns the wall-clock time of the daemon's most recent
-// protocol activity (any packet sent or received; zero before the first).
-func (d *Daemon) LastActivity() time.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastActivity
-}
-
 // Alive reports daemon liveness for supervision: the ether acknowledges its
 // registration and it has shown protocol activity within window. Probing
 // guarantees a send cadence, so a healthy daemon is always "active".
@@ -203,25 +189,29 @@ func (d *Daemon) Alive(window time.Duration) bool {
 	if !d.Registered() {
 		return false
 	}
-	last := d.LastActivity()
-	return !last.IsZero() && time.Since(last) < window
-}
-
-// Delivered returns a snapshot of the packets delivered so far.
-func (d *Daemon) Delivered() []DeliveredPacket {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]DeliveredPacket, len(d.delivered))
-	copy(out, d.delivered)
-	return out
+	return d.active && d.driver.Now()-d.lastActivity < window
 }
 
-// DeliveredCount returns the number of packets delivered so far without
-// copying the log (telemetry polls this every sample).
+// DeliveredBySource returns how many packets each source has delivered to
+// this daemon's application layer so far.
+func (d *Daemon) DeliveredBySource() map[packet.NodeID]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return maps.Clone(d.delivered)
+}
+
+// DeliveredCount returns the number of packets delivered so far (telemetry
+// polls this every sample).
 func (d *Daemon) DeliveredCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.delivered)
+	total := 0
+	for _, n := range d.delivered {
+		total += n
+	}
+	return total
 }
 
 // SentCount returns the number of data packets this daemon originated.
@@ -246,5 +236,5 @@ func (d *Daemon) Protocol() string { return d.router.Name() }
 // Summary formats a one-line status.
 func (d *Daemon) Summary() string {
 	return fmt.Sprintf("%sd id=%v metric=%v sent=%d delivered=%d",
-		d.router.Name(), d.cfg.ID, d.cfg.Metric, d.SentCount(), len(d.Delivered()))
+		d.router.Name(), d.cfg.ID, d.cfg.Metric, d.SentCount(), d.DeliveredCount())
 }

@@ -3,6 +3,7 @@ package emu
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,11 +148,17 @@ func TestDriverRunsScheduledEvents(t *testing.T) {
 	d := NewDriver(1)
 	var mu sync.Mutex
 	fired := 0
-	d.Engine().Schedule(30*time.Millisecond, func() { mu.Lock(); fired++; mu.Unlock() })
-	d.Engine().Schedule(60*time.Millisecond, func() { mu.Lock(); fired++; mu.Unlock() })
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
+	d.Engine().Schedule(30*time.Millisecond, func() { mu.Lock(); fired++; mu.Unlock() })
+	d.Engine().Schedule(60*time.Millisecond, func() { mu.Lock(); fired++; mu.Unlock(); cancel() })
+	if d.Now() != 0 {
+		t.Fatalf("Now = %v before Run, want 0", d.Now())
+	}
 	d.Run(ctx)
+	if now := d.Now(); now < 60*time.Millisecond {
+		t.Fatalf("Now = %v after the 60ms event fired", now)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if fired != 2 {
@@ -163,18 +170,45 @@ func TestDriverInjection(t *testing.T) {
 	d := NewDriver(1)
 	var mu sync.Mutex
 	var order []string
-	d.Engine().Schedule(50*time.Millisecond, func() { mu.Lock(); order = append(order, "timer"); mu.Unlock() })
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	d.Engine().Schedule(50*time.Millisecond, func() { mu.Lock(); order = append(order, "timer"); mu.Unlock(); cancel() })
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		d.Inject(func() { mu.Lock(); order = append(order, "inject"); mu.Unlock() })
 	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
 	d.Run(ctx)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 2 || order[0] != "inject" || order[1] != "timer" {
 		t.Fatalf("order = %v, want [inject timer]", order)
+	}
+}
+
+// TestDriverInjectReturnsOnceRunHasExited: nothing drains the queue after
+// Run returns, so an Inject that finds it full must give up instead of
+// blocking its caller (a NodeConn receive goroutine that Close waits for)
+// forever.
+func TestDriverInjectReturnsOnceRunHasExited(t *testing.T) {
+	d := NewDriver(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	d.Run(ctx)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ { // more than the queue holds
+			d.Inject(func() {})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Inject blocked on a driver whose Run has returned")
+	}
+	if d.Inject(func() {}) {
+		t.Fatal("Inject reported a callback queued on a driver whose Run has returned")
 	}
 }
 
@@ -190,6 +224,23 @@ func tightenRegTiming(t *testing.T) {
 	t.Cleanup(func() {
 		regRetryMin, regRetryMax, regRefresh, readDeadline = savedMin, savedMax, savedRefresh, savedRead
 	})
+}
+
+// runUntil runs the blocking run function on a context it cancels as soon
+// as done reports true, or at ceiling.
+func runUntil(ceiling time.Duration, done func() bool, run func(ctx context.Context)) {
+	ctx, cancel := context.WithTimeout(context.Background(), ceiling)
+	defer cancel()
+	go func() {
+		for ctx.Err() == nil {
+			if done() {
+				cancel()
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	run(ctx)
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -282,13 +333,13 @@ func TestDaemonReconnectsAfterEtherRestart(t *testing.T) {
 		}()
 	}
 
-	waitFor(t, 5*time.Second, "initial delivery", func() bool { return len(sink.Delivered()) >= 5 })
+	waitFor(t, 5*time.Second, "initial delivery", func() bool { return sink.DeliveredCount() >= 5 })
 
 	if err := ether.Close(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // outage: sends go nowhere
-	before := len(sink.Delivered())
+	before := sink.DeliveredCount()
 
 	ether2, err := NewEther(addr, NewLinkTable(1), 8)
 	if err != nil {
@@ -297,7 +348,7 @@ func TestDaemonReconnectsAfterEtherRestart(t *testing.T) {
 	defer ether2.Close()
 
 	waitFor(t, 5*time.Second, "delivery to resume after ether restart", func() bool {
-		return len(sink.Delivered()) >= before+5
+		return sink.DeliveredCount() >= before+5
 	})
 	cancel()
 	wg.Wait()
@@ -330,40 +381,57 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	src := mk(DaemonConfig{ID: 1, SourceGroups: []packet.GroupID{9}, Seed: 1})
 	relay := mk(DaemonConfig{ID: 2, Seed: 2})
-	sink := mk(DaemonConfig{ID: 3, JoinGroups: []packet.GroupID{9}, Seed: 3})
+	var stray atomic.Int64 // deliveries from any (group, source) but (9, 1)
+	sink := mk(DaemonConfig{ID: 3, JoinGroups: []packet.GroupID{9}, Seed: 3,
+		OnDeliver: func(g packet.GroupID, src packet.NodeID) {
+			if g != 9 || src != 1 {
+				stray.Add(1)
+			}
+		}})
 	defer src.Close()
 	defer relay.Close()
 	defer sink.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, d := range []*Daemon{src, relay, sink} {
-		d := d
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.Run(ctx)
-		}()
-	}
-	wg.Wait()
+	// Dial returns before the first registration datagram is sent, and the
+	// source floods its first JOIN QUERY the moment it runs: a neighbor the
+	// ether has not registered yet misses it, and the next is 3 s away.
+	waitFor(t, 2*time.Second, "all three registered", func() bool {
+		return src.Registered() && relay.Registered() && sink.Registered()
+	})
 
-	sent := src.SentCount()
-	got := len(sink.Delivered())
+	// The relay must have become a forwarder for delivery to happen at all
+	// (the direct link is dead); expect the majority of packets through.
+	// The run stops as soon as that holds; 3 s is the ceiling.
+	through := func() bool {
+		sent, got := src.SentCount(), sink.DeliveredCount()
+		return got >= 20 && float64(got) >= 0.5*float64(sent)
+	}
+	runUntil(3*time.Second, through, func(ctx context.Context) {
+		var wg sync.WaitGroup
+		for _, d := range []*Daemon{src, relay, sink} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.Run(ctx)
+			}()
+		}
+		wg.Wait()
+	})
+
+	sent, got := src.SentCount(), sink.DeliveredCount()
 	if sent == 0 {
 		t.Fatal("source sent nothing")
 	}
 	if got == 0 {
 		t.Fatalf("receiver got nothing of %d sent (forwarding group never formed?)", sent)
 	}
-	// The relay must have become a forwarder for delivery to happen at all
-	// (the direct link is dead); expect the majority of packets through.
-	if float64(got) < 0.5*float64(sent) {
+	if !through() {
 		t.Fatalf("delivered only %d of %d", got, sent)
 	}
-	for _, p := range sink.Delivered() {
-		if p.Src != 1 || p.Group != 9 {
-			t.Fatalf("unexpected delivery %+v", p)
-		}
+	if n := stray.Load(); n != 0 {
+		t.Fatalf("%d deliveries from a group or source other than (9, 1)", n)
+	}
+	if by := sink.DeliveredBySource(); len(by) != 1 || by[1] != got {
+		t.Fatalf("per-source counts = %v, want all %d from source 1", by, got)
 	}
 }

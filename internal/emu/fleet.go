@@ -3,6 +3,7 @@ package emu
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,12 @@ import (
 // revive individual nodes mid-run (their traffic counters survive across
 // generations), and StopEther / StartEther restart the shared medium —
 // the primitives the FleetSupervisor drives to execute a chaos schedule.
+//
+// A run has one clock: the fleet's Driver. Everything scheduled or periodic
+// around the daemons — the start ramp, the supervisor's chaos events,
+// watchdog and retries, telemetry sampling — is an event on its engine, and
+// everything that needs "now" from another goroutine (downtime accounting,
+// impairment expiry, Chaos, health tracking) reads its Now.
 type Fleet struct {
 	cfg     FleetConfig
 	links   *LinkTable
@@ -45,7 +52,6 @@ type Fleet struct {
 	// inversion: the ether evaluates the hook under its own lock.
 	impairs atomic.Pointer[impairChain]
 
-	chaos   *Chaos
 	health  *liveHealth
 	members map[packet.GroupID]int
 
@@ -55,10 +61,9 @@ type Fleet struct {
 	expected  atomic.Uint64
 	delivered atomic.Uint64
 
-	runCtx    context.Context
-	started   chan struct{}
-	startTime time.Time
-	wg        sync.WaitGroup
+	driver *Driver
+	runCtx context.Context
+	wg     sync.WaitGroup
 
 	slots map[packet.NodeID]*daemonSlot
 }
@@ -75,10 +80,39 @@ type daemonSlot struct {
 
 	retiredSent uint64
 	retiredRecv map[packet.NodeID]int
-	downSince   time.Time
-	downtime    time.Duration
+	down        bool          // killed and not yet restarted
+	downSince   time.Duration // run time of the kill, while down
+	downtime    time.Duration // closed down intervals
 	kills       int
 	restarts    int
+}
+
+// retire stops the slot's live generation, if any, and folds its traffic
+// counters into the slot so Result still accounts them. Caller holds s.mu.
+func (s *daemonSlot) retire() {
+	if s.d == nil {
+		return
+	}
+	if s.cancel != nil {
+		s.cancel()
+		<-s.done
+	}
+	s.retiredSent += s.d.SentCount()
+	for src, n := range s.d.DeliveredBySource() {
+		s.retiredRecv[src] += n
+	}
+	s.d.Close()
+	s.d, s.cancel, s.done = nil, nil, nil
+}
+
+// accounting is the slot's lifecycle ledger at run time now: an open down
+// interval counts up to now. Caller holds s.mu.
+func (s *daemonSlot) accounting(now time.Duration) NodeAccounting {
+	acc := NodeAccounting{Kills: s.kills, Restarts: s.restarts, Downtime: s.downtime}
+	if s.down {
+		acc.Downtime += now - s.downSince
+	}
+	return acc
 }
 
 // FleetConfig configures a live fleet.
@@ -148,7 +182,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		nodeIDs:   nodeIDs,
 		etherAddr: ether.Addr(),
 		ether:     ether,
-		started:   make(chan struct{}),
+		driver:    NewDriver(cfg.Seed),
 		slots:     make(map[packet.NodeID]*daemonSlot, len(nodeIDs)),
 	}
 	f.impairs.Store(&impairChain{})
@@ -173,8 +207,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			SourceGroups: sources[id],
 			SendInterval: cfg.SendInterval,
 			Seed:         cfg.Seed*1000 + uint64(id),
-			OnSend:       func(g packet.GroupID, at time.Time) { f.recordSend(g, at) },
-			OnDeliver:    func(g packet.GroupID, _ packet.NodeID, at time.Time) { f.recordDeliver(g, at) },
+			OnSend:       f.recordSend,
+			OnDeliver:    func(g packet.GroupID, _ packet.NodeID) { f.recordDeliver(g) },
 		}
 		d, err := NewDaemon(dcfg)
 		if err != nil {
@@ -192,15 +226,22 @@ func (f *Fleet) NodeIDs() []packet.NodeID {
 	return append([]packet.NodeID(nil), f.nodeIDs...)
 }
 
+// Driver returns the run's one clock and scheduler: Now is the run time
+// (zero before Run), Engine takes the run's periodic work before Run starts
+// it, and Do and Inject reach the state its events own from outside.
+func (f *Fleet) Driver() *Driver { return f.driver }
+
 // UseChaos attaches a chaos schedule: the plan's link faults and
-// partitions become the ether's impairment hook, and a wall-clock
+// partitions become the ether's impairment hook, and a run-time
 // HealthTracker is armed with the schedule's onsets and windows so Result
 // reports repair latency, outage-vs-steady PDR, and availability. Call
-// before Run.
+// before Run, with a Chaos built on this fleet's Driver().Now.
 func (f *Fleet) UseChaos(c *Chaos) {
-	f.chaos = c
 	f.SetImpairment(c.DropProb)
-	f.health = newLiveHealth(c.Onsets(), c.Windows())
+	f.health = &liveHealth{
+		now:     f.driver.Now,
+		tracker: stats.NewHealthTracker(c.Onsets(), c.Windows()),
+	}
 }
 
 // impairChain is the fleet's composed impairment state: a base hook (the
@@ -212,12 +253,12 @@ type impairChain struct {
 	extras []timedImpair
 }
 
-// timedImpair is one live-injected impairment with an optional expiry: once
-// a fault script's span is over its hook evaluates to zero forever, so it
-// can be pruned instead of lengthening the chain for the rest of a soak.
+// timedImpair is one live-injected impairment with its expiry: once a fault
+// script's span is over its hook evaluates to zero forever, so it can be
+// pruned instead of lengthening the chain for the rest of a soak.
 type timedImpair struct {
 	fn    ImpairFunc
-	until time.Time // zero = never expires
+	until time.Duration // run time
 }
 
 // impairHook is the single ImpairFunc installed on every ether generation:
@@ -229,11 +270,13 @@ func (f *Fleet) impairHook(from, to packet.NodeID) float64 {
 	if ch.base != nil {
 		keep *= 1 - ch.base(from, to)
 	}
-	for _, ti := range ch.extras {
-		if !ti.until.IsZero() && time.Now().After(ti.until) {
-			continue
+	if len(ch.extras) > 0 {
+		now := f.driver.Now()
+		for _, ti := range ch.extras {
+			if now <= ti.until {
+				keep *= 1 - ti.fn(from, to)
+			}
 		}
-		keep *= 1 - ti.fn(from, to)
 	}
 	if keep <= 0 {
 		return 1
@@ -255,16 +298,16 @@ func (f *Fleet) SetImpairment(fn ImpairFunc) {
 }
 
 // AddImpairment composes an extra impairment hook into the chain while the
-// fleet runs — the control plane's /faults/script injection path. A
-// non-zero until lets the fleet prune the hook after the script's span has
-// passed (expired hooks evaluate to zero anyway).
-func (f *Fleet) AddImpairment(fn ImpairFunc, until time.Time) {
-	now := time.Now()
+// fleet runs — the control plane's /faults/script injection path. until is
+// the run time after which the fleet may prune the hook: the script's span
+// has passed (expired hooks evaluate to zero anyway).
+func (f *Fleet) AddImpairment(fn ImpairFunc, until time.Duration) {
+	now := f.driver.Now()
 	for {
 		old := f.impairs.Load()
 		next := &impairChain{base: old.base}
 		for _, ti := range old.extras {
-			if !ti.until.IsZero() && now.After(ti.until) {
+			if now > ti.until {
 				continue
 			}
 			next.extras = append(next.extras, ti)
@@ -276,71 +319,33 @@ func (f *Fleet) AddImpairment(fn ImpairFunc, until time.Time) {
 	}
 }
 
-// Run drives the fleet until ctx is canceled (wall-clock time): every
-// daemon runs on its own goroutine, and killed daemons restarted through
-// RestartDaemon join the same run. Run returns once ctx is done and every
-// daemon goroutine has exited.
+// Run drives the fleet until ctx is canceled (wall-clock time): the run
+// driver starts daemon i at i×StartStagger and executes whatever else was
+// armed on its engine (a FleetSupervisor, samplers), every daemon runs on
+// its own goroutine, and killed daemons restarted through RestartDaemon join
+// the same run. Run returns once ctx is done and every daemon goroutine has
+// exited.
 func (f *Fleet) Run(ctx context.Context) {
 	f.mu.Lock()
 	f.runCtx = ctx
-	f.startTime = time.Now()
 	f.mu.Unlock()
-	if f.chaos != nil {
-		f.chaos.Begin(f.startTime)
-	}
-	if f.health != nil {
-		f.health.begin(f.startTime)
-	}
-	close(f.started)
-	if f.cfg.StartStagger > 0 {
-		// One starter goroutine paces the fleet up; it registers on f.wg
-		// before Run can reach Wait, so a canceled context cannot race a
-		// late wg.Add.
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			for i, id := range f.nodeIDs {
-				if i > 0 {
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(f.cfg.StartStagger):
-					}
-				}
-				s := f.slots[id]
+	f.driver.Do(func() {
+		for i, id := range f.nodeIDs {
+			s := f.slots[id]
+			f.driver.Engine().Schedule(time.Duration(i)*f.cfg.StartStagger, func() {
 				s.mu.Lock()
+				defer s.mu.Unlock()
 				// Start only untouched initial generations: a slot the
 				// supervisor already killed (d == nil) or revived
 				// (cancel != nil) mid-ramp is left alone.
 				if s.d != nil && s.cancel == nil {
 					f.startDaemonLocked(s)
 				}
-				s.mu.Unlock()
-			}
-		}()
-	} else {
-		for _, id := range f.nodeIDs {
-			s := f.slots[id]
-			s.mu.Lock()
-			if s.d != nil {
-				f.startDaemonLocked(s)
-			}
-			s.mu.Unlock()
+			})
 		}
-	}
-	<-ctx.Done()
+	})
+	f.driver.Run(ctx)
 	f.wg.Wait()
-}
-
-// Started returns a channel closed when Run has begun (the supervisor
-// blocks on it before executing its schedule).
-func (f *Fleet) Started() <-chan struct{} { return f.started }
-
-// StartTime returns the wall-clock time Run began (zero before Run).
-func (f *Fleet) StartTime() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.startTime
 }
 
 // startDaemonLocked launches the slot's current daemon generation on the
@@ -373,17 +378,8 @@ func (f *Fleet) StopDaemon(id packet.NodeID) error {
 	if s.d == nil {
 		return nil
 	}
-	if s.cancel != nil {
-		s.cancel()
-		<-s.done
-	}
-	s.retiredSent += s.d.SentCount()
-	for _, p := range s.d.Delivered() {
-		s.retiredRecv[p.Src]++
-	}
-	s.d.Close()
-	s.d, s.cancel, s.done = nil, nil, nil
-	s.downSince = time.Now()
+	s.retire()
+	s.down, s.downSince = true, f.driver.Now()
 	s.kills++
 	return nil
 }
@@ -417,10 +413,8 @@ func (f *Fleet) RestartDaemon(id packet.NodeID) error {
 		return fmt.Errorf("emu: restart %v: %w", id, err)
 	}
 	s.d = d
-	if !s.downSince.IsZero() {
-		s.downtime += time.Since(s.downSince)
-		s.downSince = time.Time{}
-	}
+	s.downtime = s.accounting(f.driver.Now()).Downtime
+	s.down = false
 	s.restarts++
 	f.startDaemonLocked(s)
 	return nil
@@ -439,6 +433,15 @@ func (f *Fleet) DaemonAlive(id packet.NodeID, window time.Duration) bool {
 	return d != nil && d.Alive(window)
 }
 
+// add accumulates another ether generation's counters.
+func (s *EtherStats) add(o EtherStats) {
+	s.FramesIn += o.FramesIn
+	s.FramesOut += o.FramesOut
+	s.FramesDropped += o.FramesDropped
+	s.FramesDup += o.FramesDup
+	s.Registrations += o.Registrations
+}
+
 // StopEther takes the shared medium down (a scripted medium outage): every
 // in-flight delayed frame is lost and the client table with it. Daemons
 // keep running and re-register when StartEther brings it back.
@@ -453,11 +456,7 @@ func (f *Fleet) StopEther() error {
 	stats := ether.Stats()
 	err := ether.Close()
 	f.mu.Lock()
-	f.etherRetired.FramesIn += stats.FramesIn
-	f.etherRetired.FramesOut += stats.FramesOut
-	f.etherRetired.FramesDropped += stats.FramesDropped
-	f.etherRetired.FramesDup += stats.FramesDup
-	f.etherRetired.Registrations += stats.Registrations
+	f.etherRetired.add(stats)
 	f.mu.Unlock()
 	return err
 }
@@ -489,12 +488,7 @@ func (f *Fleet) EtherStats() EtherStats {
 	defer f.mu.Unlock()
 	out := f.etherRetired
 	if f.ether != nil {
-		s := f.ether.Stats()
-		out.FramesIn += s.FramesIn
-		out.FramesOut += s.FramesOut
-		out.FramesDropped += s.FramesDropped
-		out.FramesDup += s.FramesDup
-		out.Registrations += s.Registrations
+		out.add(f.ether.Stats())
 	}
 	return out
 }
@@ -548,21 +542,23 @@ func (f *Fleet) SumRouters(read func(multicast.Protocol) uint64) uint64 {
 	return total
 }
 
-func (f *Fleet) recordSend(g packet.GroupID, at time.Time) {
+func (f *Fleet) recordSend(g packet.GroupID) {
 	f.expected.Add(uint64(f.members[g]))
 	if f.health != nil {
 		// Same convention as the simulator's health wiring: one expected
 		// delivery per group member, so PDR denominators line up.
-		for i := 0; i < f.members[g]; i++ {
-			f.health.recordSend(g, at)
-		}
+		f.health.record(func(t *stats.HealthTracker, now time.Duration) {
+			for i := 0; i < f.members[g]; i++ {
+				t.RecordSent(g, now)
+			}
+		})
 	}
 }
 
-func (f *Fleet) recordDeliver(g packet.GroupID, at time.Time) {
+func (f *Fleet) recordDeliver(g packet.GroupID) {
 	f.delivered.Add(1)
 	if f.health != nil {
-		f.health.recordDeliver(g, at)
+		f.health.record(func(t *stats.HealthTracker, now time.Duration) { t.RecordDelivered(g, now) })
 	}
 }
 
@@ -595,8 +591,8 @@ func (f *Fleet) Drain() {
 type NodeAccounting struct {
 	// Kills and Restarts count lifecycle transitions this run.
 	Kills, Restarts int
-	// Downtime is the total wall-clock time spent dead (open intervals
-	// count up to now).
+	// Downtime is the total run time spent dead (open intervals count up
+	// to now).
 	Downtime time.Duration
 }
 
@@ -608,11 +604,7 @@ func (f *Fleet) NodeStats(id packet.NodeID) NodeAccounting {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	acc := NodeAccounting{Kills: s.kills, Restarts: s.restarts, Downtime: s.downtime}
-	if !s.downSince.IsZero() {
-		acc.Downtime += time.Since(s.downSince)
-	}
-	return acc
+	return s.accounting(f.driver.Now())
 }
 
 // FleetResult summarizes a fleet run.
@@ -642,20 +634,14 @@ func (f *Fleet) Result() FleetResult {
 	for id, s := range f.slots {
 		s.mu.Lock()
 		sent := s.retiredSent
-		recv := make(map[packet.NodeID]int, len(s.retiredRecv))
-		for src, n := range s.retiredRecv {
-			recv[src] = n
-		}
+		recv := maps.Clone(s.retiredRecv)
 		if s.d != nil {
 			sent += s.d.SentCount()
-			for _, p := range s.d.Delivered() {
-				recv[p.Src]++
+			for src, n := range s.d.DeliveredBySource() {
+				recv[src] += n
 			}
 		}
-		acc := NodeAccounting{Kills: s.kills, Restarts: s.restarts, Downtime: s.downtime}
-		if !s.downSince.IsZero() {
-			acc.Downtime += time.Since(s.downSince)
-		}
+		acc := s.accounting(f.driver.Now())
 		s.mu.Unlock()
 
 		if sent > 0 {
@@ -723,18 +709,7 @@ func (f *Fleet) Daemon(id packet.NodeID) *Daemon {
 func (f *Fleet) Close() {
 	for _, s := range f.slots {
 		s.mu.Lock()
-		if s.d != nil {
-			if s.cancel != nil {
-				s.cancel()
-				<-s.done
-			}
-			s.retiredSent += s.d.SentCount()
-			for _, p := range s.d.Delivered() {
-				s.retiredRecv[p.Src]++
-			}
-			s.d.Close()
-			s.d, s.cancel, s.done = nil, nil, nil
-		}
+		s.retire()
 		s.mu.Unlock()
 	}
 	f.mu.Lock()
@@ -746,60 +721,20 @@ func (f *Fleet) Close() {
 	}
 }
 
-// liveHealth adapts stats.HealthTracker to wall-clock, multi-goroutine
-// feeding: daemon callbacks arrive from many driver goroutines, so calls
-// are serialized under a mutex and timestamps are clamped monotone
-// per-group (the tracker requires nondecreasing time per group; loopback
-// scheduling can interleave two daemons' callbacks a few microseconds out
-// of order).
+// liveHealth feeds a stats.HealthTracker from the daemons' many driver
+// goroutines: calls are serialized under a mutex and stamped with the run
+// time read inside it, which keeps each group's timestamps nondecreasing as
+// the tracker requires.
 type liveHealth struct {
 	mu      sync.Mutex
-	start   time.Time
+	now     func() time.Duration
 	tracker *stats.HealthTracker
-	last    map[packet.GroupID]time.Duration
 }
 
-func newLiveHealth(onsets []time.Duration, windows []stats.Window) *liveHealth {
-	return &liveHealth{
-		tracker: stats.NewHealthTracker(onsets, windows),
-		last:    make(map[packet.GroupID]time.Duration),
-	}
-}
-
-func (h *liveHealth) begin(start time.Time) {
-	h.mu.Lock()
-	h.start = start
-	h.mu.Unlock()
-}
-
-// clamp converts a wall timestamp to run-relative time, monotone per group.
-// Caller holds h.mu.
-func (h *liveHealth) clamp(g packet.GroupID, at time.Time) (time.Duration, bool) {
-	if h.start.IsZero() {
-		return 0, false
-	}
-	t := at.Sub(h.start)
-	if last := h.last[g]; t < last {
-		t = last
-	}
-	h.last[g] = t
-	return t, true
-}
-
-func (h *liveHealth) recordSend(g packet.GroupID, at time.Time) {
+func (h *liveHealth) record(fn func(t *stats.HealthTracker, now time.Duration)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if t, ok := h.clamp(g, at); ok {
-		h.tracker.RecordSent(g, t)
-	}
-}
-
-func (h *liveHealth) recordDeliver(g packet.GroupID, at time.Time) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if t, ok := h.clamp(g, at); ok {
-		h.tracker.RecordDelivered(g, t)
-	}
+	fn(h.tracker, h.now())
 }
 
 func (h *liveHealth) health() []stats.GroupHealth {

@@ -1,7 +1,7 @@
 package emu
 
 import (
-	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -28,43 +28,45 @@ func TestFleetPaperTestbedLive(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	// Long enough for several 3 s ODMRP refresh rounds: with 50%-loss
-	// links a branch can take a few rounds to establish, especially on a
-	// loaded CI machine.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	fleet.Run(ctx)
-
-	res := fleet.Result()
-	if len(res.Sent) != 2 {
-		t.Fatalf("sources active = %d, want 2 (nodes 2 and 4)", len(res.Sent))
-	}
-	for src, n := range res.Sent {
-		if n < 50 {
-			t.Fatalf("source %v sent only %d packets in 10s", src, n)
+	// accepted is what the run must reach. Real-time runs converge
+	// unevenly — with 50%-loss links a branch can take a few 3 s ODMRP
+	// refresh rounds to establish, especially on a loaded CI machine — so it
+	// requires every group to deliver to at least one member and most
+	// members overall, rather than demanding every branch.
+	accepted := func(res FleetResult) error {
+		if len(res.Sent) != 2 {
+			return fmt.Errorf("sources active = %d, want 2 (nodes 2 and 4)", len(res.Sent))
 		}
-	}
-	// Real-time runs converge unevenly; require every group to deliver to
-	// at least one member and most members overall, rather than demanding
-	// every branch within the window.
-	receiving := 0
-	for _, g := range testbed.PaperScenario().Groups {
-		groupGot := 0
-		for _, m := range g.Members {
-			if res.Received[m][g.Source] > 0 {
-				groupGot++
-				receiving++
+		for src, n := range res.Sent {
+			if n < 50 {
+				return fmt.Errorf("source %v sent only %d packets", src, n)
 			}
 		}
-		if groupGot == 0 {
-			t.Fatalf("no member of group %v received anything from source %v", g.Group, g.Source)
+		receiving := 0
+		for _, g := range testbed.PaperScenario().Groups {
+			groupGot := 0
+			for _, m := range g.Members {
+				if res.Received[m][g.Source] > 0 {
+					groupGot++
+					receiving++
+				}
+			}
+			if groupGot == 0 {
+				return fmt.Errorf("no member of group %v received anything from source %v", g.Group, g.Source)
+			}
 		}
+		if receiving < 3 {
+			return fmt.Errorf("only %d of 4 members receiving", receiving)
+		}
+		if res.PDR < 0.3 {
+			return fmt.Errorf("fleet PDR = %.3f, implausibly low", res.PDR)
+		}
+		return nil
 	}
-	if receiving < 3 {
-		t.Fatalf("only %d of 4 members receiving", receiving)
-	}
-	if res.PDR < 0.3 {
-		t.Fatalf("fleet PDR = %.3f, implausibly low", res.PDR)
+	// The run stops as soon as that holds; 10 s is the ceiling.
+	runUntil(10*time.Second, func() bool { return accepted(fleet.Result()) == nil }, fleet.Run)
+	if err := accepted(fleet.Result()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,19 +1,18 @@
 package emu
 
 import (
-	"context"
-	"sort"
-	"sync"
 	"time"
 
 	"meshcast/internal/faults"
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 // SupervisorConfig tunes the fleet supervisor.
 type SupervisorConfig struct {
-	// CheckInterval is the supervision loop period: scheduled chaos events
-	// fire and liveness is polled at this granularity (default 50 ms).
+	// CheckInterval is the watchdog period: liveness is polled at this
+	// granularity (default 50 ms). Scheduled chaos events do not wait for
+	// it — each fires at its own offset.
 	CheckInterval time.Duration
 	// ActivityWindow is how recently a daemon must have shown protocol
 	// activity to count as alive (default 2 s — several probe intervals).
@@ -67,7 +66,8 @@ func (c SupervisorConfig) expBackoff() func() time.Duration {
 // FleetEvent is one supervision action actually executed (as opposed to
 // ChaosEvent, which is the schedule).
 type FleetEvent struct {
-	// At is the wall-clock offset from the fleet's run start.
+	// At is the run time of the action: the run engine's clock when the
+	// event executed.
 	At time.Duration
 	// Kind is one of "kill", "restart", "restart-failed", "watchdog-restart",
 	// "ether-down", "ether-up".
@@ -91,6 +91,7 @@ type NodeReport struct {
 
 // SupervisorReport summarizes a supervised run.
 type SupervisorReport struct {
+	// Elapsed is the run time the report was taken at.
 	Elapsed time.Duration
 	// Nodes is per-node accounting, sorted by ID — every fleet node
 	// appears, including ones the chaos schedule never touched.
@@ -101,267 +102,203 @@ type SupervisorReport struct {
 	Events []FleetEvent
 }
 
+// supervised is what the supervisor needs of a fleet. *Fleet implements it;
+// the tests substitute a fake so supervision runs in virtual time without a
+// socket.
+type supervised interface {
+	NodeIDs() []packet.NodeID
+	StopDaemon(id packet.NodeID) error
+	RestartDaemon(id packet.NodeID) error
+	StopEther() error
+	StartEther() error
+	EtherUp() bool
+	DaemonAlive(id packet.NodeID, window time.Duration) bool
+	NodeStats(id packet.NodeID) NodeAccounting
+}
+
 // FleetSupervisor executes a chaos schedule against a live fleet and keeps
 // it healthy in between: scripted node crashes become StopDaemon calls,
 // scripted recoveries become RestartDaemon with capped-backoff retry,
 // scripted medium outages bounce the ether, and a liveness watchdog
 // force-restarts daemons that die without being scheduled to. Surviving
 // daemons are never touched — degradation is per-node.
+//
+// It is a component of the run engine, like a router is of a daemon's:
+// every action is an engine event, so its state needs no lock of its own.
+// Inject is safe from any goroutine; everything else belongs to the run
+// goroutine — call Events and Report from an engine event, inside
+// Fleet.Driver().Do, or once Fleet.Run has returned.
 type FleetSupervisor struct {
-	fleet *Fleet
-	chaos *Chaos
-	cfg   SupervisorConfig
+	fleet  supervised
+	engine *sim.Engine
+	driver *Driver // paces engine; nil when a test steps the engine itself
+	cfg    SupervisorConfig
+	ids    []packet.NodeID // sorted
 
-	mu            sync.Mutex
-	pending       []ChaosEvent // due-ordered events not yet executed
 	events        []FleetEvent
 	etherRestarts int
 	scheduledDown map[packet.NodeID]bool
 	restarting    map[packet.NodeID]bool
-	unhealthy     map[packet.NodeID]time.Time
-
-	wg sync.WaitGroup
+	// unhealthy holds the run time the watchdog first saw each suspect dead.
+	unhealthy map[packet.NodeID]time.Duration
 }
 
-// NewFleetSupervisor builds a supervisor for fleet. chaos may be nil, in
-// which case only the liveness watchdog runs.
+// NewFleetSupervisor arms a supervisor on the fleet's run engine; Fleet.Run
+// drives it. chaos may be nil, in which case only the liveness watchdog
+// runs. Call before Run.
 func NewFleetSupervisor(fleet *Fleet, chaos *Chaos, cfg SupervisorConfig) *FleetSupervisor {
-	return &FleetSupervisor{
+	s := newSupervisor(fleet, fleet.driver.Engine(), cfg)
+	s.driver = fleet.driver
+	if chaos != nil {
+		s.schedule(chaos.Events())
+	}
+	return s
+}
+
+func newSupervisor(fleet supervised, engine *sim.Engine, cfg SupervisorConfig) *FleetSupervisor {
+	s := &FleetSupervisor{
 		fleet:         fleet,
-		chaos:         chaos,
+		engine:        engine,
 		cfg:           cfg.withDefaults(),
+		ids:           fleet.NodeIDs(),
 		scheduledDown: make(map[packet.NodeID]bool),
 		restarting:    make(map[packet.NodeID]bool),
-		unhealthy:     make(map[packet.NodeID]time.Time),
+		unhealthy:     make(map[packet.NodeID]time.Duration),
 	}
-}
-
-// Run supervises until ctx is canceled. It blocks waiting for the fleet to
-// start, then loops at CheckInterval firing due schedule events and polling
-// liveness. Call it on its own goroutine alongside Fleet.Run.
-func (s *FleetSupervisor) Run(ctx context.Context) error {
-	select {
-	case <-s.fleet.Started():
-	case <-ctx.Done():
-		return ctx.Err()
+	if s.cfg.UnhealthyAfter >= 0 {
+		sim.NewTicker(engine, s.cfg.CheckInterval, 0, nil, s.watchdog)
 	}
-	start := s.fleet.StartTime()
-	if s.chaos != nil {
-		s.Inject(s.chaos.Events())
-	}
-	ticker := time.NewTicker(s.cfg.CheckInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			s.wg.Wait()
-			return nil
-		case <-ticker.C:
-		}
-		now := time.Since(start)
-		for _, ev := range s.takeDue(now) {
-			s.execute(ctx, ev, start)
-		}
-		s.watchdog(ctx, start)
-	}
+	return s
 }
 
 // Inject merges extra chaos events into the live schedule — the control
-// plane's /faults/script path. Event offsets are relative to the fleet's
-// run start; events already in the past fire on the next supervision tick.
-// Safe to call before Run and while Run is looping.
-func (s *FleetSupervisor) Inject(events []ChaosEvent) {
-	if len(events) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.pending = append(s.pending, events...)
-	sort.SliceStable(s.pending, func(i, j int) bool { return s.pending[i].At < s.pending[j].At })
-	s.mu.Unlock()
+// plane's /faults/script path. Event offsets are run time; events already
+// in the past fire at once. Safe from any goroutine; false means the run
+// has ended and the events were dropped.
+func (s *FleetSupervisor) Inject(events []ChaosEvent) bool {
+	return s.driver.Inject(func() { s.schedule(events) })
 }
 
-// takeDue pops every pending event due at or before now, in order.
-func (s *FleetSupervisor) takeDue(now time.Duration) []ChaosEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for n < len(s.pending) && s.pending[n].At <= now {
-		n++
+// schedule puts each event on the engine at its offset (the engine clamps
+// past offsets to now, keeping their order).
+func (s *FleetSupervisor) schedule(events []ChaosEvent) {
+	for _, ev := range events {
+		s.engine.At(ev.At, func() { s.execute(ev) })
 	}
-	if n == 0 {
-		return nil
-	}
-	due := append([]ChaosEvent(nil), s.pending[:n]...)
-	s.pending = s.pending[n:]
-	return due
 }
 
-// execute dispatches one scheduled chaos event. Kill and ether actions run
-// on their own goroutines — StopDaemon waits for the daemon goroutine to
-// exit (up to a driver tick) and must not stall the schedule.
-func (s *FleetSupervisor) execute(ctx context.Context, ev ChaosEvent, start time.Time) {
+// execute dispatches one scheduled chaos event.
+func (s *FleetSupervisor) execute(ev ChaosEvent) {
 	switch ev.Kind {
 	case faults.EventNodeDown:
-		id := ev.ID
-		s.mu.Lock()
-		s.scheduledDown[id] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.fleet.StopDaemon(id); err == nil {
-				s.log(FleetEvent{At: time.Since(start), Kind: "kill", Node: id})
-			}
-		}()
+		s.scheduledDown[ev.ID] = true
+		if err := s.fleet.StopDaemon(ev.ID); err == nil {
+			s.log(FleetEvent{Kind: "kill", Node: ev.ID})
+		}
 	case faults.EventNodeUp:
-		id := ev.ID
-		s.mu.Lock()
-		s.scheduledDown[id] = false
-		s.mu.Unlock()
-		s.restart(ctx, id, start, "restart")
+		delete(s.scheduledDown, ev.ID)
+		s.restart(ev.ID, "restart")
 	case faults.EventEtherDown:
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.fleet.StopEther(); err == nil {
-				s.log(FleetEvent{At: time.Since(start), Kind: "ether-down"})
-			}
-		}()
+		if err := s.fleet.StopEther(); err == nil {
+			s.log(FleetEvent{Kind: "ether-down"})
+		}
 	case faults.EventEtherUp:
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			step := s.cfg.expBackoff()
-			for ctx.Err() == nil {
-				if err := s.fleet.StartEther(); err == nil {
-					s.log(FleetEvent{At: time.Since(start), Kind: "ether-up"})
-					s.mu.Lock()
-					s.etherRestarts++
-					s.mu.Unlock()
-					return
-				}
-				select {
-				case <-ctx.Done():
-				case <-time.After(step()):
-				}
+		s.retry(func(wait time.Duration) bool {
+			if err := s.fleet.StartEther(); err != nil {
+				return false
 			}
-		}()
+			s.log(FleetEvent{Kind: "ether-up"})
+			s.etherRestarts++
+			return true
+		})
 	}
 	// Link faults, heals, and partitions need no action here: the chaos
 	// impairment hook installed on the ether enforces them continuously.
 }
 
+// retry calls try now and, until it reports success, again after each step
+// of a fresh capped exponential backoff. try is told the wait that follows
+// a failure.
+func (s *FleetSupervisor) retry(try func(wait time.Duration) bool) {
+	step := s.cfg.expBackoff()
+	var attempt func()
+	attempt = func() {
+		if wait := step(); !try(wait) {
+			s.engine.Schedule(wait, attempt)
+		}
+	}
+	attempt()
+}
+
 // restart revives a daemon with capped exponential backoff. At most one
-// restart loop per node runs at a time.
-func (s *FleetSupervisor) restart(ctx context.Context, id packet.NodeID, start time.Time, kind string) {
-	s.mu.Lock()
+// restart sequence per node runs at a time.
+func (s *FleetSupervisor) restart(id packet.NodeID, kind string) {
 	if s.restarting[id] {
-		s.mu.Unlock()
 		return
 	}
 	s.restarting[id] = true
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer func() {
-			s.mu.Lock()
-			delete(s.restarting, id)
-			s.mu.Unlock()
-		}()
-		step := s.cfg.expBackoff()
-		for ctx.Err() == nil {
-			err := s.fleet.RestartDaemon(id)
-			if err == nil {
-				s.log(FleetEvent{At: time.Since(start), Kind: kind, Node: id})
-				return
-			}
-			wait := step()
-			s.log(FleetEvent{At: time.Since(start), Kind: "restart-failed", Node: id, Backoff: wait})
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(wait):
-			}
+	s.retry(func(wait time.Duration) bool {
+		if err := s.fleet.RestartDaemon(id); err != nil {
+			s.log(FleetEvent{Kind: "restart-failed", Node: id, Backoff: wait})
+			return false
 		}
-	}()
+		delete(s.restarting, id)
+		s.log(FleetEvent{Kind: kind, Node: id})
+		return true
+	})
 }
 
 // watchdog force-restarts daemons that are dead without a scheduled reason
 // for longer than UnhealthyAfter.
-func (s *FleetSupervisor) watchdog(ctx context.Context, start time.Time) {
-	if s.cfg.UnhealthyAfter < 0 {
-		return
-	}
+func (s *FleetSupervisor) watchdog() {
 	if !s.fleet.EtherUp() {
 		// Liveness is unobservable without the medium: every daemon loses
 		// its registration during an ether outage. Forget accumulated
 		// suspicions so daemons get a fresh UnhealthyAfter budget to
 		// re-register once the medium returns.
-		s.mu.Lock()
 		clear(s.unhealthy)
-		s.mu.Unlock()
 		return
 	}
-	now := time.Now()
-	for _, id := range s.fleet.NodeIDs() {
-		alive := s.fleet.DaemonAlive(id, s.cfg.ActivityWindow)
-		s.mu.Lock()
-		if alive || s.scheduledDown[id] || s.restarting[id] {
+	now := s.engine.Now()
+	for _, id := range s.ids {
+		if s.scheduledDown[id] || s.restarting[id] || s.fleet.DaemonAlive(id, s.cfg.ActivityWindow) {
 			delete(s.unhealthy, id)
-			s.mu.Unlock()
 			continue
 		}
 		since, seen := s.unhealthy[id]
 		if !seen {
 			s.unhealthy[id] = now
-			s.mu.Unlock()
 			continue
 		}
-		expired := now.Sub(since) >= s.cfg.UnhealthyAfter
-		if expired {
+		if now-since >= s.cfg.UnhealthyAfter {
 			delete(s.unhealthy, id)
-		}
-		s.mu.Unlock()
-		if expired {
 			// The daemon may be wedged rather than gone: kill any live
 			// generation first, then revive with backoff.
 			s.fleet.StopDaemon(id)
-			s.restart(ctx, id, start, "watchdog-restart")
+			s.restart(id, "watchdog-restart")
 		}
 	}
 }
 
 func (s *FleetSupervisor) log(ev FleetEvent) {
-	s.mu.Lock()
+	ev.At = s.engine.Now()
 	s.events = append(s.events, ev)
-	s.mu.Unlock()
 }
 
 // Events returns the executed action log so far.
 func (s *FleetSupervisor) Events() []FleetEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]FleetEvent(nil), s.events...)
 }
 
-// Report summarizes supervision outcomes. elapsed is the run length used
-// for availability (pass the wall-clock run duration).
-func (s *FleetSupervisor) Report(elapsed time.Duration) SupervisorReport {
-	ids := s.fleet.NodeIDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rep := SupervisorReport{Elapsed: elapsed, Events: s.Events()}
-	s.mu.Lock()
-	rep.EtherRestarts = s.etherRestarts
-	s.mu.Unlock()
-	for _, id := range ids {
+// Report summarizes supervision outcomes up to the run engine's current
+// time.
+func (s *FleetSupervisor) Report() SupervisorReport {
+	rep := SupervisorReport{Elapsed: s.engine.Now(), Events: s.Events(), EtherRestarts: s.etherRestarts}
+	for _, id := range s.ids {
 		acc := s.fleet.NodeStats(id)
 		nr := NodeReport{ID: id, Kills: acc.Kills, Restarts: acc.Restarts, Downtime: acc.Downtime, Availability: 1}
-		if elapsed > 0 {
-			nr.Availability = 1 - float64(acc.Downtime)/float64(elapsed)
-			if nr.Availability < 0 {
-				nr.Availability = 0
-			}
+		if rep.Elapsed > 0 {
+			nr.Availability = max(0, 1-float64(acc.Downtime)/float64(rep.Elapsed))
 		}
 		rep.Nodes = append(rep.Nodes, nr)
 	}

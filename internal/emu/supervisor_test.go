@@ -2,13 +2,15 @@ package emu
 
 import (
 	"context"
-	"runtime"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"meshcast/internal/faults"
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 	"meshcast/internal/testbed"
 )
 
@@ -33,6 +35,37 @@ func deliveredTo(f *Fleet, id packet.NodeID) int {
 	return d.DeliveredCount()
 }
 
+// startLineFleet builds the three-node line as a live fleet and runs it;
+// stop cancels the run, waits for it and closes the fleet (calling it again
+// is harmless, so a test may stop early and still defer it).
+func startLineFleet(t *testing.T, seed uint64, arm func(*Fleet)) (fleet *Fleet, stop func()) {
+	t.Helper()
+	tightenRegTiming(t)
+	fleet, err := NewFleet(FleetConfig{
+		Scenario:     lineScenario(),
+		Metric:       metric.SPP,
+		SendInterval: 20 * time.Millisecond,
+		Seed:         seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arm != nil {
+		arm(fleet)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		fleet.Run(ctx)
+	}()
+	return fleet, func() {
+		cancel()
+		<-runDone
+		fleet.Close()
+	}
+}
+
 // TestFleetSurvivesEtherRestartUnderTraffic stops and restarts the shared
 // medium in the middle of a live run: daemons must re-register within one
 // registration refresh interval and delivery must resume, with the medium
@@ -41,25 +74,8 @@ func TestFleetSurvivesEtherRestartUnderTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test (several seconds)")
 	}
-	tightenRegTiming(t)
-	fleet, err := NewFleet(FleetConfig{
-		Scenario:     lineScenario(),
-		Metric:       metric.SPP,
-		SendInterval: 20 * time.Millisecond,
-		Seed:         11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		fleet.Run(ctx)
-	}()
+	fleet, stop := startLineFleet(t, 11, nil)
+	defer stop()
 
 	waitFor(t, 8*time.Second, "initial delivery", func() bool { return deliveredTo(fleet, 3) >= 5 })
 
@@ -90,91 +106,221 @@ func TestFleetSurvivesEtherRestartUnderTraffic(t *testing.T) {
 	if got := fleet.EtherStats().FramesIn; got <= statsBefore.FramesIn {
 		t.Fatalf("cross-generation FramesIn = %d, want > %d", got, statsBefore.FramesIn)
 	}
-	cancel()
-	<-runDone
 }
 
-// TestSupervisorScriptedKillAndRestart drives the relay of a line topology
-// through a scripted crash: the supervisor must kill it on schedule, restart
-// it on schedule, account its downtime, and end-to-end delivery must resume
-// after the repair.
-func TestSupervisorScriptedKillAndRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time test (several seconds)")
-	}
-	tightenRegTiming(t)
-	fleet, err := NewFleet(FleetConfig{
-		Scenario:     lineScenario(),
-		Metric:       metric.SPP,
-		SendInterval: 20 * time.Millisecond,
-		Seed:         5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
+// fakeFleet stands in for a Fleet under the supervisor: daemons are flags,
+// the ether is a flag, and restarts fail on request. With it supervision
+// runs on a bare engine in virtual time.
+type fakeFleet struct {
+	up      map[packet.NodeID]bool
+	etherUp bool
+	// restartFails and etherFails make the next n RestartDaemon / StartEther
+	// calls error.
+	restartFails, etherFails int
+}
 
-	// Node index 1 of sorted [1 2 3] is the relay, node 2.
-	plan := faults.Plan{Outages: []faults.Outage{
-		{Node: 1, Start: 2 * time.Second, Duration: 1500 * time.Millisecond},
-	}}
-	chaos, err := NewChaos(ChaosConfig{Plan: plan, Seed: 5}, fleet.NodeIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet.UseChaos(chaos)
-	sup := NewFleetSupervisor(fleet, chaos, SupervisorConfig{})
+func newFakeFleet() *fakeFleet {
+	return &fakeFleet{up: map[packet.NodeID]bool{1: true, 2: true, 3: true}, etherUp: true}
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
-	defer cancel()
-	supDone := make(chan error, 1)
-	go func() { supDone <- sup.Run(ctx) }()
+func (f *fakeFleet) NodeIDs() []packet.NodeID { return []packet.NodeID{1, 2, 3} }
+func (f *fakeFleet) StopDaemon(id packet.NodeID) error {
+	f.up[id] = false
+	return nil
+}
+func (f *fakeFleet) RestartDaemon(id packet.NodeID) error {
+	if f.restartFails > 0 {
+		f.restartFails--
+		return errors.New("dial refused")
+	}
+	f.up[id] = true
+	return nil
+}
+func (f *fakeFleet) StopEther() error { f.etherUp = false; return nil }
+func (f *fakeFleet) StartEther() error {
+	if f.etherFails > 0 {
+		f.etherFails--
+		return errors.New("address in use")
+	}
+	f.etherUp = true
+	return nil
+}
+func (f *fakeFleet) EtherUp() bool                                      { return f.etherUp }
+func (f *fakeFleet) DaemonAlive(id packet.NodeID, _ time.Duration) bool { return f.up[id] }
+func (f *fakeFleet) NodeStats(packet.NodeID) NodeAccounting             { return NodeAccounting{} }
+
+const ms = time.Millisecond
+
+func down(at time.Duration, id packet.NodeID) ChaosEvent {
+	return ChaosEvent{At: at, Kind: faults.EventNodeDown, ID: id}
+}
+func up(at time.Duration, id packet.NodeID) ChaosEvent {
+	return ChaosEvent{At: at, Kind: faults.EventNodeUp, ID: id}
+}
+
+// TestSupervisorVirtualTime pins the supervisor's semantics as exact event
+// logs: the engine is stepped by hand, so every time below is the virtual
+// time the action ran at, not a window it had to fall in. Defaults apply:
+// watchdog every 50 ms, UnhealthyAfter 3 s, backoff 100 ms doubling to 2 s.
+func TestSupervisorVirtualTime(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  SupervisorConfig
+		// chaos is the schedule armed at construction; script arms
+		// whatever else the case needs on the engine.
+		chaos         []ChaosEvent
+		script        func(e *sim.Engine, f *fakeFleet, s *FleetSupervisor)
+		want          []FleetEvent
+		etherRestarts int
+	}{
+		{
+			name:  "scripted kill and restart fire at their offsets",
+			chaos: []ChaosEvent{down(2000*ms, 2), up(3500*ms, 2)},
+			want: []FleetEvent{
+				{At: 2000 * ms, Kind: "kill", Node: 2},
+				{At: 3500 * ms, Kind: "restart", Node: 2},
+			},
+		},
+		{
+			name:  "the watchdog leaves a scheduled outage alone however long",
+			chaos: []ChaosEvent{down(1000*ms, 2), up(9000*ms, 2)},
+			want: []FleetEvent{
+				{At: 1000 * ms, Kind: "kill", Node: 2},
+				{At: 9000 * ms, Kind: "restart", Node: 2},
+			},
+		},
+		{
+			name:  "restart backs off 100ms doubling to the 2s cap, and a success resets it",
+			chaos: []ChaosEvent{down(1000*ms, 2), up(2000*ms, 2), down(20000*ms, 2), up(21000*ms, 2)},
+			script: func(e *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
+				f.restartFails = 7
+				e.At(20500*ms, func() { f.restartFails = 1 })
+			},
+			// 7.1 s of failed attempts outlast UnhealthyAfter: the watchdog
+			// must not start a second sequence beside the one running.
+			want: []FleetEvent{
+				{At: 1000 * ms, Kind: "kill", Node: 2},
+				{At: 2000 * ms, Kind: "restart-failed", Node: 2, Backoff: 100 * ms},
+				{At: 2100 * ms, Kind: "restart-failed", Node: 2, Backoff: 200 * ms},
+				{At: 2300 * ms, Kind: "restart-failed", Node: 2, Backoff: 400 * ms},
+				{At: 2700 * ms, Kind: "restart-failed", Node: 2, Backoff: 800 * ms},
+				{At: 3500 * ms, Kind: "restart-failed", Node: 2, Backoff: 1600 * ms},
+				{At: 5100 * ms, Kind: "restart-failed", Node: 2, Backoff: 2000 * ms},
+				{At: 7100 * ms, Kind: "restart-failed", Node: 2, Backoff: 2000 * ms},
+				{At: 9100 * ms, Kind: "restart", Node: 2},
+				{At: 20000 * ms, Kind: "kill", Node: 2},
+				{At: 21000 * ms, Kind: "restart-failed", Node: 2, Backoff: 100 * ms},
+				{At: 21100 * ms, Kind: "restart", Node: 2},
+			},
+		},
+		{
+			name: "the watchdog restarts an unscheduled death UnhealthyAfter after first seeing it",
+			script: func(e *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
+				e.At(1010*ms, func() { f.up[3] = false }) // first seen dead at the 1050 ms poll
+			},
+			want: []FleetEvent{{At: 4050 * ms, Kind: "watchdog-restart", Node: 3}},
+		},
+		{
+			name: "an ether outage wipes the watchdog's suspicions",
+			script: func(e *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
+				e.At(1010*ms, func() { f.up[3] = false })
+				e.At(2010*ms, func() { f.etherUp = false })
+				e.At(6010*ms, func() { f.etherUp = true }) // seen dead afresh at 6050 ms
+			},
+			want: []FleetEvent{{At: 9050 * ms, Kind: "watchdog-restart", Node: 3}},
+		},
+		{
+			name: "a negative UnhealthyAfter disables the watchdog",
+			cfg:  SupervisorConfig{UnhealthyAfter: -1},
+			script: func(e *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
+				e.At(1010*ms, func() { f.up[3] = false })
+				e.At(25000*ms, func() { f.up[3] = true }) // every case ends with the fleet up
+			},
+		},
+		{
+			name: "injected events: the past fires at once and in order, the future at its offset",
+			script: func(e *sim.Engine, _ *fakeFleet, s *FleetSupervisor) {
+				// What Inject hands the run goroutine, at run time 5 s.
+				e.At(5000*ms, func() { s.schedule([]ChaosEvent{down(1000*ms, 1), down(1500*ms, 2), up(6000*ms, 1), up(6000*ms, 2)}) })
+			},
+			want: []FleetEvent{
+				{At: 5000 * ms, Kind: "kill", Node: 1},
+				{At: 5000 * ms, Kind: "kill", Node: 2},
+				{At: 6000 * ms, Kind: "restart", Node: 1},
+				{At: 6000 * ms, Kind: "restart", Node: 2},
+			},
+		},
+		{
+			name: "ether-up retries with backoff while StartEther errors",
+			chaos: []ChaosEvent{
+				{At: 1000 * ms, Kind: faults.EventEtherDown, Node: -1},
+				{At: 2000 * ms, Kind: faults.EventEtherUp, Node: -1},
+			},
+			script: func(_ *sim.Engine, f *fakeFleet, _ *FleetSupervisor) { f.etherFails = 3 },
+			want: []FleetEvent{
+				{At: 1000 * ms, Kind: "ether-down"},
+				{At: 2700 * ms, Kind: "ether-up"}, // 2 s + 100 + 200 + 400 ms
+			},
+			etherRestarts: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			engine, fleet := sim.NewEngine(1), newFakeFleet()
+			sup := newSupervisor(fleet, engine, tc.cfg)
+			sup.schedule(tc.chaos)
+			if tc.script != nil {
+				tc.script(engine, fleet, sup)
+			}
+			engine.Run(30 * time.Second)
+
+			if got := sup.Events(); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("event log:\n got %v\nwant %v", got, tc.want)
+			}
+			rep := sup.Report()
+			if rep.EtherRestarts != tc.etherRestarts || rep.Elapsed != 30*time.Second || len(rep.Nodes) != 3 {
+				t.Errorf("report = %+v, want %d ether restarts at 30s over 3 nodes", rep, tc.etherRestarts)
+			}
+			for id, alive := range fleet.up {
+				if !alive {
+					t.Errorf("node %v left down", id)
+				}
+			}
+			if !fleet.etherUp {
+				t.Error("ether left down")
+			}
+		})
+	}
+}
+
+// TestSupervisorInjectReachesTheRunGoroutine covers the one path the
+// virtual-time suite cannot: Inject from another goroutine while a Driver
+// paces the engine, and its refusal once the run has ended.
+func TestSupervisorInjectReachesTheRunGoroutine(t *testing.T) {
+	driver, fleet := NewDriver(1), newFakeFleet()
+	sup := newSupervisor(fleet, driver.Engine(), SupervisorConfig{})
+	sup.driver = driver
+	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
 	go func() {
 		defer close(runDone)
-		fleet.Run(ctx)
+		driver.Run(ctx)
 	}()
 
-	waitFor(t, 8*time.Second, "pre-fault delivery", func() bool { return deliveredTo(fleet, 3) >= 5 })
-	waitFor(t, 5*time.Second, "scheduled kill", func() bool { return fleet.Daemon(2) == nil })
-	if fleet.DaemonAlive(2, time.Second) {
-		t.Fatal("killed relay reported alive")
+	if !sup.Inject([]ChaosEvent{down(0, 2)}) {
+		t.Fatal("Inject refused while the driver runs")
 	}
-	waitFor(t, 5*time.Second, "scheduled restart", func() bool { return fleet.Daemon(2) != nil })
-	afterRestart := deliveredTo(fleet, 3)
-	waitFor(t, 5*time.Second, "delivery to resume through restarted relay", func() bool {
-		return deliveredTo(fleet, 3) >= afterRestart+5
+	waitFor(t, 5*time.Second, "the injected kill", func() (killed bool) {
+		driver.Do(func() { killed = len(sup.Events()) == 1 && sup.Events()[0].Kind == "kill" })
+		return killed
 	})
-
 	cancel()
 	<-runDone
-	if err := <-supDone; err != nil {
-		t.Fatal(err)
+	if sup.Inject([]ChaosEvent{up(0, 2)}) {
+		t.Fatal("Inject accepted events after the run ended")
 	}
-
-	acc := fleet.NodeStats(2)
-	if acc.Kills != 1 || acc.Restarts != 1 {
-		t.Fatalf("relay accounting = %+v, want 1 kill / 1 restart", acc)
-	}
-	if acc.Downtime < time.Second || acc.Downtime > 4*time.Second {
-		t.Fatalf("relay downtime = %v, want ≈1.5s", acc.Downtime)
-	}
-	res := fleet.Result()
-	if res.Kills[2] != 1 || res.Restarts[2] != 1 || res.Downtime[2] == 0 {
-		t.Fatalf("FleetResult chaos accounting = kills %v restarts %v downtime %v",
-			res.Kills, res.Restarts, res.Downtime)
-	}
-	if len(res.Health) != 1 {
-		t.Fatalf("health groups = %d, want 1", len(res.Health))
-	}
-	rep := sup.Report(8 * time.Second)
-	for _, n := range rep.Nodes {
-		if n.Availability <= 0 {
-			t.Fatalf("node %v availability = %v", n.ID, n.Availability)
-		}
-		if n.ID != 2 && n.Kills != 0 {
-			t.Fatalf("surviving node %v was killed", n.ID)
-		}
+	if len(sup.Events()) != 1 {
+		t.Fatalf("events after the run ended = %v", sup.Events())
 	}
 }
 
@@ -203,110 +349,137 @@ func TestSupervisorConfigExpBackoff(t *testing.T) {
 	}
 }
 
-// restartFailures filters the executed-event log down to restart-failed
-// events, in order.
-func restartFailures(events []FleetEvent) []FleetEvent {
-	var out []FleetEvent
-	for _, ev := range events {
-		if ev.Kind == "restart-failed" {
-			out = append(out, ev)
-		}
+// TestSupervisorScriptedKillAndRestart is the real-socket smoke of what
+// TestSupervisorVirtualTime pins in virtual time: the relay of a live line
+// is crashed by script, the test waits for the supervisor's own kill and
+// restart events, and end-to-end delivery must resume through the new relay.
+func TestSupervisorScriptedKillAndRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time test (several seconds)")
 	}
-	return out
-}
-
-// TestSupervisorRestartBackoffCapAndReset drives the restart loop against a
-// fleet whose daemons cannot be revived (Run was never called, so
-// RestartDaemon always errors): every attempt logs a restart-failed event
-// carrying the delay before the next try. The recorded delays must follow
-// the capped exponential — never exceeding RestartBackoffMax — and a second
-// invocation (the state after a successful revive) must start back at the
-// floor.
-func TestSupervisorRestartBackoffCapAndReset(t *testing.T) {
-	fleet, err := NewFleet(FleetConfig{
-		Scenario: lineScenario(),
-		Metric:   metric.SPP,
-		Seed:     31,
+	var sup *FleetSupervisor
+	fleet, stop := startLineFleet(t, 5, func(fleet *Fleet) {
+		// Node index 1 of sorted [1 2 3] is the relay, node 2.
+		plan := faults.Plan{Outages: []faults.Outage{
+			{Node: 1, Start: time.Second, Duration: time.Second},
+		}}
+		chaos, err := NewChaos(ChaosConfig{Plan: plan, Seed: 5}, fleet.NodeIDs(), fleet.Driver().Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.UseChaos(chaos)
+		sup = NewFleetSupervisor(fleet, chaos, SupervisorConfig{})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-	if err := fleet.StopDaemon(2); err != nil {
-		t.Fatal(err)
-	}
+	defer stop()
 
-	cfg := SupervisorConfig{
-		RestartBackoff:    5 * time.Millisecond,
-		RestartBackoffMax: 20 * time.Millisecond,
+	logged := func(kind string) func() bool {
+		return func() (found bool) {
+			fleet.Driver().Do(func() {
+				for _, ev := range sup.Events() {
+					found = found || ev.Kind == kind && ev.Node == 2
+				}
+			})
+			return found
+		}
 	}
-	sup := NewFleetSupervisor(fleet, nil, cfg)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	start := time.Now()
-	sup.restart(ctx, 2, start, "restart")
-	waitFor(t, 5*time.Second, "several failed restart attempts", func() bool {
-		return len(restartFailures(sup.Events())) >= 6
+	waitFor(t, 8*time.Second, "the supervisor's kill event", logged("kill"))
+	waitFor(t, 8*time.Second, "the supervisor's restart event", logged("restart"))
+	afterRestart := deliveredTo(fleet, 3)
+	waitFor(t, 8*time.Second, "delivery to resume through restarted relay", func() bool {
+		return deliveredTo(fleet, 3) >= afterRestart+5
 	})
-	cancel()
-	sup.wg.Wait()
+	stop()
 
-	fails := restartFailures(sup.Events())
-	wantNext := cfg.RestartBackoff
-	for i, ev := range fails {
-		if ev.Backoff > cfg.RestartBackoffMax {
-			t.Fatalf("attempt %d backoff = %v exceeds cap %v", i, ev.Backoff, cfg.RestartBackoffMax)
+	want := []FleetEvent{
+		{At: time.Second, Kind: "kill", Node: 2},
+		{At: 2 * time.Second, Kind: "restart", Node: 2},
+	}
+	rep := sup.Report()
+	if !reflect.DeepEqual(rep.Events, want) {
+		t.Fatalf("supervisor events = %v, want %v", rep.Events, want)
+	}
+	for _, n := range rep.Nodes {
+		if n.Availability <= 0 {
+			t.Fatalf("node %v availability = %v", n.ID, n.Availability)
 		}
-		if ev.Backoff != wantNext {
-			t.Fatalf("attempt %d backoff = %v, want %v", i, ev.Backoff, wantNext)
+		want := 0
+		if n.ID == 2 {
+			want = 1
 		}
-		if wantNext *= 2; wantNext > cfg.RestartBackoffMax {
-			wantNext = cfg.RestartBackoffMax
+		if n.Kills != want || n.Restarts != want {
+			t.Fatalf("node %v: %d kills, %d restarts, want %d of each", n.ID, n.Kills, n.Restarts, want)
 		}
 	}
-
-	// A new restart invocation gets a fresh sequence: back at the floor.
-	before := len(fails)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	sup.restart(ctx2, 2, start, "restart")
-	waitFor(t, 5*time.Second, "second invocation's first failure", func() bool {
-		return len(restartFailures(sup.Events())) > before
-	})
-	cancel2()
-	sup.wg.Wait()
-	if got := restartFailures(sup.Events())[before].Backoff; got != cfg.RestartBackoff {
-		t.Fatalf("backoff after fresh invocation = %v, want floor %v", got, cfg.RestartBackoff)
+	res := fleet.Result()
+	if res.Kills[2] != 1 || res.Restarts[2] != 1 || res.Downtime[2] <= 0 || res.Downtime[2] != fleet.NodeStats(2).Downtime {
+		t.Fatalf("FleetResult chaos accounting = kills %v restarts %v downtime %v",
+			res.Kills, res.Restarts, res.Downtime)
+	}
+	if len(res.Health) != 1 {
+		t.Fatalf("health groups = %d, want 1", len(res.Health))
 	}
 }
 
-// TestFleetCloseNoGoroutineLeak runs a short supervised fleet and checks
-// that teardown returns the process to its goroutine baseline.
+// TestFleetCloseNoGoroutineLeak runs a supervised fleet until traffic gets
+// through (1.5 s at most) and checks that teardown returns the process to
+// its goroutine and descriptor baseline.
 func TestFleetCloseNoGoroutineLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	tightenRegTiming(t)
-	baseline := runtime.NumGoroutine()
-
-	fleet, err := NewFleet(FleetConfig{
-		Scenario:     lineScenario(),
-		Metric:       metric.SPP,
-		SendInterval: 20 * time.Millisecond,
-		Seed:         21,
+	settled := leakCheck(t)
+	fleet, stop := startLineFleet(t, 21, func(fleet *Fleet) {
+		NewFleetSupervisor(fleet, nil, SupervisorConfig{})
 	})
-	if err != nil {
-		t.Fatal(err)
+	for ceiling := time.Now().Add(1500 * time.Millisecond); deliveredTo(fleet, 3) == 0 && time.Now().Before(ceiling); {
+		time.Sleep(10 * time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
-	defer cancel()
-	sup := NewFleetSupervisor(fleet, nil, SupervisorConfig{})
-	supDone := make(chan error, 1)
-	go func() { supDone <- sup.Run(ctx) }()
-	fleet.Run(ctx)
-	<-supDone
-	fleet.Close()
+	stop()
+	settled()
+}
 
-	waitFor(t, 3*time.Second, "goroutines to drain", func() bool {
-		return runtime.NumGoroutine() <= baseline+2
-	})
+// TestFleetLifecycleCyclesNoLeak kills and revives a daemon, and bounces
+// the ether, repeatedly while traffic flows: every generation's goroutines
+// and sockets must be gone once the fleet is closed.
+func TestFleetLifecycleCyclesNoLeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time test")
+	}
+	cycles := map[string]func(t *testing.T, fleet *Fleet){
+		"three daemon stop/restart rounds": func(t *testing.T, fleet *Fleet) {
+			for round := 0; round < 3; round++ {
+				if err := fleet.StopDaemon(2); err != nil {
+					t.Fatal(err)
+				}
+				if err := fleet.RestartDaemon(2); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 2*time.Second, "restarted relay alive", func() bool { return fleet.DaemonAlive(2, time.Second) })
+			}
+			if acc := fleet.NodeStats(2); acc.Kills != 3 || acc.Restarts != 3 {
+				t.Fatalf("relay accounting = %+v, want 3 kills / 3 restarts", acc)
+			}
+		},
+		"two ether stop/start rounds": func(t *testing.T, fleet *Fleet) {
+			for round := 0; round < 2; round++ {
+				if err := fleet.StopEther(); err != nil {
+					t.Fatal(err)
+				}
+				if err := fleet.StartEther(); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 2*time.Second, "all daemons re-registered", func() bool { return len(fleet.EtherClients()) == 3 })
+			}
+		},
+	}
+	for name, cycle := range cycles {
+		t.Run(name, func(t *testing.T) {
+			settled := leakCheck(t)
+			fleet, stop := startLineFleet(t, 41, nil)
+			waitFor(t, 8*time.Second, "traffic to flow", func() bool { return deliveredTo(fleet, 3) >= 5 })
+			cycle(t, fleet)
+			stop()
+			settled()
+		})
+	}
 }

@@ -15,12 +15,15 @@ import (
 // That restriction is deliberate: registry instruments follow the
 // single-sim-goroutine contract and are unsynchronized, which a live fleet
 // cannot honor from its many daemon goroutines. GaugeFunc sidesteps the
-// problem — callbacks registered here only *read* state behind the fleet's
-// own locks (Ether.Stats, slot mutexes, the supervisor's event log) and are
-// evaluated on the single sampling goroutine (telemetry.RunWall), so the
-// registry itself is never written concurrently. Counters that look
-// monotonic (frames in/out) are still exported as gauges for the same
-// reason; meshstat treats them identically.
+// problem — callbacks registered here only *read* state, and are evaluated
+// on the one goroutine that samples: the run goroutine, where the sampler is
+// a ticker on the fleet's run engine (and, for the final sample, the caller
+// once Run has returned). Fleet state is read behind the fleet's own locks
+// (Ether.Stats, slot mutexes); supervisor state belongs to that same run
+// goroutine and is read directly — never through Driver.Do, whose lock the
+// sampling event already holds. Counters that look monotonic (frames
+// in/out) are still exported as gauges for the same reason; meshstat treats
+// them identically.
 //
 // Exported names (meshstat groups by the prefix before the first dot):
 //
@@ -77,12 +80,8 @@ func InstrumentFleet(reg *telemetry.Registry, f *Fleet, c *Chaos, sup *FleetSupe
 		reg.GaugeFunc("chaos.active", func() float64 { return float64(c.ActiveFaults()) })
 	}
 	if sup != nil {
-		reg.GaugeFunc("chaos.events_executed", func() float64 { return float64(len(sup.Events())) })
-		reg.GaugeFunc("chaos.ether_restarts", func() float64 {
-			sup.mu.Lock()
-			defer sup.mu.Unlock()
-			return float64(sup.etherRestarts)
-		})
+		reg.GaugeFunc("chaos.events_executed", func() float64 { return float64(len(sup.events)) })
+		reg.GaugeFunc("chaos.ether_restarts", func() float64 { return float64(sup.etherRestarts) })
 	}
 }
 

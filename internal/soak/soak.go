@@ -18,6 +18,7 @@ import (
 	"meshcast/internal/emu"
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
+	"meshcast/internal/sim"
 	"meshcast/internal/telemetry"
 	"meshcast/internal/testbed"
 )
@@ -98,6 +99,9 @@ type Runner struct {
 	srv       *ctlplane.Server
 	listener  net.Listener
 	httpSrv   *http.Server
+	// rotateErr is the first series-rotation failure; the run goroutine
+	// writes it, Run reads it once the fleet has stopped.
+	rotateErr error
 }
 
 // New builds the fleet, supervisor, control listener, and telemetry
@@ -178,11 +182,6 @@ func (r *Runner) Fleet() *emu.Fleet { return r.fleet }
 // (0 when telemetry is disabled).
 func (r *Runner) FlightDumps() int { return r.flight.Dumps() }
 
-// Report summarizes supervision outcomes for the given elapsed run time.
-func (r *Runner) Report(elapsed time.Duration) emu.SupervisorReport {
-	return r.sup.Report(elapsed)
-}
-
 func (r *Runner) traceStep(step string) {
 	if r.cfg.trace != nil {
 		r.cfg.trace(step)
@@ -204,14 +203,15 @@ func (r *Runner) close() {
 // final sample must still see the drained deliveries, and no control
 // mutation may race the teardown.
 func (r *Runner) Run(ctx context.Context) error {
-	start := time.Now()
+	run := r.fleet.Driver()
+	if r.rec != nil {
+		r.armTelemetry(run.Engine())
+	}
 
 	// The fleet runs on its own context so shutdown order is ours, not
 	// the scheduler's.
 	fleetCtx, stopFleet := context.WithCancel(context.Background())
 	defer stopFleet()
-	supDone := make(chan error, 1)
-	go func() { supDone <- r.sup.Run(fleetCtx) }()
 	fleetDone := make(chan struct{})
 	go func() {
 		defer close(fleetDone)
@@ -224,81 +224,8 @@ func (r *Runner) Run(ctx context.Context) error {
 		go func() { serveDone <- r.httpSrv.Serve(r.listener) }()
 	}
 
-	var sampleDone chan struct{}
-	var stopSampling context.CancelFunc
-	if r.rec != nil {
-		var sampleCtx context.Context
-		sampleCtx, stopSampling = context.WithCancel(context.Background())
-		defer stopSampling()
-		sampleDone = make(chan struct{})
-		go func() {
-			defer close(sampleDone)
-			telemetry.RunWall(sampleCtx, r.rec.Sampler(), start)
-		}()
-	}
-
-	var rotate *time.Ticker
-	var rotateC <-chan time.Time
-	if r.rec != nil && r.cfg.RotateEvery > 0 {
-		rotate = time.NewTicker(r.cfg.RotateEvery)
-		defer rotate.Stop()
-		rotateC = rotate.C
-	}
-
-	// Anomaly watch: each tick records the stats window into the flight
-	// recorder's ring and fires a dump on a windowed PDR dip, a core
-	// handover, or a supervisor watchdog restart. Dumps are best-effort
-	// (cooldown-suppressed, never fail the run).
-	var anomalyC <-chan time.Time
-	var dip telemetry.PDRDipDetector
-	var prevExpected, prevDelivered uint64
-	seenEvents := 0
-	if r.flight != nil {
-		watch := time.NewTicker(r.cfg.SampleInterval)
-		defer watch.Stop()
-		anomalyC = watch.C
-	}
-
+	<-ctx.Done()
 	var firstErr error
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		case <-rotateC:
-			if _, err := r.rec.Rotate(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-anomalyC:
-			expected, delivered := r.fleet.DeliveryEstimate()
-			dExp, dDel := expected-prevExpected, delivered-prevDelivered
-			prevExpected, prevDelivered = expected, delivered
-			if dExp > 0 {
-				pdr := float64(dDel) / float64(dExp)
-				r.flight.Record("stats", "window expected=%d delivered=%d pdr=%.3f", dExp, dDel, pdr)
-				if dip.Observe(pdr) {
-					r.flight.Trigger(fmt.Sprintf("pdr-dip window pdr=%.3f", pdr))
-				}
-			}
-			if d := r.coreWatch.Delta(); d > 0 {
-				r.flight.Record("mcst", "core handovers +%d", d)
-				r.flight.Trigger(fmt.Sprintf("core-handover +%d", d))
-			}
-			events := r.sup.Events()
-			for _, ev := range events[seenEvents:] {
-				r.flight.Record("supervisor", "%s node=%d at=%.1fs", ev.Kind, ev.Node, ev.At.Seconds())
-				if ev.Kind == "watchdog-restart" {
-					r.flight.Trigger(fmt.Sprintf("watchdog-restart node=%d", ev.Node))
-				}
-			}
-			seenEvents = len(events)
-		case err := <-serveDone:
-			serveDone = nil
-			if err != nil && err != http.ErrServerClosed && firstErr == nil {
-				firstErr = fmt.Errorf("soak: control server: %w", err)
-			}
-		}
-	}
 
 	// (1) Stop the control plane: no mutation may race the teardown. Open
 	// /stats/stream connections must be torn down first — their handlers
@@ -312,19 +239,18 @@ loop:
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		r.httpSrv.Shutdown(shutCtx)
 		cancel()
-		if serveDone != nil {
-			if err := <-serveDone; err != nil && err != http.ErrServerClosed && firstErr == nil {
-				firstErr = fmt.Errorf("soak: control server: %w", err)
-			}
+		if err := <-serveDone; err != nil && err != http.ErrServerClosed {
+			firstErr = fmt.Errorf("soak: control server: %w", err)
 		}
 	}
 
-	// (2) Stop the fleet: daemons and supervisor exit, sends cease.
+	// (2) Stop the fleet: daemons exit, sends cease, and the run engine —
+	// supervisor, sampling, rotation — stops with them.
 	r.traceStep("fleet-stop")
 	stopFleet()
 	<-fleetDone
-	if err := <-supDone; err != nil && err != context.Canceled && firstErr == nil {
-		firstErr = err
+	if firstErr == nil {
+		firstErr = r.rotateErr
 	}
 
 	// (3) Drain the medium: scheduled delayed deliveries land before the
@@ -335,11 +261,10 @@ loop:
 	// (4) Final telemetry sample + manifest.
 	r.traceStep("telemetry-final")
 	if r.rec != nil {
-		stopSampling()
-		<-sampleDone
-		elapsed := time.Since(start)
+		elapsed := run.Now()
+		r.rec.Sampler().Sample(elapsed)
 		res := r.fleet.Result()
-		rep := r.sup.Report(elapsed)
+		rep := r.sup.Report()
 		avail := 1.0
 		if len(rep.Nodes) > 0 {
 			sum := 0.0
@@ -367,4 +292,50 @@ loop:
 
 	r.close()
 	return firstErr
+}
+
+// armTelemetry puts the run's periodic telemetry work on the run engine as
+// three tickers: the sampler, the series rotation, and the anomaly watch.
+func (r *Runner) armTelemetry(engine *sim.Engine) {
+	sampler := r.rec.Sampler()
+	sim.NewTicker(engine, sampler.Interval(), 0, nil, func() { sampler.Sample(engine.Now()) })
+	if r.cfg.RotateEvery > 0 {
+		sim.NewTicker(engine, r.cfg.RotateEvery, 0, nil, func() {
+			if _, err := r.rec.Rotate(); err != nil && r.rotateErr == nil {
+				r.rotateErr = err
+			}
+		})
+	}
+
+	// Anomaly watch: each tick records the stats window into the flight
+	// recorder's ring and fires a dump on a windowed PDR dip, a core
+	// handover, or a supervisor watchdog restart. Dumps are best-effort
+	// (cooldown-suppressed, never fail the run).
+	var dip telemetry.PDRDipDetector
+	var prevExpected, prevDelivered uint64
+	seenEvents := 0
+	sim.NewTicker(engine, r.cfg.SampleInterval, 0, nil, func() {
+		expected, delivered := r.fleet.DeliveryEstimate()
+		dExp, dDel := expected-prevExpected, delivered-prevDelivered
+		prevExpected, prevDelivered = expected, delivered
+		if dExp > 0 {
+			pdr := float64(dDel) / float64(dExp)
+			r.flight.Record("stats", "window expected=%d delivered=%d pdr=%.3f", dExp, dDel, pdr)
+			if dip.Observe(pdr) {
+				r.flight.Trigger(fmt.Sprintf("pdr-dip window pdr=%.3f", pdr))
+			}
+		}
+		if d := r.coreWatch.Delta(); d > 0 {
+			r.flight.Record("mcst", "core handovers +%d", d)
+			r.flight.Trigger(fmt.Sprintf("core-handover +%d", d))
+		}
+		events := r.sup.Events()
+		for _, ev := range events[seenEvents:] {
+			r.flight.Record("supervisor", "%s node=%d at=%.1fs", ev.Kind, ev.Node, ev.At.Seconds())
+			if ev.Kind == "watchdog-restart" {
+				r.flight.Trigger(fmt.Sprintf("watchdog-restart node=%d", ev.Node))
+			}
+		}
+		seenEvents = len(events)
+	})
 }
