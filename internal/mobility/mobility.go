@@ -25,6 +25,7 @@ package mobility
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"meshcast/internal/geom"
@@ -117,13 +118,17 @@ type Mover struct {
 	model  model
 	ticker *sim.Ticker
 
-	// Link-break detection state: the neighbor graph at LinkRangeM, as a set
-	// of (i<<32|j) pairs with i < j, plus a reusable spatial bucket map at
-	// link-range cell size (the phy cell index is interference-radius sized —
-	// ~2 km by default — far too coarse to bound a 250 m neighbor probe).
-	pairs, prevPairs map[uint64]struct{}
-	buckets          map[linkCell][]int32
-	scanned          bool
+	// Link-break detection state: the neighbor graph at LinkRangeM as of the
+	// last scan, as the ascending list of its (i<<32|j) pairs with i < j, a
+	// spare list the next scan fills, and a reusable spatial bucket map at
+	// link-range cell size with each radio's key in it (the phy cell index is
+	// interference-radius sized — ~2 km by default — far too coarse to bound a
+	// 250 m neighbor probe). scannedAt is the medium's change clock at the last
+	// scan; zero before the baseline scan.
+	pairs, spare []uint64
+	cells        []linkCell
+	buckets      map[linkCell][]int32
+	scannedAt    uint64
 
 	// Moves counts MoveRadio calls issued; Breaks and Forms count edges of
 	// the link-range neighbor graph lost and gained across ticks.
@@ -183,8 +188,7 @@ func NewMover(engine *sim.Engine, medium *phy.Medium, radios []*phy.Radio, area 
 		return nil, fmt.Errorf("mobility: unknown model %q (want %s, %s, or %s)", cfg.Model, ModelWaypoint, ModelRPGM, ModelCorridor)
 	}
 	if cfg.LinkRangeM > 0 {
-		mv.pairs = make(map[uint64]struct{})
-		mv.prevPairs = make(map[uint64]struct{})
+		mv.cells = make([]linkCell, n)
 		mv.buckets = make(map[linkCell][]int32)
 	}
 	return mv, nil
@@ -228,7 +232,9 @@ func (mv *Mover) tick() {
 			}
 		}
 	}
-	if mv.pairs != nil {
+	// The graph is a function of the positions: rescan only if one changed
+	// since the last scan, whoever moved it.
+	if mv.buckets != nil && mv.medium.Changes() != mv.scannedAt {
 		mv.scanLinks(now)
 	}
 	if mv.cfg.End != 0 && now > mv.cfg.End {
@@ -237,52 +243,66 @@ func (mv *Mover) tick() {
 }
 
 // scanLinks rebuilds the geometric neighbor graph at LinkRangeM and diffs it
-// against the previous tick's: edges present then and gone now are breaks,
+// against the previous scan's: edges present then and gone now are breaks,
 // new edges are forms. Pure geometry — no RNG — so tracking never perturbs
 // the simulation's draw sequence. The first scan only sets the baseline.
+//
+// Both graphs are ascending pair lists, so the diff is one merge walk. A
+// radio's pairs come out of its nine buckets in bucket order and are sorted
+// as a run before the next radio's are appended.
 func (mv *Mover) scanLinks(now time.Duration) {
 	size := mv.cfg.LinkRangeM
-	for k := range mv.buckets {
-		delete(mv.buckets, k)
+	for k, b := range mv.buckets {
+		mv.buckets[k] = b[:0]
 	}
 	for i, r := range mv.radios {
 		k := linkCell{x: int32(math.Floor(r.Pos.X / size)), y: int32(math.Floor(r.Pos.Y / size))}
+		mv.cells[i] = k
 		mv.buckets[k] = append(mv.buckets[k], int32(i))
 	}
-	cur := mv.pairs
-	for k := range cur {
-		delete(cur, k)
-	}
+	// Only a squared distance this close to size² needs the exact test.
+	in2, out2 := size*size*(1-1e-9), size*size*(1+1e-9)
+	baseline := mv.scannedAt == 0
+	mv.scannedAt = mv.medium.Changes()
+	prev, cur := mv.pairs, mv.spare[:0]
 	for i, r := range mv.radios {
-		k := linkCell{x: int32(math.Floor(r.Pos.X / size)), y: int32(math.Floor(r.Pos.Y / size))}
+		k := mv.cells[i]
+		run := len(cur)
 		for dx := int32(-1); dx <= 1; dx++ {
 			for dy := int32(-1); dy <= 1; dy++ {
 				for _, j := range mv.buckets[linkCell{x: k.x + dx, y: k.y + dy}] {
 					if int(j) <= i {
 						continue
 					}
-					if r.Pos.Distance(mv.radios[j].Pos) <= size {
-						cur[uint64(i)<<32|uint64(j)] = struct{}{}
+					q := mv.radios[j].Pos
+					ex, ey := r.Pos.X-q.X, r.Pos.Y-q.Y
+					if d2 := ex*ex + ey*ey; d2 < in2 || d2 <= out2 && r.Pos.Distance(q) <= size {
+						cur = append(cur, uint64(i)<<32|uint64(j))
 					}
 				}
 			}
 		}
+		slices.Sort(cur[run:])
+	}
+	mv.pairs, mv.spare = cur, prev
+	if baseline {
+		return
 	}
 	breaks, forms := 0, 0
-	if mv.scanned {
-		for p := range mv.prevPairs {
-			if _, ok := cur[p]; !ok {
-				breaks++
-			}
-		}
-		for p := range cur {
-			if _, ok := mv.prevPairs[p]; !ok {
-				forms++
-			}
+	for len(prev) > 0 && len(cur) > 0 {
+		switch {
+		case prev[0] == cur[0]:
+			prev, cur = prev[1:], cur[1:]
+		case prev[0] < cur[0]:
+			breaks++
+			prev = prev[1:]
+		default:
+			forms++
+			cur = cur[1:]
 		}
 	}
-	mv.scanned = true
-	mv.pairs, mv.prevPairs = mv.prevPairs, cur
+	breaks += len(prev)
+	forms += len(cur)
 	mv.Breaks += uint64(breaks)
 	mv.Forms += uint64(forms)
 	if mv.OnLinkEvent != nil && (breaks > 0 || forms > 0) {

@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -238,5 +239,95 @@ func TestMoverMatchesBruteForceLinks(t *testing.T) {
 	}
 	if mv.Moves == 0 {
 		t.Fatal("nothing moved")
+	}
+}
+
+// TestLinkCountersMatchBruteForce recounts the LinkRangeM graph over all
+// O(N²) pairs after every tick and requires Breaks and Forms to equal the
+// running sums of its diffs, under every model. Before Config.Start the test
+// moves two radios by hand — onto exactly LinkRangeM apart, which is a link,
+// and a hair beyond, which is not — and leaves one tick with no move at all,
+// which the mover skips without miscounting.
+func TestLinkCountersMatchBruteForce(t *testing.T) {
+	const (
+		nodes   = 200
+		ticks   = 40
+		tick    = 250 * time.Millisecond
+		linkM   = 250.0
+		startAt = 6 * tick
+	)
+	for _, model := range []string{ModelWaypoint, ModelRPGM, ModelCorridor} {
+		topo := metroTopo(t, nodes, 23)
+		engine, medium, radios := buildWorld(t, 23, topo)
+		mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(23), Config{
+			Model: model, MaxSpeedMps: 40, Pause: 300 * time.Millisecond, Tick: tick, Start: startAt, LinkRangeM: linkM,
+		})
+		if err != nil {
+			t.Fatalf("NewMover(%s): %v", model, err)
+		}
+		graph := func() map[[2]int]bool {
+			g := make(map[[2]int]bool)
+			for i, a := range radios {
+				for j := i + 1; j < len(radios); j++ {
+					if a.Pos.Distance(radios[j].Pos) <= linkM {
+						g[[2]int{i, j}] = true
+					}
+				}
+			}
+			return g
+		}
+		// By hand, between ticks and before the models take over: radio 0 onto
+		// whole-metre coordinates (so the distances below are exact), radio 1
+		// to exactly link range of it, then just out of it, then nothing.
+		c := topo.Area.Center()
+		anchor := geom.Point{X: math.Floor(c.X), Y: math.Floor(c.Y)}
+		byHand := map[int][]geom.Point{
+			2: {anchor, {X: anchor.X + linkM, Y: anchor.Y}},
+			3: {anchor, {X: anchor.X + linkM + 1e-7, Y: anchor.Y}},
+		}
+		mv.Start()
+		var prev map[[2]int]bool
+		var breaks, forms uint64
+		events := 0
+		mv.OnLinkEvent = func(int, int, time.Duration) { events++ }
+		for k := 1; k <= ticks; k++ {
+			for i, p := range byHand[k] {
+				medium.MoveRadio(radios[i], p)
+			}
+			seen := events
+			engine.Run(time.Duration(k) * tick)
+			cur := graph()
+			if k == 2 && !cur[[2]int{0, 1}] {
+				t.Fatalf("%s: radios exactly %v m apart are not linked", model, linkM)
+			}
+			if k == 3 && cur[[2]int{0, 1}] {
+				t.Fatalf("%s: radios beyond link range are linked", model)
+			}
+			var b, f uint64
+			for e := range prev {
+				if !cur[e] {
+					b++
+				}
+			}
+			for e := range cur {
+				if prev != nil && !prev[e] {
+					f++
+				}
+			}
+			prev = cur
+			breaks, forms = breaks+b, forms+f
+			if mv.Breaks != breaks || mv.Forms != forms {
+				t.Fatalf("%s tick %d: breaks/forms = %d/%d, brute force counts %d/%d", model, k, mv.Breaks, mv.Forms, breaks, forms)
+			}
+			if (events != seen) != (b+f > 0) {
+				t.Fatalf("%s tick %d: OnLinkEvent fired = %v with %d breaks and %d forms", model, k, events != seen, b, f)
+			}
+			if k == 4 && (mv.Moves != 0 || b+f != 0) {
+				t.Fatalf("%s: tick 4 was to be the still one (moves=%d, %d graph changes)", model, mv.Moves, b+f)
+			}
+		}
+		if breaks == 0 || forms == 0 || mv.Moves == 0 {
+			t.Fatalf("%s: breaks=%d forms=%d moves=%d; the comparison is vacuous", model, breaks, forms, mv.Moves)
+		}
 	}
 }

@@ -36,44 +36,78 @@ import (
 // deliberately not part of the cache; a down radio still receives arrivals
 // and discards them at delivery.
 //
-// The cache is invalidated by SetLinkFunc (the skip set changes shape) and,
-// incrementally, by AttachRadio and MoveRadio: only transmitters within the
-// interference radius of the new radio (for a move: of either endpoint) can
-// see their candidate set change, so only their lists are marked stale (see
-// invalidateLinksAround and invalidateLinksMoved in grid.go).
+// Staleness is a matter of clocks, not flags. The medium counts every change
+// that can alter a list — an attach, a move, a switch of power model — on one
+// change clock, and a list remembers the clock reading it was built (or last
+// found current) at. While the clock stands still, which is the whole of a run
+// without mobility, a frame pays one integer compare. After a change the
+// spatial index says whether it reached this transmitter: attaches and moves
+// stamp the cells they touch, and a list is stale iff a cell of its
+// transmitter's 3×3 block is stamped later than the list (grid.go has the rule
+// and why it marks exactly the lists a change can alter). Changes the index
+// cannot bound — SetLinkFunc; any attach or move with no index or under a
+// LinkFunc oracle, whose lists hold every radio with distance-derived delays —
+// set the wipe mark, older than which every list is stale. Either way
+// recording a change is O(1).
 
-// link is one precomputed (tx, rx) entry: the receiver, its mean (pre-fading)
-// received power — zero and unused when a LinkFunc is active — and the
-// propagation delay to it.
+// link is one precomputed (tx, rx) entry: the receiver's attach index, its
+// mean (pre-fading) received power — zero and unused when a LinkFunc is active
+// — and the propagation delay to it. It holds no pointer: a 1000-node run
+// builds some 15 MB of lists, which the collector then never scans and which
+// are built and copied without write barriers.
 type link struct {
-	rx        *Radio
 	meanPower float64
 	propDelay time.Duration
+	rx        int32
 }
 
 // candidates is one transmitter's slot in the cache: its list in attach order
 // and, for laying a frame's arrivals out in delivery order (flight.go), the
 // list's delay-order permutation — slot[i] is the rank of links[i] when the
-// list is sorted by (propDelay, i). An invalidated list keeps its backing
-// arrays and is rebuilt into them: moving radios invalidate hundreds of lists
-// per step, and allocating each rebuild afresh was half the bytes a mobile run
-// allocated.
+// list is sorted by (propDelay, i). A stale list keeps its backing arrays and
+// is rebuilt into them: moving radios outdate hundreds of lists per step, and
+// allocating each rebuild afresh was half the bytes a mobile run allocated.
 type candidates struct {
 	links []link
 	slot  []int32
-	valid bool
+	// asOf is the change clock the list was built, or last found current, at;
+	// zero (the clock starts at one) until the first build.
+	asOf uint64
 }
 
-// linksFrom returns src's candidate-receiver list, building it on first use.
+// linksFrom returns src's candidate-receiver list, (re)building it if a
+// change since the list's clock reading reached it.
 func (m *Medium) linksFrom(src *Radio) *candidates {
-	if m.links == nil {
-		m.links = make([]candidates, len(m.radios))
-	}
 	c := &m.links[src.index]
-	if !c.valid {
-		m.buildLinks(src, c)
+	if c.asOf != m.clock {
+		if m.stale(src, c) {
+			m.buildLinks(src, c)
+		}
+		c.asOf = m.clock
 	}
 	return c
+}
+
+// stale reports whether something changed src's candidates after c.asOf.
+func (m *Medium) stale(src *Radio, c *candidates) bool {
+	return c.asOf < m.wiped || m.grid != nil && m.grid.changedSince(src.Pos, c.asOf)
+}
+
+// changed records an attach or a move on the change clock and returns the
+// reading to stamp the touched cells with; where the reach of the change
+// cannot be bounded every list goes stale.
+func (m *Medium) changed() uint64 {
+	m.clock++
+	if m.grid == nil || m.linkFunc != nil {
+		m.wiped = m.clock
+	}
+	return m.clock
+}
+
+// invalidateLinks makes every cached candidate list stale.
+func (m *Medium) invalidateLinks() {
+	m.clock++
+	m.wiped = m.clock
 }
 
 // buildLinks computes src's candidate list in radio-attach order, and its
@@ -96,7 +130,6 @@ func (m *Medium) buildLinks(src *Radio, c *candidates) {
 	for rank, i := range order {
 		c.slot[i] = int32(rank)
 	}
-	c.valid = true
 }
 
 // delayOrder returns the positions of links sorted by (propDelay, position),
@@ -137,7 +170,7 @@ func (m *Medium) delayOrder(links []link) []int32 {
 // it stays as the fallback (LinkFunc, no computable interference radius) and
 // as the oracle the index is tested against. The list is appended to dst.
 func (m *Medium) buildLinksBrute(src *Radio, dst []link) []link {
-	for _, rx := range m.radios {
+	for i, rx := range m.radios {
 		if rx == src {
 			continue
 		}
@@ -149,16 +182,9 @@ func (m *Medium) buildLinksBrute(src *Radio, dst []link) []link {
 				continue
 			}
 		}
-		dst = append(dst, link{rx: rx, meanPower: mean, propDelay: propagation.Delay(d)})
+		dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: propagation.Delay(d)})
 	}
 	return dst
-}
-
-// invalidateLinks marks every cached candidate list stale.
-func (m *Medium) invalidateLinks() {
-	for i := range m.links {
-		m.links[i].valid = false
-	}
 }
 
 // LinksConsistent reports whether src's cached candidate list (built on

@@ -46,8 +46,9 @@ func TestInterferenceRadiusDisabledCases(t *testing.T) {
 	}
 }
 
-// built reports whether radio i's candidate list is currently cached.
-func (m *Medium) built(i int) bool { return m.links != nil && m.links[i].valid }
+// built reports whether radio i's candidate list is cached and would be served
+// as it stands: built once, and nothing has made it stale since.
+func (m *Medium) built(i int) bool { return !m.stale(m.radios[i], &m.links[i]) }
 
 // sameLinks requires two candidate lists to be identical entry for entry:
 // same receivers in the same (attach) order, same mean power, same delay.
@@ -59,7 +60,7 @@ func sameLinks(t *testing.T, got, want []link, label string) {
 	for i := range want {
 		if got[i].rx != want[i].rx {
 			t.Fatalf("%s: candidate %d is radio %d, brute force has %d (order or membership drift)",
-				label, i, got[i].rx.ID, want[i].rx.ID)
+				label, i, got[i].rx, want[i].rx)
 		}
 		if got[i].meanPower != want[i].meanPower || got[i].propDelay != want[i].propDelay {
 			t.Fatalf("%s: candidate %d precomputed values diverge", label, i)
@@ -150,7 +151,7 @@ func TestAttachRadioIncrementalInvalidation(t *testing.T) {
 	rebuilt := medium.linksFrom(near).links
 	found := false
 	for _, l := range rebuilt {
-		if l.rx.ID == 2 {
+		if l.rx == 2 {
 			found = true
 		}
 	}

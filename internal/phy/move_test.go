@@ -75,9 +75,151 @@ func TestMoveRadioLeavesFarListsWarm(t *testing.T) {
 	}
 }
 
+// staleSet returns, by attach index, which lists the medium would rebuild
+// before serving them.
+func staleSet(m *Medium) []bool {
+	out := make([]bool, len(m.radios))
+	for i := range m.radios {
+		out[i] = !m.built(i)
+	}
+	return out
+}
+
+// inBlock reports whether cell b lies in the 3×3 block around cell a.
+func inBlock(a, b cellKey) bool {
+	return a.x-b.x >= -1 && a.x-b.x <= 1 && a.y-b.y >= -1 && a.y-b.y <= 1
+}
+
+// TestMoveRadioStaleSetExact is the property the cell stamps stand on: with
+// every list current, one move makes stale the mover's own list and the list
+// of every transmitter whose 3×3 block holds the mover's old or new cell — and
+// no other. Missing one is a wrong list; an extra one is a rebuild that a move
+// on the far side of the city paid for. SetLinkFunc goes on and off between
+// moves: under the oracle a move outdates everything, and the cell rule must
+// hold again as soon as it is lifted.
+func TestMoveRadioStaleSetExact(t *testing.T) {
+	rng := sim.NewRNG(2024)
+	engine := sim.NewEngine(1)
+	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	side := 7 * medium.grid.size
+	randomPos := func() geom.Point {
+		return geom.Point{X: rng.Float64()*side - side/2, Y: rng.Float64()*side - side/2}
+	}
+	const n = 60
+	for i := 0; i < n; i++ {
+		medium.AttachRadio(packet.NodeID(i), randomPos())
+	}
+	oracle := func(_, _ packet.NodeID, _ time.Duration, _ *sim.RNG) float64 { return 1 }
+	nearMoves, spared := 0, 0
+	for move := 0; move < 400; move++ {
+		switch move % 50 {
+		case 20:
+			medium.SetLinkFunc(oracle)
+		case 25:
+			medium.SetLinkFunc(nil)
+		}
+		if move%50 == 20 || move%50 == 25 {
+			for i, stale := range staleSet(medium) {
+				if !stale {
+					t.Fatalf("move %d: list %d survived a switch of power model", move, i)
+				}
+			}
+		}
+		for _, src := range medium.radios {
+			medium.linksFrom(src)
+		}
+		for i, stale := range staleSet(medium) {
+			if stale {
+				t.Fatalf("move %d: list %d stale right after it was served", move, i)
+			}
+		}
+		mover := medium.radios[rng.Intn(n)]
+		to := randomPos()
+		if move%3 == 0 { // a short step, mostly inside the cell
+			to = geom.Point{X: mover.Pos.X + rng.Float64()*40 - 20, Y: mover.Pos.Y + rng.Float64()*40 - 20}
+		}
+		from, dst := medium.grid.keyFor(mover.Pos), medium.grid.keyFor(to)
+		medium.MoveRadio(mover, to)
+		for i, stale := range staleSet(medium) {
+			cell := medium.grid.keyFor(medium.radios[i].Pos)
+			want := medium.linkFunc != nil || i == mover.index || inBlock(cell, from) || inBlock(cell, dst)
+			if stale != want {
+				t.Fatalf("move %d (radio %d, cell %v -> %v): list %d in cell %v stale = %v, want %v",
+					move, mover.index, from, dst, i, cell, stale, want)
+			}
+			if !want {
+				spared++
+			}
+		}
+		if from != dst {
+			nearMoves++
+		}
+		for _, src := range medium.radios {
+			sameLinks(t, medium.linksFrom(src).links, medium.buildLinksBrute(src, nil), "after move")
+		}
+	}
+	if nearMoves == 0 || spared == 0 {
+		t.Fatalf("%d cell-crossing moves, %d lists spared: the storm does not exercise both sides", nearMoves, spared)
+	}
+}
+
+// TestLastRadioOutOfACellOutdatesItsNeighbors: the mover is the only radio in
+// its cell and leaves the transmitter's block altogether, so the cell it
+// empties is the only place that can say the transmitter lost a candidate. An
+// index that forgets the stamp with the cell serves the old list.
+func TestLastRadioOutOfACellOutdatesItsNeighbors(t *testing.T) {
+	engine := sim.NewEngine(5)
+	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	cell := medium.grid.size
+	tx := medium.AttachRadio(0, geom.Point{X: cell - 100, Y: 10})
+	mover := medium.AttachRadio(1, geom.Point{X: cell + 100, Y: 10})
+	if medium.grid.keyFor(tx.Pos) == medium.grid.keyFor(mover.Pos) {
+		t.Fatal("transmitter and mover share a cell")
+	}
+	if got := len(medium.linksFrom(tx).links); got != 1 {
+		t.Fatalf("transmitter has %d candidates before the move, want 1", got)
+	}
+	medium.MoveRadio(mover, geom.Point{X: 5*cell + 100, Y: 10})
+	if inBlock(medium.grid.keyFor(tx.Pos), medium.grid.keyFor(mover.Pos)) {
+		t.Fatal("the mover is still in the transmitter's block")
+	}
+	if medium.built(tx.index) {
+		t.Fatal("the transmitter's list survived its only candidate leaving")
+	}
+	if got := len(medium.linksFrom(tx).links); got != 0 {
+		t.Fatalf("transmitter has %d candidates after the move, want 0", got)
+	}
+}
+
+// TestAttachIntoAnUnoccupiedCell: the first radio ever in a cell creates it,
+// and the lists around must hear of it all the same.
+func TestAttachIntoAnUnoccupiedCell(t *testing.T) {
+	engine := sim.NewEngine(5)
+	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	cell := medium.grid.size
+	near := medium.AttachRadio(0, geom.Point{X: cell - 100, Y: 10})
+	far := medium.AttachRadio(1, geom.Point{X: 9 * cell, Y: 10})
+	medium.linksFrom(near)
+	medium.linksFrom(far)
+	cells := len(medium.grid.cells)
+	medium.AttachRadio(2, geom.Point{X: cell + 100, Y: 10})
+	if len(medium.grid.cells) != cells+1 {
+		t.Fatal("the new radio did not open a cell of its own")
+	}
+	if medium.built(near.index) {
+		t.Fatal("a list next to the new cell survived the attach")
+	}
+	if !medium.built(far.index) {
+		t.Fatal("a list far from the new cell was made stale by the attach")
+	}
+	sameLinks(t, medium.linksFrom(near).links, medium.buildLinksBrute(near, nil), "after attach")
+}
+
 // TestMoveRadioCellInvariants: after arbitrary moves every per-cell member
-// list must still be sorted by attach index (the merge in gather depends on
-// it) and hold each radio exactly once, in the cell of its current position.
+// list must still be ascending by attach index (move binary-searches on it)
+// and hold each radio exactly once, in the cell of its current position. Cells
+// the last member left must still be there — their stamp is what tells the
+// lists around them that a candidate is gone.
 func TestMoveRadioCellInvariants(t *testing.T) {
 	rng := sim.NewRNG(42)
 	engine := sim.NewEngine(9)
@@ -89,19 +231,24 @@ func TestMoveRadioCellInvariants(t *testing.T) {
 		r := medium.radios[rng.Intn(50)]
 		medium.MoveRadio(r, geom.Point{X: rng.Float64()*8000 - 2000, Y: rng.Float64()*8000 - 2000})
 	}
-	seen := make(map[*Radio]cellKey)
+	seen := make(map[int32]cellKey)
+	empty := 0
 	for key, cell := range medium.grid.cells {
-		if len(cell) == 0 {
-			t.Fatalf("cell %v left empty but not deleted", key)
+		if len(cell.members) == 0 {
+			empty++
+			if cell.stamp == 0 {
+				t.Fatalf("emptied cell %v lost its stamp", key)
+			}
 		}
-		for i, r := range cell {
-			if i > 0 && cell[i-1].index >= r.index {
+		for i, idx := range cell.members {
+			if i > 0 && cell.members[i-1] >= idx {
 				t.Fatalf("cell %v not sorted by attach index", key)
 			}
-			if prev, dup := seen[r]; dup {
-				t.Fatalf("radio %d bucketed in both %v and %v", r.ID, prev, key)
+			if prev, dup := seen[idx]; dup {
+				t.Fatalf("radio %d bucketed in both %v and %v", idx, prev, key)
 			}
-			seen[r] = key
+			seen[idx] = key
+			r := medium.radios[idx]
 			if got := medium.grid.keyFor(r.Pos); got != key {
 				t.Fatalf("radio %d at %v bucketed in %v, want %v", r.ID, r.Pos, key, got)
 			}
@@ -109,6 +256,9 @@ func TestMoveRadioCellInvariants(t *testing.T) {
 	}
 	if len(seen) != len(medium.radios) {
 		t.Fatalf("%d radios bucketed, want %d", len(seen), len(medium.radios))
+	}
+	if empty == 0 {
+		t.Fatal("no cell was emptied; the kept-when-empty case is untested")
 	}
 }
 
@@ -219,8 +369,9 @@ func TestMoveRadioUnderLinkFunc(t *testing.T) {
 
 // TestTransmitAllocs pins the allocation budget of the fan-out hot path:
 // zero allocations per transmit (pooled flight records, owned cursor events),
-// and zero for a move followed by a transmit — the invalidated list and its
-// delay-order permutation are rebuilt into their old backing arrays.
+// zero for a move that stays inside its cell (two stamps), and zero for a move
+// followed by a transmit — the stale list and its delay-order permutation are
+// rebuilt into their old backing arrays.
 func TestTransmitAllocs(t *testing.T) {
 	engine := sim.NewEngine(31)
 	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
@@ -241,13 +392,20 @@ func TestTransmitAllocs(t *testing.T) {
 	}
 
 	// The mover shuttles between two spots of one cell, so the index itself
-	// has nothing to grow; each move invalidates every list here.
+	// has nothing to grow; each move outdates every list here.
 	mover := medium.radios[3]
 	spots := [2]geom.Point{mover.Pos, {X: mover.Pos.X + 30, Y: 40}}
 	if medium.grid.keyFor(spots[0]) != medium.grid.keyFor(spots[1]) {
 		t.Fatal("the two spots are in different cells")
 	}
 	spot := 0
+	allocs = testing.AllocsPerRun(50, func() {
+		spot ^= 1
+		medium.MoveRadio(mover, spots[spot])
+	})
+	if allocs != 0 {
+		t.Fatalf("a move inside a cell allocates %.1f, want 0", allocs)
+	}
 	allocs = testing.AllocsPerRun(50, func() {
 		spot ^= 1
 		medium.MoveRadio(mover, spots[spot])

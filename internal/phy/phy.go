@@ -96,9 +96,12 @@ type Medium struct {
 	impair ImpairFunc
 
 	// links is the static link cache (see cache.go): per transmitter index,
-	// the precomputed candidate receivers in attach order. The table is nil
-	// until the first list is asked for and then has one slot per radio.
-	links []candidates
+	// the precomputed candidate receivers in attach order, built on first use.
+	// clock counts the changes that can alter a list (attach, move, model
+	// switch) and starts at one; wiped is its reading at the last change that
+	// made every list stale.
+	links        []candidates
+	clock, wiped uint64
 	// linkScratch and orderScratch are reusable buffers for list builds.
 	linkScratch  []link
 	orderScratch [2][]int32
@@ -108,8 +111,6 @@ type Medium struct {
 	// candidate-list construction probes ~9 cells instead of every radio.
 	// nil when no interference radius exists for the path-loss model.
 	grid *cellIndex
-	// scratch is a reusable buffer for cell-neighborhood probes.
-	scratch []*Radio
 
 	// flightPool recycles the per-frame records (flight.go); a record lives
 	// from transmit until its last arrival ends.
@@ -175,6 +176,8 @@ func NewMedium(engine *sim.Engine, pathLoss propagation.PathLoss, fading propaga
 		rng:          engine.RNG().Split(),
 		params:       params,
 		ignoreBelowW: params.CSThresholdW / 200,
+		clock:        1,
+		wiped:        1,
 	}
 	m.edge = engine.NewTimer(m.deliver)
 	if radius := interferenceRadius(pathLoss, params.TxPowerW, m.ignoreBelowW); radius > 0 {
@@ -197,10 +200,10 @@ func (m *Medium) AttachRadio(id packet.NodeID, pos geom.Point) *Radio {
 		index:  len(m.radios),
 	}
 	m.radios = append(m.radios, r)
-	if m.grid != nil {
-		m.grid.add(r)
+	m.links = append(m.links, candidates{})
+	if stamp := m.changed(); m.grid != nil {
+		m.grid.add(r, stamp)
 	}
-	m.invalidateLinksAround(r)
 	return r
 }
 
@@ -208,14 +211,20 @@ func (m *Medium) AttachRadio(id packet.NodeID, pos geom.Point) *Radio {
 // modify).
 func (m *Medium) Radios() []*Radio { return m.radios }
 
+// Changes returns the medium's change clock: it advances on every attach,
+// every MoveRadio that changes a position and every SetLinkFunc, so two equal
+// readings mean no radio was added or moved in between.
+func (m *Medium) Changes() uint64 { return m.clock }
+
 // MoveRadio relocates r to pos, rebucketing it in the spatial cell index and
-// invalidating exactly the candidate lists the move can change: r's own list
-// plus every transmitter in the 3×3 cell neighborhoods of both the old and
-// the new position (anyone farther away could not hear r before the move and
-// cannot after it). The incremental invalidation is byte-identical to
-// discarding the whole cache — the property test in grid_test.go pins it —
-// but leaves distant transmitters' lists warm, which is what keeps
-// city-scale runs fast while nodes move.
+// stamping the cells it leaves and enters with the advanced change clock. That
+// makes stale exactly the candidate lists the move can change — r's own plus
+// every transmitter with the old or the new cell in its 3×3 block (anyone
+// farther away could not hear r before the move and cannot after it) — in
+// O(1): nothing is visited here, each transmitter finds out when it next sends
+// (cache.go). The result is byte-identical to discarding the whole cache — the
+// property tests in move_test.go pin it — but leaves distant transmitters'
+// lists warm, which is what keeps city-scale runs fast while nodes move.
 //
 // A move affects future transmissions only: frames already in flight carry
 // the power and propagation delay computed when they were put on the air
@@ -224,13 +233,11 @@ func (m *Medium) MoveRadio(r *Radio, pos geom.Point) {
 	if r.Pos == pos {
 		return
 	}
-	old := r.Pos
-	if m.grid != nil {
-		m.grid.move(r, pos)
+	if stamp := m.changed(); m.grid != nil {
+		m.grid.move(r, pos, stamp)
 	}
 	r.Pos = pos
 	r.Stats.RadioMoves++
-	m.invalidateLinksMoved(r, old)
 }
 
 // MeanPower returns the mean (pre-fading) received power at distance d.
@@ -282,14 +289,15 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 	survivors := 0
 	for i := range c.links {
 		l := &c.links[i]
+		rx := m.radios[l.rx]
 		var power float64
 		if m.linkFunc != nil {
-			power = m.linkFunc(src.ID, l.rx.ID, now, m.rng)
+			power = m.linkFunc(src.ID, rx.ID, now, m.rng)
 		} else {
 			power = m.fading.Apply(l.meanPower, m.rng)
 		}
 		if m.impair != nil {
-			imp := m.impair(src.ID, l.rx.ID, now)
+			imp := m.impair(src.ID, rx.ID, now)
 			if imp.DropProb >= 1 || (imp.DropProb > 0 && m.rng.Float64() < imp.DropProb) {
 				continue
 			}
@@ -300,7 +308,7 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 		if power < m.ignoreBelowW {
 			continue
 		}
-		fl.arrivals[c.slot[i]] = arrival{rx: l.rx, power: power, delay: l.propDelay, rank: uint32(survivors)}
+		fl.arrivals[c.slot[i]] = arrival{rx: rx, power: power, delay: l.propDelay, rank: uint32(survivors)}
 		survivors++
 	}
 	fl.launch(survivors)
