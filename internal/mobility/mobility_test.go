@@ -15,7 +15,7 @@ import (
 	"meshcast/internal/topology"
 )
 
-func buildWorld(t *testing.T, seed uint64, topo *topology.Topology) (*sim.Engine, *phy.Medium, []*phy.Radio) {
+func buildWorld(t testing.TB, seed uint64, topo *topology.Topology) (*sim.Engine, *phy.Medium, []*phy.Radio) {
 	t.Helper()
 	engine := sim.NewEngine(seed)
 	medium := phy.NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, phy.DefaultParams())
@@ -26,7 +26,7 @@ func buildWorld(t *testing.T, seed uint64, topo *topology.Topology) (*sim.Engine
 	return engine, medium, radios
 }
 
-func metroTopo(t *testing.T, n int, seed uint64) *topology.Topology {
+func metroTopo(t testing.TB, n int, seed uint64) *topology.Topology {
 	t.Helper()
 	topo, err := topology.Metro(sim.NewRNG(seed), topology.MetroConfig{Nodes: n})
 	if err != nil {

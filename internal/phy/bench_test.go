@@ -10,14 +10,16 @@ import (
 	"meshcast/internal/topology"
 )
 
-// metro1k attaches the metro-1k placement (the one experiments.MetroScenario
-// draws for seed 1) to a fresh medium.
-func metro1k(tb testing.TB) *Medium {
-	tb.Helper()
-	topo, _ := topology.Metro(sim.NewRNG(1^0x9e3779b97f4a7c15), topology.MetroConfig{Nodes: 1000, GatewaySpacingM: 2000})
+// metro1k attaches a metro-1k placement to a fresh medium and builds every
+// candidate list.
+func metro1k() *Medium {
+	topo, _ := topology.Metro(sim.NewRNG(1), topology.MetroConfig{Nodes: 1000})
 	medium := NewMedium(sim.NewEngine(1), propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
 	for i, p := range topo.Positions {
 		medium.AttachRadio(packet.NodeID(i), p)
+	}
+	for _, src := range medium.radios {
+		medium.linksFrom(src)
 	}
 	return medium
 }
@@ -25,10 +27,7 @@ func metro1k(tb testing.TB) *Medium {
 // BenchmarkListBuild1k times one candidate-list rebuild (into the list's old
 // backing arrays, as after a move) on the metro-1k placement.
 func BenchmarkListBuild1k(b *testing.B) {
-	medium := metro1k(b)
-	for _, src := range medium.radios {
-		medium.linksFrom(src)
-	}
+	medium := metro1k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,10 +39,7 @@ func BenchmarkListBuild1k(b *testing.B) {
 // BenchmarkMoveRadio1k times one MoveRadio of a few metres with every list
 // built beforehand: the cost of recording what the move made stale.
 func BenchmarkMoveRadio1k(b *testing.B) {
-	medium := metro1k(b)
-	for _, src := range medium.radios {
-		medium.linksFrom(src)
-	}
+	medium := metro1k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

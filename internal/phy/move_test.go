@@ -112,13 +112,12 @@ func TestMoveRadioStaleSetExact(t *testing.T) {
 	oracle := func(_, _ packet.NodeID, _ time.Duration, _ *sim.RNG) float64 { return 1 }
 	nearMoves, spared := 0, 0
 	for move := 0; move < 400; move++ {
-		switch move % 50 {
-		case 20:
-			medium.SetLinkFunc(oracle)
-		case 25:
-			medium.SetLinkFunc(nil)
-		}
-		if move%50 == 20 || move%50 == 25 {
+		if phase := move % 50; phase == 20 || phase == 25 {
+			if phase == 20 {
+				medium.SetLinkFunc(oracle)
+			} else {
+				medium.SetLinkFunc(nil)
+			}
 			for i, stale := range staleSet(medium) {
 				if !stale {
 					t.Fatalf("move %d: list %d survived a switch of power model", move, i)
