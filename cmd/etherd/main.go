@@ -48,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -58,6 +57,7 @@ import (
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 	"meshcast/internal/soak"
 	"meshcast/internal/testbed"
 )
@@ -146,51 +146,6 @@ func runSoak(nodes int, duration time.Duration, listen, metricName, protocolName
 	return err
 }
 
-// medium owns the ether across scripted restarts.
-type medium struct {
-	mu     sync.Mutex
-	ether  *emu.Ether
-	addr   string
-	links  *emu.LinkTable
-	seed   int64
-	gen    int64
-	impair emu.ImpairFunc
-}
-
-func (m *medium) get() *emu.Ether {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ether
-}
-
-func (m *medium) stop() {
-	m.mu.Lock()
-	ether := m.ether
-	m.ether = nil
-	m.mu.Unlock()
-	if ether != nil {
-		ether.Close()
-	}
-}
-
-func (m *medium) start() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ether != nil {
-		return nil
-	}
-	m.gen++
-	ether, err := emu.NewEther(m.addr, m.links, m.seed+m.gen)
-	if err != nil {
-		return err
-	}
-	if m.impair != nil {
-		ether.SetImpairment(m.impair)
-	}
-	m.ether = ether
-	return nil
-}
-
 func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, seed int64,
 	delay, jitter time.Duration, dup float64, faultScript string, timeScale float64,
 	nodesFlag, listen string) error {
@@ -218,10 +173,11 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 		fmt.Printf("etherd shaping: delay=%v jitter=%v dup=%.3f\n", delay, jitter, dup)
 	}
 
-	// etherd has no fleet and so no run driver: the moment it starts is its
-	// run clock, for the fault script and the schedule loop alike.
-	start := time.Now()
+	// A bare medium keeps time the way a fleet does: on a run driver. The
+	// fault script, its replay and the status line are events on its engine.
+	driver := emu.NewDriver(uint64(seed))
 	var chaos *emu.Chaos
+	var impair emu.ImpairFunc
 	if faultScript != "" {
 		nodes, err := scriptNodes(nodesFlag, paperTestbed)
 		if err != nil {
@@ -233,109 +189,88 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 		}
 		chaos, err = emu.NewChaos(emu.ChaosConfig{
 			Plan: plan, Seed: uint64(seed), TimeScale: timeScale,
-		}, nodes, func() time.Duration { return time.Since(start) })
+		}, nodes, driver.Now)
 		if err != nil {
 			return err
 		}
-	}
-
-	m := &medium{addr: addr, links: links, seed: seed}
-	if chaos != nil {
 		// Down nodes go dark (drop everything to and from them); link
 		// faults and partitions add their scripted drop probability.
-		m.impair = func(from, to packet.NodeID) float64 {
+		impair = func(from, to packet.NodeID) float64 {
 			if chaos.NodeDown(from) || chaos.NodeDown(to) {
 				return 1
 			}
 			return chaos.DropProb(from, to)
 		}
 	}
-	if err := m.start(); err != nil {
+
+	m, err := emu.NewMedium(addr, links, seed+1, impair)
+	if err != nil {
 		return err
 	}
-	defer m.stop()
-	fmt.Printf("etherd listening on %s (default df %.2f)\n", m.get().Addr(), defaultDF)
+	defer m.Stop()
+	fmt.Printf("etherd listening on %s (default df %.2f)\n", m.Addr(), defaultDF)
 
 	// Optional HTTP control plane over the bare medium: state reads plus
 	// link/partition mutations (node lifecycle is 501 — etherd owns no
 	// daemons).
 	var ctlSrv *http.Server
 	if listen != "" {
-		ctl := &ctlplane.MediumController{LinksTable: links, Ether: m.get, StartedAt: start}
 		ln, err := net.Listen("tcp", listen)
 		if err != nil {
 			return fmt.Errorf("control listener: %w", err)
 		}
+		ctl := ctlplane.NewMediumController(m, driver.Now)
 		ctlSrv = &http.Server{Handler: ctlplane.NewServer(ctl, ctlplane.ServerConfig{}).Handler()}
 		go ctlSrv.Serve(ln)
 		fmt.Printf("etherd control plane on http://%s\n", ln.Addr())
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	var schedule []emu.ChaosEvent
 	if chaos != nil {
-		schedule = chaos.Events()
-		fmt.Printf("etherd fault schedule: %d events over %v (time scale %.3g)\n",
-			len(schedule), scheduleSpan(schedule), timeScale)
-	}
-	next := 0
-
-	ticker := time.NewTicker(100 * time.Millisecond)
-	defer ticker.Stop()
-	lastStatus := time.Now()
-	for {
-		select {
-		case <-stop:
-			// Graceful shutdown order: control plane first (no mutation
-			// races the teardown), then drain so in-flight delayed frames
-			// land and the final stats line balances.
-			if ctlSrv != nil {
-				shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				ctlSrv.Shutdown(shutCtx)
-				cancel()
-			}
-			var s emu.EtherStats
-			if e := m.get(); e != nil {
-				e.Drain()
-				s = e.Stats()
-			}
-			fmt.Printf("etherd shutting down: %d frames in, %d out, %d dropped, %d dup\n",
-				s.FramesIn, s.FramesOut, s.FramesDropped, s.FramesDup)
-			return nil
-		case <-ticker.C:
-			now := time.Since(start)
-			for next < len(schedule) && schedule[next].At <= now {
-				ev := schedule[next]
-				next++
-				switch ev.Kind {
-				case faults.EventEtherDown:
-					fmt.Printf("[%v] ether down (scripted)\n", now.Round(time.Millisecond))
-					m.stop()
-				case faults.EventEtherUp:
-					if err := m.start(); err != nil {
-						fmt.Printf("[%v] ether restart failed: %v (will retry)\n", now.Round(time.Millisecond), err)
-						next-- // retry on the next tick
-						break
-					}
-					fmt.Printf("[%v] ether up (scripted)\n", now.Round(time.Millisecond))
-				default:
-					fmt.Printf("[%v] %s node=%d\n", now.Round(time.Millisecond), ev.Kind, ev.Node)
-				}
-			}
-			if time.Since(lastStatus) >= 10*time.Second {
-				lastStatus = time.Now()
-				if e := m.get(); e != nil {
-					s := e.Stats()
-					fmt.Printf("clients=%d frames in=%d out=%d dropped=%d dup=%d\n",
-						len(e.Clients()), s.FramesIn, s.FramesOut, s.FramesDropped, s.FramesDup)
-				} else {
-					fmt.Println("ether down")
-				}
-			}
+		schedule := chaos.Events()
+		var span time.Duration // the last event's offset: events are time-sorted
+		if n := len(schedule); n > 0 {
+			span = schedule[n-1].At
 		}
+		fmt.Printf("etherd fault schedule: %d events over %v (time scale %.3g)\n", len(schedule), span, timeScale)
+		emu.NewMediumSupervisor(m, driver, chaos, func(ev emu.FleetEvent) { fmt.Println(eventLine(ev)) })
 	}
+	sim.NewTicker(driver.Engine(), 10*time.Second, 0, nil, func() {
+		if !m.Up() {
+			fmt.Println("ether down")
+			return
+		}
+		s := m.Stats()
+		fmt.Printf("clients=%d frames in=%d out=%d dropped=%d dup=%d\n",
+			len(m.Clients()), s.FramesIn, s.FramesOut, s.FramesDropped, s.FramesDup)
+	})
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	driver.Run(ctx)
+
+	// Graceful shutdown order: control plane first (no mutation races the
+	// teardown), then drain so in-flight delayed frames land and the final
+	// stats line balances.
+	if ctlSrv != nil {
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ctlSrv.Shutdown(shutCtx)
+		cancel()
+	}
+	m.Drain()
+	s := m.Stats()
+	fmt.Printf("etherd shutting down: %d frames in, %d out, %d dropped, %d dup\n",
+		s.FramesIn, s.FramesOut, s.FramesDropped, s.FramesDup)
+	return nil
+}
+
+// eventLine formats one replayed fault-script event: "[1.5s] ether-down",
+// "[502ms] node-down node=3" (the node's ID).
+func eventLine(ev emu.FleetEvent) string {
+	line := fmt.Sprintf("[%v] %s", ev.At.Round(time.Millisecond), ev.Kind)
+	if ev.Node != 0 {
+		line += fmt.Sprintf(" node=%d", ev.Node)
+	}
+	return line
 }
 
 // scriptNodes resolves the node-ID list fault-script indices address.
@@ -357,13 +292,6 @@ func scriptNodes(nodesFlag string, paperTestbed bool) ([]packet.NodeID, error) {
 		ids = append(ids, packet.NodeID(v))
 	}
 	return ids, nil
-}
-
-func scheduleSpan(events []emu.ChaosEvent) time.Duration {
-	if len(events) == 0 {
-		return 0
-	}
-	return events[len(events)-1].At
 }
 
 // loadLinks parses "from to df" lines; "#" starts a comment.

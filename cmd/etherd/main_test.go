@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"meshcast/internal/emu"
 	"meshcast/internal/testbed"
@@ -57,6 +58,17 @@ func TestLoadLinksErrors(t *testing.T) {
 	}
 	if err := loadLinks(table, filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+func TestEventLine(t *testing.T) {
+	for ev, want := range map[emu.FleetEvent]string{
+		{At: 1500 * time.Millisecond, Kind: "ether-down"}:            "[1.5s] ether-down",
+		{At: 502*time.Millisecond + 300, Kind: "node-down", Node: 3}: "[502ms] node-down node=3",
+	} {
+		if got := eventLine(ev); got != want {
+			t.Errorf("eventLine(%+v) = %q, want %q", ev, got, want)
+		}
 	}
 }
 

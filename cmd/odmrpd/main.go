@@ -29,6 +29,7 @@ import (
 	"meshcast/internal/multicast"
 	_ "meshcast/internal/multicast/protocols" // populate the protocol registry
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 func main() {
@@ -107,71 +108,53 @@ func run(id uint, ether, metricName, protocol, join, source string, rate, payloa
 		}
 	}()
 
-	// Liveness watchdog: the daemon must register with the ether and show
-	// protocol activity within every watchdog period, or the process exits
-	// nonzero so an external supervisor (systemd, the chaos harness) can
-	// restart it.
-	watchFail := make(chan error, 1)
+	// The watchdog and the status line are tickers on the daemon's own
+	// engine: they run on its driver goroutine, between protocol events.
+	var watchErr error
 	if watchdog > 0 {
-		go func() {
-			ticker := time.NewTicker(watchdog / 4)
-			defer ticker.Stop()
-			var deadSince time.Time
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if daemon.Alive(watchdog) {
-						deadSince = time.Time{}
-						continue
-					}
-					if deadSince.IsZero() {
-						deadSince = time.Now()
-						continue
-					}
-					if time.Since(deadSince) >= watchdog {
-						watchFail <- fmt.Errorf("odmrpd id=%d: watchdog: unregistered or inactive for %v", id, watchdog)
-						cancel()
-						return
-					}
-				}
-			}
-		}()
+		armWatchdog(daemon.Engine(), watchdog, daemon.Alive, func() {
+			watchErr = fmt.Errorf("odmrpd id=%d: watchdog: unregistered or inactive for %v", id, watchdog)
+			cancel()
+		})
 	}
+	sim.NewTicker(daemon.Engine(), 5*time.Second, 0, nil, func() { fmt.Println(daemon.Summary()) })
 
 	fmt.Printf("odmrpd id=%d metric=%s ether=%s join=%v source=%v\n",
 		id, kind, ether, joinGroups, sourceGroups)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(5 * time.Second)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				fmt.Println(daemon.Summary())
-			}
-		}
-	}()
 	daemon.Run(ctx)
-	<-done
-	select {
-	case err := <-watchFail:
-		fmt.Println("final:", daemon.Summary())
-		return err
-	default:
-	}
 
 	fmt.Println("final:", daemon.Summary())
+	if watchErr != nil {
+		return watchErr
+	}
 	if len(joinGroups) > 0 {
 		for src, n := range daemon.DeliveredBySource() {
 			fmt.Printf("  received %d packets from source %v\n", n, src)
 		}
 	}
 	return nil
+}
+
+// armWatchdog arms the liveness watchdog on engine: the daemon must be
+// registered with the ether and show protocol activity within every window,
+// or fail is called so the process can exit nonzero and an external
+// supervisor (systemd, the chaos harness) restart it. alive is polled four
+// times a window; fail fires once the daemon has looked dead for a whole
+// window on end, and any poll that finds it alive starts the count afresh.
+func armWatchdog(engine *sim.Engine, window time.Duration, alive func(window time.Duration) bool, fail func()) {
+	seenDead := time.Duration(-1) // when a poll first found it dead; -1 while alive
+	var ticker *sim.Ticker
+	ticker = sim.NewTicker(engine, window/4, 0, nil, func() {
+		switch now := engine.Now(); {
+		case alive(window):
+			seenDead = -1
+		case seenDead < 0:
+			seenDead = now
+		case now-seenDead >= window:
+			ticker.Stop()
+			fail()
+		}
+	})
 }
 
 // parseGroups parses "1,2,3" into group IDs.

@@ -191,7 +191,7 @@ func runMetric(m metric.Kind, plan faults.Plan, seed uint64, timeScale float64, 
 
 	res := fleet.Result()
 	rep := sup.Report()
-	etherStats := fleet.EtherStats()
+	etherStats := fleet.Medium().Stats()
 	fleet.Close()
 
 	if rec != nil {

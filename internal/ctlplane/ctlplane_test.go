@@ -323,13 +323,12 @@ func TestServerAdmissionControl(t *testing.T) {
 }
 
 func TestServerUnsupported(t *testing.T) {
-	links := emu.NewLinkTable(1)
-	ether, err := emu.NewEther("127.0.0.1:0", links, 1)
+	medium, err := emu.NewMedium("127.0.0.1:0", emu.NewLinkTable(1), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ether.Close()
-	med := &MediumController{LinksTable: links, Ether: func() *emu.Ether { return ether }}
+	defer medium.Stop()
+	med := NewMediumController(medium, func() time.Duration { return 0 })
 	srv := newTestServer(t, med, ServerConfig{})
 	resp := post(t, srv.URL, "/nodes/kill", `{"node":1}`, nil)
 	if resp.StatusCode != http.StatusNotImplemented {

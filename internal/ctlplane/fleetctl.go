@@ -37,11 +37,13 @@ func (c FleetControllerConfig) withDefaults() FleetControllerConfig {
 }
 
 // FleetController exposes a supervised live fleet to the control plane:
-// reads poll the fleet's lock-free accounting, link mutations go to the
-// shared link table (surviving ether restarts), and injected fault scripts
-// split into an impairment hook (link faults, partitions) plus supervisor
-// schedule events (kills, restarts, ether bounces).
+// reads poll the fleet's lock-free accounting, link mutations go through the
+// embedded MediumController to the shared link table (surviving ether
+// restarts) once the roster has vouched for the nodes they name, and injected
+// fault scripts split into an impairment hook (link faults, partitions) plus
+// supervisor schedule events (kills, restarts, ether bounces).
 type FleetController struct {
+	*MediumController
 	fleet *emu.Fleet
 	sup   *emu.FleetSupervisor
 	cfg   FleetControllerConfig
@@ -51,7 +53,10 @@ type FleetController struct {
 // which case injected scripts impair links but cannot kill nodes or bounce
 // the ether.
 func NewFleetController(fleet *emu.Fleet, sup *emu.FleetSupervisor, cfg FleetControllerConfig) *FleetController {
-	return &FleetController{fleet: fleet, sup: sup, cfg: cfg.withDefaults()}
+	return &FleetController{
+		MediumController: NewMediumController(fleet.Medium(), fleet.Driver().Now),
+		fleet:            fleet, sup: sup, cfg: cfg.withDefaults(),
+	}
 }
 
 // Nodes implements Controller.
@@ -72,30 +77,6 @@ func (c *FleetController) Nodes() []NodeState {
 	return out
 }
 
-// Links implements Controller.
-func (c *FleetController) Links() LinksState {
-	entries, def := c.fleet.Links().Entries()
-	out := LinksState{Default: profileState(def), Links: make([]LinkState, 0, len(entries))}
-	for _, e := range entries {
-		out.Links = append(out.Links, LinkState{
-			From: int(e.From), To: int(e.To), LinkProfileState: profileState(e.Profile),
-		})
-	}
-	for _, id := range c.fleet.Links().Partition() {
-		out.Partition = append(out.Partition, int(id))
-	}
-	return out
-}
-
-func profileState(p emu.LinkProfile) LinkProfileState {
-	return LinkProfileState{
-		DF:       p.DF,
-		DelayMS:  float64(p.Delay) / float64(time.Millisecond),
-		JitterMS: float64(p.Jitter) / float64(time.Millisecond),
-		DupProb:  p.DupProb,
-	}
-}
-
 func (c *FleetController) aliveCount() (alive, total int) {
 	ids := c.fleet.NodeIDs()
 	for _, id := range ids {
@@ -108,24 +89,9 @@ func (c *FleetController) aliveCount() (alive, total int) {
 
 // Stats implements Controller.
 func (c *FleetController) Stats() Stats {
-	expected, delivered := c.fleet.DeliveryEstimate()
-	es := c.fleet.EtherStats()
-	alive, total := c.aliveCount()
-	s := Stats{
-		EtherUp:    c.fleet.EtherUp(),
-		NodesAlive: alive,
-		NodesTotal: total,
-		Expected:   expected,
-		Delivered:  delivered,
-		Ether: EtherCounters{
-			FramesIn:      es.FramesIn,
-			FramesOut:     es.FramesOut,
-			FramesDropped: es.FramesDropped,
-			FramesDup:     es.FramesDup,
-			Registrations: es.Registrations,
-		},
-	}
-	s.UptimeSeconds = c.fleet.Driver().Now().Seconds()
+	s := c.mediumStats()
+	s.NodesAlive, s.NodesTotal = c.aliveCount()
+	s.Expected, s.Delivered = c.fleet.DeliveryEstimate()
 	return s
 }
 
@@ -133,7 +99,7 @@ func (c *FleetController) Stats() Stats {
 // daemons are alive to call the fleet functional.
 func (c *FleetController) Health() Health {
 	alive, total := c.aliveCount()
-	h := Health{Status: HealthOK, EtherUp: c.fleet.EtherUp(), Protocol: c.fleet.Protocol()}
+	h := Health{Status: HealthOK, EtherUp: c.medium.Up(), Protocol: c.fleet.Protocol()}
 	if total > 0 {
 		h.AliveFraction = float64(alive) / float64(total)
 	}
@@ -158,45 +124,26 @@ func (c *FleetController) node(id int) (packet.NodeID, error) {
 	return 0, RequestError{Msg: fmt.Sprintf("unknown node %d", id)}
 }
 
-// Impair implements Controller.
+// Impair implements Controller: both ends must be fleet nodes.
 func (c *FleetController) Impair(req ImpairRequest) error {
-	from, err := c.node(req.From)
-	if err != nil {
-		return err
-	}
-	to, err := c.node(req.To)
-	if err != nil {
-		return err
-	}
-	p := emu.LinkProfile{
-		DF:      *req.DF,
-		Delay:   time.Duration(req.DelayMS * float64(time.Millisecond)),
-		Jitter:  time.Duration(req.JitterMS * float64(time.Millisecond)),
-		DupProb: req.DupProb,
-	}
-	c.fleet.Links().SetProfile(from, to, p)
-	if req.Symmetric {
-		c.fleet.Links().SetProfile(to, from, p)
-	}
-	return nil
-}
-
-// Partition implements Controller.
-func (c *FleetController) Partition(req PartitionRequest) error {
-	if req.Clear {
-		c.fleet.Links().ClearPartition()
-		return nil
-	}
-	side := make([]packet.NodeID, 0, len(req.SideA))
-	for _, id := range req.SideA {
-		n, err := c.node(id)
-		if err != nil {
+	for _, id := range []int{req.From, req.To} {
+		if _, err := c.node(id); err != nil {
 			return err
 		}
-		side = append(side, n)
 	}
-	c.fleet.Links().SetPartition(side)
-	return nil
+	return c.MediumController.Impair(req)
+}
+
+// Partition implements Controller: side A must name fleet nodes.
+func (c *FleetController) Partition(req PartitionRequest) error {
+	if !req.Clear {
+		for _, id := range req.SideA {
+			if _, err := c.node(id); err != nil {
+				return err
+			}
+		}
+	}
+	return c.MediumController.Partition(req)
 }
 
 // KillNode implements Controller. The kill is deliberately *unscheduled*:

@@ -11,32 +11,26 @@ import (
 // the control plane. Reads report the registered clients and frame
 // counters; link and partition mutations apply to the shared table; node
 // lifecycle and script injection are ErrUnsupported (etherd cannot kill
-// daemons it does not own).
+// daemons it does not own). FleetController embeds one for everything the
+// two say about the medium itself.
 type MediumController struct {
-	// LinksTable is the medium's shared link table.
-	LinksTable *emu.LinkTable
-	// Ether returns the current medium generation (nil while down).
-	Ether func() *emu.Ether
-	// StartedAt anchors UptimeSeconds.
-	StartedAt time.Time
+	medium *emu.Medium
+	now    func() time.Duration
 }
 
-// ether resolves the current medium generation, tolerating a nil hook.
-func (c *MediumController) ether() *emu.Ether {
-	if c.Ether == nil {
-		return nil
-	}
-	return c.Ether()
+// NewMediumController wraps a medium; now is the run clock UptimeSeconds
+// reads (the Now of the driver the medium's owner runs).
+func NewMediumController(medium *emu.Medium, now func() time.Duration) *MediumController {
+	return &MediumController{medium: medium, now: now}
 }
 
 // Nodes implements Controller: every registered client, alive by virtue of
 // being registered.
 func (c *MediumController) Nodes() []NodeState {
-	e := c.ether()
-	if e == nil {
+	clients := c.medium.Clients()
+	if clients == nil {
 		return nil
 	}
-	clients := e.Clients()
 	out := make([]NodeState, 0, len(clients))
 	for _, id := range clients {
 		out = append(out, NodeState{ID: int(id), Alive: true})
@@ -46,45 +40,50 @@ func (c *MediumController) Nodes() []NodeState {
 
 // Links implements Controller.
 func (c *MediumController) Links() LinksState {
-	entries, def := c.LinksTable.Entries()
+	entries, def := c.medium.Links().Entries()
 	out := LinksState{Default: profileState(def), Links: make([]LinkState, 0, len(entries))}
 	for _, e := range entries {
 		out.Links = append(out.Links, LinkState{
 			From: int(e.From), To: int(e.To), LinkProfileState: profileState(e.Profile),
 		})
 	}
-	for _, id := range c.LinksTable.Partition() {
+	for _, id := range c.medium.Links().Partition() {
 		out.Partition = append(out.Partition, int(id))
 	}
 	return out
 }
 
+func profileState(p emu.LinkProfile) LinkProfileState {
+	return LinkProfileState{
+		DF:       p.DF,
+		DelayMS:  float64(p.Delay) / float64(time.Millisecond),
+		JitterMS: float64(p.Jitter) / float64(time.Millisecond),
+		DupProb:  p.DupProb,
+	}
+}
+
+// mediumStats fills in what the medium itself knows of Stats: uptime,
+// whether it is serving, and the frame counters of every generation so far.
+func (c *MediumController) mediumStats() Stats {
+	return Stats{
+		UptimeSeconds: c.now().Seconds(),
+		EtherUp:       c.medium.Up(),
+		Ether:         EtherCounters(c.medium.Stats()), // same fields, JSON-tagged
+	}
+}
+
 // Stats implements Controller. Expected/Delivered stay zero — the medium
 // does not see end-to-end deliveries, only frames.
 func (c *MediumController) Stats() Stats {
-	s := Stats{}
-	if !c.StartedAt.IsZero() {
-		s.UptimeSeconds = time.Since(c.StartedAt).Seconds()
-	}
-	if e := c.ether(); e != nil {
-		es := e.Stats()
-		s.EtherUp = true
-		s.NodesAlive = len(e.Clients())
-		s.NodesTotal = s.NodesAlive
-		s.Ether = EtherCounters{
-			FramesIn:      es.FramesIn,
-			FramesOut:     es.FramesOut,
-			FramesDropped: es.FramesDropped,
-			FramesDup:     es.FramesDup,
-			Registrations: es.Registrations,
-		}
-	}
+	s := c.mediumStats()
+	s.NodesAlive = len(c.medium.Clients())
+	s.NodesTotal = s.NodesAlive
 	return s
 }
 
 // Health implements Controller: degraded only while the medium is down.
 func (c *MediumController) Health() Health {
-	h := Health{Status: HealthOK, EtherUp: c.ether() != nil, AliveFraction: 1}
+	h := Health{Status: HealthOK, EtherUp: c.medium.Up(), AliveFraction: 1}
 	if !h.EtherUp {
 		h.Status = HealthDegraded
 		h.Reason = "ether down"
@@ -102,9 +101,9 @@ func (c *MediumController) Impair(req ImpairRequest) error {
 		DupProb: req.DupProb,
 	}
 	from, to := packet.NodeID(req.From), packet.NodeID(req.To)
-	c.LinksTable.SetProfile(from, to, p)
+	c.medium.Links().SetProfile(from, to, p)
 	if req.Symmetric {
-		c.LinksTable.SetProfile(to, from, p)
+		c.medium.Links().SetProfile(to, from, p)
 	}
 	return nil
 }
@@ -112,14 +111,14 @@ func (c *MediumController) Impair(req ImpairRequest) error {
 // Partition implements Controller.
 func (c *MediumController) Partition(req PartitionRequest) error {
 	if req.Clear {
-		c.LinksTable.ClearPartition()
+		c.medium.Links().ClearPartition()
 		return nil
 	}
 	side := make([]packet.NodeID, 0, len(req.SideA))
 	for _, id := range req.SideA {
 		side = append(side, packet.NodeID(id))
 	}
-	c.LinksTable.SetPartition(side)
+	c.medium.Links().SetPartition(side)
 	return nil
 }
 

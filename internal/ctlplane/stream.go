@@ -151,21 +151,14 @@ func (h *streamHub) tick() {
 	defer h.mu.Unlock()
 	ss := &StreamStats{Stats: st}
 	var anomalies []string
-	if h.prev != nil {
-		if st.Expected >= h.prev.Expected && st.Delivered >= h.prev.Delivered {
-			ss.DeltaExpected = st.Expected - h.prev.Expected
-			ss.DeltaDelivered = st.Delivered - h.prev.Delivered
-			if ss.DeltaExpected > 0 {
-				ss.PDR = float64(ss.DeltaDelivered) / float64(ss.DeltaExpected)
-				ss.HasPDR = true
-			}
-		}
-		if st.NodesAlive < h.prev.NodesAlive {
-			anomalies = append(anomalies,
-				fmt.Sprintf("node-death alive %d -> %d", h.prev.NodesAlive, st.NodesAlive))
-		}
+	if h.prev != nil && st.NodesAlive < h.prev.NodesAlive {
+		anomalies = append(anomalies,
+			fmt.Sprintf("node-death alive %d -> %d", h.prev.NodesAlive, st.NodesAlive))
 	}
-	if ss.HasPDR && h.dip.Observe(ss.PDR) {
+	var dip bool
+	ss.DeltaExpected, ss.DeltaDelivered, ss.PDR, dip = h.dip.Window(st.Expected, st.Delivered)
+	ss.HasPDR = ss.DeltaExpected > 0
+	if dip {
 		anomalies = append(anomalies, fmt.Sprintf("pdr-dip window pdr=%.3f", ss.PDR))
 	}
 	cp := st

@@ -86,11 +86,6 @@ func NewChaos(cfg ChaosConfig, nodes []packet.NodeID, now func() time.Duration) 
 	return &Chaos{compiled: compiled, outages: compiled.Outages(), nodes: ids, scale: scale, now: now}, nil
 }
 
-// Nodes returns the index→ID mapping (sorted node IDs).
-func (c *Chaos) Nodes() []packet.NodeID {
-	return append([]packet.NodeID(nil), c.nodes...)
-}
-
 // wall converts a virtual duration from the plan to wall-clock time.
 func (c *Chaos) wall(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.scale)
@@ -140,9 +135,6 @@ func (c *Chaos) Windows() []stats.Window {
 	}
 	return out
 }
-
-// DownCount returns the number of node crash episodes in the schedule.
-func (c *Chaos) DownCount() int { return c.compiled.DownCount() }
 
 // ActiveFaults returns how many fault episodes are active at the current
 // run time — the live "chaos.active" telemetry gauge.

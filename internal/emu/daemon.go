@@ -12,6 +12,7 @@ import (
 	"meshcast/internal/multicast"
 	_ "meshcast/internal/multicast/protocols" // populate the protocol registry
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 // DaemonConfig configures one odmrpd instance.
@@ -76,15 +77,12 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Seed the connection's reconnect jitter from the daemon's own seed so
-	// restart/reconnect schedules are reproducible per run (fleet daemons
-	// get distinct seeds, keeping their retries decorrelated).
-	conn, err := DialSeeded(cfg.ID, cfg.EtherAddr, cfg.Seed)
+	driver := NewDriver(cfg.Seed)
+	engine := driver.Engine()
+	conn, err := Dial(cfg.ID, cfg.EtherAddr, driver.Now)
 	if err != nil {
 		return nil, err
 	}
-	driver := NewDriver(cfg.Seed)
-	engine := driver.Engine()
 
 	table := linkquality.NewTable(cfg.PayloadBytes, linkquality.DefaultWindowSize, 2*time.Minute)
 	prober := linkquality.NewProber(engine, cfg.ID, linkquality.ConfigFor(cfg.Metric))
@@ -141,10 +139,18 @@ func (d *Daemon) touch() {
 	d.mu.Unlock()
 }
 
-// Run starts probing, group membership, and traffic, and drives the daemon
-// until ctx is canceled.
+// Engine returns the daemon's engine, for arming periodic work of the
+// caller's (a watchdog, a status line) beside the daemon's own before Run.
+func (d *Daemon) Engine() *sim.Engine { return d.driver.Engine() }
+
+// Run starts the registration keepalive, probing, group membership, and
+// traffic, and drives the daemon until ctx is canceled. The keepalive's
+// jitter comes from the engine's seeded source, so a daemon's reconnect
+// schedule is reproducible from its seed and distinct seeds keep a fleet's
+// retries decorrelated.
 func (d *Daemon) Run(ctx context.Context) {
 	engine := d.driver.Engine()
+	d.conn.keepAlive(engine, engine.RNG().Split())
 	engine.Schedule(0, func() {
 		d.prober.Start()
 		for _, g := range d.cfg.JoinGroups {

@@ -9,6 +9,7 @@ import (
 
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 func TestLinkTable(t *testing.T) {
@@ -41,7 +42,7 @@ func TestEtherBroadcastFanOut(t *testing.T) {
 	var conns []*NodeConn
 	for id := packet.NodeID(1); id <= 3; id++ {
 		id := id
-		c, err := Dial(id, ether.Addr())
+		c, err := Dial(id, ether.Addr(), still)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +54,8 @@ func TestEtherBroadcastFanOut(t *testing.T) {
 		})
 		conns = append(conns, c)
 	}
-	// Registration datagrams race with the first frame; give them a moment.
-	time.Sleep(100 * time.Millisecond)
+	// Dial sent each registration before it returned, so the ether reads all
+	// three ahead of the frame.
 
 	if !conns[0].Send(&packet.Packet{Kind: packet.TypeData, Src: 1, Seq: 7, PayloadBytes: 100}) {
 		t.Fatal("send failed")
@@ -90,24 +91,23 @@ func TestEtherAppliesLoss(t *testing.T) {
 
 	var mu sync.Mutex
 	var got2, got3 int
-	c1, err := Dial(1, ether.Addr())
+	c1, err := Dial(1, ether.Addr(), still)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Dial(2, ether.Addr())
+	c2, err := Dial(2, ether.Addr(), still)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	c2.SetOnPacket(func(*packet.Packet, packet.NodeID) { mu.Lock(); got2++; mu.Unlock() })
-	c3, err := Dial(3, ether.Addr())
+	c3, err := Dial(3, ether.Addr(), still)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c3.Close()
 	c3.SetOnPacket(func(*packet.Packet, packet.NodeID) { mu.Lock(); got3++; mu.Unlock() })
-	time.Sleep(100 * time.Millisecond)
 
 	for i := 0; i < 20; i++ {
 		c1.Send(&packet.Packet{Kind: packet.TypeData, Src: 1, Seq: uint32(i)})
@@ -129,7 +129,7 @@ func TestNodeConnCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ether.Close()
-	c, err := Dial(1, ether.Addr())
+	c, err := Dial(1, ether.Addr(), still)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +212,34 @@ func TestDriverInjectReturnsOnceRunHasExited(t *testing.T) {
 	}
 }
 
-// tightenRegTiming speeds up the registration keepalive for restart tests
-// and restores the defaults on cleanup.
-func tightenRegTiming(t *testing.T) {
+// still is the run clock of a connection no engine drives: always zero.
+func still() time.Duration { return 0 }
+
+// steppedConn is a connection whose keepalive runs on an engine the test
+// steps by hand. The receive goroutine stamps acks with the connection's
+// clock, so the engine's time is mirrored into an atomic after every step.
+type steppedConn struct {
+	*NodeConn
+	engine *sim.Engine
+	clock  atomic.Int64
+}
+
+func dialStepped(t *testing.T, id packet.NodeID, addr string, seed uint64) *steppedConn {
 	t.Helper()
-	savedMin, savedMax, savedRefresh, savedRead := regRetryMin, regRetryMax, regRefresh, readDeadline
-	regRetryMin = 20 * time.Millisecond
-	regRetryMax = 200 * time.Millisecond
-	regRefresh = 100 * time.Millisecond
-	readDeadline = 50 * time.Millisecond
-	t.Cleanup(func() {
-		regRetryMin, regRetryMax, regRefresh, readDeadline = savedMin, savedMax, savedRefresh, savedRead
-	})
+	sc := &steppedConn{engine: sim.NewEngine(seed)}
+	c, err := Dial(id, addr, func() time.Duration { return time.Duration(sc.clock.Load()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sc.NodeConn = c
+	c.keepAlive(sc.engine, sc.engine.RNG())
+	return sc
+}
+
+// runTo runs the engine up to virtual time at.
+func (sc *steppedConn) runTo(at time.Duration) {
+	sc.clock.Store(int64(sc.engine.Run(at)))
 }
 
 // runUntil runs the blocking run function on a context it cancels as soon
@@ -265,17 +281,12 @@ func hasClient(e *Ether, id packet.NodeID) bool {
 }
 
 func TestNodeConnReregistersAfterEtherRestart(t *testing.T) {
-	tightenRegTiming(t)
 	ether, err := NewEther("127.0.0.1:0", NewLinkTable(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ether.Addr()
-	c, err := Dial(5, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialStepped(t, 5, addr, 5)
 	waitFor(t, 2*time.Second, "initial registration", func() bool { return hasClient(ether, 5) })
 	waitFor(t, 2*time.Second, "registration ack", c.Registered)
 
@@ -289,7 +300,10 @@ func TestNodeConnReregistersAfterEtherRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ether2.Close()
-	waitFor(t, 3*time.Second, "re-registration with restarted ether", func() bool { return hasClient(ether2, 5) })
+	waitFor(t, 3*time.Second, "re-registration with restarted ether", func() bool {
+		c.runTo(c.engine.Now() + 100*time.Millisecond)
+		return hasClient(ether2, 5)
+	})
 }
 
 // TestDaemonReconnectsAfterEtherRestart kills the ether mid-session and
@@ -299,7 +313,6 @@ func TestDaemonReconnectsAfterEtherRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	tightenRegTiming(t)
 	ether, err := NewEther("127.0.0.1:0", NewLinkTable(1), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -391,13 +404,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 	defer src.Close()
 	defer relay.Close()
 	defer sink.Close()
-
-	// Dial returns before the first registration datagram is sent, and the
-	// source floods its first JOIN QUERY the moment it runs: a neighbor the
-	// ether has not registered yet misses it, and the next is 3 s away.
-	waitFor(t, 2*time.Second, "all three registered", func() bool {
-		return src.Registered() && relay.Registered() && sink.Registered()
-	})
 
 	// The relay must have become a forwarder for delivery to happen at all
 	// (the direct link is dead); expect the majority of packets through.

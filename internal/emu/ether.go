@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 // Wire message kinds exchanged with the ether.
@@ -36,12 +37,11 @@ const (
 // schedule: unacknowledged registrations retry with capped exponential
 // backoff, and acknowledged ones refresh periodically so a restarted ether
 // (which lost its client table) re-learns every daemon within one refresh
-// interval. Variables rather than constants so tests can tighten them.
-var (
-	regRetryMin  = 100 * time.Millisecond
-	regRetryMax  = 2 * time.Second
-	regRefresh   = time.Second
-	readDeadline = 500 * time.Millisecond
+// interval.
+const (
+	regRetryMin = 100 * time.Millisecond
+	regRetryMax = 2 * time.Second
+	regRefresh  = time.Second
 )
 
 // LinkTable holds per-link medium profiles (delivery probability, delay,
@@ -151,10 +151,6 @@ func NewEther(addr string, links *LinkTable, seed int64) (*Ether, error) {
 	go e.serve()
 	return e, nil
 }
-
-// Links returns the ether's link table (shared; safe for concurrent
-// updates while serving).
-func (e *Ether) Links() *LinkTable { return e.links }
 
 // Addr returns the ether's listening address.
 func (e *Ether) Addr() string { return e.conn.LocalAddr().String() }
@@ -323,10 +319,14 @@ func (e *Ether) deliverLater(delay time.Duration, frame []byte, addr *net.UDPAdd
 // ErrClosed reports use of a closed connection.
 var ErrClosed = errors.New("emu: connection closed")
 
-// NodeConn is a daemon's connection to the ether.
+// NodeConn is a daemon's connection to the ether: the socket and the one
+// goroutine that reads it. It keeps no time of its own — registration acks
+// are stamped with the clock Dial was given, and the keepalive that sends
+// registrations is an event on the owner's engine (keepAlive).
 type NodeConn struct {
 	id   packet.NodeID
 	conn *net.UDPConn
+	now  func() time.Duration
 
 	// onPacket is read by the receive goroutine for every decoded frame
 	// and may be (re)set at any time via SetOnPacket — the receive loop
@@ -334,37 +334,23 @@ type NodeConn struct {
 	// handler, so the slot must be safe against that window.
 	onPacket atomic.Pointer[func(p *packet.Packet, from packet.NodeID)]
 
-	mu      sync.Mutex
-	lastAck time.Time
+	// lastAck is now() at the latest registration ack, -1 before the first.
+	// acked is raised with it and lowered by the keepalive, which asks
+	// "since my last datagram?".
+	lastAck atomic.Int64
+	acked   atomic.Bool
 
-	// rng drives the reconnect backoff jitter. Seeded per connection (not
-	// the global math/rand source) so a daemon's reconnect schedule is
-	// reproducible from its seed; rngMu guards it because timer-driven
-	// goroutines may consult it concurrently with the maintain loop.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	closed       chan struct{}
-	done         chan struct{}
-	maintainDone chan struct{}
+	closed chan struct{}
+	done   chan struct{}
 }
 
-// Dial connects node id to the ether at addr and registers it. Registration
-// is maintained in the background: the first attempt is sent immediately,
-// then retried with capped exponential backoff until the ether acknowledges
-// it, and refreshed periodically afterwards — so a daemon survives (and
-// recovers from) an ether that starts late or restarts mid-run. Backoff
-// jitter is seeded from the node ID; use DialSeeded to tie it to a run
-// seed.
-func Dial(id packet.NodeID, addr string) (*NodeConn, error) {
-	return DialSeeded(id, addr, uint64(id))
-}
-
-// DialSeeded is Dial with explicit backoff-jitter seeding: two runs with
-// the same seed reconnect on identical schedules (the jitter exists to
-// decorrelate a *fleet* of daemons, so daemons should seed with distinct
-// values, e.g. run-seed ^ node-id).
-func DialSeeded(id packet.NodeID, addr string, seed uint64) (*NodeConn, error) {
+// Dial connects node id to the ether at addr and sends its first
+// registration before returning, so a frame the caller sends next reaches an
+// ether that already lists it. Keeping the registration alive is the
+// caller's engine's job (Daemon.Run arms keepAlive). now is the owner's run
+// clock — a Driver's Now — and must be safe from any goroutine: the receive
+// goroutine stamps acks with it.
+func Dial(id packet.NodeID, addr string, now func() time.Duration) (*NodeConn, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("emu: resolve %q: %w", addr, err)
@@ -374,15 +360,15 @@ func DialSeeded(id packet.NodeID, addr string, seed uint64) (*NodeConn, error) {
 		return nil, fmt.Errorf("emu: dial: %w", err)
 	}
 	nc := &NodeConn{
-		id:           id,
-		conn:         conn,
-		rng:          rand.New(rand.NewSource(int64(seed) ^ 0x656d752d6a697474)), // "emu-jitt"
-		closed:       make(chan struct{}),
-		done:         make(chan struct{}),
-		maintainDone: make(chan struct{}),
+		id:     id,
+		conn:   conn,
+		now:    now,
+		closed: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
+	nc.lastAck.Store(-1)
 	go nc.receive()
-	go nc.maintain()
+	nc.register()
 	return nc, nil
 }
 
@@ -394,16 +380,8 @@ func (c *NodeConn) SetOnPacket(fn func(p *packet.Packet, from packet.NodeID)) {
 	c.onPacket.Store(&fn)
 }
 
-// jitter draws a uniform duration in [0, max] from the connection's seeded
-// source.
-func (c *NodeConn) jitter(max time.Duration) time.Duration {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return time.Duration(c.rng.Int63n(int64(max) + 1))
-}
-
 // register sends one registration datagram. Errors are ignored: the ether
-// may be down, and the maintain loop will retry.
+// may be down, and the keepalive will retry.
 func (c *NodeConn) register() {
 	reg := [3]byte{msgRegister}
 	binary.BigEndian.PutUint16(reg[1:], uint16(c.id))
@@ -413,36 +391,35 @@ func (c *NodeConn) register() {
 // Registered reports whether the ether has acknowledged a registration
 // recently (within one retry ceiling of the refresh interval).
 func (c *NodeConn) Registered() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.lastAck.IsZero() && time.Since(c.lastAck) < regRefresh+regRetryMax
+	last := time.Duration(c.lastAck.Load())
+	return last >= 0 && c.now()-last < regRefresh+regRetryMax
 }
 
-// maintain keeps the registration alive: exponential backoff (plus jitter,
-// so a fleet of daemons does not thunder in lockstep at a restarted ether)
-// while unacknowledged, a steady refresh once acknowledged. The periodic
-// refresh is what heals an ether restart — the new ether has an empty client
-// table until each daemon's next registration arrives.
-func (c *NodeConn) maintain() {
-	defer close(c.maintainDone)
-	backoff := regRetryMin
-	for {
-		c.register()
-		wait := backoff + c.jitter(backoff/4)
-		select {
-		case <-c.closed:
-			return
-		case <-time.After(wait):
-		}
-		if c.Registered() {
-			backoff = regRefresh
-		} else {
-			backoff *= 2
-			if backoff > regRetryMax {
-				backoff = regRetryMax
+// keepAlive arms the registration keepalive on engine, the owner's: a
+// self-rescheduling event that re-registers after regRetryMin, 2×, 4× …
+// capped at regRetryMax while the previous registration went unacknowledged,
+// and every regRefresh once it was — the refresh is what heals an ether
+// restart, whose new client table is empty until each daemon's next
+// registration arrives, and a refresh that gets no ack drops back to the
+// start of the backoff. Each wait is stretched by up to a quarter, drawn from
+// rng (the engine goroutine's alone), so a fleet of daemons does not thunder
+// in lockstep at a restarted ether. Dial sent the first registration; this
+// schedules the ones after it.
+func (c *NodeConn) keepAlive(engine *sim.Engine, rng *sim.RNG) {
+	step := cappedBackoff(regRetryMin, regRetryMax)
+	var arm func(wait time.Duration)
+	arm = func(wait time.Duration) {
+		engine.Schedule(wait+time.Duration(rng.Float64()*float64(wait/4)), func() {
+			c.register()
+			if c.acked.Swap(false) {
+				step = cappedBackoff(regRetryMin, regRetryMax)
+				arm(regRefresh)
+			} else {
+				arm(step())
 			}
-		}
+		})
 	}
+	arm(step())
 }
 
 // Send broadcasts a packet through the ether. Safe for use from one
@@ -469,23 +446,16 @@ func (c *NodeConn) receive() {
 	defer close(c.done)
 	buf := make([]byte, 64*1024)
 	for {
-		// Bounded reads: the loop must wake up to notice Close, and a
-		// transient socket error (ECONNREFUSED from a connected UDP socket
-		// whose ether is down) must not kill the receiver for good.
-		c.conn.SetReadDeadline(time.Now().Add(readDeadline))
-		n, err := c.conn.Read(buf)
+		n, err := c.conn.Read(buf) // Close unblocks it
 		if err != nil {
 			select {
 			case <-c.closed:
 				return
 			default:
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			// Transient (the ether may be restarting); back off briefly so
-			// a hard error cannot spin the loop.
+			// Transient: a connected UDP socket whose ether is down reads
+			// ECONNREFUSED. Back off briefly so a hard error cannot spin the
+			// loop.
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
@@ -494,9 +464,8 @@ func (c *NodeConn) receive() {
 		}
 		switch buf[0] {
 		case msgRegAck:
-			c.mu.Lock()
-			c.lastAck = time.Now()
-			c.mu.Unlock()
+			c.lastAck.Store(int64(c.now()))
+			c.acked.Store(true)
 		case msgFrame:
 			sender := packet.NodeID(binary.BigEndian.Uint16(buf[1:3]))
 			var p packet.Packet
@@ -510,8 +479,7 @@ func (c *NodeConn) receive() {
 	}
 }
 
-// Close shuts the connection down and waits for the receive and maintain
-// goroutines.
+// Close shuts the connection down and waits for the receive goroutine.
 func (c *NodeConn) Close() error {
 	select {
 	case <-c.closed:
@@ -521,6 +489,5 @@ func (c *NodeConn) Close() error {
 	}
 	err := c.conn.Close()
 	<-c.done
-	<-c.maintainDone
 	return err
 }

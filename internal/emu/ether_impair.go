@@ -24,8 +24,8 @@ type LinkProfile struct {
 	DupProb float64
 }
 
-// Shape overlays delay/jitter/duplication onto the profile, keeping DF.
-func (p LinkProfile) Shape(delay, jitter time.Duration, dup float64) LinkProfile {
+// shape overlays delay/jitter/duplication onto the profile, keeping DF.
+func (p LinkProfile) shape(delay, jitter time.Duration, dup float64) LinkProfile {
 	p.Delay, p.Jitter, p.DupProb = delay, jitter, dup
 	return p
 }
@@ -50,9 +50,9 @@ func (t *LinkTable) SetDefaultProfile(p LinkProfile) {
 func (t *LinkTable) ShapeAll(delay, jitter time.Duration, dup float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.def = t.def.Shape(delay, jitter, dup)
+	t.def = t.def.shape(delay, jitter, dup)
 	for k, p := range t.links {
-		t.links[k] = p.Shape(delay, jitter, dup)
+		t.links[k] = p.shape(delay, jitter, dup)
 	}
 }
 

@@ -187,7 +187,7 @@ func TestEtherDelayAndDuplicationLive(t *testing.T) {
 	var arrivals2 []time.Time
 	var got3 int
 	mkConn := func(id packet.NodeID, on func()) *NodeConn {
-		c, err := Dial(id, ether.Addr())
+		c, err := Dial(id, ether.Addr(), still)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,6 @@ func TestEtherDelayAndDuplicationLive(t *testing.T) {
 	c1 := mkConn(1, nil)
 	mkConn(2, func() { mu.Lock(); arrivals2 = append(arrivals2, time.Now()); mu.Unlock() })
 	mkConn(3, func() { mu.Lock(); got3++; mu.Unlock() })
-	time.Sleep(100 * time.Millisecond)
 
 	sendAt := time.Now()
 	if !c1.Send(&packet.Packet{Kind: packet.TypeData, Src: 1, Seq: 1}) {
@@ -234,12 +233,12 @@ func TestEtherCloseCancelsDelayedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := Dial(1, ether.Addr())
+	c1, err := Dial(1, ether.Addr(), still)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Dial(2, ether.Addr())
+	c2, err := Dial(2, ether.Addr(), still)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 //
 // Daemons have a full lifecycle: StopDaemon / RestartDaemon kill and
 // revive individual nodes mid-run (their traffic counters survive across
-// generations), and StopEther / StartEther restart the shared medium —
-// the primitives the FleetSupervisor drives to execute a chaos schedule.
+// generations), and Medium().Stop / Start restart the shared medium — the
+// primitives the FleetSupervisor drives to execute a chaos schedule.
 //
 // A run has one clock: the fleet's Driver. Everything scheduled or periodic
 // around the daemons — the start ramp, the supervisor's chaos events,
@@ -34,34 +34,29 @@ import (
 // impairment expiry, Chaos, health tracking) reads its Now.
 type Fleet struct {
 	cfg     FleetConfig
-	links   *LinkTable
+	medium  *Medium
 	groups  []testbed.GroupSpec
 	nodeIDs []packet.NodeID // sorted; chaos plans address nodes by index here
 
-	etherAddr string
-
-	mu           sync.Mutex // guards ether lifecycle
-	ether        *Ether     // nil while a scripted ether outage holds it down
-	etherGen     int64
-	etherRetired EtherStats
-
 	// impairs is the composable impairment chain, read lock-free on the
-	// ether's per-frame hot path and copy-on-write updated by the rare
-	// SetImpairment/AddImpairment calls (the control plane mutates a running
-	// fleet). Keeping it off f.mu also avoids an f.mu↔ether.mu lock-order
-	// inversion: the ether evaluates the hook under its own lock.
+	// ether's per-frame hot path (the ether evaluates the hook under its own
+	// lock) and copy-on-write updated by the rare AddImpairment calls (the
+	// control plane mutates a running fleet).
 	impairs atomic.Pointer[impairChain]
 
 	health  *liveHealth
 	members map[packet.GroupID]int
 
-	// expected and delivered are cumulative delivery accounting cheap enough
-	// for per-request control-plane polling: expected grows by the group
-	// size on every source send, delivered by one per member delivery.
+	// sent, expected and delivered are cumulative traffic accounting cheap
+	// enough for per-request control-plane polling and per-sample gauges:
+	// on every source send sent grows by one and expected by the group size,
+	// delivered by one per member delivery.
+	sent      atomic.Uint64
 	expected  atomic.Uint64
 	delivered atomic.Uint64
 
 	driver *Driver
+	mu     sync.Mutex // guards runCtx
 	runCtx context.Context
 	wg     sync.WaitGroup
 
@@ -167,26 +162,23 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.LinkDelay > 0 || cfg.LinkJitter > 0 || cfg.LinkDupProb > 0 {
 		links.ShapeAll(cfg.LinkDelay, cfg.LinkJitter, cfg.LinkDupProb)
 	}
-	ether, err := NewEther("127.0.0.1:0", links, int64(cfg.Seed)+1)
-	if err != nil {
-		return nil, err
-	}
 
 	nodeIDs := append([]packet.NodeID(nil), cfg.Scenario.Nodes...)
 	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
 
 	f := &Fleet{
-		cfg:       cfg,
-		links:     links,
-		groups:    cfg.Scenario.Groups,
-		nodeIDs:   nodeIDs,
-		etherAddr: ether.Addr(),
-		ether:     ether,
-		driver:    NewDriver(cfg.Seed),
-		slots:     make(map[packet.NodeID]*daemonSlot, len(nodeIDs)),
+		cfg:     cfg,
+		groups:  cfg.Scenario.Groups,
+		nodeIDs: nodeIDs,
+		driver:  NewDriver(cfg.Seed),
+		slots:   make(map[packet.NodeID]*daemonSlot, len(nodeIDs)),
 	}
 	f.impairs.Store(&impairChain{})
-	ether.SetImpairment(f.impairHook)
+	medium, err := NewMedium("127.0.0.1:0", links, int64(cfg.Seed)+1, f.impairHook)
+	if err != nil {
+		return nil, err
+	}
+	f.medium = medium
 	joins := make(map[packet.NodeID][]packet.GroupID)
 	sources := make(map[packet.NodeID][]packet.GroupID)
 	f.members = make(map[packet.GroupID]int)
@@ -200,7 +192,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	for _, id := range nodeIDs {
 		dcfg := DaemonConfig{
 			ID:           id,
-			EtherAddr:    f.etherAddr,
+			EtherAddr:    medium.Addr(),
 			Metric:       cfg.Metric,
 			Protocol:     cfg.Protocol,
 			JoinGroups:   joins[id],
@@ -237,7 +229,7 @@ func (f *Fleet) Driver() *Driver { return f.driver }
 // reports repair latency, outage-vs-steady PDR, and availability. Call
 // before Run, with a Chaos built on this fleet's Driver().Now.
 func (f *Fleet) UseChaos(c *Chaos) {
-	f.SetImpairment(c.DropProb)
+	f.impairs.Store(&impairChain{base: c.DropProb})
 	f.health = &liveHealth{
 		now:     f.driver.Now,
 		tracker: stats.NewHealthTracker(c.Onsets(), c.Windows()),
@@ -261,8 +253,8 @@ type timedImpair struct {
 	until time.Duration // run time
 }
 
-// impairHook is the single ImpairFunc installed on every ether generation:
-// it combines the chain's hooks as independent loss processes
+// impairHook is the single ImpairFunc the medium installs on every ether
+// generation: it combines the chain's hooks as independent loss processes
 // (drop = 1 − Π(1 − dropᵢ)).
 func (f *Fleet) impairHook(from, to packet.NodeID) float64 {
 	ch := f.impairs.Load()
@@ -282,19 +274,6 @@ func (f *Fleet) impairHook(from, to packet.NodeID) float64 {
 		return 1
 	}
 	return 1 - keep
-}
-
-// SetImpairment installs (or, with nil, clears) the base ether impairment
-// hook, keeping it across ether restarts. Live additions made through
-// AddImpairment survive.
-func (f *Fleet) SetImpairment(fn ImpairFunc) {
-	for {
-		old := f.impairs.Load()
-		next := &impairChain{base: fn, extras: old.extras}
-		if f.impairs.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // AddImpairment composes an extra impairment hook into the chain while the
@@ -433,102 +412,9 @@ func (f *Fleet) DaemonAlive(id packet.NodeID, window time.Duration) bool {
 	return d != nil && d.Alive(window)
 }
 
-// add accumulates another ether generation's counters.
-func (s *EtherStats) add(o EtherStats) {
-	s.FramesIn += o.FramesIn
-	s.FramesOut += o.FramesOut
-	s.FramesDropped += o.FramesDropped
-	s.FramesDup += o.FramesDup
-	s.Registrations += o.Registrations
-}
-
-// StopEther takes the shared medium down (a scripted medium outage): every
-// in-flight delayed frame is lost and the client table with it. Daemons
-// keep running and re-register when StartEther brings it back.
-func (f *Fleet) StopEther() error {
-	f.mu.Lock()
-	ether := f.ether
-	f.ether = nil
-	f.mu.Unlock()
-	if ether == nil {
-		return nil
-	}
-	stats := ether.Stats()
-	err := ether.Close()
-	f.mu.Lock()
-	f.etherRetired.add(stats)
-	f.mu.Unlock()
-	return err
-}
-
-// StartEther rebinds the medium on the fleet's original address with a
-// fresh, deterministic per-generation seed and the saved impairment hook.
-// Daemon registration refresh repopulates the client table within one
-// refresh interval.
-func (f *Fleet) StartEther() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ether != nil {
-		return nil
-	}
-	f.etherGen++
-	ether, err := NewEther(f.etherAddr, f.links, int64(f.cfg.Seed)+1+f.etherGen)
-	if err != nil {
-		return err
-	}
-	ether.SetImpairment(f.impairHook)
-	f.ether = ether
-	return nil
-}
-
-// EtherStats returns medium counters accumulated across every ether
-// generation of the run.
-func (f *Fleet) EtherStats() EtherStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := f.etherRetired
-	if f.ether != nil {
-		out.add(f.ether.Stats())
-	}
-	return out
-}
-
-// EtherUp reports whether the medium is currently serving.
-func (f *Fleet) EtherUp() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ether != nil
-}
-
-// EtherClients returns the node IDs currently registered with the medium
-// (nil while the ether is down).
-func (f *Fleet) EtherClients() []packet.NodeID {
-	f.mu.Lock()
-	ether := f.ether
-	f.mu.Unlock()
-	if ether == nil {
-		return nil
-	}
-	return ether.Clients()
-}
-
-// Totals returns fleet-wide sent/delivered packet counts across all daemon
-// generations — cheap enough for per-sample telemetry polling.
-func (f *Fleet) Totals() (sent uint64, delivered uint64) {
-	for _, s := range f.slots {
-		s.mu.Lock()
-		sent += s.retiredSent
-		for _, n := range s.retiredRecv {
-			delivered += uint64(n)
-		}
-		if s.d != nil {
-			sent += s.d.SentCount()
-			delivered += uint64(s.d.DeliveredCount())
-		}
-		s.mu.Unlock()
-	}
-	return sent, delivered
-}
+// Medium returns the fleet's shared medium: stop and start it, read its
+// counters and clients, reach its link table.
+func (f *Fleet) Medium() *Medium { return f.medium }
 
 // SumRouters adds read over the routers of the daemons now alive. The sum
 // falls when a daemon is killed or restarted: a router's counts die with it.
@@ -543,6 +429,7 @@ func (f *Fleet) SumRouters(read func(multicast.Protocol) uint64) uint64 {
 }
 
 func (f *Fleet) recordSend(g packet.GroupID) {
+	f.sent.Add(1)
 	f.expected.Add(uint64(f.members[g]))
 	if f.health != nil {
 		// Same convention as the simulator's health wiring: one expected
@@ -568,23 +455,6 @@ func (f *Fleet) recordDeliver(g packet.GroupID) {
 // and windowed deltas of delivered/expected give a live PDR estimate.
 func (f *Fleet) DeliveryEstimate() (expected, delivered uint64) {
 	return f.expected.Load(), f.delivered.Load()
-}
-
-// Links returns the fleet's shared link table; profile and partition
-// mutations on it apply to the live medium (and survive ether restarts,
-// since every generation shares the table).
-func (f *Fleet) Links() *LinkTable { return f.links }
-
-// Drain quiesces the current ether generation for graceful shutdown:
-// new frames stop fanning out while already-scheduled delayed deliveries
-// land. No-op while a scripted outage holds the ether down.
-func (f *Fleet) Drain() {
-	f.mu.Lock()
-	ether := f.ether
-	f.mu.Unlock()
-	if ether != nil {
-		ether.Drain()
-	}
 }
 
 // NodeAccounting is one node's cross-generation resilience ledger.
@@ -704,21 +574,15 @@ func (f *Fleet) Daemon(id packet.NodeID) *Daemon {
 	return s.d
 }
 
-// Close shuts every daemon and the ether down. Per-daemon counters are
-// retired first, so Result stays accurate after Close.
+// Close shuts every daemon and the medium down. Per-daemon counters are
+// retired first, so Result (and Medium().Stats) stay accurate after Close.
 func (f *Fleet) Close() {
 	for _, s := range f.slots {
 		s.mu.Lock()
 		s.retire()
 		s.mu.Unlock()
 	}
-	f.mu.Lock()
-	ether := f.ether
-	f.ether = nil
-	f.mu.Unlock()
-	if ether != nil {
-		ether.Close()
-	}
+	f.medium.Stop()
 }
 
 // liveHealth feeds a stats.HealthTracker from the daemons' many driver

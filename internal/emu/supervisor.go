@@ -53,12 +53,17 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 // RestartBackoffMax. Every restart invocation gets a fresh sequence, so a
 // successful revive resets the next failure's delay to the floor.
 func (c SupervisorConfig) expBackoff() func() time.Duration {
-	next := c.RestartBackoff
+	return cappedBackoff(c.RestartBackoff, c.RestartBackoffMax)
+}
+
+// cappedBackoff returns a step function yielding first, 2×, 4×, ... clamped
+// at ceiling — the one backoff of the live side (restart and ether-up
+// retries here, the registration keepalive in ether.go).
+func cappedBackoff(first, ceiling time.Duration) func() time.Duration {
+	next := first
 	return func() time.Duration {
 		d := next
-		if next *= 2; next > c.RestartBackoffMax {
-			next = c.RestartBackoffMax
-		}
+		next = min(2*next, ceiling)
 		return d
 	}
 }
@@ -70,7 +75,8 @@ type FleetEvent struct {
 	// event executed.
 	At time.Duration
 	// Kind is one of "kill", "restart", "restart-failed", "watchdog-restart",
-	// "ether-down", "ether-up".
+	// "ether-down", "ether-up" — or, over a bare medium, the faults.Event*
+	// kind of a scheduled event that was only logged.
 	Kind string
 	// Node is the affected node (0 for ether events).
 	Node packet.NodeID
@@ -102,16 +108,20 @@ type SupervisorReport struct {
 	Events []FleetEvent
 }
 
-// supervised is what the supervisor needs of a fleet. *Fleet implements it;
-// the tests substitute a fake so supervision runs in virtual time without a
-// socket.
-type supervised interface {
+// bounced is the ether half of what the supervisor drives: *Medium, or a
+// fake in the tests, so supervision runs in virtual time without a socket.
+type bounced interface {
+	Stop() error
+	Start() error
+	Up() bool
+}
+
+// roster is the daemon half: *Fleet, or the same fake. A supervisor over a
+// bare medium has none.
+type roster interface {
 	NodeIDs() []packet.NodeID
 	StopDaemon(id packet.NodeID) error
 	RestartDaemon(id packet.NodeID) error
-	StopEther() error
-	StartEther() error
-	EtherUp() bool
 	DaemonAlive(id packet.NodeID, window time.Duration) bool
 	NodeStats(id packet.NodeID) NodeAccounting
 }
@@ -121,7 +131,9 @@ type supervised interface {
 // scripted recoveries become RestartDaemon with capped-backoff retry,
 // scripted medium outages bounce the ether, and a liveness watchdog
 // force-restarts daemons that die without being scheduled to. Surviving
-// daemons are never touched — degradation is per-node.
+// daemons are never touched — degradation is per-node. Over a bare medium
+// (NewMediumSupervisor) it bounces the ether the same way, arms no watchdog
+// and only logs the schedule's other events.
 //
 // It is a component of the run engine, like a router is of a daemon's:
 // every action is an engine event, so its state needs no lock of its own.
@@ -129,11 +141,14 @@ type supervised interface {
 // goroutine — call Events and Report from an engine event, inside
 // Fleet.Driver().Do, or once Fleet.Run has returned.
 type FleetSupervisor struct {
-	fleet  supervised
-	engine *sim.Engine
-	driver *Driver // paces engine; nil when a test steps the engine itself
-	cfg    SupervisorConfig
-	ids    []packet.NodeID // sorted
+	ether   bounced
+	daemons roster // nil over a bare medium
+	engine  *sim.Engine
+	driver  *Driver // paces engine; nil when a test steps the engine itself
+	cfg     SupervisorConfig
+	ids     []packet.NodeID // sorted
+	// observe, when set, sees every event as it is logged.
+	observe func(FleetEvent)
 
 	events        []FleetEvent
 	etherRestarts int
@@ -147,7 +162,7 @@ type FleetSupervisor struct {
 // drives it. chaos may be nil, in which case only the liveness watchdog
 // runs. Call before Run.
 func NewFleetSupervisor(fleet *Fleet, chaos *Chaos, cfg SupervisorConfig) *FleetSupervisor {
-	s := newSupervisor(fleet, fleet.driver.Engine(), cfg)
+	s := newSupervisor(fleet.medium, fleet, fleet.driver.Engine(), cfg)
 	s.driver = fleet.driver
 	if chaos != nil {
 		s.schedule(chaos.Events())
@@ -155,18 +170,35 @@ func NewFleetSupervisor(fleet *Fleet, chaos *Chaos, cfg SupervisorConfig) *Fleet
 	return s
 }
 
-func newSupervisor(fleet supervised, engine *sim.Engine, cfg SupervisorConfig) *FleetSupervisor {
+// NewMediumSupervisor arms chaos's schedule against a medium no fleet owns,
+// on the engine of the driver the caller runs: ether restarts bounce the
+// medium, with the same backoff when the rebind fails, and every other event
+// is only logged — there is no daemon to kill, so the medium's impairment
+// hook is what takes a down node's radio off the air (Chaos.NodeDown).
+// observe, if not nil, is called on the run goroutine with each event as it
+// is logged.
+func NewMediumSupervisor(medium *Medium, driver *Driver, chaos *Chaos, observe func(FleetEvent)) *FleetSupervisor {
+	s := newSupervisor(medium, nil, driver.Engine(), SupervisorConfig{})
+	s.driver, s.observe = driver, observe
+	s.schedule(chaos.Events())
+	return s
+}
+
+func newSupervisor(ether bounced, daemons roster, engine *sim.Engine, cfg SupervisorConfig) *FleetSupervisor {
 	s := &FleetSupervisor{
-		fleet:         fleet,
+		ether:         ether,
+		daemons:       daemons,
 		engine:        engine,
 		cfg:           cfg.withDefaults(),
-		ids:           fleet.NodeIDs(),
 		scheduledDown: make(map[packet.NodeID]bool),
 		restarting:    make(map[packet.NodeID]bool),
 		unhealthy:     make(map[packet.NodeID]time.Duration),
 	}
-	if s.cfg.UnhealthyAfter >= 0 {
-		sim.NewTicker(engine, s.cfg.CheckInterval, 0, nil, s.watchdog)
+	if daemons != nil {
+		s.ids = daemons.NodeIDs()
+		if s.cfg.UnhealthyAfter >= 0 {
+			sim.NewTicker(engine, s.cfg.CheckInterval, 0, nil, s.watchdog)
+		}
 	}
 	return s
 }
@@ -189,28 +221,30 @@ func (s *FleetSupervisor) schedule(events []ChaosEvent) {
 
 // execute dispatches one scheduled chaos event.
 func (s *FleetSupervisor) execute(ev ChaosEvent) {
-	switch ev.Kind {
-	case faults.EventNodeDown:
-		s.scheduledDown[ev.ID] = true
-		if err := s.fleet.StopDaemon(ev.ID); err == nil {
-			s.log(FleetEvent{Kind: "kill", Node: ev.ID})
-		}
-	case faults.EventNodeUp:
-		delete(s.scheduledDown, ev.ID)
-		s.restart(ev.ID, "restart")
-	case faults.EventEtherDown:
-		if err := s.fleet.StopEther(); err == nil {
+	switch {
+	case ev.Kind == faults.EventEtherDown:
+		if err := s.ether.Stop(); err == nil {
 			s.log(FleetEvent{Kind: "ether-down"})
 		}
-	case faults.EventEtherUp:
-		s.retry(func(wait time.Duration) bool {
-			if err := s.fleet.StartEther(); err != nil {
+	case ev.Kind == faults.EventEtherUp:
+		s.retry(func(time.Duration) bool {
+			if err := s.ether.Start(); err != nil {
 				return false
 			}
 			s.log(FleetEvent{Kind: "ether-up"})
 			s.etherRestarts++
 			return true
 		})
+	case s.daemons == nil:
+		s.log(FleetEvent{Kind: ev.Kind, Node: ev.ID})
+	case ev.Kind == faults.EventNodeDown:
+		s.scheduledDown[ev.ID] = true
+		if err := s.daemons.StopDaemon(ev.ID); err == nil {
+			s.log(FleetEvent{Kind: "kill", Node: ev.ID})
+		}
+	case ev.Kind == faults.EventNodeUp:
+		delete(s.scheduledDown, ev.ID)
+		s.restart(ev.ID, "restart")
 	}
 	// Link faults, heals, and partitions need no action here: the chaos
 	// impairment hook installed on the ether enforces them continuously.
@@ -238,7 +272,7 @@ func (s *FleetSupervisor) restart(id packet.NodeID, kind string) {
 	}
 	s.restarting[id] = true
 	s.retry(func(wait time.Duration) bool {
-		if err := s.fleet.RestartDaemon(id); err != nil {
+		if err := s.daemons.RestartDaemon(id); err != nil {
 			s.log(FleetEvent{Kind: "restart-failed", Node: id, Backoff: wait})
 			return false
 		}
@@ -251,7 +285,7 @@ func (s *FleetSupervisor) restart(id packet.NodeID, kind string) {
 // watchdog force-restarts daemons that are dead without a scheduled reason
 // for longer than UnhealthyAfter.
 func (s *FleetSupervisor) watchdog() {
-	if !s.fleet.EtherUp() {
+	if !s.ether.Up() {
 		// Liveness is unobservable without the medium: every daemon loses
 		// its registration during an ether outage. Forget accumulated
 		// suspicions so daemons get a fresh UnhealthyAfter budget to
@@ -261,7 +295,7 @@ func (s *FleetSupervisor) watchdog() {
 	}
 	now := s.engine.Now()
 	for _, id := range s.ids {
-		if s.scheduledDown[id] || s.restarting[id] || s.fleet.DaemonAlive(id, s.cfg.ActivityWindow) {
+		if s.scheduledDown[id] || s.restarting[id] || s.daemons.DaemonAlive(id, s.cfg.ActivityWindow) {
 			delete(s.unhealthy, id)
 			continue
 		}
@@ -274,7 +308,7 @@ func (s *FleetSupervisor) watchdog() {
 			delete(s.unhealthy, id)
 			// The daemon may be wedged rather than gone: kill any live
 			// generation first, then revive with backoff.
-			s.fleet.StopDaemon(id)
+			s.daemons.StopDaemon(id)
 			s.restart(id, "watchdog-restart")
 		}
 	}
@@ -283,6 +317,9 @@ func (s *FleetSupervisor) watchdog() {
 func (s *FleetSupervisor) log(ev FleetEvent) {
 	ev.At = s.engine.Now()
 	s.events = append(s.events, ev)
+	if s.observe != nil {
+		s.observe(ev)
+	}
 }
 
 // Events returns the executed action log so far.
@@ -295,7 +332,7 @@ func (s *FleetSupervisor) Events() []FleetEvent {
 func (s *FleetSupervisor) Report() SupervisorReport {
 	rep := SupervisorReport{Elapsed: s.engine.Now(), Events: s.Events(), EtherRestarts: s.etherRestarts}
 	for _, id := range s.ids {
-		acc := s.fleet.NodeStats(id)
+		acc := s.daemons.NodeStats(id)
 		nr := NodeReport{ID: id, Kills: acc.Kills, Restarts: acc.Restarts, Downtime: acc.Downtime, Availability: 1}
 		if rep.Elapsed > 0 {
 			nr.Availability = max(0, 1-float64(acc.Downtime)/float64(rep.Elapsed))

@@ -11,6 +11,7 @@ import (
 	"meshcast/internal/metric"
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
+	"meshcast/internal/telemetry"
 	"meshcast/internal/testbed"
 )
 
@@ -40,7 +41,6 @@ func deliveredTo(f *Fleet, id packet.NodeID) int {
 // is harmless, so a test may stop early and still defer it).
 func startLineFleet(t *testing.T, seed uint64, arm func(*Fleet)) (fleet *Fleet, stop func()) {
 	t.Helper()
-	tightenRegTiming(t)
 	fleet, err := NewFleet(FleetConfig{
 		Scenario:     lineScenario(),
 		Metric:       metric.SPP,
@@ -79,31 +79,31 @@ func TestFleetSurvivesEtherRestartUnderTraffic(t *testing.T) {
 
 	waitFor(t, 8*time.Second, "initial delivery", func() bool { return deliveredTo(fleet, 3) >= 5 })
 
-	if err := fleet.StopEther(); err != nil {
+	if err := fleet.Medium().Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if fleet.EtherUp() {
-		t.Fatal("EtherUp after StopEther")
+	if fleet.Medium().Up() {
+		t.Fatal("medium up after Stop")
 	}
 	time.Sleep(250 * time.Millisecond) // outage: frames go nowhere
 	before := deliveredTo(fleet, 3)
-	statsBefore := fleet.EtherStats()
+	statsBefore := fleet.Medium().Stats()
 	if statsBefore.FramesIn == 0 {
-		t.Fatal("retired ether stats lost on StopEther")
+		t.Fatal("retired ether stats lost on Stop")
 	}
 
-	if err := fleet.StartEther(); err != nil {
+	if err := fleet.Medium().Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Re-registration must complete within one refresh interval plus one
-	// retry backoff (tightened: 100 ms + 200 ms), generously bounded here.
-	waitFor(t, 2*time.Second, "all daemons re-registered", func() bool {
-		return len(fleet.EtherClients()) == 3
+	// Re-registration must complete within one refresh interval and its
+	// jitter (1 s + 250 ms), generously bounded here.
+	waitFor(t, 5*time.Second, "all daemons re-registered", func() bool {
+		return len(fleet.Medium().Clients()) == 3
 	})
 	waitFor(t, 5*time.Second, "delivery to resume", func() bool {
 		return deliveredTo(fleet, 3) >= before+5
 	})
-	if got := fleet.EtherStats().FramesIn; got <= statsBefore.FramesIn {
+	if got := fleet.Medium().Stats().FramesIn; got <= statsBefore.FramesIn {
 		t.Fatalf("cross-generation FramesIn = %d, want > %d", got, statsBefore.FramesIn)
 	}
 }
@@ -114,7 +114,7 @@ func TestFleetSurvivesEtherRestartUnderTraffic(t *testing.T) {
 type fakeFleet struct {
 	up      map[packet.NodeID]bool
 	etherUp bool
-	// restartFails and etherFails make the next n RestartDaemon / StartEther
+	// restartFails and etherFails make the next n RestartDaemon / Start
 	// calls error.
 	restartFails, etherFails int
 }
@@ -136,8 +136,8 @@ func (f *fakeFleet) RestartDaemon(id packet.NodeID) error {
 	f.up[id] = true
 	return nil
 }
-func (f *fakeFleet) StopEther() error { f.etherUp = false; return nil }
-func (f *fakeFleet) StartEther() error {
+func (f *fakeFleet) Stop() error { f.etherUp = false; return nil }
+func (f *fakeFleet) Start() error {
 	if f.etherFails > 0 {
 		f.etherFails--
 		return errors.New("address in use")
@@ -145,7 +145,7 @@ func (f *fakeFleet) StartEther() error {
 	f.etherUp = true
 	return nil
 }
-func (f *fakeFleet) EtherUp() bool                                      { return f.etherUp }
+func (f *fakeFleet) Up() bool                                           { return f.etherUp }
 func (f *fakeFleet) DaemonAlive(id packet.NodeID, _ time.Duration) bool { return f.up[id] }
 func (f *fakeFleet) NodeStats(packet.NodeID) NodeAccounting             { return NodeAccounting{} }
 
@@ -267,7 +267,7 @@ func TestSupervisorVirtualTime(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			engine, fleet := sim.NewEngine(1), newFakeFleet()
-			sup := newSupervisor(fleet, engine, tc.cfg)
+			sup := newSupervisor(fleet, fleet, engine, tc.cfg)
 			sup.schedule(tc.chaos)
 			if tc.script != nil {
 				tc.script(engine, fleet, sup)
@@ -293,12 +293,71 @@ func TestSupervisorVirtualTime(t *testing.T) {
 	}
 }
 
+// flakyEther is the ether half alone, noting when each Start was attempted.
+type flakyEther struct {
+	fakeFleet
+	engine   *sim.Engine
+	attempts []time.Duration
+}
+
+func (e *flakyEther) Start() error {
+	e.attempts = append(e.attempts, e.engine.Now())
+	return e.fakeFleet.Start()
+}
+
+// TestSupervisorOverBareMedium is etherd's case: an ether half and no daemon
+// half. A rebind that keeps failing is retried on the capped backoff — each
+// attempt an engine event, so the run goroutine is never held — node events
+// are logged and touch nothing, and no watchdog is armed.
+func TestSupervisorOverBareMedium(t *testing.T) {
+	engine := sim.NewEngine(1)
+	ether := &flakyEther{fakeFleet: fakeFleet{etherUp: true, etherFails: 7}, engine: engine}
+	var seen []FleetEvent
+	sup := newSupervisor(ether, nil, engine, SupervisorConfig{})
+	sup.observe = func(ev FleetEvent) { seen = append(seen, ev) }
+	sup.schedule([]ChaosEvent{
+		{At: 1000 * ms, Kind: faults.EventEtherDown, Node: -1},
+		{At: 2000 * ms, Kind: faults.EventEtherUp, Node: -1},
+		down(3000*ms, 2),
+		up(4000*ms, 2),
+	})
+	engine.Run(30 * time.Second)
+
+	wantAttempts := []time.Duration{ // RestartBackoff doubling to RestartBackoffMax
+		2000 * ms, 2100 * ms, 2300 * ms, 2700 * ms, 3500 * ms, 5100 * ms, 7100 * ms, 9100 * ms,
+	}
+	if !reflect.DeepEqual(ether.attempts, wantAttempts) {
+		t.Errorf("Start attempted at %v, want %v", ether.attempts, wantAttempts)
+	}
+	want := []FleetEvent{
+		{At: 1000 * ms, Kind: "ether-down"},
+		{At: 3000 * ms, Kind: faults.EventNodeDown, Node: 2},
+		{At: 4000 * ms, Kind: faults.EventNodeUp, Node: 2},
+		{At: 9100 * ms, Kind: "ether-up"},
+	}
+	if got := sup.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("event log:\n got %v\nwant %v", got, want)
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("observer saw %v, want the log %v", seen, want)
+	}
+	if rep := sup.Report(); rep.EtherRestarts != 1 || len(rep.Nodes) != 0 {
+		t.Errorf("report = %+v, want 1 ether restart and no nodes", rep)
+	}
+	if !ether.etherUp {
+		t.Error("ether left down")
+	}
+	if n := engine.Pending(); n != 0 {
+		t.Errorf("%d events left on the engine: a watchdog was armed without daemons to watch", n)
+	}
+}
+
 // TestSupervisorInjectReachesTheRunGoroutine covers the one path the
 // virtual-time suite cannot: Inject from another goroutine while a Driver
 // paces the engine, and its refusal once the run has ended.
 func TestSupervisorInjectReachesTheRunGoroutine(t *testing.T) {
 	driver, fleet := NewDriver(1), newFakeFleet()
-	sup := newSupervisor(fleet, driver.Engine(), SupervisorConfig{})
+	sup := newSupervisor(fleet, fleet, driver.Engine(), SupervisorConfig{})
 	sup.driver = driver
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
@@ -420,6 +479,48 @@ func TestSupervisorScriptedKillAndRestart(t *testing.T) {
 	}
 }
 
+// TestFleetGaugesMatchResult: the emu.fleet.sent/delivered gauges read the
+// fleet's own running counts, which must stay equal to what Result adds up
+// over the daemons' generations — across a kill and a restart of the source.
+func TestFleetGaugesMatchResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time test")
+	}
+	reg := telemetry.NewRegistry()
+	fleet, stop := startLineFleet(t, 31, func(fleet *Fleet) { InstrumentFleet(reg, fleet, nil, nil) })
+	defer stop()
+	waitFor(t, 8*time.Second, "traffic to flow", func() bool { return deliveredTo(fleet, 3) >= 5 })
+	if err := fleet.StopDaemon(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.RestartDaemon(1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 8*time.Second, "the restarted source to send", func() bool { return fleet.Daemon(1).SentCount() >= 5 })
+	stop()
+
+	var sent, delivered uint64
+	res := fleet.Result()
+	for _, n := range res.Sent {
+		sent += n
+	}
+	for _, bySource := range res.Received {
+		for _, n := range bySource {
+			delivered += uint64(n)
+		}
+	}
+	gauges := reg.Snapshot().Gauges
+	if sent == 0 || delivered == 0 || res.Restarts[1] != 1 {
+		t.Fatalf("sent %d, delivered %d, source restarts %d: the run did not exercise the books", sent, delivered, res.Restarts[1])
+	}
+	if got := gauges["emu.fleet.sent"]; got != float64(sent) {
+		t.Errorf("emu.fleet.sent = %v, Result adds up %d", got, sent)
+	}
+	if got := gauges["emu.fleet.delivered"]; got != float64(delivered) {
+		t.Errorf("emu.fleet.delivered = %v, Result adds up %d", got, delivered)
+	}
+}
+
 // TestFleetCloseNoGoroutineLeak runs a supervised fleet until traffic gets
 // through (1.5 s at most) and checks that teardown returns the process to
 // its goroutine and descriptor baseline.
@@ -462,13 +563,13 @@ func TestFleetLifecycleCyclesNoLeak(t *testing.T) {
 		},
 		"two ether stop/start rounds": func(t *testing.T, fleet *Fleet) {
 			for round := 0; round < 2; round++ {
-				if err := fleet.StopEther(); err != nil {
+				if err := fleet.Medium().Stop(); err != nil {
 					t.Fatal(err)
 				}
-				if err := fleet.StartEther(); err != nil {
+				if err := fleet.Medium().Start(); err != nil {
 					t.Fatal(err)
 				}
-				waitFor(t, 2*time.Second, "all daemons re-registered", func() bool { return len(fleet.EtherClients()) == 3 })
+				waitFor(t, 5*time.Second, "all daemons re-registered", func() bool { return len(fleet.Medium().Clients()) == 3 })
 			}
 		},
 	}

@@ -19,11 +19,11 @@ import (
 // on the one goroutine that samples: the run goroutine, where the sampler is
 // a ticker on the fleet's run engine (and, for the final sample, the caller
 // once Run has returned). Fleet state is read behind the fleet's own locks
-// (Ether.Stats, slot mutexes); supervisor state belongs to that same run
-// goroutine and is read directly — never through Driver.Do, whose lock the
-// sampling event already holds. Counters that look monotonic (frames
-// in/out) are still exported as gauges for the same reason; meshstat treats
-// them identically.
+// (Medium.Stats, slot mutexes) or from its atomics; supervisor state belongs
+// to that same run goroutine and is read directly — never through Driver.Do,
+// whose lock the sampling event already holds. Counters that look monotonic
+// (frames in/out) are still exported as gauges for the same reason; meshstat
+// treats them identically.
 //
 // Exported names (meshstat groups by the prefix before the first dot):
 //
@@ -37,14 +37,15 @@ func InstrumentFleet(reg *telemetry.Registry, f *Fleet, c *Chaos, sup *FleetSupe
 	if reg == nil || f == nil {
 		return
 	}
-	reg.GaugeFunc("emu.ether.frames_in", func() float64 { return float64(f.EtherStats().FramesIn) })
-	reg.GaugeFunc("emu.ether.frames_out", func() float64 { return float64(f.EtherStats().FramesOut) })
-	reg.GaugeFunc("emu.ether.frames_dropped", func() float64 { return float64(f.EtherStats().FramesDropped) })
-	reg.GaugeFunc("emu.ether.frames_dup", func() float64 { return float64(f.EtherStats().FramesDup) })
-	reg.GaugeFunc("emu.ether.registrations", func() float64 { return float64(f.EtherStats().Registrations) })
-	reg.GaugeFunc("emu.ether.clients", func() float64 { return float64(len(f.EtherClients())) })
+	m := f.medium
+	reg.GaugeFunc("emu.ether.frames_in", func() float64 { return float64(m.Stats().FramesIn) })
+	reg.GaugeFunc("emu.ether.frames_out", func() float64 { return float64(m.Stats().FramesOut) })
+	reg.GaugeFunc("emu.ether.frames_dropped", func() float64 { return float64(m.Stats().FramesDropped) })
+	reg.GaugeFunc("emu.ether.frames_dup", func() float64 { return float64(m.Stats().FramesDup) })
+	reg.GaugeFunc("emu.ether.registrations", func() float64 { return float64(m.Stats().Registrations) })
+	reg.GaugeFunc("emu.ether.clients", func() float64 { return float64(len(m.Clients())) })
 	reg.GaugeFunc("emu.ether.up", func() float64 {
-		if f.EtherUp() {
+		if m.Up() {
 			return 1
 		}
 		return 0
@@ -61,8 +62,8 @@ func InstrumentFleet(reg *telemetry.Registry, f *Fleet, c *Chaos, sup *FleetSupe
 		}
 		return float64(n)
 	})
-	reg.GaugeFunc("emu.fleet.sent", func() float64 { s, _ := f.Totals(); return float64(s) })
-	reg.GaugeFunc("emu.fleet.delivered", func() float64 { _, d := f.Totals(); return float64(d) })
+	reg.GaugeFunc("emu.fleet.sent", func() float64 { return float64(f.sent.Load()) })
+	reg.GaugeFunc("emu.fleet.delivered", func() float64 { return float64(f.delivered.Load()) })
 	for _, id := range ids {
 		id := id
 		reg.GaugeFunc(fmt.Sprintf("emu.node.%d.alive", id), func() float64 {

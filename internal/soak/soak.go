@@ -256,7 +256,7 @@ func (r *Runner) Run(ctx context.Context) error {
 	// (3) Drain the medium: scheduled delayed deliveries land before the
 	// final sample is taken, so the books balance.
 	r.traceStep("ether-drain")
-	r.fleet.Drain()
+	r.fleet.Medium().Drain()
 
 	// (4) Final telemetry sample + manifest.
 	r.traceStep("telemetry-final")
@@ -312,16 +312,12 @@ func (r *Runner) armTelemetry(engine *sim.Engine) {
 	// handover, or a supervisor watchdog restart. Dumps are best-effort
 	// (cooldown-suppressed, never fail the run).
 	var dip telemetry.PDRDipDetector
-	var prevExpected, prevDelivered uint64
+	dip.Window(r.fleet.DeliveryEstimate()) // the run's first window starts here
 	seenEvents := 0
 	sim.NewTicker(engine, r.cfg.SampleInterval, 0, nil, func() {
-		expected, delivered := r.fleet.DeliveryEstimate()
-		dExp, dDel := expected-prevExpected, delivered-prevDelivered
-		prevExpected, prevDelivered = expected, delivered
-		if dExp > 0 {
-			pdr := float64(dDel) / float64(dExp)
+		if dExp, dDel, pdr, dipped := dip.Window(r.fleet.DeliveryEstimate()); dExp > 0 {
 			r.flight.Record("stats", "window expected=%d delivered=%d pdr=%.3f", dExp, dDel, pdr)
-			if dip.Observe(pdr) {
+			if dipped {
 				r.flight.Trigger(fmt.Sprintf("pdr-dip window pdr=%.3f", pdr))
 			}
 		}

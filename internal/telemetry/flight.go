@@ -172,6 +172,28 @@ type PDRDipDetector struct {
 
 	baseline float64
 	armed    bool
+
+	// The cumulative pair Window saw last, once it has seen one.
+	expected, delivered uint64
+	primed              bool
+}
+
+// Window is Observe for a caller holding cumulative expected/delivered
+// counts rather than a PDR: it diffs them against the pair the previous call
+// saw, and if the window expected anything feeds delivered/expected to
+// Observe. pdr is defined when dExp > 0. The first call only remembers its
+// pair; so does one whose counts fell (a restarted backend), and both return
+// zeros.
+func (d *PDRDipDetector) Window(expected, delivered uint64) (dExp, dDel uint64, pdr float64, dip bool) {
+	if d.primed && expected >= d.expected && delivered >= d.delivered {
+		dExp, dDel = expected-d.expected, delivered-d.delivered
+	}
+	d.expected, d.delivered, d.primed = expected, delivered, true
+	if dExp > 0 {
+		pdr = float64(dDel) / float64(dExp)
+		dip = d.Observe(pdr)
+	}
+	return dExp, dDel, pdr, dip
 }
 
 // Observe feeds one windowed PDR and reports whether a dip fired.

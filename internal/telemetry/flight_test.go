@@ -164,3 +164,29 @@ func TestCounterWatch(t *testing.T) {
 		t.Fatalf("delta after re-basing = %d, want 1", d)
 	}
 }
+
+// TestPDRDipDetectorWindow: Window diffs cumulative counts and feeds the
+// window's PDR to Observe; the first pair and a pair that fell only re-base.
+func TestPDRDipDetectorWindow(t *testing.T) {
+	var d PDRDipDetector
+	steps := []struct {
+		expected, delivered uint64
+		dExp, dDel          uint64
+		pdr                 float64
+		dip                 bool
+	}{
+		{expected: 100, delivered: 90},                                            // remembered, not a window
+		{expected: 200, delivered: 180, dExp: 100, dDel: 90, pdr: 0.9},            // arms at 0.9
+		{expected: 200, delivered: 180},                                           // nothing expected: no PDR, nothing observed
+		{expected: 300, delivered: 200, dExp: 100, dDel: 20, pdr: 0.2, dip: true}, // below 0.6 × 0.9
+		{expected: 10, delivered: 5},                                              // the backend restarted: re-base
+		{expected: 20, delivered: 15, dExp: 10, dDel: 10, pdr: 1},                 // re-arms
+	}
+	for i, s := range steps {
+		dExp, dDel, pdr, dip := d.Window(s.expected, s.delivered)
+		if dExp != s.dExp || dDel != s.dDel || pdr != s.pdr || dip != s.dip {
+			t.Fatalf("step %d: Window(%d, %d) = (%d, %d, %v, %v), want (%d, %d, %v, %v)",
+				i, s.expected, s.delivered, dExp, dDel, pdr, dip, s.dExp, s.dDel, s.pdr, s.dip)
+		}
+	}
+}
