@@ -140,9 +140,19 @@ func runSoak(nodes int, duration time.Duration, listen, metricName, protocolName
 		fmt.Printf("etherd soak telemetry under %s (rotate every %v)\n", telemetryDir, rotateEvery)
 	}
 	err = r.Run(ctx)
-	res := r.Fleet().Result()
+	fleet := r.Fleet()
+	killed, restarted := 0, 0
+	for _, id := range fleet.NodeIDs() {
+		acc := fleet.NodeStats(id)
+		if acc.Kills > 0 {
+			killed++
+		}
+		if acc.Restarts > 0 {
+			restarted++
+		}
+	}
 	fmt.Printf("etherd soak done: pdr %.3f, %d nodes killed, %d restarted\n",
-		res.PDR, len(res.Kills), len(res.Restarts))
+		fleet.Result().Summary.PDR, killed, restarted)
 	return err
 }
 

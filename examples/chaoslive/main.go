@@ -202,7 +202,7 @@ func runMetric(m metric.Kind, plan faults.Plan, seed uint64, timeScale float64, 
 			IntervalSeconds: rec.Sampler().Interval().Seconds(),
 			Samples:         rec.Sampler().Samples(),
 			Counters:        snap.Counters, Gauges: snap.Gauges, Histograms: snap.Histograms,
-			Derived: map[string]float64{"pdr": res.PDR},
+			Derived: map[string]float64{"pdr": res.Summary.PDR},
 		})
 		if err != nil {
 			return nil, err
@@ -215,7 +215,7 @@ func runMetric(m metric.Kind, plan faults.Plan, seed uint64, timeScale float64, 
 
 	out := &metricOutcome{
 		Metric:        m.String(),
-		PDR:           res.PDR,
+		PDR:           res.Summary.PDR,
 		EtherRestarts: rep.EtherRestarts,
 		FramesIn:      etherStats.FramesIn,
 		FramesDropped: etherStats.FramesDropped,

@@ -125,8 +125,8 @@ func (c *Chaos) Onsets() []time.Duration {
 	return out
 }
 
-// Windows returns the merged fault windows in wall-clock time, in the
-// stats package's Window form for direct HealthTracker construction.
+// Windows returns the merged fault windows in wall-clock time, ready for
+// stats.NewDisruptionTracker.
 func (c *Chaos) Windows() []stats.Window {
 	ws := c.compiled.Windows()
 	out := make([]stats.Window, len(ws))

@@ -13,6 +13,7 @@ import (
 	_ "meshcast/internal/multicast/protocols" // populate the protocol registry
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
+	"meshcast/internal/traffic"
 )
 
 // DaemonConfig configures one odmrpd instance.
@@ -37,8 +38,9 @@ type DaemonConfig struct {
 	Seed uint64
 	// OnDeliver, when set, observes every application-layer delivery (in
 	// addition to the daemon's own per-source counts). Called from the
-	// daemon's driver goroutine; must be cheap and thread-safe.
-	OnDeliver func(g packet.GroupID, src packet.NodeID)
+	// daemon's driver goroutine; must be cheap and thread-safe, and must not
+	// keep p.
+	OnDeliver func(p *packet.Packet)
 	// OnSend, when set, observes every CBR data packet the daemon
 	// originates. Same contract as OnDeliver.
 	OnSend func(g packet.GroupID)
@@ -115,7 +117,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		d.delivered[p.Src]++
 		d.mu.Unlock()
 		if cfg.OnDeliver != nil {
-			cfg.OnDeliver(p.Group, p.Src)
+			cfg.OnDeliver(p)
 		}
 	})
 	conn.SetOnPacket(func(p *packet.Packet, from packet.NodeID) {
@@ -147,7 +149,8 @@ func (d *Daemon) Engine() *sim.Engine { return d.driver.Engine() }
 // traffic, and drives the daemon until ctx is canceled. The keepalive's
 // jitter comes from the engine's seeded source, so a daemon's reconnect
 // schedule is reproducible from its seed and distinct seeds keep a fleet's
-// retries decorrelated.
+// retries decorrelated. Each source group is the simulator's CBR source
+// without jitter: registered at start, first packet one interval later.
 func (d *Daemon) Run(ctx context.Context) {
 	engine := d.driver.Engine()
 	d.conn.keepAlive(engine, engine.RNG().Split())
@@ -156,29 +159,24 @@ func (d *Daemon) Run(ctx context.Context) {
 		for _, g := range d.cfg.JoinGroups {
 			d.router.JoinGroup(g)
 		}
-		for _, g := range d.cfg.SourceGroups {
-			g := g
-			d.router.StartSource(g)
-			// CBR flow: plain ticker on the driver's engine.
-			scheduleCBR(d, g)
-		}
 	})
-	d.driver.Run(ctx)
-}
-
-func scheduleCBR(d *Daemon, g packet.GroupID) {
-	var tick func()
-	tick = func() {
-		d.router.SendData(g, d.cfg.PayloadBytes)
-		d.mu.Lock()
-		d.sent++
-		d.mu.Unlock()
-		if d.cfg.OnSend != nil {
-			d.cfg.OnSend(g)
+	for _, g := range d.cfg.SourceGroups {
+		cbr := traffic.NewCBR(engine, d.router, traffic.CBRConfig{
+			Group:        g,
+			PayloadBytes: d.cfg.PayloadBytes,
+			Interval:     d.cfg.SendInterval,
+		})
+		cbr.OnSend = func(time.Duration) {
+			d.mu.Lock()
+			d.sent++
+			d.mu.Unlock()
+			if d.cfg.OnSend != nil {
+				d.cfg.OnSend(g)
+			}
 		}
-		d.driver.Engine().Schedule(d.cfg.SendInterval, tick)
+		cbr.Start()
 	}
-	d.driver.Engine().Schedule(d.cfg.SendInterval, tick)
+	d.driver.Run(ctx)
 }
 
 // Close tears the daemon's connection down.

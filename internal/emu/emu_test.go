@@ -396,8 +396,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	relay := mk(DaemonConfig{ID: 2, Seed: 2})
 	var stray atomic.Int64 // deliveries from any (group, source) but (9, 1)
 	sink := mk(DaemonConfig{ID: 3, JoinGroups: []packet.GroupID{9}, Seed: 3,
-		OnDeliver: func(g packet.GroupID, src packet.NodeID) {
-			if g != 9 || src != 1 {
+		OnDeliver: func(p *packet.Packet) {
+			if p.Group != 9 || p.Src != 1 {
 				stray.Add(1)
 			}
 		}})

@@ -469,19 +469,18 @@ func TestSupervisorScriptedKillAndRestart(t *testing.T) {
 			t.Fatalf("node %v: %d kills, %d restarts, want %d of each", n.ID, n.Kills, n.Restarts, want)
 		}
 	}
-	res := fleet.Result()
-	if res.Kills[2] != 1 || res.Restarts[2] != 1 || res.Downtime[2] <= 0 || res.Downtime[2] != fleet.NodeStats(2).Downtime {
-		t.Fatalf("FleetResult chaos accounting = kills %v restarts %v downtime %v",
-			res.Kills, res.Restarts, res.Downtime)
+	if acc := fleet.NodeStats(2); acc.Kills != 1 || acc.Restarts != 1 || acc.Downtime <= 0 {
+		t.Fatalf("NodeStats chaos accounting = %+v", acc)
 	}
+	res := fleet.Result()
 	if len(res.Health) != 1 {
 		t.Fatalf("health groups = %d, want 1", len(res.Health))
 	}
 }
 
 // TestFleetGaugesMatchResult: the emu.fleet.sent/delivered gauges read the
-// fleet's own running counts, which must stay equal to what Result adds up
-// over the daemons' generations — across a kill and a restart of the source.
+// fleet's lock-free running counts, which must stay equal to the totals of
+// its traffic book — across a kill and a restart of the source.
 func TestFleetGaugesMatchResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
@@ -499,19 +498,11 @@ func TestFleetGaugesMatchResult(t *testing.T) {
 	waitFor(t, 8*time.Second, "the restarted source to send", func() bool { return fleet.Daemon(1).SentCount() >= 5 })
 	stop()
 
-	var sent, delivered uint64
 	res := fleet.Result()
-	for _, n := range res.Sent {
-		sent += n
-	}
-	for _, bySource := range res.Received {
-		for _, n := range bySource {
-			delivered += uint64(n)
-		}
-	}
+	sent, delivered := res.Summary.PacketsSent, res.Summary.PacketsDelivered
 	gauges := reg.Snapshot().Gauges
-	if sent == 0 || delivered == 0 || res.Restarts[1] != 1 {
-		t.Fatalf("sent %d, delivered %d, source restarts %d: the run did not exercise the books", sent, delivered, res.Restarts[1])
+	if restarts := fleet.NodeStats(1).Restarts; sent == 0 || delivered == 0 || restarts != 1 {
+		t.Fatalf("sent %d, delivered %d, source restarts %d: the run did not exercise the books", sent, delivered, restarts)
 	}
 	if got := gauges["emu.fleet.sent"]; got != float64(sent) {
 		t.Errorf("emu.fleet.sent = %v, Result adds up %d", got, sent)

@@ -55,6 +55,25 @@ func TestRunScenarioMobilityResult(t *testing.T) {
 	}
 }
 
+// TestMobilityBreakRateFromMover: the break rate is the mover's own link
+// breaks over the motion window, which runs from traffic start to the end
+// of the run when the config leaves End zero.
+func TestMobilityBreakRateFromMover(t *testing.T) {
+	cfg := mobileScenario(t, 7, 10, 30*time.Second)
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mobility
+	if m.LinkBreaks == 0 {
+		t.Fatal("mover broke no links; the rate is not exercised")
+	}
+	window := cfg.Duration - cfg.Mobility.Start
+	if want := float64(m.LinkBreaks) / window.Seconds(); m.BreakRatePerSec != want {
+		t.Fatalf("break rate = %v, want %d breaks / %v = %v", m.BreakRatePerSec, m.LinkBreaks, window, want)
+	}
+}
+
 func TestRunScenarioMobilityDeterministic(t *testing.T) {
 	a, err := RunScenario(mobileScenario(t, 11, 8, 25*time.Second))
 	if err != nil {

@@ -199,7 +199,7 @@ type RunResult struct {
 }
 
 // MobilityResult aggregates a mobile run's robustness measurements: the
-// per-group trackers plus the mover's own counters.
+// motion read-out per group plus the mover's own counters.
 type MobilityResult struct {
 	// Groups holds per-group motion PDR, repair latency, and reconvergence
 	// summaries, sorted by group ID.
@@ -239,8 +239,8 @@ func (t *faultTarget) Restore() {
 
 // RunScenario executes one simulation and returns its measurements. The
 // stack is wired and counted by internal/world; what is added here is the
-// scenario's own: frame capture, fault injection, mobility, their trackers
-// and the telemetry manifest.
+// scenario's own: frame capture, fault injection, mobility, a disruption
+// tracker for each and the telemetry manifest.
 func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("experiments: scenario has no topology")
@@ -327,8 +327,9 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	}
 	nodes := w.Nodes()
 
-	var health *stats.HealthTracker   // set below iff faults are injected
-	var motion *stats.MobilityTracker // set below iff radios move
+	// One disruption tracker per axis, fed the same sends and deliveries.
+	var health, motion *stats.DisruptionTracker // set below iff faults are injected / radios move
+	var trackers []*stats.DisruptionTracker
 	var sched *faults.Scheduler
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		targets := make([]faults.Target, len(nodes))
@@ -345,12 +346,8 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 			return nil, fmt.Errorf("experiments: fault plan: %w", err)
 		}
 		medium.SetImpairment(sched.Impairment)
-		fw := sched.Windows()
-		windows := make([]stats.Window, len(fw))
-		for i, win := range fw {
-			windows[i] = stats.Window{Start: win.Start, End: win.End}
-		}
-		health = stats.NewHealthTracker(sched.Onsets(), windows)
+		health = stats.NewDisruptionTracker(sched.Onsets(), sched.Windows())
+		trackers = append(trackers, health)
 		sched.Start()
 		if reg != nil {
 			s := sched
@@ -378,10 +375,12 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		if merr != nil {
 			return nil, fmt.Errorf("experiments: %w", merr)
 		}
-		motion = stats.NewMobilityTracker(stats.Window{Start: mcfg.Start, End: mcfg.End})
-		mover.OnLinkEvent = func(breaks, forms int, now time.Duration) {
-			motion.RecordBreaks(breaks, now)
-			motion.RecordForms(forms, now)
+		motion = stats.NewDisruptionTracker(nil, []stats.Window{{Start: mcfg.Start, End: mcfg.End}})
+		trackers = append(trackers, motion)
+		mover.OnLinkEvent = func(breaks, _ int, now time.Duration) {
+			if breaks > 0 {
+				motion.Onset(now)
+			}
 		}
 		reg.CounterFunc("mobility.moves", func() uint64 { return mover.Moves })
 		reg.CounterFunc("mobility.link_breaks", func() uint64 { return mover.Breaks })
@@ -389,25 +388,17 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		mover.Start()
 	}
 
-	// Health and motion trackers account delivery opportunities: one per
-	// (packet, receiving member), matching the collector's PDR denominator.
-	if health != nil || motion != nil {
+	// The trackers account delivery opportunities: one per (packet,
+	// receiving member), matching the collector's PDR denominator.
+	if len(trackers) > 0 {
 		w.OnDeliver = func(p *packet.Packet, at time.Duration) {
-			if health != nil {
-				health.RecordDelivered(p.Group, at)
-			}
-			if motion != nil {
-				motion.RecordDelivered(p.Group, at)
+			for _, t := range trackers {
+				t.RecordDelivered(p.Group, at)
 			}
 		}
 		w.OnSend = func(group packet.GroupID, at time.Duration, receivers int) {
-			for i := 0; i < receivers; i++ {
-				if health != nil {
-					health.RecordSent(group, at)
-				}
-				if motion != nil {
-					motion.RecordSent(group, at)
-				}
+			for _, t := range trackers {
+				t.RecordSent(group, at, receivers)
 			}
 		}
 	}
@@ -442,14 +433,17 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		res.Faulted = sched.DownCount()
 	}
 	if mover != nil {
+		mcfg := mover.Config()
 		res.Mobility = &MobilityResult{
-			Groups:          motion.Mobility(),
-			Moves:           mover.Moves,
-			LinkBreaks:      mover.Breaks,
-			LinkForms:       mover.Forms,
-			BreakRatePerSec: motion.BreakRatePerSec(),
-			Model:           mover.Config().Model,
-			MaxSpeedMps:     mover.Config().MaxSpeedMps,
+			Groups:      motion.Mobility(),
+			Moves:       mover.Moves,
+			LinkBreaks:  mover.Breaks,
+			LinkForms:   mover.Forms,
+			Model:       mcfg.Model,
+			MaxSpeedMps: mcfg.MaxSpeedMps,
+		}
+		if span := (mcfg.End - mcfg.Start).Seconds(); span > 0 {
+			res.Mobility.BreakRatePerSec = float64(mover.Breaks) / span
 		}
 	}
 	if cfg.Telemetry != nil {

@@ -21,6 +21,7 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/phy"
 	"meshcast/internal/sim"
+	"meshcast/internal/stats"
 )
 
 // ChurnModel subjects a random subset of nodes to a crash/restart renewal
@@ -135,15 +136,6 @@ type Event struct {
 	// Node is the affected node index, or -1 for link/partition events.
 	Node int
 }
-
-// Window is a half-open [Start, End) interval of virtual time during which
-// some fault is active.
-type Window struct {
-	Start, End time.Duration
-}
-
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t time.Duration) bool { return t >= w.Start && t < w.End }
 
 // Compiled is a plan's engine-free precomputed fault timeline: churn
 // episodes drawn, overlapping outages merged, partition sides cached, and
@@ -414,19 +406,19 @@ func (c *Compiled) Onsets() []time.Duration {
 
 // Windows returns the merged union of every interval during which at least
 // one fault is active — the "outage" periods for PDR bucketing.
-func (c *Compiled) Windows() []Window {
-	var ws []Window
+func (c *Compiled) Windows() []stats.Window {
+	var ws []stats.Window
 	for _, o := range c.outages {
-		ws = append(ws, Window{Start: o.Start, End: o.Start + o.Duration})
+		ws = append(ws, stats.Window{Start: o.Start, End: o.Start + o.Duration})
 	}
 	for _, lf := range c.linkFaults {
-		ws = append(ws, Window{Start: lf.Start, End: lf.Start + lf.Duration})
+		ws = append(ws, stats.Window{Start: lf.Start, End: lf.Start + lf.Duration})
 	}
 	for _, p := range c.partitions {
-		ws = append(ws, Window{Start: p.Start, End: p.Start + p.Duration})
+		ws = append(ws, stats.Window{Start: p.Start, End: p.Start + p.Duration})
 	}
 	for _, er := range c.etherRestarts {
-		ws = append(ws, Window{Start: er.Start, End: er.Start + er.Duration})
+		ws = append(ws, stats.Window{Start: er.Start, End: er.Start + er.Duration})
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
 	merged := ws[:0]

@@ -10,6 +10,7 @@ import (
 
 	"meshcast/internal/packet"
 	"meshcast/internal/sim"
+	"meshcast/internal/stats"
 )
 
 // fakeTarget records fail/restore transitions with timestamps.
@@ -221,7 +222,7 @@ func TestWindowsAndOnsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Window{
+	want := []stats.Window{
 		{Start: 10 * time.Second, End: 25 * time.Second},
 		{Start: 50 * time.Second, End: 55 * time.Second},
 	}
@@ -377,7 +378,7 @@ func TestCompileEtherRestarts(t *testing.T) {
 	if got := c.EtherRestarts(); len(got) != 1 || got[0].Start != 20*time.Second {
 		t.Fatalf("EtherRestarts() = %+v", got)
 	}
-	wantWindows := []Window{{Start: 20 * time.Second, End: 23 * time.Second}}
+	wantWindows := []stats.Window{{Start: 20 * time.Second, End: 23 * time.Second}}
 	if got := c.Windows(); !reflect.DeepEqual(got, wantWindows) {
 		t.Fatalf("Windows() = %v, want %v", got, wantWindows)
 	}

@@ -263,13 +263,15 @@ func (r *Runner) Run(ctx context.Context) error {
 	if r.rec != nil {
 		elapsed := run.Now()
 		r.rec.Sampler().Sample(elapsed)
-		res := r.fleet.Result()
 		rep := r.sup.Report()
-		avail := 1.0
+		avail, killed := 1.0, 0
 		if len(rep.Nodes) > 0 {
 			sum := 0.0
 			for _, n := range rep.Nodes {
 				sum += n.Availability
+				if n.Kills > 0 {
+					killed++
+				}
 			}
 			avail = sum / float64(len(rep.Nodes))
 		}
@@ -280,9 +282,9 @@ func (r *Runner) Run(ctx context.Context) error {
 			Protocol:        r.fleet.Protocol(),
 			DurationSeconds: elapsed.Seconds(),
 			Derived: map[string]float64{
-				"pdr":          res.PDR,
+				"pdr":          r.fleet.Result().Summary.PDR,
 				"availability": avail,
-				"kills":        float64(len(res.Kills)),
+				"kills":        float64(killed),
 			},
 		})
 		if err != nil && firstErr == nil {

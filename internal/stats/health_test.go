@@ -9,15 +9,15 @@ func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second
 
 func TestHealthSplitsPDRByWindow(t *testing.T) {
 	windows := []Window{{Start: sec(10), End: sec(20)}}
-	h := NewHealthTracker(nil, windows)
+	h := NewDisruptionTracker(nil, windows)
 
 	// 4 sends outside (all delivered), 4 inside (1 delivered).
 	for _, s := range []float64{1, 2, 3, 4} {
-		h.RecordSent(1, sec(s))
+		h.RecordSent(1, sec(s), 1)
 		h.RecordDelivered(1, sec(s)+time.Millisecond)
 	}
 	for _, s := range []float64{11, 12, 13, 14} {
-		h.RecordSent(1, sec(s))
+		h.RecordSent(1, sec(s), 1)
 	}
 	h.RecordDelivered(1, sec(11)+time.Millisecond)
 
@@ -39,14 +39,14 @@ func TestHealthSplitsPDRByWindow(t *testing.T) {
 
 func TestHealthRepairLatency(t *testing.T) {
 	onsets := []time.Duration{sec(10), sec(30)}
-	h := NewHealthTracker(onsets, []Window{
+	h := NewDisruptionTracker(onsets, []Window{
 		{Start: sec(10), End: sec(12)},
 		{Start: sec(30), End: sec(32)},
 	})
 
 	h.RecordDelivered(1, sec(5))
 	// First fault at 10s; delivery resumes at 13s → 3s repair.
-	h.RecordSent(1, sec(11))
+	h.RecordSent(1, sec(11), 1)
 	h.RecordDelivered(1, sec(13))
 	// Second fault at 30s; delivery resumes at 30.5s → 0.5s repair.
 	h.RecordDelivered(1, sec(30.5))
@@ -67,7 +67,7 @@ func TestHealthRepairLatency(t *testing.T) {
 }
 
 func TestHealthAvailability(t *testing.T) {
-	h := NewHealthTracker(nil, nil)
+	h := NewDisruptionTracker(nil, nil)
 	// Deliveries at 0..10s every 100ms, then a 5s silence, then 15..20s.
 	for ms := 0; ms <= 10_000; ms += 100 {
 		h.RecordDelivered(1, time.Duration(ms)*time.Millisecond)
@@ -84,7 +84,7 @@ func TestHealthAvailability(t *testing.T) {
 
 func TestHealthGroupsAreIndependent(t *testing.T) {
 	onsets := []time.Duration{sec(10)}
-	h := NewHealthTracker(onsets, []Window{{Start: sec(10), End: sec(15)}})
+	h := NewDisruptionTracker(onsets, []Window{{Start: sec(10), End: sec(15)}})
 	h.RecordDelivered(1, sec(5))
 	h.RecordDelivered(2, sec(5))
 	h.RecordDelivered(1, sec(11)) // group 1 repairs after 1s
@@ -105,10 +105,10 @@ func TestHealthGroupsAreIndependent(t *testing.T) {
 // delivery gap they cause is charged to availability exactly once.
 func TestHealthOverlappingOutages(t *testing.T) {
 	onsets := []time.Duration{sec(10), sec(11)}
-	h := NewHealthTracker(onsets, []Window{{Start: sec(10), End: sec(20)}})
+	h := NewDisruptionTracker(onsets, []Window{{Start: sec(10), End: sec(20)}})
 
 	h.RecordDelivered(1, sec(5))
-	h.RecordSent(1, sec(12)) // inside the merged window: bucketed once
+	h.RecordSent(1, sec(12), 1) // inside the merged window: bucketed once
 	h.RecordDelivered(1, sec(15))
 
 	g := h.Health()[0]
@@ -133,14 +133,14 @@ func TestHealthOverlappingOutages(t *testing.T) {
 // repair of the second outage is measured from its own onset.
 func TestHealthBackToBackOutageWindows(t *testing.T) {
 	onsets := []time.Duration{sec(10), sec(12)}
-	h := NewHealthTracker(onsets, []Window{
+	h := NewDisruptionTracker(onsets, []Window{
 		{Start: sec(10), End: sec(12)},
 		{Start: sec(12), End: sec(14)},
 	})
 	h.RecordDelivered(1, sec(9))
-	h.RecordSent(1, sec(11))
-	h.RecordSent(1, sec(13))
-	h.RecordSent(1, sec(15))
+	h.RecordSent(1, sec(11), 1)
+	h.RecordSent(1, sec(13), 1)
+	h.RecordSent(1, sec(15), 1)
 	h.RecordDelivered(1, sec(13.5))
 
 	g := h.Health()[0]
@@ -152,9 +152,22 @@ func TestHealthBackToBackOutageWindows(t *testing.T) {
 	}
 }
 
+// TestHealthOnsetBeforeGroupSeen: a fault that precedes a group's first
+// traffic owes that group no repair (the fault-axis twin of
+// TestMobilityBreaksBeforeGroupSeen). Two trackers used to disagree here:
+// the fault one reported a 3.1 s repair.
+func TestHealthOnsetBeforeGroupSeen(t *testing.T) {
+	h := NewDisruptionTracker([]time.Duration{sec(2)}, []Window{{Start: sec(2), End: sec(4)}})
+	h.RecordSent(1, sec(5), 1)
+	h.RecordDelivered(1, sec(5.1))
+	if g := h.Health()[0]; len(g.RepairLatencies) != 0 || g.MeanRepair != 0 {
+		t.Fatalf("repairs = %v, want none (the fault predates the group)", g.RepairLatencies)
+	}
+}
+
 func TestHealthNoFaultsNoRepairs(t *testing.T) {
-	h := NewHealthTracker(nil, nil)
-	h.RecordSent(1, sec(1))
+	h := NewDisruptionTracker(nil, nil)
+	h.RecordSent(1, sec(1), 1)
 	h.RecordDelivered(1, sec(1))
 	g := h.Health()[0]
 	if len(g.RepairLatencies) != 0 || g.MeanRepair != 0 {
