@@ -30,6 +30,25 @@ func TestSummarizeBasicPDR(t *testing.T) {
 	}
 }
 
+// TestSubscribeSourceIsNotItsOwnReceiver pins the one subscription rule:
+// a source listed among its group's members is not subscribed, a repeated
+// subscription counts once, and Receivers counts each flow's members.
+func TestSubscribeSourceIsNotItsOwnReceiver(t *testing.T) {
+	c := NewCollector()
+	c.Subscribe(5, 1, 0)
+	c.Subscribe(5, 1, 0)
+	c.Subscribe(0, 1, 0)
+	c.Subscribe(6, 1, 0)
+	c.Subscribe(0, 1, 6)
+	c.Subscribe(6, 1, 6)
+	if r0, r6, none := c.Receivers(1, 0), c.Receivers(1, 6), c.Receivers(2, 0); r0 != 2 || r6 != 1 || none != 0 {
+		t.Fatalf("receivers = %d, %d, %d, want 2, 1, 0", r0, r6, none)
+	}
+	if rows := c.PerMemberPDR(); len(rows) != 3 {
+		t.Fatalf("subscriptions = %v, want 0->5, 0->6 and 6->0 in group 1", rows)
+	}
+}
+
 func TestSummarizeAveragesAcrossMembers(t *testing.T) {
 	c := NewCollector()
 	c.Subscribe(5, 1, 0)
