@@ -1,16 +1,16 @@
-// Command meshdump renders a simulation packet capture (produced with
-// `meshsim -capture file`) as human-readable lines — the simulator's
-// tcpdump.
+// Command meshdump lists the frames a simulation put on the air — the
+// simulator's tcpdump. It reads the span file `meshsim -spans` writes; every
+// mac-tx span there is one transmitted frame, printed as one line in the span
+// text form (trace.Span.String).
 //
 // Usage:
 //
-//	go run ./cmd/meshsim -metric spp -seconds 10 -capture run.mcap
-//	go run ./cmd/meshdump run.mcap
-//	go run ./cmd/meshdump -node 3 -kind JOIN_QUERY run.mcap
+//	go run ./cmd/meshsim -metric spp -seconds 10 -spans run.jsonl
+//	go run ./cmd/meshdump run.jsonl
+//	go run ./cmd/meshdump -node 3 -kind JOIN_QUERY run.jsonl
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,25 +19,27 @@ import (
 	"sort"
 	"strings"
 
-	"meshcast/internal/capture"
 	"meshcast/internal/packet"
+	"meshcast/internal/trace"
 )
 
-// validKinds lists every payload-kind filter value, as rendered by
-// packet.Type.String, plus the pseudo-kind for payload-less control frames.
-var validKinds = []string{
-	"DATA", "JOIN_QUERY", "JOIN_REPLY", "CORE_ANNOUNCE", "TREE_JOIN",
-	"PROBE", "PAIR_SMALL", "PAIR_LARGE",
-	"(control)",
-}
+// validKinds lists every -kind value: the packet types a span can record, as
+// packet.Type.String renders them.
+var validKinds = func() []string {
+	var out []string
+	for k := packet.TypeData; k <= packet.TypeTreeJoin; k++ {
+		out = append(out, k.String())
+	}
+	return out
+}()
 
 func main() {
 	node := flag.Int("node", -1, "only show frames transmitted by this node")
-	kind := flag.String("kind", "", "only show this payload kind ("+strings.Join(validKinds, ", ")+")")
+	kind := flag.String("kind", "", "only show this packet kind ("+strings.Join(validKinds, ", ")+")")
 	stats := flag.Bool("stats", false, "print per-kind counts instead of individual frames")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: meshdump [-node N] [-kind K] [-stats] capture-file")
+		fmt.Fprintln(os.Stderr, "usage: meshdump [-node N] [-kind K] [-stats] spans-file")
 		os.Exit(2)
 	}
 	if err := run(os.Stdout, flag.Arg(0), *node, *kind, *stats); err != nil {
@@ -45,7 +47,7 @@ func main() {
 	}
 }
 
-// checkKind validates a -kind filter value before any capture is read, so a
+// checkKind validates a -kind filter value before any span is read, so a
 // typo fails fast with the valid list instead of silently matching nothing.
 func checkKind(kind string) error {
 	if kind == "" {
@@ -63,42 +65,30 @@ func run(w io.Writer, path string, node int, kind string, stats bool) error {
 	if err := checkKind(kind); err != nil {
 		return err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := capture.NewReader(f)
+	spans, err := trace.LoadSpans(path)
 	if err != nil {
 		return err
 	}
 
 	counts := map[string]int{}
 	total := 0
-	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if node >= 0 && rec.Src != packet.NodeID(node) {
+	for _, s := range spans {
+		if s.Kind != trace.SpanMACTx {
 			continue
 		}
-		payloadKind := "(control)"
-		if rec.Payload != nil {
-			payloadKind = rec.Payload.Kind.String()
+		if node >= 0 && s.Node != packet.NodeID(node) {
+			continue
 		}
-		if kind != "" && !strings.EqualFold(payloadKind, kind) {
+		pkt := s.PktKind.String()
+		if kind != "" && !strings.EqualFold(pkt, kind) {
 			continue
 		}
 		total++
 		if stats {
-			counts[payloadKind]++
+			counts[pkt]++
 			continue
 		}
-		fmt.Fprintln(w, rec)
+		fmt.Fprintln(w, s)
 	}
 	if stats {
 		fmt.Fprintf(w, "%d frames\n", total)

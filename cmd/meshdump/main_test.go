@@ -7,41 +7,41 @@ import (
 	"testing"
 	"time"
 
-	"meshcast/internal/capture"
 	"meshcast/internal/packet"
+	"meshcast/internal/trace"
 )
 
-func writeCapture(t *testing.T) string {
+// writeSpans writes a span file holding three transmitted frames — two
+// DATA from node 1, one JOIN_QUERY from node 2 — and node 1's arrival of that
+// query, which is no frame of node 1's and must not be listed or counted.
+func writeSpans(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "run.mcap")
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	w, err := capture.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
+	w := trace.NewSpanJSONLWriter(f)
+	for _, s := range []trace.Span{
+		{At: time.Second, Kind: trace.SpanMACTx, TraceID: 1<<40 | 1, Node: 1, Peer: 1,
+			PktKind: packet.TypeData, Group: 1, Seq: 1},
+		{At: 2 * time.Second, Kind: trace.SpanMACTx, TraceID: 2<<40 | 1, Node: 2, Peer: 2,
+			PktKind: packet.TypeJoinQuery, Group: 1, Seq: 1},
+		{At: 2*time.Second + time.Millisecond, Kind: trace.SpanPhyArrive, TraceID: 2<<40 | 1, Node: 1, Peer: 2,
+			PktKind: packet.TypeJoinQuery, Group: 1, Seq: 1},
+		{At: 3 * time.Second, Kind: trace.SpanMACTx, TraceID: 1<<40 | 2, Node: 1, Peer: 1,
+			PktKind: packet.TypeData, Group: 1, Seq: 2},
+	} {
+		w.EmitSpan(s)
 	}
-	w.Capture(time.Second, &packet.Frame{
-		Kind: packet.FrameData, Src: 1, Dst: packet.Broadcast,
-		Payload: &packet.Packet{Kind: packet.TypeData, Src: 1, Seq: 1, PayloadBytes: 64},
-	})
-	w.Capture(2*time.Second, &packet.Frame{
-		Kind: packet.FrameData, Src: 2, Dst: packet.Broadcast,
-		Payload: &packet.Packet{Kind: packet.TypeJoinQuery, Src: 2, Group: 1, Seq: 1},
-	})
-	w.Capture(3*time.Second, &packet.Frame{
-		Kind: packet.FrameData, Src: 1, Dst: packet.Broadcast,
-		Payload: &packet.Packet{Kind: packet.TypeData, Src: 1, Seq: 2, PayloadBytes: 64},
-	})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func capDump(t *testing.T, path string, node int, kind string, stats bool) string {
+func dump(t *testing.T, path string, node int, kind string, stats bool) string {
 	t.Helper()
 	var sb strings.Builder
 	if err := run(&sb, path, node, kind, stats); err != nil {
@@ -51,41 +51,45 @@ func capDump(t *testing.T, path string, node int, kind string, stats bool) strin
 }
 
 func TestRunPrintsAllFrames(t *testing.T) {
-	out := capDump(t, writeCapture(t), -1, "", false)
+	out := dump(t, writeSpans(t), -1, "", false)
 	if n := len(strings.Split(strings.TrimRight(out, "\n"), "\n")); n != 3 {
 		t.Fatalf("printed %d lines, want 3:\n%s", n, out)
+	}
+	// Each line is the span's own text form.
+	if !strings.HasPrefix(out, "    1.0000s n1    mac-tx        DATA grp=g1 seq=1 hop=0 from=n1 id=10000000001\n") {
+		t.Fatalf("first line is not the mac-tx span's String:\n%s", out)
 	}
 }
 
 func TestRunNodeFilter(t *testing.T) {
-	path := writeCapture(t)
-	out := capDump(t, path, 1, "", false)
+	path := writeSpans(t)
+	out := dump(t, path, 1, "", false)
 	if n := len(strings.Split(strings.TrimRight(out, "\n"), "\n")); n != 2 {
 		t.Fatalf("node 1 filter printed %d lines, want 2:\n%s", n, out)
 	}
-	if out := capDump(t, path, 9, "", false); out != "" {
+	if out := dump(t, path, 9, "", false); out != "" {
 		t.Fatalf("node 9 filter printed %q, want nothing", out)
 	}
 }
 
 func TestRunKindFilter(t *testing.T) {
-	path := writeCapture(t)
-	out := capDump(t, path, -1, "JOIN_QUERY", false)
+	path := writeSpans(t)
+	out := dump(t, path, -1, "JOIN_QUERY", false)
 	if lines := strings.Split(strings.TrimRight(out, "\n"), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "JOIN_QUERY") {
 		t.Fatalf("kind filter output:\n%s", out)
 	}
 	// Case-insensitive.
-	if got := capDump(t, path, -1, "join_query", false); got != out {
+	if got := dump(t, path, -1, "join_query", false); got != out {
 		t.Fatalf("case-insensitive filter differs:\n%s\n%s", got, out)
 	}
 	// Combined with -node: node 2 sent the only query.
-	if out := capDump(t, path, 1, "JOIN_QUERY", false); out != "" {
+	if out := dump(t, path, 1, "JOIN_QUERY", false); out != "" {
 		t.Fatalf("node 1 + JOIN_QUERY printed %q, want nothing", out)
 	}
 }
 
 func TestRunStats(t *testing.T) {
-	out := capDump(t, writeCapture(t), -1, "", true)
+	out := dump(t, writeSpans(t), -1, "", true)
 	for _, want := range []string{"3 frames", "DATA", "2", "JOIN_QUERY", "1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
@@ -103,7 +107,7 @@ func TestRunUnknownKindFailsFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	// Fails before touching the capture file, and names the valid kinds.
+	// Fails before touching the span file, and names the valid kinds.
 	for _, want := range []string{"BOGUS", "DATA", "JOIN_QUERY", "JOIN_REPLY", "PROBE", "PAIR_SMALL", "PAIR_LARGE"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
@@ -120,11 +124,11 @@ func TestRunMissingFile(t *testing.T) {
 
 func TestRunRejectsNonCapture(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(path, []byte("not a capture"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("not a span file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	if err := run(&sb, path, -1, "", false); err == nil {
-		t.Fatal("junk file accepted")
+		t.Fatal("file that is not spans accepted")
 	}
 }

@@ -54,7 +54,6 @@ type options struct {
 	Verbose   bool
 	Trace     string
 	Spans     string
-	Capture   string
 
 	// Churn enables MTBF/MTTR node churn over this fraction of nodes
 	// (0 = off); ChurnMTBF and ChurnMTTR shape the renewal process.
@@ -122,8 +121,7 @@ func main() {
 	flag.BoolVar(&opt.NoFading, "no-fading", def.NoFading, "disable Rayleigh fading")
 	flag.BoolVar(&opt.Verbose, "v", def.Verbose, "print per-member delivery ratios")
 	flag.StringVar(&opt.Trace, "trace", def.Trace, "comma-separated packet types whose journey spans are printed to stderr ("+traceNames+")")
-	flag.StringVar(&opt.Spans, "spans", def.Spans, "record packet-journey spans to this JSONL file (see meshstat -journeys)")
-	flag.StringVar(&opt.Capture, "capture", def.Capture, "record every transmitted frame to this file (see cmd/meshdump)")
+	flag.StringVar(&opt.Spans, "spans", def.Spans, "record packet-journey spans to this JSONL file (see meshstat -journeys, meshdump)")
 	flag.Float64Var(&opt.Churn, "churn", def.Churn, "fraction of nodes subject to crash/restart churn (0 disables)")
 	flag.DurationVar(&opt.ChurnMTBF, "churn-mtbf", def.ChurnMTBF, "mean time between failures per churned node")
 	flag.DurationVar(&opt.ChurnMTTR, "churn-mttr", def.ChurnMTTR, "mean time to repair per churned node")
@@ -172,7 +170,6 @@ func runSpec(path string, opt options) error {
 	if err != nil {
 		return err
 	}
-	cfg.CapturePath = opt.Capture
 	if cfg.Telemetry, err = newRecorder(opt); err != nil {
 		return err
 	}
@@ -363,7 +360,6 @@ func run(opt options) error {
 	if opt.NoFading {
 		cfg.Fading = propagation.NoFading{}
 	}
-	cfg.CapturePath = opt.Capture
 	if cfg.Telemetry, err = newRecorder(opt); err != nil {
 		return err
 	}

@@ -105,12 +105,13 @@ func (w hashWriter) f64(label string, v float64) {
 }
 
 // ScenarioKey returns the content hash that addresses a scenario's cached
-// result, and whether the scenario is cachable at all. Scenarios with
-// attached sinks (trace, capture) have side effects beyond their RunResult
-// and are never cached. Bump the version prefix whenever RunResult or the
-// simulation's behavior changes incompatibly: old entries then simply miss.
+// result, and whether the scenario is cachable at all. Scenarios with an
+// attached sink (span tracing, telemetry) have side effects beyond their
+// RunResult and are never cached. Bump the version prefix whenever RunResult
+// or the simulation's behavior changes incompatibly: old entries then simply
+// miss.
 func ScenarioKey(cfg ScenarioConfig) (string, bool) {
-	if cfg.SpanSink != nil || cfg.CapturePath != "" || cfg.Telemetry != nil {
+	if cfg.SpanSink != nil || cfg.Telemetry != nil {
 		return "", false
 	}
 	w := hashWriter{sha256.New()}

@@ -7,10 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"time"
-
-	"meshcast/internal/capture"
 
 	"meshcast/internal/faults"
 	"meshcast/internal/geom"
@@ -80,9 +77,6 @@ type ScenarioConfig struct {
 	// tracing changes no protocol or RNG behavior, so results stay
 	// byte-identical either way.
 	SpanSink trace.SpanSink
-	// CapturePath, when non-empty, records every transmitted frame to this
-	// file in the capture format (see internal/capture, cmd/meshdump).
-	CapturePath string
 	// Faults, when non-nil and non-empty, injects node churn, scripted
 	// outages, link impairments, and partitions into the run (see
 	// internal/faults). The fault schedule is drawn from the scenario Seed
@@ -239,7 +233,7 @@ func (t *faultTarget) Restore() {
 
 // RunScenario executes one simulation and returns its measurements. The
 // stack is wired and counted by internal/world; what is added here is the
-// scenario's own: frame capture, fault injection, mobility, a disruption
+// scenario's own: span tracing, fault injection, mobility, a disruption
 // tracker for each and the telemetry manifest.
 func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	if cfg.Topology == nil {
@@ -272,25 +266,6 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		SendInterval: cfg.SendInterval,
 	})
 	engine, medium := w.Engine, w.Medium
-	if cfg.CapturePath != "" {
-		f, err := os.Create(cfg.CapturePath)
-		if err != nil {
-			return nil, fmt.Errorf("open capture: %w", err)
-		}
-		defer f.Close()
-		cw, err := capture.NewWriter(f)
-		if err != nil {
-			return nil, err
-		}
-		defer func() {
-			if err := cw.Flush(); err != nil {
-				// The run itself succeeded; losing the capture is worth a
-				// note but not a failure.
-				fmt.Fprintf(os.Stderr, "capture flush: %v\n", err)
-			}
-		}()
-		medium.OnTransmit = cw.Capture
-	}
 	if cfg.SpanSink != nil {
 		w.SetTracer(trace.New(cfg.SpanSink, engine.Now))
 	}
@@ -453,7 +428,6 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		hashCfg := cfg
 		hashCfg.Telemetry = nil
 		hashCfg.SpanSink = nil
-		hashCfg.CapturePath = ""
 		hash, _ := ScenarioKey(hashCfg)
 		if err := cfg.Telemetry.Finalize(telemetry.Manifest{
 			ConfigHash:      hash,

@@ -60,9 +60,6 @@ func TestScenarioJourneysReconstruct(t *testing.T) {
 	if res.Summary.PacketsDelivered == 0 {
 		t.Fatal("scenario delivered nothing; spans prove nothing")
 	}
-	if buf.Dropped() != 0 {
-		t.Fatalf("span buffer dropped %d spans", buf.Dropped())
-	}
 
 	journeys := trace.Reconstruct(buf.Spans())
 	if len(journeys) == 0 {

@@ -113,7 +113,6 @@ func ParamsFor(k metric.Kind) Params {
 // core relays other senders' data by role (OriginRelays).
 func policy(params Params) multicast.Policy {
 	return multicast.Policy{
-		Name:          Name,
 		FloodKind:     packet.TypeCoreAnnounce,
 		GraftKind:     packet.TypeTreeJoin,
 		FloodInterval: params.AnnounceInterval,
@@ -125,8 +124,6 @@ func policy(params Params) multicast.Policy {
 		GraftJitter:   params.JoinJitter,
 		DataJitter:    params.DataJitter,
 		OriginRelays:  true,
-		FloodNoun:     "announces",
-		GraftNoun:     "joins",
 	}
 }
 

@@ -24,7 +24,7 @@ func init() {
 			return nil, fmt.Errorf("mcst: unsupported tuning type %T", tuning)
 		}
 		return New(env.Engine, env.ID, env.Metric, env.Table, params), nil
-	}, append(policy(Params{}).Counters(), multicast.Counter{
+	}, append(multicast.KernelCounters(Name, "announces", "joins"), multicast.Counter{
 		Name: Name + ".core_handovers",
 		Read: func(p multicast.Protocol) uint64 { return p.(*Router).CoreHandovers },
 	}))

@@ -15,11 +15,9 @@ import (
 // control packet accumulating a link-quality path cost, a δ wait before
 // answering along the best-cost upstream, an α window for re-flooding
 // improving duplicates, a reverse-path graft that sets forwarder flags — and
-// a protocol says which packets carry it, how it is timed, and what its
-// counters are called. The kernel never asks which protocol it serves.
+// a protocol says which packets carry it and how it is timed. The kernel
+// never asks which protocol it serves.
 type Policy struct {
-	// Name prefixes the exported counters ("<Name>.control_bytes").
-	Name string
 	// FloodKind is the periodically originated, cost-accumulating flood
 	// (JOIN QUERY, CORE ANNOUNCE); GraftKind the hop-by-hop answer naming an
 	// upstream next hop (JOIN REPLY, TREE JOIN).
@@ -44,24 +42,22 @@ type Policy struct {
 	// nothing it has not sent itself is routed through it by its own
 	// flood.
 	OriginRelays bool
-
-	// FloodNoun and GraftNoun name the control-plane counters:
-	// "<Name>.<FloodNoun>_originated", "_forwarded",
-	// "<Name>.dup_<FloodNoun>_forwarded" and "<Name>.<GraftNoun>_sent".
-	FloodNoun, GraftNoun string
 }
 
-// Counters is the kernel's part of a protocol's counter export table: every
-// field of Stats, under the policy's name and nouns.
-func (p Policy) Counters() []Counter {
+// KernelCounters is the kernel's part of a protocol's counter export table,
+// handed to Register: every field of Stats under "<name>.", with the flood
+// and graft counters named by the protocol's nouns —
+// "<name>.<floodNoun>_originated", "_forwarded",
+// "<name>.dup_<floodNoun>_forwarded" and "<name>.<graftNoun>_sent".
+func KernelCounters(name, floodNoun, graftNoun string) []Counter {
 	stat := func(what string, read func(Stats) uint64) Counter {
-		return Counter{Name: p.Name + "." + what, Read: func(pr Protocol) uint64 { return read(pr.Counters()) }}
+		return Counter{Name: name + "." + what, Read: func(pr Protocol) uint64 { return read(pr.Counters()) }}
 	}
 	return []Counter{
-		stat(p.FloodNoun+"_originated", func(s Stats) uint64 { return s.FloodsOriginated }),
-		stat(p.FloodNoun+"_forwarded", func(s Stats) uint64 { return s.FloodsForwarded }),
-		stat("dup_"+p.FloodNoun+"_forwarded", func(s Stats) uint64 { return s.DupFloodsForwarded }),
-		stat(p.GraftNoun+"_sent", func(s Stats) uint64 { return s.GraftsSent }),
+		stat(floodNoun+"_originated", func(s Stats) uint64 { return s.FloodsOriginated }),
+		stat(floodNoun+"_forwarded", func(s Stats) uint64 { return s.FloodsForwarded }),
+		stat("dup_"+floodNoun+"_forwarded", func(s Stats) uint64 { return s.DupFloodsForwarded }),
+		stat(graftNoun+"_sent", func(s Stats) uint64 { return s.GraftsSent }),
 		stat("control_bytes", func(s Stats) uint64 { return s.ControlBytesSent }),
 		stat("data_originated", func(s Stats) uint64 { return s.DataOriginated }),
 		stat("data_forwarded", func(s Stats) uint64 { return s.DataForwarded }),

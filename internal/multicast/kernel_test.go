@@ -22,12 +22,11 @@ const (
 
 func testPolicy(originRelays bool) Policy {
 	return Policy{
-		Name: "test", FloodKind: testFlood, GraftKind: testGraft,
+		FloodKind: testFlood, GraftKind: testGraft,
 		FloodInterval: 3 * time.Second, FlagTimeout: 9 * time.Second,
 		Delta: 30 * time.Millisecond, Alpha: 20 * time.Millisecond, TTL: 32,
 		FloodJitter: 4 * time.Millisecond, GraftJitter: 2 * time.Millisecond, DataJitter: time.Millisecond,
 		OriginRelays: originRelays,
-		FloodNoun:    "floods", GraftNoun: "grafts",
 	}
 }
 

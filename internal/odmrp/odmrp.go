@@ -107,7 +107,6 @@ type Edge = multicast.Edge
 // a source is not a forwarder of its own group by role (OriginRelays false).
 func policy(params Params) multicast.Policy {
 	return multicast.Policy{
-		Name:          Name,
 		FloodKind:     packet.TypeJoinQuery,
 		GraftKind:     packet.TypeJoinReply,
 		FloodInterval: params.RefreshInterval,
@@ -118,8 +117,6 @@ func policy(params Params) multicast.Policy {
 		FloodJitter:   params.QueryJitter,
 		GraftJitter:   params.ReplyJitter,
 		DataJitter:    params.DataJitter,
-		FloodNoun:     "queries",
-		GraftNoun:     "replies",
 	}
 }
 

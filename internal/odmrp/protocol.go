@@ -35,7 +35,7 @@ func init() {
 			return nil, fmt.Errorf("odmrp: unsupported tuning type %T", tuning)
 		}
 		return New(env.Engine, env.ID, env.Metric, env.Table, params), nil
-	}, append(policy(Params{}).Counters(), multicast.Counter{
+	}, append(multicast.KernelCounters(Name, "queries", "replies"), multicast.Counter{
 		Name: Name + ".reply_retransmits",
 		Read: func(p multicast.Protocol) uint64 { return p.(*Router).ReplyRetransmits },
 	}))

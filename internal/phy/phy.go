@@ -122,9 +122,10 @@ type Medium struct {
 	edge       *sim.Event
 	delivering bool
 
-	// OnTransmit, when set, observes every frame as it is put on the air
-	// (packet capture, statistics).
-	OnTransmit func(at time.Duration, f *packet.Frame)
+	// onTransmit, when set, observes every frame as it is put on the air,
+	// before the fan-out fetches the candidate list. Only this package's
+	// tests set it.
+	onTransmit func(at time.Duration, f *packet.Frame)
 
 	// Tracer emits packet-journey spans for decoded arrivals (nil
 	// disables). Shared by every attached radio.
@@ -280,8 +281,8 @@ func (m *Medium) DeliveryProbability(a, b geom.Point) float64 {
 // which delivers the arrivals one by one (flight.go); nothing is scheduled
 // per receiver.
 func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration) {
-	if m.OnTransmit != nil {
-		m.OnTransmit(m.engine.Now(), frame)
+	if m.onTransmit != nil {
+		m.onTransmit(m.engine.Now(), frame)
 	}
 	now := m.engine.Now()
 	c := m.linksFrom(src)

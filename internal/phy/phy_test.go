@@ -300,12 +300,12 @@ func TestOnTransmitHookSeesEveryFrame(t *testing.T) {
 	tx := medium.AttachRadio(0, geom.Point{X: 0, Y: 0})
 	medium.AttachRadio(1, geom.Point{X: 100, Y: 0})
 	var seen []packet.NodeID
-	medium.OnTransmit = func(_ time.Duration, f *packet.Frame) { seen = append(seen, f.Src) }
+	medium.onTransmit = func(_ time.Duration, f *packet.Frame) { seen = append(seen, f.Src) }
 	engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 64)) })
 	engine.Schedule(time.Second, func() { tx.Transmit(dataFrame(0, 64)) })
 	engine.RunAll()
 	if len(seen) != 2 || seen[0] != 0 {
-		t.Fatalf("OnTransmit saw %v", seen)
+		t.Fatalf("onTransmit saw %v", seen)
 	}
 }
 
@@ -634,12 +634,12 @@ func asBuilt(*Medium) {}
 // scan and every attach or move discards the whole cache.
 func withoutIndex(m *Medium) { m.grid = nil }
 
-// rebuiltEveryFrame is withoutIndex with no cache at all: OnTransmit runs
+// rebuiltEveryFrame is withoutIndex with no cache at all: onTransmit runs
 // before transmit fetches the candidate list, so every frame scans all radios
 // at their current positions.
 func rebuiltEveryFrame(m *Medium) {
 	withoutIndex(m)
-	m.OnTransmit = func(time.Duration, *packet.Frame) { m.invalidateLinks() }
+	m.onTransmit = func(time.Duration, *packet.Frame) { m.invalidateLinks() }
 }
 
 // TestSetDownRederivesCarrierSense is the regression test for the power-state

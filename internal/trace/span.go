@@ -103,26 +103,16 @@ type SpanSink interface {
 	EmitSpan(s Span)
 }
 
-// SpanBuffer is a SpanSink retaining spans in memory (bounded), for tests,
+// SpanBuffer is a SpanSink retaining every span in memory, for tests,
 // benchmarks and in-process journey reconstruction.
 type SpanBuffer struct {
-	// Cap bounds retained spans; 0 means unbounded.
-	Cap int
-
-	spans   []Span
-	dropped uint64
+	spans []Span
 }
 
 var _ SpanSink = (*SpanBuffer)(nil)
 
 // EmitSpan implements SpanSink.
-func (b *SpanBuffer) EmitSpan(s Span) {
-	if b.Cap > 0 && len(b.spans) >= b.Cap {
-		b.dropped++
-		return
-	}
-	b.spans = append(b.spans, s)
-}
+func (b *SpanBuffer) EmitSpan(s Span) { b.spans = append(b.spans, s) }
 
 // Spans returns a snapshot of the retained spans.
 func (b *SpanBuffer) Spans() []Span {
@@ -130,9 +120,6 @@ func (b *SpanBuffer) Spans() []Span {
 	copy(out, b.spans)
 	return out
 }
-
-// Dropped returns the number of discarded spans.
-func (b *SpanBuffer) Dropped() uint64 { return b.dropped }
 
 // spanRecord is the JSONL persistence schema for a Span, as ReadSpans
 // decodes it: one object per line, keys in this order. t is seconds of
@@ -263,7 +250,8 @@ func (w *SpanJSONLWriter) Flush() error {
 // ReadSpans decodes a spans JSONL stream written by SpanJSONLWriter. A time
 // is rounded to the nearest nanosecond, which recovers the written instant
 // exactly below 2^51 ns (26 days), also from files whose t went through a
-// float64 (the format before t was written as an exact decimal).
+// float64 (the format before t was written as an exact decimal). A time that
+// rounds outside time.Duration's range, [-2^63, 2^63) ns, is an error.
 func ReadSpans(r io.Reader) ([]Span, error) {
 	var out []Span
 	dec := json.NewDecoder(r)
@@ -282,8 +270,14 @@ func ReadSpans(r io.Reader) ([]Span, error) {
 		if !ok {
 			return out, fmt.Errorf("trace: bad span record %d: unknown pkt %q", len(out), rec.Pkt)
 		}
+		// Converting a float64 outside int64's range is implementation-defined
+		// in Go, so the range is checked before the conversion.
+		ns := math.Round(rec.T * float64(time.Second))
+		if ns < -(1<<63) || ns >= 1<<63 {
+			return out, fmt.Errorf("trace: bad span record %d: t out of range (%g s)", len(out), rec.T)
+		}
 		out = append(out, Span{
-			At:      time.Duration(math.Round(rec.T * float64(time.Second))),
+			At:      time.Duration(ns),
 			Kind:    kind,
 			TraceID: rec.ID,
 			Node:    packet.NodeID(rec.Node),

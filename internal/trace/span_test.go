@@ -106,21 +106,6 @@ func TestSpanEmission(t *testing.T) {
 	}
 }
 
-func TestSpanBufferBounded(t *testing.T) {
-	buf := &SpanBuffer{Cap: 3}
-	tr, _ := spanTracer(buf)
-	p := &packet.Packet{TraceID: tr.NewTraceID(0)}
-	for i := 0; i < 10; i++ {
-		tr.Span(SpanMACTx, 1, 1, p)
-	}
-	if n := len(buf.Spans()); n != 3 {
-		t.Fatalf("buffer holds %d spans, want cap 3", n)
-	}
-	if d := buf.Dropped(); d != 7 {
-		t.Fatalf("dropped = %d, want 7", d)
-	}
-}
-
 func TestSpanJSONLRoundTrip(t *testing.T) {
 	var out bytes.Buffer
 	w := NewSpanJSONLWriter(&out)
@@ -205,21 +190,7 @@ func TestSpanJSONLWriterAllocationFree(t *testing.T) {
 // unmarshal into the spanRecord the reflecting encoder used to be given, with
 // the keys in schema order and one line per span.
 func TestSpanJSONLLineMatchesSchema(t *testing.T) {
-	var spans []Span
-	for k := SpanOriginate; k <= SpanDeliver; k++ {
-		for p := packet.TypeData; p <= packet.TypeTreeJoin; p++ {
-			spans = append(spans, Span{At: 1503 * time.Millisecond, Kind: k, TraceID: 0x42,
-				Node: 4, Peer: 3, PktKind: p, Group: 2, Seq: 17, Hop: 1})
-		}
-	}
-	extreme := Span{Kind: SpanForward, TraceID: math.MaxUint64, Node: 65535, Peer: 65535,
-		PktKind: packet.TypeCoreAnnounce, Group: 65535, Seq: math.MaxUint32, Hop: 255}
-	for _, at := range []time.Duration{0, 1, 10, 999999999, time.Second, 1000000001,
-		300 * time.Second, time.Hour + 1, math.MaxInt64, -1500 * time.Millisecond} {
-		extreme.At = at
-		spans = append(spans, extreme, Span{At: at, Kind: SpanOriginate, PktKind: packet.TypeData})
-	}
-
+	spans := schemaSpans()
 	var out bytes.Buffer
 	w := NewSpanJSONLWriter(&out)
 	for _, s := range spans {
@@ -266,6 +237,27 @@ func TestSpanJSONLLineMatchesSchema(t *testing.T) {
 			t.Fatalf("line %q, want the fields of %s", lines[i], enc)
 		}
 	}
+}
+
+// schemaSpans are the spans whose lines TestSpanJSONLLineMatchesSchema checks:
+// every kind against every packet type, and extreme field values at extreme
+// instants.
+func schemaSpans() []Span {
+	var spans []Span
+	for k := SpanOriginate; k <= SpanDeliver; k++ {
+		for p := packet.TypeData; p <= packet.TypeTreeJoin; p++ {
+			spans = append(spans, Span{At: 1503 * time.Millisecond, Kind: k, TraceID: 0x42,
+				Node: 4, Peer: 3, PktKind: p, Group: 2, Seq: 17, Hop: 1})
+		}
+	}
+	extreme := Span{Kind: SpanForward, TraceID: math.MaxUint64, Node: 65535, Peer: 65535,
+		PktKind: packet.TypeCoreAnnounce, Group: 65535, Seq: math.MaxUint32, Hop: 255}
+	for _, at := range []time.Duration{0, 1, 10, 999999999, time.Second, 1000000001,
+		300 * time.Second, time.Hour + 1, math.MaxInt64, -1500 * time.Millisecond} {
+		extreme.At = at
+		spans = append(spans, extreme, Span{At: at, Kind: SpanOriginate, PktKind: packet.TypeData})
+	}
+	return spans
 }
 
 // afterT cuts a span line's leading {"t":<number> off.
@@ -320,8 +312,11 @@ func TestReadSpansParentFormat(t *testing.T) {
 func TestReadSpansRejectsUnknownNames(t *testing.T) {
 	const good = `{"t":1,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}` + "\n"
 	for bad, want := range map[string]string{
-		`{"t":1,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATUM","grp":1,"seq":1,"hop":0}`:  `record 1: unknown pkt "DATUM"`,
-		`{"t":1,"kind":"teleport","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}`: `record 1: unknown kind "teleport"`,
+		`{"t":1,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATUM","grp":1,"seq":1,"hop":0}`:    `record 1: unknown pkt "DATUM"`,
+		`{"t":1,"kind":"teleport","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}`:   `record 1: unknown kind "teleport"`,
+		`{"t":1e10,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}`:  `record 1: t out of range`,
+		`{"t":-1e10,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}`: `record 1: t out of range`,
+		`{"t":1e300,"kind":"mac-tx","id":1,"node":0,"peer":0,"pkt":"DATA","grp":1,"seq":1,"hop":0}`: `record 1: t out of range`,
 	} {
 		got, err := ReadSpans(strings.NewReader(good + bad + "\n"))
 		if err == nil || !strings.Contains(err.Error(), want) {
