@@ -9,32 +9,14 @@ import (
 	"meshcast/internal/packet"
 )
 
-// FleetControllerConfig tunes the fleet-backed controller.
-type FleetControllerConfig struct {
-	// AliveWindow is how recent a daemon's protocol activity must be to
-	// report alive (default 2 s, matching the supervisor's default).
-	AliveWindow time.Duration
-	// DegradedBelow is the alive fraction under which Health reports
-	// degraded and mutations are shed (default 0.5).
-	DegradedBelow float64
-	// ScriptSlack extends an injected script's impairment-hook lifetime
-	// past its last event, covering fault windows that outlast their onset
-	// (default 1 min).
-	ScriptSlack time.Duration
-}
-
-func (c FleetControllerConfig) withDefaults() FleetControllerConfig {
-	if c.AliveWindow <= 0 {
-		c.AliveWindow = 2 * time.Second
-	}
-	if c.DegradedBelow <= 0 {
-		c.DegradedBelow = 0.5
-	}
-	if c.ScriptSlack <= 0 {
-		c.ScriptSlack = time.Minute
-	}
-	return c
-}
+const (
+	// degradedBelow is the alive fraction under which Health reports
+	// degraded and mutations are shed.
+	degradedBelow = 0.5
+	// scriptSlack extends an injected script's impairment-hook lifetime past
+	// its last event, covering fault windows that outlast their onset.
+	scriptSlack = time.Minute
+)
 
 // FleetController exposes a supervised live fleet to the control plane:
 // reads poll the fleet's lock-free accounting, link mutations go through the
@@ -46,16 +28,15 @@ type FleetController struct {
 	*MediumController
 	fleet *emu.Fleet
 	sup   *emu.FleetSupervisor
-	cfg   FleetControllerConfig
 }
 
 // NewFleetController wraps a fleet and its supervisor. sup may be nil, in
 // which case injected scripts impair links but cannot kill nodes or bounce
 // the ether.
-func NewFleetController(fleet *emu.Fleet, sup *emu.FleetSupervisor, cfg FleetControllerConfig) *FleetController {
+func NewFleetController(fleet *emu.Fleet, sup *emu.FleetSupervisor) *FleetController {
 	return &FleetController{
 		MediumController: NewMediumController(fleet.Medium(), fleet.Driver().Now),
-		fleet:            fleet, sup: sup, cfg: cfg.withDefaults(),
+		fleet:            fleet, sup: sup,
 	}
 }
 
@@ -67,7 +48,7 @@ func (c *FleetController) Nodes() []NodeState {
 		acc := c.fleet.NodeStats(id)
 		out = append(out, NodeState{
 			ID:              int(id),
-			Alive:           c.fleet.DaemonAlive(id, c.cfg.AliveWindow),
+			Alive:           c.fleet.DaemonAlive(id),
 			Protocol:        c.fleet.Protocol(),
 			Kills:           acc.Kills,
 			Restarts:        acc.Restarts,
@@ -80,7 +61,7 @@ func (c *FleetController) Nodes() []NodeState {
 func (c *FleetController) aliveCount() (alive, total int) {
 	ids := c.fleet.NodeIDs()
 	for _, id := range ids {
-		if c.fleet.DaemonAlive(id, c.cfg.AliveWindow) {
+		if c.fleet.DaemonAlive(id) {
 			alive++
 		}
 	}
@@ -107,9 +88,9 @@ func (c *FleetController) Health() Health {
 	case !h.EtherUp:
 		h.Status = HealthDegraded
 		h.Reason = "ether down"
-	case h.AliveFraction < c.cfg.DegradedBelow:
+	case h.AliveFraction < degradedBelow:
 		h.Status = HealthDegraded
-		h.Reason = fmt.Sprintf("alive fraction %.2f below %.2f", h.AliveFraction, c.cfg.DegradedBelow)
+		h.Reason = fmt.Sprintf("alive fraction %.2f below %.2f", h.AliveFraction, degradedBelow)
 	}
 	return h
 }
@@ -148,7 +129,7 @@ func (c *FleetController) Partition(req PartitionRequest) error {
 
 // KillNode implements Controller. The kill is deliberately *unscheduled*:
 // the supervisor's watchdog notices the dead daemon and revives it after
-// its UnhealthyAfter budget — the recovery path soak runs exercise.
+// its 3 s budget — the recovery path soak runs exercise.
 func (c *FleetController) KillNode(node int) error {
 	id, err := c.node(node)
 	if err != nil {
@@ -196,7 +177,7 @@ func (c *FleetController) InjectScript(req ScriptRequest) (ScriptResult, error) 
 		span = events[i].At
 		events[i].At += offset
 	}
-	c.fleet.AddImpairment(chaos.DropProb, offset+span+c.cfg.ScriptSlack)
+	c.fleet.AddImpairment(chaos.DropProb, offset+span+scriptSlack)
 	if c.sup != nil && !c.sup.Inject(events) {
 		return ScriptResult{}, RequestError{Msg: "fleet stopped"}
 	}

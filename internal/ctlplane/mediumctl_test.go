@@ -75,7 +75,7 @@ func TestFleetControllerValidatesAgainstTheRoster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	ctl := NewFleetController(fleet, nil, FleetControllerConfig{})
+	ctl := NewFleetController(fleet, nil)
 	bare := NewMediumController(fleet.Medium(), fleet.Driver().Now)
 
 	var reqErr RequestError

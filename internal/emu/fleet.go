@@ -127,8 +127,8 @@ type FleetConfig struct {
 	// StartStagger spaces daemon starts by this much in Run (node i starts
 	// i×StartStagger after run start), so a fleet of hundreds of daemons
 	// does not thunder at the ether in one burst. Zero starts everyone at
-	// once. Keep total stagger below the supervisor's UnhealthyAfter, or
-	// the watchdog will race the ramp-up.
+	// once. Keep total stagger below the supervisor's 3 s watchdog budget,
+	// or the watchdog will race the ramp-up.
 	StartStagger time.Duration
 	// Seed drives the ether's loss draws and protocol randomness.
 	Seed uint64
@@ -388,9 +388,14 @@ func (f *Fleet) RestartDaemon(id packet.NodeID) error {
 	return nil
 }
 
+// aliveWindow is how recently a fleet daemon must have shown protocol
+// activity to count as alive: several probe intervals. The supervisor's
+// watchdog, the control plane and the fleet's gauges all judge by it.
+const aliveWindow = 2 * time.Second
+
 // DaemonAlive reports whether the node's daemon is up, registered with the
-// ether, and showing protocol activity within window.
-func (f *Fleet) DaemonAlive(id packet.NodeID, window time.Duration) bool {
+// ether, and showing protocol activity within aliveWindow.
+func (f *Fleet) DaemonAlive(id packet.NodeID) bool {
 	s := f.slots[id]
 	if s == nil {
 		return false
@@ -398,7 +403,7 @@ func (f *Fleet) DaemonAlive(id packet.NodeID, window time.Duration) bool {
 	s.mu.Lock()
 	d := s.d
 	s.mu.Unlock()
-	return d != nil && d.Alive(window)
+	return d != nil && d.Alive(aliveWindow)
 }
 
 // Medium returns the fleet's shared medium: stop and start it, read its

@@ -8,53 +8,20 @@ import (
 	"meshcast/internal/sim"
 )
 
-// SupervisorConfig tunes the fleet supervisor.
-type SupervisorConfig struct {
-	// CheckInterval is the watchdog period: liveness is polled at this
-	// granularity (default 50 ms). Scheduled chaos events do not wait for
-	// it — each fires at its own offset.
-	CheckInterval time.Duration
-	// ActivityWindow is how recently a daemon must have shown protocol
-	// activity to count as alive (default 2 s — several probe intervals).
-	ActivityWindow time.Duration
-	// UnhealthyAfter is how long an *unscheduled* dead daemon is tolerated
-	// before the supervisor force-restarts it (default 3 s; negative
-	// disables the watchdog, leaving only scripted kills/restarts).
-	UnhealthyAfter time.Duration
-	// RestartBackoff and RestartBackoffMax bound the capped exponential
-	// backoff between restart attempts when reviving a daemon fails (the
-	// ether may still be down, or the OS may hold the socket): 100 ms
-	// doubling up to 2 s by default.
-	RestartBackoff    time.Duration
-	RestartBackoffMax time.Duration
-}
-
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = 50 * time.Millisecond
-	}
-	if c.ActivityWindow <= 0 {
-		c.ActivityWindow = 2 * time.Second
-	}
-	if c.UnhealthyAfter == 0 {
-		c.UnhealthyAfter = 3 * time.Second
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 100 * time.Millisecond
-	}
-	if c.RestartBackoffMax <= 0 {
-		c.RestartBackoffMax = 2 * time.Second
-	}
-	return c
-}
-
-// expBackoff returns a stateful step function yielding the capped
-// exponential backoff sequence RestartBackoff, 2×, 4×, ... clamped at
-// RestartBackoffMax. Every restart invocation gets a fresh sequence, so a
-// successful revive resets the next failure's delay to the floor.
-func (c SupervisorConfig) expBackoff() func() time.Duration {
-	return cappedBackoff(c.RestartBackoff, c.RestartBackoffMax)
-}
+const (
+	// watchdogEvery is the liveness poll period. Scheduled chaos events do
+	// not wait for it — each fires at its own offset.
+	watchdogEvery = 50 * time.Millisecond
+	// unhealthyAfter is how long an unscheduled dead daemon is tolerated
+	// before the watchdog force-restarts it.
+	unhealthyAfter = 3 * time.Second
+	// restartBackoff doubling up to restartBackoffMax spaces the attempts to
+	// revive a daemon or rebind the ether (the ether may still be down, or
+	// the OS may hold the socket). Every sequence starts at the floor, so a
+	// success resets the next failure's delay.
+	restartBackoff    = 100 * time.Millisecond
+	restartBackoffMax = 2 * time.Second
+)
 
 // cappedBackoff returns a step function yielding first, 2×, 4×, ... clamped
 // at ceiling — the one backoff of the live side (restart and ether-up
@@ -122,7 +89,7 @@ type roster interface {
 	NodeIDs() []packet.NodeID
 	StopDaemon(id packet.NodeID) error
 	RestartDaemon(id packet.NodeID) error
-	DaemonAlive(id packet.NodeID, window time.Duration) bool
+	DaemonAlive(id packet.NodeID) bool
 	NodeStats(id packet.NodeID) NodeAccounting
 }
 
@@ -144,8 +111,7 @@ type FleetSupervisor struct {
 	ether   bounced
 	daemons roster // nil over a bare medium
 	engine  *sim.Engine
-	driver  *Driver // paces engine; nil when a test steps the engine itself
-	cfg     SupervisorConfig
+	driver  *Driver         // paces engine; nil when a test steps the engine itself
 	ids     []packet.NodeID // sorted
 	// observe, when set, sees every event as it is logged.
 	observe func(FleetEvent)
@@ -161,8 +127,8 @@ type FleetSupervisor struct {
 // NewFleetSupervisor arms a supervisor on the fleet's run engine; Fleet.Run
 // drives it. chaos may be nil, in which case only the liveness watchdog
 // runs. Call before Run.
-func NewFleetSupervisor(fleet *Fleet, chaos *Chaos, cfg SupervisorConfig) *FleetSupervisor {
-	s := newSupervisor(fleet.medium, fleet, fleet.driver.Engine(), cfg)
+func NewFleetSupervisor(fleet *Fleet, chaos *Chaos) *FleetSupervisor {
+	s := newSupervisor(fleet.medium, fleet, fleet.driver.Engine())
 	s.driver = fleet.driver
 	if chaos != nil {
 		s.schedule(chaos.Events())
@@ -178,27 +144,24 @@ func NewFleetSupervisor(fleet *Fleet, chaos *Chaos, cfg SupervisorConfig) *Fleet
 // observe, if not nil, is called on the run goroutine with each event as it
 // is logged.
 func NewMediumSupervisor(medium *Medium, driver *Driver, chaos *Chaos, observe func(FleetEvent)) *FleetSupervisor {
-	s := newSupervisor(medium, nil, driver.Engine(), SupervisorConfig{})
+	s := newSupervisor(medium, nil, driver.Engine())
 	s.driver, s.observe = driver, observe
 	s.schedule(chaos.Events())
 	return s
 }
 
-func newSupervisor(ether bounced, daemons roster, engine *sim.Engine, cfg SupervisorConfig) *FleetSupervisor {
+func newSupervisor(ether bounced, daemons roster, engine *sim.Engine) *FleetSupervisor {
 	s := &FleetSupervisor{
 		ether:         ether,
 		daemons:       daemons,
 		engine:        engine,
-		cfg:           cfg.withDefaults(),
 		scheduledDown: make(map[packet.NodeID]bool),
 		restarting:    make(map[packet.NodeID]bool),
 		unhealthy:     make(map[packet.NodeID]time.Duration),
 	}
 	if daemons != nil {
 		s.ids = daemons.NodeIDs()
-		if s.cfg.UnhealthyAfter >= 0 {
-			sim.NewTicker(engine, s.cfg.CheckInterval, 0, nil, s.watchdog)
-		}
+		sim.NewTicker(engine, watchdogEvery, 0, nil, s.watchdog)
 	}
 	return s
 }
@@ -254,7 +217,7 @@ func (s *FleetSupervisor) execute(ev ChaosEvent) {
 // of a fresh capped exponential backoff. try is told the wait that follows
 // a failure.
 func (s *FleetSupervisor) retry(try func(wait time.Duration) bool) {
-	step := s.cfg.expBackoff()
+	step := cappedBackoff(restartBackoff, restartBackoffMax)
 	var attempt func()
 	attempt = func() {
 		if wait := step(); !try(wait) {
@@ -265,13 +228,19 @@ func (s *FleetSupervisor) retry(try func(wait time.Duration) bool) {
 }
 
 // restart revives a daemon with capped exponential backoff. At most one
-// restart sequence per node runs at a time.
+// restart sequence per node runs at a time, and a scripted outage that
+// begins while it backs off ends it: the outage's own node-up starts the
+// next one.
 func (s *FleetSupervisor) restart(id packet.NodeID, kind string) {
 	if s.restarting[id] {
 		return
 	}
 	s.restarting[id] = true
 	s.retry(func(wait time.Duration) bool {
+		if s.scheduledDown[id] {
+			delete(s.restarting, id)
+			return true
+		}
 		if err := s.daemons.RestartDaemon(id); err != nil {
 			s.log(FleetEvent{Kind: "restart-failed", Node: id, Backoff: wait})
 			return false
@@ -283,19 +252,19 @@ func (s *FleetSupervisor) restart(id packet.NodeID, kind string) {
 }
 
 // watchdog force-restarts daemons that are dead without a scheduled reason
-// for longer than UnhealthyAfter.
+// for longer than unhealthyAfter.
 func (s *FleetSupervisor) watchdog() {
 	if !s.ether.Up() {
 		// Liveness is unobservable without the medium: every daemon loses
 		// its registration during an ether outage. Forget accumulated
-		// suspicions so daemons get a fresh UnhealthyAfter budget to
+		// suspicions so daemons get a fresh unhealthyAfter budget to
 		// re-register once the medium returns.
 		clear(s.unhealthy)
 		return
 	}
 	now := s.engine.Now()
 	for _, id := range s.ids {
-		if s.scheduledDown[id] || s.restarting[id] || s.daemons.DaemonAlive(id, s.cfg.ActivityWindow) {
+		if s.scheduledDown[id] || s.restarting[id] || s.daemons.DaemonAlive(id) {
 			delete(s.unhealthy, id)
 			continue
 		}
@@ -304,7 +273,7 @@ func (s *FleetSupervisor) watchdog() {
 			s.unhealthy[id] = now
 			continue
 		}
-		if now-since >= s.cfg.UnhealthyAfter {
+		if now-since >= unhealthyAfter {
 			delete(s.unhealthy, id)
 			// The daemon may be wedged rather than gone: kill any live
 			// generation first, then revive with backoff.

@@ -145,9 +145,9 @@ func (f *fakeFleet) Start() error {
 	f.etherUp = true
 	return nil
 }
-func (f *fakeFleet) Up() bool                                           { return f.etherUp }
-func (f *fakeFleet) DaemonAlive(id packet.NodeID, _ time.Duration) bool { return f.up[id] }
-func (f *fakeFleet) NodeStats(packet.NodeID) NodeAccounting             { return NodeAccounting{} }
+func (f *fakeFleet) Up() bool                               { return f.etherUp }
+func (f *fakeFleet) DaemonAlive(id packet.NodeID) bool      { return f.up[id] }
+func (f *fakeFleet) NodeStats(packet.NodeID) NodeAccounting { return NodeAccounting{} }
 
 const ms = time.Millisecond
 
@@ -160,12 +160,12 @@ func up(at time.Duration, id packet.NodeID) ChaosEvent {
 
 // TestSupervisorVirtualTime pins the supervisor's semantics as exact event
 // logs: the engine is stepped by hand, so every time below is the virtual
-// time the action ran at, not a window it had to fall in. Defaults apply:
-// watchdog every 50 ms, UnhealthyAfter 3 s, backoff 100 ms doubling to 2 s.
+// time the action ran at, not a window it had to fall in. The supervisor's
+// constants apply: watchdog every 50 ms, unhealthyAfter 3 s, backoff 100 ms
+// doubling to 2 s.
 func TestSupervisorVirtualTime(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  SupervisorConfig
 		// chaos is the schedule armed at construction; script arms
 		// whatever else the case needs on the engine.
 		chaos         []ChaosEvent
@@ -214,6 +214,26 @@ func TestSupervisorVirtualTime(t *testing.T) {
 			},
 		},
 		{
+			name:  "a scripted outage that begins while a restart backs off ends that sequence",
+			chaos: []ChaosEvent{down(1000*ms, 2), up(2000*ms, 2), down(3000*ms, 2), up(8000*ms, 2)},
+			script: func(_ *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
+				f.restartFails = 5
+			},
+			// The attempt due at 3.5 s sees the second outage and stops: the
+			// daemon stays down until that outage's own up, which starts a
+			// fresh sequence at the 100 ms floor.
+			want: []FleetEvent{
+				{At: 1000 * ms, Kind: "kill", Node: 2},
+				{At: 2000 * ms, Kind: "restart-failed", Node: 2, Backoff: 100 * ms},
+				{At: 2100 * ms, Kind: "restart-failed", Node: 2, Backoff: 200 * ms},
+				{At: 2300 * ms, Kind: "restart-failed", Node: 2, Backoff: 400 * ms},
+				{At: 2700 * ms, Kind: "restart-failed", Node: 2, Backoff: 800 * ms},
+				{At: 3000 * ms, Kind: "kill", Node: 2},
+				{At: 8000 * ms, Kind: "restart-failed", Node: 2, Backoff: 100 * ms},
+				{At: 8100 * ms, Kind: "restart", Node: 2},
+			},
+		},
+		{
 			name: "the watchdog restarts an unscheduled death UnhealthyAfter after first seeing it",
 			script: func(e *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
 				e.At(1010*ms, func() { f.up[3] = false }) // first seen dead at the 1050 ms poll
@@ -228,14 +248,6 @@ func TestSupervisorVirtualTime(t *testing.T) {
 				e.At(6010*ms, func() { f.etherUp = true }) // seen dead afresh at 6050 ms
 			},
 			want: []FleetEvent{{At: 9050 * ms, Kind: "watchdog-restart", Node: 3}},
-		},
-		{
-			name: "a negative UnhealthyAfter disables the watchdog",
-			cfg:  SupervisorConfig{UnhealthyAfter: -1},
-			script: func(e *sim.Engine, f *fakeFleet, _ *FleetSupervisor) {
-				e.At(1010*ms, func() { f.up[3] = false })
-				e.At(25000*ms, func() { f.up[3] = true }) // every case ends with the fleet up
-			},
 		},
 		{
 			name: "injected events: the past fires at once and in order, the future at its offset",
@@ -267,7 +279,7 @@ func TestSupervisorVirtualTime(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			engine, fleet := sim.NewEngine(1), newFakeFleet()
-			sup := newSupervisor(fleet, fleet, engine, tc.cfg)
+			sup := newSupervisor(fleet, fleet, engine)
 			sup.schedule(tc.chaos)
 			if tc.script != nil {
 				tc.script(engine, fleet, sup)
@@ -313,7 +325,7 @@ func TestSupervisorOverBareMedium(t *testing.T) {
 	engine := sim.NewEngine(1)
 	ether := &flakyEther{fakeFleet: fakeFleet{etherUp: true, etherFails: 7}, engine: engine}
 	var seen []FleetEvent
-	sup := newSupervisor(ether, nil, engine, SupervisorConfig{})
+	sup := newSupervisor(ether, nil, engine)
 	sup.observe = func(ev FleetEvent) { seen = append(seen, ev) }
 	sup.schedule([]ChaosEvent{
 		{At: 1000 * ms, Kind: faults.EventEtherDown, Node: -1},
@@ -323,7 +335,7 @@ func TestSupervisorOverBareMedium(t *testing.T) {
 	})
 	engine.Run(30 * time.Second)
 
-	wantAttempts := []time.Duration{ // RestartBackoff doubling to RestartBackoffMax
+	wantAttempts := []time.Duration{ // restartBackoff doubling to restartBackoffMax
 		2000 * ms, 2100 * ms, 2300 * ms, 2700 * ms, 3500 * ms, 5100 * ms, 7100 * ms, 9100 * ms,
 	}
 	if !reflect.DeepEqual(ether.attempts, wantAttempts) {
@@ -357,7 +369,7 @@ func TestSupervisorOverBareMedium(t *testing.T) {
 // paces the engine, and its refusal once the run has ended.
 func TestSupervisorInjectReachesTheRunGoroutine(t *testing.T) {
 	driver, fleet := NewDriver(1), newFakeFleet()
-	sup := newSupervisor(fleet, fleet, driver.Engine(), SupervisorConfig{})
+	sup := newSupervisor(fleet, fleet, driver.Engine())
 	sup.driver = driver
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
@@ -383,16 +395,12 @@ func TestSupervisorInjectReachesTheRunGoroutine(t *testing.T) {
 	}
 }
 
-// TestSupervisorConfigExpBackoff checks the capped exponential backoff
-// sequence: doubling from RestartBackoff, clamped at RestartBackoffMax, and
+// TestSupervisorRestartBackoff checks the capped exponential backoff
+// sequence: doubling from restartBackoff, clamped at restartBackoffMax, and
 // restarting from the floor on a fresh invocation (the state after a
 // successful revive).
-func TestSupervisorConfigExpBackoff(t *testing.T) {
-	cfg := SupervisorConfig{
-		RestartBackoff:    100 * time.Millisecond,
-		RestartBackoffMax: 2 * time.Second,
-	}.withDefaults()
-	step := cfg.expBackoff()
+func TestSupervisorRestartBackoff(t *testing.T) {
+	step := cappedBackoff(restartBackoff, restartBackoffMax)
 	want := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		800 * time.Millisecond, 1600 * time.Millisecond,
@@ -403,78 +411,104 @@ func TestSupervisorConfigExpBackoff(t *testing.T) {
 			t.Fatalf("step %d = %v, want %v", i, got, w)
 		}
 	}
-	if got := cfg.expBackoff()(); got != cfg.RestartBackoff {
-		t.Fatalf("fresh sequence starts at %v, want floor %v", got, cfg.RestartBackoff)
+	if got := cappedBackoff(restartBackoff, restartBackoffMax)(); got != 100*time.Millisecond {
+		t.Fatalf("fresh sequence starts at %v, want the 100ms floor", got)
 	}
 }
 
 // TestSupervisorScriptedKillAndRestart is the real-socket smoke of what
 // TestSupervisorVirtualTime pins in virtual time: the relay of a live line
-// is crashed by script, the test waits for the supervisor's own kill and
-// restart events, and end-to-end delivery must resume through the new relay.
+// is crashed by script, the test waits for the supervisor's own events, and
+// the line must heal. In the second case the ether restarts while the relay
+// is down, so the relay is revived into a dead medium and must register once
+// it returns. Either way teardown leaves no goroutine or socket behind.
 func TestSupervisorScriptedKillAndRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test (several seconds)")
 	}
-	var sup *FleetSupervisor
-	fleet, stop := startLineFleet(t, 5, func(fleet *Fleet) {
-		// Node index 1 of sorted [1 2 3] is the relay, node 2.
-		plan := faults.Plan{Outages: []faults.Outage{
-			{Node: 1, Start: time.Second, Duration: time.Second},
-		}}
-		chaos, err := NewChaos(ChaosConfig{Plan: plan, Seed: 5}, fleet.NodeIDs(), fleet.Driver().Now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fleet.UseChaos(chaos)
-		sup = NewFleetSupervisor(fleet, chaos, SupervisorConfig{})
-	})
-	defer stop()
-
-	logged := func(kind string) func() bool {
-		return func() (found bool) {
-			fleet.Driver().Do(func() {
-				for _, ev := range sup.Events() {
-					found = found || ev.Kind == kind && ev.Node == 2
+	cases := []struct {
+		name          string
+		plan          faults.Plan // node index 1 of sorted [1 2 3] is the relay, node 2
+		want          []FleetEvent
+		etherRestarts int
+		// healed reports, after the last event, that the line recovered;
+		// delivered is node 3's count at that event.
+		healed func(fleet *Fleet, delivered int) bool
+	}{
+		{
+			name: "relay crash",
+			plan: faults.Plan{Outages: []faults.Outage{{Node: 1, Start: time.Second, Duration: time.Second}}},
+			want: []FleetEvent{
+				{At: time.Second, Kind: "kill", Node: 2},
+				{At: 2 * time.Second, Kind: "restart", Node: 2},
+			},
+			healed: func(fleet *Fleet, delivered int) bool { return deliveredTo(fleet, 3) >= delivered+5 },
+		},
+		{
+			// Delivery after an ether restart is TestFleetSurvivesEtherRestartUnderTraffic's;
+			// here it would wait out the source's 3 s route refresh.
+			name: "relay crash across an ether restart",
+			plan: faults.Plan{
+				Outages:       []faults.Outage{{Node: 1, Start: 250 * ms, Duration: 500 * ms}},
+				EtherRestarts: []faults.EtherRestart{{Start: 500 * ms, Duration: 500 * ms}},
+			},
+			want: []FleetEvent{
+				{At: 250 * ms, Kind: "kill", Node: 2},
+				{At: 500 * ms, Kind: "ether-down"},
+				{At: 750 * ms, Kind: "restart", Node: 2},
+				{At: 1000 * ms, Kind: "ether-up"},
+			},
+			etherRestarts: 1,
+			healed:        func(fleet *Fleet, _ int) bool { return len(fleet.Medium().Clients()) == 3 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			settled := leakCheck(t)
+			var sup *FleetSupervisor
+			fleet, stop := startLineFleet(t, 5, func(fleet *Fleet) {
+				chaos, err := NewChaos(ChaosConfig{Plan: tc.plan, Seed: 5}, fleet.NodeIDs(), fleet.Driver().Now)
+				if err != nil {
+					t.Fatal(err)
 				}
+				fleet.UseChaos(chaos)
+				sup = NewFleetSupervisor(fleet, chaos)
 			})
-			return found
-		}
-	}
-	waitFor(t, 8*time.Second, "the supervisor's kill event", logged("kill"))
-	waitFor(t, 8*time.Second, "the supervisor's restart event", logged("restart"))
-	afterRestart := deliveredTo(fleet, 3)
-	waitFor(t, 8*time.Second, "delivery to resume through restarted relay", func() bool {
-		return deliveredTo(fleet, 3) >= afterRestart+5
-	})
-	stop()
+			defer stop()
 
-	want := []FleetEvent{
-		{At: time.Second, Kind: "kill", Node: 2},
-		{At: 2 * time.Second, Kind: "restart", Node: 2},
-	}
-	rep := sup.Report()
-	if !reflect.DeepEqual(rep.Events, want) {
-		t.Fatalf("supervisor events = %v, want %v", rep.Events, want)
-	}
-	for _, n := range rep.Nodes {
-		if n.Availability <= 0 {
-			t.Fatalf("node %v availability = %v", n.ID, n.Availability)
-		}
-		want := 0
-		if n.ID == 2 {
-			want = 1
-		}
-		if n.Kills != want || n.Restarts != want {
-			t.Fatalf("node %v: %d kills, %d restarts, want %d of each", n.ID, n.Kills, n.Restarts, want)
-		}
-	}
-	if acc := fleet.NodeStats(2); acc.Kills != 1 || acc.Restarts != 1 || acc.Downtime <= 0 {
-		t.Fatalf("NodeStats chaos accounting = %+v", acc)
-	}
-	res := fleet.Result()
-	if len(res.Health) != 1 {
-		t.Fatalf("health groups = %d, want 1", len(res.Health))
+			waitFor(t, 8*time.Second, "the supervisor's scripted events", func() (done bool) {
+				fleet.Driver().Do(func() { done = len(sup.Events()) >= len(tc.want) })
+				return done
+			})
+			delivered := deliveredTo(fleet, 3)
+			waitFor(t, 8*time.Second, "the line to heal", func() bool { return tc.healed(fleet, delivered) })
+			stop()
+
+			rep := sup.Report()
+			if !reflect.DeepEqual(rep.Events, tc.want) || rep.EtherRestarts != tc.etherRestarts {
+				t.Fatalf("supervisor events = %v and %d ether restarts, want %v and %d",
+					rep.Events, rep.EtherRestarts, tc.want, tc.etherRestarts)
+			}
+			for _, n := range rep.Nodes {
+				if n.Availability <= 0 {
+					t.Fatalf("node %v availability = %v", n.ID, n.Availability)
+				}
+				want := 0
+				if n.ID == 2 {
+					want = 1
+				}
+				if n.Kills != want || n.Restarts != want {
+					t.Fatalf("node %v: %d kills, %d restarts, want %d of each", n.ID, n.Kills, n.Restarts, want)
+				}
+			}
+			if acc := fleet.NodeStats(2); acc.Kills != 1 || acc.Restarts != 1 || acc.Downtime <= 0 {
+				t.Fatalf("NodeStats chaos accounting = %+v", acc)
+			}
+			if res := fleet.Result(); len(res.Health) != 1 {
+				t.Fatalf("health groups = %d, want 1", len(res.Health))
+			}
+			settled()
+		})
 	}
 }
 
@@ -521,7 +555,7 @@ func TestFleetCloseNoGoroutineLeak(t *testing.T) {
 	}
 	settled := leakCheck(t)
 	fleet, stop := startLineFleet(t, 21, func(fleet *Fleet) {
-		NewFleetSupervisor(fleet, nil, SupervisorConfig{})
+		NewFleetSupervisor(fleet, nil)
 	})
 	for ceiling := time.Now().Add(1500 * time.Millisecond); deliveredTo(fleet, 3) == 0 && time.Now().Before(ceiling); {
 		time.Sleep(10 * time.Millisecond)
@@ -546,7 +580,7 @@ func TestFleetLifecycleCyclesNoLeak(t *testing.T) {
 				if err := fleet.RestartDaemon(2); err != nil {
 					t.Fatal(err)
 				}
-				waitFor(t, 2*time.Second, "restarted relay alive", func() bool { return fleet.DaemonAlive(2, time.Second) })
+				waitFor(t, 2*time.Second, "restarted relay alive", func() bool { return fleet.DaemonAlive(2) })
 			}
 			if acc := fleet.NodeStats(2); acc.Kills != 3 || acc.Restarts != 3 {
 				t.Fatalf("relay accounting = %+v, want 3 kills / 3 restarts", acc)

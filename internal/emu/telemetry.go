@@ -2,7 +2,6 @@ package emu
 
 import (
 	"fmt"
-	"time"
 
 	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
@@ -51,12 +50,11 @@ func InstrumentFleet(reg *telemetry.Registry, f *Fleet, c *Chaos, sup *FleetSupe
 		return 0
 	})
 
-	const aliveWindow = 2 * time.Second
 	ids := f.NodeIDs()
 	reg.GaugeFunc("emu.fleet.daemons_alive", func() float64 {
 		n := 0
 		for _, id := range ids {
-			if f.DaemonAlive(id, aliveWindow) {
+			if f.DaemonAlive(id) {
 				n++
 			}
 		}
@@ -67,7 +65,7 @@ func InstrumentFleet(reg *telemetry.Registry, f *Fleet, c *Chaos, sup *FleetSupe
 	for _, id := range ids {
 		id := id
 		reg.GaugeFunc(fmt.Sprintf("emu.node.%d.alive", id), func() float64 {
-			if f.DaemonAlive(id, aliveWindow) {
+			if f.DaemonAlive(id) {
 				return 1
 			}
 			return 0

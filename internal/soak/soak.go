@@ -3,8 +3,9 @@
 // FleetSupervisor, exporting rolling telemetry, and mutable over the
 // ctlplane HTTP API while they serve traffic.
 //
-// Both `etherd -soak` and the CI soak smoke drive this exact runner, so
-// the code path exercised in CI is the one operators run.
+// Both `etherd -soak` and TestSoakSurvivesControlPlaneFaults drive this
+// exact runner, so the code path the recovery gate exercises is the one
+// operators run.
 package soak
 
 import (
@@ -25,11 +26,10 @@ import (
 
 // Config describes a soak run.
 type Config struct {
-	// Nodes is the daemon count (min 4; hundreds are fine).
+	// Nodes is the daemon count (min 4; hundreds are fine). The floor
+	// carries max(2, Nodes/12) multicast sessions, so traffic scales with
+	// the fleet.
 	Nodes int
-	// Groups is the number of multicast sessions laid out on the floor
-	// (default max(2, Nodes/12) so traffic scales with the fleet).
-	Groups int
 	// Metric selects the routing metric (default metric.SPP).
 	Metric metric.Kind
 	// Protocol selects the multicast routing protocol by registered name;
@@ -53,10 +53,6 @@ type Config struct {
 	// RotateEvery seals the series stream into a numbered segment at this
 	// period (default 5 min; <0 disables rotation).
 	RotateEvery time.Duration
-	// Supervisor tunes watchdog and restart backoff behavior.
-	Supervisor emu.SupervisorConfig
-	// Label names the run in the telemetry manifest.
-	Label string
 
 	// trace, when set, observes the graceful-shutdown steps in order —
 	// the shutdown-order test's hook.
@@ -66,9 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Metric == 0 {
 		c.Metric = metric.SPP
-	}
-	if c.Groups == 0 {
-		c.Groups = max(2, c.Nodes/12)
 	}
 	if c.SendInterval <= 0 {
 		c.SendInterval = 100 * time.Millisecond
@@ -81,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RotateEvery == 0 {
 		c.RotateEvery = 5 * time.Minute
-	}
-	if c.Label == "" {
-		c.Label = fmt.Sprintf("soak %d nodes %v", c.Nodes, c.Metric)
 	}
 	return c
 }
@@ -111,7 +101,7 @@ func New(cfg Config) (*Runner, error) {
 	scenario, err := testbed.GenerateFloor(testbed.FloorConfig{
 		Nodes:  cfg.Nodes,
 		Seed:   cfg.Seed,
-		Groups: cfg.Groups,
+		Groups: max(2, cfg.Nodes/12),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("soak: %w", err)
@@ -130,10 +120,10 @@ func New(cfg Config) (*Runner, error) {
 	r := &Runner{
 		cfg:   cfg,
 		fleet: fleet,
-		sup:   emu.NewFleetSupervisor(fleet, nil, cfg.Supervisor),
+		sup:   emu.NewFleetSupervisor(fleet, nil),
 	}
 	if cfg.Listen != "" {
-		ctl := ctlplane.NewFleetController(fleet, r.sup, ctlplane.FleetControllerConfig{})
+		ctl := ctlplane.NewFleetController(fleet, r.sup)
 		r.srv = ctlplane.NewServer(ctl, ctlplane.ServerConfig{})
 		ln, err := net.Listen("tcp", cfg.Listen)
 		if err != nil {
@@ -277,7 +267,7 @@ func (r *Runner) Run(ctx context.Context) error {
 		}
 		err := r.rec.Finalize(telemetry.Manifest{
 			Seed:            r.cfg.Seed,
-			Label:           r.cfg.Label,
+			Label:           fmt.Sprintf("soak %d nodes %v", r.cfg.Nodes, r.cfg.Metric),
 			Metric:          r.cfg.Metric.String(),
 			Protocol:        r.fleet.Protocol(),
 			DurationSeconds: elapsed.Seconds(),

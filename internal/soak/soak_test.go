@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,12 +18,12 @@ import (
 // TestSoakShutdownOrder runs a tiny soak and checks the graceful-shutdown
 // contract: control listener first, then fleet stop, then ether drain,
 // then the final telemetry sample + manifest — in exactly that order —
-// and that the teardown leaks no goroutines.
+// and that the teardown leaks no goroutine, socket or listener.
 func TestSoakShutdownOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test (seconds)")
 	}
-	baseline := runtime.NumGoroutine()
+	settled := leakCheck(t)
 
 	var mu sync.Mutex
 	var steps []string
@@ -107,15 +106,7 @@ func TestSoakShutdownOrder(t *testing.T) {
 	if len(series) != m.Samples {
 		t.Fatalf("series has %d samples, manifest says %d", len(series), m.Samples)
 	}
-
-	waitDrain := time.After(3 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 {
-		select {
-		case <-waitDrain:
-			t.Fatalf("goroutines: %d, baseline %d", runtime.NumGoroutine(), baseline)
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
+	settled()
 }
 
 // TestSoakRotation checks that a short rotation period seals numbered

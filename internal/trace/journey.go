@@ -70,18 +70,6 @@ func (j *Journey) MaxLatency() time.Duration {
 	return max
 }
 
-// SlowestHop returns the highest per-hop latency edge, or a zero Hop when
-// the journey realized no edges.
-func (j *Journey) SlowestHop() Hop {
-	var out Hop
-	for _, h := range j.Hops {
-		if h.Latency > out.Latency {
-			out = h
-		}
-	}
-	return out
-}
-
 // Losses totals the attributable loss events on this journey.
 func (j *Journey) Losses() int {
 	return j.LostTx + j.MACDrops
