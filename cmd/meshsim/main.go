@@ -315,6 +315,17 @@ func run(opt options) error {
 	if opt.Seconds < 0 || opt.Warmup < 0 {
 		return fmt.Errorf("-seconds and -warmup must not be negative, got %d and %d", opt.Seconds, opt.Warmup)
 	}
+	// Written as negated comparisons so that NaN is rejected too. RunScenario
+	// reads a probe rate ≤ 0 as the paper's, and -churn below zero as none.
+	if !(opt.Side > 0) {
+		return fmt.Errorf("-side must be positive, got %v", opt.Side)
+	}
+	if !(opt.ProbeRate > 0) {
+		return fmt.Errorf("-probe-rate must be positive, got %v", opt.ProbeRate)
+	}
+	if !(opt.Churn >= 0 && opt.Churn <= 1) {
+		return fmt.Errorf("-churn must be a fraction in [0, 1], got %v", opt.Churn)
+	}
 	kind, err := metric.ParseKind(opt.Metric)
 	if err != nil {
 		return err

@@ -168,7 +168,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 
 // TestRunRejectsImpossibleShapes covers the group shapes and durations the
 // topology cannot hold: they used to panic in DefaultGroups (slice bounds) or
-// silently simulate nothing.
+// silently simulate nothing. The area, probe-rate and churn rows used to run
+// something other than what was asked: radios in a 0×0 m square, the paper's
+// probe rate, no churn.
 func TestRunRejectsImpossibleShapes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -184,6 +186,12 @@ func TestRunRejectsImpossibleShapes(t *testing.T) {
 		{"negative members", func(o *options) { o.Members = -1 }, "at least one group"},
 		{"negative seconds", func(o *options) { o.Seconds = -5 }, "must not be negative"},
 		{"negative warmup", func(o *options) { o.Warmup = -1 }, "must not be negative"},
+		{"zero side", func(o *options) { o.Side = 0 }, "-side must be positive"},
+		{"negative side", func(o *options) { o.Side = -5 }, "-side must be positive"},
+		{"zero probe rate", func(o *options) { o.ProbeRate = 0 }, "-probe-rate must be positive"},
+		{"negative probe rate", func(o *options) { o.ProbeRate = -3 }, "-probe-rate must be positive"},
+		{"negative churn", func(o *options) { o.Churn = -0.2 }, "-churn must be a fraction"},
+		{"churn above one", func(o *options) { o.Churn = 1.5 }, "-churn must be a fraction"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tinyOptions()

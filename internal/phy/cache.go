@@ -1,8 +1,9 @@
 package phy
 
 import (
+	"fmt"
+	"math"
 	"slices"
-	"time"
 
 	"meshcast/internal/propagation"
 )
@@ -50,15 +51,27 @@ import (
 // set the wipe mark, older than which every list is stale. Either way
 // recording a change is O(1).
 
-// link is one precomputed (tx, rx) entry: the receiver's attach index, its
-// mean (pre-fading) received power — zero and unused when a LinkFunc is active
-// — and the propagation delay to it. It holds no pointer: a 1000-node run
-// builds some 15 MB of lists, which the collector then never scans and which
-// are built and copied without write barriers.
+// link is one precomputed (tx, rx) entry: the receiver's mean (pre-fading)
+// received power — zero and unused when a LinkFunc is active — the propagation
+// delay to it in nanoseconds (linkDelay), and its attach index. Sixteen bytes
+// and no pointer: a 1000-node run holds over half a million candidates, whose
+// lists the collector never scans and which are built and copied without write
+// barriers. A field added here costs every one of them; TestRecordLayout pins
+// the size.
 type link struct {
 	meanPower float64
-	propDelay time.Duration
+	propDelay int32
 	rx        int32
+}
+
+// linkDelay returns the propagation delay across d metres as a link holds it,
+// in int32 nanoseconds, and whether it fits (up to 2.1 s, ≈ 6.4×10⁸ m). Every
+// candidate the cell index finds is within the interference radius (≈ 2 km,
+// under 7 µs; interferenceRadius never exceeds 10⁷ m), so only the brute-force
+// scan can meet a pair too far apart, and it panics rather than wrap.
+func linkDelay(d float64) (int32, bool) {
+	delay := propagation.Delay(d)
+	return int32(delay), delay <= math.MaxInt32
 }
 
 // candidates is one transmitter's slot in the cache: its list in attach order
@@ -140,7 +153,7 @@ func (m *Medium) buildLinks(src *Radio, c *candidates) {
 // radio invalidates hundreds of lists per step.
 func (m *Medium) delayOrder(links []link) []int32 {
 	from, to := m.orderScratch[0][:0], m.orderScratch[1][:0]
-	var longest time.Duration
+	var longest int32
 	for i := range links {
 		from, to = append(from, int32(i)), append(to, 0)
 		longest = max(longest, links[i].propDelay)
@@ -182,7 +195,12 @@ func (m *Medium) buildLinksBrute(src *Radio, dst []link) []link {
 				continue
 			}
 		}
-		dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: propagation.Delay(d)})
+		delay, ok := linkDelay(d)
+		if !ok {
+			panic(fmt.Sprintf("phy: propagation delay %v from radio %d to radio %d exceeds a link's int32 nanoseconds",
+				propagation.Delay(d), src.ID, rx.ID))
+		}
+		dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: delay})
 	}
 	return dst
 }

@@ -35,14 +35,20 @@ import (
 // front.
 
 // arrival is one frame's signal as seen by one receiver. The zero arrival is
-// an empty slot of a flight record.
+// an empty slot of a flight record. It is 24 bytes and, like link, holds no
+// pointer (TestRecordLayout): the collector never scans a record's slots, and
+// the two stores per arrival — filling its slot in transmit, clearing it in
+// deliverRoot — need no write barrier.
 type arrival struct {
-	rx        *Radio
 	power     float64
-	delay     time.Duration // propagation delay when the frame was sent
-	rank      uint32        // position among the frame's survivors in list order
+	delay     int32  // propagation delay in ns when the frame was sent (link.propDelay)
+	rank      uint32 // position among the frame's survivors in list order
+	rx        int32  // the receiver's attach index plus one; zero in an empty slot
 	corrupted bool
 }
+
+// receiver returns the radio of an occupied slot's arrival.
+func (m *Medium) receiver(a *arrival) *Radio { return m.radios[a.rx-1] }
 
 // flight is the record of one frame on the air. arrivals has one slot per
 // candidate of the transmitter, in delivery order; slots of candidates the
@@ -72,12 +78,12 @@ type cursor struct {
 // beginCursor and endCursor key the flight's cursors at their current slots.
 func (fl *flight) beginCursor() cursor {
 	a := &fl.arrivals[fl.beginAt]
-	return cursor{at: fl.t0 + a.delay, seq: fl.base + 2*uint64(a.rank), fl: fl}
+	return cursor{at: fl.t0 + time.Duration(a.delay), seq: fl.base + 2*uint64(a.rank), fl: fl}
 }
 
 func (fl *flight) endCursor() cursor {
 	a := &fl.arrivals[fl.endAt]
-	return cursor{at: fl.t0 + a.delay + fl.airtime, seq: fl.base + 2*uint64(a.rank) + 1, fl: fl, end: true}
+	return cursor{at: fl.t0 + time.Duration(a.delay) + fl.airtime, seq: fl.base + 2*uint64(a.rank) + 1, fl: fl, end: true}
 }
 
 // newFlight takes a record from the pool (or allocates one) and sizes it for a
@@ -129,7 +135,7 @@ func (fl *flight) free() {
 
 // next returns the first occupied slot at or after i, or len(arrivals).
 func (fl *flight) next(i int) int {
-	for i < len(fl.arrivals) && fl.arrivals[i].rx == nil {
+	for i < len(fl.arrivals) && fl.arrivals[i].rx == 0 {
 		i++
 	}
 	return i
@@ -165,7 +171,7 @@ func (m *Medium) deliverRoot() {
 		} else {
 			m.popRoot()
 		}
-		a.rx.beginArrival(a)
+		m.receiver(a).beginArrival(a)
 		return
 	}
 	// A trailing edge; after the last one the record is done. The begin
@@ -179,7 +185,7 @@ func (m *Medium) deliverRoot() {
 	} else {
 		m.replaceRoot(fl.endCursor())
 	}
-	a.rx.endArrival(a, fl.frame)
+	m.receiver(a).endArrival(a, fl.frame)
 	*a = arrival{}
 	if last {
 		fl.free()

@@ -31,14 +31,15 @@ func edgePerEvent(m *Medium) (afterTransmit func()) {
 			left := 0
 			for i := range fl.arrivals {
 				a := &fl.arrivals[i]
-				if a.rx == nil {
+				if a.rx == 0 {
 					continue
 				}
 				left++
-				at, seq := fl.t0+a.delay, fl.base+2*uint64(a.rank)
-				m.engine.NewTimer(func() { a.rx.beginArrival(a) }).ArmReserved(at, seq)
+				rx := m.receiver(a)
+				at, seq := fl.t0+time.Duration(a.delay), fl.base+2*uint64(a.rank)
+				m.engine.NewTimer(func() { rx.beginArrival(a) }).ArmReserved(at, seq)
 				m.engine.NewTimer(func() {
-					a.rx.endArrival(a, fl.frame)
+					rx.endArrival(a, fl.frame)
 					*a = arrival{}
 					if left--; left == 0 {
 						fl.free()

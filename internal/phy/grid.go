@@ -217,7 +217,8 @@ func (m *Medium) buildLinksIndexed(src *Radio, dst []link) []link {
 			if mean < m.ignoreBelowW {
 				continue
 			}
-			dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: propagation.Delay(d)})
+			delay, _ := linkDelay(d) // d is within the interference radius
+			dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: delay})
 		}
 	}
 	return dst

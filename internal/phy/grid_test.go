@@ -303,7 +303,7 @@ func TestCandidateSlotsAreDelayOrder(t *testing.T) {
 				if rank > 0 && c.links[i].propDelay == c.links[want[rank-1]].propDelay {
 					ties++
 				}
-				longest = max(longest, c.links[i].propDelay)
+				longest = max(longest, time.Duration(c.links[i].propDelay))
 			}
 		}
 		if ties == 0 {

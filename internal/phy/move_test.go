@@ -361,7 +361,7 @@ func TestMoveRadioUnderLinkFunc(t *testing.T) {
 		t.Fatal("move under a LinkFunc oracle must invalidate the whole cache")
 	}
 	ls := medium.linksFrom(a).links
-	if len(ls) != 1 || ls[0].propDelay != propagation.Delay(a.Pos.Distance(b.Pos)) {
+	if len(ls) != 1 || time.Duration(ls[0].propDelay) != propagation.Delay(a.Pos.Distance(b.Pos)) {
 		t.Fatal("rebuilt oracle list does not reflect the new distance")
 	}
 }

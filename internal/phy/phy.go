@@ -10,8 +10,8 @@
 // receiver itself transmits (half duplex).
 //
 // Node positions change only through Medium.MoveRadio (mobility models), so
-// the fan-out runs off a precomputed per-transmitter link cache (distance,
-// mean power, propagation delay — see cache.go and docs/PERFORMANCE.md) that
+// the fan-out runs off a precomputed per-transmitter link cache (mean power
+// and propagation delay per receiver — see cache.go and docs/PERFORMANCE.md) that
 // a move invalidates incrementally. A frame in flight is one pooled record
 // holding its arrivals in delivery order and two cursors that walk them; the
 // medium merges the cursors of all frames on the air behind one engine event
@@ -290,15 +290,14 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 	survivors := 0
 	for i := range c.links {
 		l := &c.links[i]
-		rx := m.radios[l.rx]
 		var power float64
 		if m.linkFunc != nil {
-			power = m.linkFunc(src.ID, rx.ID, now, m.rng)
+			power = m.linkFunc(src.ID, m.radios[l.rx].ID, now, m.rng)
 		} else {
 			power = m.fading.Apply(l.meanPower, m.rng)
 		}
 		if m.impair != nil {
-			imp := m.impair(src.ID, rx.ID, now)
+			imp := m.impair(src.ID, m.radios[l.rx].ID, now)
 			if imp.DropProb >= 1 || (imp.DropProb > 0 && m.rng.Float64() < imp.DropProb) {
 				continue
 			}
@@ -309,7 +308,7 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 		if power < m.ignoreBelowW {
 			continue
 		}
-		fl.arrivals[c.slot[i]] = arrival{rx: rx, power: power, delay: l.propDelay, rank: uint32(survivors)}
+		fl.arrivals[c.slot[i]] = arrival{rx: l.rx + 1, power: power, delay: l.propDelay, rank: uint32(survivors)}
 		survivors++
 	}
 	fl.launch(survivors)

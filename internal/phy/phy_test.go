@@ -484,7 +484,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 				// A sub-threshold interferer already on the air; the new
 				// arrival is decodable but fails the capture test against
 				// the interference sum.
-				r.beginArrival(&arrival{rx: r, power: p.RxThresholdW / 1.5})
+				r.beginArrival(&arrival{power: p.RxThresholdW / 1.5})
 				return p.RxThresholdW * 1.01
 			},
 			check: func(t *testing.T, r *Radio, a *arrival) {
@@ -499,7 +499,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 		{
 			name: "locked frame captures weak newcomer",
 			setup: func(_ *sim.Engine, r *Radio) float64 {
-				r.beginArrival(&arrival{rx: r, power: strong})
+				r.beginArrival(&arrival{power: strong})
 				return strong / 100 // below capture ratio of the locked frame
 			},
 			check: func(t *testing.T, r *Radio, a *arrival) {
@@ -514,7 +514,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 		{
 			name: "strong newcomer destroys the lock",
 			setup: func(_ *sim.Engine, r *Radio) float64 {
-				r.beginArrival(&arrival{rx: r, power: strong})
+				r.beginArrival(&arrival{power: strong})
 				return strong // equal power: locked cannot capture it
 			},
 			check: func(t *testing.T, r *Radio, a *arrival) {
@@ -535,7 +535,7 @@ func TestBeginArrivalBranches(t *testing.T) {
 			engine, medium := newTestMedium(t, propagation.NoFading{})
 			r := medium.AttachRadio(0, geom.Point{})
 			power := tc.setup(engine, r)
-			a := &arrival{rx: r, power: power}
+			a := &arrival{power: power}
 			r.beginArrival(a)
 			tc.check(t, r, a)
 		})
@@ -706,7 +706,7 @@ func TestDeliveryProbabilityPanicsUnderLinkFunc(t *testing.T) {
 // up to capacity, not just the length of the last use — zero. A stale
 // rx/power/corrupted here would leak into the next frame that draws the record
 // from the pool (an occupied slot is a phantom arrival; the cursors tell empty
-// slots by rx == nil), and a stale cursor would deliver the next frame's
+// slots by rx == 0), and a stale cursor would deliver the next frame's
 // arrivals under the last one's keys.
 func assertPoolClean(t *testing.T, m *Medium) {
 	t.Helper()
