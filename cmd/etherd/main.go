@@ -230,7 +230,7 @@ func run(addr string, defaultDF float64, linksFile string, paperTestbed bool, se
 			return fmt.Errorf("control listener: %w", err)
 		}
 		ctl := ctlplane.NewMediumController(m, driver.Now)
-		ctlSrv = &http.Server{Handler: ctlplane.NewServer(ctl, ctlplane.ServerConfig{}).Handler()}
+		ctlSrv = &http.Server{Handler: ctlplane.NewServer(ctl).Handler()}
 		go ctlSrv.Serve(ln)
 		fmt.Printf("etherd control plane on http://%s\n", ln.Addr())
 	}

@@ -157,6 +157,9 @@ func newRecorder(opt options) (*telemetry.Recorder, error) {
 	if opt.Telemetry == "" {
 		return nil, nil
 	}
+	if opt.TelemetryInterval <= 0 {
+		return nil, fmt.Errorf("-telemetry-interval must be positive, got %v", opt.TelemetryInterval)
+	}
 	return telemetry.NewRecorder(opt.Telemetry, opt.TelemetryInterval)
 }
 

@@ -192,6 +192,8 @@ func TestRunRejectsImpossibleShapes(t *testing.T) {
 		{"negative probe rate", func(o *options) { o.ProbeRate = -3 }, "-probe-rate must be positive"},
 		{"negative churn", func(o *options) { o.Churn = -0.2 }, "-churn must be a fraction"},
 		{"churn above one", func(o *options) { o.Churn = 1.5 }, "-churn must be a fraction"},
+		{"zero telemetry interval", func(o *options) { o.Telemetry, o.TelemetryInterval = t.TempDir(), 0 }, "-telemetry-interval must be positive"},
+		{"negative telemetry interval", func(o *options) { o.Telemetry, o.TelemetryInterval = t.TempDir(), -3*time.Second }, "-telemetry-interval must be positive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tinyOptions()

@@ -107,8 +107,8 @@ func runMetric(m metric.Kind, cfg emu.ChaosConfig, wall time.Duration, telemetry
 		emu.InstrumentFleet(rec.Registry(), fleet, chaos, sup)
 		// Sampling is one more ticker on the run engine, beside the
 		// supervisor's schedule and watchdog.
-		engine, sampler := fleet.Driver().Engine(), rec.Sampler()
-		sim.NewTicker(engine, sampler.Interval(), 0, nil, func() { sampler.Sample(engine.Now()) })
+		engine := fleet.Driver().Engine()
+		sim.NewTicker(engine, rec.Interval(), 0, nil, func() { rec.Sample(engine.Now()) })
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), wall)
@@ -140,7 +140,7 @@ func runMetric(m metric.Kind, cfg emu.ChaosConfig, wall time.Duration, telemetry
 	if rec == nil {
 		return nil
 	}
-	rec.Sampler().Sample(rep.Elapsed) // the last partial window
+	rec.Sample(rep.Elapsed) // the last partial window
 	return rec.Finalize(telemetry.Manifest{
 		Seed: cfg.Seed, Label: fmt.Sprintf("chaoslive %v", m), Metric: m.String(),
 		DurationSeconds: rep.Elapsed.Seconds(),

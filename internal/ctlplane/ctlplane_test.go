@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,9 +98,9 @@ func (f *fakeController) InjectScript(req ScriptRequest) (ScriptResult, error) {
 	return ScriptResult{Events: 2, SpanSeconds: 1.5}, nil
 }
 
-func newTestServer(t *testing.T, ctl Controller, cfg ServerConfig) *httptest.Server {
+func newTestServer(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewServer(ctl, cfg).Handler())
+	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -123,7 +125,7 @@ func post(t *testing.T, url, path, body string, header map[string]string) *http.
 
 func TestServerReadEndpoints(t *testing.T) {
 	ctl := &fakeController{stats: Stats{Expected: 10, Delivered: 8, EtherUp: true}}
-	srv := newTestServer(t, ctl, ServerConfig{})
+	srv := newTestServer(t, NewServer(ctl))
 
 	var nodes []NodeState
 	resp, err := http.Get(srv.URL + "/nodes")
@@ -173,7 +175,7 @@ func TestServerReadEndpoints(t *testing.T) {
 
 func TestServerValidation(t *testing.T) {
 	ctl := &fakeController{}
-	srv := newTestServer(t, ctl, ServerConfig{})
+	srv := newTestServer(t, NewServer(ctl))
 
 	cases := []struct {
 		path, body, wantErr string
@@ -209,8 +211,8 @@ func TestServerValidation(t *testing.T) {
 }
 
 func TestServerBoundedBody(t *testing.T) {
-	srv := newTestServer(t, &fakeController{}, ServerConfig{MaxBody: 128})
-	big := `{"from":1,"to":2,"df":0.5,"delayMs":` + strings.Repeat("1", 200) + `}`
+	srv := newTestServer(t, NewServer(&fakeController{}))
+	big := `{"from":1,"to":2,"df":0.5,"delayMs":` + strings.Repeat("1", maxBody) + `}`
 	resp := post(t, srv.URL, "/links/impair", big, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body = %d, want 400", resp.StatusCode)
@@ -219,14 +221,14 @@ func TestServerBoundedBody(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ae.Error, "over 128 bytes") {
+	if !strings.Contains(ae.Error, fmt.Sprintf("over %d bytes", maxBody)) {
 		t.Fatalf("error = %q", ae.Error)
 	}
 }
 
 func TestServerIdempotentReplay(t *testing.T) {
 	ctl := &fakeController{}
-	srv := newTestServer(t, ctl, ServerConfig{})
+	srv := newTestServer(t, NewServer(ctl))
 	hdr := map[string]string{IdempotencyHeader: "tok-1"}
 
 	first := post(t, srv.URL, "/nodes/kill", `{"node":1}`, hdr)
@@ -265,25 +267,20 @@ func TestServerIdempotentReplay(t *testing.T) {
 }
 
 func TestServerIdempotencyCacheBounded(t *testing.T) {
-	ctl := &fakeController{}
-	s := NewServer(ctl, ServerConfig{IdempotencyCapacity: 4})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	for i := 0; i < 10; i++ {
-		post(t, srv.URL, "/nodes/kill", `{"node":1}`,
-			map[string]string{IdempotencyHeader: string(rune('a' + i))})
+	s := NewServer(&fakeController{})
+	for i := 0; i < idempotencyCapacity+10; i++ {
+		s.record(strconv.Itoa(i), http.StatusOK, nil)
 	}
 	s.mu.Lock()
-	n := len(s.idem)
-	s.mu.Unlock()
-	if n > 4 {
-		t.Fatalf("idempotency cache holds %d entries, cap 4", n)
+	defer s.mu.Unlock()
+	if _, oldest := s.idem["9"]; len(s.idem) != idempotencyCapacity || oldest {
+		t.Fatalf("idempotency cache holds %d entries (cap %d), oldest kept: %v", len(s.idem), idempotencyCapacity, oldest)
 	}
 }
 
 func TestServerAdmissionControl(t *testing.T) {
 	ctl := &fakeController{}
-	srv := newTestServer(t, ctl, ServerConfig{RetryAfterSeconds: 7})
+	srv := newTestServer(t, NewServer(ctl))
 	hdr := map[string]string{IdempotencyHeader: "tok-adm"}
 
 	// A mutation completed while healthy replays even once degraded — the
@@ -297,8 +294,8 @@ func TestServerAdmissionControl(t *testing.T) {
 	if shed.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("degraded mutation = %d, want 503", shed.StatusCode)
 	}
-	if got := shed.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After = %q, want 7", got)
+	if got, want := shed.Header.Get("Retry-After"), strconv.Itoa(retryAfterSeconds); got != want {
+		t.Fatalf("Retry-After = %q, want %s", got, want)
 	}
 
 	replay := post(t, srv.URL, "/nodes/kill", `{"node":2}`, hdr)
@@ -329,7 +326,7 @@ func TestServerUnsupported(t *testing.T) {
 	}
 	defer medium.Stop()
 	med := NewMediumController(medium, func() time.Duration { return 0 })
-	srv := newTestServer(t, med, ServerConfig{})
+	srv := newTestServer(t, NewServer(med))
 	resp := post(t, srv.URL, "/nodes/kill", `{"node":1}`, nil)
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("medium kill = %d, want 501", resp.StatusCode)
@@ -457,7 +454,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 
 func TestScriptRequestRoundTrip(t *testing.T) {
 	ctl := &fakeController{}
-	srv := newTestServer(t, ctl, ServerConfig{})
+	srv := newTestServer(t, NewServer(ctl))
 	body := `{"script":{"outages":[{"node":0,"start_s":1,"duration_s":2}]},"timeScale":0.5,"seed":7}`
 	resp := post(t, srv.URL, "/faults/script", body, nil)
 	if resp.StatusCode != http.StatusOK {

@@ -10,13 +10,27 @@ import (
 	"time"
 )
 
-// Server defaults.
+// Server limits and timings.
 const (
-	// DefaultMaxBody bounds mutation request bodies; fault scripts are the
-	// largest legitimate payload and stay far under this.
-	DefaultMaxBody = 256 << 10
-	// DefaultIdempotencyCapacity bounds the replay cache.
-	DefaultIdempotencyCapacity = 1024
+	// maxBody bounds mutation request bodies; fault scripts are the largest
+	// legitimate payload and stay far under this.
+	maxBody = 256 << 10
+	// retryAfterSeconds is the Retry-After hint sent with shed requests.
+	retryAfterSeconds = 2
+	// idempotencyCapacity bounds the replay cache; the oldest entry is
+	// evicted past it.
+	idempotencyCapacity = 1024
+	// streamInterval is the /stats/stream sampling period.
+	streamInterval = time.Second
+	// streamReplay bounds the server-side event ring used for Last-Event-ID
+	// resume.
+	streamReplay = 256
+	// streamHeartbeat is the idle keep-alive comment period on
+	// /stats/stream.
+	streamHeartbeat = 15 * time.Second
+	// maxStreamClients bounds concurrent /stats/stream subscribers; excess
+	// connections are shed with 503 + Retry-After.
+	maxStreamClients = 32
 )
 
 // IdempotencyHeader carries the client token that makes a mutation
@@ -26,54 +40,6 @@ const IdempotencyHeader = "Idempotency-Key"
 
 // ReplayHeader marks a response served from the idempotency cache.
 const ReplayHeader = "X-Idempotent-Replay"
-
-// ServerConfig tunes the control-plane HTTP server.
-type ServerConfig struct {
-	// MaxBody caps mutation request bodies in bytes (default 256 KiB).
-	MaxBody int64
-	// RetryAfterSeconds is the Retry-After hint sent with shed requests
-	// (default 2).
-	RetryAfterSeconds int
-	// IdempotencyCapacity bounds the replay cache; the oldest entry is
-	// evicted past it (default 1024).
-	IdempotencyCapacity int
-	// StreamInterval is the /stats/stream sampling period (default 1s).
-	StreamInterval time.Duration
-	// StreamReplay bounds the server-side event ring used for
-	// Last-Event-ID resume (default 256 events).
-	StreamReplay int
-	// StreamHeartbeat is the idle keep-alive comment period on
-	// /stats/stream (default 15s).
-	StreamHeartbeat time.Duration
-	// MaxStreamClients bounds concurrent /stats/stream subscribers;
-	// excess connections are shed with 503 + Retry-After (default 32).
-	MaxStreamClients int
-}
-
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.MaxBody <= 0 {
-		c.MaxBody = DefaultMaxBody
-	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = 2
-	}
-	if c.IdempotencyCapacity <= 0 {
-		c.IdempotencyCapacity = DefaultIdempotencyCapacity
-	}
-	if c.StreamInterval <= 0 {
-		c.StreamInterval = time.Second
-	}
-	if c.StreamReplay <= 0 {
-		c.StreamReplay = 256
-	}
-	if c.StreamHeartbeat <= 0 {
-		c.StreamHeartbeat = 15 * time.Second
-	}
-	if c.MaxStreamClients <= 0 {
-		c.MaxStreamClients = 32
-	}
-	return c
-}
 
 // Server maps a Controller onto HTTP/JSON:
 //
@@ -93,7 +59,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // working so operators can watch the recovery.
 type Server struct {
 	ctl Controller
-	cfg ServerConfig
 	mux *http.ServeMux
 
 	// stream is the /stats/stream fan-out hub; done tears every open
@@ -113,15 +78,14 @@ type idemEntry struct {
 }
 
 // NewServer builds the control-plane server over ctl.
-func NewServer(ctl Controller, cfg ServerConfig) *Server {
+func NewServer(ctl Controller) *Server {
 	s := &Server{
 		ctl:  ctl,
-		cfg:  cfg.withDefaults(),
 		mux:  http.NewServeMux(),
 		idem: make(map[string]idemEntry),
 		done: make(chan struct{}),
 	}
-	s.stream = newStreamHub(ctl, s.cfg, s.done)
+	s.stream = newStreamHub(ctl, s.done)
 	s.mux.HandleFunc("GET /nodes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.ctl.Nodes())
 	})
@@ -194,11 +158,11 @@ func (s *Server) mutation(h func(r *http.Request) (int, any)) http.HandlerFunc {
 			}
 		}
 		if h := s.ctl.Health(); h.Status != HealthOK {
-			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "degraded: " + h.Reason})
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		status, v := h(r)
 		body, err := json.Marshal(v)
 		if err != nil {
@@ -226,7 +190,7 @@ func (s *Server) record(key string, status int, body []byte) {
 	}
 	s.idem[key] = idemEntry{status: status, body: body}
 	s.order = append(s.order, key)
-	for len(s.order) > s.cfg.IdempotencyCapacity {
+	for len(s.order) > idempotencyCapacity {
 		delete(s.idem, s.order[0])
 		s.order = s.order[1:]
 	}

@@ -18,12 +18,12 @@ import (
 //
 //   - Every event carries a monotone id, an event type ("stats" or
 //     "anomaly"), and a JSON StreamEvent body.
-//   - "stats" events are emitted once per StreamInterval with the raw
+//   - "stats" events are emitted once per second with the raw
 //     cumulative Stats plus per-window deltas and windowed PDR — the
 //     server computes deltas, so a resumed client never double-counts.
 //   - "anomaly" events interleave when the window looks wrong (PDR dip
 //     against the armed baseline, node-death).
-//   - Idle connections receive ": hb" comment lines every StreamHeartbeat.
+//   - Idle connections receive ": hb" comment lines every 15 s.
 //   - A reconnecting client sends Last-Event-ID and receives only events
 //     it has not seen, replayed from a bounded server-side ring.
 //   - When the subscriber limit is reached the request is shed with
@@ -58,11 +58,11 @@ type StreamEvent struct {
 // subscriber is connected, assigns monotone event ids, retains a bounded
 // replay ring for Last-Event-ID resume, and fans events out. Deltas are
 // computed here exactly once per window, so reconnecting clients cannot
-// observe duplicates.
+// observe duplicates. interval and maxClients are streamInterval and
+// maxStreamClients; tests in this package shorten them.
 type streamHub struct {
 	ctl        Controller
 	interval   time.Duration
-	replayCap  int
 	maxClients int
 	done       chan struct{}
 
@@ -75,18 +75,17 @@ type streamHub struct {
 	stopTck chan struct{} // closed to stop the current producer
 }
 
-func newStreamHub(ctl Controller, cfg ServerConfig, done chan struct{}) *streamHub {
+func newStreamHub(ctl Controller, done chan struct{}) *streamHub {
 	return &streamHub{
 		ctl:        ctl,
-		interval:   cfg.StreamInterval,
-		replayCap:  cfg.StreamReplay,
-		maxClients: cfg.MaxStreamClients,
+		interval:   streamInterval,
+		maxClients: maxStreamClients,
 		done:       done,
 		subs:       make(map[chan StreamEvent]struct{}),
 	}
 }
 
-// errStreamBusy sheds subscribers past the configured limit.
+// errStreamBusy sheds subscribers past the hub's limit.
 var errStreamBusy = fmt.Errorf("ctlplane: stream subscriber limit reached")
 
 // subscribe registers a new stream consumer and returns its channel plus
@@ -176,8 +175,8 @@ func (h *streamHub) emit(ev StreamEvent) {
 	h.lastID++
 	ev.ID = h.lastID
 	h.ring = append(h.ring, ev)
-	if len(h.ring) > h.replayCap {
-		h.ring = h.ring[len(h.ring)-h.replayCap:]
+	if len(h.ring) > streamReplay {
+		h.ring = h.ring[len(h.ring)-streamReplay:]
 	}
 	for ch := range h.subs {
 		select {
@@ -208,7 +207,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ch, backlog, err := s.stream.subscribe(lastID)
 	if err != nil {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
 		return
 	}
@@ -221,13 +220,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	// Reconnect-delay hint for generic SSE consumers; our client treats
 	// it like a Retry-After floor.
-	fmt.Fprintf(w, "retry: %d\n\n", s.cfg.StreamInterval.Milliseconds())
+	fmt.Fprintf(w, "retry: %d\n\n", s.stream.interval.Milliseconds())
 	for _, ev := range backlog {
 		writeSSE(w, ev)
 	}
 	fl.Flush()
 
-	hb := time.NewTicker(s.cfg.StreamHeartbeat)
+	hb := time.NewTicker(streamHeartbeat)
 	defer hb.Stop()
 	for {
 		select {

@@ -90,9 +90,16 @@ func openStream(t *testing.T, base string, lastID uint64) (*http.Response, *bufi
 	return resp, bufio.NewReader(resp.Body)
 }
 
+// fastStream shortens s's stream interval so a test sees a window every
+// 10 ms instead of every second.
+func fastStream(s *Server) *Server {
+	s.stream.interval = 10 * time.Millisecond
+	return s
+}
+
 func TestStreamEventsMonotoneWithServerComputedDeltas(t *testing.T) {
 	ctl := &countingController{expected: new(atomic.Uint64)}
-	srv := newTestServer(t, ctl, ServerConfig{StreamInterval: 10 * time.Millisecond})
+	srv := newTestServer(t, fastStream(NewServer(ctl)))
 
 	_, r := openStream(t, srv.URL, 0)
 	events := readSSE(t, r, 3)
@@ -122,7 +129,7 @@ func TestStreamEventsMonotoneWithServerComputedDeltas(t *testing.T) {
 
 func TestStreamLastEventIDResumeSkipsSeenEvents(t *testing.T) {
 	ctl := &countingController{expected: new(atomic.Uint64)}
-	srv := newTestServer(t, ctl, ServerConfig{StreamInterval: 10 * time.Millisecond})
+	srv := newTestServer(t, fastStream(NewServer(ctl)))
 
 	resp, r := openStream(t, srv.URL, 0)
 	if events := readSSE(t, r, 4); events[3].id != 4 {
@@ -141,11 +148,9 @@ func TestStreamLastEventIDResumeSkipsSeenEvents(t *testing.T) {
 
 func TestStreamShedsOverLimitWithRetryAfter(t *testing.T) {
 	ctl := &countingController{expected: new(atomic.Uint64)}
-	srv := newTestServer(t, ctl, ServerConfig{
-		StreamInterval:    10 * time.Millisecond,
-		MaxStreamClients:  1,
-		RetryAfterSeconds: 7,
-	})
+	s := fastStream(NewServer(ctl))
+	s.stream.maxClients = 1
+	srv := newTestServer(t, s)
 
 	// First subscriber occupies the only slot.
 	openStream(t, srv.URL, 0)
@@ -161,14 +166,14 @@ func TestStreamShedsOverLimitWithRetryAfter(t *testing.T) {
 	if !asAPIError(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("over-limit error = %v, want 503 APIError", err)
 	}
-	if hint != 7*time.Second {
-		t.Fatalf("Retry-After hint = %v, want 7s", hint)
+	if want := retryAfterSeconds * time.Second; hint != want {
+		t.Fatalf("Retry-After hint = %v, want %v", hint, want)
 	}
 }
 
 func TestStreamAnomalyOnNodeDeath(t *testing.T) {
 	ctl := &fakeController{stats: Stats{Expected: 10, Delivered: 8, NodesAlive: 25, NodesTotal: 25, EtherUp: true}}
-	srv := newTestServer(t, ctl, ServerConfig{StreamInterval: 10 * time.Millisecond})
+	srv := newTestServer(t, fastStream(NewServer(ctl)))
 
 	_, r := openStream(t, srv.URL, 0)
 	readSSE(t, r, 1) // baseline window recorded
@@ -193,7 +198,7 @@ func TestStreamAnomalyOnNodeDeath(t *testing.T) {
 
 func TestServerCloseTerminatesStreams(t *testing.T) {
 	ctl := &countingController{expected: new(atomic.Uint64)}
-	s := NewServer(ctl, ServerConfig{StreamInterval: 10 * time.Millisecond})
+	s := fastStream(NewServer(ctl))
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -225,7 +230,7 @@ func TestWatchStreamReconnectsAcrossServerRestart(t *testing.T) {
 	counter := new(atomic.Uint64)
 	serve := func() (*Server, *http.Server, string, chan struct{}) {
 		ctl := &countingController{expected: counter}
-		s := NewServer(ctl, ServerConfig{StreamInterval: 10 * time.Millisecond})
+		s := fastStream(NewServer(ctl))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +277,7 @@ func TestWatchStreamReconnectsAcrossServerRestart(t *testing.T) {
 	var hs2 *http.Server
 	for i := 0; ; i++ {
 		ctl := &countingController{expected: counter}
-		s2 = NewServer(ctl, ServerConfig{StreamInterval: 10 * time.Millisecond})
+		s2 = fastStream(NewServer(ctl))
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			if i > 50 {

@@ -91,7 +91,7 @@ type ScenarioConfig struct {
 	Mobility *mobility.Config
 	// Telemetry, when non-nil, instruments the run with this recorder:
 	// every layer's counters are exported through the recorder's registry,
-	// the sampler streams snapshots to series.jsonl on the recorder's interval,
+	// the recorder streams snapshots to series.jsonl on its interval,
 	// and RunScenario finalizes manifest.json before returning. A run with
 	// telemetry attached is never served from the result cache (the
 	// artifacts are a side effect the cache cannot reproduce).
@@ -385,7 +385,7 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	}
 
 	if cfg.Telemetry != nil {
-		cfg.Telemetry.Sampler().Attach(engine, cfg.Duration)
+		cfg.Telemetry.Attach(engine, cfg.Duration)
 	}
 
 	engine.Run(cfg.Duration)

@@ -124,7 +124,7 @@ func New(cfg Config) (*Runner, error) {
 	}
 	if cfg.Listen != "" {
 		ctl := ctlplane.NewFleetController(fleet, r.sup)
-		r.srv = ctlplane.NewServer(ctl, ctlplane.ServerConfig{})
+		r.srv = ctlplane.NewServer(ctl)
 		ln, err := net.Listen("tcp", cfg.Listen)
 		if err != nil {
 			fleet.Close()
@@ -147,7 +147,7 @@ func New(cfg Config) (*Runner, error) {
 		// fleet's routers through the line of the protocol's counter export
 		// table the simulator's run driver reads its nodes through; a
 		// protocol without that line (ODMRP) leaves the watch nil.
-		r.flight = telemetry.NewFlightRecorder(cfg.TelemetryDir, 0)
+		r.flight = telemetry.NewFlightRecorder(cfg.TelemetryDir, fleet.Driver().Now)
 		for _, c := range multicast.Counters(fleet.Protocol()) {
 			if c.Name == "mcst.core_handovers" {
 				r.coreWatch = telemetry.NewCounterWatch(func() uint64 { return fleet.SumRouters(c.Read) })
@@ -252,7 +252,7 @@ func (r *Runner) Run(ctx context.Context) error {
 	r.traceStep("telemetry-final")
 	if r.rec != nil {
 		elapsed := run.Now()
-		r.rec.Sampler().Sample(elapsed)
+		r.rec.Sample(elapsed)
 		rep := r.sup.Report()
 		avail, killed := 1.0, 0
 		if len(rep.Nodes) > 0 {
@@ -287,10 +287,10 @@ func (r *Runner) Run(ctx context.Context) error {
 }
 
 // armTelemetry puts the run's periodic telemetry work on the run engine as
-// three tickers: the sampler, the series rotation, and the anomaly watch.
+// three tickers: the recorder's samples, the series rotation, and the
+// anomaly watch.
 func (r *Runner) armTelemetry(engine *sim.Engine) {
-	sampler := r.rec.Sampler()
-	sim.NewTicker(engine, sampler.Interval(), 0, nil, func() { sampler.Sample(engine.Now()) })
+	sim.NewTicker(engine, r.rec.Interval(), 0, nil, func() { r.rec.Sample(engine.Now()) })
 	if r.cfg.RotateEvery > 0 {
 		sim.NewTicker(engine, r.cfg.RotateEvery, 0, nil, func() {
 			if _, err := r.rec.Rotate(); err != nil && r.rotateErr == nil {

@@ -125,125 +125,3 @@ func (ts *TimeSeries) Points() []Point {
 	}
 	return out
 }
-
-// Series is a fixed-interval sampled time series of float64 values — the
-// storage behind the telemetry sampler. Samples land in the bucket covering
-// their timestamp (sample times need not align to the interval), and each
-// bucket keeps the count, mean, and last value observed in it. The final
-// bucket may cover less than a full interval (a run rarely ends on an
-// interval boundary); Points reports each bucket's actual width so
-// consumers can rate-normalize partial windows correctly.
-type Series struct {
-	interval time.Duration
-	count    []uint64
-	sum      []float64
-	last     []float64
-	// end is the latest sample time seen; it bounds the final partial
-	// window.
-	end time.Duration
-	any bool
-}
-
-// NewSeries creates a series with the given sampling interval (<= 0 selects
-// 10 s, matching NewTimeSeries).
-func NewSeries(interval time.Duration) *Series {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	return &Series{interval: interval}
-}
-
-// Interval returns the bucket width.
-func (s *Series) Interval() time.Duration { return s.interval }
-
-// Record adds one sample at virtual time at. Negative times clamp to 0.
-// Buckets are left-open: a sample at exactly k*interval closes bucket k-1
-// rather than opening bucket k, so a sampler ticking on the interval fills
-// buckets 0..n-1 instead of leaving bucket 0 empty forever.
-func (s *Series) Record(at time.Duration, v float64) {
-	if at < 0 {
-		at = 0
-	}
-	i := int(at / s.interval)
-	if i > 0 && at%s.interval == 0 {
-		i--
-	}
-	for len(s.count) <= i {
-		s.count = append(s.count, 0)
-		s.sum = append(s.sum, 0)
-		s.last = append(s.last, 0)
-	}
-	s.count[i]++
-	s.sum[i] += v
-	s.last[i] = v
-	if !s.any || at > s.end {
-		s.end = at
-		s.any = true
-	}
-}
-
-// Len returns the number of buckets (0 for an empty series).
-func (s *Series) Len() int { return len(s.count) }
-
-// Last returns the most recent sample value (0, false when empty).
-func (s *Series) Last() (float64, bool) {
-	if !s.any {
-		return 0, false
-	}
-	return s.last[len(s.last)-1], true
-}
-
-// SeriesPoint is one bucket of a Series.
-type SeriesPoint struct {
-	// Start is the bucket's start time; Width is its covered span — the
-	// full interval except for the final bucket, whose width ends at the
-	// last sample seen (the partial-window case).
-	Start, Width time.Duration
-	// Count is the number of samples in the bucket; Mean and Last summarize
-	// them. Empty interior buckets have Count 0 and carry the previous
-	// bucket's Last forward so step-rendered series do not dip to zero.
-	Count      uint64
-	Mean, Last float64
-}
-
-// Points renders the series. An empty series yields nil.
-func (s *Series) Points() []SeriesPoint {
-	if len(s.count) == 0 {
-		return nil
-	}
-	out := make([]SeriesPoint, len(s.count))
-	var carry float64
-	for i := range s.count {
-		p := SeriesPoint{
-			Start: time.Duration(i) * s.interval,
-			Width: s.interval,
-			Count: s.count[i],
-		}
-		if s.count[i] > 0 {
-			p.Mean = s.sum[i] / float64(s.count[i])
-			p.Last = s.last[i]
-			carry = s.last[i]
-		} else {
-			p.Mean = carry
-			p.Last = carry
-		}
-		if i == len(s.count)-1 {
-			if w := s.end - p.Start; w < p.Width {
-				p.Width = w
-			}
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// Values returns each bucket's Last value in order — the shape sparkline
-// renderers want. Empty on an empty series.
-func (s *Series) Values() []float64 {
-	pts := s.Points()
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p.Last
-	}
-	return out
-}

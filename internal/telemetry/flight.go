@@ -7,27 +7,31 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"meshcast/internal/trace"
 )
 
 // FlightSchema identifies the flight-recorder dump format.
 const FlightSchema = "meshcast/flight/v1"
 
+// The flight recorder's ring size and the quiet time it keeps after a dump
+// (anomalies tend to arrive in bursts).
+const (
+	flightCapacity = 512
+	flightCooldown = 10 * time.Second
+)
+
 // FlightRecord is one entry in the flight recorder's ring: a compact,
-// already-rendered observation (a stats window, a supervisor event, a
-// packet-journey span).
+// already-rendered observation (a stats window, a supervisor event).
 type FlightRecord struct {
-	// T is seconds since the recorder started.
+	// T is the run time of the observation, in seconds.
 	T float64 `json:"t"`
-	// Source names the producing layer ("stats", "supervisor", "span",
-	// "mcst", ...).
+	// Source names the producing layer ("stats", "supervisor", "mcst", ...).
 	Source string `json:"source"`
 	// Msg is the rendered observation.
 	Msg string `json:"msg"`
 }
 
-// FlightDump is the on-disk shape of one anomaly dump.
+// FlightDump is the on-disk shape of one anomaly dump. At is the calendar
+// time of the dump; UptimeSeconds is the run time.
 type FlightDump struct {
 	Schema        string         `json:"schema"`
 	Reason        string         `json:"reason"`
@@ -43,34 +47,26 @@ type FlightDump struct {
 // and triggers, so callers can hold one unconditionally. All methods are
 // safe for concurrent use (live fleets feed it from several goroutines).
 type FlightRecorder struct {
-	// Cooldown suppresses triggers that fire within this long of the
-	// previous dump (default 10s; anomalies tend to arrive in bursts).
-	Cooldown time.Duration
+	// now reads the run clock.
+	now func() time.Duration
 
 	mu      sync.Mutex
 	dir     string
-	cap     int
-	start   time.Time
 	ring    []FlightRecord // oldest-first once full
 	next    int            // ring write cursor
 	full    bool
 	dropped uint64 // records overwritten since the last dump
 	dumps   int
-	lastDmp time.Time
+	lastDmp time.Duration // run time of the last dump, valid once dumps > 0
 }
 
-// NewFlightRecorder creates a recorder dumping into dir, retaining up to
-// capacity records (default 512 when <= 0).
-func NewFlightRecorder(dir string, capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = 512
-	}
+// NewFlightRecorder creates a recorder dumping into dir that stamps its
+// records, its dumps and its cooldown with the run clock now.
+func NewFlightRecorder(dir string, now func() time.Duration) *FlightRecorder {
 	return &FlightRecorder{
-		Cooldown: 10 * time.Second,
-		dir:      dir,
-		cap:      capacity,
-		start:    time.Now(),
-		ring:     make([]FlightRecord, 0, capacity),
+		now:  now,
+		dir:  dir,
+		ring: make([]FlightRecord, 0, flightCapacity),
 	}
 }
 
@@ -82,22 +78,16 @@ func (f *FlightRecorder) Record(source, format string, args ...any) {
 	}
 	rec := FlightRecord{Source: source, Msg: fmt.Sprintf(format, args...)}
 	f.mu.Lock()
-	rec.T = time.Since(f.start).Seconds()
-	if len(f.ring) < f.cap {
+	rec.T = f.now().Seconds()
+	if len(f.ring) < flightCapacity {
 		f.ring = append(f.ring, rec)
 	} else {
 		f.ring[f.next] = rec
-		f.next = (f.next + 1) % f.cap
+		f.next = (f.next + 1) % flightCapacity
 		f.full = true
 		f.dropped++
 	}
 	f.mu.Unlock()
-}
-
-// EmitSpan implements trace.SpanSink, so the recorder can retain recent
-// packet-journey spans from a live run.
-func (f *FlightRecorder) EmitSpan(s trace.Span) {
-	f.Record("span", "%v", s)
 }
 
 // Dumps returns how many anomaly dumps have been written.
@@ -111,24 +101,24 @@ func (f *FlightRecorder) Dumps() int {
 }
 
 // Trigger dumps the current ring to flight-NNNN.json in the recorder's
-// directory and returns the file path. Triggers within Cooldown of the
-// previous dump are suppressed (empty path, nil error). No-op on a nil
+// directory and returns the file path. Triggers within 10 s of run time of
+// the previous dump are suppressed (empty path, nil error). No-op on a nil
 // recorder.
 func (f *FlightRecorder) Trigger(reason string) (string, error) {
 	if f == nil {
 		return "", nil
 	}
 	f.mu.Lock()
-	now := time.Now()
-	if !f.lastDmp.IsZero() && now.Sub(f.lastDmp) < f.Cooldown {
+	now := f.now()
+	if f.dumps > 0 && now-f.lastDmp < flightCooldown {
 		f.mu.Unlock()
 		return "", nil
 	}
 	dump := FlightDump{
 		Schema:        FlightSchema,
 		Reason:        reason,
-		At:            now,
-		UptimeSeconds: now.Sub(f.start).Seconds(),
+		At:            time.Now(),
+		UptimeSeconds: now.Seconds(),
 		Dropped:       f.dropped,
 		Records:       make([]FlightRecord, 0, len(f.ring)),
 	}
@@ -160,16 +150,10 @@ func (f *FlightRecorder) Trigger(reason string) (string, error) {
 
 // PDRDipDetector turns a stream of windowed PDR observations into dip
 // triggers. It arms once a healthy baseline is seen, tracks the best PDR
-// since arming, and fires when a window drops below DipFraction of that
+// since arming, and fires when a window drops to dipFraction of that
 // baseline; a firing disarms the detector until the mesh looks healthy
 // again, so one outage produces one trigger.
 type PDRDipDetector struct {
-	// ArmAbove is the PDR required to (re-)arm (default 0.5).
-	ArmAbove float64
-	// DipFraction is the fraction of the armed baseline below which a
-	// window counts as a dip (default 0.6).
-	DipFraction float64
-
 	baseline float64
 	armed    bool
 
@@ -196,17 +180,17 @@ func (d *PDRDipDetector) Window(expected, delivered uint64) (dExp, dDel uint64, 
 	return dExp, dDel, pdr, dip
 }
 
+// The PDR a window needs to (re-)arm a PDRDipDetector, and the fraction of
+// the armed baseline at or below which a window counts as a dip.
+const (
+	armAbove    = 0.5
+	dipFraction = 0.6
+)
+
 // Observe feeds one windowed PDR and reports whether a dip fired.
 func (d *PDRDipDetector) Observe(pdr float64) bool {
-	arm, frac := d.ArmAbove, d.DipFraction
-	if arm == 0 {
-		arm = 0.5
-	}
-	if frac == 0 {
-		frac = 0.6
-	}
 	if !d.armed {
-		if pdr >= arm {
+		if pdr >= armAbove {
 			d.armed = true
 			d.baseline = pdr
 		}
@@ -215,7 +199,7 @@ func (d *PDRDipDetector) Observe(pdr float64) bool {
 	if pdr > d.baseline {
 		d.baseline = pdr
 	}
-	if pdr <= d.baseline*frac {
+	if pdr <= d.baseline*dipFraction {
 		d.armed = false
 		return true
 	}

@@ -2,18 +2,21 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"meshcast/internal/trace"
 )
+
+// fakeClock is a run clock a test advances by hand.
+type fakeClock struct{ t time.Duration }
+
+func (c *fakeClock) now() time.Duration { return c.t }
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record("stats", "window pdr=%.2f", 0.5)
-	f.EmitSpan(trace.Span{})
 	if path, err := f.Trigger("anything"); err != nil || path != "" {
 		t.Fatalf("nil Trigger = %q, %v", path, err)
 	}
@@ -24,8 +27,9 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 
 func TestFlightRecorderRingBoundAndDumpOrder(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(dir, 4)
-	for i := 0; i < 10; i++ {
+	var clock fakeClock
+	f := NewFlightRecorder(dir, clock.now)
+	for i := 0; i < flightCapacity+6; i++ {
 		f.Record("test", "record %d", i)
 	}
 	path, err := f.Trigger("test-trigger")
@@ -47,13 +51,13 @@ func TestFlightRecorderRingBoundAndDumpOrder(t *testing.T) {
 	if dump.Schema != FlightSchema || dump.Reason != "test-trigger" {
 		t.Fatalf("dump header = %+v", dump)
 	}
-	// Ring of 4: only the last four records survive, oldest first.
-	if len(dump.Records) != 4 {
-		t.Fatalf("dump holds %d records, want 4", len(dump.Records))
+	// Only the last flightCapacity records survive, oldest first.
+	if len(dump.Records) != flightCapacity {
+		t.Fatalf("dump holds %d records, want %d", len(dump.Records), flightCapacity)
 	}
-	for i, want := range []string{"record 6", "record 7", "record 8", "record 9"} {
-		if dump.Records[i].Msg != want {
-			t.Fatalf("record %d = %q, want %q", i, dump.Records[i].Msg, want)
+	for i, r := range dump.Records {
+		if want := fmt.Sprintf("record %d", i+6); r.Msg != want {
+			t.Fatalf("record %d = %q, want %q", i, r.Msg, want)
 		}
 	}
 	if dump.Dropped != 6 {
@@ -62,12 +66,14 @@ func TestFlightRecorderRingBoundAndDumpOrder(t *testing.T) {
 }
 
 func TestFlightRecorderCooldown(t *testing.T) {
-	f := NewFlightRecorder(t.TempDir(), 8)
+	clock := fakeClock{t: time.Second}
+	f := NewFlightRecorder(t.TempDir(), clock.now)
 	f.Record("test", "one")
 	if path, err := f.Trigger("first"); err != nil || path == "" {
 		t.Fatalf("first trigger = %q, %v", path, err)
 	}
 	// Within the cooldown the trigger is suppressed, not an error.
+	clock.t += flightCooldown - time.Nanosecond
 	if path, err := f.Trigger("second"); err != nil || path != "" {
 		t.Fatalf("cooled-down trigger = %q, %v", path, err)
 	}
@@ -75,8 +81,7 @@ func TestFlightRecorderCooldown(t *testing.T) {
 		t.Fatalf("dumps = %d, want 1", f.Dumps())
 	}
 
-	f.Cooldown = time.Nanosecond
-	time.Sleep(time.Millisecond)
+	clock.t += time.Nanosecond
 	if path, err := f.Trigger("third"); err != nil || path == "" {
 		t.Fatalf("post-cooldown trigger = %q, %v", path, err)
 	}
@@ -85,11 +90,14 @@ func TestFlightRecorderCooldown(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderAsSpanSink(t *testing.T) {
-	f := NewFlightRecorder(t.TempDir(), 8)
-	var sink trace.SpanSink = f
-	sink.EmitSpan(trace.Span{At: time.Second, Kind: trace.SpanDeliver, TraceID: 0x7, Node: 3, Peer: 3})
-	path, err := f.Trigger("span-check")
+// TestFlightRecorderReadsRunClock: a record's t and a dump's uptime are the
+// run clock's readings, not the time since the recorder was made.
+func TestFlightRecorderReadsRunClock(t *testing.T) {
+	clock := fakeClock{t: 90 * time.Second}
+	f := NewFlightRecorder(t.TempDir(), clock.now)
+	f.Record("test", "at 90s")
+	clock.t = 95500 * time.Millisecond
+	path, err := f.Trigger("clock-check")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +109,8 @@ func TestFlightRecorderAsSpanSink(t *testing.T) {
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatal(err)
 	}
-	if len(dump.Records) != 1 || dump.Records[0].Source != "span" {
-		t.Fatalf("records = %+v", dump.Records)
+	if len(dump.Records) != 1 || dump.Records[0].T != 90 || dump.UptimeSeconds != 95.5 {
+		t.Fatalf("records %+v, uptime %v; want one record at t=90 and uptime 95.5", dump.Records, dump.UptimeSeconds)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"meshcast/internal/sim"
 )
 
 // Artifact file names inside a telemetry directory.
@@ -93,6 +95,11 @@ type Manifest struct {
 	Derived map[string]float64 `json:"derived,omitempty"`
 }
 
+// DefaultSampleInterval is the recorder's default sim-clock sampling period.
+// Ten seconds matches the delivery TimeSeries bucket and gives 50 points on
+// the paper's 500 s runs.
+const DefaultSampleInterval = 10 * time.Second
+
 // sampleLine is one JSONL record of the series stream.
 type sampleLine struct {
 	// T is the virtual time in seconds.
@@ -101,18 +108,23 @@ type sampleLine struct {
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
 }
 
-// Recorder owns one run's telemetry artifacts: it couples a Registry and a
-// Sampler to a directory, streaming snapshots to series.jsonl as the run
-// executes and writing manifest.json when the run finishes.
+// Recorder owns one run's telemetry artifacts: it couples a Registry to a
+// directory, snapshotting the registry on a fixed virtual-time interval into
+// series.jsonl as the run executes and writing manifest.json when the run
+// finishes. Counters are recorded as raw cumulative values; consumers
+// difference adjacent samples to recover per-interval rates (meshstat's
+// sparklines do). Histograms land in the final manifest only: their bucket
+// vectors are too wide for the stream.
 //
 // Long-running (soak) producers call Rotate periodically to seal the open
 // series stream into a numbered segment, bounding the size of any single
 // file; mu serializes the stream writer between the sampling goroutine and
 // the rotation caller.
 type Recorder struct {
-	reg     *Registry
-	sampler *Sampler
-	dir     string
+	reg      *Registry
+	dir      string
+	interval time.Duration
+	samples  int
 
 	mu       sync.Mutex
 	f        *os.File
@@ -134,27 +146,54 @@ func NewRecorder(dir string, interval time.Duration) (*Recorder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	rec := &Recorder{
-		reg: NewRegistry(),
-		dir: dir,
-		f:   f,
-		w:   bufio.NewWriter(f),
+	if interval <= 0 {
+		interval = DefaultSampleInterval
 	}
-	rec.sampler = NewSampler(rec.reg, interval)
-	rec.sampler.OnSample = rec.writeSample
-	return rec, nil
+	return &Recorder{
+		reg:      NewRegistry(),
+		dir:      dir,
+		interval: interval,
+		f:        f,
+		w:        bufio.NewWriter(f),
+	}, nil
 }
 
 // Registry returns the recorder's instrument registry.
 func (r *Recorder) Registry() *Registry { return r.reg }
 
-// Sampler returns the recorder's sampler (to Attach it to an engine).
-func (r *Recorder) Sampler() *Sampler { return r.sampler }
-
 // Dir returns the artifact directory.
 func (r *Recorder) Dir() string { return r.dir }
 
-func (r *Recorder) writeSample(at time.Duration, snap Snapshot) {
+// Interval returns the sampling period.
+func (r *Recorder) Interval() time.Duration { return r.interval }
+
+// Attach schedules sampling on the engine: one snapshot per interval
+// starting at interval (t=0 would sample nothing but zeros), plus a final
+// snapshot at exactly end so the last partial window is captured even when
+// end is not interval-aligned.
+func (r *Recorder) Attach(engine *sim.Engine, end time.Duration) {
+	var tick func()
+	next := r.interval
+	tick = func() {
+		r.Sample(engine.Now())
+		next += r.interval
+		if next < end {
+			engine.At(next, tick)
+		}
+	}
+	if next < end {
+		engine.At(next, tick)
+	}
+	if end > 0 {
+		engine.At(end, func() { r.Sample(end) })
+	}
+}
+
+// Sample snapshots the registry at virtual time at and appends the counters
+// and gauges to the series stream.
+func (r *Recorder) Sample(at time.Duration) {
+	snap := r.reg.Snapshot()
+	r.samples++
 	line := sampleLine{T: at.Seconds(), Counters: snap.Counters, Gauges: snap.Gauges}
 	data, err := json.Marshal(line)
 	r.mu.Lock()
@@ -200,13 +239,6 @@ func (r *Recorder) Rotate() (string, error) {
 	return sealed, nil
 }
 
-// Segments returns how many sealed series segments Rotate has produced.
-func (r *Recorder) Segments() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.segments
-}
-
 // Finalize takes a last snapshot into the manifest, stamps schema, build,
 // and series metadata, writes manifest.json, and closes the series stream.
 // The caller fills the identity fields (ConfigHash, Seed, Metric, Label,
@@ -215,8 +247,8 @@ func (r *Recorder) Finalize(m Manifest) error {
 	snap := r.reg.Snapshot()
 	m.Schema = ManifestSchema
 	m.Build = CurrentBuild()
-	m.IntervalSeconds = r.sampler.Interval().Seconds()
-	m.Samples = r.sampler.Samples()
+	m.IntervalSeconds = r.interval.Seconds()
+	m.Samples = r.samples
 	m.Counters = snap.Counters
 	m.Gauges = snap.Gauges
 	m.Histograms = snap.Histograms

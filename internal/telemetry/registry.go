@@ -1,18 +1,19 @@
 // Package telemetry is the cross-layer metrics subsystem: a registry of
-// named counters, gauges, and fixed-bucket histograms, plus a virtual-time
-// sampler that snapshots the registry on a sim-clock interval and a recorder
-// that persists each run as a JSONL time series and a run-manifest JSON.
+// named counters, gauge funcs, and fixed-bucket histograms, and a recorder
+// that samples the registry on a sim-clock interval and persists each run as
+// a JSONL time series and a run-manifest JSON. For live runs it also keeps a
+// flight recorder: a ring of recent observations dumped on an anomaly.
 //
 // The simulation layers (PHY, MAC, link quality, the multicast kernel,
 // mobility) do not hold instruments: each counts into the plain Stats struct
 // of its node, and the run driver (internal/world) exports the sums over the
-// nodes as CounterFuncs read at snapshot time. Instruments proper are for
-// what has no such struct: the job harness, the MAC's queue-depth histogram,
-// the delivered-bytes counter.
+// nodes as CounterFuncs read at snapshot time; every gauge is likewise a
+// GaugeFunc. Instruments proper are for what has no such struct: the job
+// harness's counters and histogram, the MAC's queue-depth histogram.
 //
 // The design constraint is the same one package trace solves with its nil
 // *Tracer: instrumentation must be free when disabled. Every instrument is
-// nil-safe — a nil *Counter, *Gauge, or *Histogram discards updates behind a
+// nil-safe — a nil *Counter or *Histogram discards updates behind a
 // single nil check, with no allocation and no branch on shared state — and a
 // nil *Registry hands out nil instruments. Components therefore hold
 // instrument pointers unconditionally and never test "is telemetry on".
@@ -50,34 +51,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a point-in-time value that can move in both directions. A nil
-// Gauge discards updates.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add shifts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram counts observations into a fixed bucket layout chosen at
@@ -159,7 +132,6 @@ func (s HistogramSnapshot) Mean() float64 {
 // groups its per-layer summaries by the prefix before the first dot.
 type Registry struct {
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	gaugeFuncs map[string]func() float64
 	// counterFuncs are counts kept elsewhere (the per-node Stats structs)
@@ -171,7 +143,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:     make(map[string]*Counter),
-		gauges:       make(map[string]*Gauge),
 		histograms:   make(map[string]*Histogram),
 		gaugeFuncs:   make(map[string]func() float64),
 		counterFuncs: make(map[string]func() uint64),
@@ -190,20 +161,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil on a
-// nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
@@ -253,8 +210,8 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 }
 
 // Snapshot is one point-in-time view of every registered instrument.
-// Gauge-func and counter-func values appear under Gauges and Counters next
-// to the settable instruments.
+// Counter-func values appear under Counters next to the counters; every
+// gauge is a gauge func.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -269,7 +226,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s := Snapshot{
 		Counters:   make(map[string]uint64, len(r.counters)+len(r.counterFuncs)),
-		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFuncs)),
+		Gauges:     make(map[string]float64, len(r.gaugeFuncs)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
@@ -277,9 +234,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, fn := range r.counterFuncs {
 		s.Counters[name] = fn()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v
 	}
 	for name, fn := range r.gaugeFuncs {
 		s.Gauges[name] = fn()

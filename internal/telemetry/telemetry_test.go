@@ -17,12 +17,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("nil counter value = %d", c.Value())
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatalf("nil gauge value = %v", g.Value())
-	}
 	var h *Histogram
 	h.Observe(1)
 	if h.Count() != 0 || h.Sum() != 0 {
@@ -32,7 +26,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 
 func TestNilRegistryHandsOutNilInstruments(t *testing.T) {
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("y") != nil || r.Histogram("z", DepthBuckets) != nil {
+	if r.Counter("x") != nil || r.Histogram("z", DepthBuckets) != nil {
 		t.Fatal("nil registry returned non-nil instrument")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 })
@@ -54,9 +48,6 @@ func TestRegistryGetOrCreateShares(t *testing.T) {
 	b.Add(2)
 	if got := r.Snapshot().Counters["mac.retries"]; got != 3 {
 		t.Fatalf("shared counter = %d, want 3", got)
-	}
-	if g1, g2 := r.Gauge("odmrp.fg_size"), r.Gauge("odmrp.fg_size"); g1 != g2 {
-		t.Fatal("same name returned distinct gauges")
 	}
 	if h1, h2 := r.Histogram("mac.queue_depth", DepthBuckets), r.Histogram("mac.queue_depth", DepthBuckets); h1 != h2 {
 		t.Fatal("same name returned distinct histograms")
@@ -131,49 +122,38 @@ func TestCounterFuncEvaluatedAtSnapshot(t *testing.T) {
 }
 
 func TestSamplerAttachSamplesOnIntervalPlusFinal(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("phy.tx")
+	dir := t.TempDir()
+	rec, err := NewRecorder(dir, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rec.Registry().Counter("phy.tx")
 	eng := sim.NewEngine(1)
 	// One tx per second.
 	for i := 1; i <= 25; i++ {
 		eng.At(time.Duration(i)*time.Second, c.Inc)
 	}
-	s := NewSampler(r, 10*time.Second)
-	var times []time.Duration
-	s.OnSample = func(at time.Duration, _ Snapshot) { times = append(times, at) }
 	end := 25 * time.Second
-	s.Attach(eng, end)
+	rec.Attach(eng, end)
 	eng.Run(end)
+	if err := rec.Finalize(Manifest{}); err != nil {
+		t.Fatal(err)
+	}
 
-	want := []time.Duration{10 * time.Second, 20 * time.Second, 25 * time.Second}
-	if len(times) != len(want) {
-		t.Fatalf("sample times = %v, want %v", times, want)
+	samples, err := LoadSeries(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("sample times = %v, want %v", times, want)
+	// One sample per interval plus the final partial window, each carrying
+	// the cumulative count.
+	want := []float64{10, 20, 25}
+	if len(samples) != len(want) {
+		t.Fatalf("series samples = %+v, want t = %v", samples, want)
+	}
+	for i, s := range samples {
+		if s.T != want[i] || s.Counters["phy.tx"] != uint64(want[i]) {
+			t.Fatalf("sample %d at t=%v phy.tx=%d, want %v and %v", i, s.T, s.Counters["phy.tx"], want[i], want[i])
 		}
-	}
-	if s.Samples() != 3 {
-		t.Fatalf("Samples() = %d", s.Samples())
-	}
-	sr := s.Series()["phy.tx"]
-	if sr == nil {
-		t.Fatal("no series for phy.tx")
-	}
-	pts := sr.Points()
-	if len(pts) != 3 {
-		t.Fatalf("series points = %d, want 3", len(pts))
-	}
-	// Cumulative counter values at 10, 20, 25 s.
-	for i, wantLast := range []float64{10, 20, 25} {
-		if pts[i].Last != wantLast {
-			t.Fatalf("point %d Last = %v, want %v", i, pts[i].Last, wantLast)
-		}
-	}
-	// Final partial window: bucket [20s,30s) only covers to 25 s.
-	if pts[2].Width != 5*time.Second {
-		t.Fatalf("final width = %v, want 5s", pts[2].Width)
 	}
 }
 
@@ -185,14 +165,14 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	reg := rec.Registry()
 	c := reg.Counter("phy.tx")
-	reg.Gauge("odmrp.fg_size").Set(4)
+	reg.GaugeFunc("odmrp.fg_size", func() float64 { return 4 })
 	reg.Histogram("runner.job_seconds", SecondsBuckets).Observe(0.2)
 
 	eng := sim.NewEngine(1)
 	eng.At(5*time.Second, func() { c.Add(3) })
 	eng.At(15*time.Second, func() { c.Add(2) })
 	end := 25 * time.Second
-	rec.Sampler().Attach(eng, end)
+	rec.Attach(eng, end)
 	eng.Run(end)
 
 	err = rec.Finalize(Manifest{
@@ -268,7 +248,7 @@ func TestRecorderRotation(t *testing.T) {
 	c := rec.Registry().Counter("emu.frames")
 	sample := func(at time.Duration, v uint64) {
 		c.Add(v)
-		rec.Sampler().Sample(at)
+		rec.Sample(at)
 	}
 
 	sample(1*time.Second, 10)
@@ -286,9 +266,6 @@ func TestRecorderRotation(t *testing.T) {
 	}
 	sample(4*time.Second, 10)
 
-	if rec.Segments() != 2 {
-		t.Fatalf("segments = %d, want 2", rec.Segments())
-	}
 	if err := rec.Finalize(Manifest{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -371,15 +348,6 @@ func BenchmarkCounterEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkGaugeDisabled(b *testing.B) {
-	var r *Registry
-	g := r.Gauge("mac.queue")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
 	}
 }
 

@@ -19,12 +19,10 @@
 package meshcast
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"meshcast/internal/analysis"
-	"meshcast/internal/emu"
 	"meshcast/internal/experiments"
 	"meshcast/internal/faults"
 	"meshcast/internal/geom"
@@ -302,9 +300,6 @@ type TestbedConfig = testbed.Config
 // TestbedResult is the outcome of a testbed run.
 type TestbedResult = testbed.Result
 
-// TestbedLink describes one link of the testbed topology.
-type TestbedLink = testbed.Link
-
 // DefaultTestbedConfig mirrors the paper's §5 experiments (400 s runs).
 func DefaultTestbedConfig(m Metric, seed uint64) TestbedConfig {
 	return testbed.DefaultConfig(m, seed)
@@ -315,13 +310,6 @@ func DefaultTestbedConfig(m Metric, seed uint64) TestbedConfig {
 // time-varying lossy links.
 func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
 	return testbed.Run(cfg)
-}
-
-// TestbedLinks returns the Figure 4 topology with loss classifications.
-func TestbedLinks() []TestbedLink {
-	links := make([]TestbedLink, len(testbed.Links))
-	copy(links, testbed.Links)
-	return links
 }
 
 // TestbedHeavyEdges extracts the data-plane tree of a testbed run: directed
@@ -367,29 +355,6 @@ func TestbedTreeMap(res *TestbedResult, minShare float64, width int) string {
 		edges = append(edges, viz.Edge{From: e.Edge.From.String(), To: e.Edge.To.String(), Style: style})
 	}
 	return viz.Map(nodes, edges, width)
-}
-
-// LiveTestbedResult summarizes a real-time testbed fleet run.
-type LiveTestbedResult = emu.FleetResult
-
-// RunLiveTestbed executes the paper's Figure 4 testbed as *live* ODMRP
-// daemons exchanging real UDP datagrams over an in-process lossy ether, for
-// the given wall-clock duration — the same protocol code as the simulator,
-// driven by real sockets and real time (paper §5.2's architecture).
-func RunLiveTestbed(m Metric, wallClock time.Duration, seed uint64) (LiveTestbedResult, error) {
-	fleet, err := emu.NewFleet(emu.FleetConfig{
-		Scenario: testbed.PaperScenario(),
-		Metric:   m,
-		Seed:     seed,
-	})
-	if err != nil {
-		return LiveTestbedResult{}, err
-	}
-	defer fleet.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), wallClock)
-	defer cancel()
-	fleet.Run(ctx)
-	return fleet.Result(), nil
 }
 
 // PaperScenario returns the paper's §4.1 simulation setup (50 nodes,
@@ -502,21 +467,8 @@ type FaultPlan = faults.Plan
 // ChurnModel is the MTBF/MTTR crash-restart renewal process of a FaultPlan.
 type ChurnModel = faults.ChurnModel
 
-// NodeOutage is one scripted crash window of a FaultPlan.
-type NodeOutage = faults.Outage
-
-// LinkFault is one scripted link impairment episode of a FaultPlan.
-type LinkFault = faults.LinkFault
-
-// NetPartition is one scripted network partition of a FaultPlan.
-type NetPartition = faults.Partition
-
 // GroupHealth is a multicast group's self-healing summary: repair latency
 // after faults, delivery ratio during outages vs steady state, and
 // availability. Fault-injected runs report one per group in
 // RunResult.Health.
 type GroupHealth = stats.GroupHealth
-
-// LoadFaultPlan reads a JSON fault script (the cmd/meshsim -fault-script
-// format).
-func LoadFaultPlan(path string) (FaultPlan, error) { return faults.LoadPlan(path) }

@@ -147,9 +147,6 @@ func TestPublicTestbedRun(t *testing.T) {
 	if res.Summary.PDR <= 0 {
 		t.Fatal("testbed delivered nothing")
 	}
-	if len(TestbedLinks()) == 0 {
-		t.Fatal("no testbed links exposed")
-	}
 	if edges := TestbedHeavyEdges(res, 0.3); len(edges) == 0 {
 		t.Fatal("no heavy edges")
 	}
