@@ -194,6 +194,7 @@ func TestRunRejectsImpossibleShapes(t *testing.T) {
 		{"churn above one", func(o *options) { o.Churn = 1.5 }, "-churn must be a fraction"},
 		{"zero telemetry interval", func(o *options) { o.Telemetry, o.TelemetryInterval = t.TempDir(), 0 }, "-telemetry-interval must be positive"},
 		{"negative telemetry interval", func(o *options) { o.Telemetry, o.TelemetryInterval = t.TempDir(), -3*time.Second }, "-telemetry-interval must be positive"},
+		{"negative waypoint pause", func(o *options) { o.Mobility, o.Pause = "waypoint", -2*time.Second }, "Pause must not be negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tinyOptions()

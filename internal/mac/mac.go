@@ -10,12 +10,17 @@
 //     control packets use this service.
 //   - Unicast: optional RTS/CTS exchange (above a size threshold), data,
 //     and an ACK, with binary-exponential-backoff retransmissions up to a
-//     retry limit. Provided for completeness and for the unicast-vs-broadcast
-//     comparison examples.
+//     retry limit. No product path and no example sends unicast; only tests
+//     and the benchmark's mac.unicast kernel do.
 //
 // The MAC always draws a backoff from the contention window before
 // transmitting (GloMoSim-style), which is important for flooding protocols
-// where many nodes become ready to rebroadcast at the same instant.
+// where many nodes become ready to rebroadcast at the same instant. The
+// backoff counts down on one timer (sim.Event.ResetSlots), armed for all the
+// remaining slots once the channel has been idle for DIFS; a busy channel
+// pauses it and takes the slots that ended off the backoff, as ns-2's 802.11
+// MAC does. It fires in the order, and counts the events, of one tick per
+// slot.
 package mac
 
 import (
@@ -129,9 +134,9 @@ type MAC struct {
 	navUntil     time.Duration
 
 	// The fixed-callback timers are owned and re-armed (sim.NewTimer), so a
-	// backoff slot or a DIFS wait allocates nothing; each is pending exactly
-	// while its wait is in progress.
-	slotTimer   *sim.Event // backoff slot tick
+	// backoff or a DIFS wait allocates nothing; each is pending exactly while
+	// its wait is in progress.
+	slotTimer   *sim.Event // end of the backoff countdown (ResetSlots)
 	difsTimer   *sim.Event // end-of-DIFS check
 	txDoneTimer *sim.Event // end of a broadcast's airtime
 	// The CTS/ACK timeout and the NAV re-check are scheduled per use; nil
@@ -141,8 +146,14 @@ type MAC struct {
 }
 
 // New creates a MAC bound to radio, drawing randomness from a sub-stream of
-// the engine's RNG.
+// the engine's RNG. It panics unless DIFS is longer than a slot, as in every
+// 802.11 PHY (DIFS = SIFS + 2·slot): the backoff countdown keeps the per-slot
+// order only when the DIFS wait that starts it was armed more than a slot
+// before (see package sim).
 func New(engine *sim.Engine, radio *phy.Radio, params Params) *MAC {
+	if params.DIFS <= params.SlotTime {
+		panic("mac: DIFS must be longer than SlotTime")
+	}
 	m := &MAC{
 		engine: engine,
 		radio:  radio,
@@ -249,24 +260,14 @@ func (m *MAC) afterDIFS() {
 		return
 	}
 	m.state = stateBackoff
-	m.slotTimer.Reset(m.params.SlotTime)
+	m.slotTimer.ResetSlots(m.backoffSlots, m.params.SlotTime)
 }
 
+// slotTick ends the backoff countdown. The channel is idle: a busy carrier
+// stops the countdown (onBusyChanged), and the NAV is only set by decoding a
+// frame, during which the carrier was busy and the countdown already paused.
 func (m *MAC) slotTick() {
-	if m.state != stateBackoff {
-		return
-	}
-	if m.channelBusy() {
-		// Pause countdown; it resumes after the channel is idle for DIFS.
-		m.state = stateDeferring
-		m.armNAVCheck()
-		return
-	}
-	m.backoffSlots--
-	if m.backoffSlots > 0 {
-		m.slotTimer.Reset(m.params.SlotTime)
-		return
-	}
+	m.backoffSlots = 0
 	m.transmitHead()
 }
 
@@ -295,10 +296,10 @@ func (m *MAC) resumeIfIdle() {
 
 func (m *MAC) onBusyChanged(busy bool) {
 	if busy {
-		// Cancel any DIFS wait or slot tick in flight; countdown state is
-		// preserved in backoffSlots.
+		// Cancel any DIFS wait and pause the countdown: the slots that ended
+		// come off backoffSlots, the rest resume after the next DIFS.
 		m.difsTimer.Stop()
-		m.slotTimer.Stop()
+		m.backoffSlots -= m.slotTimer.StopSlots()
 		if m.state == stateBackoff {
 			m.state = stateDeferring
 		}

@@ -336,26 +336,49 @@ func TestPowerDownUnblocksDeferringMAC(t *testing.T) {
 	}
 }
 
-// TestBackoffSlotAllocatesNothing: counting down a backoff re-arms the MAC's
-// own slot timer, so a slot costs no allocation (it used to cost an Event and
-// a method-value closure — three quarters of a run's allocations).
-func TestBackoffSlotAllocatesNothing(t *testing.T) {
+// TestBackoffCountdownAllocatesNothing: a backoff counts down on the MAC's
+// own slot timer, so arming it, pausing it on a busy channel and resuming it
+// after DIFS allocate nothing (a slot used to cost an Event and a closure —
+// three quarters of a run's allocations). A pause that lands exactly on a slot
+// boundary takes that slot off when the busy edge was reserved less than a
+// slot earlier, as a PHY edge is (the slot's tick would have fired first), and
+// leaves it when the pausing event was armed long before.
+func TestBackoffCountdownAllocatesNothing(t *testing.T) {
 	engine, macs := testNet(t, 3, geom.Point{})
 	m := macs[0]
-	m.cw = 1 << 16 // a backoff long enough to measure inside
+	slot := m.params.SlotTime
 	m.SendBroadcast(dataPkt(0, 1, 64))
-	engine.Run(m.params.DIFS + m.params.SlotTime)
+	m.backoffSlots = 1000 // long enough to pause inside many times
+	engine.Run(m.params.DIFS)
 	if m.state != stateBackoff {
 		t.Fatalf("state = %d after DIFS, want backoff", m.state)
 	}
-	before := m.backoffSlots
-	allocs := testing.AllocsPerRun(100, func() {
-		engine.Run(engine.Now() + m.params.SlotTime)
-	})
-	if allocs != 0 {
-		t.Fatalf("a backoff slot allocates %.1f, want 0", allocs)
+	busy := engine.NewTimer(func() { m.onBusyChanged(true) })
+	// pauseAt pauses the countdown at its third boundary with a busy edge
+	// reserved lead before it, then lets the channel go idle and resumes.
+	pauseAt := func(lead time.Duration) {
+		at := engine.Now() + 3*slot
+		engine.Run(at - lead)
+		busy.ArmReserved(at, engine.ReserveSeq(1), engine.Now())
+		engine.Run(at)
+		m.onBusyChanged(false)
+		engine.Run(engine.Now() + m.params.DIFS)
 	}
-	if m.state != stateBackoff || before-m.backoffSlots != 101 {
+	pauseAt(2 * time.Microsecond)
+	if m.backoffSlots != 997 {
+		t.Fatalf("%d slots left after a PHY-edge pause on the third boundary, want 997", m.backoffSlots)
+	}
+	engine.At(engine.Now()+3*slot, func() { m.onBusyChanged(true) })
+	pauseAt(2 * time.Microsecond) // the long-armed pause fires first at that boundary
+	if m.backoffSlots != 995 {
+		t.Fatalf("%d slots left after a long-armed pause on the third boundary, want 995", m.backoffSlots)
+	}
+	before := m.backoffSlots
+	allocs := testing.AllocsPerRun(100, func() { pauseAt(2 * time.Microsecond) })
+	if allocs != 0 {
+		t.Fatalf("a pause and resume of the backoff allocates %.1f, want 0", allocs)
+	}
+	if m.state != stateBackoff || before-m.backoffSlots != 3*101 {
 		t.Fatalf("counted down %d slots in state %d; the measurement did not stay inside one backoff",
 			before-m.backoffSlots, m.state)
 	}

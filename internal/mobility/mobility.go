@@ -155,6 +155,9 @@ func NewMover(engine *sim.Engine, medium *phy.Medium, radios []*phy.Radio, area 
 	if cfg.MaxSpeedMps <= 0 {
 		return nil, fmt.Errorf("mobility: MaxSpeedMps must be positive (got %g)", cfg.MaxSpeedMps)
 	}
+	if cfg.Pause < 0 {
+		return nil, fmt.Errorf("mobility: Pause must not be negative (got %v)", cfg.Pause)
+	}
 	cfg = cfg.withDefaults(n)
 	if cfg.MinSpeedMps > cfg.MaxSpeedMps {
 		return nil, fmt.Errorf("mobility: MinSpeedMps %g exceeds MaxSpeedMps %g", cfg.MinSpeedMps, cfg.MaxSpeedMps)

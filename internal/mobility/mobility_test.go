@@ -136,6 +136,9 @@ func TestNewMoverValidation(t *testing.T) {
 	if _, err := NewMover(engine, medium, radios, topo.Area, rng, Config{MaxSpeedMps: 5, Start: time.Second, End: time.Millisecond}); err == nil {
 		t.Fatal("End before Start accepted")
 	}
+	if _, err := NewMover(engine, medium, radios, topo.Area, rng, Config{MaxSpeedMps: 5, Pause: -2 * time.Second}); err == nil || !strings.Contains(err.Error(), "Pause") {
+		t.Fatalf("negative Pause: %v, want an error naming Pause", err)
+	}
 }
 
 // TestLinkBreakDetection: two nodes separated beyond LinkRangeM register one

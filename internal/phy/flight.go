@@ -123,7 +123,7 @@ func (fl *flight) launch(k int) {
 	m.pushCursor(begin)
 	m.pushCursor(fl.endCursor())
 	if !m.delivering && m.air[0].seq == begin.seq {
-		m.edge.ArmReserved(begin.at, begin.seq)
+		m.edge.ArmReserved(begin.at, begin.seq, fl.t0)
 	}
 }
 
@@ -150,8 +150,8 @@ func (m *Medium) deliver() {
 		if len(m.air) == 0 {
 			break
 		}
-		if next := &m.air[0]; !m.engine.StepReserved(next.at, next.seq) {
-			m.edge.ArmReserved(next.at, next.seq)
+		if next := &m.air[0]; !m.engine.StepReserved(next.at, next.seq, next.fl.t0) {
+			m.edge.ArmReserved(next.at, next.seq, next.fl.t0)
 			break
 		}
 	}

@@ -37,14 +37,14 @@ func edgePerEvent(m *Medium) (afterTransmit func()) {
 				left++
 				rx := m.receiver(a)
 				at, seq := fl.t0+time.Duration(a.delay), fl.base+2*uint64(a.rank)
-				m.engine.NewTimer(func() { rx.beginArrival(a) }).ArmReserved(at, seq)
+				m.engine.NewTimer(func() { rx.beginArrival(a) }).ArmReserved(at, seq, fl.t0)
 				m.engine.NewTimer(func() {
 					rx.endArrival(a, fl.frame)
 					*a = arrival{}
 					if left--; left == 0 {
 						fl.free()
 					}
-				}).ArmReserved(at+fl.airtime, seq+1)
+				}).ArmReserved(at+fl.airtime, seq+1, fl.t0)
 			}
 		}
 		clear(m.air)

@@ -8,7 +8,7 @@
 // firing order is a function of the keys alone — and (b) routing all
 // randomness through seeded sub-streams of one root RNG (see RNG).
 //
-// There are four ways to fire a callback. They fire in the same (time,
+// There are five ways to fire a callback. They fire in the same (time,
 // sequence) order and differ only in who owns the Event and what a firing
 // costs:
 //
@@ -18,8 +18,8 @@
 //   - NewTimer + Event.Reset: a timer the caller owns for its whole life and
 //     re-arms. One Event and one callback value for any number of firings, so
 //     arming and firing allocate nothing. For fixed-callback timers on hot
-//     paths (MAC backoff slots, Ticker). Reset takes its sequence number at
-//     the call, exactly where Schedule would.
+//     paths (the MAC's DIFS and transmit-end timers, Ticker). Reset takes its
+//     sequence number at the call, exactly where Schedule would.
 //   - ScheduleArgPooled: fire-and-forget. The engine owns and recycles the
 //     Event, so it cannot be cancelled; a static callback plus an argument
 //     replaces the closure.
@@ -36,6 +36,37 @@
 //     reservation time would have been, while the queue holds one entry and
 //     most sub-events never touch it. The PHY delivers every frame on the air
 //     to its receivers this way.
+//   - Event.ResetSlots + Event.StopSlots: a countdown of n slots on an owned
+//     timer — one queue entry for the whole count instead of one per slot. It
+//     fires, and counts events, exactly as n chained Reset(slot) calls would
+//     have (one "tick" per slot boundary, the callback at the last), and
+//     StopSlots pauses it and says how many slots ended, so the owner keeps
+//     the rest for later. For a wait counted in whole slots that can be
+//     paused, where only the end does work: the MAC's backoff.
+//
+// A countdown waits on the queue at its next-to-last boundary, under a key
+// that sorts behind every ordinary event of that instant; countdowns waiting
+// at one instant fire latest-started first, then in the order they were
+// armed. When it fires there it takes a fresh sequence number for the last
+// slot, as the tick it stands for would have, and from then on it is an
+// ordinary timer. The boundaries it skipped are still events: they are added
+// to Processed (and InPlace, since they never touched the queue) when the
+// countdown fires, when it stops and when Run or RunAll returns, and Events
+// includes them at any moment. Whether a boundary at the current instant has
+// passed depends on the event running now: a tick armed one slot earlier came
+// before it exactly when it was armed (or its number reserved) less than one
+// slot ago — a PHY edge, which arrives within a propagation delay of its
+// reservation, but not a fault or a telemetry sample scheduled long before.
+// After Run returns every boundary up to its bound has passed.
+//
+// That per-slot order is reproduced under two assumptions, which the MAC
+// upholds and the countdown oracle test exercises:
+//
+//   - the event that starts a countdown was armed more than one slot before
+//     (the MAC's DIFS wait is longer than a slot; mac.New refuses otherwise),
+//     and countdowns that meet at one instant count the same slot length;
+//   - nothing else arms an event exactly one slot ahead, so no other event
+//     can tie with a tick's key at the instant the tick would have fired.
 package sim
 
 import (
@@ -48,28 +79,58 @@ import (
 type Event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	// armed is when seq was taken, or reserved (ArmReserved). A countdown
+	// reads it off the running event (see the package comment).
+	armed time.Duration
+	fn    func()
 	// argFn/arg are the ScheduleArgPooled form: a static callback plus its
 	// argument. Exactly one of fn and argFn is set.
 	argFn  func(any)
 	arg    any
 	engine *Engine
-	index  int // position in the queue; -1 while not queued
+	// cd is the countdown state of an event ever armed by ResetSlots.
+	cd    *countdown
+	index int32 // position in the queue; -1 while not queued
 	// pooled marks events created by ScheduleArgPooled: the engine owns the
 	// Event and recycles it after the callback returns. Pooled events are
 	// never handed to callers, so they can never be stopped or re-armed.
 	pooled bool
 }
 
+// countdown is the state of an Event armed by ResetSlots: n slots from start.
+type countdown struct {
+	start   time.Duration
+	slot    time.Duration
+	n       int
+	counted int // skipped boundaries (1 … n-2) already added to Processed
+	// waiting is the countdown's position in Engine.waiting while it waits at
+	// boundary n-1; -1 once it runs its last slot as an ordinary timer.
+	waiting int
+}
+
+// waitKeys is the bottom of the sequence numbers waiting countdowns are
+// queued under; ordinary numbers never get there. waitBlock numbers are set
+// aside per instant at which countdowns start: 2^43 such instants, each with
+// room for 2^20 countdowns.
+const (
+	waitKeys  = 1 << 63
+	waitBlock = 1 << 20
+)
+
 // Stop cancels the event if it is pending, removing it from the engine's
 // queue immediately (so mass cancellation — churn, crashed nodes — cannot
 // accumulate dead entries in the heap). Stopping an event that is not queued
 // (fired, stopped, never armed, or running its own callback right now) is a
 // no-op. Stop reports whether the event was pending. A stopped event can be
-// armed again with Reset.
+// armed again with Reset. Stopping a countdown counts the slots that ended,
+// as StopSlots does.
 func (ev *Event) Stop() bool {
 	if ev == nil || ev.index < 0 {
 		return false
+	}
+	if ev.cd != nil {
+		ev.StopSlots()
+		return true
 	}
 	ev.engine.queue.remove(ev)
 	return true
@@ -89,24 +150,81 @@ func (ev *Event) Reset(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	ev.arm(e.now+d, e.seq)
+	ev.leaveCountdown()
+	ev.arm(e.now+d, e.seq, e.now)
 	e.seq++
 }
 
 // ArmReserved arms the event at absolute time t (clamped to the current time)
-// under a sequence number obtained from ReserveSeq. The caller is responsible
-// for using each reserved number at most once; see the package comment for
-// what the form is for.
-func (ev *Event) ArmReserved(t time.Duration, seq uint64) {
+// under a sequence number obtained from ReserveSeq at time reserved. The
+// caller is responsible for using each reserved number at most once; see the
+// package comment for what the form is for.
+func (ev *Event) ArmReserved(t time.Duration, seq uint64, reserved time.Duration) {
 	if t < ev.engine.now {
 		t = ev.engine.now
 	}
-	ev.arm(t, seq)
+	ev.leaveCountdown()
+	ev.arm(t, seq, reserved)
 }
 
-// arm queues the event under the key (t, seq), moving it if it is already
-// queued.
-func (ev *Event) arm(t time.Duration, seq uint64) {
+// ResetSlots arms the event to fire at the end of the n-th slot of length
+// slot from now (n below 1 counts as 1), in the order and at the event count
+// of n chained Reset(slot) calls; see the package comment. An earlier arming
+// is dropped, as by Stop. slot must be positive.
+func (ev *Event) ResetSlots(n int, slot time.Duration) {
+	if slot <= 0 {
+		panic("sim: ResetSlots needs a positive slot")
+	}
+	ev.Stop()
+	e := ev.engine
+	if ev.cd == nil {
+		ev.cd = &countdown{}
+	}
+	*ev.cd = countdown{start: e.now, slot: slot, n: max(n, 1), waiting: -1}
+	if n <= 1 {
+		ev.arm(e.now+slot, e.seq, e.now)
+		e.seq++
+		return
+	}
+	ev.cd.waiting = len(e.waiting)
+	e.waiting = append(e.waiting, ev)
+	ev.arm(e.now+time.Duration(n-1)*slot, e.waitKey(), e.now)
+}
+
+// StopSlots stops an event armed by ResetSlots and returns how many of its
+// slots have ended: every boundary before now, and the one at now if the
+// event running now was armed less than one slot ago. It returns 0 when the
+// event is not pending, and stops an event armed otherwise as Stop does.
+func (ev *Event) StopSlots() int {
+	cd := ev.cd
+	if ev.index < 0 || cd == nil {
+		ev.Stop()
+		return 0
+	}
+	e := ev.engine
+	e.queue.remove(ev)
+	if cd.waiting < 0 {
+		return cd.n - 1 // in its last slot
+	}
+	done := e.slotsEnded(cd)
+	e.count(done - cd.counted)
+	e.unwait(cd)
+	return done
+}
+
+// leaveCountdown turns an event armed by ResetSlots back into an ordinary
+// one before it is armed otherwise, counting the boundaries it has passed.
+func (ev *Event) leaveCountdown() {
+	if ev.cd != nil {
+		ev.StopSlots()
+		ev.cd.n = 1
+	}
+}
+
+// arm queues the event under the key (t, seq) taken at time armed, moving it
+// if it is already queued.
+func (ev *Event) arm(t time.Duration, seq uint64, armed time.Duration) {
+	ev.armed = armed
 	if ev.index >= 0 {
 		ev.engine.queue.rekey(ev, t, seq)
 		return
@@ -129,12 +247,25 @@ type Engine struct {
 	// many events as were ever simultaneously pending, so steady-state
 	// scheduling through ScheduleArgPooled allocates nothing.
 	free []*Event
+	// armed is when the running event's sequence number was taken (Event.armed,
+	// or the reservation StepReserved was handed); after a drained run, the
+	// bound.
+	armed time.Duration
+	// waiting holds the countdowns queued at their next-to-last boundary.
+	waiting []*Event
+	// waitBase and waitNext are the first and next waiting-countdown keys of
+	// the instant waitAt; see waitKey.
+	waitBase, waitNext uint64
+	waitAt             time.Duration
 
 	// Processed counts events executed so far; useful for progress reporting
-	// and performance benchmarks.
+	// and performance benchmarks. The slot boundaries a countdown skips are
+	// added when it fires or stops and when a run returns; Events counts them
+	// as they pass.
 	Processed uint64
-	// InPlace counts the events among Processed that StepReserved fired
-	// without a trip through the queue.
+	// InPlace counts the events among Processed that never went through the
+	// queue: sub-events StepReserved fired in place and skipped countdown
+	// boundaries.
 	InPlace uint64
 }
 
@@ -192,17 +323,97 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 // the caller — inside its own event's callback — runs the sub-event at once;
 // if not it changes nothing, and the caller arms its event at the key. See the
 // package comment.
-func (e *Engine) StepReserved(t time.Duration, seq uint64) bool {
+func (e *Engine) StepReserved(t time.Duration, seq uint64, reserved time.Duration) bool {
 	if t < e.now {
 		t = e.now
 	}
 	if e.halted || t > e.until || !e.queue.allAfter(t, seq) {
 		return false
 	}
-	e.now = t
+	e.now, e.armed = t, reserved
 	e.Processed++
 	e.InPlace++
 	return true
+}
+
+// waitKey returns the queue sequence number for a countdown that starts now.
+// The numbers run down from the top of the range one block per instant at
+// which countdowns start, and up within a block, so a waiting countdown sorts
+// behind every ordinary event of its instant, before those started earlier
+// and after those armed before it at the same instant.
+func (e *Engine) waitKey() uint64 {
+	if e.waitNext == 0 || e.now != e.waitAt {
+		e.waitBase -= waitBlock // from zero, wraps to the top block
+		e.waitNext, e.waitAt = e.waitBase, e.now
+	}
+	e.waitNext++
+	return e.waitNext - 1
+}
+
+// slotsEnded returns how many boundaries of the waiting countdown cd have
+// passed by now; see the package comment for the one at now.
+func (e *Engine) slotsEnded(cd *countdown) int {
+	since := e.now - cd.start
+	k := int(since / cd.slot)
+	if k > 0 && since%cd.slot == 0 && e.now-e.armed >= cd.slot {
+		k--
+	}
+	return k
+}
+
+// count adds k skipped countdown boundaries to the event counts.
+func (e *Engine) count(k int) {
+	e.Processed += uint64(k)
+	e.InPlace += uint64(k)
+}
+
+// unwait takes cd off the waiting list.
+func (e *Engine) unwait(cd *countdown) {
+	last := len(e.waiting) - 1
+	moved := e.waiting[last]
+	e.waiting[cd.waiting] = moved
+	moved.cd.waiting = cd.waiting
+	e.waiting[last] = nil
+	e.waiting = e.waiting[:last]
+	cd.waiting = -1
+}
+
+// lastSlot fires a countdown at its next-to-last boundary: fire has counted
+// that boundary, the skipped ones before it are counted here, and the event
+// is armed for the last slot under a fresh number, as the tick it stands for
+// would have re-armed itself.
+func (e *Engine) lastSlot(ev *Event) {
+	cd := ev.cd
+	e.count(cd.n - 2 - cd.counted)
+	e.unwait(cd)
+	ev.arm(e.now+cd.slot, e.seq, e.now)
+	e.seq++
+}
+
+// uncounted returns how many boundaries the waiting countdown cd has passed
+// and not yet added to Processed, short of the one it waits at, which its
+// firing counts.
+func (e *Engine) uncounted(cd *countdown) int {
+	return min(e.slotsEnded(cd), cd.n-2) - cd.counted
+}
+
+// settle counts the boundaries waiting countdowns have passed.
+func (e *Engine) settle() {
+	for _, ev := range e.waiting {
+		k := e.uncounted(ev.cd)
+		e.count(k)
+		ev.cd.counted += k
+	}
+}
+
+// Events returns Processed and InPlace as they stand now, with the
+// boundaries waiting countdowns have passed but not yet added.
+func (e *Engine) Events() (processed, inPlace uint64) {
+	var pending uint64
+	for _, ev := range e.waiting {
+		pending += uint64(e.uncounted(ev.cd))
+	}
+	return e.Processed + pending, e.InPlace + pending
 }
 
 // ScheduleArgPooled schedules fn(arg) after delay d (negative is treated as
@@ -225,7 +436,7 @@ func (e *Engine) ScheduleArgPooled(d time.Duration, fn func(any), arg any) {
 	} else {
 		ev = &Event{argFn: fn, arg: arg, engine: e, index: -1, pooled: true}
 	}
-	ev.arm(e.now+d, e.seq)
+	ev.arm(e.now+d, e.seq, e.now)
 	e.seq++
 }
 
@@ -235,11 +446,14 @@ func (e *Engine) ScheduleArgPooled(d time.Duration, fn func(any), arg any) {
 // pooled event returns to the free list: nothing else references it.
 func (e *Engine) fire() {
 	ev := e.queue.popMin()
-	e.now = ev.at
+	e.now, e.armed = ev.at, ev.armed
 	e.Processed++
-	if ev.fn != nil {
+	switch {
+	case ev.seq >= waitKeys:
+		e.lastSlot(ev)
+	case ev.fn != nil:
 		ev.fn()
-	} else {
+	default:
 		ev.argFn(ev.arg)
 	}
 	if ev.pooled {
@@ -260,9 +474,11 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 		e.fire()
 	}
 	e.until = -1
-	if !e.halted && e.now < until {
-		e.now = until
+	if !e.halted {
+		e.now = max(e.now, until)
+		e.armed = e.now
 	}
+	e.settle()
 	return e.now
 }
 
@@ -273,6 +489,10 @@ func (e *Engine) RunAll() time.Duration {
 		e.fire()
 	}
 	e.until = -1
+	if !e.halted {
+		e.armed = e.now
+	}
+	e.settle()
 	return e.now
 }
 

@@ -501,7 +501,7 @@ func TestTimerAndTickerAllocateNothing(t *testing.T) {
 // empty queue, the run's bound, a tie on time decided by the sequence number.
 func TestStepReservedOnlyInsideARun(t *testing.T) {
 	e := NewEngine(1)
-	if e.StepReserved(0, e.ReserveSeq(1)) {
+	if e.StepReserved(0, e.ReserveSeq(1), 0) {
 		t.Fatal("stepped in place with no run loop to stand in for")
 	}
 	early := e.ReserveSeq(2)
@@ -509,10 +509,10 @@ func TestStepReservedOnlyInsideARun(t *testing.T) {
 	e.Schedule(time.Millisecond, func() {
 		e.Schedule(time.Millisecond, func() {}) // queued at 2 ms under a later number than early
 		steps = append(steps,
-			e.StepReserved(3*time.Millisecond, early),           // behind the queued event
-			e.StepReserved(2*time.Millisecond, early),           // same instant, earlier number
-			e.StepReserved(2*time.Millisecond, early+1),         // again: the clock is there already
-			e.StepReserved(2*time.Millisecond, e.ReserveSeq(1))) // same instant, later number
+			e.StepReserved(3*time.Millisecond, early, 0),                 // behind the queued event
+			e.StepReserved(2*time.Millisecond, early, 0),                 // same instant, earlier number
+			e.StepReserved(2*time.Millisecond, early+1, 0),               // again: the clock is there already
+			e.StepReserved(2*time.Millisecond, e.ReserveSeq(1), e.Now())) // same instant, later number
 	})
 	e.Run(2 * time.Millisecond)
 	if want := []bool{false, true, true, false}; !slices.Equal(steps, want) {
@@ -522,18 +522,18 @@ func TestStepReservedOnlyInsideARun(t *testing.T) {
 		t.Fatalf("Processed %d, InPlace %d; want 4 and 2", e.Processed, e.InPlace)
 	}
 	e.Schedule(0, func() {
-		if e.StepReserved(e.Now()+time.Nanosecond, e.ReserveSeq(1)) {
+		if e.StepReserved(e.Now()+time.Nanosecond, e.ReserveSeq(1), e.Now()) {
 			t.Error("stepped past the bound of the Run in progress")
 		}
 	})
 	e.Run(e.Now())
 	e.Schedule(0, func() {
-		if !e.StepReserved(e.Now()+time.Hour, e.ReserveSeq(1)) {
+		if !e.StepReserved(e.Now()+time.Hour, e.ReserveSeq(1), e.Now()) {
 			t.Error("RunAll has no bound, yet the step was refused")
 		}
 	})
 	e.RunAll()
-	if e.StepReserved(e.Now(), e.ReserveSeq(1)) {
+	if e.StepReserved(e.Now(), e.ReserveSeq(1), e.Now()) {
 		t.Fatal("stepped in place after the run returned")
 	}
 }

@@ -102,7 +102,7 @@ func (q *eventQueue) takeLast() *Event {
 // remove takes the queued event ev out of the queue.
 func (q *eventQueue) remove(ev *Event) {
 	q.close()
-	i := ev.index
+	i := int(ev.index)
 	if last := q.takeLast(); last != ev {
 		q.fix(i, last)
 	}
@@ -114,7 +114,7 @@ func (q *eventQueue) remove(ev *Event) {
 func (q *eventQueue) rekey(ev *Event, at time.Duration, seq uint64) {
 	q.close()
 	ev.at, ev.seq = at, seq
-	q.fix(ev.index, ev)
+	q.fix(int(ev.index), ev)
 }
 
 // fix places ev, whose key may have moved either way, starting from position
@@ -138,11 +138,11 @@ func (q *eventQueue) up(i int, ev *Event) {
 			break
 		}
 		h[i] = parent
-		parent.index = i
+		parent.index = int32(i)
 		i = p
 	}
 	h[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 // down moves the hole at i towards the leaves until ev fires before every
@@ -165,9 +165,9 @@ func (q *eventQueue) down(i int, ev *Event) {
 			break
 		}
 		h[i] = best
-		best.index = i
+		best.index = int32(i)
 		i = bi
 	}
 	h[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }

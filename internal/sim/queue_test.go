@@ -17,7 +17,7 @@ func checkHeap(t *testing.T, queue eventQueue, when string) {
 	}
 	q := queue.heap
 	for i, ev := range q {
-		if ev.index != i {
+		if int(ev.index) != i {
 			t.Fatalf("%s: event at position %d records index %d", when, i, ev.index)
 		}
 		if i > 0 && before(ev, q[(i-1)/4]) {
@@ -181,6 +181,12 @@ func (c *frameCursor) key() (time.Duration, uint64) {
 	return when, seq
 }
 
+// arm arms ev at the cursor's key, reserved when the frame started.
+func (c *frameCursor) arm(ev *Event) {
+	when, seq := c.key()
+	ev.ArmReserved(when, seq, c.fr.t0)
+}
+
 func (c *frameCursor) label() int {
 	l := c.fr.subs[c.fr.walk[c.at]].label
 	if c.end {
@@ -307,15 +313,16 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 				if len(active) == 0 {
 					break
 				}
-				when, seq := active[earliest()].key()
-				if !e.StepReserved(when, seq) {
+				next := active[earliest()]
+				when, seq := next.key()
+				if !e.StepReserved(when, seq, next.fr.t0) {
 					switch {
 					case e.halted:
 						res.cutByHalt++
 					case when > until:
 						res.cutByBound++
 					}
-					shared.ArmReserved(when, seq)
+					shared.ArmReserved(when, seq, next.fr.t0)
 					break
 				}
 			}
@@ -352,12 +359,12 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 					continue
 				}
 				var own *Event
-				arm := func() { own.ArmReserved(c.key()) }
+				arm := func() { c.arm(own) }
 				own = e.NewTimer(func() { step(c, arm) })
 				arm()
 			}
 			if mode == merged && !delivering {
-				shared.ArmReserved(active[earliest()].key())
+				active[earliest()].arm(shared)
 			}
 		}
 

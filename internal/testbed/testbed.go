@@ -172,6 +172,51 @@ func (p *lossProcess) step() {
 	}
 }
 
+// linkTable finds the loss process of a pair of nodes without hashing the
+// pair, which the link oracle does for every candidate of every frame: each
+// node on a link has a dense index, and the table one entry per ordered pair
+// of them.
+type linkTable struct {
+	index []int32 // by node ID: dense index, or -1 for a node on no link
+	n     int
+	procs []*lossProcess // procs[i*n+j]; nil where there is no link
+}
+
+// newLinkTable indexes processes[i] under both directions of links[i]; of
+// two links between one pair, the later one holds.
+func newLinkTable(links []Link, processes []*lossProcess) *linkTable {
+	t := &linkTable{}
+	for _, l := range links {
+		for _, id := range []packet.NodeID{l.A, l.B} {
+			for int(id) >= len(t.index) {
+				t.index = append(t.index, -1)
+			}
+			if t.index[id] < 0 {
+				t.index[id] = int32(t.n)
+				t.n++
+			}
+		}
+	}
+	t.procs = make([]*lossProcess, t.n*t.n)
+	for i, l := range links {
+		a, b := int(t.index[l.A]), int(t.index[l.B])
+		t.procs[a*t.n+b], t.procs[b*t.n+a] = processes[i], processes[i]
+	}
+	return t
+}
+
+// process returns the loss process of the link between a and b, or nil.
+func (t *linkTable) process(a, b packet.NodeID) *lossProcess {
+	if int(a) >= len(t.index) || int(b) >= len(t.index) {
+		return nil
+	}
+	i, j := t.index[a], t.index[b]
+	if i < 0 || j < 0 {
+		return nil
+	}
+	return t.procs[int(i)*t.n+int(j)]
+}
+
 // linkKey canonicalizes an undirected pair.
 func linkKey(a, b packet.NodeID) [2]packet.NodeID {
 	if a > b {
@@ -221,14 +266,15 @@ func RunScenario(cfg Config, sc Scenario) (*Result, error) {
 	// trace whatever the node count.
 	params := phy.DefaultParams()
 	lossRNG := engine.RNG().Split()
-	processes := make(map[[2]packet.NodeID]*lossProcess, len(sc.Links))
-	for _, l := range sc.Links {
-		processes[linkKey(l.A, l.B)] = newLossProcess(l.Class, lossRNG.Split())
+	processes := make([]*lossProcess, len(sc.Links))
+	for i, l := range sc.Links {
+		processes[i] = newLossProcess(l.Class, lossRNG.Split())
 	}
+	table := newLinkTable(sc.Links, processes)
 	drawRNG := engine.RNG().Split()
 	w.Medium.SetLinkFunc(func(tx, rx packet.NodeID, _ time.Duration, _ *sim.RNG) float64 {
-		proc, ok := processes[linkKey(tx, rx)]
-		if !ok {
+		proc := table.process(tx, rx)
+		if proc == nil {
 			return 0 // no link: not even carrier sense (hidden terminals)
 		}
 		if drawRNG.Float64() < proc.df {

@@ -241,3 +241,25 @@ func TestRunProducesTimeSeriesAndDelays(t *testing.T) {
 		t.Fatalf("percentiles not ordered: %+v", res.Delay)
 	}
 }
+
+// TestLinkTableMatchesPairMap: the oracle's pair table finds the process the
+// canonical-pair map it replaced found, for every ordered pair of IDs in and
+// around the floor, including nodes on no link and IDs past the largest.
+func TestLinkTableMatchesPairMap(t *testing.T) {
+	rng := sim.NewRNG(1)
+	links := append(append([]Link(nil), Links...), Link{A: 5, B: 2, Class: LowLoss}) // a pair twice: the later holds
+	processes := make([]*lossProcess, len(links))
+	byKey := make(map[[2]packet.NodeID]*lossProcess, len(links))
+	for i, l := range links {
+		processes[i] = newLossProcess(l.Class, rng.Split())
+		byKey[linkKey(l.A, l.B)] = processes[i]
+	}
+	table := newLinkTable(links, processes)
+	for a := packet.NodeID(0); a < 14; a++ {
+		for b := packet.NodeID(0); b < 14; b++ {
+			if got, want := table.process(a, b), byKey[linkKey(a, b)]; got != want {
+				t.Fatalf("process(%d, %d) = %p, want %p", a, b, got, want)
+			}
+		}
+	}
+}

@@ -187,8 +187,8 @@ func (w *World) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("linkquality.probe_bytes_warmup", func() float64 { return float64(w.warmupProbeBytes) })
 	// The simulator's own vitals: events fired, how many of them the PHY
 	// delivered without a trip through the event queue, and the queue's depth.
-	reg.GaugeFunc("sim.events", func() float64 { return float64(w.Engine.Processed) })
-	reg.GaugeFunc("sim.events_in_place", func() float64 { return float64(w.Engine.InPlace) })
+	reg.GaugeFunc("sim.events", func() float64 { n, _ := w.Engine.Events(); return float64(n) })
+	reg.GaugeFunc("sim.events_in_place", func() float64 { _, n := w.Engine.Events(); return float64(n) })
 	reg.GaugeFunc("sim.queue_depth", func() float64 { return float64(w.Engine.Pending()) })
 }
 
