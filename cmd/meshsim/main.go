@@ -333,6 +333,9 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
+	if _, err := experiments.ProbeConfig(kind, opt.ProbeRate); err != nil {
+		return fmt.Errorf("-probe-rate: %w", err)
+	}
 	proto, err := multicast.Resolve(opt.Protocol)
 	if err != nil {
 		return fmt.Errorf("-protocol: %w", err)
@@ -344,7 +347,7 @@ func run(opt options) error {
 	rng := sim.NewRNG(opt.Seed ^ 0x9e3779b97f4a7c15)
 	topo, err := topology.RandomConnected(rng, opt.Nodes, geom.Square(opt.Side), 250, 500)
 	if err != nil {
-		return err
+		return fmt.Errorf("-nodes/-side: %w", err)
 	}
 	groups, err := experiments.DefaultGroups(rng.Split(), opt.Nodes, opt.Groups, opt.Sources, opt.Members)
 	if err != nil {

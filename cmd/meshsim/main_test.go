@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -170,7 +171,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 // topology cannot hold: they used to panic in DefaultGroups (slice bounds) or
 // silently simulate nothing. The area, probe-rate and churn rows used to run
 // something other than what was asked: radios in a 0×0 m square, the paper's
-// probe rate, no churn.
+// probe rate, no churn. A probe rate that scales the interval to nothing
+// used to re-arm the prober at one instant forever, -nodes -3 panicked in
+// the topology generator, and a NaN or infinite -speed ran to completion.
 func TestRunRejectsImpossibleShapes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -190,6 +193,11 @@ func TestRunRejectsImpossibleShapes(t *testing.T) {
 		{"negative side", func(o *options) { o.Side = -5 }, "-side must be positive"},
 		{"zero probe rate", func(o *options) { o.ProbeRate = 0 }, "-probe-rate must be positive"},
 		{"negative probe rate", func(o *options) { o.ProbeRate = -3 }, "-probe-rate must be positive"},
+		{"infinite probe rate", func(o *options) { o.ProbeRate = math.Inf(1) }, "-probe-rate: experiments: ProbeRateFactor must be finite"},
+		{"probe interval under a preamble", func(o *options) { o.ProbeRate = 1e9 }, "-probe-rate: experiments: ProbeRateFactor 1e+09 scales"},
+		{"negative nodes", func(o *options) { o.Nodes = -3 }, "-nodes/-side: topology: a topology needs at least one node"},
+		{"NaN waypoint speed", func(o *options) { o.Mobility, o.Speed = "waypoint", math.NaN() }, "MaxSpeedMps must be positive and finite"},
+		{"infinite waypoint speed", func(o *options) { o.Mobility, o.Speed = "waypoint", math.Inf(1) }, "MaxSpeedMps must be positive and finite"},
 		{"negative churn", func(o *options) { o.Churn = -0.2 }, "-churn must be a fraction"},
 		{"churn above one", func(o *options) { o.Churn = 1.5 }, "-churn must be a fraction"},
 		{"zero telemetry interval", func(o *options) { o.Telemetry, o.TelemetryInterval = t.TempDir(), 0 }, "-telemetry-interval must be positive"},

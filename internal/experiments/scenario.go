@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"meshcast/internal/faults"
@@ -231,6 +232,28 @@ func (t *faultTarget) Restore() {
 	}
 }
 
+// ProbeConfig returns the probing of metric k at factor times the paper's
+// rate; a factor of 1 or not above 0 keeps the paper's. It rejects a factor
+// that is not finite, and one that scales the probe interval below the PHY
+// preamble: no frame is shorter on the air, so the channel could not carry
+// the rate, and a prober re-arming every few nanoseconds (or, rounded to
+// zero, at the same instant) would keep a run from ever finishing.
+func ProbeConfig(k metric.Kind, factor float64) (linkquality.Config, error) {
+	c := linkquality.ConfigFor(k)
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return c, fmt.Errorf("experiments: ProbeRateFactor must be finite, got %v", factor)
+	}
+	if factor <= 0 || factor == 1 || c.Mode == linkquality.ModeNone {
+		return c, nil
+	}
+	scaled := c.ScaleRate(factor)
+	if floor := phy.DefaultParams().PreambleDelay; scaled.Interval < floor {
+		return c, fmt.Errorf("experiments: ProbeRateFactor %v scales the %v probe interval to %v, under the %v PHY preamble of the shortest frame",
+			factor, c.Interval, scaled.Interval, floor)
+	}
+	return scaled, nil
+}
+
 // RunScenario executes one simulation and returns its measurements. The
 // stack is wired and counted by internal/world; what is added here is the
 // scenario's own: span tracing, fault injection, mobility, a disruption
@@ -245,8 +268,8 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	}
 
 	nodeCfg := node.DefaultConfig(cfg.Metric)
-	if cfg.ProbeRateFactor > 0 && cfg.ProbeRateFactor != 1 {
-		nodeCfg.Probe = linkquality.ConfigFor(cfg.Metric).ScaleRate(cfg.ProbeRateFactor)
+	if nodeCfg.Probe, err = ProbeConfig(cfg.Metric, cfg.ProbeRateFactor); err != nil {
+		return nil, err
 	}
 	nodeCfg.Protocol = proto
 	if cfg.ODMRP != nil {

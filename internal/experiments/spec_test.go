@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,5 +228,33 @@ func TestSpecSourceAlsoMember(t *testing.T) {
 	}
 	if m := res.Mobility.Groups[0]; m.SentInMotion+m.SentStatic != want {
 		t.Fatalf("motion counted %d delivery opportunities for %d sends to 2 other members", m.SentInMotion+m.SentStatic, res.Summary.PacketsSent)
+	}
+}
+
+// TestRunScenarioRejectsImpossibleProbeRates: a probe rate factor that is not
+// finite, or that scales the probe interval below the PHY preamble (through a
+// spec's probeRateFactor too), is an error naming ProbeRateFactor — it used to
+// re-arm every prober at one instant, or every few nanoseconds, and never
+// return. The paper's factors pass.
+func TestRunScenarioRejectsImpossibleProbeRates(t *testing.T) {
+	spec := validSpec()
+	spec.ProbeRateFactor = 1e9
+	cfg, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunScenario(cfg); err == nil || !strings.Contains(err.Error(), "ProbeRateFactor") {
+		t.Fatalf("spec probeRateFactor 1e9: %v, want an error naming ProbeRateFactor", err)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e12} {
+		cfg.ProbeRateFactor = f
+		if _, err := RunScenario(cfg); err == nil || !strings.Contains(err.Error(), "ProbeRateFactor") {
+			t.Fatalf("factor %v: %v, want an error naming ProbeRateFactor", f, err)
+		}
+	}
+	for _, f := range []float64{-1, 0, 0.1, 1, 5} {
+		if _, err := ProbeConfig(metric.PP, f); err != nil {
+			t.Fatalf("factor %v: %v", f, err)
+		}
 	}
 }

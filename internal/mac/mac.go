@@ -187,7 +187,8 @@ func (m *MAC) Reset() {
 	m.timerEvent.Stop()
 	m.navEvent.Stop()
 	m.timerEvent, m.navEvent = nil, nil
-	m.queue = nil
+	clear(m.queue) // release the packets; the backing array stays for reuse
+	m.queue = m.queue[:0]
 	m.state = stateIdle
 	m.cw = m.params.CWMin
 	m.retries = 0
@@ -324,8 +325,8 @@ func (m *MAC) transmitHead() {
 
 func (m *MAC) transmitBroadcast(o outgoing) {
 	m.state = stateTx
-	f := &packet.Frame{Kind: packet.FrameData, Src: m.radio.ID, Dst: packet.Broadcast, Payload: o.pkt}
-	airtime := m.radio.Transmit(f)
+	f := packet.Frame{Kind: packet.FrameData, Src: m.radio.ID, Dst: packet.Broadcast, Payload: o.pkt}
+	airtime := m.radio.Transmit(&f)
 	m.Tracer.Span(trace.SpanMACTx, m.radio.ID, m.radio.ID, o.pkt)
 	m.Stats.BroadcastsSent++
 	m.Stats.BytesSent += uint64(f.SizeBytes())
@@ -333,9 +334,13 @@ func (m *MAC) transmitBroadcast(o outgoing) {
 	m.txDoneTimer.Reset(airtime)
 }
 
+// dequeueHead drops the head frame. The rest shift down in place, so the
+// queue keeps its backing array and enqueue appends without reallocating.
 func (m *MAC) dequeueHead() {
-	if len(m.queue) > 0 {
-		m.queue = m.queue[1:]
+	if n := len(m.queue); n > 0 {
+		copy(m.queue, m.queue[1:])
+		m.queue[n-1] = outgoing{}
+		m.queue = m.queue[:n-1]
 	}
 	m.retries = 0
 	m.cw = m.params.CWMin
@@ -344,14 +349,14 @@ func (m *MAC) dequeueHead() {
 }
 
 func (m *MAC) transmitUnicast(o outgoing) {
-	dataFrame := &packet.Frame{Kind: packet.FrameData, Src: m.radio.ID, Dst: o.dst, Payload: o.pkt}
+	dataFrame := packet.Frame{Kind: packet.FrameData, Src: m.radio.ID, Dst: o.dst, Payload: o.pkt}
 	if dataFrame.SizeBytes() >= m.params.RTSThresholdBytes {
 		m.state = stateWaitCTS
 		// NAV covers CTS + DATA + ACK + 3×SIFS.
 		nav := 3*m.params.SIFS +
 			m.airtime(packet.CTSBytes) + m.airtime(dataFrame.SizeBytes()) + m.airtime(packet.ACKBytes)
-		rts := &packet.Frame{Kind: packet.FrameRTS, Src: m.radio.ID, Dst: o.dst, DurationNAV: nav}
-		at := m.radio.Transmit(rts)
+		rts := packet.Frame{Kind: packet.FrameRTS, Src: m.radio.ID, Dst: o.dst, DurationNAV: nav}
+		at := m.radio.Transmit(&rts)
 		m.Stats.BytesSent += uint64(rts.SizeBytes())
 		timeout := at + m.params.SIFS + m.airtime(packet.CTSBytes) + 2*m.params.SlotTime
 		m.timerEvent = m.engine.Schedule(timeout, func() {
@@ -368,8 +373,8 @@ func (m *MAC) transmitUnicast(o outgoing) {
 
 func (m *MAC) sendUnicastData(o outgoing) {
 	m.state = stateWaitACK
-	f := &packet.Frame{Kind: packet.FrameData, Src: m.radio.ID, Dst: o.dst, Payload: o.pkt}
-	at := m.radio.Transmit(f)
+	f := packet.Frame{Kind: packet.FrameData, Src: m.radio.ID, Dst: o.dst, Payload: o.pkt}
+	at := m.radio.Transmit(&f)
 	m.Tracer.Span(trace.SpanMACTx, m.radio.ID, m.radio.ID, o.pkt)
 	m.Stats.UnicastsSent++
 	m.Stats.BytesSent += uint64(f.SizeBytes())
@@ -407,7 +412,9 @@ func (m *MAC) airtime(bytes int) time.Duration {
 	return m.radio.AirTime(bytes)
 }
 
-// onFrame handles every frame the radio decodes.
+// onFrame handles every frame the radio decodes. f is the PHY's and valid
+// only during the call (phy.Radio.ReceiveFrame): a response scheduled for
+// later copies the fields it needs.
 func (m *MAC) onFrame(f *packet.Frame) {
 	switch f.Kind {
 	case packet.FrameData:
@@ -429,9 +436,10 @@ func (m *MAC) onData(f *packet.Frame) {
 	}
 	if f.Dst == m.radio.ID {
 		// Acknowledge after SIFS. Control responses do not contend.
+		src := f.Src
 		m.engine.Schedule(m.params.SIFS, func() {
-			ack := &packet.Frame{Kind: packet.FrameACK, Src: m.radio.ID, Dst: f.Src}
-			m.radio.Transmit(ack)
+			ack := packet.Frame{Kind: packet.FrameACK, Src: m.radio.ID, Dst: src}
+			m.radio.Transmit(&ack)
 			m.Stats.BytesSent += uint64(ack.SizeBytes())
 		})
 	}
@@ -448,10 +456,10 @@ func (m *MAC) onRTS(f *packet.Frame) {
 	if m.engine.Now() < m.navUntil {
 		return // our own NAV forbids responding
 	}
+	src, nav := f.Src, f.DurationNAV-m.params.SIFS-m.airtime(packet.CTSBytes)
 	m.engine.Schedule(m.params.SIFS, func() {
-		nav := f.DurationNAV - m.params.SIFS - m.airtime(packet.CTSBytes)
-		cts := &packet.Frame{Kind: packet.FrameCTS, Src: m.radio.ID, Dst: f.Src, DurationNAV: nav}
-		m.radio.Transmit(cts)
+		cts := packet.Frame{Kind: packet.FrameCTS, Src: m.radio.ID, Dst: src, DurationNAV: nav}
+		m.radio.Transmit(&cts)
 		m.Stats.BytesSent += uint64(cts.SizeBytes())
 	})
 }

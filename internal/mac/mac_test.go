@@ -172,20 +172,27 @@ func TestQueueDrainsInFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestUnicastAcknowledged runs the exchange both ways: the receiver's ACK,
+// sent a SIFS after the decoded frame is gone, must still name the sender
+// (the frame is valid only during the PHY's callback; a copy of its Src is
+// kept, and a dangling one would read node 0's ID).
 func TestUnicastAcknowledged(t *testing.T) {
-	engine, macs := testNet(t, 1, geom.Point{X: 0, Y: 0}, geom.Point{X: 100, Y: 0})
-	delivered := 0
-	macs[1].Deliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	engine.Schedule(0, func() { macs[0].SendUnicast(dataPkt(0, 1, 100), 1) })
-	engine.Run(time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-	if macs[0].Stats.UnicastsDelivered != 1 {
-		t.Fatalf("UnicastsDelivered = %d, want 1", macs[0].Stats.UnicastsDelivered)
-	}
-	if macs[0].Stats.AckTimeouts != 0 {
-		t.Fatalf("AckTimeouts = %d, want 0", macs[0].Stats.AckTimeouts)
+	for _, tx := range []packet.NodeID{0, 1} {
+		rx := 1 - tx
+		engine, macs := testNet(t, 1, geom.Point{X: 0, Y: 0}, geom.Point{X: 100, Y: 0})
+		delivered := 0
+		macs[rx].Deliver = func(*packet.Packet, packet.NodeID) { delivered++ }
+		engine.Schedule(0, func() { macs[tx].SendUnicast(dataPkt(tx, 1, 100), rx) })
+		engine.Run(time.Second)
+		if delivered != 1 {
+			t.Fatalf("n%d→n%d: delivered = %d, want 1", tx, rx, delivered)
+		}
+		if macs[tx].Stats.UnicastsDelivered != 1 {
+			t.Fatalf("n%d→n%d: UnicastsDelivered = %d, want 1", tx, rx, macs[tx].Stats.UnicastsDelivered)
+		}
+		if macs[tx].Stats.AckTimeouts != 0 {
+			t.Fatalf("n%d→n%d: AckTimeouts = %d, want 0", tx, rx, macs[tx].Stats.AckTimeouts)
+		}
 	}
 }
 
@@ -207,22 +214,28 @@ func TestUnicastRetriesThenDrops(t *testing.T) {
 	}
 }
 
+// TestUnicastRTSCTSForLargeFrames runs the exchange both ways, so the CTS
+// and the ACK must each name the sender of a frame the PHY has already
+// recycled (see TestUnicastAcknowledged).
 func TestUnicastRTSCTSForLargeFrames(t *testing.T) {
-	engine, macs := testNet(t, 1, geom.Point{X: 0, Y: 0}, geom.Point{X: 100, Y: 0})
-	delivered := 0
-	macs[1].Deliver = func(*packet.Packet, packet.NodeID) { delivered++ }
-	engine.Schedule(0, func() { macs[0].SendUnicast(dataPkt(0, 1, 512), 1) })
-	engine.Run(time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-	// RTS (20) + DATA + our ACK share of bytes must all be counted at the
-	// sender; the receiver sends CTS + ACK.
-	if macs[1].Stats.BytesSent == 0 {
-		t.Fatal("receiver sent no control frames; RTS/CTS path not exercised")
-	}
-	if macs[0].Stats.CTSTimeouts != 0 {
-		t.Fatalf("CTSTimeouts = %d, want 0", macs[0].Stats.CTSTimeouts)
+	for _, tx := range []packet.NodeID{0, 1} {
+		rx := 1 - tx
+		engine, macs := testNet(t, 1, geom.Point{X: 0, Y: 0}, geom.Point{X: 100, Y: 0})
+		delivered := 0
+		macs[rx].Deliver = func(*packet.Packet, packet.NodeID) { delivered++ }
+		engine.Schedule(0, func() { macs[tx].SendUnicast(dataPkt(tx, 1, 512), rx) })
+		engine.Run(time.Second)
+		if delivered != 1 {
+			t.Fatalf("n%d→n%d: delivered = %d, want 1", tx, rx, delivered)
+		}
+		// RTS (20) + DATA + our ACK share of bytes must all be counted at the
+		// sender; the receiver sends CTS + ACK.
+		if macs[rx].Stats.BytesSent == 0 {
+			t.Fatalf("n%d→n%d: receiver sent no control frames; RTS/CTS path not exercised", tx, rx)
+		}
+		if macs[tx].Stats.CTSTimeouts != 0 || macs[tx].Stats.AckTimeouts != 0 {
+			t.Fatalf("n%d→n%d: CTSTimeouts = %d, AckTimeouts = %d, want 0", tx, rx, macs[tx].Stats.CTSTimeouts, macs[tx].Stats.AckTimeouts)
+		}
 	}
 }
 
@@ -432,5 +445,94 @@ func TestResetStopsOwnedTimersAndNodeContendsAgain(t *testing.T) {
 				t.Fatalf("state = %d after the restarted send, want idle", m.state)
 			}
 		})
+	}
+}
+
+// TestQueueFIFOAcrossCycles fills the interface queue past its cap and drains
+// it, many times over: the frames go on the air in the order they were
+// accepted, the ones over the cap are dropped, and the queue keeps one backing
+// array instead of creeping forward through fresh ones. Reset then empties a
+// full queue and releases every packet it held.
+func TestQueueFIFOAcrossCycles(t *testing.T) {
+	engine, macs := testNet(t, 5, geom.Point{}, geom.Point{X: 100})
+	m := macs[0]
+	qcap := m.params.QueueCap
+	var got []uint32
+	macs[1].Deliver = func(p *packet.Packet, _ packet.NodeID) { got = append(got, p.Seq) }
+	seq := uint32(0)
+	var backing *outgoing
+	for cycle := 0; cycle < 20; cycle++ {
+		got = got[:0]
+		var want []uint32
+		for i, drops := 0, 0; drops < 3; i++ {
+			if m.SendBroadcast(dataPkt(0, seq, 64)) {
+				want = append(want, seq)
+			} else {
+				drops++
+			}
+			seq++
+			// Send a frame or two mid-fill now and then, so the head moves
+			// while the tail grows.
+			if i%17 == 16 {
+				engine.Run(engine.Now() + 2*time.Millisecond)
+			}
+		}
+		if m.QueueLen() != qcap {
+			t.Fatalf("cycle %d: %d queued after overfilling, want the cap %d", cycle, m.QueueLen(), qcap)
+		}
+		engine.RunAll()
+		if len(got) != len(want) {
+			t.Fatalf("cycle %d: %d frames delivered, want %d", cycle, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cycle %d: frame %d is seq %d, want %d (FIFO order)", cycle, i, got[i], want[i])
+			}
+		}
+		if cycle == 0 {
+			backing = &m.queue[:1][0]
+		} else if &m.queue[:1][0] != backing {
+			t.Fatalf("cycle %d: the queue moved to a new backing array", cycle)
+		}
+	}
+	if m.Stats.QueueDrops == 0 {
+		t.Fatal("no frame was dropped at the cap; the test never reached it")
+	}
+
+	for m.QueueLen() < qcap {
+		m.SendBroadcast(dataPkt(0, seq, 64))
+		seq++
+	}
+	m.Reset()
+	if m.QueueLen() != 0 || cap(m.queue) < qcap {
+		t.Fatalf("%d queued and room for %d after Reset, want 0 and the cap %d kept", m.QueueLen(), cap(m.queue), qcap)
+	}
+	for i, o := range m.queue[:cap(m.queue)] {
+		if o != (outgoing{}) {
+			t.Fatalf("slot %d still holds %+v after Reset; the packet is not released", i, o)
+		}
+	}
+}
+
+// TestBroadcastCycleAllocatesNothing pins the MAC's share of a relayed copy:
+// an enqueue, its DIFS and backoff, the broadcast on the air (a stack frame
+// the PHY copies), the neighbor's decode and the transmit-end dequeue
+// allocate nothing once the queue, the PHY's records and the engine's pool
+// are warm.
+func TestBroadcastCycleAllocatesNothing(t *testing.T) {
+	engine, macs := testNet(t, 11, geom.Point{}, geom.Point{X: 100})
+	m := macs[0]
+	delivered := 0
+	macs[1].Deliver = func(*packet.Packet, packet.NodeID) { delivered++ }
+	p := dataPkt(0, 1, 512)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.SendBroadcast(p)
+		engine.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("an enqueue → broadcast → tx-done cycle allocates %.1f, want 0", allocs)
+	}
+	if delivered != 101 || m.Stats.BroadcastsSent != 101 {
+		t.Fatalf("%d sent, %d delivered over 101 cycles; the cycle did not complete", m.Stats.BroadcastsSent, delivered)
 	}
 }

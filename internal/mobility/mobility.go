@@ -152,15 +152,16 @@ func NewMover(engine *sim.Engine, medium *phy.Medium, radios []*phy.Radio, area 
 	if n == 0 {
 		return nil, fmt.Errorf("mobility: no radios to move")
 	}
-	if cfg.MaxSpeedMps <= 0 {
-		return nil, fmt.Errorf("mobility: MaxSpeedMps must be positive (got %g)", cfg.MaxSpeedMps)
+	// Negated comparisons, so that NaN is rejected too.
+	if !(cfg.MaxSpeedMps > 0) || math.IsInf(cfg.MaxSpeedMps, 1) {
+		return nil, fmt.Errorf("mobility: MaxSpeedMps must be positive and finite (got %g)", cfg.MaxSpeedMps)
 	}
 	if cfg.Pause < 0 {
 		return nil, fmt.Errorf("mobility: Pause must not be negative (got %v)", cfg.Pause)
 	}
 	cfg = cfg.withDefaults(n)
-	if cfg.MinSpeedMps > cfg.MaxSpeedMps {
-		return nil, fmt.Errorf("mobility: MinSpeedMps %g exceeds MaxSpeedMps %g", cfg.MinSpeedMps, cfg.MaxSpeedMps)
+	if !(cfg.MinSpeedMps <= cfg.MaxSpeedMps) {
+		return nil, fmt.Errorf("mobility: MinSpeedMps must be at most MaxSpeedMps %g (got %g)", cfg.MaxSpeedMps, cfg.MinSpeedMps)
 	}
 	if cfg.End != 0 && cfg.End < cfg.Start {
 		return nil, fmt.Errorf("mobility: End %v before Start %v", cfg.End, cfg.Start)

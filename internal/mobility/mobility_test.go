@@ -133,6 +133,17 @@ func TestNewMoverValidation(t *testing.T) {
 	if _, err := NewMover(engine, medium, radios, topo.Area, rng, Config{MaxSpeedMps: 5, MinSpeedMps: 9}); err == nil {
 		t.Fatal("MinSpeed > MaxSpeed accepted")
 	}
+	for _, bad := range []Config{
+		{MaxSpeedMps: math.NaN()},
+		{MaxSpeedMps: math.Inf(1)},
+		{MaxSpeedMps: -1},
+		{MaxSpeedMps: 5, MinSpeedMps: math.NaN()},
+		{MaxSpeedMps: 5, MinSpeedMps: math.Inf(1)},
+	} {
+		if _, err := NewMover(engine, medium, radios, topo.Area, rng, bad); err == nil || !strings.Contains(err.Error(), "SpeedMps") {
+			t.Fatalf("speeds %g..%g: %v, want an error naming the speed", bad.MinSpeedMps, bad.MaxSpeedMps, err)
+		}
+	}
 	if _, err := NewMover(engine, medium, radios, topo.Area, rng, Config{MaxSpeedMps: 5, Start: time.Second, End: time.Millisecond}); err == nil {
 		t.Fatal("End before Start accepted")
 	}

@@ -131,6 +131,9 @@ type Kernel struct {
 	// edgeUse counts data packets carried per directed link into this node
 	// (delivered or forwarded), for tree analysis.
 	edgeUse map[Edge]uint64
+
+	// sends recycles the records of jittered sends (jitterSend).
+	sends []*pendingSend
 }
 
 // NewKernel creates the kernel of node id. It takes the node's one RNG
@@ -316,20 +319,83 @@ func (k *Kernel) Transmit(p *packet.Packet) bool {
 	return true
 }
 
-// jitterSend transmits p after a uniform random delay in [0, jitter),
-// invoking onSent if the MAC accepted it.
-func (k *Kernel) jitterSend(p *packet.Packet, jitter time.Duration, onSent func()) {
-	send := func() {
-		if k.Transmit(p) {
-			onSent()
-		}
-	}
+// sentKind says what a pending send records once the MAC accepts its packet.
+type sentKind uint8
+
+const (
+	sentData       sentKind = iota + 1 // a relayed data copy
+	sentFirstFlood                     // the first copy of a flood round relayed
+	sentDupFlood                       // an improving duplicate re-flooded within α
+	sentGraft                          // a graft, own or propagated
+)
+
+// pendingSend is one jittered send: the packet, and what to record once the
+// MAC accepts it — the previous hop of a relayed copy, the round a graft
+// answers. The kernel recycles the records and the engine fires them
+// through ScheduleArgPooled, so a jittered send allocates nothing of its own.
+type pendingSend struct {
+	k    *Kernel
+	pkt  *packet.Packet
+	kind sentKind
+	from packet.NodeID // previous hop of a relayed data or flood copy
+	// flow, seq and nextHop are a graft's, for OnGraftSent.
+	flow    Flow
+	seq     uint32
+	nextHop packet.NodeID
+}
+
+// jitterSend sends s after a uniform random delay in [0, jitter), at once
+// when jitter is not positive. The delay is drawn and the send's sequence
+// number taken here, as a Schedule at this point would have.
+func (k *Kernel) jitterSend(s pendingSend, jitter time.Duration) {
 	if jitter <= 0 {
-		send()
+		s.send()
 		return
 	}
 	d := time.Duration(k.rng.Float64() * float64(jitter))
-	k.engine.Schedule(d, send)
+	var rec *pendingSend
+	if last := len(k.sends) - 1; last >= 0 {
+		rec = k.sends[last]
+		k.sends[last] = nil
+		k.sends = k.sends[:last]
+	} else {
+		rec = new(pendingSend)
+	}
+	*rec = s
+	k.engine.ScheduleArgPooled(d, firePendingSend, rec)
+}
+
+// firePendingSend is the engine callback of a jittered send. The record goes
+// back to its kernel's pool before the send runs.
+func firePendingSend(arg any) {
+	rec := arg.(*pendingSend)
+	s := *rec
+	*rec = pendingSend{}
+	s.k.sends = append(s.k.sends, rec)
+	s.send()
+}
+
+// send hands the packet to the MAC and, if it was accepted, records the send.
+func (s *pendingSend) send() {
+	k := s.k
+	if !k.Transmit(s.pkt) {
+		return
+	}
+	if s.kind == sentGraft {
+		k.Stats.GraftsSent++
+		k.Tracer.Span(trace.SpanOriginate, k.id, k.id, s.pkt)
+		if k.OnGraftSent != nil {
+			k.OnGraftSent(s.flow, s.seq, s.nextHop, s.pkt)
+		}
+		return
+	}
+	switch s.kind {
+	case sentData:
+		k.Stats.DataForwarded++
+	case sentFirstFlood:
+		k.Stats.FloodsForwarded++
+	}
+	k.Tracer.Span(trace.SpanForward, k.id, s.from, s.pkt)
 }
 
 // HandleFlood processes a received flood copy. wantsRoute makes this node
@@ -354,14 +420,19 @@ func (k *Kernel) HandleFlood(p *packet.Packet, from packet.NodeID, wantsRoute bo
 	}
 	first := !ok || p.Seq > r.seq
 	if first {
-		r = &round{
+		// A newer round overwrites the flow's record in place: only the
+		// table holds a round across calls.
+		if !ok {
+			r = new(round)
+			k.rounds[flow] = r
+		}
+		*r = round{
 			seq:           p.Seq,
 			firstSeen:     now,
 			firstUpstream: from,
 			bestCost:      k.pm.Worst(),
 			bestForwarded: k.pm.Worst(),
 		}
-		k.rounds[flow] = r
 	}
 
 	// Track the best candidate path for this round.
@@ -412,12 +483,11 @@ func (k *Kernel) HandleFlood(p *packet.Packet, from packet.NodeID, wantsRoute bo
 	fwd.Cost = newCost
 	fwd.HopCount = p.HopCount + 1
 	fwd.TTL = p.TTL - 1
-	k.jitterSend(fwd, k.policy.FloodJitter, func() {
-		k.Tracer.Span(trace.SpanForward, k.id, from, fwd)
-		if wasFirst {
-			k.Stats.FloodsForwarded++
-		}
-	})
+	kind := sentDupFlood
+	if wasFirst {
+		kind = sentFirstFlood
+	}
+	k.jitterSend(pendingSend{k: k, pkt: fwd, kind: kind, from: from}, k.policy.FloodJitter)
 }
 
 // upstreamOf returns the next hop toward the origin for a round: the
@@ -447,13 +517,7 @@ func (k *Kernel) sendGraft(flow Flow, seq uint32, nextHop packet.NodeID) {
 		Replies: []packet.ReplyEntry{{Source: flow.Origin, NextHop: nextHop}},
 		TraceID: k.Tracer.NewTraceID(k.id),
 	}
-	k.jitterSend(graft, k.policy.GraftJitter, func() {
-		k.Stats.GraftsSent++
-		k.Tracer.Span(trace.SpanOriginate, k.id, k.id, graft)
-		if k.OnGraftSent != nil {
-			k.OnGraftSent(flow, seq, nextHop, graft)
-		}
-	})
+	k.jitterSend(pendingSend{k: k, pkt: graft, kind: sentGraft, flow: flow, seq: seq, nextHop: nextHop}, k.policy.GraftJitter)
 }
 
 // HandleGraft processes a received graft: for every entry naming this node
@@ -515,10 +579,7 @@ func (k *Kernel) HandleData(p *packet.Packet, from packet.NodeID) {
 		fwd.HopCount = p.HopCount + 1
 		fwd.TTL = p.TTL - 1
 		carried = true
-		k.jitterSend(fwd, k.policy.DataJitter, func() {
-			k.Stats.DataForwarded++
-			k.Tracer.Span(trace.SpanForward, k.id, from, fwd)
-		})
+		k.jitterSend(pendingSend{k: k, pkt: fwd, kind: sentData, from: from}, k.policy.DataJitter)
 	}
 	if carried {
 		k.edgeUse[Edge{From: from, To: k.id}]++

@@ -167,3 +167,51 @@ func TestKernelDataRelayCountsHops(t *testing.T) {
 	}
 	t.Fatal("forwarder did not relay the data packet")
 }
+
+// TestKernelSendAllocations pins the allocation budget of the kernel's
+// sends, each jittered through a pooled pending-send record: a relayed data
+// copy and a relayed flood copy allocate their clone and nothing else, and a
+// graft its packet — the Packet and its one Replies entry. The MAC is a
+// counter here; its own budget is pinned in package mac.
+func TestKernelSendAllocations(t *testing.T) {
+	engine := sim.NewEngine(1)
+	k, _ := testKernel(engine, 1, false)
+	sent := 0
+	k.Send = func(*packet.Packet) bool { sent++; return true }
+	k.HandleFlood(flood(k, 0, 0), 0, false)
+	k.HandleGraft(graft(2, 0, 1), 2) // node 1 becomes a forwarder for group 1, and grafts on
+	engine.RunAll()
+
+	const runs = 100
+	data := make([]*packet.Packet, runs+1)
+	floods := make([]*packet.Packet, runs+1)
+	for i := range data {
+		data[i] = &packet.Packet{Kind: packet.TypeData, Src: 0, PrevHop: 3, Group: 1, Seq: uint32(i), TTL: 4}
+		floods[i] = flood(k, 0, uint32(i+1))
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		send func(i int)
+	}{
+		{"data forward", 1, func(i int) { k.HandleData(data[i], 3) }},
+		{"flood forward", 1, func(i int) { k.HandleFlood(floods[i], 0, false) }},
+		{"graft", 2, func(i int) { k.sendGraft(Flow{1, 0}, uint32(i), 3) }},
+	} {
+		i, before := 0, sent
+		allocs := testing.AllocsPerRun(runs, func() {
+			tc.send(i)
+			i++
+			engine.RunAll()
+		})
+		if allocs != tc.want {
+			t.Errorf("%s allocates %.1f, want %.0f", tc.name, allocs, tc.want)
+		}
+		if sent-before != runs+1 {
+			t.Errorf("%s: %d of %d sends reached the MAC", tc.name, sent-before, runs+1)
+		}
+	}
+	if k.Stats.DataForwarded != runs+1 || k.Stats.FloodsForwarded != runs+2 || k.Stats.GraftsSent != runs+2 {
+		t.Fatalf("counted %d data, %d flood forwards and %d grafts", k.Stats.DataForwarded, k.Stats.FloodsForwarded, k.Stats.GraftsSent)
+	}
+}

@@ -6,6 +6,13 @@
 // reverse-path grafts and forwarder flags, the data plane with its
 // duplicate-suppression window, and the common counters.
 //
+// The kernel's jittered sends — a relayed data copy, a relayed flood copy, a
+// graft — are each one pending-send record: the packet, the previous hop,
+// what to count once the MAC accepts it and, for a graft, the round it
+// answers. The kernel recycles the records and the engine fires them
+// through sim.Engine.ScheduleArgPooled, so relaying a copy allocates only
+// the copy.
+//
 // The node assembly, traffic generators, experiment harness, and live
 // testbed all depend only on this package; concrete protocols (mesh-based
 // ODMRP in internal/odmrp, the core-based shared tree in internal/mcst)

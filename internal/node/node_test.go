@@ -196,3 +196,47 @@ func TestFailRestoreLifecycle(t *testing.T) {
 		t.Fatal("lifecycle not idempotent")
 	}
 }
+
+// BenchmarkRelayForward measures one relayed data copy through the whole
+// stack on a small medium: the middle node of a three-node chain, a
+// forwarder for the group, clones the copy its upstream sent, jitters it,
+// contends for the channel and broadcasts it, and the member downstream
+// decodes and delivers it. The query floods that keep the forwarder flag set
+// run alongside, as in a real run. With -benchmem, allocs/op is the relay
+// path's budget: the clone, plus the amortised share of the floods.
+func BenchmarkRelayForward(b *testing.B) {
+	engine := sim.NewEngine(7)
+	medium := phy.NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, phy.DefaultParams())
+	var nodes []*Node
+	for i := 0; i < 3; i++ {
+		nd, err := New(engine, medium, packet.NodeID(i), geom.Point{X: float64(i) * 200}, DefaultConfig(metric.MinHop))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	relay, member := nodes[1], nodes[2]
+	member.Router.JoinGroup(1)
+	delivered := 0
+	member.Router.SetOnDeliver(func(*packet.Packet, packet.NodeID) { delivered++ })
+	nodes[0].Router.StartSource(1)
+	engine.Run(time.Second)
+	if !relay.Router.IsForwarder(1) {
+		b.Fatal("the middle node did not become a forwarder")
+	}
+	copies := make([]packet.Packet, b.N)
+	for i := range copies {
+		copies[i] = packet.Packet{Kind: packet.TypeData, Src: 0, PrevHop: 0, Group: 1, Seq: uint32(i), TTL: 8, PayloadBytes: 512}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range copies {
+		relay.Router.Handle(&copies[i], 0)
+		// Past the data jitter, DIFS, the longest backoff and the airtime.
+		engine.Run(engine.Now() + 5*time.Millisecond)
+	}
+	b.StopTimer()
+	if delivered != b.N {
+		b.Fatalf("member got %d of %d relayed copies", delivered, b.N)
+	}
+}

@@ -50,14 +50,16 @@ type arrival struct {
 // receiver returns the radio of an occupied slot's arrival.
 func (m *Medium) receiver(a *arrival) *Radio { return m.radios[a.rx-1] }
 
-// flight is the record of one frame on the air. arrivals has one slot per
+// flight is the record of one frame on the air. It holds its own copy of the
+// frame, so a transmitter's frame can live on its stack; receivers are handed
+// &frame, valid for the call (Radio.ReceiveFrame). arrivals has one slot per
 // candidate of the transmitter, in delivery order; slots of candidates the
 // frame did not reach (faded below the floor, dropped by an impairment) stay
 // empty and the cursors step over them. An arrival's slot is cleared when it
 // ends, so a record goes back to the pool all zero.
 type flight struct {
 	medium   *Medium
-	frame    *packet.Frame
+	frame    packet.Frame
 	t0       time.Duration // transmit time
 	airtime  time.Duration
 	base     uint64 // first of the frame's reserved sequence numbers
@@ -86,9 +88,9 @@ func (fl *flight) endCursor() cursor {
 	return cursor{at: fl.t0 + time.Duration(a.delay) + fl.airtime, seq: fl.base + 2*uint64(a.rank) + 1, fl: fl, end: true}
 }
 
-// newFlight takes a record from the pool (or allocates one) and sizes it for a
-// transmitter with n candidates.
-func (m *Medium) newFlight(f *packet.Frame, t0, airtime time.Duration, n int) *flight {
+// newFlight takes a record from the pool (or allocates one) and copies f into
+// it; transmit sizes its arrivals once the candidate list is known.
+func (m *Medium) newFlight(f *packet.Frame, t0, airtime time.Duration) *flight {
 	var fl *flight
 	if last := len(m.flightPool) - 1; last >= 0 {
 		fl = m.flightPool[last]
@@ -97,12 +99,16 @@ func (m *Medium) newFlight(f *packet.Frame, t0, airtime time.Duration, n int) *f
 	} else {
 		fl = &flight{medium: m}
 	}
-	fl.frame, fl.t0, fl.airtime = f, t0, airtime
+	fl.frame, fl.t0, fl.airtime = *f, t0, airtime
+	return fl
+}
+
+// size gives the record one empty arrival slot per candidate, n in all.
+func (fl *flight) size(n int) {
 	if cap(fl.arrivals) < n {
 		fl.arrivals = make([]arrival, n)
 	}
 	fl.arrivals = fl.arrivals[:n]
-	return fl
 }
 
 // launch starts the cursors of a record transmit has filled with k arrivals,
@@ -129,7 +135,7 @@ func (fl *flight) launch(k int) {
 
 // free returns the record, every slot of which has been cleared, to the pool.
 func (fl *flight) free() {
-	fl.frame = nil
+	fl.frame = packet.Frame{}
 	fl.medium.flightPool = append(fl.medium.flightPool, fl)
 }
 
@@ -185,7 +191,7 @@ func (m *Medium) deliverRoot() {
 	} else {
 		m.replaceRoot(fl.endCursor())
 	}
-	m.receiver(a).endArrival(a, fl.frame)
+	m.receiver(a).endArrival(a, &fl.frame)
 	*a = arrival{}
 	if last {
 		fl.free()

@@ -39,7 +39,7 @@ func edgePerEvent(m *Medium) (afterTransmit func()) {
 				at, seq := fl.t0+time.Duration(a.delay), fl.base+2*uint64(a.rank)
 				m.engine.NewTimer(func() { rx.beginArrival(a) }).ArmReserved(at, seq, fl.t0)
 				m.engine.NewTimer(func() {
-					rx.endArrival(a, fl.frame)
+					rx.endArrival(a, &fl.frame)
 					*a = arrival{}
 					if left--; left == 0 {
 						fl.free()

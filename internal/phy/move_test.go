@@ -368,7 +368,9 @@ func TestMoveRadioUnderLinkFunc(t *testing.T) {
 
 // TestTransmitAllocs pins the allocation budget of the fan-out hot path:
 // zero allocations per transmit (pooled flight records, owned cursor events),
-// zero for a move that stays inside its cell (two stamps), and zero for a move
+// also when the caller's frame is a fresh local — the record copies it, so
+// it stays on the caller's stack, as the MAC's broadcast frame does — zero
+// for a move that stays inside its cell (two stamps), and zero for a move
 // followed by a transmit — the stale list and its delay-order permutation are
 // rebuilt into their old backing arrays.
 func TestTransmitAllocs(t *testing.T) {
@@ -388,6 +390,15 @@ func TestTransmitAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fan-out allocates %.1f per transmit, want 0", allocs)
+	}
+	payload := frame.Payload
+	allocs = testing.AllocsPerRun(50, func() {
+		f := packet.Frame{Kind: packet.FrameData, Src: tx.ID, Dst: packet.Broadcast, Payload: payload}
+		tx.Transmit(&f)
+		engine.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("transmitting a caller-owned frame allocates %.1f, want 0 (the frame escapes)", allocs)
 	}
 
 	// The mover shuttles between two spots of one cell, so the index itself

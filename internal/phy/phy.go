@@ -279,14 +279,16 @@ func (m *Medium) DeliveryProbability(a, b geom.Point) float64 {
 // and writes the surviving arrival into the frame's record at its
 // delivery-order slot. The record's two cursors join the medium's merge heap,
 // which delivers the arrivals one by one (flight.go); nothing is scheduled
-// per receiver.
+// per receiver. The record keeps its own copy of the frame, so frame need
+// not outlive the call.
 func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration) {
-	if m.onTransmit != nil {
-		m.onTransmit(m.engine.Now(), frame)
-	}
 	now := m.engine.Now()
+	fl := m.newFlight(frame, now, airtime)
+	if m.onTransmit != nil {
+		m.onTransmit(now, &fl.frame)
+	}
 	c := m.linksFrom(src)
-	fl := m.newFlight(frame, now, airtime, len(c.links))
+	fl.size(len(c.links))
 	survivors := 0
 	for i := range c.links {
 		l := &c.links[i]
@@ -350,7 +352,10 @@ type Radio struct {
 	Pos geom.Point
 
 	// ReceiveFrame is invoked for every successfully decoded frame. Set by
-	// the MAC layer.
+	// the MAC layer. The frame belongs to the PHY's record of the
+	// transmission and is valid only during the call: a receiver that keeps
+	// the frame, or a field of it, past its return copies it. Its Payload
+	// packet is not recycled and may be kept.
 	ReceiveFrame func(f *packet.Frame)
 	// BusyChanged is invoked when physical carrier sense changes state.
 	// Set by the MAC layer.
@@ -407,7 +412,9 @@ func (r *Radio) Down() bool { return r.down }
 // Transmit puts a frame on the air and returns its airtime. The caller (MAC)
 // is responsible for deferring until the channel is idle; the radio itself
 // will transmit regardless (that is what makes collisions possible). A
-// powered-off radio silently discards the frame (zero airtime).
+// powered-off radio silently discards the frame (zero airtime). The medium
+// copies f, so the caller may reuse it, or keep it on its stack, once
+// Transmit returns.
 func (r *Radio) Transmit(f *packet.Frame) time.Duration {
 	if r.down {
 		r.Stats.RadioDownDrops++

@@ -42,11 +42,13 @@ func TestDeliveryWithinRangeNoFading(t *testing.T) {
 	engine, medium := newTestMedium(t, propagation.NoFading{})
 	tx := medium.AttachRadio(0, geom.Point{X: 0, Y: 0})
 	rx := medium.AttachRadio(1, geom.Point{X: 200, Y: 0})
-	var got *packet.Frame
-	rx.ReceiveFrame = func(f *packet.Frame) { got = f }
+	var got packet.Frame
+	delivered := false
+	// The delivered frame is valid only during the call: keep a copy.
+	rx.ReceiveFrame = func(f *packet.Frame) { got, delivered = *f, true }
 	engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 512)) })
 	engine.RunAll()
-	if got == nil {
+	if !delivered {
 		t.Fatal("frame not delivered at 200m without fading")
 	}
 	if got.Payload.Src != 0 {
@@ -701,8 +703,8 @@ func TestDeliveryProbabilityPanicsUnderLinkFunc(t *testing.T) {
 	medium.DeliveryProbability(geom.Point{}, geom.Point{X: 100})
 }
 
-// assertPoolClean verifies every pooled flight record came back reset: no
-// frame, no cursor left in the medium's merge heap, and every arrival slot —
+// assertPoolClean verifies every pooled flight record came back reset: a zero
+// frame (a stale Payload would keep the last packet alive), no cursor left in the medium's merge heap, and every arrival slot —
 // up to capacity, not just the length of the last use — zero. A stale
 // rx/power/corrupted here would leak into the next frame that draws the record
 // from the pool (an occupied slot is a phantom arrival; the cursors tell empty
@@ -711,8 +713,8 @@ func TestDeliveryProbabilityPanicsUnderLinkFunc(t *testing.T) {
 func assertPoolClean(t *testing.T, m *Medium) {
 	t.Helper()
 	for i, fl := range m.flightPool {
-		if fl.frame != nil {
-			t.Fatalf("pooled flight %d still holds its frame", i)
+		if fl.frame != (packet.Frame{}) {
+			t.Fatalf("pooled flight %d still holds its frame: %+v", i, fl.frame)
 		}
 		for _, c := range m.air {
 			if c.fl == fl {

@@ -43,8 +43,11 @@ var ErrNotConnected = errors.New("topology: could not generate a connected topol
 // under the given communication range, trying up to maxAttempts times. The
 // paper presents averages over 10 random topologies; connected instances
 // keep every group member reachable so throughput differences reflect
-// routing, not partitions.
+// routing, not partitions. n below 1 is an error.
 func RandomConnected(rng *sim.RNG, n int, area geom.Rect, rangeM float64, maxAttempts int) (*Topology, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("topology: a topology needs at least one node, got %d", n)
+	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		t := Random(rng, n, area)
 		if t.IsConnected(rangeM) {
