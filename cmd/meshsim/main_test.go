@@ -1,8 +1,12 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -354,4 +358,61 @@ func TestRunWithChurn(t *testing.T) {
 	if err := run(opt); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSpanFilePinned pins what the -spans file of two fixed-seed runs decodes
+// to: the number of spans and the SHA-256 of the list sorted by every field,
+// so the pin holds however the file groups or orders the lines.
+func TestSpanFilePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two 120 s simulations")
+	}
+	for _, tc := range []struct {
+		name   string
+		set    func(*options)
+		spans  int
+		digest string
+	}{
+		{"spp-seed1", func(o *options) { o.Seconds, o.Seed = 20, 1 },
+			176551, "72b438e7182cb04e8e6de4cff3254e4d656802c588842f0d242fea1832a20bf6"},
+		{"mcst-3src-seed2", func(o *options) { o.Protocol, o.Sources, o.Seconds, o.Seed = "mcst", 3, 20, 2 },
+			239758, "10c1c387d6503990dc816e61e5d01f1b752bd281b5e4d48e913e7684a48ded83"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := defaultOptions()
+			tc.set(&opt)
+			opt.Spans = t.TempDir() + "/spans.jsonl"
+			captureRun(t, opt)
+			spans, err := trace.LoadSpans(opt.Spans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := spanDigest(spans); len(spans) != tc.spans || got != tc.digest {
+				t.Fatalf("%d spans, digest %s; want %d, %s", len(spans), got, tc.spans, tc.digest)
+			}
+		})
+	}
+}
+
+// spanDigest hashes spans in the order of all their fields, time first.
+func spanDigest(spans []trace.Span) string {
+	key := func(s trace.Span) [9]uint64 {
+		return [9]uint64{uint64(s.At), uint64(s.Node), uint64(s.Kind), s.TraceID, uint64(s.Peer),
+			uint64(s.PktKind), uint64(s.Group), uint64(s.Seq), uint64(s.Hop)}
+	}
+	sorted := append([]trace.Span(nil), spans...)
+	sort.Slice(sorted, func(i, k int) bool {
+		a, b := key(sorted[i]), key(sorted[k])
+		for f := range a {
+			if a[f] != b[f] {
+				return a[f] < b[f]
+			}
+		}
+		return false
+	})
+	h := sha256.New()
+	for _, s := range sorted {
+		fmt.Fprintln(h, key(s))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

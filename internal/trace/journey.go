@@ -128,7 +128,18 @@ func Reconstruct(spans []Span) []*Journey {
 }
 
 func reconstructOne(id uint64, ss []Span) *Journey {
-	sort.SliceStable(ss, func(i, k int) bool { return ss[i].At < ss[k].At })
+	// The key is total for one packet's spans, so the journey does not depend
+	// on the order a file lists simultaneous steps in.
+	sort.Slice(ss, func(i, k int) bool {
+		a, b := &ss[i], &ss[k]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		return a.Kind < b.Kind
+	})
 	j := &Journey{TraceID: id}
 	// Seed packet identity from the first span; SpanOriginate refines it.
 	j.PktKind, j.Group, j.Seq = ss[0].PktKind, ss[0].Group, ss[0].Seq
