@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -34,7 +35,7 @@ var validKinds = func() []string {
 }()
 
 func main() {
-	node := flag.Int("node", -1, "only show frames transmitted by this node")
+	node := flag.Int("node", -1, "only show frames transmitted by this node (-1: every node)")
 	kind := flag.String("kind", "", "only show this packet kind ("+strings.Join(validKinds, ", ")+")")
 	stats := flag.Bool("stats", false, "print per-kind counts instead of individual frames")
 	flag.Parse()
@@ -61,7 +62,19 @@ func checkKind(kind string) error {
 	return fmt.Errorf("unknown -kind %q (valid: %s)", kind, strings.Join(validKinds, ", "))
 }
 
+// checkNode validates a -node filter value the same way: a node ID, or -1 for
+// every node.
+func checkNode(node int) error {
+	if node < -1 || node > math.MaxUint16 {
+		return fmt.Errorf("-node %d out of range (a node ID in [0, %d], or -1 for every node)", node, math.MaxUint16)
+	}
+	return nil
+}
+
 func run(w io.Writer, path string, node int, kind string, stats bool) error {
+	if err := checkNode(node); err != nil {
+		return err
+	}
 	if err := checkKind(kind); err != nil {
 		return err
 	}

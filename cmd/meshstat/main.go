@@ -49,8 +49,9 @@ func main() {
 	journeys := flag.Bool("journeys", false, "packet-journey report from a span stream: meshstat -journeys SPANS")
 	journeyN := flag.Int("n", 5, "how many slowest/lossiest journeys -journeys details")
 	flag.Parse()
-	var err error
+	err := checkCounts(*topN, *journeyN)
 	switch {
+	case err != nil:
 	case *watch != "":
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		err = runWatch(ctx, os.Stdout, *watch)
@@ -75,6 +76,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkCounts rejects a negative -top or -n; zero leaves the table out.
+func checkCounts(topN, journeyN int) error {
+	if topN < 0 {
+		return fmt.Errorf("-top must not be negative, got %d", topN)
+	}
+	if journeyN < 0 {
+		return fmt.Errorf("-n must not be negative, got %d", journeyN)
+	}
+	return nil
 }
 
 // normalizeBase turns a bare host:port into a full http base URL.

@@ -202,3 +202,20 @@ func TestWatchLine(t *testing.T) {
 		t.Errorf("error sample rendered wrong: %s", line)
 	}
 }
+
+func TestCheckCounts(t *testing.T) {
+	for _, tc := range []struct {
+		top, n int
+		want   string // "" accepts
+	}{
+		{5, 5, ""},
+		{0, 0, ""},
+		{-2, 5, "-top must not be negative, got -2"},
+		{5, -3, "-n must not be negative, got -3"},
+	} {
+		err := checkCounts(tc.top, tc.n)
+		if (err == nil) != (tc.want == "") || err != nil && err.Error() != tc.want {
+			t.Errorf("checkCounts(%d, %d) = %v, want %q", tc.top, tc.n, err, tc.want)
+		}
+	}
+}
