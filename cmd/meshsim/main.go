@@ -268,12 +268,15 @@ func parseTrace(s string) (map[packet.Type]bool, error) {
 }
 
 // spanPrinter is the -trace sink: it prints the spans of the selected packet
-// types, one line each, and passes every span on to next (the -spans writer)
-// when there is one.
+// types, one line each, and passes every span and record on to next (the
+// -spans writer) when there is one. A frame's phy-arrive record prints as the
+// spans it stands for when the frame has left the air, up to one airtime
+// after its first decode.
 type spanPrinter struct {
-	w    io.Writer
-	pkts map[packet.Type]bool
-	next trace.SpanSink
+	w       io.Writer
+	pkts    map[packet.Type]bool
+	next    trace.SpanSink
+	scratch []trace.Span
 }
 
 func (p *spanPrinter) EmitSpan(s trace.Span) {
@@ -282,6 +285,18 @@ func (p *spanPrinter) EmitSpan(s trace.Span) {
 	}
 	if p.next != nil {
 		p.next.EmitSpan(s)
+	}
+}
+
+func (p *spanPrinter) EmitArrivals(a *trace.Arrivals) {
+	if p.pkts[a.PktKind] {
+		p.scratch = a.AppendSpans(p.scratch[:0])
+		for _, s := range p.scratch {
+			fmt.Fprintln(p.w, s)
+		}
+	}
+	if p.next != nil {
+		p.next.EmitArrivals(a)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"meshcast/internal/packet"
+	"meshcast/internal/trace"
 )
 
 // Frames in flight.
@@ -56,7 +57,9 @@ func (m *Medium) receiver(a *arrival) *Radio { return m.radios[a.rx-1] }
 // candidate of the transmitter, in delivery order; slots of candidates the
 // frame did not reach (faded below the floor, dropped by an impairment) stay
 // empty and the cursors step over them. An arrival's slot is cleared when it
-// ends, so a record goes back to the pool all zero.
+// ends, so a record goes back to the pool all zero. While a tracer is
+// attached, decodes collects the frame's traced decodes in delivery order;
+// free emits it as the frame's one phy-arrive record.
 type flight struct {
 	medium   *Medium
 	frame    packet.Frame
@@ -66,6 +69,7 @@ type flight struct {
 	arrivals []arrival
 	// beginAt and endAt are the slots the two cursors deliver next.
 	beginAt, endAt int
+	decodes        trace.Arrivals
 }
 
 // cursor is one entry of the medium's merge heap: the key of the next edge a
@@ -133,10 +137,26 @@ func (fl *flight) launch(k int) {
 	}
 }
 
-// free returns the record, every slot of which has been cleared, to the pool.
+// free emits the frame's phy-arrive record, if it has decodes, and returns the
+// flight, every slot of which has been cleared, to the pool.
 func (fl *flight) free() {
+	m := fl.medium
+	if len(fl.decodes.Decodes) > 0 {
+		m.Tracer.EmitArrivals(&fl.decodes)
+	}
 	fl.frame = packet.Frame{}
-	fl.medium.flightPool = append(fl.medium.flightPool, fl)
+	m.flightPool = append(m.flightPool, fl)
+}
+
+// FlushArrivals emits the phy-arrive records of the frames still on the air,
+// holding their decodes so far; a later decode of such a frame starts a
+// record of its own. A run calls it when it stops.
+func (m *Medium) FlushArrivals() {
+	for i := range m.air {
+		if c := &m.air[i]; c.end {
+			m.Tracer.EmitArrivals(&c.fl.decodes)
+		}
+	}
 }
 
 // next returns the first occupied slot at or after i, or len(arrivals).
@@ -191,7 +211,7 @@ func (m *Medium) deliverRoot() {
 	} else {
 		m.replaceRoot(fl.endCursor())
 	}
-	m.receiver(a).endArrival(a, &fl.frame)
+	m.receiver(a).endArrival(a, fl)
 	*a = arrival{}
 	if last {
 		fl.free()

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/propagation"
 	"meshcast/internal/sim"
+	"meshcast/internal/trace"
 )
 
 // edgePerEvent is the reference medium for the delivery path: every leading
@@ -39,7 +41,7 @@ func edgePerEvent(m *Medium) (afterTransmit func()) {
 				at, seq := fl.t0+time.Duration(a.delay), fl.base+2*uint64(a.rank)
 				m.engine.NewTimer(func() { rx.beginArrival(a) }).ArmReserved(at, seq, fl.t0)
 				m.engine.NewTimer(func() {
-					rx.endArrival(a, &fl.frame)
+					rx.endArrival(a, fl)
 					*a = arrival{}
 					if left--; left == 0 {
 						fl.free()
@@ -169,4 +171,79 @@ func TestMergedDeliveryMatchesEdgePerEvent(t *testing.T) {
 	if merged.replies == 0 || !strings.Contains(merged.trace, "<-") {
 		t.Fatalf("%d transmits from inside ReceiveFrame; the storm must decode frames and answer some", merged.replies)
 	}
+}
+
+// TestTracedFrameAllocs sends a traced frame to 60 receivers through the
+// flight and the JSONL writer: the record's decodes reuse the pooled flight's
+// slice and the writer's buffer takes the record's one line, so a frame
+// allocates nothing.
+func TestTracedFrameAllocs(t *testing.T) {
+	engine := sim.NewEngine(31)
+	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	w := trace.NewSpanJSONLWriter(io.Discard)
+	medium.Tracer = trace.New(w, engine.Now)
+	decoded := 0
+	for i := 0; i < 61; i++ {
+		r := medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i%8) * 20, Y: float64(i/8) * 20})
+		r.ReceiveFrame = func(*packet.Frame) { decoded++ }
+	}
+	tx := medium.radios[0]
+	frame := dataFrame(0, 256)
+	frame.Payload.TraceID = 1
+	tx.Transmit(frame)
+	engine.RunAll()
+	if decoded != 60 {
+		t.Fatalf("%d receivers decoded the frame, want 60", decoded)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		tx.Transmit(frame)
+		engine.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("a traced frame allocates %.1f, want 0", allocs)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertPoolClean(t, medium)
+}
+
+// TestFlushArrivalsMidFrame stops a run between a frame's two decodes: the
+// record flushed then holds the first, the second goes out in a record of
+// its own when the frame leaves the air, and each decode is one phy-arrive
+// span, with the outcome its receiver's routing layer gave it.
+func TestFlushArrivalsMidFrame(t *testing.T) {
+	engine, medium := newTestMedium(t, propagation.NoFading{})
+	buf := &trace.SpanBuffer{}
+	tr := trace.New(buf, engine.Now)
+	medium.Tracer = tr
+	tx := medium.AttachRadio(0, geom.Point{})
+	near := medium.AttachRadio(1, geom.Point{X: 30})
+	far := medium.AttachRadio(2, geom.Point{X: 200})
+	far.ReceiveFrame = func(f *packet.Frame) { tr.Span(trace.SpanDeliver, far.ID, f.Src, f.Payload) }
+	frame := dataFrame(0, 256)
+	frame.Payload.TraceID = 7
+	airtime := tx.Transmit(frame)
+
+	engine.Run(airtime + 300*time.Nanosecond) // near's decode ends at +100 ns, far's at +667 ns
+	if n := len(buf.Spans()); n != 0 {
+		t.Fatalf("%d spans while the frame is on the air, want 0", n)
+	}
+	medium.FlushArrivals()
+	medium.FlushArrivals() // nothing new
+	engine.RunAll()
+	medium.FlushArrivals() // nothing on the air
+	spans := buf.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("spans = %+v, want near's and far's phy-arrive and far's deliver", spans)
+	}
+	for i, want := range []struct {
+		kind trace.SpanKind
+		node packet.NodeID
+	}{{trace.SpanPhyArrive, near.ID}, {trace.SpanPhyArrive, far.ID}, {trace.SpanDeliver, far.ID}} {
+		if s := spans[i]; s.Kind != want.kind || s.Node != want.node || s.Peer != tx.ID || s.TraceID != 7 {
+			t.Fatalf("span %d = %+v, want %v at n%d", i, s, want.kind, want.node)
+		}
+	}
+	assertPoolClean(t, medium)
 }

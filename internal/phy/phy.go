@@ -127,8 +127,8 @@ type Medium struct {
 	// tests set it.
 	onTransmit func(at time.Duration, f *packet.Frame)
 
-	// Tracer emits packet-journey spans for decoded arrivals (nil
-	// disables). Shared by every attached radio.
+	// Tracer collects each frame's decoded arrivals into its phy-arrive
+	// record (nil disables). Shared by every attached radio.
 	Tracer *trace.Tracer
 }
 
@@ -511,7 +511,11 @@ func (r *Radio) beginArrival(a *arrival) {
 	r.notifyBusy(r.CarrierBusy())
 }
 
-func (r *Radio) endArrival(a *arrival, f *packet.Frame) {
+// endArrival ends a's signal at the receiver; if the radio decoded it, the
+// frame goes up the stack, and into the flight's phy-arrive record while a
+// tracer is attached, the decode open for the routing layer's outcome during
+// ReceiveFrame.
+func (r *Radio) endArrival(a *arrival, fl *flight) {
 	r.sensedPower -= a.power
 	if r.sensedPower < 0 {
 		r.sensedPower = 0 // guard against float drift
@@ -520,9 +524,14 @@ func (r *Radio) endArrival(a *arrival, f *packet.Frame) {
 		r.locked = nil
 		if !a.corrupted {
 			r.Stats.FramesDelivered++
-			r.medium.Tracer.Span(trace.SpanPhyArrive, r.ID, f.Src, f.Payload)
+			f := &fl.frame
+			tr := r.medium.Tracer
+			open := tr.Decode(&fl.decodes, r.ID, f)
 			if r.ReceiveFrame != nil {
 				r.ReceiveFrame(f)
+			}
+			if open {
+				tr.EndDecode()
 			}
 		}
 	}

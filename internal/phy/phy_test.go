@@ -721,6 +721,9 @@ func assertPoolClean(t *testing.T, m *Medium) {
 				t.Fatalf("pooled flight %d has a cursor left in the merge heap: %+v", i, c)
 			}
 		}
+		if len(fl.decodes.Decodes) != 0 {
+			t.Fatalf("pooled flight %d still holds decodes: %+v", i, fl.decodes.Decodes)
+		}
 		for j, a := range fl.arrivals[:cap(fl.arrivals)] {
 			if a != (arrival{}) {
 				t.Fatalf("pooled flight %d slot %d not reset: %+v", i, j, a)

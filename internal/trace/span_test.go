@@ -526,3 +526,193 @@ func TestReconstructOrdersByOrigination(t *testing.T) {
 		}
 	}
 }
+
+// testArrivals is a frame from node 3 that n receivers decoded 40 ns apart,
+// every third delivering it and every third suppressing a duplicate.
+func testArrivals(n int) *Arrivals {
+	a := &Arrivals{TraceID: 4<<40 | 17, Peer: 3, PktKind: packet.TypeData, Group: 2, Seq: 17, Hop: 1}
+	for i := 0; i < n; i++ {
+		a.Decodes = append(a.Decodes, Decode{At: 1503*time.Millisecond + time.Duration(40*i),
+			Node: packet.NodeID(10 + i), Outcome: Outcome(i % 3)})
+	}
+	return a
+}
+
+func TestArrivalsAppendSpans(t *testing.T) {
+	a := testArrivals(3)
+	s := Span{TraceID: a.TraceID, Peer: 3, PktKind: packet.TypeData, Group: 2, Seq: 17, Hop: 1}
+	at := func(s Span, ns int, kind SpanKind, node packet.NodeID) Span {
+		s.At, s.Kind, s.Node = 1503*time.Millisecond+time.Duration(ns), kind, node
+		return s
+	}
+	want := []Span{
+		at(s, 0, SpanPhyArrive, 10),
+		at(s, 40, SpanPhyArrive, 11), at(s, 40, SpanDupSuppress, 11),
+		at(s, 80, SpanPhyArrive, 12), at(s, 80, SpanDeliver, 12),
+	}
+	got := a.AppendSpans([]Span{{Kind: SpanMACTx}})
+	if len(got) != 1+len(want) || got[0].Kind != SpanMACTx {
+		t.Fatalf("AppendSpans = %+v", got)
+	}
+	for i := range want {
+		if got[1+i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[1+i], want[i])
+		}
+	}
+	buf := &SpanBuffer{}
+	buf.EmitArrivals(a)
+	if spans := buf.Spans(); len(spans) != len(want) || spans[4] != want[4] {
+		t.Fatalf("SpanBuffer retains %+v", spans)
+	}
+}
+
+// TestArrivalsJSONLRoundTrip writes a record between two spans: it is one
+// line, with rx and without node, and reads back as the spans it stands for.
+func TestArrivalsJSONLRoundTrip(t *testing.T) {
+	var out bytes.Buffer
+	w := NewSpanJSONLWriter(&out)
+	a := testArrivals(3)
+	before := Span{At: 1500 * time.Millisecond, Kind: SpanMACTx, TraceID: a.TraceID, Node: 3, Peer: 3,
+		PktKind: packet.TypeData, Group: 2, Seq: 17, Hop: 1}
+	after := before
+	after.At, after.Kind = 1504*time.Millisecond, SpanOriginate
+	w.EmitSpan(before)
+	w.EmitArrivals(a)
+	w.EmitArrivals(&Arrivals{}) // no decodes: no line
+	w.EmitSpan(after)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	const record = `{"t":1.503,"kind":"phy-arrive","id":4398046511121,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1,"rx":[[10,0,0],[11,40,1],[12,80,2]]}`
+	if len(lines) != 3 || lines[1] != record {
+		t.Fatalf("lines = %q, want the record\n%s\nbetween two spans", lines, record)
+	}
+	got, err := ReadSpans(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]Span{before}, a.AppendSpans(nil)...), after)
+	if len(got) != len(want) {
+		t.Fatalf("read %d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestReadSpansPerDecodeFile keeps a file from before the phy-arrive record,
+// one line per decode and one per outcome, reading as the same spans as the
+// record that replaces those lines.
+func TestReadSpansPerDecodeFile(t *testing.T) {
+	const perDecode = `{"t":1.503,"kind":"phy-arrive","id":4398046511121,"node":10,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1}
+{"t":1.50300004,"kind":"phy-arrive","id":4398046511121,"node":11,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1}
+{"t":1.50300004,"kind":"dup-suppress","id":4398046511121,"node":11,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1}
+{"t":1.50300008,"kind":"phy-arrive","id":4398046511121,"node":12,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1}
+{"t":1.50300008,"kind":"deliver","id":4398046511121,"node":12,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1}
+`
+	const record = `{"t":1.503,"kind":"phy-arrive","id":4398046511121,"peer":3,"pkt":"DATA","grp":2,"seq":17,"hop":1,"rx":[[10,0,0],[11,40,1],[12,80,2]]}
+`
+	old, err := ReadSpans(strings.NewReader(perDecode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadSpans(strings.NewReader(record))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old) != 5 || len(rec) != len(old) {
+		t.Fatalf("%d spans per decode, %d from the record; want 5 each", len(old), len(rec))
+	}
+	for i := range old {
+		if old[i] != rec[i] {
+			t.Fatalf("span %d: %+v per decode, %+v from the record", i, old[i], rec[i])
+		}
+	}
+}
+
+// TestReadSpansRejectsBadRecords names the bad record by its line index and
+// keeps the spans read before it.
+func TestReadSpansRejectsBadRecords(t *testing.T) {
+	const good = `{"t":1,"kind":"mac-tx","id":1,"node":3,"peer":3,"pkt":"DATA","grp":1,"seq":1,"hop":0}` + "\n"
+	line := func(t, kind, rx string) string {
+		return `{"t":` + t + `,"kind":"` + kind + `","id":1,"peer":3,"pkt":"DATA","grp":1,"seq":1,"hop":0,"rx":` + rx + "}\n"
+	}
+	for _, tc := range []struct{ line, want string }{
+		{line("1", "phy-arrive", `5`), "record 1: json: cannot unmarshal number"},
+		{line("1", "phy-arrive", `[5]`), "record 1: json: cannot unmarshal number"},
+		{line("1", "phy-arrive", `{"node":5}`), "record 1: json: cannot unmarshal object"},
+		{line("1", "phy-arrive", `[]`), "record 1: empty rx"},
+		{line("1", "phy-arrive", `[[4,0]]`), "record 1: rx entry 0 is [4 0], not [node, offset, outcome]"},
+		{line("1", "phy-arrive", `[[4,0,0,1]]`), "record 1: rx entry 0 is [4 0 0 1], not [node, offset, outcome]"},
+		{line("1", "phy-arrive", `[[4,0,0],[65536,0,0]]`), "record 1: rx entry 1: node 65536 out of range"},
+		{line("1", "phy-arrive", `[[-1,0,0]]`), "record 1: rx entry 0: node -1 out of range"},
+		{line("1", "phy-arrive", `[[4,-1,0]]`), "record 1: rx entry 0: offset -1 ns out of range"},
+		{line("1", "phy-arrive", `[[4,9223372036854775807,0]]`), "record 1: rx entry 0: offset 9223372036854775807 ns out of range"},
+		{line("1", "phy-arrive", `[[4,1e3,0]]`), "record 1: json: cannot unmarshal number 1e3"},
+		{line("1", "phy-arrive", `[[4,0,3]]`), "record 1: rx entry 0: unknown outcome 3"},
+		{line("1", "phy-arrive", `[[4,0,-1]]`), "record 1: rx entry 0: unknown outcome -1"},
+		{line("1", "deliver", `[[4,0,0]]`), "record 1: rx on a deliver line"},
+		{line("1e10", "phy-arrive", `[[4,0,0]]`), "record 1: t out of range"},
+	} {
+		got, err := ReadSpans(strings.NewReader(good + tc.line))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadSpans error = %v, want it to contain %q", tc.line, err, tc.want)
+		}
+		if len(got) != 1 {
+			t.Errorf("%s: ReadSpans kept %d spans before the bad record, want 1", tc.line, len(got))
+		}
+	}
+	// A negative t takes any offset that keeps the sum in range.
+	if spans, err := ReadSpans(strings.NewReader(line("-1", "phy-arrive", `[[4,9223372036854775807,0]]`))); err != nil || len(spans) != 1 {
+		t.Fatalf("record at t = -1 s: %d spans, %v", len(spans), err)
+	}
+}
+
+// TestSpanJSONLWriterRecordAllocationFree writes records too long for the
+// writer's per-line slack (60 receivers, about 900 bytes) across several
+// hand-offs: no allocation, the buffer never grows, and every write still
+// ends on a line boundary.
+func TestSpanJSONLWriterRecordAllocationFree(t *testing.T) {
+	sink := &failAfter{ok: math.MaxInt}
+	w := NewSpanJSONLWriter(sink)
+	capBefore := cap(w.buf)
+	a := testArrivals(60)
+	w.EmitArrivals(a)
+	if n := len(w.buf); n <= spanLineMax {
+		t.Fatalf("a 60-receiver record is %d bytes, want it past the %d-byte slack", n, spanLineMax)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { w.EmitArrivals(a) }); allocs != 0 {
+		t.Fatalf("EmitArrivals allocates %.2f per record, want 0", allocs)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.buf) != capBefore {
+		t.Fatalf("buffer grew from %d to %d bytes", capBefore, cap(w.buf))
+	}
+	lines := 0
+	for i, chunk := range sink.writes {
+		if chunk[len(chunk)-1] != '\n' {
+			t.Fatalf("write %d ends mid-line", i)
+		}
+		lines += bytes.Count(chunk, []byte{'\n'})
+	}
+	if lines != 502 || len(sink.writes) < 2 {
+		t.Fatalf("%d lines in %d writes, want 502 in several", lines, len(sink.writes))
+	}
+}
+
+// BenchmarkSpanRecord writes a ten-receiver phy-arrive record, about the
+// decodes of one broadcast on the 50-node scenario.
+func BenchmarkSpanRecord(b *testing.B) {
+	w := NewSpanJSONLWriter(io.Discard)
+	a := testArrivals(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.EmitArrivals(a)
+	}
+}

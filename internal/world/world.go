@@ -324,8 +324,11 @@ type Harvest struct {
 	Events uint64
 }
 
-// Harvest collects the measurements of the run so far.
+// Harvest collects the measurements of the run so far. It emits the
+// phy-arrive records of the frames still on the air first, so that a span
+// sink has seen every decode of the run.
 func (w *World) Harvest() Harvest {
+	w.Medium.FlushArrivals()
 	w.collector.ProbeBytes = w.probeBytesSent() - w.warmupProbeBytes
 	h := Harvest{
 		Summary:    w.collector.Summarize(),
