@@ -23,7 +23,6 @@ import (
 
 	"meshcast/internal/experiments"
 	"meshcast/internal/faults"
-	"meshcast/internal/geom"
 	"meshcast/internal/metric"
 	"meshcast/internal/mobility"
 	"meshcast/internal/multicast"
@@ -31,9 +30,7 @@ import (
 	"meshcast/internal/packet"
 	"meshcast/internal/prof"
 	"meshcast/internal/propagation"
-	"meshcast/internal/sim"
 	"meshcast/internal/telemetry"
-	"meshcast/internal/topology"
 	"meshcast/internal/trace"
 )
 
@@ -329,18 +326,19 @@ func faultPlan(opt options) (*faults.Plan, error) {
 	return &plan, nil
 }
 
+// flagNames turns the ScenarioConfig field an input rule rejects into the
+// flags that set it.
+var flagNames = map[string]string{
+	"Topology":        "-nodes/-side",
+	"Groups":          "-groups/-sources/-members",
+	"Protocol":        "-protocol",
+	"TrafficStart":    "-warmup",
+	"Duration":        "-seconds",
+	"ProbeRateFactor": "-probe-rate",
+}
+
 func run(opt options) error {
-	if opt.Seconds < 0 || opt.Warmup < 0 {
-		return fmt.Errorf("-seconds and -warmup must not be negative, got %d and %d", opt.Seconds, opt.Warmup)
-	}
-	// Written as negated comparisons so that NaN is rejected too. RunScenario
-	// reads a probe rate ≤ 0 as the paper's, and -churn below zero as none.
-	if !(opt.Side > 0) {
-		return fmt.Errorf("-side must be positive, got %v", opt.Side)
-	}
-	if !(opt.ProbeRate > 0) {
-		return fmt.Errorf("-probe-rate must be positive, got %v", opt.ProbeRate)
-	}
+	// Negated so that NaN fails too; faultPlan reads -churn below zero as none.
 	if !(opt.Churn >= 0 && opt.Churn <= 1) {
 		return fmt.Errorf("-churn must be a fraction in [0, 1], got %v", opt.Churn)
 	}
@@ -348,39 +346,21 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
-	if _, err := experiments.ProbeConfig(kind, opt.ProbeRate); err != nil {
-		return fmt.Errorf("-probe-rate: %w", err)
-	}
-	proto, err := multicast.Resolve(opt.Protocol)
-	if err != nil {
-		return fmt.Errorf("-protocol: %w", err)
-	}
 	plan, err := faultPlan(opt)
 	if err != nil {
 		return err
 	}
-	rng := sim.NewRNG(opt.Seed ^ 0x9e3779b97f4a7c15)
-	topo, err := topology.RandomConnected(rng, opt.Nodes, geom.Square(opt.Side), 250, 500)
+	cfg, err := experiments.ShapedScenario(kind, opt.Seed, experiments.Shape{
+		Nodes: opt.Nodes, SideM: opt.Side, Groups: opt.Groups, SourcesPer: opt.Sources, MembersPer: opt.Members,
+	})
 	if err != nil {
-		return fmt.Errorf("-nodes/-side: %w", err)
+		return experiments.NameInput(err, flagNames)
 	}
-	groups, err := experiments.DefaultGroups(rng.Split(), opt.Nodes, opt.Groups, opt.Sources, opt.Members)
-	if err != nil {
-		return fmt.Errorf("-groups/-sources/-members: %w", err)
-	}
-	cfg := experiments.ScenarioConfig{
-		Seed:            opt.Seed,
-		Metric:          kind,
-		Protocol:        proto,
-		Topology:        topo,
-		Duration:        time.Duration(opt.Warmup+opt.Seconds) * time.Second,
-		Groups:          groups,
-		PayloadBytes:    512,
-		SendInterval:    50 * time.Millisecond,
-		ProbeRateFactor: opt.ProbeRate,
-		TrafficStart:    time.Duration(opt.Warmup) * time.Second,
-		Faults:          plan,
-	}
+	cfg.Protocol = opt.Protocol
+	cfg.Duration = time.Duration(opt.Warmup+opt.Seconds) * time.Second
+	cfg.ProbeRateFactor = opt.ProbeRate
+	cfg.TrafficStart = time.Duration(opt.Warmup) * time.Second
+	cfg.Faults = plan
 	if opt.Mobility != "" {
 		cfg.Mobility = &mobility.Config{
 			Model:       opt.Mobility,
@@ -404,12 +384,13 @@ func run(opt options) error {
 	res, err := experiments.RunScenario(cfg)
 	if err != nil {
 		closeSpans()
-		return err
+		return experiments.NameInput(err, flagNames)
 	}
 	if err := closeSpans(); err != nil {
 		return err
 	}
 
+	proto, _ := multicast.Resolve(cfg.Protocol)
 	fmt.Printf("protocol=%s metric=%s nodes=%d area=%.0fx%.0fm groups=%d sources/group=%d members/group=%d\n",
 		proto, kind, opt.Nodes, opt.Side, opt.Side, opt.Groups, opt.Sources, opt.Members)
 	// Wall-clock timing goes to stderr: stdout must be byte-identical across

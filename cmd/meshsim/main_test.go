@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"meshcast/internal/experiments"
 	"meshcast/internal/packet"
 	"meshcast/internal/telemetry"
 	"meshcast/internal/trace"
@@ -191,15 +192,15 @@ func TestRunRejectsImpossibleShapes(t *testing.T) {
 		{"no sources", func(o *options) { o.Sources = 0 }, "at least one group"},
 		{"no members", func(o *options) { o.Members = 0 }, "at least one group"},
 		{"negative members", func(o *options) { o.Members = -1 }, "at least one group"},
-		{"negative seconds", func(o *options) { o.Seconds = -5 }, "must not be negative"},
+		{"negative seconds", func(o *options) { o.Seconds = -5 }, "-seconds: experiments: Duration: must be at least TrafficStart"},
 		{"negative warmup", func(o *options) { o.Warmup = -1 }, "must not be negative"},
-		{"zero side", func(o *options) { o.Side = 0 }, "-side must be positive"},
-		{"negative side", func(o *options) { o.Side = -5 }, "-side must be positive"},
-		{"zero probe rate", func(o *options) { o.ProbeRate = 0 }, "-probe-rate must be positive"},
-		{"negative probe rate", func(o *options) { o.ProbeRate = -3 }, "-probe-rate must be positive"},
-		{"infinite probe rate", func(o *options) { o.ProbeRate = math.Inf(1) }, "-probe-rate: experiments: ProbeRateFactor must be finite"},
-		{"probe interval under a preamble", func(o *options) { o.ProbeRate = 1e9 }, "-probe-rate: experiments: ProbeRateFactor 1e+09 scales"},
-		{"negative nodes", func(o *options) { o.Nodes = -3 }, "-nodes/-side: topology: a topology needs at least one node"},
+		{"zero side", func(o *options) { o.Side = 0 }, "-nodes/-side: Topology: cannot be drawn: topology: area"},
+		{"negative side", func(o *options) { o.Side = -5 }, "-nodes/-side: Topology: cannot be drawn: topology: area"},
+		{"zero probe rate", func(o *options) { o.ProbeRate = 0 }, "-probe-rate: experiments: ProbeRateFactor: must be positive"},
+		{"negative probe rate", func(o *options) { o.ProbeRate = -3 }, "-probe-rate: experiments: ProbeRateFactor: must be positive"},
+		{"infinite probe rate", func(o *options) { o.ProbeRate = math.Inf(1) }, "-probe-rate: experiments: ProbeRateFactor: must be finite"},
+		{"probe interval under a preamble", func(o *options) { o.ProbeRate = 1e9 }, "-probe-rate: experiments: ProbeRateFactor: 1e+09 scales"},
+		{"negative nodes", func(o *options) { o.Nodes = -3 }, "-nodes/-side: Topology: cannot be drawn: topology: a topology needs at least one node"},
 		{"NaN waypoint speed", func(o *options) { o.Mobility, o.Speed = "waypoint", math.NaN() }, "MaxSpeedMps must be positive and finite"},
 		{"infinite waypoint speed", func(o *options) { o.Mobility, o.Speed = "waypoint", math.Inf(1) }, "MaxSpeedMps must be positive and finite"},
 		{"negative churn", func(o *options) { o.Churn = -0.2 }, "-churn must be a fraction"},
@@ -222,6 +223,88 @@ func TestRunRejectsImpossibleShapes(t *testing.T) {
 	opt.Sources, opt.Members = 2, 4
 	if err := run(opt); err != nil {
 		t.Fatalf("2 sources + 4 members on 6 nodes: %v", err)
+	}
+}
+
+// within runs f and returns its error, failing the test when f has not
+// returned after 10 s.
+func within(t *testing.T, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("still running after 10 s")
+		return nil
+	}
+}
+
+// TestBadInputNamesFlagOrKey drives each rejected (field, value) row through
+// both front ends ScenarioConfig.Validate serves: the flags and a -scenario
+// spec. Every row used to run on the spec path: a negative
+// sendIntervalMillis never finished, a -5 or 70 000-byte payload reported a
+// delay, a negative warmup started traffic before time zero, a negative
+// probe rate ran the paper's, a negative shadowing sigma drew mirrored
+// fades, a 0 or -500 m side placed the nodes in no area at all, and a
+// repeated source started two flows on one node. Each error must name the
+// flag or the key.
+func TestBadInputNamesFlagOrKey(t *testing.T) {
+	base := func() experiments.Spec {
+		return experiments.Spec{
+			Seed: 1, Metric: "spp", TrafficSeconds: 5,
+			Nodes:  []experiments.NodeSpec{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}},
+			Groups: []experiments.GroupSpecJSON{{Group: 1, Sources: []int{0}, Members: []int{2}}},
+		}
+	}
+	runSpecOf := func(t *testing.T, s experiments.Spec) error {
+		path := t.TempDir() + "/spec.json"
+		if err := s.Save(path); err != nil {
+			return err
+		}
+		return within(t, func() error { return runSpec(path, defaultOptions()) })
+	}
+	if err := runSpecOf(t, base()); err != nil {
+		t.Fatalf("the base spec: %v", err)
+	}
+	randomSide := func(side float64) func(*experiments.Spec) {
+		return func(s *experiments.Spec) {
+			s.Nodes, s.RandomNodes = nil, &experiments.RandomNodesSpec{Count: 3, SideM: side}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// flag sets the field through the flags; nil when no flag does.
+		flag     func(*options)
+		spec     func(*experiments.Spec)
+		flagName string
+		key      string
+	}{
+		{"negative send interval", nil, func(s *experiments.Spec) { s.SendIntervalMillis = -10 }, "", "sendIntervalMillis"},
+		{"negative payload", nil, func(s *experiments.Spec) { s.PayloadBytes = -5 }, "", "payloadBytes"},
+		{"payload over the MSDU", nil, func(s *experiments.Spec) { s.PayloadBytes = 70000 }, "", "payloadBytes"},
+		{"negative warmup", func(o *options) { o.Warmup = -3 }, func(s *experiments.Spec) { s.WarmupSeconds = -3 }, "-warmup", "warmupSeconds"},
+		{"negative probe rate", func(o *options) { o.ProbeRate = -2 }, func(s *experiments.Spec) { s.ProbeRateFactor = -2 }, "-probe-rate", "probeRateFactor"},
+		{"negative shadowing", nil, func(s *experiments.Spec) { s.Fading, s.ShadowSigmaDB = "shadowed-rayleigh", -6 }, "", "shadowSigmaDB"},
+		{"zero side", func(o *options) { o.Side = 0 }, randomSide(0), "-side", "randomNodes"},
+		{"negative side", func(o *options) { o.Side = -500 }, randomSide(-500), "-side", "randomNodes"},
+		{"repeated source", nil, func(s *experiments.Spec) { s.Groups[0].Sources = []int{0, 0} }, "", "groups"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.flag != nil {
+				opt := tinyOptions()
+				tc.flag(&opt)
+				if err := within(t, func() error { return run(opt) }); err == nil || !strings.Contains(err.Error(), tc.flagName) {
+					t.Errorf("flags: run = %v, want an error naming %s", err, tc.flagName)
+				}
+			}
+			s := base()
+			tc.spec(&s)
+			if err := runSpecOf(t, s); err == nil || !strings.Contains(err.Error(), tc.key) {
+				t.Errorf("spec: runSpec = %v, want an error naming %s", err, tc.key)
+			}
+		})
 	}
 }
 

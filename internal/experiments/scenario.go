@@ -6,8 +6,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"meshcast/internal/faults"
@@ -114,14 +117,32 @@ func DefaultScenario(k metric.Kind, seed uint64) (ScenarioConfig, error) {
 // sourcesPer > 1. The topology drawn for a seed is identical regardless of
 // the group shape.
 func DefaultScenarioWith(k metric.Kind, seed uint64, sourcesPer, membersPer int) (ScenarioConfig, error) {
+	return ShapedScenario(k, seed, Shape{Nodes: 50, SideM: 1000, Groups: 2, SourcesPer: sourcesPer, MembersPer: membersPer})
+}
+
+// Shape sizes a seeded random scenario: Nodes placed uniformly in a SideM ×
+// SideM metre square, and Groups groups of SourcesPer sources and
+// MembersPer members each.
+type Shape struct {
+	Nodes                          int
+	SideM                          float64
+	Groups, SourcesPer, MembersPer int
+}
+
+// ShapedScenario is DefaultScenario on any shape: the placement is redrawn
+// until the 250 m disc graph is connected, DefaultGroups draws the groups
+// from the same seeded stream, and traffic and timing are the paper's. A
+// shape the draw cannot hold is a *world.FieldError naming Topology or
+// Groups.
+func ShapedScenario(k metric.Kind, seed uint64, s Shape) (ScenarioConfig, error) {
 	topoRNG := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
-	topo, err := topology.RandomConnected(topoRNG, 50, geom.Square(1000), 250, 500)
+	topo, err := topology.RandomConnected(topoRNG, s.Nodes, geom.Square(s.SideM), 250, 500)
 	if err != nil {
-		return ScenarioConfig{}, fmt.Errorf("default scenario: %w", err)
+		return ScenarioConfig{}, &world.FieldError{Field: "Topology", Reason: "cannot be drawn: " + err.Error()}
 	}
-	groups, err := DefaultGroups(topoRNG.Split(), topo.NodeCount(), 2, sourcesPer, membersPer)
+	groups, err := DefaultGroups(topoRNG.Split(), topo.NodeCount(), s.Groups, s.SourcesPer, s.MembersPer)
 	if err != nil {
-		return ScenarioConfig{}, fmt.Errorf("default scenario: %w", err)
+		return ScenarioConfig{}, &world.FieldError{Field: "Groups", Reason: "cannot be drawn: " + err.Error()}
 	}
 	return ScenarioConfig{
 		Seed:            seed,
@@ -237,21 +258,103 @@ func (t *faultTarget) Restore() {
 // that is not finite, and one that scales the probe interval below the PHY
 // preamble: no frame is shorter on the air, so the channel could not carry
 // the rate, and a prober re-arming every few nanoseconds (or, rounded to
-// zero, at the same instant) would keep a run from ever finishing.
+// zero, at the same instant) would keep a run from ever finishing. Its
+// errors are *world.FieldError naming ProbeRateFactor.
 func ProbeConfig(k metric.Kind, factor float64) (linkquality.Config, error) {
 	c := linkquality.ConfigFor(k)
 	if math.IsNaN(factor) || math.IsInf(factor, 0) {
-		return c, fmt.Errorf("experiments: ProbeRateFactor must be finite, got %v", factor)
+		return c, &world.FieldError{Field: "ProbeRateFactor", Reason: fmt.Sprintf("must be finite, got %v", factor)}
 	}
 	if factor <= 0 || factor == 1 || c.Mode == linkquality.ModeNone {
 		return c, nil
 	}
 	scaled := c.ScaleRate(factor)
 	if floor := phy.DefaultParams().PreambleDelay; scaled.Interval < floor {
-		return c, fmt.Errorf("experiments: ProbeRateFactor %v scales the %v probe interval to %v, under the %v PHY preamble of the shortest frame",
-			factor, c.Interval, scaled.Interval, floor)
+		return c, &world.FieldError{Field: "ProbeRateFactor", Reason: fmt.Sprintf("%v scales the %v probe interval to %v, under the %v PHY preamble of the shortest frame",
+			factor, c.Interval, scaled.Interval, floor)}
 	}
 	return scaled, nil
+}
+
+// Validate is the one set of rules a scenario's input keeps, whichever
+// front end built it: a topology of at least one node; a metric and a
+// protocol that resolve; 0 ≤ TrafficStart ≤ Duration; a finite positive
+// ProbeRateFactor that ProbeConfig accepts; at least one group, each with
+// an ID not zero and used once, and at least one source and one member,
+// all node indices in range and none repeated within the sources or within
+// the members (a source may also be a member); and the CBR shape
+// world.CheckCBR accepts. Every error is a *world.FieldError naming the
+// field at fault.
+func (cfg ScenarioConfig) Validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &world.FieldError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	if cfg.Topology == nil || cfg.Topology.NodeCount() == 0 {
+		return bad("Topology", "must hold at least one node")
+	}
+	nodes := cfg.Topology.NodeCount()
+	if !slices.Contains(metric.All(), cfg.Metric) {
+		return bad("Metric", "%d is not a known metric", int(cfg.Metric))
+	}
+	if _, err := multicast.Resolve(cfg.Protocol); err != nil {
+		return bad("Protocol", "%q is not one of %s", cfg.Protocol, strings.Join(multicast.Names(), ", "))
+	}
+	if cfg.TrafficStart < 0 {
+		return bad("TrafficStart", "must not be negative, got %v", cfg.TrafficStart)
+	}
+	if cfg.Duration < cfg.TrafficStart {
+		return bad("Duration", "must be at least TrafficStart %v, got %v", cfg.TrafficStart, cfg.Duration)
+	}
+	// Negated so that NaN fails too.
+	if !(cfg.ProbeRateFactor > 0) {
+		return bad("ProbeRateFactor", "must be positive, got %v", cfg.ProbeRateFactor)
+	}
+	if _, err := ProbeConfig(cfg.Metric, cfg.ProbeRateFactor); err != nil {
+		return err
+	}
+	if len(cfg.Groups) == 0 {
+		return bad("Groups", "must declare at least one group")
+	}
+	seen := make(map[packet.GroupID]bool)
+	indices := func(g GroupSpec, role string, idx []int) error {
+		if len(idx) == 0 {
+			return bad("Groups", "group %d has no %s", g.Group, role)
+		}
+		once := make(map[int]bool)
+		for _, i := range idx {
+			if i < 0 || i >= nodes {
+				return bad("Groups", "%s %d of group %d is outside [0,%d)", role, i, g.Group, nodes)
+			}
+			if once[i] {
+				return bad("Groups", "group %d lists %s %d twice", g.Group, role, i)
+			}
+			once[i] = true
+		}
+		return nil
+	}
+	for _, g := range cfg.Groups {
+		if g.Group == 0 || seen[g.Group] {
+			return bad("Groups", "group ID %d is 0 or used twice", g.Group)
+		}
+		seen[g.Group] = true
+		if err := indices(g, "source", g.Sources); err != nil {
+			return err
+		}
+		if err := indices(g, "member", g.Members); err != nil {
+			return err
+		}
+	}
+	return world.CheckCBR(cfg.PayloadBytes, cfg.SendInterval)
+}
+
+// NameInput prefixes err with names[Field] when err is a *world.FieldError the
+// map names, so a front end's error names the flag or key the user set.
+func NameInput(err error, names map[string]string) error {
+	var fe *world.FieldError
+	if errors.As(err, &fe) && names[fe.Field] != "" {
+		return fmt.Errorf("%s: %w", names[fe.Field], err)
+	}
+	return err
 }
 
 // RunScenario executes one simulation and returns its measurements. The
@@ -259,18 +362,14 @@ func ProbeConfig(k metric.Kind, factor float64) (linkquality.Config, error) {
 // scenario's own: span tracing, fault injection, mobility, a disruption
 // tracker for each and the telemetry manifest.
 func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("experiments: scenario has no topology")
-	}
-	proto, err := multicast.Resolve(cfg.Protocol)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	// Validate has resolved the protocol and accepted the probe rate.
+	proto, _ := multicast.Resolve(cfg.Protocol)
 
 	nodeCfg := node.DefaultConfig(cfg.Metric)
-	if nodeCfg.Probe, err = ProbeConfig(cfg.Metric, cfg.ProbeRateFactor); err != nil {
-		return nil, err
-	}
+	nodeCfg.Probe, _ = ProbeConfig(cfg.Metric, cfg.ProbeRateFactor)
 	nodeCfg.Protocol = proto
 	if cfg.ODMRP != nil {
 		nodeCfg.Tuning = cfg.ODMRP
@@ -278,9 +377,7 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	if cfg.WindowSize > 0 {
 		nodeCfg.WindowSize = cfg.WindowSize
 	}
-	if cfg.PayloadBytes > 0 {
-		nodeCfg.DataPacketBytes = cfg.PayloadBytes
-	}
+	nodeCfg.DataPacketBytes = cfg.PayloadBytes
 	w := world.New(world.Config{
 		Seed:         cfg.Seed,
 		Fading:       cfg.Fading,

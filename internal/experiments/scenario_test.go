@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"meshcast/internal/propagation"
 	"meshcast/internal/sim"
 	"meshcast/internal/topology"
+	"meshcast/internal/world"
 )
 
 // smallScenario is a 12-node scenario short enough for unit tests.
@@ -149,6 +152,61 @@ func TestRunScenarioNoFadingAblation(t *testing.T) {
 func TestRunScenarioRequiresTopology(t *testing.T) {
 	if _, err := RunScenario(ScenarioConfig{}); err == nil {
 		t.Fatal("expected error for missing topology")
+	}
+}
+
+// TestValidateNamesField walks Validate's rules: each rejected row is a
+// *world.FieldError naming the field at fault, and the edges of each rule
+// pass.
+func TestValidateNamesField(t *testing.T) {
+	base := smallScenario(t, metric.SPP, 7, 30*time.Second)
+	group := func(g GroupSpec) func(*ScenarioConfig) {
+		return func(c *ScenarioConfig) { c.Groups = []GroupSpec{g} }
+	}
+	for _, tc := range []struct {
+		name  string
+		set   func(*ScenarioConfig)
+		field string // empty: the row passes
+	}{
+		{"the base", func(*ScenarioConfig) {}, ""},
+		{"no topology", func(c *ScenarioConfig) { c.Topology = nil }, "Topology"},
+		{"no nodes", func(c *ScenarioConfig) { c.Topology = &topology.Topology{} }, "Topology"},
+		{"unknown metric", func(c *ScenarioConfig) { c.Metric = 0 }, "Metric"},
+		{"unknown protocol", func(c *ScenarioConfig) { c.Protocol = "bogus" }, "Protocol"},
+		{"negative traffic start", func(c *ScenarioConfig) { c.TrafficStart = -time.Second }, "TrafficStart"},
+		{"duration before traffic start", func(c *ScenarioConfig) { c.Duration = c.TrafficStart - 1 }, "Duration"},
+		{"duration at traffic start", func(c *ScenarioConfig) { c.Duration = c.TrafficStart }, ""},
+		{"zero probe rate", func(c *ScenarioConfig) { c.ProbeRateFactor = 0 }, "ProbeRateFactor"},
+		{"NaN probe rate", func(c *ScenarioConfig) { c.ProbeRateFactor = math.NaN() }, "ProbeRateFactor"},
+		{"infinite probe rate", func(c *ScenarioConfig) { c.ProbeRateFactor = math.Inf(1) }, "ProbeRateFactor"},
+		{"probe rate past the preamble", func(c *ScenarioConfig) { c.ProbeRateFactor = 1e9 }, "ProbeRateFactor"},
+		{"no groups", func(c *ScenarioConfig) { c.Groups = nil }, "Groups"},
+		{"group ID 0", group(GroupSpec{Group: 0, Sources: []int{0}, Members: []int{1}}), "Groups"},
+		{"group ID twice", func(c *ScenarioConfig) { c.Groups = append(c.Groups, c.Groups[0]) }, "Groups"},
+		{"no source", group(GroupSpec{Group: 1, Members: []int{1}}), "Groups"},
+		{"no member", group(GroupSpec{Group: 1, Sources: []int{0}}), "Groups"},
+		{"negative source", group(GroupSpec{Group: 1, Sources: []int{-1}, Members: []int{1}}), "Groups"},
+		{"member past the last node", group(GroupSpec{Group: 1, Sources: []int{0}, Members: []int{12}}), "Groups"},
+		{"source twice", group(GroupSpec{Group: 1, Sources: []int{0, 0}, Members: []int{1}}), "Groups"},
+		{"member twice", group(GroupSpec{Group: 1, Sources: []int{0}, Members: []int{1, 2, 1}}), "Groups"},
+		{"source also a member", group(GroupSpec{Group: 1, Sources: []int{0}, Members: []int{0, 1}}), ""},
+		{"empty payload", func(c *ScenarioConfig) { c.PayloadBytes = 0 }, "PayloadBytes"},
+		{"largest payload", func(c *ScenarioConfig) { c.PayloadBytes = 2304 }, ""},
+		{"payload past the MSDU", func(c *ScenarioConfig) { c.PayloadBytes = 2305 }, "PayloadBytes"},
+		{"interval at the preamble", func(c *ScenarioConfig) { c.SendInterval = 192 * time.Microsecond }, ""},
+		{"interval under the preamble", func(c *ScenarioConfig) { c.SendInterval = 191 * time.Microsecond }, "SendInterval"},
+		{"negative interval", func(c *ScenarioConfig) { c.SendInterval = -10 * time.Millisecond }, "SendInterval"},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		err := cfg.Validate()
+		var fe *world.FieldError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		case tc.field != "" && (!errors.As(err, &fe) || fe.Field != tc.field):
+			t.Errorf("%s: Validate = %v, want a *world.FieldError naming %s", tc.name, err, tc.field)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -18,7 +20,9 @@ import (
 
 // Spec is a declarative, JSON-serializable scenario description — the
 // shareable artifact behind a reproducible experiment. Either Nodes (explicit
-// positions) or RandomNodes must be set.
+// positions) or RandomNodes must be set. The times are 32-bit so that no
+// value the decoder accepts overflows a time.Duration, alone or as warmup
+// plus traffic.
 type Spec struct {
 	Seed uint64 `json:"seed"`
 	// Metric is a metric name as printed by metric.Kind ("spp", "minhop"...).
@@ -30,10 +34,10 @@ type Spec struct {
 	// (log-normal shadowing, ShadowSigmaDB, composed with Rayleigh).
 	Fading             string  `json:"fading,omitempty"`
 	ShadowSigmaDB      float64 `json:"shadowSigmaDB,omitempty"`
-	TrafficSeconds     int     `json:"trafficSeconds"`
-	WarmupSeconds      int     `json:"warmupSeconds"`
+	TrafficSeconds     int32   `json:"trafficSeconds"`
+	WarmupSeconds      int32   `json:"warmupSeconds"`
 	PayloadBytes       int     `json:"payloadBytes,omitempty"`
-	SendIntervalMillis int     `json:"sendIntervalMillis,omitempty"`
+	SendIntervalMillis int32   `json:"sendIntervalMillis,omitempty"`
 	ProbeRateFactor    float64 `json:"probeRateFactor,omitempty"`
 
 	// Mobility enables radio motion under the named model ("waypoint",
@@ -66,9 +70,9 @@ type RandomNodesSpec struct {
 
 // GroupSpecJSON declares one multicast group by node index.
 type GroupSpecJSON struct {
-	Group   int   `json:"group"`
-	Sources []int `json:"sources"`
-	Members []int `json:"members"`
+	Group   uint16 `json:"group"`
+	Sources []int  `json:"sources"`
+	Members []int  `json:"members"`
 }
 
 // LoadSpec reads a Spec from a JSON file.
@@ -93,7 +97,20 @@ func (s Spec) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Scenario converts the spec into a runnable ScenarioConfig.
+// specKeys names the key behind each ScenarioConfig field Validate checks.
+var specKeys = map[string]string{
+	"Topology":        "nodes",
+	"Protocol":        "protocol",
+	"TrafficStart":    "warmupSeconds",
+	"Duration":        "trafficSeconds",
+	"ProbeRateFactor": "probeRateFactor",
+	"Groups":          "groups",
+	"PayloadBytes":    "payloadBytes",
+	"SendInterval":    "sendIntervalMillis",
+}
+
+// Scenario converts the spec into a runnable ScenarioConfig, checked by
+// ScenarioConfig.Validate; an error names the spec key.
 func (s Spec) Scenario() (ScenarioConfig, error) {
 	kind, err := metric.ParseKind(s.Metric)
 	if err != nil {
@@ -105,9 +122,6 @@ func (s Spec) Scenario() (ScenarioConfig, error) {
 	}
 	if s.TrafficSeconds <= 0 {
 		return ScenarioConfig{}, fmt.Errorf("spec: trafficSeconds must be positive")
-	}
-	if len(s.Groups) == 0 {
-		return ScenarioConfig{}, fmt.Errorf("spec: no groups declared")
 	}
 
 	var topo *topology.Topology
@@ -122,40 +136,26 @@ func (s Spec) Scenario() (ScenarioConfig, error) {
 		topo = &topology.Topology{Positions: positions}
 	case s.RandomNodes != nil:
 		r := s.RandomNodes
-		rangeM := r.RangeM
-		if rangeM == 0 {
-			rangeM = 250
-		}
 		t, err := topology.RandomConnected(
-			sim.NewRNG(s.Seed^0x9e3779b97f4a7c15), r.Count, geom.Square(r.SideM), rangeM, 500)
+			sim.NewRNG(s.Seed^0x9e3779b97f4a7c15), r.Count, geom.Square(r.SideM), cmp.Or(r.RangeM, 250), 500)
 		if err != nil {
-			return ScenarioConfig{}, err
+			return ScenarioConfig{}, fmt.Errorf("spec: randomNodes: %w", err)
 		}
 		topo = t
 	default:
 		return ScenarioConfig{}, fmt.Errorf("spec: no nodes declared")
 	}
 
-	nodeCount := topo.NodeCount()
 	cfg := ScenarioConfig{
 		Seed:            s.Seed,
 		Metric:          kind,
 		Protocol:        proto,
 		Topology:        topo,
-		Duration:        time.Duration(s.WarmupSeconds+s.TrafficSeconds) * time.Second,
-		PayloadBytes:    s.PayloadBytes,
-		SendInterval:    time.Duration(s.SendIntervalMillis) * time.Millisecond,
-		ProbeRateFactor: s.ProbeRateFactor,
+		Duration:        time.Duration(s.WarmupSeconds)*time.Second + time.Duration(s.TrafficSeconds)*time.Second,
+		PayloadBytes:    cmp.Or(s.PayloadBytes, 512),
+		SendInterval:    cmp.Or(time.Duration(s.SendIntervalMillis)*time.Millisecond, 50*time.Millisecond),
+		ProbeRateFactor: cmp.Or(s.ProbeRateFactor, 1),
 		TrafficStart:    time.Duration(s.WarmupSeconds) * time.Second,
-	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = 512
-	}
-	if cfg.SendInterval == 0 {
-		cfg.SendInterval = 50 * time.Millisecond
-	}
-	if cfg.ProbeRateFactor == 0 {
-		cfg.ProbeRateFactor = 1
 	}
 	switch s.Fading {
 	case "", "rayleigh":
@@ -163,9 +163,9 @@ func (s Spec) Scenario() (ScenarioConfig, error) {
 	case "none":
 		cfg.Fading = propagation.NoFading{}
 	case "shadowed-rayleigh":
-		sigma := s.ShadowSigmaDB
-		if sigma == 0 {
-			sigma = 6
+		sigma := cmp.Or(s.ShadowSigmaDB, 6)
+		if !(sigma > 0) || math.IsInf(sigma, 0) {
+			return ScenarioConfig{}, fmt.Errorf("spec: shadowSigmaDB must be positive and finite, got %v", sigma)
 		}
 		cfg.Fading = propagation.Composite{propagation.LogNormal{SigmaDB: sigma}, propagation.Rayleigh{}}
 	default:
@@ -179,26 +179,7 @@ func (s Spec) Scenario() (ScenarioConfig, error) {
 		}
 	}
 	for _, g := range s.Groups {
-		if g.Group <= 0 || g.Group > 0xffff {
-			return ScenarioConfig{}, fmt.Errorf("spec: group id %d out of range", g.Group)
-		}
-		spec := GroupSpec{Group: packet.GroupID(g.Group)}
-		for _, src := range g.Sources {
-			if src < 0 || src >= nodeCount {
-				return ScenarioConfig{}, fmt.Errorf("spec: source index %d out of range [0,%d)", src, nodeCount)
-			}
-			spec.Sources = append(spec.Sources, src)
-		}
-		for _, m := range g.Members {
-			if m < 0 || m >= nodeCount {
-				return ScenarioConfig{}, fmt.Errorf("spec: member index %d out of range [0,%d)", m, nodeCount)
-			}
-			spec.Members = append(spec.Members, m)
-		}
-		if len(spec.Sources) == 0 || len(spec.Members) == 0 {
-			return ScenarioConfig{}, fmt.Errorf("spec: group %d needs sources and members", g.Group)
-		}
-		cfg.Groups = append(cfg.Groups, spec)
+		cfg.Groups = append(cfg.Groups, GroupSpec{Group: packet.GroupID(g.Group), Sources: g.Sources, Members: g.Members})
 	}
-	return cfg, nil
+	return cfg, NameInput(cfg.Validate(), specKeys)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"strings"
@@ -233,18 +234,18 @@ func TestSpecSourceAlsoMember(t *testing.T) {
 
 // TestRunScenarioRejectsImpossibleProbeRates: a probe rate factor that is not
 // finite, or that scales the probe interval below the PHY preamble (through a
-// spec's probeRateFactor too), is an error naming ProbeRateFactor — it used to
-// re-arm every prober at one instant, or every few nanoseconds, and never
-// return. The paper's factors pass.
+// spec's probeRateFactor too, which Scenario now rejects itself), is an error
+// naming ProbeRateFactor — it used to re-arm every prober at one instant, or
+// every few nanoseconds, and never return. The paper's factors pass.
 func TestRunScenarioRejectsImpossibleProbeRates(t *testing.T) {
 	spec := validSpec()
 	spec.ProbeRateFactor = 1e9
-	cfg, err := spec.Scenario()
+	if _, err := spec.Scenario(); err == nil || !strings.Contains(err.Error(), "ProbeRateFactor") {
+		t.Fatalf("spec probeRateFactor 1e9: %v, want an error naming ProbeRateFactor", err)
+	}
+	cfg, err := validSpec().Scenario()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := RunScenario(cfg); err == nil || !strings.Contains(err.Error(), "ProbeRateFactor") {
-		t.Fatalf("spec probeRateFactor 1e9: %v, want an error naming ProbeRateFactor", err)
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e12} {
 		cfg.ProbeRateFactor = f
@@ -257,4 +258,89 @@ func TestRunScenarioRejectsImpossibleProbeRates(t *testing.T) {
 			t.Fatalf("factor %v: %v", f, err)
 		}
 	}
+}
+
+// specKeyNames are the spec's JSON keys. A rejected spec's error starts
+// with one ("groups: Groups: …") or is a "spec: " error that names one.
+var specKeyNames = []string{
+	"seed", "metric", "protocol", "fading", "shadowSigmaDB", "trafficSeconds", "warmupSeconds",
+	"payloadBytes", "sendIntervalMillis", "probeRateFactor", "mobility", "maxSpeedMps",
+	"nodes", "randomNodes", "groups",
+}
+
+// FuzzSpecScenario feeds JSON through the spec decode, Scenario and
+// Validate. Nothing may panic and every rejection must name a key. An
+// accepted spec of at most 16 nodes that starts traffic within 30 s runs
+// to 1 s past TrafficStart within a deadline and an event budget. The seed
+// corpus is validSpec and the rows of cmd/meshsim's
+// TestBadInputNamesFlagOrKey.
+func FuzzSpecScenario(f *testing.F) {
+	for _, mutate := range []func(*Spec){
+		func(*Spec) {},
+		func(s *Spec) { s.SendIntervalMillis = -10 },
+		func(s *Spec) { s.PayloadBytes = -5 },
+		func(s *Spec) { s.PayloadBytes = 70000 },
+		func(s *Spec) { s.WarmupSeconds = -3 },
+		func(s *Spec) { s.ProbeRateFactor = -2 },
+		func(s *Spec) { s.Fading, s.ShadowSigmaDB = "shadowed-rayleigh", -6 },
+		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 3, SideM: 0} },
+		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 3, SideM: -500} },
+		func(s *Spec) { s.Groups[0].Sources = []int{0, 0} },
+	} {
+		s := validSpec()
+		mutate(&s)
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		// The random placement is redrawn until connected, O(n²) a draw.
+		if s.RandomNodes != nil && s.RandomNodes.Count > 16 {
+			return
+		}
+		cfg, err := s.Scenario()
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			msg := err.Error()
+			for _, key := range specKeyNames {
+				if strings.HasPrefix(msg, key+": ") || strings.HasPrefix(msg, "spec: ") && strings.Contains(msg, key) {
+					return
+				}
+			}
+			t.Fatalf("rejection names no spec key: %v", err)
+		}
+		if cfg.TrafficStart != time.Duration(s.WarmupSeconds)*time.Second || cfg.Duration-cfg.TrafficStart != time.Duration(s.TrafficSeconds)*time.Second {
+			t.Fatalf("spec of %d s warmup and %d s traffic gave TrafficStart %v and Duration %v", s.WarmupSeconds, s.TrafficSeconds, cfg.TrafficStart, cfg.Duration)
+		}
+		if cfg.Topology.NodeCount() > 16 || cfg.TrafficStart > 30*time.Second {
+			return
+		}
+		cfg.Duration = cfg.TrafficStart + time.Second
+		type outcome struct {
+			res *RunResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunScenario(cfg)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			// A library contract (the mover's) may still reject the run.
+			if o.err == nil && o.res.Events > 5_000_000 {
+				t.Fatalf("%d events for %v of 16 nodes or fewer", o.res.Events, cfg.Duration)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("RunScenario still running after 20 s")
+		}
+	})
 }

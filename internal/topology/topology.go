@@ -7,6 +7,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"meshcast/internal/geom"
 	"meshcast/internal/sim"
@@ -43,10 +44,18 @@ var ErrNotConnected = errors.New("topology: could not generate a connected topol
 // under the given communication range, trying up to maxAttempts times. The
 // paper presents averages over 10 random topologies; connected instances
 // keep every group member reachable so throughput differences reflect
-// routing, not partitions. n below 1 is an error.
+// routing, not partitions. n below 1, an area without a positive, finite
+// width and height, and a range that is not positive are errors.
 func RandomConnected(rng *sim.RNG, n int, area geom.Rect, rangeM float64, maxAttempts int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology: a topology needs at least one node, got %d", n)
+	}
+	// Negated so that NaN fails too.
+	if w, h := area.Width(), area.Height(); !(w > 0 && h > 0) || math.IsInf(w+h, 0) {
+		return nil, fmt.Errorf("topology: area %gx%g m has no positive, finite extent", w, h)
+	}
+	if !(rangeM > 0) {
+		return nil, fmt.Errorf("topology: radio range must be positive, got %g m", rangeM)
 	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		t := Random(rng, n, area)

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"meshcast/internal/geom"
@@ -122,6 +124,29 @@ func TestRandomConnectedFailsWhenImpossible(t *testing.T) {
 	_, err := RandomConnected(rng, 3, geom.Square(100000), 1, 5)
 	if !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("err = %v, want ErrNotConnected", err)
+	}
+}
+
+// TestRandomConnectedRejectsDegenerateInput: an area without a positive,
+// finite extent or a range that is not positive is an error naming it. A
+// 0 m side used to stack every node on the origin and pass as connected.
+func TestRandomConnectedRejectsDegenerateInput(t *testing.T) {
+	for _, tc := range []struct {
+		side, rangeM float64
+		want         string
+	}{
+		{0, 250, "no positive, finite extent"},
+		{-500, 250, "no positive, finite extent"},
+		{math.NaN(), 250, "no positive, finite extent"},
+		{math.Inf(1), 250, "no positive, finite extent"},
+		{1000, 0, "range must be positive"},
+		{1000, -250, "range must be positive"},
+		{1000, math.NaN(), "range must be positive"},
+	} {
+		_, err := RandomConnected(sim.NewRNG(5), 3, geom.Square(tc.side), tc.rangeM, 5)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("side %v, range %v: err = %v, want one saying %q", tc.side, tc.rangeM, err, tc.want)
+		}
 	}
 }
 

@@ -46,6 +46,35 @@ type Config struct {
 	SendInterval time.Duration
 }
 
+// maxMSDU is 802.11's largest MSDU: the most payload one data frame carries.
+const maxMSDU = 2304
+
+// FieldError is an input a rule rejects: the configuration field it sits in
+// and why. Config, experiments.ScenarioConfig and meshcast.SimulationConfig
+// call the fields they share by one name, so a front end can map Field to
+// its own name for the input (a flag, a JSON key).
+type FieldError struct {
+	Field  string
+	Reason string
+}
+
+func (e *FieldError) Error() string { return e.Field + ": " + e.Reason }
+
+// CheckCBR is the rule a CBR flow's shape keeps: a payload of 1 to 2 304
+// bytes (802.11's MSDU) and an interval no shorter than the PHY preamble,
+// which no frame is shorter than on the air. A source any faster, or one
+// whose interval is not positive, would schedule its next packet at or
+// before the instant it sends and keep a run from ever finishing.
+func CheckCBR(payloadBytes int, interval time.Duration) error {
+	if payloadBytes < 1 || payloadBytes > maxMSDU {
+		return &FieldError{"PayloadBytes", fmt.Sprintf("must be in 1…%d (802.11's MSDU), got %d", maxMSDU, payloadBytes)}
+	}
+	if floor := phy.DefaultParams().PreambleDelay; interval < floor {
+		return &FieldError{"SendInterval", fmt.Sprintf("must be at least the %v PHY preamble, got %v", floor, interval)}
+	}
+	return nil
+}
+
 // group is one multicast group's declared receivers and sources, in the
 // order they were declared.
 type group struct {
@@ -262,8 +291,12 @@ func (w *World) Join(id packet.NodeID, groupID packet.GroupID) error {
 }
 
 // AddSource attaches a CBR flow from node id to group and starts it: the
-// first packet leaves start after the call.
+// first packet leaves start after the call. It fails on a flow shape
+// CheckCBR rejects.
 func (w *World) AddSource(id packet.NodeID, groupID packet.GroupID, start time.Duration) (*traffic.CBR, error) {
+	if err := CheckCBR(w.cfg.PayloadBytes, w.cfg.SendInterval); err != nil {
+		return nil, err
+	}
 	n, err := w.Node(id)
 	if err != nil {
 		return nil, err

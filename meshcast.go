@@ -125,9 +125,11 @@ type SimulationConfig struct {
 	// DisableFading switches off Rayleigh fading (links become on/off by
 	// distance). The paper's simulations keep fading on.
 	DisableFading bool
-	// PayloadBytes is the CBR payload size (default 512).
+	// PayloadBytes is the CBR payload size (default 512); AddSource
+	// rejects one outside 1–2 304 bytes, 802.11's largest MSDU.
 	PayloadBytes int
-	// SendInterval is the CBR inter-packet gap (default 50 ms).
+	// SendInterval is the CBR inter-packet gap (default 50 ms); AddSource
+	// rejects one shorter than the 192 µs PHY preamble.
 	SendInterval time.Duration
 }
 

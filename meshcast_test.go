@@ -2,6 +2,7 @@ package meshcast
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -377,5 +378,35 @@ func TestSimulationLateAdditions(t *testing.T) {
 	// The late node loses at most the second it missed: one probe interval.
 	if late+1 < upFront || late > upFront {
 		t.Fatalf("probes sent: %d with the node added after Run(1s), %d with it added up front", late, upFront)
+	}
+}
+
+// TestSimulationRejectsImpossibleFlowShape: a negative SendInterval or
+// PayloadBytes is an AddSource error naming the field. The negative interval
+// used to schedule each packet at the instant of the one before, so Run
+// never returned.
+func TestSimulationRejectsImpossibleFlowShape(t *testing.T) {
+	for field, cfg := range map[string]SimulationConfig{
+		"SendInterval": {SendInterval: -10 * time.Millisecond},
+		"PayloadBytes": {PayloadBytes: -5},
+	} {
+		s := NewSimulation(cfg)
+		src, _ := s.AddNode(0, 0)
+		dst, _ := s.AddNode(100, 0)
+		if err := s.Join(dst, 1); err != nil {
+			t.Fatal(err)
+		}
+		err := s.AddSource(src, 1, 0)
+		if err != nil && strings.Contains(err.Error(), field) {
+			continue
+		}
+		done := make(chan struct{})
+		go func() { s.Run(2 * time.Second); close(done) }()
+		select {
+		case <-done:
+			t.Fatalf("%s: AddSource = %v and Run returned, want an error naming %s", field, err, field)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: AddSource = %v and Run has not returned after 5 s", field, err)
+		}
 	}
 }
