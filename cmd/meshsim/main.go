@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -341,6 +342,15 @@ func run(opt options) error {
 	// Negated so that NaN fails too; faultPlan reads -churn below zero as none.
 	if !(opt.Churn >= 0 && opt.Churn <= 1) {
 		return fmt.Errorf("-churn must be a fraction in [0, 1], got %v", opt.Churn)
+	}
+	// -warmup and -seconds count whole seconds; past a time.Duration's ~292
+	// years their sum would wrap into a valid-looking run.
+	const maxSeconds = math.MaxInt64 / int64(time.Second)
+	if w := int64(opt.Warmup); w < -maxSeconds || w > maxSeconds {
+		return fmt.Errorf("-warmup: %d s overflows a time.Duration", opt.Warmup)
+	}
+	if s := int64(opt.Seconds); s < -maxSeconds-int64(opt.Warmup) || s > maxSeconds-int64(opt.Warmup) {
+		return fmt.Errorf("-seconds: %d s after %d s of warmup overflows a time.Duration", opt.Seconds, opt.Warmup)
 	}
 	kind, err := metric.ParseKind(opt.Metric)
 	if err != nil {

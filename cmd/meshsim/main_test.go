@@ -268,14 +268,15 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 	if err := runSpecOf(t, base()); err != nil {
 		t.Fatalf("the base spec: %v", err)
 	}
-	randomSide := func(side float64) func(*experiments.Spec) {
+	random := func(count int, side float64) func(*experiments.Spec) {
 		return func(s *experiments.Spec) {
-			s.Nodes, s.RandomNodes = nil, &experiments.RandomNodesSpec{Count: 3, SideM: side}
+			s.Nodes, s.RandomNodes = nil, &experiments.RandomNodesSpec{Count: count, SideM: side}
 		}
 	}
 	for _, tc := range []struct {
 		name string
-		// flag sets the field through the flags; nil when no flag does.
+		// flag sets the field through the flags, spec through the spec;
+		// nil when none does.
 		flag     func(*options)
 		spec     func(*experiments.Spec)
 		flagName string
@@ -287,9 +288,13 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 		{"negative warmup", func(o *options) { o.Warmup = -3 }, func(s *experiments.Spec) { s.WarmupSeconds = -3 }, "-warmup", "warmupSeconds"},
 		{"negative probe rate", func(o *options) { o.ProbeRate = -2 }, func(s *experiments.Spec) { s.ProbeRateFactor = -2 }, "-probe-rate", "probeRateFactor"},
 		{"negative shadowing", nil, func(s *experiments.Spec) { s.Fading, s.ShadowSigmaDB = "shadowed-rayleigh", -6 }, "", "shadowSigmaDB"},
-		{"zero side", func(o *options) { o.Side = 0 }, randomSide(0), "-side", "randomNodes"},
-		{"negative side", func(o *options) { o.Side = -500 }, randomSide(-500), "-side", "randomNodes"},
+		{"zero side", func(o *options) { o.Side = 0 }, random(3, 0), "-side", "randomNodes"},
+		{"negative side", func(o *options) { o.Side = -500 }, random(3, -500), "-side", "randomNodes"},
 		{"repeated source", nil, func(s *experiments.Spec) { s.Groups[0].Sources = []int{0, 0} }, "", "groups"},
+		{"nodes past the ID space", func(o *options) { o.Nodes = 1e11 }, random(1e11, 1000), "-nodes", "randomNodes"},
+		// The spec's times are 32-bit and cannot overflow.
+		{"warmup past a Duration", func(o *options) { o.Warmup = 1 << 40 }, nil, "-warmup", ""},
+		{"seconds past a Duration", func(o *options) { o.Seconds = 18446744074 }, nil, "-seconds", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.flag != nil {
@@ -299,10 +304,12 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 					t.Errorf("flags: run = %v, want an error naming %s", err, tc.flagName)
 				}
 			}
-			s := base()
-			tc.spec(&s)
-			if err := runSpecOf(t, s); err == nil || !strings.Contains(err.Error(), tc.key) {
-				t.Errorf("spec: runSpec = %v, want an error naming %s", err, tc.key)
+			if tc.spec != nil {
+				s := base()
+				tc.spec(&s)
+				if err := runSpecOf(t, s); err == nil || !strings.Contains(err.Error(), tc.key) {
+					t.Errorf("spec: runSpec = %v, want an error naming %s", err, tc.key)
+				}
 			}
 		})
 	}

@@ -5,8 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
-	"math"
+	"io"
 
 	"meshcast/internal/runner"
 	"meshcast/internal/testbed"
@@ -18,63 +17,82 @@ type ScenarioJob = runner.Job[ScenarioConfig]
 // ScenarioResult is one scenario job's outcome, in submission order.
 type ScenarioResult = runner.Result[*RunResult]
 
-// runJobs executes jobs through the worker pool configured by the Options
-// (Workers, CacheDir, Progress). Results come back in submission order with
-// per-job errors captured, so aggregation never depends on completion
-// order. A cached result is the result struct's own JSON: integers round-
-// trip trivially and float64 through encoding/json's shortest-exact
-// formatting, so a cache hit reproduces the byte-identical report a fresh
-// run would have produced, and a field added to R is cached without
-// further code.
-func runJobs[C, R any](o Options, jobs []runner.Job[C], run func(C) (*R, error), key func(C) (string, bool)) ([]runner.Result[*R], error) {
+// BatchOptions configures the execution harness only: it never influences
+// measured results (reports are byte-identical for any Workers value) and
+// is not part of any cache key.
+type BatchOptions struct {
+	// Workers is the worker-pool size (0 = GOMAXPROCS).
+	Workers int
+	// CacheDir enables the content-addressed result cache when non-empty:
+	// repeated or resumed sweeps skip completed runs.
+	CacheDir string
+	// Progress, when set, observes each job completion.
+	Progress func(runner.Progress)
+	// PoolMetrics, when non-nil, instruments the worker pool (cache
+	// hits/misses, job latency) into a telemetry registry.
+	PoolMetrics *runner.Metrics
+}
+
+// runJobs executes jobs through the worker pool bo configures. Results come
+// back in submission order with per-job errors captured, so aggregation
+// never depends on completion order.
+func runJobs[C, R any](bo BatchOptions, jobs []runner.Job[C], run func(C) (*R, error), key func(C) (string, bool)) ([]runner.Result[*R], error) {
 	pool := &runner.Pool[C, *R]{
-		Workers:    o.Workers,
+		Workers:    bo.Workers,
 		Run:        run,
-		OnProgress: o.Progress,
-		Metrics:    o.PoolMetrics,
+		OnProgress: bo.Progress,
+		Metrics:    bo.PoolMetrics,
 	}
-	if o.CacheDir != "" {
-		cache, err := runner.OpenCache(o.CacheDir)
+	if bo.CacheDir != "" {
+		cache, err := runner.OpenCache(bo.CacheDir)
 		if err != nil {
 			return nil, err
 		}
 		pool.Cache = cache
 		pool.Key = key
-		pool.Encode = encodeResult[R]
-		pool.Decode = decodeResult[R]
 	}
 	return pool.Execute(jobs), nil
 }
 
-func encodeResult[R any](r *R) ([]byte, error) { return json.Marshal(r) }
+// gridCell is one row of a sweep: the label its jobs carry and the config
+// it runs on each seed.
+type gridCell[C any] struct {
+	label  string
+	config func(seed uint64) (C, error)
+}
 
-func decodeResult[R any](data []byte) (*R, error) {
-	r := new(R)
-	if err := json.Unmarshal(data, r); err != nil {
+// runGrid is every sweep's one path: it runs each cell on each seed in a
+// single pool dispatch, so the whole sweep saturates the workers, and
+// returns runs[cell][seed]. Folds read that matrix in index order, never in
+// completion order, which keeps a parallel sweep byte-identical to a serial
+// one. A failed run fails the grid as "<cell> seed N: …".
+func runGrid[C, R any](bo BatchOptions, seeds []uint64, cells []gridCell[C], run func(C) (*R, error), key func(C) (string, bool)) ([][]*R, error) {
+	jobs := make([]runner.Job[C], 0, len(cells)*len(seeds))
+	for _, c := range cells {
+		for _, seed := range seeds {
+			cfg, err := c.config(seed)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, runner.Job[C]{Label: fmt.Sprintf("%s seed %d", c.label, seed), Config: cfg})
+		}
+	}
+	results, err := runJobs(bo, jobs, run, key)
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
-}
-
-func (o Options) runScenarioJobs(jobs []ScenarioJob) ([]ScenarioResult, error) {
-	return runJobs(o, jobs, RunScenario, ScenarioKey)
-}
-
-func (o Options) runTestbedJobs(jobs []TestbedJob) ([]TestbedResult, error) {
-	return runJobs(o, jobs, testbed.Run, TestbedKey)
-}
-
-// BatchOptions configures a standalone batch run through the harness,
-// independent of a paper sweep's Options.
-type BatchOptions struct {
-	// Workers is the worker-pool size (0 = GOMAXPROCS).
-	Workers int
-	// CacheDir enables the content-addressed result cache when non-empty.
-	CacheDir string
-	// Progress, when set, observes each job completion.
-	Progress func(runner.Progress)
-	// PoolMetrics, when non-nil, instruments the worker pool.
-	PoolMetrics *runner.Metrics
+	runs := make([][]*R, len(cells))
+	for i, c := range cells {
+		runs[i] = make([]*R, len(seeds))
+		for j, seed := range seeds {
+			r := results[i*len(seeds)+j]
+			if r.Err != nil {
+				return nil, fmt.Errorf("%s seed %d: %w", c.label, seed, r.Err)
+			}
+			runs[i][j] = r.Value
+		}
+	}
+	return runs, nil
 }
 
 // RunScenarioBatch executes labeled scenario jobs through the worker pool
@@ -82,107 +100,46 @@ type BatchOptions struct {
 // point for callers (examples, external tools) that build their own
 // metric × seed matrices.
 func RunScenarioBatch(jobs []ScenarioJob, bo BatchOptions) ([]ScenarioResult, error) {
-	o := Options{Workers: bo.Workers, CacheDir: bo.CacheDir, Progress: bo.Progress, PoolMetrics: bo.PoolMetrics}
-	return o.runScenarioJobs(jobs)
+	return runJobs(bo, jobs, RunScenario, ScenarioKey)
 }
 
 // RunTestbedBatch executes labeled testbed jobs through the worker pool and
 // returns their results in submission order.
 func RunTestbedBatch(jobs []TestbedJob, bo BatchOptions) ([]TestbedResult, error) {
-	o := Options{Workers: bo.Workers, CacheDir: bo.CacheDir, Progress: bo.Progress, PoolMetrics: bo.PoolMetrics}
-	return o.runTestbedJobs(jobs)
+	return runJobs(bo, jobs, testbed.Run, TestbedKey)
 }
 
-// hashWriter appends canonical field encodings to a hash. Floats are hashed
-// by their IEEE-754 bits so that two configs hash equal exactly when every
-// run-affecting value is bit-identical.
-type hashWriter struct{ h hash.Hash }
-
-func (w hashWriter) str(format string, args ...any) { fmt.Fprintf(w.h, format, args...) }
-
-func (w hashWriter) f64(label string, v float64) {
-	w.str("%s=%016x;", label, math.Float64bits(v))
+// contentKey is a cache key: the sha256 of version followed by each part's
+// JSON. A config's own encoding names every exported field, so a field added
+// later is keyed without further code. A part JSON cannot encode (a NaN, an
+// infinity) makes the run uncachable. Bump a caller's version whenever its
+// result type or the simulation's behavior changes incompatibly: old entries
+// then simply miss.
+func contentKey(version string, parts ...any) (string, bool) {
+	h := sha256.New()
+	io.WriteString(h, version)
+	enc := json.NewEncoder(h)
+	for _, p := range parts {
+		if enc.Encode(p) != nil {
+			return "", false
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), true
 }
 
 // ScenarioKey returns the content hash that addresses a scenario's cached
 // result, and whether the scenario is cachable at all. Scenarios with an
 // attached sink (span tracing, telemetry) have side effects beyond their
-// RunResult and are never cached. Bump the version prefix whenever RunResult
-// or the simulation's behavior changes incompatibly: old entries then simply
-// miss.
+// RunResult and are never cached. The fading model is keyed by its %#v
+// form, which names each concrete type: the JSON of an interface drops it,
+// so Rayleigh{} and NoFading{} would encode alike.
 func ScenarioKey(cfg ScenarioConfig) (string, bool) {
 	if cfg.SpanSink != nil || cfg.Telemetry != nil {
 		return "", false
 	}
-	w := hashWriter{sha256.New()}
-	w.str("meshcast/scenario/v4\n")
-	w.str("proto=%s;", cfg.Protocol)
-	w.str("seed=%d;metric=%s;dur=%d;payload=%d;interval=%d;start=%d;win=%d;",
-		cfg.Seed, cfg.Metric, cfg.Duration, cfg.PayloadBytes, cfg.SendInterval,
-		cfg.TrafficStart, cfg.WindowSize)
-	w.f64("prf", cfg.ProbeRateFactor)
-	w.f64("phw", cfg.PairHistoryWeight)
-
-	// Fading: the concrete type plus its parameters (all known models are
-	// plain value structs). nil means the Rayleigh default.
-	if cfg.Fading == nil {
-		w.str("fading=default;")
-	} else {
-		w.str("fading=%T%+v;", cfg.Fading, cfg.Fading)
-	}
-
-	// Topology: the area and every position, bit-exact.
-	w.str("\ntopo:")
-	if cfg.Topology != nil {
-		a := cfg.Topology.Area
-		w.f64("ax0", a.Min.X)
-		w.f64("ay0", a.Min.Y)
-		w.f64("ax1", a.Max.X)
-		w.f64("ay1", a.Max.Y)
-		for i, p := range cfg.Topology.Positions {
-			w.str("n%d:", i)
-			w.f64("x", p.X)
-			w.f64("y", p.Y)
-		}
-	}
-
-	w.str("\ngroups:")
-	for _, g := range cfg.Groups {
-		w.str("g=%d;src=%v;mem=%v;", g.Group, g.Sources, g.Members)
-	}
-
-	w.str("\nodmrp:")
-	if cfg.ODMRP != nil {
-		w.str("%+v", *cfg.ODMRP)
-	}
-
-	w.str("\nfaults:")
-	if cfg.Faults != nil {
-		p := cfg.Faults
-		if p.Churn != nil {
-			c := *p.Churn
-			w.str("churn:mtbf=%d;mttr=%d;start=%d;end=%d;", c.MTBF, c.MTTR, c.Start, c.End)
-			w.f64("frac", c.Fraction)
-		}
-		w.str("outages=%+v;partitions=%+v;", p.Outages, p.Partitions)
-		for _, lf := range p.LinkFaults {
-			w.str("lf:%d,%d,%d,%d,%v;", lf.From, lf.To, lf.Start, lf.Duration, lf.Symmetric)
-			w.f64("drop", lf.DropProb)
-			w.f64("att", lf.AttenuationDB)
-		}
-	}
-
-	w.str("\nmobility:")
-	if cfg.Mobility != nil {
-		c := cfg.Mobility
-		w.str("model=%s;pause=%d;tick=%d;start=%d;end=%d;groups=%d;corridors=%d;",
-			c.Model, c.Pause, c.Tick, c.Start, c.End, c.Groups, c.Corridors)
-		w.f64("min", c.MinSpeedMps)
-		w.f64("max", c.MaxSpeedMps)
-		w.f64("range", c.LinkRangeM)
-		w.f64("gradius", c.GroupRadiusM)
-	}
-	return hex.EncodeToString(w.h.Sum(nil)), true
+	fading := fmt.Sprintf("%#v", cfg.Fading)
+	cfg.Fading = nil
+	return contentKey("meshcast/scenario/v5", cfg, fading)
 }
 
 // --- testbed jobs -----------------------------------------------------------
@@ -196,9 +153,5 @@ type TestbedResult = runner.Result[*testbed.Result]
 // TestbedKey content-addresses a testbed run (paper Figure 4 topology; the
 // config fully determines the run).
 func TestbedKey(cfg testbed.Config) (string, bool) {
-	w := hashWriter{sha256.New()}
-	w.str("meshcast/testbed/v3\n")
-	w.str("proto=%s;metric=%s;seed=%d;traffic=%d;warmup=%d;vary=%d;",
-		cfg.Protocol, cfg.Metric, cfg.Seed, cfg.TrafficSeconds, cfg.WarmupSeconds, cfg.VariationInterval)
-	return hex.EncodeToString(w.h.Sum(nil)), true
+	return contentKey("meshcast/testbed/v4", cfg)
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"meshcast/internal/mobility"
 	"meshcast/internal/odmrp"
 	"meshcast/internal/packet"
+	"meshcast/internal/propagation"
 	"meshcast/internal/runner"
 	"meshcast/internal/stats"
 	"meshcast/internal/testbed"
@@ -109,49 +113,120 @@ func TestPaperSimsCacheRoundtrip(t *testing.T) {
 	}
 }
 
-func TestScenarioKeyDeterminismAndSensitivity(t *testing.T) {
+// TestRunGridMatrixAndError: runGrid returns runs[cell][seed] for any worker
+// count, and one failed run fails the grid naming its cell and seed.
+func TestRunGridMatrixAndError(t *testing.T) {
+	cell := func(label string, base int) gridCell[int] {
+		return gridCell[int]{label: label, config: func(seed uint64) (int, error) { return base + int(seed), nil }}
+	}
+	cells := []gridCell[int]{cell("a", 10), cell("b", 20)}
+	run := func(c int) (*int, error) {
+		if c == 99 {
+			return nil, errors.New("boom")
+		}
+		return &c, nil
+	}
+	key := func(int) (string, bool) { return "", false }
+	for _, workers := range []int{1, 3} {
+		runs, err := runGrid(BatchOptions{Workers: workers}, []uint64{1, 2, 3}, cells, run, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range runs {
+			for j, v := range row {
+				if want := 10*(i+1) + j + 1; *v != want {
+					t.Fatalf("workers %d: runs[%d][%d] = %d, want %d", workers, i, j, *v, want)
+				}
+			}
+		}
+	}
+	cells = append(cells, cell("c", 97))
+	if _, err := runGrid(BatchOptions{}, []uint64{1, 2}, cells, run, key); err == nil || err.Error() != "c seed 2: boom" {
+		t.Fatalf("failed run: err = %v, want \"c seed 2: boom\"", err)
+	}
+}
+
+// keyedScenario is DefaultScenario with every optional part set — a
+// composite fading model, each kind of fault and a mover — so that a key
+// test can change what lies inside a part.
+func keyedScenario(t *testing.T) ScenarioConfig {
+	t.Helper()
 	cfg, err := DefaultScenario(metric.SPP, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, ok := ScenarioKey(cfg)
+	cfg.Fading = propagation.Composite{propagation.LogNormal{SigmaDB: 6}, propagation.Rayleigh{}}
+	cfg.Faults = &faults.Plan{
+		Churn:         &faults.ChurnModel{Fraction: 0.2, MTBF: time.Minute, MTTR: 10 * time.Second},
+		Outages:       []faults.Outage{{Node: 5, Start: 110 * time.Second, Duration: 5 * time.Second}},
+		LinkFaults:    []faults.LinkFault{{From: 1, To: 2, Start: 110 * time.Second, Duration: 5 * time.Second, DropProb: 0.5}},
+		Partitions:    []faults.Partition{{Start: 115 * time.Second, Duration: 5 * time.Second, SideA: []int{1, 2, 3}}},
+		EtherRestarts: []faults.EtherRestart{{Start: 120 * time.Second, Duration: 5 * time.Second}},
+	}
+	cfg.Mobility = &mobility.Config{Model: mobility.ModelWaypoint, MaxSpeedMps: 5, Start: cfg.TrafficStart}
+	return cfg
+}
+
+func TestScenarioKeyDeterminismAndSensitivity(t *testing.T) {
+	k1, ok := ScenarioKey(keyedScenario(t))
 	if !ok || k1 == "" {
 		t.Fatal("scenario not cachable")
 	}
-	k2, _ := ScenarioKey(cfg)
-	if k1 != k2 {
+	if k2, _ := ScenarioKey(keyedScenario(t)); k1 != k2 {
 		t.Fatal("key not deterministic")
 	}
 
-	// Every run-affecting field must change the key.
-	mutate := map[string]func(*ScenarioConfig){
-		"seed":     func(c *ScenarioConfig) { c.Seed++ },
-		"metric":   func(c *ScenarioConfig) { c.Metric = metric.ETX },
-		"duration": func(c *ScenarioConfig) { c.Duration += time.Second },
-		"payload":  func(c *ScenarioConfig) { c.PayloadBytes = 256 },
-		"rate":     func(c *ScenarioConfig) { c.ProbeRateFactor = 2 },
-		"window":   func(c *ScenarioConfig) { c.WindowSize = 5 },
-		"history":  func(c *ScenarioConfig) { c.PairHistoryWeight = 0.5 },
-		"odmrp": func(c *ScenarioConfig) {
+	// Every run-affecting field must change the key. Each row names the
+	// ScenarioConfig field it changes; the guard below makes a field added
+	// later add a row.
+	rows := []struct {
+		field string
+		mut   func(*ScenarioConfig)
+	}{
+		{"Seed", func(c *ScenarioConfig) { c.Seed++ }},
+		{"Metric", func(c *ScenarioConfig) { c.Metric = metric.ETX }},
+		{"Protocol", func(c *ScenarioConfig) { c.Protocol = "mcst" }},
+		{"Topology", func(c *ScenarioConfig) { c.Topology.Positions[0].X += 1 }},
+		{"Fading", func(c *ScenarioConfig) { c.Fading = nil }},
+		{"Fading", func(c *ScenarioConfig) {
+			c.Fading = propagation.Composite{propagation.LogNormal{SigmaDB: 6}, propagation.NoFading{}}
+		}},
+		{"Duration", func(c *ScenarioConfig) { c.Duration += time.Second }},
+		{"Groups", func(c *ScenarioConfig) { c.Groups[0].Members[0] ^= 1 }},
+		{"PayloadBytes", func(c *ScenarioConfig) { c.PayloadBytes = 256 }},
+		{"SendInterval", func(c *ScenarioConfig) { c.SendInterval = 100 * time.Millisecond }},
+		{"ProbeRateFactor", func(c *ScenarioConfig) { c.ProbeRateFactor = 2 }},
+		{"TrafficStart", func(c *ScenarioConfig) { c.TrafficStart += time.Second }},
+		{"ODMRP", func(c *ScenarioConfig) {
 			p := odmrp.DefaultParams()
 			p.ReplyRetries = 2
 			c.ODMRP = &p
-		},
-		"topology": func(c *ScenarioConfig) { c.Topology.Positions[0].X += 1 },
-		"groups":   func(c *ScenarioConfig) { c.Groups[0].Members[0] ^= 1 },
+		}},
+		{"WindowSize", func(c *ScenarioConfig) { c.WindowSize = 5 }},
+		{"PairHistoryWeight", func(c *ScenarioConfig) { c.PairHistoryWeight = 0.5 }},
+		{"Faults", func(c *ScenarioConfig) { c.Faults.Churn.Fraction = 0.3 }},
+		{"Faults", func(c *ScenarioConfig) { c.Faults.Outages[0].Node = 6 }},
+		{"Faults", func(c *ScenarioConfig) { c.Faults.LinkFaults[0].DropProb = 0.6 }},
+		{"Faults", func(c *ScenarioConfig) { c.Faults.Partitions[0].SideA[0] = 4 }},
+		{"Faults", func(c *ScenarioConfig) { c.Faults.EtherRestarts = nil }},
+		{"Mobility", func(c *ScenarioConfig) { c.Mobility.MaxSpeedMps = 10 }},
 	}
-	for name, mut := range mutate {
-		cfg2, err := DefaultScenario(metric.SPP, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mut(&cfg2)
-		k, ok := ScenarioKey(cfg2)
+	named := map[string]bool{"SpanSink": true, "Telemetry": true} // sinks make a run uncachable
+	for i, r := range rows {
+		named[r.field] = true
+		cfg := keyedScenario(t)
+		r.mut(&cfg)
+		k, ok := ScenarioKey(cfg)
 		if !ok {
-			t.Fatalf("%s: became uncachable", name)
+			t.Fatalf("row %d (%s): became uncachable", i, r.field)
 		}
 		if k == k1 {
-			t.Fatalf("%s: key insensitive to field change", name)
+			t.Errorf("row %d (%s): key insensitive to field change", i, r.field)
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(ScenarioConfig{})) {
+		if f.IsExported() && !named[f.Name] {
+			t.Errorf("no row changes ScenarioConfig.%s", f.Name)
 		}
 	}
 }
@@ -164,6 +239,12 @@ func TestScenarioKeySinksUncachable(t *testing.T) {
 	cfg.SpanSink = &trace.SpanBuffer{}
 	if _, ok := ScenarioKey(cfg); ok {
 		t.Fatal("traced scenario must not be cachable")
+	}
+	// A config JSON cannot encode has no key either.
+	cfg.SpanSink = nil
+	cfg.ProbeRateFactor = math.NaN()
+	if _, ok := ScenarioKey(cfg); ok {
+		t.Fatal("a NaN probe rate must not be cachable")
 	}
 }
 
@@ -194,18 +275,18 @@ func TestRunResultCodecRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireAllFieldsSet(t, res)
-	data, err := encodeResult(res)
+	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeResult[RunResult](data)
-	if err != nil {
+	back := new(RunResult)
+	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, back) {
 		t.Fatalf("roundtrip mismatch:\n%+v\nvs\n%+v", res, back)
 	}
-	data2, err := encodeResult(back)
+	data2, err := json.Marshal(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +299,7 @@ func TestRunResultCodecRoundtrip(t *testing.T) {
 	if bytes.Equal(corrupt, data) {
 		t.Fatal("no edge key found to corrupt")
 	}
-	if _, err := decodeResult[RunResult](corrupt); err == nil {
+	if err := json.Unmarshal(corrupt, new(RunResult)); err == nil {
 		t.Fatal("a malformed edge key decoded without error")
 	}
 }
@@ -233,12 +314,12 @@ func TestTestbedCodecRoundtrip(t *testing.T) {
 		Delay:     stats.Percentiles{P50: time.Millisecond, P90: 2 * time.Millisecond, P99: 3 * time.Millisecond, Max: 4 * time.Millisecond, Count: 75},
 	}
 	requireAllFieldsSet(t, res)
-	data, err := encodeResult(res)
+	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeResult[testbed.Result](data)
-	if err != nil {
+	back := new(testbed.Result)
+	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, back) {

@@ -5,7 +5,6 @@ import (
 
 	"meshcast/internal/metric"
 	"meshcast/internal/mobility"
-	"meshcast/internal/multicast"
 )
 
 // MobilityCell is one (protocol, max speed) point of a mobility sweep,
@@ -64,45 +63,26 @@ func (s *MobilitySweep) Cell(proto string, speed float64) *MobilityCell {
 // (§4.3) when the caller leaves SourcesPerGroup at 1: with a single source
 // ODMRP's reply mesh is provably the exact tree MCST builds from that
 // source as core, so a single-source protocol comparison would produce
-// identical rows even under motion. The (protocol, speed, seed) matrix
-// executes through the job harness configured by o; aggregation folds
-// results in job order, so the sweep is deterministic for any worker count.
+// identical rows even under motion. The (protocol, speed, seed) grid
+// executes through the job harness configured by o; the fold reads it in
+// grid order, so the sweep is deterministic for any worker count.
 func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*MobilitySweep, error) {
 	if o.SourcesPerGroup < 2 {
 		o.SourcesPerGroup = 3
 	}
-	if len(protocols) == 0 {
-		protocols = multicast.Names()
-	}
-	resolved := make([]string, 0, len(protocols))
-	seen := make(map[string]bool, len(protocols))
-	for _, p := range protocols {
-		name, err := multicast.Resolve(p)
-		if err != nil {
-			return nil, err
-		}
-		if !seen[name] {
-			seen[name] = true
-			resolved = append(resolved, name)
-		}
+	resolved, err := resolveProtocols(protocols)
+	if err != nil {
+		return nil, err
 	}
 	if len(speeds) == 0 {
 		speeds = []float64{0, 1, 5, 10, 20}
 	}
 	k := metric.SPP
-
-	var jobs []ScenarioJob
+	var cells []gridCell[ScenarioConfig]
 	for _, proto := range resolved {
 		for _, speed := range speeds {
-			for _, seed := range o.Seeds {
-				cfg, err := o.scenarioFor(k, seed)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Protocol = proto
-				if proto != multicast.Default {
-					cfg.ODMRP = nil
-				}
+			cells = append(cells, gridCell[ScenarioConfig]{label: fmt.Sprintf("%s %.0f m/s", proto, speed), config: func(seed uint64) (ScenarioConfig, error) {
+				cfg, err := o.protocolScenario(proto, k, seed)
 				if speed > 0 {
 					cfg.Mobility = &mobility.Config{
 						Model:       mobility.ModelWaypoint,
@@ -110,14 +90,11 @@ func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*Mobilit
 						Start:       cfg.TrafficStart,
 					}
 				}
-				jobs = append(jobs, ScenarioJob{
-					Label:  fmt.Sprintf("%s %.0f m/s seed %d", proto, speed, seed),
-					Config: cfg,
-				})
-			}
+				return cfg, err
+			}})
 		}
 	}
-	results, err := o.runScenarioJobs(jobs)
+	runs, err := runGrid(o.BatchOptions, o.Seeds, cells, RunScenario, ScenarioKey)
 	if err != nil {
 		return nil, err
 	}
@@ -127,59 +104,50 @@ func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*Mobilit
 		Model: mobility.ModelWaypoint, Metric: k,
 		SourcesPerGroup: o.SourcesPerGroup,
 	}
-	idx := 0
-	for _, proto := range resolved {
-		for _, speed := range speeds {
-			var pdrs []float64
-			var sentMotion, deliveredMotion float64
-			var repairSum, repairN, reconvSum float64
-			var reconvN, breakRateSum, maxRepair float64
-			for _, seed := range o.Seeds {
-				r := results[idx]
-				idx++
-				if r.Err != nil {
-					return nil, fmt.Errorf("%s %.0f m/s seed %d: %w", proto, speed, seed, r.Err)
+	n := float64(len(o.Seeds))
+	for i, row := range runs {
+		var pdrs []float64
+		var sentMotion, deliveredMotion float64
+		var repairSum, repairN, reconvSum float64
+		var reconvN, breakRateSum, maxRepair float64
+		for _, res := range row {
+			pdrs = append(pdrs, res.Summary.PDR)
+			if res.Mobility == nil {
+				continue
+			}
+			breakRateSum += res.Mobility.BreakRatePerSec
+			for _, g := range res.Mobility.Groups {
+				sentMotion += float64(g.SentInMotion)
+				deliveredMotion += g.MotionPDR * float64(g.SentInMotion)
+				repairSum += g.MeanRepair.Seconds() * float64(g.Repairs)
+				repairN += float64(g.Repairs)
+				if ms := g.MaxRepair.Seconds(); ms > maxRepair {
+					maxRepair = ms
 				}
-				res := r.Value
-				pdrs = append(pdrs, res.Summary.PDR)
-				if res.Mobility == nil {
-					continue
-				}
-				breakRateSum += res.Mobility.BreakRatePerSec
-				for _, g := range res.Mobility.Groups {
-					sentMotion += float64(g.SentInMotion)
-					deliveredMotion += g.MotionPDR * float64(g.SentInMotion)
-					repairSum += g.MeanRepair.Seconds() * float64(g.Repairs)
-					repairN += float64(g.Repairs)
-					if ms := g.MaxRepair.Seconds(); ms > maxRepair {
-						maxRepair = ms
-					}
-					reconvSum += g.MeanReconvergence.Seconds() * float64(g.Reconvergences)
-					reconvN += float64(g.Reconvergences)
-				}
+				reconvSum += g.MeanReconvergence.Seconds() * float64(g.Reconvergences)
+				reconvN += float64(g.Reconvergences)
 			}
-			n := float64(len(o.Seeds))
-			mean, stderr := meanStderr(pdrs)
-			cell := MobilityCell{
-				Protocol:       proto,
-				SpeedMps:       speed,
-				PDR:            mean,
-				PDRStderr:      stderr,
-				RepairMaxMS:    1000 * maxRepair,
-				Reconvergences: reconvN / n,
-				BreaksPerSec:   breakRateSum / n,
-			}
-			if sentMotion > 0 {
-				cell.MotionPDR = deliveredMotion / sentMotion
-			}
-			if repairN > 0 {
-				cell.RepairMeanMS = 1000 * repairSum / repairN
-			}
-			if reconvN > 0 {
-				cell.ReconvMeanMS = 1000 * reconvSum / reconvN
-			}
-			sweep.Cells = append(sweep.Cells, cell)
 		}
+		mean, stderr := meanStderr(pdrs)
+		cell := MobilityCell{
+			Protocol:       resolved[i/len(speeds)],
+			SpeedMps:       speeds[i%len(speeds)],
+			PDR:            mean,
+			PDRStderr:      stderr,
+			RepairMaxMS:    1000 * maxRepair,
+			Reconvergences: reconvN / n,
+			BreaksPerSec:   breakRateSum / n,
+		}
+		if sentMotion > 0 {
+			cell.MotionPDR = deliveredMotion / sentMotion
+		}
+		if repairN > 0 {
+			cell.RepairMeanMS = 1000 * repairSum / repairN
+		}
+		if reconvN > 0 {
+			cell.ReconvMeanMS = 1000 * reconvSum / reconvN
+		}
+		sweep.Cells = append(sweep.Cells, cell)
 	}
 	return sweep, nil
 }

@@ -8,7 +8,6 @@ import (
 	"meshcast/internal/metric"
 	"meshcast/internal/odmrp"
 	"meshcast/internal/propagation"
-	"meshcast/internal/runner"
 )
 
 // Options scales the paper experiments. The full paper configuration is
@@ -36,21 +35,9 @@ type Options struct {
 	WindowSize        int
 	PairHistoryWeight float64
 
-	// The fields below configure the execution harness only; they never
-	// influence measured results (reports are byte-identical for any
-	// Workers value) and are excluded from cache hashing.
-
-	// Workers bounds the worker pool running the (metric, seed) matrix
-	// concurrently; <= 0 selects GOMAXPROCS.
-	Workers int
-	// CacheDir, when non-empty, enables the content-addressed on-disk
-	// result cache: repeated or resumed sweeps skip completed runs.
-	CacheDir string
-	// Progress, when non-nil, receives one callback per completed job.
-	Progress func(runner.Progress)
-	// PoolMetrics, when non-nil, instruments the worker pool (cache
-	// hits/misses, job latency) into a telemetry registry.
-	PoolMetrics *runner.Metrics
+	// BatchOptions configures the execution harness (workers, cache,
+	// progress, pool metrics) that runs the sweep's (cell, seed) grid.
+	BatchOptions
 }
 
 // FullOptions reproduces the paper's §4.1 configuration: 10 random
@@ -131,97 +118,51 @@ func (o Options) scenarioFor(k metric.Kind, seed uint64) (ScenarioConfig, error)
 	return cfg, nil
 }
 
-// paperPlan is one RunPaperSims invocation's job list: the baseline run for
-// every seed first, then every requested metric's (metric, seed) cells, all
-// fully independent and therefore safe to execute concurrently. Keeping the
-// plan's order fixed is what makes parallel aggregation byte-identical to
-// the serial path: sums fold over jobs[i] in index order, never in
-// completion order.
-type paperPlan struct {
-	opts    Options
-	metrics []metric.Kind
-	jobs    []ScenarioJob
+// metrics returns the link-quality metrics a sweep evaluates.
+func (o Options) metrics() []metric.Kind {
+	if o.Metrics == nil {
+		return metric.LinkQuality()
+	}
+	return o.Metrics
 }
 
-// planPaperSims builds the job list for one paper sweep.
-func planPaperSims(o Options) (*paperPlan, error) {
-	metrics := o.Metrics
-	if metrics == nil {
-		metrics = metric.LinkQuality()
-	}
-	p := &paperPlan{opts: o, metrics: metrics}
-	for _, seed := range o.Seeds {
-		cfg, err := o.scenarioFor(metric.MinHop, seed)
-		if err != nil {
-			return nil, err
-		}
-		p.jobs = append(p.jobs, ScenarioJob{
-			Label:  fmt.Sprintf("baseline seed %d", seed),
-			Config: cfg,
-		})
-	}
-	for _, k := range metrics {
-		for _, seed := range o.Seeds {
-			cfg, err := o.scenarioFor(k, seed)
-			if err != nil {
-				return nil, err
-			}
-			p.jobs = append(p.jobs, ScenarioJob{
-				Label:  fmt.Sprintf("%v seed %d", k, seed),
-				Config: cfg,
-			})
-		}
-	}
-	return p, nil
+// cell is the sweep row that runs scenarioFor(k, seed) on each seed.
+func (o Options) cell(label string, k metric.Kind) gridCell[ScenarioConfig] {
+	return gridCell[ScenarioConfig]{label: label, config: func(seed uint64) (ScenarioConfig, error) {
+		return o.scenarioFor(k, seed)
+	}}
 }
 
-// aggregate folds the plan's results — in job order — into the Figure 2 /
-// Table 1 quantities.
-func (p *paperPlan) aggregate(results []ScenarioResult) (*PaperSims, error) {
-	o := p.opts
-	type baseRun struct{ pdr, delay float64 }
-	base := make(map[uint64]baseRun, len(o.Seeds))
+// foldPaperSims folds one paper sweep's runs — the baseline row first, then
+// one row per metric, each indexed by seed — into the Figure 2 / Table 1
+// quantities.
+func foldPaperSims(seeds []uint64, metrics []metric.Kind, runs [][]*RunResult) (*PaperSims, error) {
 	var basePDRSum, baseDelaySum float64
-	idx := 0
-	for _, seed := range o.Seeds {
-		r := results[idx]
-		idx++
-		if r.Err != nil {
-			return nil, fmt.Errorf("baseline seed %d: %w", seed, r.Err)
-		}
-		res := r.Value
+	for j, res := range runs[0] {
 		if res.Summary.PDR <= 0 {
-			return nil, fmt.Errorf("baseline seed %d delivered nothing", seed)
+			return nil, fmt.Errorf("baseline seed %d delivered nothing", seeds[j])
 		}
-		base[seed] = baseRun{res.Summary.PDR, res.Summary.MeanDelaySeconds}
 		basePDRSum += res.Summary.PDR
 		baseDelaySum += res.Summary.MeanDelaySeconds
 	}
-
+	n := float64(len(seeds))
 	out := &PaperSims{
-		BaselinePDR:          basePDRSum / float64(len(o.Seeds)),
-		BaselineDelaySeconds: baseDelaySum / float64(len(o.Seeds)),
+		BaselinePDR:          basePDRSum / n,
+		BaselineDelaySeconds: baseDelaySum / n,
 	}
-	for _, k := range p.metrics {
+	for i, k := range metrics {
 		var rels []float64
 		var relDelaySum, absPDRSum, absDelaySum, ovhSum float64
-		for _, seed := range o.Seeds {
-			r := results[idx]
-			idx++
-			if r.Err != nil {
-				return nil, fmt.Errorf("%v seed %d: %w", k, seed, r.Err)
-			}
-			res := r.Value
-			b := base[seed]
-			rels = append(rels, res.Summary.PDR/b.pdr)
-			if b.delay > 0 {
-				relDelaySum += res.Summary.MeanDelaySeconds / b.delay
+		for j, res := range runs[i+1] {
+			base := runs[0][j].Summary
+			rels = append(rels, res.Summary.PDR/base.PDR)
+			if base.MeanDelaySeconds > 0 {
+				relDelaySum += res.Summary.MeanDelaySeconds / base.MeanDelaySeconds
 			}
 			absPDRSum += res.Summary.PDR
 			absDelaySum += res.Summary.MeanDelaySeconds
 			ovhSum += res.Summary.ProbeOverheadPct
 		}
-		n := float64(len(o.Seeds))
 		mean, stderr := meanStderr(rels)
 		out.Rows = append(out.Rows, Aggregate{
 			Metric:              k,
@@ -246,37 +187,31 @@ func RunPaperSims(o Options) (*PaperSims, error) {
 	return sims[0], nil
 }
 
-// runPaperBatches plans several paper sweeps (variants of one experiment:
-// probing-rate factors, ablation points, fading on/off...), executes every
-// job of every batch through a single pool dispatch — so the whole sweep,
-// not just one variant, saturates the workers — and aggregates each batch
-// from its own slice of the results. The harness configuration (workers,
-// cache, progress) comes from o; each batch's measured configuration comes
-// from its own Options.
+// runPaperBatches runs several paper sweeps — variants of one experiment:
+// probing-rate factors, ablation points, fading on/off... — as one grid, so
+// the whole sweep, not just one variant, saturates the workers, and folds
+// each variant from its own rows. Each variant contributes a baseline row
+// and one row per metric, all on o's seeds; the harness configuration comes
+// from o and each variant's measured configuration from its own Options.
 func runPaperBatches(o Options, batches []Options) ([]*PaperSims, error) {
-	plans := make([]*paperPlan, len(batches))
-	var jobs []ScenarioJob
-	for i, b := range batches {
-		p, err := planPaperSims(b)
-		if err != nil {
-			return nil, err
+	var cells []gridCell[ScenarioConfig]
+	for _, b := range batches {
+		cells = append(cells, b.cell("baseline", metric.MinHop))
+		for _, k := range b.metrics() {
+			cells = append(cells, b.cell(k.String(), k))
 		}
-		plans[i] = p
-		jobs = append(jobs, p.jobs...)
 	}
-	results, err := o.runScenarioJobs(jobs)
+	runs, err := runGrid(o.BatchOptions, o.Seeds, cells, RunScenario, ScenarioKey)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*PaperSims, len(plans))
-	off := 0
-	for i, p := range plans {
-		sims, err := p.aggregate(results[off : off+len(p.jobs)])
-		if err != nil {
+	out := make([]*PaperSims, len(batches))
+	for i, b := range batches {
+		rows := 1 + len(b.metrics())
+		if out[i], err = foldPaperSims(o.Seeds, b.metrics(), runs[:rows]); err != nil {
 			return nil, err
 		}
-		out[i] = sims
-		off += len(p.jobs)
+		runs = runs[rows:]
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
@@ -59,48 +60,20 @@ func (c *ProtocolComparison) Cell(proto string, k metric.Kind) *ProtocolCell {
 // every registered protocol); unknown names fail before any job runs. The
 // result is deterministic for a fixed Options regardless of worker count.
 func RunProtocolComparison(o Options, protocols []string) (*ProtocolComparison, error) {
-	if len(protocols) == 0 {
-		protocols = multicast.Names()
+	resolved, err := resolveProtocols(protocols)
+	if err != nil {
+		return nil, err
 	}
-	resolved := make([]string, 0, len(protocols))
-	seen := make(map[string]bool, len(protocols))
-	for _, p := range protocols {
-		name, err := multicast.Resolve(p)
-		if err != nil {
-			return nil, err
-		}
-		if !seen[name] {
-			seen[name] = true
-			resolved = append(resolved, name)
-		}
-	}
-	metrics := o.Metrics
-	if metrics == nil {
-		metrics = metric.LinkQuality()
-	}
-
-	var jobs []ScenarioJob
+	metrics := o.metrics()
+	var cells []gridCell[ScenarioConfig]
 	for _, proto := range resolved {
 		for _, k := range metrics {
-			for _, seed := range o.Seeds {
-				cfg, err := o.scenarioFor(k, seed)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Protocol = proto
-				if proto != multicast.Default {
-					// ODMRP-specific overrides do not apply to other
-					// protocols; they run their own metric-derived defaults.
-					cfg.ODMRP = nil
-				}
-				jobs = append(jobs, ScenarioJob{
-					Label:  fmt.Sprintf("%s %v seed %d", proto, k, seed),
-					Config: cfg,
-				})
-			}
+			cells = append(cells, gridCell[ScenarioConfig]{label: fmt.Sprintf("%s %v", proto, k), config: func(seed uint64) (ScenarioConfig, error) {
+				return o.protocolScenario(proto, k, seed)
+			}})
 		}
 	}
-	results, err := o.runScenarioJobs(jobs)
+	runs, err := runGrid(o.BatchOptions, o.Seeds, cells, RunScenario, ScenarioKey)
 	if err != nil {
 		return nil, err
 	}
@@ -109,41 +82,63 @@ func RunProtocolComparison(o Options, protocols []string) (*ProtocolComparison, 
 		Protocols: resolved, Metrics: metrics, Seeds: o.Seeds,
 		SourcesPerGroup: o.SourcesPerGroup,
 	}
-	idx := 0
-	for _, proto := range resolved {
-		for _, k := range metrics {
-			var pdrs []float64
-			var delaySum, fwdSum, deliveredSum, ctlSum, stateSum float64
-			for _, seed := range o.Seeds {
-				r := results[idx]
-				idx++
-				if r.Err != nil {
-					return nil, fmt.Errorf("%s %v seed %d: %w", proto, k, seed, r.Err)
-				}
-				res := r.Value
-				pdrs = append(pdrs, res.Summary.PDR)
-				delaySum += res.Summary.MeanDelaySeconds
-				fwdSum += float64(res.DataForwards)
-				deliveredSum += float64(res.Summary.PacketsDelivered)
-				ctlSum += float64(res.ControlBytes)
-				stateSum += float64(res.ForwarderState)
-			}
-			n := float64(len(o.Seeds))
-			mean, stderr := meanStderr(pdrs)
-			cell := ProtocolCell{
-				Protocol:     proto,
-				Metric:       k,
-				PDR:          mean,
-				PDRStderr:    stderr,
-				DelayMS:      1000 * delaySum / n,
-				ControlBytes: ctlSum / n,
-				StateSize:    stateSum / n,
-			}
-			if deliveredSum > 0 {
-				cell.ForwardCost = fwdSum / deliveredSum
-			}
-			cmp.Cells = append(cmp.Cells, cell)
+	n := float64(len(o.Seeds))
+	for i, row := range runs {
+		var pdrs []float64
+		var delaySum, fwdSum, deliveredSum, ctlSum, stateSum float64
+		for _, res := range row {
+			pdrs = append(pdrs, res.Summary.PDR)
+			delaySum += res.Summary.MeanDelaySeconds
+			fwdSum += float64(res.DataForwards)
+			deliveredSum += float64(res.Summary.PacketsDelivered)
+			ctlSum += float64(res.ControlBytes)
+			stateSum += float64(res.ForwarderState)
 		}
+		mean, stderr := meanStderr(pdrs)
+		cell := ProtocolCell{
+			Protocol:     resolved[i/len(metrics)],
+			Metric:       metrics[i%len(metrics)],
+			PDR:          mean,
+			PDRStderr:    stderr,
+			DelayMS:      1000 * delaySum / n,
+			ControlBytes: ctlSum / n,
+			StateSize:    stateSum / n,
+		}
+		if deliveredSum > 0 {
+			cell.ForwardCost = fwdSum / deliveredSum
+		}
+		cmp.Cells = append(cmp.Cells, cell)
 	}
 	return cmp, nil
+}
+
+// resolveProtocols resolves protocol names through the multicast registry,
+// dropping repeats; an empty list means every registered protocol.
+func resolveProtocols(protocols []string) ([]string, error) {
+	if len(protocols) == 0 {
+		protocols = multicast.Names()
+	}
+	resolved := make([]string, 0, len(protocols))
+	for _, p := range protocols {
+		name, err := multicast.Resolve(p)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(resolved, name) {
+			resolved = append(resolved, name)
+		}
+	}
+	return resolved, nil
+}
+
+// protocolScenario is scenarioFor under the named protocol. ODMRP-specific
+// overrides do not apply to other protocols; they run their own
+// metric-derived defaults.
+func (o Options) protocolScenario(proto string, k metric.Kind, seed uint64) (ScenarioConfig, error) {
+	cfg, err := o.scenarioFor(k, seed)
+	cfg.Protocol = proto
+	if proto != multicast.Default {
+		cfg.ODMRP = nil
+	}
+	return cfg, err
 }

@@ -42,47 +42,41 @@ type TestbedColumn struct {
 
 // RunTestbedColumn reproduces Figure 2's "Throughput-testbed" column: the
 // 8-node emulation run `runs` times per metric (the paper uses 5 runs of
-// 400 s each). The (metric, run) matrix executes through the job harness
-// configured by o (Workers, CacheDir, Progress); aggregation folds results
-// in job order, so the column is identical for any worker count.
+// 400 s each), run i on seed i. The (metric, run) grid executes through the
+// job harness configured by o (Workers, CacheDir, Progress); the fold reads
+// it in grid order, so the column is identical for any worker count.
 func RunTestbedColumn(o Options, runs, trafficSeconds int) (*TestbedColumn, error) {
+	if runs < 1 {
+		return nil, fmt.Errorf("testbed column: need at least one run per metric, got %d", runs)
+	}
 	kinds := append([]metric.Kind{metric.MinHop}, metric.LinkQuality()...)
-	var jobs []TestbedJob
-	for _, k := range kinds {
-		for r := 0; r < runs; r++ {
-			cfg := testbed.DefaultConfig(k, uint64(r+1))
+	cells := make([]gridCell[testbed.Config], len(kinds))
+	for i, k := range kinds {
+		cells[i] = gridCell[testbed.Config]{label: fmt.Sprintf("testbed %v", k), config: func(seed uint64) (testbed.Config, error) {
+			cfg := testbed.DefaultConfig(k, seed)
 			cfg.TrafficSeconds = trafficSeconds
-			jobs = append(jobs, TestbedJob{
-				Label:  fmt.Sprintf("testbed %v run %d", k, r+1),
-				Config: cfg,
-			})
-		}
+			return cfg, nil
+		}}
 	}
-	results, err := o.runTestbedJobs(jobs)
+	seeds := make([]uint64, runs)
+	for r := range seeds {
+		seeds[r] = uint64(r + 1)
+	}
+	grid, err := runGrid(o.BatchOptions, seeds, cells, testbed.Run, TestbedKey)
 	if err != nil {
 		return nil, err
 	}
-	mean := func(block int) (pdr, ovh float64, err error) {
-		for r := 0; r < runs; r++ {
-			res := results[block*runs+r]
-			if res.Err != nil {
-				return 0, 0, res.Err
-			}
-			pdr += res.Value.Summary.PDR
-			ovh += res.Value.Summary.ProbeOverheadPct
+	mean := func(row []*testbed.Result) (pdr, ovh float64) {
+		for _, res := range row {
+			pdr += res.Summary.PDR
+			ovh += res.Summary.ProbeOverheadPct
 		}
-		return pdr / float64(runs), ovh / float64(runs), nil
+		return pdr / float64(runs), ovh / float64(runs)
 	}
-	base, _, err := mean(0)
-	if err != nil {
-		return nil, err
-	}
+	base, _ := mean(grid[0])
 	out := &TestbedColumn{BaselinePDR: base}
-	for i, k := range metric.LinkQuality() {
-		pdr, ovh, err := mean(i + 1)
-		if err != nil {
-			return nil, err
-		}
+	for i, k := range kinds[1:] {
+		pdr, ovh := mean(grid[i+1])
 		out.Rows = append(out.Rows, TestbedAggregate{
 			Metric:        k,
 			RelThroughput: pdr / base,

@@ -191,4 +191,9 @@ func TestRunTestbedColumnTiny(t *testing.T) {
 	if len(col.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(col.Rows))
 	}
+	for _, runs := range []int{0, -1} {
+		if _, err := RunTestbedColumn(Options{}, runs, 30); err == nil {
+			t.Errorf("RunTestbedColumn with %d runs: no error", runs)
+		}
+	}
 }

@@ -132,17 +132,21 @@ type Shape struct {
 // ShapedScenario is DefaultScenario on any shape: the placement is redrawn
 // until the 250 m disc graph is connected, DefaultGroups draws the groups
 // from the same seeded stream, and traffic and timing are the paper's. A
-// shape the draw cannot hold is a *world.FieldError naming Topology or
-// Groups.
+// shape with Groups == 0 draws no groups, for a caller that declares its
+// own; Validate rejects the config until it does. A shape the draw cannot
+// hold is a *world.FieldError naming Topology or Groups.
 func ShapedScenario(k metric.Kind, seed uint64, s Shape) (ScenarioConfig, error) {
 	topoRNG := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
 	topo, err := topology.RandomConnected(topoRNG, s.Nodes, geom.Square(s.SideM), 250, 500)
 	if err != nil {
 		return ScenarioConfig{}, &world.FieldError{Field: "Topology", Reason: "cannot be drawn: " + err.Error()}
 	}
-	groups, err := DefaultGroups(topoRNG.Split(), topo.NodeCount(), s.Groups, s.SourcesPer, s.MembersPer)
-	if err != nil {
-		return ScenarioConfig{}, &world.FieldError{Field: "Groups", Reason: "cannot be drawn: " + err.Error()}
+	var groups []GroupSpec
+	if s.Groups != 0 {
+		groups, err = DefaultGroups(topoRNG.Split(), topo.NodeCount(), s.Groups, s.SourcesPer, s.MembersPer)
+		if err != nil {
+			return ScenarioConfig{}, &world.FieldError{Field: "Groups", Reason: "cannot be drawn: " + err.Error()}
+		}
 	}
 	return ScenarioConfig{
 		Seed:            seed,
@@ -293,6 +297,9 @@ func (cfg ScenarioConfig) Validate() error {
 		return bad("Topology", "must hold at least one node")
 	}
 	nodes := cfg.Topology.NodeCount()
+	if nodes > topology.MaxNodes {
+		return bad("Topology", "holds %d nodes, more than the %d node IDs", nodes, topology.MaxNodes)
+	}
 	if !slices.Contains(metric.All(), cfg.Metric) {
 		return bad("Metric", "%d is not a known metric", int(cfg.Metric))
 	}

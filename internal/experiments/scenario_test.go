@@ -171,6 +171,9 @@ func TestValidateNamesField(t *testing.T) {
 		{"the base", func(*ScenarioConfig) {}, ""},
 		{"no topology", func(c *ScenarioConfig) { c.Topology = nil }, "Topology"},
 		{"no nodes", func(c *ScenarioConfig) { c.Topology = &topology.Topology{} }, "Topology"},
+		{"nodes past the ID space", func(c *ScenarioConfig) {
+			c.Topology = &topology.Topology{Positions: make([]geom.Point, topology.MaxNodes+1)}
+		}, "Topology"},
 		{"unknown metric", func(c *ScenarioConfig) { c.Metric = 0 }, "Metric"},
 		{"unknown protocol", func(c *ScenarioConfig) { c.Protocol = "bogus" }, "Protocol"},
 		{"negative traffic start", func(c *ScenarioConfig) { c.TrafficStart = -time.Second }, "TrafficStart"},

@@ -12,6 +12,7 @@ import (
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
 	"meshcast/internal/propagation"
+	"meshcast/internal/topology"
 )
 
 func validSpec() Spec {
@@ -286,6 +287,7 @@ func FuzzSpecScenario(f *testing.F) {
 		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 3, SideM: 0} },
 		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 3, SideM: -500} },
 		func(s *Spec) { s.Groups[0].Sources = []int{0, 0} },
+		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 1e11, SideM: 1000} },
 	} {
 		s := validSpec()
 		mutate(&s)
@@ -300,8 +302,9 @@ func FuzzSpecScenario(f *testing.F) {
 		if json.Unmarshal(data, &s) != nil {
 			return
 		}
-		// The random placement is redrawn until connected, O(n²) a draw.
-		if s.RandomNodes != nil && s.RandomNodes.Count > 16 {
+		// The random placement is redrawn until connected, O(n²) a draw; a
+		// count past topology.MaxNodes fails before drawing.
+		if s.RandomNodes != nil && s.RandomNodes.Count > 16 && s.RandomNodes.Count <= topology.MaxNodes {
 			return
 		}
 		cfg, err := s.Scenario()

@@ -15,6 +15,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -69,15 +70,14 @@ type Pool[C, R any] struct {
 	// effects like trace or capture sinks). Nil disables caching even when
 	// Cache is set.
 	Key func(C) (string, bool)
-	// Cache, when non-nil (and Key is set), serves and stores encoded
-	// results keyed by Key.
+	// Cache, when non-nil (and Key is set), serves and stores results
+	// keyed by Key. An entry is the result's own JSON: integers round-trip
+	// trivially and float64 through encoding/json's shortest-exact
+	// formatting, so a hit reproduces the value a fresh run would have
+	// produced, and a field added to R is cached without further code. An
+	// entry that does not decode is corrupt: the job reruns and the entry
+	// is rewritten.
 	Cache *Cache
-	// Encode and Decode translate results to and from cache bytes. A
-	// Decode error is treated as a corrupt entry: the job reruns and the
-	// entry is rewritten.
-	Encode func(R) ([]byte, error)
-	// Decode rebuilds a result from cache bytes.
-	Decode func([]byte) (R, error)
 	// OnProgress, when non-nil, is called after each job completes. Calls
 	// are serialized (never concurrent) but their order follows completion,
 	// not submission.
@@ -155,12 +155,13 @@ func (p *Pool[C, R]) one(job Job[C]) (res Result[R]) {
 	}()
 
 	key, cachable := "", false
-	if p.Key != nil && p.Cache != nil && p.Decode != nil {
+	if p.Key != nil && p.Cache != nil {
 		key, cachable = p.Key(job.Config)
 	}
 	if cachable {
 		if data, ok := p.Cache.Get(key); ok {
-			if v, err := p.Decode(data); err == nil {
+			var v R
+			if err := json.Unmarshal(data, &v); err == nil {
 				res.Value, res.Cached = v, true
 				p.Metrics.hit()
 				return res
@@ -177,22 +178,12 @@ func (p *Pool[C, R]) one(job Job[C]) (res Result[R]) {
 		return res
 	}
 	res.Value = v
-	if cachable && p.Encode != nil {
-		if data, err := p.Encode(v); err == nil {
+	if cachable {
+		if data, err := json.Marshal(v); err == nil {
 			// A failed store is not a failed job; the next sweep simply
 			// misses.
 			_ = p.Cache.Put(key, data)
 		}
 	}
 	return res
-}
-
-// FirstError returns the first error in submission order, or nil.
-func FirstError[R any](results []Result[R]) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }

@@ -75,9 +75,6 @@ func TestExecuteCapturesErrorsWithoutWedging(t *testing.T) {
 			t.Fatalf("job %d value = %d", i, r.Value)
 		}
 	}
-	if err := FirstError(results); !errors.Is(err, boom) {
-		t.Fatalf("FirstError = %v", err)
-	}
 }
 
 func TestExecuteRecoversPanics(t *testing.T) {
@@ -150,10 +147,8 @@ func cachedPool(t *testing.T, dir string, runs *int, runsMu *sync.Mutex) *Pool[i
 			runsMu.Unlock()
 			return c * c, nil
 		},
-		Cache:  cache,
-		Key:    func(c int) (string, bool) { return fmt.Sprintf("%064x", c), true },
-		Encode: func(v int) ([]byte, error) { return []byte(strconv.Itoa(v)), nil },
-		Decode: func(b []byte) (int, error) { return strconv.Atoi(string(b)) },
+		Cache: cache,
+		Key:   func(c int) (string, bool) { return fmt.Sprintf("%064x", c), true },
 	}
 }
 
@@ -201,7 +196,7 @@ func TestCacheCorruptEntryReruns(t *testing.T) {
 	p := cachedPool(t, dir, &runs, &mu)
 	p.Execute(jobs)
 
-	// Corrupt the entry: Decode will fail and the job must rerun and
+	// Corrupt the entry: it no longer decodes, so the job must rerun and
 	// rewrite it.
 	key, _ := p.Key(7)
 	if err := p.Cache.Put(key, []byte("not-a-number")); err != nil {

@@ -13,6 +13,10 @@ import (
 	"meshcast/internal/sim"
 )
 
+// MaxNodes bounds a topology's size: node i runs as packet.NodeID(i), a
+// uint16, so a larger network would reuse IDs.
+const MaxNodes = 1 << 16
+
 // Topology is a static node placement.
 type Topology struct {
 	// Positions holds one point per node; the index is the node ID.
@@ -44,11 +48,15 @@ var ErrNotConnected = errors.New("topology: could not generate a connected topol
 // under the given communication range, trying up to maxAttempts times. The
 // paper presents averages over 10 random topologies; connected instances
 // keep every group member reachable so throughput differences reflect
-// routing, not partitions. n below 1, an area without a positive, finite
-// width and height, and a range that is not positive are errors.
+// routing, not partitions. n outside [1, MaxNodes], an area without a
+// positive, finite width and height, and a range that is not positive are
+// errors.
 func RandomConnected(rng *sim.RNG, n int, area geom.Rect, rangeM float64, maxAttempts int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology: a topology needs at least one node, got %d", n)
+	}
+	if n > MaxNodes {
+		return nil, fmt.Errorf("topology: a topology holds at most %d nodes, got %d", MaxNodes, n)
 	}
 	// Negated so that NaN fails too.
 	if w, h := area.Width(), area.Height(); !(w > 0 && h > 0) || math.IsInf(w+h, 0) {

@@ -379,24 +379,10 @@ type GroupSpec = experiments.GroupSpec
 // placed uniformly in a side × side metre square (250 m radio range,
 // redrawn until connected), with the paper's traffic defaults (CBR 512 B @
 // 20 pkt/s, Rayleigh fading, 100 s probe warmup, 400 s of traffic). Declare
-// groups via cfg.Groups before running; the topology drawn for a seed does
-// not depend on the group shape.
+// groups via cfg.Groups before running; the topology drawn for a seed is
+// the one DefaultScenario draws on the same shape.
 func RandomScenario(m Metric, seed uint64, n int, side float64) (experiments.ScenarioConfig, error) {
-	topoRNG := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
-	topo, err := topology.RandomConnected(topoRNG, n, geom.Square(side), 250, 500)
-	if err != nil {
-		return experiments.ScenarioConfig{}, fmt.Errorf("random scenario: %w", err)
-	}
-	return experiments.ScenarioConfig{
-		Seed:            seed,
-		Metric:          m,
-		Topology:        topo,
-		Duration:        500 * time.Second,
-		PayloadBytes:    512,
-		SendInterval:    50 * time.Millisecond,
-		ProbeRateFactor: 1,
-		TrafficStart:    100 * time.Second,
-	}, nil
+	return experiments.ShapedScenario(m, seed, experiments.Shape{Nodes: n, SideM: side})
 }
 
 // OptimalSPPCeiling computes, for every node of a scenario configuration,
