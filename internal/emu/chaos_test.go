@@ -7,6 +7,7 @@ import (
 
 	"meshcast/internal/faults"
 	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 func chaosPlan() faults.Plan {
@@ -149,5 +150,40 @@ func TestChaosEtherRestartEvents(t *testing.T) {
 	}
 	if events[1].Kind != faults.EventEtherUp || events[1].At != 2*time.Second {
 		t.Fatalf("up event = %+v", events[1])
+	}
+}
+
+// TestChaosScheduleMatchesSimulator: one churned script and one seed give
+// one schedule in both worlds. At TimeScale 1 over node IDs 0…n−1 the live
+// schedule is the simulator's compiled timeline, event for event (the two
+// used to draw churn from differently salted streams).
+func TestChaosScheduleMatchesSimulator(t *testing.T) {
+	const n, seed, horizon = 8, 9, 5 * time.Minute
+	plan := chaosPlan()
+	plan.EtherRestarts = nil // the simulator drops them
+	nodes := make([]packet.NodeID, n)
+	for i := range nodes {
+		nodes[i] = packet.NodeID(i)
+	}
+	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: seed, Horizon: horizon}, nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.NewScheduler(sim.NewEngine(seed), seed, plan, make([]faults.Target, n), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := sched.Timeline(), c.Events()
+	if sched.DownCount() <= 1 || len(got) != len(want) {
+		t.Fatalf("live schedule has %d events, the simulator's %d (%d outages)", len(got), len(want), sched.DownCount())
+	}
+	for i, e := range want {
+		ev := ChaosEvent{At: e.At, Kind: e.Kind, Node: e.Node}
+		if e.Node >= 0 {
+			ev.ID = packet.NodeID(e.Node)
+		}
+		if got[i] != ev {
+			t.Fatalf("event %d: live %+v, simulator %+v", i, got[i], e)
+		}
 	}
 }

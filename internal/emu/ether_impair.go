@@ -139,9 +139,10 @@ func (t *LinkTable) Partitioned(a, b packet.NodeID) bool {
 
 // ImpairFunc returns an extra drop probability for a directed pair at
 // delivery time, on top of the link table's delivery probability. The live
-// chaos controller installs one that evaluates the compiled fault script at
-// the wall-clock-mapped virtual time (faults.Compiled.Impairment), which is
-// how scripted link faults and partitions reach the real-socket medium.
+// chaos controller installs one that evaluates the fault script, compiled
+// and scaled to run time, at the run's current time
+// (faults.Compiled.Impairment), which is how scripted link faults and
+// partitions reach the real-socket medium.
 type ImpairFunc func(from, to packet.NodeID) float64
 
 // SetImpairment installs (or, with nil, removes) the impairment hook. Safe

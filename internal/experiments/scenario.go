@@ -438,12 +438,12 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 		for i, n := range nodes {
 			targets[i] = &faultTarget{node: n, flows: flowsByNode[i]}
 		}
-		// The fault RNG is derived from the seed alone (not the engine's
+		// The fault schedule is drawn from the seed alone (not the engine's
 		// stream) so the injected failures are identical for every metric
 		// evaluated on the same seed — the comparison the churn experiment
 		// needs.
 		var err error
-		sched, err = faults.NewScheduler(engine, sim.NewRNG(cfg.Seed^0xfa0175eed), *cfg.Faults, targets, cfg.Duration)
+		sched, err = faults.NewScheduler(engine, cfg.Seed, *cfg.Faults, targets, cfg.Duration)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fault plan: %w", err)
 		}

@@ -3,9 +3,11 @@ package experiments
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"meshcast/internal/faults"
 	"meshcast/internal/geom"
 	"meshcast/internal/metric"
 	"meshcast/internal/propagation"
@@ -58,6 +60,30 @@ func TestRunScenarioDeliversData(t *testing.T) {
 				t.Fatalf("per-member entries = %d, want 3", len(res.PerMember))
 			}
 		})
+	}
+}
+
+// TestSimulatorIgnoresEtherRestarts: the simulator has no ether, so a plan's
+// ether restarts change nothing in a run — not its outage PDR, not its
+// repairs, nothing in the result. They used to count as fault windows and
+// onsets, lowering the outage PDR and booking repairs that never happened.
+func TestSimulatorIgnoresEtherRestarts(t *testing.T) {
+	run := func(restarts []faults.EtherRestart) *RunResult {
+		cfg := smallScenario(t, metric.SPP, 7, 12*time.Second)
+		cfg.Faults = &faults.Plan{
+			Outages:       []faults.Outage{{Node: 5, Start: 8 * time.Second, Duration: 2 * time.Second}},
+			EtherRestarts: restarts,
+		}
+		res, err := RunScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	without := run(nil)
+	with := run([]faults.EtherRestart{{Start: 3 * time.Second, Duration: 2 * time.Second}})
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("an ether restart changed a simulated run:\nhealth with    %+v\nhealth without %+v", with.Health, without.Health)
 	}
 }
 

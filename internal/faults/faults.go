@@ -1,20 +1,21 @@
-// Package faults is the deterministic fault-injection subsystem: it drives
-// node crash/restart schedules (an MTBF/MTTR renewal model plus explicit
-// scripted outages), link impairment episodes (burst loss, asymmetric
-// attenuation, jamming windows) applied through the phy medium's impairment
-// hook, and network partition/heal events.
+// Package faults is the deterministic fault-injection subsystem: node
+// crash/restart schedules (an MTBF/MTTR renewal model plus scripted
+// outages), link impairment episodes (burst loss, asymmetric attenuation,
+// jamming windows) applied through the phy medium's impairment hook,
+// partition/heal events and restarts of the live testbed's ether.
 //
-// Everything is precomputed at construction time from a seeded RNG
-// sub-stream, so a plan plus a seed fully determines the fault timeline —
-// two runs with the same seed produce byte-identical fault schedules and
-// therefore byte-identical statistics. The scheduler exposes that timeline
-// (Timeline, Windows, Onsets) so the stats layer can measure repair latency
-// and PDR-during-outage against the ground truth of when faults happened.
+// Compile turns a plan and the run seed into one list of episodes, each a
+// fault in force over [start, end), and every read-out (timeline, onsets,
+// windows, active count, impairment) is one pass over it. One seed gives one
+// schedule, in the simulator and on the live testbed alike. The simulator's
+// Scheduler drops ether restarts: they act and count only on the live side.
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,7 +30,7 @@ import (
 // (mean MTBF) and down-times (mean MTTR).
 type ChurnModel struct {
 	// Fraction of nodes subject to churn, in [0, 1]. The subset is drawn
-	// deterministically from the scheduler's RNG.
+	// deterministically from the run seed.
 	Fraction float64
 	// MTBF is the mean up-time between failures.
 	MTBF time.Duration
@@ -77,10 +78,9 @@ type Partition struct {
 
 // EtherRestart is one scripted restart of the live testbed's emulated
 // broadcast medium (the internal/emu ether server): the medium goes down at
-// Start and comes back — with an empty client table — after Duration. The
-// simulator has no ether, so its Scheduler carries these windows in the
-// timeline and fault windows but takes no action; the live fleet's chaos
-// controller executes them.
+// Start and comes back — with an empty client table — after Duration. Only
+// the live side acts on and counts it: the simulator's Scheduler validates
+// restarts and then drops them from every read-out.
 type EtherRestart struct {
 	Start, Duration time.Duration
 }
@@ -129,63 +129,88 @@ const (
 
 // Event is one entry of the precomputed fault timeline.
 type Event struct {
-	// At is the virtual time the event fires.
+	// At is the time the event fires: plan time, or run time after Scale.
 	At time.Duration
 	// Kind is one of the Event* constants.
 	Kind string
-	// Node is the affected node index, or -1 for link/partition events.
+	// Node is the affected node index, or -1 for link/partition/ether events.
 	Node int
 }
 
-// Compiled is a plan's engine-free precomputed fault timeline: churn
-// episodes drawn, overlapping outages merged, partition sides cached, and
-// everything flattened into a sorted event list. It is shared between the
-// simulator's Scheduler (which arms node events on a sim.Engine) and the
-// live testbed's chaos controller (internal/emu), which replays the same
-// timeline against wall-clock daemons — so one fault script, compiled with
-// one seed, yields an identical fault schedule in both worlds.
+// churnSalt derives the churn stream from the run seed. Both worlds use it,
+// so a churned script draws the same crashes in the simulator and live.
+const churnSalt = 0xfa0175eed
+
+// maxChurnOutages bounds the outages a churn model may expect to draw: a
+// millisecond MTBF over a long horizon would otherwise allocate without end.
+const maxChurnOutages = 100_000
+
+// episode is one fault in force over [start, end): a merged node outage, a
+// link fault, a partition or an ether restart. on and off are the timeline
+// kinds that open and close it.
+type episode struct {
+	start, end time.Duration
+	on, off    string
+	node       int          // the crashed node's index; -1 for every other kind
+	link       *LinkFault   // link faults only
+	sideA      map[int]bool // partitions only
+}
+
+func (e episode) active(now time.Duration) bool { return now >= e.start && now < e.end }
+
+// Compiled is a plan's engine-free fault schedule: churn drawn, overlapping
+// outages merged and partition sides cached, as one list of episodes. The
+// simulator's Scheduler arms it on a sim.Engine; the live testbed's chaos
+// controller (internal/emu) scales it to run time once and replays it
+// against wall-clock daemons.
 type Compiled struct {
-	outages       []Outage // merged per node, includes churn-derived ones
-	linkFaults    []LinkFault
-	partitions    []partitionWindow
-	etherRestarts []EtherRestart
-	timeline      []Event
+	// Link faults, partitions and ether restarts come first, in plan order
+	// (Impairment multiplies link losses in it and stops at the first
+	// episode that impairs no link), then outages in merged (node, start)
+	// order, the order Start arms them in.
+	episodes []episode
 }
 
 // Scheduler owns a run's precomputed fault timeline and injects it into the
 // simulation: node targets are failed/restored at the scheduled times, and
 // the Impairment method (installed as the medium's phy.ImpairFunc) applies
 // link faults and partitions. Ether restarts, which only exist on the live
-// emulation path, are carried in the timeline but not acted on here.
+// emulation path, are validated and then dropped.
 type Scheduler struct {
 	*Compiled
 	engine  *sim.Engine
 	targets []Target
 }
 
-// partitionWindow caches the side-A membership set.
-type partitionWindow struct {
-	Partition
-	sideA map[int]bool
+// span checks a fault's placement and returns its end.
+func span(start, d time.Duration) (time.Duration, error) {
+	switch {
+	case start < 0:
+		return 0, fmt.Errorf("negative start")
+	case d <= 0:
+		return 0, fmt.Errorf("non-positive duration")
+	case d > math.MaxInt64-start:
+		return 0, fmt.Errorf("end overflows time.Duration")
+	}
+	return start + d, nil
 }
 
-// Compile precomputes a plan's full fault timeline for a run of length
-// horizon over nTargets nodes. rng must be a dedicated sub-stream so the
-// churn draws do not perturb anything else; the result is a pure function
-// of (plan, rng seed, nTargets, horizon).
-func Compile(plan Plan, rng *sim.RNG, nTargets int, horizon time.Duration) (*Compiled, error) {
-	c := &Compiled{}
-
-	outages := make([]Outage, 0, len(plan.Outages))
+// Compile precomputes a plan's full fault schedule for a run of length
+// horizon over nTargets nodes. Churn is drawn from a stream derived from the
+// run seed alone, so the result is a pure function of (plan, seed,
+// nTargets, horizon).
+func Compile(plan Plan, seed uint64, nTargets int, horizon time.Duration) (*Compiled, error) {
+	outages := make([]episode, 0, len(plan.Outages))
 	for i, o := range plan.Outages {
 		if o.Node < 0 || o.Node >= nTargets {
 			return nil, fmt.Errorf("faults: outage %d (node %d, start %v): node index out of range [0, %d)",
 				i, o.Node, o.Start, nTargets)
 		}
-		if o.Duration <= 0 {
-			return nil, fmt.Errorf("faults: outage %d (node %d, start %v): non-positive duration", i, o.Node, o.Start)
+		end, err := span(o.Start, o.Duration)
+		if err != nil {
+			return nil, fmt.Errorf("faults: outage %d (node %d, start %v): %v", i, o.Node, o.Start, err)
 		}
-		outages = append(outages, o)
+		outages = append(outages, outage(o.Node, o.Start, end))
 	}
 	if ch := plan.Churn; ch != nil {
 		if ch.Fraction < 0 || ch.Fraction > 1 {
@@ -194,10 +219,17 @@ func Compile(plan Plan, rng *sim.RNG, nTargets int, horizon time.Duration) (*Com
 		if ch.Fraction > 0 && (ch.MTBF <= 0 || ch.MTTR <= 0) {
 			return nil, fmt.Errorf("faults: churn requires positive MTBF and MTTR")
 		}
-		outages = append(outages, drawChurn(rng, *ch, nTargets, horizon)...)
+		if ch.Start < 0 || ch.End < 0 {
+			return nil, fmt.Errorf("faults: churn start %v or end %v negative", ch.Start, ch.End)
+		}
+		cycles := float64(churnEnd(*ch, horizon)-ch.Start) / (float64(ch.MTBF) + float64(ch.MTTR))
+		if n := math.Round(ch.Fraction*float64(nTargets)) * cycles; n > maxChurnOutages {
+			return nil, fmt.Errorf("faults: churn MTBF %v and MTTR %v would draw about %.0f outages, more than %d (set an end)",
+				ch.MTBF, ch.MTTR, n, maxChurnOutages)
+		}
+		outages = append(outages, drawChurn(sim.NewRNG(seed^churnSalt), *ch, nTargets, horizon)...)
 	}
-	c.outages = mergeOutages(outages)
-
+	c := &Compiled{}
 	for i, lf := range plan.LinkFaults {
 		// Endpoints must be real node indices (or the -1 wildcard): a typo'd
 		// index would otherwise compile fine and silently never match any
@@ -212,15 +244,18 @@ func Compile(plan Plan, rng *sim.RNG, nTargets int, horizon time.Duration) (*Com
 			return nil, fmt.Errorf("faults: link fault %d (from %d, to %d, start %v): drop probability %v outside [0, 1]",
 				i, lf.From, lf.To, lf.Start, lf.DropProb)
 		}
-		if lf.Duration <= 0 {
-			return nil, fmt.Errorf("faults: link fault %d (from %d, to %d, start %v): non-positive duration",
-				i, lf.From, lf.To, lf.Start)
+		end, err := span(lf.Start, lf.Duration)
+		if err != nil {
+			return nil, fmt.Errorf("faults: link fault %d (from %d, to %d, start %v): %v",
+				i, lf.From, lf.To, lf.Start, err)
 		}
-		c.linkFaults = append(c.linkFaults, lf)
+		c.episodes = append(c.episodes, episode{start: lf.Start, end: end,
+			on: EventLinkFault, off: EventLinkHeal, node: -1, link: &lf})
 	}
 	for i, p := range plan.Partitions {
-		if p.Duration <= 0 {
-			return nil, fmt.Errorf("faults: partition %d (start %v): non-positive duration", i, p.Start)
+		end, err := span(p.Start, p.Duration)
+		if err != nil {
+			return nil, fmt.Errorf("faults: partition %d (start %v): %v", i, p.Start, err)
 		}
 		side := make(map[int]bool, len(p.SideA))
 		for _, n := range p.SideA {
@@ -230,239 +265,194 @@ func Compile(plan Plan, rng *sim.RNG, nTargets int, horizon time.Duration) (*Com
 			}
 			side[n] = true
 		}
-		c.partitions = append(c.partitions, partitionWindow{Partition: p, sideA: side})
+		c.episodes = append(c.episodes, episode{start: p.Start, end: end,
+			on: EventPartition, off: EventHeal, node: -1, sideA: side})
 	}
 	for i, er := range plan.EtherRestarts {
-		if er.Duration <= 0 {
-			return nil, fmt.Errorf("faults: ether restart %d (start %v): non-positive duration", i, er.Start)
+		end, err := span(er.Start, er.Duration)
+		if err != nil {
+			return nil, fmt.Errorf("faults: ether restart %d (start %v): %v", i, er.Start, err)
 		}
-		c.etherRestarts = append(c.etherRestarts, er)
+		c.episodes = append(c.episodes, episode{start: er.Start, end: end,
+			on: EventEtherDown, off: EventEtherUp, node: -1})
 	}
-
-	c.buildTimeline()
+	c.episodes = append(c.episodes, merge(outages, func(e episode) int { return e.node })...)
 	return c, nil
 }
 
 // NewScheduler precomputes the full fault timeline for a run of length
-// horizon. rng must be a dedicated sub-stream (engine.RNG().Split()) so the
-// fault draws do not perturb the rest of the simulation. Call Start to arm
-// the node events, and install Impairment on the medium.
-func NewScheduler(engine *sim.Engine, rng *sim.RNG, plan Plan, targets []Target, horizon time.Duration) (*Scheduler, error) {
-	c, err := Compile(plan, rng, len(targets), horizon)
+// horizon from the run seed (see Compile) and drops its ether restarts,
+// which the simulator has no medium to act on. Call Start to arm the node
+// events, and install Impairment on the medium.
+func NewScheduler(engine *sim.Engine, seed uint64, plan Plan, targets []Target, horizon time.Duration) (*Scheduler, error) {
+	c, err := Compile(plan, seed, len(targets), horizon)
 	if err != nil {
 		return nil, err
 	}
+	c.episodes = slices.DeleteFunc(c.episodes, func(e episode) bool { return e.on == EventEtherDown })
 	return &Scheduler{Compiled: c, engine: engine, targets: targets}, nil
 }
 
 // drawChurn samples the renewal process for every churned node. The node
 // subset and all episode times come from rng alone, so the schedule is a
 // pure function of (seed, model, node count, horizon).
-func drawChurn(rng *sim.RNG, c ChurnModel, n int, horizon time.Duration) []Outage {
+func drawChurn(rng *sim.RNG, c ChurnModel, n int, horizon time.Duration) []episode {
 	count := int(math.Round(c.Fraction * float64(n)))
-	if count <= 0 {
+	if count <= 0 { // Compile checked Fraction ≤ 1, so count ≤ n
 		return nil
-	}
-	if count > n {
-		count = n
 	}
 	churned := rng.Perm(n)[:count]
 	sort.Ints(churned) // iteration order must not depend on Perm's layout
-	end := c.End
-	if end <= 0 || end > horizon {
-		end = horizon
-	}
-	var out []Outage
+	end := churnEnd(c, horizon)
+	var out []episode
 	for _, nodeIdx := range churned {
 		t := c.Start
 		for {
-			up := time.Duration(float64(c.MTBF) * rng.ExpFloat64())
-			t += up
+			t += draw(rng, c.MTBF, end-t)
 			if t >= end {
 				break
 			}
-			down := time.Duration(float64(c.MTTR) * rng.ExpFloat64())
+			down := draw(rng, c.MTTR, end-t)
 			if down <= 0 {
 				down = time.Millisecond
 			}
 			if t+down > end {
 				down = end - t
 			}
-			out = append(out, Outage{Node: nodeIdx, Start: t, Duration: down})
+			out = append(out, outage(nodeIdx, t, t+down))
 			t += down
 		}
 	}
 	return out
 }
 
-// mergeOutages sorts outages and merges overlapping windows per node, so a
-// node is never "restored" while another scripted outage still holds it down.
-func mergeOutages(outages []Outage) []Outage {
-	sort.Slice(outages, func(i, j int) bool {
-		if outages[i].Node != outages[j].Node {
-			return outages[i].Node < outages[j].Node
-		}
-		return outages[i].Start < outages[j].Start
-	})
-	merged := outages[:0]
-	for _, o := range outages {
-		if n := len(merged); n > 0 && merged[n-1].Node == o.Node &&
-			o.Start <= merged[n-1].Start+merged[n-1].Duration {
-			if end := o.Start + o.Duration; end > merged[n-1].Start+merged[n-1].Duration {
-				merged[n-1].Duration = end - merged[n-1].Start
-			}
-			continue
-		}
-		merged = append(merged, o)
+// churnEnd is where churn stops: End, or the horizon if End is unset or past it.
+func churnEnd(c ChurnModel, horizon time.Duration) time.Duration {
+	if c.End <= 0 || c.End > horizon {
+		return horizon
 	}
-	return merged
+	return c.End
 }
 
-// buildTimeline flattens every fault into the sorted event timeline.
-func (c *Compiled) buildTimeline() {
-	for _, o := range c.outages {
-		c.timeline = append(c.timeline,
-			Event{At: o.Start, Kind: EventNodeDown, Node: o.Node},
-			Event{At: o.Start + o.Duration, Kind: EventNodeUp, Node: o.Node})
+// draw samples an exponential duration of the given mean, capped at limit.
+// The product stays a float until it is known to fit, so a huge mean cannot
+// wrap.
+func draw(rng *sim.RNG, mean, limit time.Duration) time.Duration {
+	if d := float64(mean) * rng.ExpFloat64(); d < float64(limit) {
+		return time.Duration(d)
 	}
-	for _, lf := range c.linkFaults {
-		c.timeline = append(c.timeline,
-			Event{At: lf.Start, Kind: EventLinkFault, Node: -1},
-			Event{At: lf.Start + lf.Duration, Kind: EventLinkHeal, Node: -1})
-	}
-	for _, p := range c.partitions {
-		c.timeline = append(c.timeline,
-			Event{At: p.Start, Kind: EventPartition, Node: -1},
-			Event{At: p.Start + p.Duration, Kind: EventHeal, Node: -1})
-	}
-	for _, er := range c.etherRestarts {
-		c.timeline = append(c.timeline,
-			Event{At: er.Start, Kind: EventEtherDown, Node: -1},
-			Event{At: er.Start + er.Duration, Kind: EventEtherUp, Node: -1})
-	}
-	sort.Slice(c.timeline, func(i, j int) bool {
-		a, b := c.timeline[i], c.timeline[j]
-		if a.At != b.At {
-			return a.At < b.At
+	return limit
+}
+
+// outage is a node crash episode.
+func outage(node int, start, end time.Duration) episode {
+	return episode{start: start, end: end, on: EventNodeDown, off: EventNodeUp, node: node}
+}
+
+// merge sorts episodes by (key, start) and joins the overlapping ones of one
+// key, in place: outages per node, so a node is never "restored" while
+// another outage still holds it down, and all episodes into fault windows.
+func merge(es []episode, key func(episode) int) []episode {
+	slices.SortFunc(es, func(a, b episode) int { return cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(a.start, b.start)) })
+	merged := es[:0]
+	for _, e := range es {
+		if n := len(merged); n > 0 && key(merged[n-1]) == key(e) && e.start <= merged[n-1].end {
+			merged[n-1].end = max(merged[n-1].end, e.end)
+			continue
 		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Kind < b.Kind
-	})
+		merged = append(merged, e)
+	}
+	return merged
 }
 
 // Start arms the node crash/restart events on the engine. Link faults and
 // partitions need no events: Impairment evaluates them by time.
 func (s *Scheduler) Start() {
-	for _, o := range s.outages {
-		o := o
-		s.engine.At(o.Start, func() { s.targets[o.Node].Fail() })
-		s.engine.At(o.Start+o.Duration, func() { s.targets[o.Node].Restore() })
+	for _, e := range s.episodes {
+		if e.on == EventNodeDown {
+			target := s.targets[e.node]
+			s.engine.At(e.start, target.Fail)
+			s.engine.At(e.end, target.Restore)
+		}
 	}
+}
+
+// Scale returns the schedule with every time multiplied by f: the live
+// testbed's one conversion from plan time to run time.
+func (c *Compiled) Scale(f float64) *Compiled {
+	s := &Compiled{episodes: slices.Clone(c.episodes)}
+	for i := range s.episodes {
+		e := &s.episodes[i]
+		e.start = time.Duration(float64(e.start) * f)
+		e.end = time.Duration(float64(e.end) * f)
+	}
+	return s
 }
 
 // Timeline returns the full precomputed fault timeline, sorted by time.
 func (c *Compiled) Timeline() []Event {
-	out := make([]Event, len(c.timeline))
-	copy(out, c.timeline)
+	out := make([]Event, 0, 2*len(c.episodes))
+	for _, e := range c.episodes {
+		out = append(out, Event{At: e.start, Kind: e.on, Node: e.node}, Event{At: e.end, Kind: e.off, Node: e.node})
+	}
+	slices.SortFunc(out, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Kind, b.Kind))
+	})
 	return out
 }
 
-// Outages returns the merged per-node crash windows (churn included).
-func (c *Compiled) Outages() []Outage {
-	out := make([]Outage, len(c.outages))
-	copy(out, c.outages)
-	return out
-}
-
-// EtherRestarts returns the scripted medium restart windows.
-func (c *Compiled) EtherRestarts() []EtherRestart {
-	out := make([]EtherRestart, len(c.etherRestarts))
-	copy(out, c.etherRestarts)
-	return out
-}
-
-// Onsets returns the start time of every fault episode (node outage, link
-// fault, partition), sorted and deduplicated — the reference points for
-// repair-latency measurement.
+// Onsets returns the start time of every fault episode, sorted and
+// deduplicated — the reference points for repair-latency measurement.
 func (c *Compiled) Onsets() []time.Duration {
 	var out []time.Duration
-	for _, e := range c.timeline {
-		switch e.Kind {
-		case EventNodeDown, EventLinkFault, EventPartition, EventEtherDown:
-			out = append(out, e.At)
-		}
+	for _, e := range c.episodes {
+		out = append(out, e.start)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, t := range out {
-		if i == 0 || t != dedup[len(dedup)-1] {
-			dedup = append(dedup, t)
-		}
-	}
-	return dedup
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Windows returns the merged union of every interval during which at least
 // one fault is active — the "outage" periods for PDR bucketing.
 func (c *Compiled) Windows() []stats.Window {
 	var ws []stats.Window
-	for _, o := range c.outages {
-		ws = append(ws, stats.Window{Start: o.Start, End: o.Start + o.Duration})
+	for _, e := range merge(slices.Clone(c.episodes), func(episode) int { return 0 }) {
+		ws = append(ws, stats.Window{Start: e.start, End: e.end})
 	}
-	for _, lf := range c.linkFaults {
-		ws = append(ws, stats.Window{Start: lf.Start, End: lf.Start + lf.Duration})
-	}
-	for _, p := range c.partitions {
-		ws = append(ws, stats.Window{Start: p.Start, End: p.Start + p.Duration})
-	}
-	for _, er := range c.etherRestarts {
-		ws = append(ws, stats.Window{Start: er.Start, End: er.Start + er.Duration})
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
-	merged := ws[:0]
-	for _, w := range ws {
-		if n := len(merged); n > 0 && w.Start <= merged[n-1].End {
-			if w.End > merged[n-1].End {
-				merged[n-1].End = w.End
-			}
-			continue
-		}
-		merged = append(merged, w)
-	}
-	return merged
+	return ws
 }
 
 // DownCount returns how many node crash episodes the schedule contains.
-func (c *Compiled) DownCount() int { return len(c.outages) }
-
-// ActiveFaults returns how many fault episodes (node outages, link faults,
-// partitions) are active at time now — the value behind the "faults.active"
-// telemetry gauge.
-func (c *Compiled) ActiveFaults(now time.Duration) int {
+func (c *Compiled) DownCount() int {
 	n := 0
-	for _, o := range c.outages {
-		if now >= o.Start && now < o.Start+o.Duration {
-			n++
-		}
-	}
-	for _, lf := range c.linkFaults {
-		if now >= lf.Start && now < lf.Start+lf.Duration {
-			n++
-		}
-	}
-	for _, p := range c.partitions {
-		if now >= p.Start && now < p.Start+p.Duration {
-			n++
-		}
-	}
-	for _, er := range c.etherRestarts {
-		if now >= er.Start && now < er.Start+er.Duration {
+	for _, e := range c.episodes {
+		if e.on == EventNodeDown {
 			n++
 		}
 	}
 	return n
+}
+
+// ActiveFaults returns how many fault episodes are active at time now — the
+// value behind the "faults.active" telemetry gauge.
+func (c *Compiled) ActiveFaults(now time.Duration) int {
+	n := 0
+	for _, e := range c.episodes {
+		if e.active(now) {
+			n++
+		}
+	}
+	return n
+}
+
+// NodeDown reports whether node index i is inside an outage at time now.
+func (c *Compiled) NodeDown(i int, now time.Duration) bool {
+	for _, e := range c.episodes {
+		if e.on == EventNodeDown && e.node == i && e.active(now) {
+			return true
+		}
+	}
+	return false
 }
 
 // Impairment implements phy.ImpairFunc: the combined extra loss and
@@ -472,24 +462,22 @@ func (c *Compiled) Impairment(tx, rx packet.NodeID, now time.Duration) phy.Impai
 	keep := 1.0  // probability the packet survives all injected loss
 	atten := 1.0 // linear power factor
 	impaired := false
-	for _, lf := range c.linkFaults {
-		if now < lf.Start || now >= lf.Start+lf.Duration {
+	for i := range c.episodes {
+		e := &c.episodes[i]
+		if e.link == nil && e.sideA == nil {
+			break
+		}
+		if !e.active(now) {
 			continue
 		}
-		if !lf.matches(int(tx), int(rx)) {
-			continue
-		}
-		keep *= 1 - lf.DropProb
-		if lf.AttenuationDB != 0 {
-			atten *= math.Pow(10, -lf.AttenuationDB/10)
-		}
-		impaired = true
-	}
-	for _, p := range c.partitions {
-		if now < p.Start || now >= p.Start+p.Duration {
-			continue
-		}
-		if p.sideA[int(tx)] != p.sideA[int(rx)] {
+		switch {
+		case e.link != nil && e.link.matches(int(tx), int(rx)):
+			keep *= 1 - e.link.DropProb
+			if e.link.AttenuationDB != 0 {
+				atten *= math.Pow(10, -e.link.AttenuationDB/10)
+			}
+			impaired = true
+		case e.sideA != nil && e.sideA[int(tx)] != e.sideA[int(rx)]:
 			return phy.Impairment{DropProb: 1}
 		}
 	}
@@ -502,11 +490,6 @@ func (c *Compiled) Impairment(tx, rx packet.NodeID, now time.Duration) phy.Impai
 // matches reports whether the fault covers the directed pair (tx, rx),
 // honoring wildcards and the Symmetric flag.
 func (lf LinkFault) matches(tx, rx int) bool {
-	hit := func(a, b int) bool {
-		return (lf.From == -1 || lf.From == a) && (lf.To == -1 || lf.To == b)
-	}
-	if hit(tx, rx) {
-		return true
-	}
-	return lf.Symmetric && hit(rx, tx)
+	hit := func(a, b int) bool { return (lf.From == -1 || lf.From == a) && (lf.To == -1 || lf.To == b) }
+	return hit(tx, rx) || lf.Symmetric && hit(rx, tx)
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,7 +51,7 @@ func TestScriptedOutagesFireOnSchedule(t *testing.T) {
 		{Node: 1, Start: 10 * time.Second, Duration: 5 * time.Second},
 		{Node: 2, Start: 20 * time.Second, Duration: 2 * time.Second},
 	}}
-	s, err := NewScheduler(engine, sim.NewRNG(7), plan, targets, time.Minute)
+	s, err := NewScheduler(engine, 7, plan, targets, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestOverlappingOutagesMerge(t *testing.T) {
 		{Node: 0, Start: 10 * time.Second, Duration: 10 * time.Second},
 		{Node: 0, Start: 15 * time.Second, Duration: 10 * time.Second},
 	}}
-	s, err := NewScheduler(engine, sim.NewRNG(7), plan, targets, time.Minute)
+	s, err := NewScheduler(engine, 7, plan, targets, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestChurnIsDeterministicAndBounded(t *testing.T) {
 			MTTR:     5 * time.Second,
 			Start:    10 * time.Second,
 		}}
-		s, err := NewScheduler(engine, sim.NewRNG(42), plan, targets, 5*time.Minute)
+		s, err := NewScheduler(engine, 42, plan, targets, 5*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestChurnIsDeterministicAndBounded(t *testing.T) {
 	// A different seed draws a different schedule.
 	engine := sim.NewEngine(1)
 	targets, _ := makeTargets(engine, 20)
-	c, err := NewScheduler(engine, sim.NewRNG(43), Plan{Churn: &ChurnModel{
+	c, err := NewScheduler(engine, 43, Plan{Churn: &ChurnModel{
 		Fraction: 0.25, MTBF: 30 * time.Second, MTTR: 5 * time.Second, Start: 10 * time.Second,
 	}}, targets, 5*time.Minute)
 	if err != nil {
@@ -153,7 +154,7 @@ func TestLinkFaultImpairment(t *testing.T) {
 		{From: 2, To: 3, Start: 10 * time.Second, Duration: 10 * time.Second, AttenuationDB: 10, Symmetric: true},
 		{From: -1, To: -1, Start: 40 * time.Second, Duration: 5 * time.Second, DropProb: 1}, // jamming
 	}}
-	s, err := NewScheduler(engine, sim.NewRNG(7), plan, targets, time.Minute)
+	s, err := NewScheduler(engine, 7, plan, targets, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestPartitionCutsCrossLinksOnly(t *testing.T) {
 	plan := Plan{Partitions: []Partition{
 		{Start: 10 * time.Second, Duration: 10 * time.Second, SideA: []int{0, 1}},
 	}}
-	s, err := NewScheduler(engine, sim.NewRNG(7), plan, targets, time.Minute)
+	s, err := NewScheduler(engine, 7, plan, targets, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestWindowsAndOnsets(t *testing.T) {
 			{From: 0, To: 1, Start: 50 * time.Second, Duration: 5 * time.Second, DropProb: 1},
 		},
 	}
-	s, err := NewScheduler(engine, sim.NewRNG(7), plan, targets, time.Minute)
+	s, err := NewScheduler(engine, 7, plan, targets, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestSchedulerValidation(t *testing.T) {
 		{Partitions: []Partition{{Duration: time.Second, SideA: []int{9}}}},
 	}
 	for i, p := range cases {
-		if _, err := NewScheduler(engine, sim.NewRNG(1), p, targets, time.Minute); err == nil {
+		if _, err := NewScheduler(engine, 1, p, targets, time.Minute); err == nil {
 			t.Fatalf("case %d: invalid plan accepted", i)
 		}
 	}
@@ -290,7 +291,7 @@ func TestCompileRejectsOutOfRangeLinkFaults(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
-		_, err := Compile(c.plan, sim.NewRNG(1), 3, time.Minute)
+		_, err := Compile(c.plan, 1, 3, time.Minute)
 		if err == nil {
 			t.Fatalf("case %d: out-of-range plan accepted", i)
 		}
@@ -302,7 +303,7 @@ func TestCompileRejectsOutOfRangeLinkFaults(t *testing.T) {
 	}
 	// Wildcards stay legal: -1 matches every node.
 	ok := Plan{LinkFaults: []LinkFault{{From: -1, To: -1, Start: 0, Duration: time.Second, DropProb: 1}}}
-	if _, err := Compile(ok, sim.NewRNG(1), 3, time.Minute); err != nil {
+	if _, err := Compile(ok, 1, 3, time.Minute); err != nil {
 		t.Fatalf("wildcard link fault rejected: %v", err)
 	}
 }
@@ -353,7 +354,7 @@ func TestCompileEtherRestarts(t *testing.T) {
 	plan := Plan{EtherRestarts: []EtherRestart{
 		{Start: 20 * time.Second, Duration: 3 * time.Second},
 	}}
-	c, err := Compile(plan, sim.NewRNG(1), 4, time.Minute)
+	c, err := Compile(plan, 1, 4, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,9 +376,6 @@ func TestCompileEtherRestarts(t *testing.T) {
 	if up.At != 23*time.Second || up.Node != -1 {
 		t.Fatalf("ether-up = %+v, want t=23s node=-1", up)
 	}
-	if got := c.EtherRestarts(); len(got) != 1 || got[0].Start != 20*time.Second {
-		t.Fatalf("EtherRestarts() = %+v", got)
-	}
 	wantWindows := []stats.Window{{Start: 20 * time.Second, End: 23 * time.Second}}
 	if got := c.Windows(); !reflect.DeepEqual(got, wantWindows) {
 		t.Fatalf("Windows() = %v, want %v", got, wantWindows)
@@ -388,7 +386,7 @@ func TestCompileEtherRestarts(t *testing.T) {
 
 	// A restart with no down window is a script bug.
 	bad := Plan{EtherRestarts: []EtherRestart{{Start: time.Second}}}
-	if _, err := Compile(bad, sim.NewRNG(1), 4, time.Minute); err == nil {
+	if _, err := Compile(bad, 1, 4, time.Minute); err == nil {
 		t.Fatal("zero-duration ether restart accepted")
 	}
 }
@@ -412,4 +410,134 @@ func TestLoadPlanEtherRestarts(t *testing.T) {
 	if p.Empty() {
 		t.Fatal("ether-restart-only plan reports Empty")
 	}
+}
+
+// robustnessScript is the example fault script of docs/ROBUSTNESS.md.
+const robustnessScript = `{
+  "churn": {"fraction": 0.1, "mtbf_s": 90, "mttr_s": 15, "start_s": 100},
+  "outages": [{"node": 3, "start_s": 150, "duration_s": 30}],
+  "links": [{"from": 1, "to": 4, "start_s": 200, "duration_s": 20,
+             "drop_prob": 0.8, "attenuation_db": 6, "symmetric": true}],
+  "partitions": [{"start_s": 260, "duration_s": 40, "side_a": [0, 1, 2]}]
+}`
+
+// badTimeScripts hold a fault time that is negative or does not fit a
+// time.Duration, each with the error it must get from ParsePlan: the JSON
+// key, then the reason.
+var badTimeScripts = []struct{ script, want string }{
+	// 1e12 s used to wrap to an outage about 292 years in the past that
+	// fired and healed at t = 0.
+	{`{"outages":[{"node":0,"start_s":1e12,"duration_s":5}]}`, "outages[0].start_s: 1e+12 s overflows time.Duration"},
+	{`{"outages":[{"node":0,"start_s":-5,"duration_s":5}]}`, "outages[0].start_s: -5 is negative"},
+	// The wrapped MTBF used to be rejected as "requires positive MTBF".
+	{`{"churn":{"fraction":0.5,"mtbf_s":1e12,"mttr_s":5}}`, "churn.mtbf_s: 1e+12 s overflows time.Duration"},
+	{`{"churn":{"fraction":0.5,"mtbf_s":60,"mttr_s":5,"end_s":-1}}`, "churn.end_s: -1 is negative"},
+	{`{"links":[{"from":0,"to":1,"start_s":1,"duration_s":-2,"drop_prob":1}]}`, "links[0].duration_s: -2 is negative"},
+	{`{"partitions":[{"start_s":1,"duration_s":1e10,"side_a":[0]}]}`, "partitions[0].duration_s: 1e+10 s overflows time.Duration"},
+	{`{"ether_restarts":[{"start_s":-0.5,"down_s":1}]}`, "ether_restarts[0].start_s: -0.5 is negative"},
+}
+
+// TestPlanTimesInRange: ParsePlan rejects a fault time that is negative or
+// overflows time.Duration, naming its JSON key, and Compile rejects a
+// negative start, an end past the time.Duration range and a runaway churn
+// model from Go callers, naming the fault.
+func TestPlanTimesInRange(t *testing.T) {
+	for _, row := range badTimeScripts {
+		_, err := ParsePlan([]byte(row.script))
+		if err == nil || err.Error() != "faults: "+row.want {
+			t.Errorf("ParsePlan(%s) = %v, want faults: %s", row.script, err, row.want)
+		}
+	}
+	day := 24 * time.Hour
+	rows := []struct {
+		plan Plan
+		want string
+	}{
+		{Plan{Outages: []Outage{{Node: 0, Start: -time.Second, Duration: time.Second}}}, "outage 0 (node 0, start -1s): negative start"},
+		{Plan{LinkFaults: []LinkFault{{From: 0, To: 1, Start: -time.Second, Duration: time.Second}}}, "link fault 0 (from 0, to 1, start -1s): negative start"},
+		{Plan{Partitions: []Partition{{Start: -time.Second, Duration: time.Second}}}, "partition 0 (start -1s): negative start"},
+		{Plan{EtherRestarts: []EtherRestart{{Start: -time.Second, Duration: time.Second}}}, "ether restart 0 (start -1s): negative start"},
+		{Plan{Outages: []Outage{{Node: 1, Start: math.MaxInt64 - time.Second, Duration: 2 * time.Second}}}, "end overflows time.Duration"},
+		{Plan{Churn: &ChurnModel{Fraction: 0.5, MTBF: time.Minute, MTTR: time.Second, Start: -time.Second}}, "churn start -1s or end 0s negative"},
+		{Plan{Churn: &ChurnModel{Fraction: 1, MTBF: time.Microsecond, MTTR: time.Microsecond}}, "outages, more than 100000"},
+	}
+	for i, row := range rows {
+		_, err := Compile(row.plan, 1, 8, day)
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("row %d: Compile = %v, want an error containing %q", i, err, row.want)
+		}
+	}
+
+	// A mean time past the int64 range once drawn (200 years × an
+	// exponential draw) is capped at the horizon instead of wrapping to a
+	// negative time.
+	c, err := Compile(Plan{Churn: &ChurnModel{Fraction: 1, MTBF: 200 * 365 * day, MTTR: time.Second}}, 1, 64, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range c.Timeline() {
+		if e.At < 0 || e.At > day {
+			t.Fatalf("event %+v outside [0, horizon]", e)
+		}
+	}
+}
+
+// FuzzParsePlan feeds bytes through ParsePlan and Compile (8 nodes, 1 h).
+// Nothing may panic, and an accepted plan's schedule must be well formed: a
+// sorted timeline of non-negative times in which every onset is followed by
+// its clear event, sorted disjoint windows, sorted unique onsets, and a
+// fault active at the start of every window. The seed corpus is the
+// docs/ROBUSTNESS.md example script and the rows of badTimeScripts.
+func FuzzParsePlan(f *testing.F) {
+	f.Add([]byte(robustnessScript))
+	for _, row := range badTimeScripts {
+		f.Add([]byte(row.script))
+	}
+	clears := map[string]string{EventNodeDown: EventNodeUp, EventLinkFault: EventLinkHeal, EventPartition: EventHeal, EventEtherDown: EventEtherUp}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		c, err := Compile(plan, 1, 8, time.Hour)
+		if err != nil {
+			return
+		}
+		type key struct {
+			kind string
+			node int
+		}
+		open := map[key]int{} // onsets not yet cleared, by clear kind
+		tl := c.Timeline()
+		for i, e := range tl {
+			if e.At < 0 || i > 0 && e.At < tl[i-1].At {
+				t.Fatalf("timeline out of order or negative at %d: %v", i, tl)
+			}
+			if clear, ok := clears[e.Kind]; ok {
+				open[key{clear, e.Node}]++
+			} else if open[key{e.Kind, e.Node}]--; open[key{e.Kind, e.Node}] < 0 {
+				t.Fatalf("%+v clears no onset: %v", e, tl)
+			}
+		}
+		for k, n := range open {
+			if n != 0 {
+				t.Fatalf("%d onsets never get their %s (node %d): %v", n, k.kind, k.node, tl)
+			}
+		}
+		ws := c.Windows()
+		for i, w := range ws {
+			if w.Start >= w.End || i > 0 && w.Start <= ws[i-1].End {
+				t.Fatalf("windows not sorted and disjoint: %v", ws)
+			}
+			if c.ActiveFaults(w.Start) < 1 {
+				t.Fatalf("no fault active at the start of window %v", w)
+			}
+		}
+		on := c.Onsets()
+		for i := 1; i < len(on); i++ {
+			if on[i] <= on[i-1] {
+				t.Fatalf("onsets not sorted and unique: %v", on)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -70,54 +71,68 @@ type ScriptEtherRestart struct {
 	DownS  float64 `json:"down_s"`
 }
 
-func seconds(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
-}
-
-// Plan converts the script to a Plan.
-func (s Script) Plan() Plan {
+// Plan converts the script to a Plan. A time that is negative or does not
+// fit a time.Duration is an error naming its JSON key
+// ("outages[0].start_s").
+func (s Script) Plan() (Plan, error) {
+	var err error
+	seconds := func(v float64, key string, args ...any) time.Duration {
+		switch {
+		case err != nil:
+		case v < 0:
+			err = fmt.Errorf("faults: %s: %v is negative", fmt.Sprintf(key, args...), v)
+		case v*float64(time.Second) >= math.MaxInt64:
+			err = fmt.Errorf("faults: %s: %v s overflows time.Duration", fmt.Sprintf(key, args...), v)
+		default:
+			return time.Duration(v * float64(time.Second))
+		}
+		return 0
+	}
 	var p Plan
 	if c := s.Churn; c != nil {
 		p.Churn = &ChurnModel{
 			Fraction: c.Fraction,
-			MTBF:     seconds(c.MTBFS),
-			MTTR:     seconds(c.MTTRS),
-			Start:    seconds(c.StartS),
-			End:      seconds(c.EndS),
+			MTBF:     seconds(c.MTBFS, "churn.mtbf_s"),
+			MTTR:     seconds(c.MTTRS, "churn.mttr_s"),
+			Start:    seconds(c.StartS, "churn.start_s"),
+			End:      seconds(c.EndS, "churn.end_s"),
 		}
 	}
-	for _, o := range s.Outages {
+	for i, o := range s.Outages {
 		p.Outages = append(p.Outages, Outage{
 			Node:     o.Node,
-			Start:    seconds(o.StartS),
-			Duration: seconds(o.DurationS),
+			Start:    seconds(o.StartS, "outages[%d].start_s", i),
+			Duration: seconds(o.DurationS, "outages[%d].duration_s", i),
 		})
 	}
-	for _, l := range s.Links {
+	for i, l := range s.Links {
 		p.LinkFaults = append(p.LinkFaults, LinkFault{
 			From:          l.From,
 			To:            l.To,
-			Start:         seconds(l.StartS),
-			Duration:      seconds(l.DurationS),
+			Start:         seconds(l.StartS, "links[%d].start_s", i),
+			Duration:      seconds(l.DurationS, "links[%d].duration_s", i),
 			DropProb:      l.DropProb,
 			AttenuationDB: l.AttenuationDB,
 			Symmetric:     l.Symmetric,
 		})
 	}
-	for _, pt := range s.Partitions {
+	for i, pt := range s.Partitions {
 		p.Partitions = append(p.Partitions, Partition{
-			Start:    seconds(pt.StartS),
-			Duration: seconds(pt.DurationS),
+			Start:    seconds(pt.StartS, "partitions[%d].start_s", i),
+			Duration: seconds(pt.DurationS, "partitions[%d].duration_s", i),
 			SideA:    pt.SideA,
 		})
 	}
-	for _, er := range s.EtherRestarts {
+	for i, er := range s.EtherRestarts {
 		p.EtherRestarts = append(p.EtherRestarts, EtherRestart{
-			Start:    seconds(er.StartS),
-			Duration: seconds(er.DownS),
+			Start:    seconds(er.StartS, "ether_restarts[%d].start_s", i),
+			Duration: seconds(er.DownS, "ether_restarts[%d].down_s", i),
 		})
 	}
-	return p
+	if err != nil {
+		return Plan{}, err
+	}
+	return p, nil
 }
 
 // LoadPlan reads a JSON fault script from path. Unknown fields are rejected
@@ -131,7 +146,7 @@ func LoadPlan(path string) (Plan, error) {
 	return ParsePlan(data)
 }
 
-// ParsePlan decodes a JSON fault script.
+// ParsePlan decodes a JSON fault script; see Script.Plan for its time rules.
 func ParsePlan(data []byte) (Plan, error) {
 	var s Script
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -139,5 +154,5 @@ func ParsePlan(data []byte) (Plan, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Plan{}, fmt.Errorf("faults: parse script: %w", err)
 	}
-	return s.Plan(), nil
+	return s.Plan()
 }

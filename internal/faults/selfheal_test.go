@@ -139,7 +139,7 @@ func TestSelfHealingSchedulerDriven(t *testing.T) {
 	for i, n := range nodes {
 		targets[i] = n
 	}
-	sched, err := NewScheduler(engine, sim.NewRNG(3), plan, targets, 130*time.Second)
+	sched, err := NewScheduler(engine, 3, plan, targets, 130*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
