@@ -349,6 +349,26 @@ func TestFaultPlanMergesFlagsAndScript(t *testing.T) {
 	}
 }
 
+// TestRestartOnlyScriptChangesNothing: the simulator has no ether to
+// restart, so a -fault-script of nothing but ether restarts prints what the
+// run without the script prints — no fault read-out of empty outage windows.
+// The wall-clock line goes to stderr, which is not compared.
+func TestRestartOnlyScriptChangesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small simulation")
+	}
+	opt := tinyOptions()
+	plain, _ := captureRun(t, opt)
+	opt.FaultScript = t.TempDir() + "/restart.json"
+	if err := os.WriteFile(opt.FaultScript, []byte(`{"ether_restarts": [{"start_s": 2.5, "down_s": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scripted, _ := captureRun(t, opt)
+	if scripted != plain {
+		t.Fatalf("a restart-only fault script changed the output:\nwith:\n%s\nwithout:\n%s", scripted, plain)
+	}
+}
+
 func TestRunTinySimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small simulation")

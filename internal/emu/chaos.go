@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -66,8 +67,8 @@ func NewChaos(cfg ChaosConfig, nodes []packet.NodeID, now func() time.Duration) 
 	if scale == 0 {
 		scale = 1
 	}
-	if scale < 0 {
-		return nil, fmt.Errorf("emu: negative chaos time scale %v", scale)
+	if !(scale > 0 && scale <= math.MaxFloat64) { // negated so that NaN fails too
+		return nil, fmt.Errorf("emu: chaos TimeScale %v is not a positive finite number", scale)
 	}
 	horizon := cfg.Horizon
 	if horizon <= 0 {
@@ -76,6 +77,13 @@ func NewChaos(cfg ChaosConfig, nodes []packet.NodeID, now func() time.Duration) 
 	compiled, err := faults.Compile(cfg.Plan, cfg.Seed, len(nodes), horizon)
 	if err != nil {
 		return nil, err
+	}
+	// The timeline ends with the latest fault's end; scaled past a
+	// time.Duration's range it would wrap to a time before the run began.
+	if timeline := compiled.Timeline(); len(timeline) > 0 {
+		if last := timeline[len(timeline)-1].At; float64(last)*scale >= math.MaxInt64 {
+			return nil, fmt.Errorf("emu: chaos TimeScale %v puts the plan's last event at %v past time.Duration's range", scale, last)
+		}
 	}
 	ids := slices.Clone(nodes)
 	slices.Sort(ids)

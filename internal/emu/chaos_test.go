@@ -1,7 +1,9 @@
 package emu
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +132,32 @@ func TestChaosNodeDownAndDropProb(t *testing.T) {
 	}
 	if got := c.DropProb(99, 5); got != 0 {
 		t.Fatalf("DropProb with unknown ID = %v, want 0", got)
+	}
+}
+
+// TestChaosRejectsBadTimeScale: a time scale that is negative, not a number
+// or infinite, or that scales the plan's last event past a time.Duration, is
+// refused naming TimeScale. The NaN and +Inf scales used to compile, and so
+// did 1e10, whose outage fired at −2562047h.
+func TestChaosRejectsBadTimeScale(t *testing.T) {
+	plan := faults.Plan{Outages: []faults.Outage{{Node: 0, Start: time.Second, Duration: time.Hour}}}
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e10} {
+		c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1, TimeScale: scale}, []packet.NodeID{1, 2}, nil)
+		if err == nil {
+			t.Errorf("TimeScale %v accepted; schedule %v", scale, c.Events())
+			continue
+		}
+		if !strings.Contains(err.Error(), "TimeScale") {
+			t.Errorf("TimeScale %v: error %q does not name TimeScale", scale, err)
+		}
+	}
+	// A large scale the schedule fits at still compiles, in run time.
+	c, err := NewChaos(ChaosConfig{Plan: plan, Seed: 1, TimeScale: 1e5}, []packet.NodeID{1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := c.Events(); len(ev) != 2 || ev[1].At != 1e5*(time.Second+time.Hour) {
+		t.Fatalf("schedule at TimeScale 1e5 = %v", ev)
 	}
 }
 

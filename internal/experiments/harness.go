@@ -132,11 +132,14 @@ func contentKey(version string, parts ...any) (string, bool) {
 // attached sink (span tracing, telemetry) have side effects beyond their
 // RunResult and are never cached. The fading model is keyed by its %#v
 // form, which names each concrete type: the JSON of an interface drops it,
-// so Rayleigh{} and NoFading{} would encode alike.
+// so Rayleigh{} and NoFading{} would encode alike. The fault plan is keyed as
+// the simulator injects it, without ether restarts, so a plan that differs
+// only in those shares its key with the run it reproduces.
 func ScenarioKey(cfg ScenarioConfig) (string, bool) {
 	if cfg.SpanSink != nil || cfg.Telemetry != nil {
 		return "", false
 	}
+	cfg.Faults = simulatedFaults(cfg.Faults)
 	fading := fmt.Sprintf("%#v", cfg.Fading)
 	cfg.Fading = nil
 	return contentKey("meshcast/scenario/v5", cfg, fading)

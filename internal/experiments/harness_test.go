@@ -208,7 +208,6 @@ func TestScenarioKeyDeterminismAndSensitivity(t *testing.T) {
 		{"Faults", func(c *ScenarioConfig) { c.Faults.Outages[0].Node = 6 }},
 		{"Faults", func(c *ScenarioConfig) { c.Faults.LinkFaults[0].DropProb = 0.6 }},
 		{"Faults", func(c *ScenarioConfig) { c.Faults.Partitions[0].SideA[0] = 4 }},
-		{"Faults", func(c *ScenarioConfig) { c.Faults.EtherRestarts = nil }},
 		{"Mobility", func(c *ScenarioConfig) { c.Mobility.MaxSpeedMps = 10 }},
 	}
 	named := map[string]bool{"SpanSink": true, "Telemetry": true} // sinks make a run uncachable
@@ -228,6 +227,24 @@ func TestScenarioKeyDeterminismAndSensitivity(t *testing.T) {
 		if f.IsExported() && !named[f.Name] {
 			t.Errorf("no row changes ScenarioConfig.%s", f.Name)
 		}
+	}
+
+	// The simulator drops ether restarts, so they are not part of the key: a
+	// plan without them, or of nothing but them, keys the run it reproduces.
+	// Keying never touches the caller's plan.
+	cfg := keyedScenario(t)
+	if k, _ := ScenarioKey(cfg); k != k1 || len(cfg.Faults.EtherRestarts) != 1 {
+		t.Fatalf("keying changed the caller's plan: ether restarts %v", cfg.Faults.EtherRestarts)
+	}
+	cfg.Faults.EtherRestarts = nil
+	if k, _ := ScenarioKey(cfg); k != k1 {
+		t.Error("dropping the ether restarts changed the key")
+	}
+	cfg.Faults = &faults.Plan{EtherRestarts: []faults.EtherRestart{{Start: time.Second, Duration: time.Second}}}
+	restartsOnly, _ := ScenarioKey(cfg)
+	cfg.Faults = nil
+	if none, _ := ScenarioKey(cfg); restartsOnly != none {
+		t.Error("a plan of ether restarts alone keys apart from the run without faults")
 	}
 }
 

@@ -85,7 +85,8 @@ type ScenarioConfig struct {
 	// outages, link impairments, and partitions into the run (see
 	// internal/faults). The fault schedule is drawn from the scenario Seed
 	// only, so every metric evaluated on the same seed faces the same
-	// failures.
+	// failures. Its ether restarts are checked and then ignored: the
+	// simulator has no ether to restart.
 	Faults *faults.Plan
 	// Mobility, when non-nil, moves radios during the run under the given
 	// mobility model (see internal/mobility). The motion is drawn from the
@@ -364,6 +365,21 @@ func NameInput(err error, names map[string]string) error {
 	return err
 }
 
+// simulatedFaults returns the part of plan the simulator injects — all of it
+// but the ether restarts, which only the live testbed has a medium for — or
+// nil when that part is empty. plan itself is left as it is.
+func simulatedFaults(plan *faults.Plan) *faults.Plan {
+	if plan == nil {
+		return nil
+	}
+	p := *plan
+	p.EtherRestarts = nil
+	if p.Empty() {
+		return nil
+	}
+	return &p
+}
+
 // RunScenario executes one simulation and returns its measurements. The
 // stack is wired and counted by internal/world; what is added here is the
 // scenario's own: span tracing, fault injection, mobility, a disruption
@@ -433,7 +449,7 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 	var health, motion *stats.DisruptionTracker // set below iff faults are injected / radios move
 	var trackers []*stats.DisruptionTracker
 	var sched *faults.Scheduler
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
+	if simulatedFaults(cfg.Faults) != nil {
 		targets := make([]faults.Target, len(nodes))
 		for i, n := range nodes {
 			targets[i] = &faultTarget{node: n, flows: flowsByNode[i]}
@@ -456,6 +472,12 @@ func RunScenario(cfg ScenarioConfig) (*RunResult, error) {
 			reg.GaugeFunc("faults.active", func() float64 {
 				return float64(s.ActiveFaults(engine.Now()))
 			})
+		}
+	} else if cfg.Faults != nil && !cfg.Faults.Empty() {
+		// Ether restarts alone: no scheduler and no health read-out, but the
+		// restarts are checked as they are beside other faults.
+		if _, err := faults.Compile(*cfg.Faults, cfg.Seed, len(nodes), cfg.Duration); err != nil {
+			return nil, fmt.Errorf("experiments: fault plan: %w", err)
 		}
 	}
 

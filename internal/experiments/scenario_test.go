@@ -66,24 +66,33 @@ func TestRunScenarioDeliversData(t *testing.T) {
 // TestSimulatorIgnoresEtherRestarts: the simulator has no ether, so a plan's
 // ether restarts change nothing in a run — not its outage PDR, not its
 // repairs, nothing in the result. They used to count as fault windows and
-// onsets, lowering the outage PDR and booking repairs that never happened.
+// onsets, lowering the outage PDR and booking repairs that never happened;
+// and a plan of nothing but restarts gave a health read-out of empty outage
+// windows. A malformed restart is still refused.
 func TestSimulatorIgnoresEtherRestarts(t *testing.T) {
-	run := func(restarts []faults.EtherRestart) *RunResult {
+	run := func(outages []faults.Outage, restarts []faults.EtherRestart) (*RunResult, error) {
 		cfg := smallScenario(t, metric.SPP, 7, 12*time.Second)
-		cfg.Faults = &faults.Plan{
-			Outages:       []faults.Outage{{Node: 5, Start: 8 * time.Second, Duration: 2 * time.Second}},
-			EtherRestarts: restarts,
-		}
-		res, err := RunScenario(cfg)
+		cfg.Faults = &faults.Plan{Outages: outages, EtherRestarts: restarts}
+		return RunScenario(cfg)
+	}
+	outage := []faults.Outage{{Node: 5, Start: 8 * time.Second, Duration: 2 * time.Second}}
+	restart := []faults.EtherRestart{{Start: 3 * time.Second, Duration: 2 * time.Second}}
+	for _, outages := range [][]faults.Outage{outage, nil} {
+		without, err := run(outages, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		with, err := run(outages, restart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(with, without) {
+			t.Fatalf("an ether restart changed a simulated run with %d outages:\nhealth with    %+v\nhealth without %+v",
+				len(outages), with.Health, without.Health)
+		}
 	}
-	without := run(nil)
-	with := run([]faults.EtherRestart{{Start: 3 * time.Second, Duration: 2 * time.Second}})
-	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("an ether restart changed a simulated run:\nhealth with    %+v\nhealth without %+v", with.Health, without.Health)
+	if _, err := run(nil, []faults.EtherRestart{{Start: time.Second}}); err == nil {
+		t.Fatal("a plan of one zero-length ether restart was accepted")
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 // Determinism contract: the fan-out draws from the medium's RNG once per list
 // entry, in list order, reserves the frame's event sequence numbers in list
 // order (two per surviving entry), and delivers the frame's arrivals in
-// (propDelay, list order); event keys are unique, so the engine's pop order
-// does not depend on when an arrival was queued, and a fixed-seed run is a
-// function of the lists alone.
+// (propDelay, list order), the order each entry's rank records; event keys are
+// unique, so the engine's pop order does not depend on when an arrival was
+// queued, and a fixed-seed run is a function of the lists alone.
 //
 // A list holds the transmitter's candidates in attach order with the skip set
 // baked in: under the physics models, pairs whose mean power is below
@@ -53,7 +53,11 @@ import (
 
 // link is one precomputed (tx, rx) entry: the receiver's mean (pre-fading)
 // received power — zero and unused when a LinkFunc is active — the propagation
-// delay to it in nanoseconds (linkDelay), and its attach index. Sixteen bytes
+// delay to it in nanoseconds (linkDelay), its attach index, and its rank in
+// delivery order: the position the entry takes when the list is sorted by
+// (propDelay, list position), which is the arrival slot transmit fills for it
+// (flight.go). Both indices fit 16 bits because a medium holds at most
+// maxRadios radios, so a list holds at most maxRadios−1 entries. Sixteen bytes
 // and no pointer: a 1000-node run holds over half a million candidates, whose
 // lists the collector never scans and which are built and copied without write
 // barriers. A field added here costs every one of them; TestRecordLayout pins
@@ -61,7 +65,8 @@ import (
 type link struct {
 	meanPower float64
 	propDelay int32
-	rx        int32
+	rx        uint16
+	rank      uint16
 }
 
 // linkDelay returns the propagation delay across d metres as a link holds it,
@@ -74,15 +79,12 @@ func linkDelay(d float64) (int32, bool) {
 	return int32(delay), delay <= math.MaxInt32
 }
 
-// candidates is one transmitter's slot in the cache: its list in attach order
-// and, for laying a frame's arrivals out in delivery order (flight.go), the
-// list's delay-order permutation — slot[i] is the rank of links[i] when the
-// list is sorted by (propDelay, i). A stale list keeps its backing arrays and
-// is rebuilt into them: moving radios outdate hundreds of lists per step, and
+// candidates is one transmitter's slot in the cache: its list in attach order,
+// each entry ranked in delivery order. A stale list keeps its backing array and
+// is rebuilt into it: moving radios outdate hundreds of lists per step, and
 // allocating each rebuild afresh was half the bytes a mobile run allocated.
 type candidates struct {
 	links []link
-	slot  []int32
 	// asOf is the change clock the list was built, or last found current, at;
 	// zero (the clock starts at one) until the first build.
 	asOf uint64
@@ -123,13 +125,13 @@ func (m *Medium) invalidateLinks() {
 	m.wiped = m.clock
 }
 
-// buildLinks computes src's candidate list in radio-attach order, and its
-// delay-order permutation, into c. Under the physics models it probes the
-// spatial cell index when one is available (grid.go); under a LinkFunc oracle
-// every other radio is a candidate, so the index cannot narrow anything and
-// the brute-force scan runs. The list is assembled in a scratch buffer and
-// copied, so a first build allocates what it keeps (the cell probe sees ~1.6×
-// the radios a metro list ends up with) and a rebuild allocates nothing.
+// buildLinks computes src's ranked candidate list, in radio-attach order, into
+// c. Under the physics models it probes the spatial cell index when one is
+// available (grid.go); under a LinkFunc oracle every other radio is a
+// candidate, so the index cannot narrow anything and the brute-force scan
+// runs. The list is assembled in a scratch buffer and copied, so a first build
+// allocates what it keeps (the cell probe sees ~1.6× the radios a metro list
+// ends up with) and a rebuild allocates nothing.
 func (m *Medium) buildLinks(src *Radio, c *candidates) {
 	if m.linkFunc == nil && m.grid != nil {
 		m.linkScratch = m.buildLinksIndexed(src, m.linkScratch[:0])
@@ -137,21 +139,17 @@ func (m *Medium) buildLinks(src *Radio, c *candidates) {
 		m.linkScratch = m.buildLinksBrute(src, m.linkScratch[:0])
 	}
 	c.links = append(c.links[:0], m.linkScratch...)
-
-	order := m.delayOrder(c.links)
-	c.slot = append(c.slot[:0], order...)
-	for rank, i := range order {
-		c.slot[i] = int32(rank)
-	}
 }
 
-// delayOrder returns the positions of links sorted by (propDelay, position),
-// in a scratch buffer valid until the next call. It is a byte-wise LSD radix
-// sort — stable, so equal delays keep list order without a second key, and
-// two passes for any list the cell index builds (delays under 65 µs). A
-// comparison sort here cost more than assembling the list, and a moving
-// radio invalidates hundreds of lists per step.
-func (m *Medium) delayOrder(links []link) []int32 {
+// rankByDelay sets every entry's rank to its position when links is sorted by
+// (propDelay, position). It is a byte-wise LSD radix sort — stable, so equal
+// delays keep list order without a second key, and at most two passes for any
+// list the cell index builds (delays under 65 µs) — whose last pass writes
+// each entry's rank in place instead of its position into the order, so no
+// permutation is kept beside the list. A comparison sort here cost more than
+// assembling the list, and a moving radio invalidates hundreds of lists per
+// step.
+func (m *Medium) rankByDelay(links []link) {
 	from, to := m.orderScratch[0][:0], m.orderScratch[1][:0]
 	var longest int32
 	for i := range links {
@@ -159,15 +157,23 @@ func (m *Medium) delayOrder(links []link) []int32 {
 		longest = max(longest, links[i].propDelay)
 	}
 	m.orderScratch = [2][]int32{from, to}
-	for shift := 0; longest>>shift > 0; shift += 8 {
+	for shift := 0; ; shift += 8 {
 		// start[d+1] counts digit d; after the running sum start[d] is where
-		// digit d's run begins in to.
+		// digit d's run begins in the order.
 		var start [257]int
 		for i := range links {
 			start[(links[i].propDelay>>shift)&0xff+1]++
 		}
 		for d := 1; d < len(start); d++ {
 			start[d] += start[d-1]
+		}
+		if longest>>shift <= 0xff {
+			for _, i := range from {
+				d := (links[i].propDelay >> shift) & 0xff
+				links[i].rank = uint16(start[d])
+				start[d]++
+			}
+			return
 		}
 		for _, i := range from {
 			d := (links[i].propDelay >> shift) & 0xff
@@ -176,13 +182,14 @@ func (m *Medium) delayOrder(links []link) []int32 {
 		}
 		from, to = to, from
 	}
-	return from
 }
 
 // buildLinksBrute is the reference all-radios scan the cell index replaced;
 // it stays as the fallback (LinkFunc, no computable interference radius) and
-// as the oracle the index is tested against. The list is appended to dst.
+// as the oracle the index is tested against. The ranked list is built in dst's
+// backing array.
 func (m *Medium) buildLinksBrute(src *Radio, dst []link) []link {
+	dst = dst[:0]
 	for i, rx := range m.radios {
 		if rx == src {
 			continue
@@ -200,16 +207,17 @@ func (m *Medium) buildLinksBrute(src *Radio, dst []link) []link {
 			panic(fmt.Sprintf("phy: propagation delay %v from radio %d to radio %d exceeds a link's int32 nanoseconds",
 				propagation.Delay(d), src.ID, rx.ID))
 		}
-		dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: delay})
+		dst = append(dst, link{rx: uint16(i), meanPower: mean, propDelay: delay})
 	}
+	m.rankByDelay(dst)
 	return dst
 }
 
 // LinksConsistent reports whether src's cached candidate list (built on
-// demand) matches a brute-force recomputation entry for entry. It exists so
-// integration tests outside this package — the mobility subsystem moves
-// radios mid-run — can assert the incremental invalidation never leaves a
-// stale list behind.
+// demand) matches a brute-force recomputation entry for entry, ranks
+// included. It exists so integration tests outside this package — the
+// mobility subsystem moves radios mid-run — can assert the incremental
+// invalidation never leaves a stale list behind.
 func (m *Medium) LinksConsistent(src *Radio) bool {
 	return slices.Equal(m.linksFrom(src).links, m.buildLinksBrute(src, nil))
 }

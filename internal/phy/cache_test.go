@@ -17,8 +17,13 @@ import (
 // holds a pointer. A metro-1k run keeps over half a million links and fills
 // hundreds of arrival slots per frame: every 8 bytes of link is ≈ 4.5 MB of
 // heap, and a pointer anywhere in either makes the collector scan the lists
-// and puts a write barrier on every store of the fan-out and the delivery.
+// and puts a write barrier on every store of the fan-out and the delivery. A
+// transmitter's cache slot holds one slice, its links: an array kept beside
+// them costs its element size again per candidate.
 func TestRecordLayout(t *testing.T) {
+	if n := len(slicesIn(reflect.ValueOf(candidates{}))); n != 1 {
+		t.Errorf("candidates holds %d slices, want 1: whatever a list needs per candidate belongs in link", n)
+	}
 	for _, tc := range []struct {
 		name string
 		typ  reflect.Type
@@ -93,4 +98,60 @@ func TestBruteDelayOverflowPanics(t *testing.T) {
 		}
 	}()
 	medium.linksFrom(a)
+}
+
+// slicesIn returns the slice-typed fields of the struct v.
+func slicesIn(v reflect.Value) []reflect.Value {
+	var out []reflect.Value
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestLinkCacheBytesPerCandidate bounds the memory the link cache keeps per
+// candidate on the metro-1k placement with every list built: the capacity of
+// every slice the cache holds — each transmitter's slot and the slices in it,
+// and the medium's build scratch — times its element size, over the number of
+// candidates. It counts capacities, not the runtime's heap figures, so it reads
+// the same on every run. A 16-byte link plus what the allocator rounds up
+// stays under 17.5; an array beside the links, such as a 4-byte delay-order
+// permutation, does not.
+func TestLinkCacheBytesPerCandidate(t *testing.T) {
+	medium := metro1k(propagation.NoFading{})
+	bytes := func(v reflect.Value) int { return v.Cap() * int(v.Type().Elem().Size()) }
+	total := bytes(reflect.ValueOf(medium.links)) + bytes(reflect.ValueOf(medium.linkScratch))
+	for _, s := range medium.orderScratch {
+		total += bytes(reflect.ValueOf(s))
+	}
+	candidates := 0
+	for i := range medium.links {
+		for _, s := range slicesIn(reflect.ValueOf(medium.links[i])) {
+			total += bytes(s)
+		}
+		candidates += len(medium.links[i].links)
+	}
+	perCandidate := float64(total) / float64(candidates)
+	t.Logf("link cache: %d B over %d candidates, %.2f B per candidate", total, candidates, perCandidate)
+	if perCandidate > 17.5 {
+		t.Fatalf("the link cache keeps %.2f B per candidate, want at most 17.5", perCandidate)
+	}
+}
+
+// TestAttachRadioPastMaxRadiosPanics: a link holds a receiver's attach index
+// and its rank in 16 bits each, so the radio after the 65 536th must be
+// refused, with a message naming the bound, rather than wrap onto radio 0.
+func TestAttachRadioPastMaxRadiosPanics(t *testing.T) {
+	medium := NewMedium(sim.NewEngine(1), propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
+	for i := 0; i < maxRadios; i++ {
+		medium.AttachRadio(packet.NodeID(i), geom.Point{X: float64(i)})
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "65536") {
+			t.Fatalf("panic = %q, want one naming the bound of 65536 radios", msg)
+		}
+	}()
+	medium.AttachRadio(0, geom.Point{})
 }

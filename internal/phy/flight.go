@@ -39,13 +39,13 @@ import (
 // an empty slot of a flight record. It is 24 bytes and, like link, holds no
 // pointer (TestRecordLayout): the collector never scans a record's slots, and
 // the two stores per arrival — filling its slot in transmit, clearing it in
-// deliverRoot — need no write barrier.
+// deliverRoot — need no write barrier. It records no outcome: the arrival
+// decodes iff its receiver is still locked on it when it ends (Radio.locked).
 type arrival struct {
-	power     float64
-	delay     int32  // propagation delay in ns when the frame was sent (link.propDelay)
-	rank      uint32 // position among the frame's survivors in list order
-	rx        int32  // the receiver's attach index plus one; zero in an empty slot
-	corrupted bool
+	power float64
+	delay int32  // propagation delay in ns when the frame was sent (link.propDelay)
+	rank  uint32 // position among the frame's survivors in list order
+	rx    int32  // the receiver's attach index plus one; zero in an empty slot
 }
 
 // receiver returns the radio of an occupied slot's arrival.

@@ -185,11 +185,12 @@ func interferenceRadius(pl propagation.PathLoss, txPowerW, floor float64) float6
 	return hi
 }
 
-// buildLinksIndexed appends src's candidate list, assembled from the 3×3 cell
-// probe, to dst. It must produce exactly buildLinksBrute's output (see the
-// determinism contract above); callers guarantee the physics models are
-// active and the index exists.
+// buildLinksIndexed builds src's ranked candidate list, assembled from the
+// 3×3 cell probe, in dst's backing array. It must produce exactly
+// buildLinksBrute's output (see the determinism contract above); callers
+// guarantee the physics models are active and the index exists.
 func (m *Medium) buildLinksIndexed(src *Radio, dst []link) []link {
+	dst = dst[:0]
 	ci := m.grid
 	for len(ci.member)*64 < len(m.radios) {
 		ci.member = append(ci.member, 0)
@@ -218,8 +219,9 @@ func (m *Medium) buildLinksIndexed(src *Radio, dst []link) []link {
 				continue
 			}
 			delay, _ := linkDelay(d) // d is within the interference radius
-			dst = append(dst, link{rx: int32(i), meanPower: mean, propDelay: delay})
+			dst = append(dst, link{rx: uint16(i), meanPower: mean, propDelay: delay})
 		}
 	}
+	m.rankByDelay(dst)
 	return dst
 }

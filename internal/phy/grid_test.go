@@ -51,7 +51,8 @@ func TestInterferenceRadiusDisabledCases(t *testing.T) {
 func (m *Medium) built(i int) bool { return !m.stale(m.radios[i], &m.links[i]) }
 
 // sameLinks requires two candidate lists to be identical entry for entry:
-// same receivers in the same (attach) order, same mean power, same delay.
+// same receivers in the same (attach) order, same mean power, same delay,
+// same delivery-order rank.
 func sameLinks(t *testing.T, got, want []link, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -64,6 +65,9 @@ func sameLinks(t *testing.T, got, want []link, label string) {
 		}
 		if got[i].meanPower != want[i].meanPower || got[i].propDelay != want[i].propDelay {
 			t.Fatalf("%s: candidate %d precomputed values diverge", label, i)
+		}
+		if got[i].rank != want[i].rank {
+			t.Fatalf("%s: candidate %d has rank %d, brute force has %d", label, i, got[i].rank, want[i].rank)
 		}
 	}
 }
@@ -259,12 +263,14 @@ func denseStormTrace(t *testing.T, setup func(*Medium), pitch float64) string {
 	return log.String()
 }
 
-// TestCandidateSlotsAreDelayOrder pins the permutation transmit lays a frame's
-// arrivals out by: slot[i] is the rank of links[i] under (propDelay, i). The
+// TestCandidateSlotsAreDelayOrder pins the order transmit lays a frame's
+// arrivals out in: links[i].rank is the rank of links[i] under (propDelay, i),
+// so the ranks are a permutation and name each candidate's arrival slot. The
 // radios sit on a coarse lattice so that many delays tie (ties must keep list
-// order — that is the order the sequence numbers are reserved in), and the
+// order — that is the order the sequence numbers are reserved in); the
 // brute-force medium spans enough distance that the radix sort needs a third
-// byte.
+// byte, and the two small lattices need only one pass, the co-located one
+// over delays that are all zero.
 func TestCandidateSlotsAreDelayOrder(t *testing.T) {
 	for _, tc := range []struct {
 		label string
@@ -273,6 +279,8 @@ func TestCandidateSlotsAreDelayOrder(t *testing.T) {
 	}{
 		{"indexed", asBuilt, 150},
 		{"brute force, long delays", withoutIndex, 9000},
+		{"indexed, one-byte delays", asBuilt, 4},
+		{"indexed, co-located", asBuilt, 0},
 	} {
 		engine := sim.NewEngine(11)
 		medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())
@@ -293,12 +301,9 @@ func TestCandidateSlotsAreDelayOrder(t *testing.T) {
 				want[i] = i
 			}
 			sort.SliceStable(want, func(a, b int) bool { return c.links[want[a]].propDelay < c.links[want[b]].propDelay })
-			if len(c.slot) != len(c.links) {
-				t.Fatalf("%s: %d slots for %d links", tc.label, len(c.slot), len(c.links))
-			}
 			for rank, i := range want {
-				if int(c.slot[i]) != rank {
-					t.Fatalf("%s: radio %d: link %d has slot %d, want %d", tc.label, src.index, i, c.slot[i], rank)
+				if int(c.links[i].rank) != rank {
+					t.Fatalf("%s: radio %d: link %d has rank %d, want %d", tc.label, src.index, i, c.links[i].rank, rank)
 				}
 				if rank > 0 && c.links[i].propDelay == c.links[want[rank-1]].propDelay {
 					ties++
@@ -311,6 +316,9 @@ func TestCandidateSlotsAreDelayOrder(t *testing.T) {
 		}
 		if tc.pitch > 1000 && longest < 1<<16 {
 			t.Fatalf("%s: longest delay %v fits two bytes; the long-delay passes are untested", tc.label, longest)
+		}
+		if tc.pitch < 10 && longest >= 1<<8 {
+			t.Fatalf("%s: longest delay %v needs two bytes; the one-pass sort is untested", tc.label, longest)
 		}
 	}
 }

@@ -371,8 +371,8 @@ func TestMoveRadioUnderLinkFunc(t *testing.T) {
 // also when the caller's frame is a fresh local — the record copies it, so
 // it stays on the caller's stack, as the MAC's broadcast frame does — zero
 // for a move that stays inside its cell (two stamps), and zero for a move
-// followed by a transmit — the stale list and its delay-order permutation are
-// rebuilt into their old backing arrays.
+// followed by a transmit — the stale list is rebuilt, and ranked, in its old
+// backing array.
 func TestTransmitAllocs(t *testing.T) {
 	engine := sim.NewEngine(31)
 	medium := NewMedium(engine, propagation.NewTwoRay(), propagation.NoFading{}, DefaultParams())

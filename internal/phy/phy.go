@@ -19,6 +19,7 @@
 package phy
 
 import (
+	"fmt"
 	"time"
 
 	"meshcast/internal/geom"
@@ -190,10 +191,19 @@ func NewMedium(engine *sim.Engine, pathLoss propagation.PathLoss, fading propaga
 // Params returns the radio parameters shared by all radios on the medium.
 func (m *Medium) Params() Params { return m.params }
 
+// maxRadios bounds the radios of one medium: as many as there are node IDs,
+// so that a link holds a receiver's attach index, and its rank in a list of
+// the others, in 16 bits each.
+const maxRadios = 1 << 16
+
 // AttachRadio creates a radio for node id at position pos and registers it.
 // Positions change only through MoveRadio (never by writing Radio.Pos
-// directly); the link cache and cell index depend on it.
+// directly); the link cache and cell index depend on it. It panics when the
+// medium already holds maxRadios radios.
 func (m *Medium) AttachRadio(id packet.NodeID, pos geom.Point) *Radio {
+	if len(m.radios) == maxRadios {
+		panic(fmt.Sprintf("phy: a medium holds at most %d radios, one per node ID; radio %d is one more", maxRadios, id))
+	}
 	r := &Radio{
 		ID:     id,
 		Pos:    pos,
@@ -276,10 +286,10 @@ func (m *Medium) DeliveryProbability(a, b geom.Point) float64 {
 // iterates src's precomputed candidate list; per candidate it only draws the
 // fading (or oracle) power and consults the impairment hook, in the list's
 // attach order (the RNG draw order — see the determinism contract in cache.go),
-// and writes the surviving arrival into the frame's record at its
-// delivery-order slot. The record's two cursors join the medium's merge heap,
-// which delivers the arrivals one by one (flight.go); nothing is scheduled
-// per receiver. The record keeps its own copy of the frame, so frame need
+// and writes the surviving arrival into the frame's record at the slot its
+// link's delivery-order rank names. The record's two cursors join the medium's
+// merge heap, which delivers the arrivals one by one (flight.go); nothing is
+// scheduled per receiver. The record keeps its own copy of the frame, so frame need
 // not outlive the call.
 func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration) {
 	now := m.engine.Now()
@@ -310,7 +320,7 @@ func (m *Medium) transmit(src *Radio, frame *packet.Frame, airtime time.Duration
 		if power < m.ignoreBelowW {
 			continue
 		}
-		fl.arrivals[c.slot[i]] = arrival{rx: l.rx + 1, power: power, delay: l.propDelay, rank: uint32(survivors)}
+		fl.arrivals[l.rank] = arrival{rx: int32(l.rx) + 1, power: power, delay: l.propDelay, rank: uint32(survivors)}
 		survivors++
 	}
 	fl.launch(survivors)
@@ -372,7 +382,10 @@ type Radio struct {
 	// for the union of overlapping transmissions: a second Transmit before
 	// the first ends extends the window rather than being cut short by the
 	// first frame's end event.
-	txUntil     time.Duration
+	txUntil time.Duration
+	// locked is the arrival the radio is decoding. Whatever spoils it —
+	// a stronger overlap, a transmit, a power-down — unlocks it, and only
+	// beginArrival locks, so an arrival still locked when it ends decodes.
 	locked      *arrival
 	sensedPower float64 // sum of in-flight arrival powers
 	lastBusy    bool    // last state reported through BusyChanged
@@ -399,8 +412,7 @@ func (r *Radio) AirTime(sizeBytes int) time.Duration {
 // frame away.
 func (r *Radio) SetDown(down bool) {
 	r.down = down
-	if down && r.locked != nil {
-		r.locked.corrupted = true
+	if down {
 		r.locked = nil
 	}
 	r.notifyBusy(r.CarrierBusy())
@@ -427,7 +439,6 @@ func (r *Radio) Transmit(f *packet.Frame) time.Duration {
 	}
 	// Half duplex: anything currently being received is lost.
 	if r.locked != nil {
-		r.locked.corrupted = true
 		r.Stats.HalfDuplexLoss++
 		r.locked = nil
 	}
@@ -469,24 +480,20 @@ func (r *Radio) beginArrival(a *arrival) {
 		// radio reports no carrier and decodes nothing. Only decodable
 		// arrivals count as drops: a sub-threshold signal would have been
 		// lost with the radio up too (see docs/OBSERVABILITY.md).
-		a.corrupted = true
 		if a.power >= r.medium.params.RxThresholdW {
 			r.Stats.RadioDownDrops++
 		}
 	case r.transmitting():
 		// Receiver deaf while transmitting.
-		a.corrupted = true
 		r.Stats.HalfDuplexLoss++
 	case a.power < r.medium.params.RxThresholdW:
 		// Too weak to decode; still contributes interference and carrier
 		// sense.
-		a.corrupted = true
 		r.Stats.BelowThreshold++
 	case r.locked == nil:
 		// Try to lock. Existing interference may already drown the frame.
 		interference := r.sensedPower - a.power
 		if interference > 0 && a.power < r.medium.params.CaptureRatio*interference {
-			a.corrupted = true
 			r.Stats.Collisions++
 		} else {
 			if interference > 0 {
@@ -498,9 +505,7 @@ func (r *Radio) beginArrival(a *arrival) {
 		// Already locked onto another frame: this arrival cannot be
 		// decoded, and it may also destroy the locked frame unless the
 		// locked frame captures it.
-		a.corrupted = true
 		if r.locked.power < r.medium.params.CaptureRatio*a.power {
-			r.locked.corrupted = true
 			r.locked = nil
 			r.Stats.Collisions++
 		} else {
@@ -522,17 +527,15 @@ func (r *Radio) endArrival(a *arrival, fl *flight) {
 	}
 	if r.locked == a {
 		r.locked = nil
-		if !a.corrupted {
-			r.Stats.FramesDelivered++
-			f := &fl.frame
-			tr := r.medium.Tracer
-			open := tr.Decode(&fl.decodes, r.ID, f)
-			if r.ReceiveFrame != nil {
-				r.ReceiveFrame(f)
-			}
-			if open {
-				tr.EndDecode()
-			}
+		r.Stats.FramesDelivered++
+		f := &fl.frame
+		tr := r.medium.Tracer
+		open := tr.Decode(&fl.decodes, r.ID, f)
+		if r.ReceiveFrame != nil {
+			r.ReceiveFrame(f)
+		}
+		if open {
+			tr.EndDecode()
 		}
 	}
 	r.notifyBusy(r.CarrierBusy())

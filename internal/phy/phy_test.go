@@ -427,8 +427,8 @@ func TestBeginArrivalBranches(t *testing.T) {
 				if got := r.Stats.RadioDownDrops; got != 1 {
 					t.Fatalf("RadioDownDrops = %d, want 1", got)
 				}
-				if !a.corrupted || r.locked != nil {
-					t.Fatal("down radio must corrupt without locking")
+				if r.locked != nil {
+					t.Fatal("down radio must not lock")
 				}
 			},
 		},
@@ -457,8 +457,8 @@ func TestBeginArrivalBranches(t *testing.T) {
 				if r.Stats.HalfDuplexLoss != 1 {
 					t.Fatalf("HalfDuplexLoss = %d, want 1", r.Stats.HalfDuplexLoss)
 				}
-				if !a.corrupted {
-					t.Fatal("arrival during transmit must be corrupted")
+				if r.locked == a {
+					t.Fatal("arrival during transmit must not lock")
 				}
 			},
 		},
@@ -520,14 +520,14 @@ func TestBeginArrivalBranches(t *testing.T) {
 				return strong // equal power: locked cannot capture it
 			},
 			check: func(t *testing.T, r *Radio, a *arrival) {
+				if r.locked == a {
+					t.Fatal("the destroying newcomer is itself lost")
+				}
 				if r.locked != nil {
 					t.Fatal("lock must be destroyed by an equal-power newcomer")
 				}
 				if r.Stats.Collisions != 1 {
 					t.Fatalf("Collisions = %d, want 1", r.Stats.Collisions)
-				}
-				if !a.corrupted {
-					t.Fatal("the destroying newcomer is itself lost")
 				}
 			},
 		},
@@ -706,7 +706,7 @@ func TestDeliveryProbabilityPanicsUnderLinkFunc(t *testing.T) {
 // assertPoolClean verifies every pooled flight record came back reset: a zero
 // frame (a stale Payload would keep the last packet alive), no cursor left in the medium's merge heap, and every arrival slot —
 // up to capacity, not just the length of the last use — zero. A stale
-// rx/power/corrupted here would leak into the next frame that draws the record
+// rx/power/rank here would leak into the next frame that draws the record
 // from the pool (an occupied slot is a phantom arrival; the cursors tell empty
 // slots by rx == 0), and a stale cursor would deliver the next frame's
 // arrivals under the last one's keys.
@@ -733,16 +733,16 @@ func assertPoolClean(t *testing.T, m *Medium) {
 }
 
 // TestArrivalPoolReuseAcrossSetDownMidFlight powers the receiver down while
-// an arrival is locked (corrupting it), lets the frame's record return to the
-// pool, and reuses it for a clean delivery: the corrupted flag from the
-// aborted frame must not leak into the recycled record.
+// an arrival is locked (unlocking it), lets the frame's record return to the
+// pool, and reuses it for a clean delivery: nothing of the aborted frame may
+// leak into the recycled record.
 func TestArrivalPoolReuseAcrossSetDownMidFlight(t *testing.T) {
 	engine, medium := newTestMedium(t, propagation.NoFading{})
 	tx := medium.AttachRadio(0, geom.Point{X: 0, Y: 0})
 	rx := medium.AttachRadio(1, geom.Point{X: 200, Y: 0})
 	delivered := 0
 	rx.ReceiveFrame = func(*packet.Frame) { delivered++ }
-	// Frame 1: rx powers down mid-flight. SetDown corrupts the locked
+	// Frame 1: rx powers down mid-flight. SetDown unlocks the locked
 	// arrival; endArrival still runs and the record returns to the pool.
 	engine.Schedule(0, func() { tx.Transmit(dataFrame(0, 512)) })
 	engine.Schedule(time.Millisecond, func() { rx.SetDown(true) })

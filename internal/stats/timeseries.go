@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -35,7 +35,7 @@ func (d *DelayTracker) Percentiles() Percentiles {
 		return Percentiles{}
 	}
 	if !d.sorted {
-		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
+		slices.Sort(d.samples)
 		d.sorted = true
 	}
 	at := func(q float64) time.Duration {
