@@ -261,41 +261,6 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
-// BenchmarkExtensionProbeRateSweep investigates the paper's "optimal
-// probing rate" future work (§6): throughput vs probing-rate factor for
-// SPP. The optimum sits between stale estimates (low rates) and probe
-// interference (high rates).
-func BenchmarkExtensionProbeRateSweep(b *testing.B) {
-	factors := []float64{0.1, 0.5, 1, 2, 5}
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seeds = o.Seeds[:1]
-		got, err := experiments.RunProbeRateSweep(o, metric.SPP, factors)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range got {
-			b.ReportMetric(p.RelThroughput, "spp_rate"+ftoa(p.Factor))
-		}
-	}
-}
-
-// BenchmarkExtensionReliableReplies measures the passive-acknowledgment
-// JOIN REPLY retransmission extension against the paper's fire-and-forget
-// replies.
-func BenchmarkExtensionReliableReplies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seeds = o.Seeds[:1]
-		cmp, err := experiments.RunReliableReplyComparison(o, metric.SPP, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cmp.Baseline.Rows[0].RelThroughput, "spp_rel_base")
-		b.ReportMetric(cmp.Reliable.Rows[0].RelThroughput, "spp_rel_retx")
-	}
-}
-
 // BenchmarkExtensionLargerTestbed runs the metric comparison on a generated
 // 16-node office floor — the paper's "significantly expand our testbed"
 // future work.

@@ -20,7 +20,7 @@ func TestRunFinalizesTelemetryWhenAPhaseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	telemDir := filepath.Join(dir, "telemetry")
-	err := run(false, "", true, 1, 1, filepath.Join(blocker, "cache"), telemDir)
+	err := run(false, "", 1, filepath.Join(blocker, "cache"), telemDir)
 	if err == nil || !strings.Contains(err.Error(), "fig2 simulations") {
 		t.Fatalf("run error = %v, want the fig2 phase to fail on the cache directory", err)
 	}

@@ -1,8 +1,8 @@
-// Chaoslive is the live-testbed counterpart of examples/churn: it runs the
+// Chaoslive is the live-testbed counterpart of the churn sweep: it runs the
 // paper's §4.1 scenario as a fleet of real UDP daemons (internal/emu) under
 // a supervised chaos schedule — scripted daemon crashes, an ether restart,
 // and link impairments — and prints how the mesh healed, summarized the way
-// the simulator's churn experiments are. EXPERIMENTS.md's live chaos table
+// the simulator's churn experiments are. docs/ROBUSTNESS.md's live chaos table
 // comes from it; the recovery checks are internal/emu's and internal/soak's
 // tests. The fault schedule is derived from the seed alone (or from -script,
 // the same JSON format the simulator consumes), so every metric faces

@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,7 +159,8 @@ func TestDialSendsTheFirstRegistration(t *testing.T) {
 
 // TestRunningDaemonOwnsTwoGoroutines: the driver that runs it and the
 // socket's receive loop. The keepalive, like every other timer of a daemon,
-// is an event on the driver's engine.
+// is an event on the driver's engine. Goroutines are told apart by stack, so
+// runtime goroutines that come and go during the test do not count.
 func TestRunningDaemonOwnsTwoGoroutines(t *testing.T) {
 	ether, err := NewEther("127.0.0.1:0", NewLinkTable(1), 1)
 	if err != nil {
@@ -166,7 +168,7 @@ func TestRunningDaemonOwnsTwoGoroutines(t *testing.T) {
 	}
 	defer ether.Close()
 	settled := leakCheck(t)
-	base := runtime.NumGoroutine()
+	before := meshcastGoroutines()
 
 	d, err := NewDaemon(DaemonConfig{ID: 1, EtherAddr: ether.Addr(), Metric: metric.SPP, Seed: 1})
 	if err != nil {
@@ -179,11 +181,47 @@ func TestRunningDaemonOwnsTwoGoroutines(t *testing.T) {
 		d.Run(ctx)
 	}()
 	waitFor(t, 5*time.Second, "the daemon to run registered", func() bool { return d.Registered() && d.driver.Now() > 0 })
-	if got := runtime.NumGoroutine() - base; got != 2 {
-		t.Errorf("a running daemon owns %d goroutines, want 2 (driver, receive)", got)
+	var drivers, receivers int
+	for id, stack := range meshcastGoroutines() {
+		if _, old := before[id]; old {
+			continue
+		}
+		switch {
+		case strings.Contains(stack, "emu.(*Driver).Run("):
+			drivers++
+		case strings.Contains(stack, "emu.(*NodeConn).receive("):
+			receivers++
+		default:
+			t.Errorf("a running daemon owns a goroutine that is neither its driver nor its receive loop:\n%s", stack)
+		}
+	}
+	if drivers != 1 || receivers != 1 {
+		t.Errorf("a running daemon owns %d driver and %d receive goroutines, want 1 and 1", drivers, receivers)
 	}
 	cancel()
 	<-done
 	d.Close()
 	settled()
+}
+
+// meshcastGoroutines returns the stack of every goroutine running meshcast
+// code, keyed by its "goroutine N" header.
+func meshcastGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(stack, "meshcast/") {
+			id, _, _ := strings.Cut(stack, " [")
+			out[id] = stack
+		}
+	}
+	return out
 }

@@ -38,10 +38,10 @@ func tinyOptions() Options {
 // renderSims renders every report section fed by a PaperSims, capturing all
 // float formatting the real report performs.
 func renderSims(o Options, sims *PaperSims) string {
-	r := NewReport(o, 0, 0)
-	r.Fig2SimTable("Figure 2 — test", sims, PaperFig2Simulation, "")
-	r.DelayTable(sims)
-	r.Table1(sims)
+	r := newReport(o)
+	r.fig2SimTable("Figure 2 — test", sims, PaperFig2Simulation, "")
+	r.delayTable(sims)
+	r.table1(sims)
 	return r.String()
 }
 

@@ -7,11 +7,11 @@ import (
 	"meshcast/internal/mobility"
 )
 
-// MobilityCell is one (protocol, max speed) point of a mobility sweep,
+// mobilityCell is one (protocol, max speed) point of a mobility sweep,
 // averaged over the sweep's seeds. Speed 0 is the static control: the same
 // scenario with the mover disabled, so motion metrics are zero and PDR is
 // the reference the moving tiers degrade from.
-type MobilityCell struct {
+type mobilityCell struct {
 	Protocol string
 	SpeedMps float64
 	// PDR is the whole-run mean delivery ratio; PDRStderr its standard
@@ -24,62 +24,48 @@ type MobilityCell struct {
 	// from a link-break tick to the affected group's next delivery.
 	RepairMeanMS, RepairMaxMS float64
 	// Reconvergences is the mean count of delivery-silence episodes (>1 s)
-	// following breaks per run; ReconvMeanMS their mean span.
+	// following breaks per run.
 	Reconvergences float64
-	ReconvMeanMS   float64
 	// BreaksPerSec is the mean link-break rate over the motion window.
 	BreaksPerSec float64
 }
 
-// MobilitySweep is a protocols × speeds mobility-robustness comparison.
-type MobilitySweep struct {
-	Protocols []string
-	Speeds    []float64
-	Seeds     []uint64
-	Model     string
-	Metric    metric.Kind
-	// SourcesPerGroup records the effective senders per group (≥2: the
-	// single-source regime makes the protocols identical).
-	SourcesPerGroup int
-	// Cells is protocol-major, speed-minor: Cells[p*len(Speeds)+s].
-	Cells []MobilityCell
+// mobilitySweep is a protocols × speeds mobility-robustness comparison.
+type mobilitySweep struct {
+	protocols []string
+	speeds    []float64
+	model     string
+	metric    metric.Kind
+	// sourcesPerGroup records the senders per group.
+	sourcesPerGroup int
+	// cells is protocol-major, speed-minor: cells[p*len(speeds)+s].
+	cells []mobilityCell
 }
 
-// Cell returns the (protocol, speed) aggregate, or nil.
-func (s *MobilitySweep) Cell(proto string, speed float64) *MobilityCell {
-	for i := range s.Cells {
-		if s.Cells[i].Protocol == proto && s.Cells[i].SpeedMps == speed {
-			return &s.Cells[i]
+// cell returns the (protocol, speed) aggregate, or nil.
+func (s *mobilitySweep) cell(proto string, speed float64) *mobilityCell {
+	for i := range s.cells {
+		if s.cells[i].Protocol == proto && s.cells[i].SpeedMps == speed {
+			return &s.cells[i]
 		}
 	}
 	return nil
 }
 
-// RunMobilitySweep sweeps every requested protocol over increasing maximum
-// node speeds (waypoint model, motion starting with traffic) and aggregates
-// the robustness axes: overall and in-motion PDR, route-repair latency,
-// reconvergence episodes, and link-break rate. Speed 0 runs without a mover
-// as the static control. The sweep forces the multi-source regime
-// (§4.3) when the caller leaves SourcesPerGroup at 1: with a single source
-// ODMRP's reply mesh is provably the exact tree MCST builds from that
-// source as core, so a single-source protocol comparison would produce
-// identical rows even under motion. The (protocol, speed, seed) grid
-// executes through the job harness configured by o; the fold reads it in
-// grid order, so the sweep is deterministic for any worker count.
-func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*MobilitySweep, error) {
-	if o.SourcesPerGroup < 2 {
-		o.SourcesPerGroup = 3
-	}
-	resolved, err := resolveProtocols(protocols)
-	if err != nil {
-		return nil, err
-	}
-	if len(speeds) == 0 {
-		speeds = []float64{0, 1, 5, 10, 20}
-	}
+// runMobilitySweep sweeps every named protocol over increasing maximum node
+// speeds (waypoint model, motion starting with traffic) under SPP and
+// aggregates the robustness axes: overall and in-motion PDR, route-repair
+// latency, reconvergence episodes, and link-break rate. Speed 0 runs without
+// a mover as the static control. Run it with several sources per group: with
+// a single source ODMRP's reply mesh is provably the exact tree MCST builds
+// from that source as core, so the rows would be identical even under
+// motion. The (protocol, speed, seed) grid executes through the job harness
+// configured by o; the fold reads it in grid order, so the sweep is
+// deterministic for any worker count.
+func runMobilitySweep(o Options, protocols []string, speeds []float64) (*mobilitySweep, error) {
 	k := metric.SPP
 	var cells []gridCell[ScenarioConfig]
-	for _, proto := range resolved {
+	for _, proto := range protocols {
 		for _, speed := range speeds {
 			cells = append(cells, gridCell[ScenarioConfig]{label: fmt.Sprintf("%s %.0f m/s", proto, speed), config: func(seed uint64) (ScenarioConfig, error) {
 				cfg, err := o.protocolScenario(proto, k, seed)
@@ -99,17 +85,16 @@ func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*Mobilit
 		return nil, err
 	}
 
-	sweep := &MobilitySweep{
-		Protocols: resolved, Speeds: speeds, Seeds: o.Seeds,
-		Model: mobility.ModelWaypoint, Metric: k,
-		SourcesPerGroup: o.SourcesPerGroup,
+	sweep := &mobilitySweep{
+		protocols: protocols, speeds: speeds,
+		model: mobility.ModelWaypoint, metric: k,
+		sourcesPerGroup: o.SourcesPerGroup,
 	}
 	n := float64(len(o.Seeds))
 	for i, row := range runs {
 		var pdrs []float64
 		var sentMotion, deliveredMotion float64
-		var repairSum, repairN, reconvSum float64
-		var reconvN, breakRateSum, maxRepair float64
+		var repairSum, repairN, reconvN, breakRateSum, maxRepair float64
 		for _, res := range row {
 			pdrs = append(pdrs, res.Summary.PDR)
 			if res.Mobility == nil {
@@ -124,13 +109,12 @@ func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*Mobilit
 				if ms := g.MaxRepair.Seconds(); ms > maxRepair {
 					maxRepair = ms
 				}
-				reconvSum += g.MeanReconvergence.Seconds() * float64(g.Reconvergences)
 				reconvN += float64(g.Reconvergences)
 			}
 		}
 		mean, stderr := meanStderr(pdrs)
-		cell := MobilityCell{
-			Protocol:       resolved[i/len(speeds)],
+		cell := mobilityCell{
+			Protocol:       protocols[i/len(speeds)],
 			SpeedMps:       speeds[i%len(speeds)],
 			PDR:            mean,
 			PDRStderr:      stderr,
@@ -144,10 +128,7 @@ func RunMobilitySweep(o Options, protocols []string, speeds []float64) (*Mobilit
 		if repairN > 0 {
 			cell.RepairMeanMS = 1000 * repairSum / repairN
 		}
-		if reconvN > 0 {
-			cell.ReconvMeanMS = 1000 * reconvSum / reconvN
-		}
-		sweep.Cells = append(sweep.Cells, cell)
+		sweep.cells = append(sweep.cells, cell)
 	}
 	return sweep, nil
 }

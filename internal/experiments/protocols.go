@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"meshcast/internal/metric"
 	"meshcast/internal/multicast"
 )
 
-// ProtocolCell is one (protocol, metric) point of a protocol comparison,
+// protocolCell is one (protocol, metric) point of a protocol comparison,
 // averaged over the sweep's seeds.
-type ProtocolCell struct {
+type protocolCell struct {
 	Protocol string
 	Metric   metric.Kind
 	// PDR is the mean delivery ratio; PDRStderr its standard error over
@@ -29,44 +28,38 @@ type ProtocolCell struct {
 	StateSize float64
 }
 
-// ProtocolComparison is a full protocols × metrics sweep.
-type ProtocolComparison struct {
-	Protocols []string
-	Metrics   []metric.Kind
-	Seeds     []uint64
-	// SourcesPerGroup records the sweep's senders per group. With a single
+// protocolComparison is a full protocols × metrics sweep.
+type protocolComparison struct {
+	protocols []string
+	metrics   []metric.Kind
+	// sourcesPerGroup records the sweep's senders per group. With a single
 	// source the comparison is vacuous — ODMRP's one-source mesh is exactly
-	// the tree MCST builds from that source as core — so callers should
-	// compare in the multi-source regime (§4.3).
-	SourcesPerGroup int
-	// Cells is protocol-major, metric-minor: Cells[p*len(Metrics)+m].
-	Cells []ProtocolCell
+	// the tree MCST builds from that source as core — so the report compares
+	// in the multi-source regime (§4.3).
+	sourcesPerGroup int
+	// cells is protocol-major, metric-minor: cells[p*len(metrics)+m].
+	cells []protocolCell
 }
 
-// Cell returns the (protocol, metric) aggregate.
-func (c *ProtocolComparison) Cell(proto string, k metric.Kind) *ProtocolCell {
-	for i := range c.Cells {
-		if c.Cells[i].Protocol == proto && c.Cells[i].Metric == k {
-			return &c.Cells[i]
+// cell returns the (protocol, metric) aggregate.
+func (c *protocolComparison) cell(proto string, k metric.Kind) *protocolCell {
+	for i := range c.cells {
+		if c.cells[i].Protocol == proto && c.cells[i].Metric == k {
+			return &c.cells[i]
 		}
 	}
 	return nil
 }
 
-// RunProtocolComparison sweeps every requested protocol over every paper
-// metric and seed through the job harness and aggregates the comparison
-// axes: PDR, delay, forwarding cost, control bytes, and route-state size.
-// Protocol names resolve through the multicast registry (empty list means
-// every registered protocol); unknown names fail before any job runs. The
-// result is deterministic for a fixed Options regardless of worker count.
-func RunProtocolComparison(o Options, protocols []string) (*ProtocolComparison, error) {
-	resolved, err := resolveProtocols(protocols)
-	if err != nil {
-		return nil, err
-	}
+// runProtocolComparison sweeps every named protocol over every metric o
+// evaluates and every seed through the job harness, and aggregates the
+// comparison axes: PDR, delay, forwarding cost, control bytes, and
+// route-state size. The result is deterministic for a fixed Options
+// regardless of worker count.
+func runProtocolComparison(o Options, protocols []string) (*protocolComparison, error) {
 	metrics := o.metrics()
 	var cells []gridCell[ScenarioConfig]
-	for _, proto := range resolved {
+	for _, proto := range protocols {
 		for _, k := range metrics {
 			cells = append(cells, gridCell[ScenarioConfig]{label: fmt.Sprintf("%s %v", proto, k), config: func(seed uint64) (ScenarioConfig, error) {
 				return o.protocolScenario(proto, k, seed)
@@ -78,10 +71,7 @@ func RunProtocolComparison(o Options, protocols []string) (*ProtocolComparison, 
 		return nil, err
 	}
 
-	cmp := &ProtocolComparison{
-		Protocols: resolved, Metrics: metrics, Seeds: o.Seeds,
-		SourcesPerGroup: o.SourcesPerGroup,
-	}
+	cmp := &protocolComparison{protocols: protocols, metrics: metrics, sourcesPerGroup: o.SourcesPerGroup}
 	n := float64(len(o.Seeds))
 	for i, row := range runs {
 		var pdrs []float64
@@ -95,8 +85,8 @@ func RunProtocolComparison(o Options, protocols []string) (*ProtocolComparison, 
 			stateSum += float64(res.ForwarderState)
 		}
 		mean, stderr := meanStderr(pdrs)
-		cell := ProtocolCell{
-			Protocol:     resolved[i/len(metrics)],
+		cell := protocolCell{
+			Protocol:     protocols[i/len(metrics)],
 			Metric:       metrics[i%len(metrics)],
 			PDR:          mean,
 			PDRStderr:    stderr,
@@ -107,28 +97,9 @@ func RunProtocolComparison(o Options, protocols []string) (*ProtocolComparison, 
 		if deliveredSum > 0 {
 			cell.ForwardCost = fwdSum / deliveredSum
 		}
-		cmp.Cells = append(cmp.Cells, cell)
+		cmp.cells = append(cmp.cells, cell)
 	}
 	return cmp, nil
-}
-
-// resolveProtocols resolves protocol names through the multicast registry,
-// dropping repeats; an empty list means every registered protocol.
-func resolveProtocols(protocols []string) ([]string, error) {
-	if len(protocols) == 0 {
-		protocols = multicast.Names()
-	}
-	resolved := make([]string, 0, len(protocols))
-	for _, p := range protocols {
-		name, err := multicast.Resolve(p)
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Contains(resolved, name) {
-			resolved = append(resolved, name)
-		}
-	}
-	return resolved, nil
 }
 
 // protocolScenario is scenarioFor under the named protocol. ODMRP-specific

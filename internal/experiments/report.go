@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"meshcast/internal/metric"
 	"meshcast/internal/testbed"
@@ -87,14 +86,26 @@ func RunTestbedColumn(o Options, runs, trafficSeconds int) (*TestbedColumn, erro
 	return out, nil
 }
 
-// Report accumulates a markdown reproduction report (EXPERIMENTS.md).
-type Report struct {
+// report accumulates the markdown of the reproduction report
+// (EXPERIMENTS.md), one section per method.
+type report struct {
 	b strings.Builder
 }
 
-// NewReport starts a report with the standard preamble.
-func NewReport(o Options, testbedRuns, testbedSeconds int) *Report {
-	r := &Report{}
+// scaleText formats a sweep's scale as "N seeds × T s".
+func scaleText(o Options) string {
+	seeds := "seeds"
+	if len(o.Seeds) == 1 {
+		seeds = "seed"
+	}
+	return fmt.Sprintf("%d %s × %d s", len(o.Seeds), seeds, o.TrafficSeconds)
+}
+
+// newReport starts a report with the preamble and the "Running the
+// evaluation" section; o is the headline scale, and the testbed column runs
+// testbedRuns times per metric at o's traffic window.
+func newReport(o Options) *report {
+	r := &report{}
 	fmt.Fprintf(&r.b, `# EXPERIMENTS — paper vs. measured
 
 Reproduction of every table and figure in "High-Throughput Multicast Routing
@@ -103,24 +114,53 @@ Metrics in Wireless Mesh Networks" (Roy, Koutsonikolas, Das, Hu — ICDCS
 repository's own simulator, not GloMoSim or the Purdue testbed); the claims
 under reproduction are the *orderings and ratios* the paper reports.
 
-Configuration: %d seeds × %d s traffic (+%d s probe warmup) for the
+Configuration: %s traffic (+%d s probe warmup) for the
 simulation columns; %d × %d s runs for the testbed column. Regenerate with
 `+"`go run ./cmd/experiments -full`"+` or per-figure via
-`+"`go test -bench . -benchmem`"+`. Runs execute through the parallel job
-harness (`+"`-j N`"+` workers, `+"`-cache-dir`"+` result cache); the report
-is byte-identical for any worker count.
+`+"`go test -bench . -benchmem`"+`.
 
-`, len(o.Seeds), o.TrafficSeconds, o.WarmupSeconds, testbedRuns, testbedSeconds)
+`, scaleText(o), o.WarmupSeconds, testbedRuns, o.TrafficSeconds)
+	r.section("Running the evaluation", "All sweeps run on the parallel job harness (`internal/runner`):\n"+
+		"\n```\ngo run ./cmd/experiments -full -j 8 -cache-dir .meshcache -o EXPERIMENTS.md\n```\n"+`
+* `+"`-j N`"+` — worker-pool size (default: CPU count). Results are aggregated in
+  submission order, so the report is **byte-identical for any N**; the
+  regression test `+"`TestSerialParallelReportByteIdentical`"+` enforces this. On
+  a multi-core machine the full sweep speeds up close to linearly until N
+  reaches the core count (each run is an independent single-threaded
+  simulation).
+* `+"`-cache-dir DIR`"+` — content-addressed result cache. Each completed run's
+  result is stored under a SHA-256 of the scenario configuration's own JSON
+  encoding, so interrupted or repeated sweeps skip completed runs (progress
+  lines show `+"`(cached)`"+`). The encoding holds every field of the config, so
+  any change to it — seed, metric, duration, topology, fading model, any
+  part of the fault plan, mobility — changes the key and misses cleanly. A
+  cache directory written before this key (`+"`scenario/v5`, `testbed/v4`"+`)
+  misses once and is refilled.
+* `+"`-telemetry DIR`"+` — record the sweep's runner telemetry (cache
+  hits/misses, job-latency histogram) as a series + manifest under DIR;
+  inspect with `+"`go run ./cmd/meshstat DIR`"+`. (Per-scenario telemetry is
+  `+"`meshsim -telemetry`"+`; such instrumented runs bypass the result cache.)
+  See [docs/OBSERVABILITY.md](docs/OBSERVABILITY.md).
+* `+"`-cpuprofile FILE` / `-memprofile FILE`"+` — write runtime/pprof profiles of
+  the whole sweep for `+"`go tool pprof`"+`.
+
+Progress lines report per-job counts: `+"`[12/48] etx seed 3 done (cached)`"+`.
+
+Performance numbers (simulated seconds per CPU second, set-up time, peak
+RSS, per-layer self time, instrument and span cost) are not produced here:
+`+"`bash benchmark/run.sh`"+`, documented in
+[benchmark/README.md](benchmark/README.md), is the one harness for them.
+`)
 	return r
 }
 
-// Section appends a markdown heading and body.
-func (r *Report) Section(title, body string) {
+// section appends a markdown heading and body.
+func (r *report) section(title, body string) {
 	fmt.Fprintf(&r.b, "## %s\n\n%s\n", title, body)
 }
 
-// Fig2SimTable renders the simulation throughput column against the paper.
-func (r *Report) Fig2SimTable(title string, sims *PaperSims, paper map[metric.Kind]float64, note string) {
+// fig2SimTable renders the simulation throughput column against the paper.
+func (r *report) fig2SimTable(title string, sims *PaperSims, paper map[metric.Kind]float64, note string) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| metric | paper | measured | ± stderr |\n|---|---|---|---|\n")
 	fmt.Fprintf(&b, "| ODMRP (baseline) | 1.000 | 1.000 | abs PDR %.3f |\n", sims.BaselinePDR)
@@ -135,11 +175,11 @@ func (r *Report) Fig2SimTable(title string, sims *PaperSims, paper map[metric.Ki
 	if note != "" {
 		fmt.Fprintf(&b, "\n%s\n", note)
 	}
-	r.Section(title, b.String())
+	r.section(title, b.String())
 }
 
-// DelayTable renders the normalized-delay column.
-func (r *Report) DelayTable(sims *PaperSims) {
+// delayTable renders the normalized-delay column.
+func (r *report) delayTable(sims *PaperSims) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| metric | measured rel. delay | abs delay (ms) |\n|---|---|---|\n")
 	fmt.Fprintf(&b, "| ODMRP (baseline) | 1.000 | %.1f |\n", 1000*sims.BaselineDelaySeconds)
@@ -156,11 +196,11 @@ aggressively, and our delay average is composition-biased (the metrics
 deliver to distant members that the baseline starves entirely). See the
 deviations section.
 `)
-	r.Section("Figure 2 — column \"Delay\"", b.String())
+	r.section("Figure 2 — column \"Delay\"", b.String())
 }
 
-// Table1 renders probing overhead vs the paper.
-func (r *Report) Table1(sims *PaperSims) {
+// table1 renders probing overhead vs the paper.
+func (r *report) table1(sims *PaperSims) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| metric | paper %% | measured %% |\n|---|---|---|\n")
 	rows := append([]Aggregate(nil), sims.Rows...)
@@ -172,11 +212,11 @@ func (r *Report) Table1(sims *PaperSims) {
 	b.WriteString("\nShape reproduced: pair-probing metrics (ETT, PP) sit an order of\n" +
 		"magnitude above the single-probe metrics, PP below ETT, and within the\n" +
 		"single-probe group overhead orders inversely with throughput.\n")
-	r.Section("Table 1 — probing overhead", b.String())
+	r.section("Table 1 — probing overhead", b.String())
 }
 
-// TestbedTable renders the testbed column vs the paper.
-func (r *Report) TestbedTable(col *TestbedColumn) {
+// testbedTable renders the testbed column vs the paper.
+func (r *report) testbedTable(col *TestbedColumn) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| metric | paper | measured |\n|---|---|---|\n")
 	fmt.Fprintf(&b, "| ODMRP (baseline) | 1.000 | 1.000 (abs PDR %.3f) |\n", col.BaselinePDR)
@@ -191,11 +231,11 @@ func (r *Report) TestbedTable(col *TestbedColumn) {
 	b.WriteString("\nKey inversion reproduced: on the testbed PP overtakes SPP (long EWMA\n" +
 		"memory keeps avoiding 40-60%-loss links through their temporarily good\n" +
 		"episodes, while short-window metrics re-select them — §5.3).\n")
-	r.Section("Figure 2 — column \"Throughput-testbed\"", b.String())
+	r.section("Figure 2 — column \"Throughput-testbed\"", b.String())
 }
 
-// MultiSourceSection renders the §4.3 comparison.
-func (r *Report) MultiSourceSection(cmp *MultiSourceComparison) {
+// multiSourceSection renders the §4.3 comparison.
+func (r *report) multiSourceSection(cmp *MultiSourceComparison) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| metric | gain, 1 source/group | gain, %d sources/group |\n|---|---|---|\n", cmp.SourcesPerGroup)
 	for i, row := range cmp.SingleSource.Rows {
@@ -207,11 +247,11 @@ func (r *Report) MultiSourceSection(cmp *MultiSourceComparison) {
 	b.WriteString("\nPaper §4.3: with multiple sources per group ODMRP's forwarding mesh\n" +
 		"becomes redundant and the relative gains shrink by ~10-15 percentage\n" +
 		"points of the single-source gain.\n")
-	r.Section("§4.3 — multiple sources per group", b.String())
+	r.section("§4.3 — multiple sources per group", b.String())
 }
 
-// DeltaAlphaSection renders the δ/α ablation.
-func (r *Report) DeltaAlphaSection(points []DeltaAlphaPoint) {
+// deltaAlphaSection renders the δ/α ablation.
+func (r *report) deltaAlphaSection(points []DeltaAlphaPoint) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| δ | α | rel. throughput (SPP) |\n|---|---|---|\n")
 	for _, p := range points {
@@ -221,11 +261,11 @@ func (r *Report) DeltaAlphaSection(points []DeltaAlphaPoint) {
 		"accumulation only through reply propagation); the paper's 30 ms / 20 ms\n" +
 		"recovers the gain, and larger windows buy a little more at higher query\n" +
 		"overhead (§4.1 reports 3-4% for much larger values).\n")
-	r.Section("Ablation — δ/α path-diversity windows", b.String())
+	r.section("Ablation — δ/α path-diversity windows", b.String())
 }
 
-// HistorySection renders the estimator-history ablation.
-func (r *Report) HistorySection(points []HistoryPoint) {
+// historySection renders the estimator-history ablation.
+func (r *report) historySection(points []HistoryPoint) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| metric | window | EWMA weight | rel. throughput |\n|---|---|---|---|\n")
 	for _, p := range points {
@@ -238,54 +278,113 @@ func (r *Report) HistorySection(points []HistoryPoint) {
 		}
 		fmt.Fprintf(&b, "| %s | %s | %s | %.3f |\n", strings.ToUpper(p.Metric.String()), win, wt, p.RelThroughput)
 	}
-	r.Section("Ablation — estimator history length", b.String())
+	r.section("Ablation — estimator history length", b.String())
 }
 
-// ProtocolSection renders a protocols × metrics comparison: PDR, delay,
-// forwarding cost, control bytes, and route-state size per cell.
-func (r *Report) ProtocolSection(cmp *ProtocolComparison) {
+// protocolSection renders a protocols × metrics comparison: PDR, delay,
+// forwarding cost, control bytes, and route-state size per cell. o is the
+// scale the comparison ran at.
+func (r *report) protocolSection(o Options, cmp *protocolComparison) {
 	var b strings.Builder
+	fmt.Fprintf(&b, "Beyond the paper, and done (the ROADMAP's old item 3, before its\n"+
+		"renumbering): the same five metrics evaluated under a second multicast\n"+
+		"protocol behind the `internal/multicast` plane — MCST, a\n"+
+		"core-based shared tree (lowest-ID active source self-elects core, announce\n"+
+		"floods accumulate the same PathMetric cost ODMRP queries do, members\n"+
+		"δ-wait and TREE_JOIN toward the best-cost parent, non-core senders ride\n"+
+		"the bidirectional tree through the core). Regenerate with\n"+
+		"`go run ./cmd/experiments` (%s, %d\n"+
+		"sources/group; deterministic for any `-j`):\n\n", scaleText(o), cmp.sourcesPerGroup)
 	fmt.Fprintf(&b, "| protocol | metric | PDR | ± stderr | delay (ms) | fwd/delivered | control bytes | route state |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|\n")
-	for _, k := range cmp.Metrics {
-		for _, proto := range cmp.Protocols {
-			c := cmp.Cell(proto, k)
-			if c == nil {
-				continue
-			}
+	for _, k := range cmp.metrics {
+		for _, proto := range cmp.protocols {
+			c := cmp.cell(proto, k)
 			fmt.Fprintf(&b, "| %s | %s | %.3f | %.3f | %.1f | %.2f | %.0f | %.0f |\n",
 				proto, strings.ToUpper(k.String()), c.PDR, c.PDRStderr, c.DelayMS,
 				c.ForwardCost, c.ControlBytes, c.StateSize)
 		}
 	}
-	fmt.Fprintf(&b, "\nSources per group: %d. With a single source the two protocols are\n"+
-		"provably packet-for-packet identical — ODMRP's δ-wait reply mesh for one\n"+
-		"source *is* the best-parent tree MCST builds from that source as core\n"+
+	fmt.Fprintf(&b, "\nSources per group: %d. With a single source the two protocols are provably\n"+
+		"packet-for-packet identical — ODMRP's δ-wait reply mesh for one source\n"+
+		"*is* the best-parent tree MCST builds from that source as core\n"+
 		"(`TestGoldenSimcoreOutputMCSTSingleSource` pins the byte-identity) — so\n"+
-		"the comparison runs the multi-source regime of §4.3, where the\n"+
-		"structures diverge: ODMRP floods one mesh per source and unions them,\n"+
-		"while MCST elects one core per group and grafts the other senders onto\n"+
-		"a single bidirectional shared tree. \"Control bytes\" and \"route state\"\n"+
-		"(each node's live route-establishment rounds + duplicate windows at the\n"+
-		"end of the run) therefore scale with sources for ODMRP but not for\n"+
-		"MCST, the shared tree's forwarding cost (data rebroadcasts per packet\n"+
-		"delivered) sits lower, and PDR pays for funneling every sender's\n"+
-		"traffic through the core's single-path tree under fading.\n", cmp.SourcesPerGroup)
-	r.Section("Protocol comparison — ODMRP mesh vs MCST shared tree", b.String())
+		"the comparison runs the multi-source regime of §4.3, where the structures\n"+
+		"diverge: ODMRP floods one mesh per source and unions them, while MCST\n"+
+		"elects one core per group and grafts the other senders onto a single\n"+
+		"bidirectional shared tree. \"Control bytes\" and \"route state\" (each node's\n"+
+		"live route-establishment rounds + duplicate windows at the end of the\n"+
+		"run) therefore scale with sources for ODMRP but not for MCST — the\n"+
+		"shared tree spends roughly half the control bytes, ~20 %% fewer data\n"+
+		"rebroadcasts per delivered packet, and ~17 %% less route state. Delay\n"+
+		"drops 2-4x with the tree (fewer redundant rebroadcasts contending for\n"+
+		"the channel). PDR is statistically equal at this load: ODMRP's mesh\n"+
+		"redundancy, which §4.3 shows erasing the *metric* gains, here exactly\n"+
+		"offsets the detour cost of funneling every sender through the core.\n", cmp.sourcesPerGroup)
+	r.section("Protocol comparison — ODMRP mesh vs MCST shared tree", b.String())
 }
 
-// MobilitySection renders a protocols × speeds mobility sweep: delivery
-// under increasing node speed, route-repair latency, and reconvergence.
-func (r *Report) MobilitySection(sweep *MobilitySweep) {
+// fadingSection renders the fading ablation.
+func (r *report) fadingSection(ab *FadingAblation) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "| fading | ODMRP abs PDR | ODMRP_SPP rel. throughput |\n|---|---|---|\n")
+	fmt.Fprintf(&b, "| Rayleigh | %.3f | %.3f |\n", ab.WithFading.BaselinePDR, ab.WithFading.Rows[0].RelThroughput)
+	fmt.Fprintf(&b, "| none | %.3f | %.3f |\n", ab.WithoutFading.BaselinePDR, ab.WithoutFading.Rows[0].RelThroughput)
+	b.WriteString("\nWithout fading the baseline's min-hop paths stop being lossy and the\n" +
+		"link-quality gain largely evaporates — fading is the mechanism behind\n" +
+		"the paper's headline result (§4.2.1).\n")
+	r.section("Ablation — fading on/off", b.String())
+}
+
+// churnSection renders the churn sweep: PDR per metric and churn level, and
+// the mean repair latency at the highest level. o is the scale it ran at.
+func (r *report) churnSection(o Options, rows []churnRow) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Beyond the paper: the same §4.1 scenario with a fraction of the nodes under\n"+
+		"MTBF/MTTR crash/restart churn (MTBF %.0f s, MTTR %.0f s, churn confined to the\n"+
+		"measurement window). The fault schedule is drawn from the seed alone, so all\n"+
+		"metrics face identical failures. See docs/ROBUSTNESS.md for the fault model.\n"+
+		"Regenerate with `go run ./cmd/experiments` (%s):\n\n",
+		churnMTBF.Seconds(), churnMTTR.Seconds(), scaleText(o))
+	b.WriteString("| metric | PDR 0% churn | 10% churn | 25% churn | mean repair @25% |\n|---|---|---|---|---|\n")
+	pdrAtMax := map[metric.Kind]float64{}
+	for _, row := range rows {
+		fmt.Fprintf(&b, "| %v |", row.metric)
+		for _, pdr := range row.pdr {
+			fmt.Fprintf(&b, " %.1f%% |", 100*pdr)
+		}
+		repair := "—"
+		if row.repaired {
+			repair = fmt.Sprintf("%.2f s", row.meanRepair.Seconds())
+		}
+		fmt.Fprintf(&b, " %s |\n", repair)
+		pdrAtMax[row.metric] = row.pdr[len(row.pdr)-1]
+	}
+	fmt.Fprintf(&b, "\nEvery metric degrades under churn, but the link-quality metrics keep their\n"+
+		"advantage over the original ODMRP, and the gap *widens* at 25%% churn (SPP\n"+
+		"holds %.1f%% while min-hop collapses to %.1f%%): when a forwarding node dies,\n",
+		100*pdrAtMax[metric.SPP], 100*pdrAtMax[metric.MinHop])
+	b.WriteString("metrics that already avoid marginal links rebuild onto good alternatives,\n" +
+		"while min-hop rebuilds onto the same long lossy hops that were barely\n" +
+		"working before. Repair latencies are fractions of the 3 s refresh interval\n" +
+		"because a dense 50-node mesh usually has a surviving forwarder; the\n" +
+		"seconds-scale worst cases (visible per-group in `cmd/meshsim -churn` output)\n" +
+		"correspond to actual tree rebuilds bounded by RefreshInterval + FGTimeout.\n" +
+		"\nReproduce a single deterministic churn run (stdout is byte-identical for a\n" +
+		"given seed):\n\n```sh\ngo run ./cmd/meshsim -metric spp -churn 0.25 -seconds 200 -seed 3\n```\n")
+	r.section("Churn — self-healing under node failures", b.String())
+}
+
+// mobilitySection renders a protocols × speeds mobility sweep: delivery
+// under increasing node speed, route-repair latency, and reconvergence. o is
+// the scale it ran at.
+func (r *report) mobilitySection(o Options, sweep *mobilitySweep) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| protocol | max speed (m/s) | PDR | ± stderr | motion PDR | repair mean (ms) | repair max (ms) | reconv/run | breaks/s |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|\n")
-	for _, proto := range sweep.Protocols {
-		for _, speed := range sweep.Speeds {
-			c := sweep.Cell(proto, speed)
-			if c == nil {
-				continue
-			}
+	for _, proto := range sweep.protocols {
+		for _, speed := range sweep.speeds {
+			c := sweep.cell(proto, speed)
 			motion, repairMean, repairMax := "—", "—", "—"
 			if speed > 0 {
 				motion = fmt.Sprintf("%.3f", c.MotionPDR)
@@ -307,27 +406,25 @@ func (r *Report) MobilitySection(sweep *MobilitySweep) {
 		"speeds; per-round rebuilds also let them exploit the densification\n"+
 		"waypoint motion causes (random waypoints concentrate nodes toward the\n"+
 		"area centre, shortening links), which can lift PDR above the static\n"+
-		"control. The repair-max column is where speed shows its teeth.\n",
-		sweep.Model, strings.ToUpper(sweep.Metric.String()), sweep.SourcesPerGroup)
-	r.Section("Mobility — delivery under motion (speed sweep)", b.String())
+		"control. The repair-max column is where speed shows its teeth.\n"+
+		"\nRegenerate with `go run ./cmd/experiments` (%s).\n",
+		sweep.model, strings.ToUpper(sweep.metric.String()), sweep.sourcesPerGroup, scaleText(o))
+	r.section("Mobility — delivery under motion (speed sweep)", b.String())
 }
 
-// FadingSection renders the fading ablation.
-func (r *Report) FadingSection(ab *FadingAblation) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "| fading | ODMRP abs PDR | ODMRP_SPP rel. throughput |\n|---|---|---|\n")
-	fmt.Fprintf(&b, "| Rayleigh | %.3f | %.3f |\n", ab.WithFading.BaselinePDR, ab.WithFading.Rows[0].RelThroughput)
-	fmt.Fprintf(&b, "| none | %.3f | %.3f |\n", ab.WithoutFading.BaselinePDR, ab.WithoutFading.Rows[0].RelThroughput)
-	b.WriteString("\nWithout fading the baseline's min-hop paths stop being lossy and the\n" +
-		"link-quality gain largely evaporates — fading is the mechanism behind\n" +
-		"the paper's headline result (§4.2.1).\n")
-	r.Section("Ablation — fading on/off", b.String())
-}
-
-// DeviationsText is the honest account of where this reproduction's
-// numbers depart from the paper's, and why. It is appended to every
-// generated report.
-const DeviationsText = `The orderings and mechanisms above reproduce; the following do not, and
+// deviations appends the standing account of where this reproduction's
+// numbers depart from the paper's, and why. headline and secondary are the
+// scales of Figure 2's main column and of its probing-rate variants; when
+// they differ, item 4 says so.
+func (r *report) deviations(headline, secondary Options) {
+	scaleNote := ""
+	if len(headline.Seeds) != len(secondary.Seeds) || headline.TrafficSeconds != secondary.TrafficSeconds {
+		scaleNote = fmt.Sprintf(" Note the probing-rate tables\n"+
+			"   above use %d seeds × %d s (vs %d × %d s for the headline column), so\n"+
+			"   their baselines differ; compare only within a table.",
+			len(secondary.Seeds), secondary.TrafficSeconds, len(headline.Seeds), headline.TrafficSeconds)
+	}
+	r.section("Deviations and notes", `The orderings and mechanisms above reproduce; the following do not, and
 are reported as findings rather than hidden:
 
 1. **Absolute gains are ~2-3x the paper's** (≈+35-46% vs +13.5-18% in
@@ -355,23 +452,14 @@ are reported as findings rather than hidden:
    while 10x-lower probing visibly hurts because a 10-probe ETX window
    then spans 500 s — estimator staleness dominates interference in our
    regime. The overhead side of the tradeoff (Table 1 bytes scaling
-   linearly with rate) reproduces exactly.
+   linearly with rate) reproduces exactly.`+scaleNote+`
 5. **Multi-source gains collapse to ≈0 rather than shrinking by 10-15
    points.** Direction matches §4.3 — per-group (not per-source)
    forwarding meshes get redundant — but with 3 sources per 10-member
    group our mesh covers most of the 50-node network, erasing the gap
    entirely.
-`
-
-// Deviations appends the standing deviations section.
-func (r *Report) Deviations() {
-	r.Section("Deviations and notes", DeviationsText)
-}
-
-// Elapsed appends a footer with the wall-clock cost.
-func (r *Report) Elapsed(d time.Duration) {
-	fmt.Fprintf(&r.b, "---\nGenerated in %s.\n", d.Round(time.Second))
+`)
 }
 
 // String returns the accumulated markdown.
-func (r *Report) String() string { return r.b.String() }
+func (r *report) String() string { return r.b.String() }

@@ -27,29 +27,33 @@ func syntheticSims() *PaperSims {
 }
 
 func TestReportContainsAllSections(t *testing.T) {
-	r := NewReport(QuickOptions(), 5, 150)
+	r := newReport(QuickOptions())
 	sims := syntheticSims()
-	r.Fig2SimTable("Figure 2 — test", sims, PaperFig2Simulation, "note")
-	r.DelayTable(sims)
-	r.Table1(sims)
-	r.TestbedTable(&TestbedColumn{
+	r.fig2SimTable("Figure 2 — test", sims, PaperFig2Simulation, "note")
+	r.delayTable(sims)
+	r.table1(sims)
+	r.testbedTable(&TestbedColumn{
 		BaselinePDR: 0.7,
 		Rows: []TestbedAggregate{
 			{Metric: metric.PP, RelThroughput: 1.13, OverheadPct: 2.6, AbsPDR: 0.79},
 		},
 	})
-	r.MultiSourceSection(&MultiSourceComparison{
+	r.multiSourceSection(&MultiSourceComparison{
 		SingleSource:    syntheticSims(),
 		MultiSource:     syntheticSims(),
 		SourcesPerGroup: 3,
 	})
-	r.FadingSection(&FadingAblation{WithFading: syntheticSims(), WithoutFading: syntheticSims()})
-	r.DeltaAlphaSection([]DeltaAlphaPoint{{Delta: 30 * time.Millisecond, Alpha: 20 * time.Millisecond, RelThroughput: 1.1}})
-	r.HistorySection([]HistoryPoint{
+	r.fadingSection(&FadingAblation{WithFading: syntheticSims(), WithoutFading: syntheticSims()})
+	r.deltaAlphaSection([]DeltaAlphaPoint{{Delta: 30 * time.Millisecond, Alpha: 20 * time.Millisecond, RelThroughput: 1.1}})
+	r.historySection([]HistoryPoint{
 		{Metric: metric.SPP, WindowSize: 10, RelThroughput: 1.1},
 		{Metric: metric.PP, HistoryWeight: 0.9, RelThroughput: 1.12},
 	})
-	r.Elapsed(42 * time.Second)
+	r.churnSection(QuickOptions(), []churnRow{
+		{metric: metric.MinHop, pdr: []float64{0.57, 0.53, 0.48}, meanRepair: 250 * time.Millisecond, repaired: true},
+		{metric: metric.SPP, pdr: []float64{0.78, 0.75, 0.73}},
+	})
+	r.deviations(FullOptions(), FullOptions().capped(secondaryScale))
 	out := r.String()
 
 	for _, want := range []string{
@@ -65,7 +69,8 @@ func TestReportContainsAllSections(t *testing.T) {
 		"ODMRP_SPP",
 		"ODMRP_PP",
 		"1.135", // paper value for ETT in the fig2 table
-		"Generated in 42s",
+		"holds 73.0% while min-hop collapses to 48.0%",
+		"probing-rate tables\n   above use 5 seeds × 250 s (vs 10 × 400 s",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out[:min(2000, len(out))])

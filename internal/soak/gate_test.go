@@ -19,7 +19,7 @@ import (
 // /stats/stream feed that meshstat -watch renders is read throughout. The
 // watchdog must revive both daemons, the feed must show a dead daemon and a
 // window PDR below the recovered one, the flight recorder must dump, and
-// teardown must leak nothing. The test logs the fields of EXPERIMENTS.md's
+// teardown must leak nothing. The test logs the fields of docs/ROBUSTNESS.md's
 // 25-daemon soak row.
 func TestSoakSurvivesControlPlaneFaults(t *testing.T) {
 	if testing.Short() {
