@@ -42,6 +42,17 @@ func run(nodeCount, seconds int) error {
 		{"design-review", 3, 22, []int{2, 9, 28}},
 	}
 
+	// Participants are node indices, so the mesh must reach the highest.
+	minNodes := 0
+	for _, c := range conferences {
+		for _, n := range append([]int{c.speaker}, c.listeners...) {
+			minNodes = max(minNodes, n+1)
+		}
+	}
+	if nodeCount < minNodes {
+		return fmt.Errorf("-nodes %d: the conferences need at least %d nodes", nodeCount, minNodes)
+	}
+
 	fmt.Printf("campus mesh: %d nodes, 3 conferences, %d s of traffic\n\n", nodeCount, seconds)
 	for _, m := range []meshcast.Metric{meshcast.MinHop, meshcast.SPP} {
 		label := "original ODMRP"

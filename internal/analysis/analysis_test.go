@@ -140,16 +140,23 @@ func TestBestRoutesSourceOutOfRange(t *testing.T) {
 }
 
 func TestBestRoutesAgainstBruteForce(t *testing.T) {
-	// Exhaustive check on random 7-node graphs: Dijkstra's answer must
-	// match brute-force enumeration of all simple paths, for every metric.
+	// Exhaustive check on random 6- and 7-node graphs with one-way and dead
+	// links: Dijkstra's answer must match brute-force enumeration of all
+	// simple paths, for every metric; the path PathTo returns must cost what
+	// Cost says; and OptimalSPP must be SPP's brute-force best.
 	rng := sim.NewRNG(11)
-	for trial := 0; trial < 20; trial++ {
-		n := 7
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + trial%2
 		g := NewGraph(n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.45 {
+				switch x := rng.Float64(); {
+				case x < 0.35:
 					g.SetLinkSymmetric(i, j, est(0.3+0.7*rng.Float64()))
+				case x < 0.45:
+					g.SetLink(i, j, est(0.3+0.7*rng.Float64()))
+				case x < 0.5:
+					g.SetLinkSymmetric(i, j, est(0))
 				}
 			}
 		}
@@ -172,6 +179,28 @@ func TestBestRoutesAgainstBruteForce(t *testing.T) {
 				if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("trial %d %v target %d: dijkstra %v, brute force %v", trial, k, target, got, want)
 				}
+				path := r.PathTo(target)
+				links := make([]metric.LinkEstimate, len(path)-1)
+				for i := range links {
+					links[i], _ = g.Link(path[i], path[i+1])
+				}
+				if c := metric.PathCostFromEstimates(pm, links); c != got {
+					t.Fatalf("trial %d %v target %d: path %v costs %v, Cost says %v", trial, k, target, path, c, got)
+				}
+			}
+		}
+		spp := metric.MustNew(metric.SPP)
+		opt, err := OptimalSPP(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for target := 1; target < n; target++ {
+			want := bruteBest(g, spp, 0, target)
+			if !spp.Usable(want) {
+				want = 0
+			}
+			if math.Abs(opt[target]-want) > 1e-12 {
+				t.Fatalf("trial %d target %d: OptimalSPP %v, brute force %v", trial, target, opt[target], want)
 			}
 		}
 	}

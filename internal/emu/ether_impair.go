@@ -37,13 +37,6 @@ func (t *LinkTable) SetProfile(from, to packet.NodeID, p LinkProfile) {
 	t.links[[2]packet.NodeID{from, to}] = p
 }
 
-// SetDefaultProfile replaces the profile used for pairs without an entry.
-func (t *LinkTable) SetDefaultProfile(p LinkProfile) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.def = p
-}
-
 // ShapeAll applies delay/jitter/duplication to the default profile and every
 // existing entry, preserving per-link delivery probabilities — the etherd
 // "make the whole medium slow and noisy" knob.

@@ -102,6 +102,13 @@ func (s *daemonSlot) accounting(now time.Duration) NodeAccounting {
 	return acc
 }
 
+// lossyDF and lowLossDF map the scenario's link classes to the ether's
+// delivery probabilities; every link has perfect timing.
+const (
+	lossyDF   = 0.5
+	lowLossDF = 0.95
+)
+
 // FleetConfig configures a live fleet.
 type FleetConfig struct {
 	// Scenario supplies nodes, links and groups (e.g.
@@ -112,16 +119,6 @@ type FleetConfig struct {
 	// Protocol selects the multicast routing protocol for every daemon by
 	// registered name; empty means multicast.Default (ODMRP).
 	Protocol string
-	// LossyDF / LowLossDF map link classes to delivery probabilities
-	// (defaults 0.5 and 0.95).
-	LossyDF, LowLossDF float64
-	// LinkDelay, LinkJitter, and LinkDupProb shape every link: fixed
-	// one-way latency, uniform extra latency in [0, LinkJitter) (which
-	// reorders frames once it exceeds the inter-frame gap), and the
-	// probability a delivered frame arrives twice. All default to zero —
-	// the pre-impairment perfect-timing medium.
-	LinkDelay, LinkJitter time.Duration
-	LinkDupProb           float64
 	// SendInterval is each source's CBR gap (default 50 ms).
 	SendInterval time.Duration
 	// StartStagger spaces daemon starts by this much in Run (node i starts
@@ -137,22 +134,13 @@ type FleetConfig struct {
 // NewFleet starts the ether and connects one daemon per scenario node.
 // Call Run to start the protocol and traffic; Close to tear down.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	if cfg.LossyDF == 0 {
-		cfg.LossyDF = 0.5
-	}
-	if cfg.LowLossDF == 0 {
-		cfg.LowLossDF = 0.95
-	}
 	links := NewLinkTable(0) // non-adjacent nodes cannot hear each other
 	for _, l := range cfg.Scenario.Links {
-		df := cfg.LowLossDF
+		df := lowLossDF
 		if l.Class == testbed.Lossy {
-			df = cfg.LossyDF
+			df = lossyDF
 		}
 		links.SetSymmetric(l.A, l.B, df)
-	}
-	if cfg.LinkDelay > 0 || cfg.LinkJitter > 0 || cfg.LinkDupProb > 0 {
-		links.ShapeAll(cfg.LinkDelay, cfg.LinkJitter, cfg.LinkDupProb)
 	}
 
 	nodeIDs := append([]packet.NodeID(nil), cfg.Scenario.Nodes...)

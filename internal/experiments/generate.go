@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"meshcast/internal/faults"
@@ -43,7 +44,20 @@ func (o Options) capped(s sectionScale) Options {
 // FullOptions gives the committed file and QuickOptions a smaller one of the
 // same shape. Each section's grid runs through the job harness o configures;
 // the text is byte-identical for any worker count and any cache state.
+//
+// Sections share configs (the min-hop baselines, SPP at the secondary scale,
+// the mobility sweep's speed-0 cells), so a call without o.CacheDir caches
+// its own results in a temporary directory, removed on return, and runs each
+// distinct config once.
 func Generate(o Options) (string, error) {
+	if o.CacheDir == "" {
+		dir, err := os.MkdirTemp("", "meshcast-report-")
+		if err != nil {
+			return "", fmt.Errorf("report cache: %w", err)
+		}
+		defer os.RemoveAll(dir)
+		o.CacheDir = dir
+	}
 	r := newReport(o)
 	sims, err := RunPaperSims(o)
 	if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -42,6 +44,44 @@ func TestReportGolden(t *testing.T) {
 	}
 	if warm != cold {
 		t.Fatalf("warm report differs from the cold one:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+}
+
+// TestReportCachesItsOwnRuns: without a cache directory the tiny report of
+// TestReportGolden still runs each distinct config once — the jobs that
+// sections share are served from a temporary cache of its own — gives the
+// same text, and leaves no directory behind.
+func TestReportCachesItsOwnRuns(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	var mu sync.Mutex
+	var jobs, cached int
+	o := Options{Seeds: []uint64{1}, TrafficSeconds: 8, WarmupSeconds: 4, ProbeRateFactor: 1, SourcesPerGroup: 1}
+	o.Workers = 2
+	o.Progress = func(p runner.Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		jobs++
+		if p.Cached {
+			cached++
+		}
+	}
+	got, err := Generate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached == 0 || cached == jobs {
+		t.Fatalf("%d of %d jobs served from the run's own cache, want the shared ones", cached, jobs)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "report_tiny.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatal("report without a cache directory differs from testdata/report_tiny.md")
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("temporary cache left behind: %v", left)
 	}
 }
 

@@ -2,9 +2,9 @@ package faults
 
 // Integration tests for ODMRP's soft-state self-healing: when a forwarding
 // relay crashes, the periodic JOIN QUERY refresh floods rebuild the
-// forwarding group around it within RefreshInterval (to discover a new path)
-// plus FGTimeout (for the stale flag to matter at all) — the protocol's own
-// repair bound.
+// forwarding group around it within the 3 s refresh interval (to discover a
+// new path) plus the 9 s FG timeout (for the stale flag to matter at all) —
+// the protocol's own repair bound.
 
 import (
 	"testing"
@@ -13,12 +13,14 @@ import (
 	"meshcast/internal/geom"
 	"meshcast/internal/metric"
 	"meshcast/internal/node"
-	"meshcast/internal/odmrp"
 	"meshcast/internal/packet"
 	"meshcast/internal/phy"
 	"meshcast/internal/propagation"
 	"meshcast/internal/sim"
 )
+
+// repairBound is ODMRP's refresh interval plus its FG timeout.
+const repairBound = 3*time.Second + 9*time.Second
 
 // buildDiamond assembles S(0) — {R1(1), R2(2)} — M(3): the source and the
 // member are out of range of each other and of nothing else, so delivery
@@ -88,11 +90,9 @@ func TestSelfHealingAfterRelayCrash(t *testing.T) {
 	crashAt := engine.Now()
 	relay.Fail()
 	beforeCrash := delivered
-	op := odmrp.DefaultParams()
-	bound := op.RefreshInterval + op.FGTimeout
-	engine.Run(crashAt + bound)
+	engine.Run(crashAt + repairBound)
 	if delivered == beforeCrash {
-		t.Fatalf("delivery did not resume within %v of the relay crash", bound)
+		t.Fatalf("delivery did not resume within %v of the relay crash", repairBound)
 	}
 	if soleRelay && !other.Router.IsForwarder(group) {
 		t.Fatal("the surviving relay never joined the forwarding group")
@@ -146,18 +146,16 @@ func TestSelfHealingSchedulerDriven(t *testing.T) {
 	sched.Start()
 	engine.Run(130 * time.Second)
 
-	op := odmrp.DefaultParams()
-	bound := op.RefreshInterval + op.FGTimeout
 	for _, onset := range sched.Onsets() {
 		resumed := false
 		for _, at := range deliveredAt {
-			if at > onset && at <= onset+bound {
+			if at > onset && at <= onset+repairBound {
 				resumed = true
 				break
 			}
 		}
 		if !resumed {
-			t.Fatalf("no delivery within %v after the fault at %v", bound, onset)
+			t.Fatalf("no delivery within %v after the fault at %v", repairBound, onset)
 		}
 	}
 }

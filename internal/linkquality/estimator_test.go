@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"meshcast/internal/metric"
+	"meshcast/internal/packet"
+	"meshcast/internal/sim"
 )
 
 func TestLossWindowAllReceived(t *testing.T) {
@@ -301,9 +303,19 @@ func TestConfigForModes(t *testing.T) {
 		if cfg.Mode != ModePair || cfg.Interval != DefaultPairInterval {
 			t.Fatalf("%v config = %+v", k, cfg)
 		}
-		if cfg.LargePayloadBytes <= cfg.SmallPayloadBytes {
-			t.Fatalf("%v pair sizes = %d/%d", k, cfg.SmallPayloadBytes, cfg.LargePayloadBytes)
-		}
+	}
+	// A pair's large half outweighs its small one.
+	engine := sim.NewEngine(1)
+	p := NewProber(engine, 1, ConfigFor(metric.PP))
+	var sizes []int
+	p.Send = func(pkt *packet.Packet) bool {
+		sizes = append(sizes, pkt.PayloadBytes)
+		return true
+	}
+	p.Start()
+	engine.Run(DefaultPairInterval + time.Second)
+	if len(sizes) != 2 || sizes[1] <= sizes[0] {
+		t.Fatalf("pair sizes = %v", sizes)
 	}
 }
 

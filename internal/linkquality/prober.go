@@ -46,28 +46,15 @@ type Config struct {
 	// Jitter desynchronizes probers across nodes; each firing adds a
 	// uniform [0, Jitter) offset.
 	Jitter time.Duration
-	// SmallPayloadBytes / LargePayloadBytes size the probe packets.
-	SmallPayloadBytes, LargePayloadBytes int
 }
 
 // ConfigFor returns the paper's probing configuration for a routing metric.
 func ConfigFor(k metric.Kind) Config {
 	switch k {
 	case metric.ETX, metric.METX, metric.SPP:
-		return Config{
-			Mode:              ModeSingle,
-			Interval:          DefaultSingleInterval,
-			Jitter:            time.Second,
-			SmallPayloadBytes: DefaultSmallPayload,
-		}
+		return Config{Mode: ModeSingle, Interval: DefaultSingleInterval, Jitter: time.Second}
 	case metric.PP, metric.ETT:
-		return Config{
-			Mode:              ModePair,
-			Interval:          DefaultPairInterval,
-			Jitter:            time.Second,
-			SmallPayloadBytes: DefaultSmallPayload,
-			LargePayloadBytes: DefaultLargePayload,
-		}
+		return Config{Mode: ModePair, Interval: DefaultPairInterval, Jitter: time.Second}
 	default:
 		return Config{Mode: ModeNone}
 	}
@@ -148,7 +135,7 @@ func (p *Prober) fire() {
 			Src:          p.id,
 			PrevHop:      p.id,
 			Seq:          p.seq,
-			PayloadBytes: p.cfg.SmallPayloadBytes,
+			PayloadBytes: DefaultSmallPayload,
 		})
 	case ModePair:
 		p.emit(&packet.Packet{
@@ -156,14 +143,14 @@ func (p *Prober) fire() {
 			Src:          p.id,
 			PrevHop:      p.id,
 			Seq:          p.seq,
-			PayloadBytes: p.cfg.SmallPayloadBytes,
+			PayloadBytes: DefaultSmallPayload,
 		})
 		p.emit(&packet.Packet{
 			Kind:         packet.TypeProbePairLarge,
 			Src:          p.id,
 			PrevHop:      p.id,
 			Seq:          p.seq,
-			PayloadBytes: p.cfg.LargePayloadBytes,
+			PayloadBytes: DefaultLargePayload,
 		})
 	}
 	p.seq++

@@ -20,7 +20,7 @@
 //     copies, then send a TREE JOIN to the best-cost upstream neighbor
 //     (link-quality-weighted parent selection). A node named as parent sets
 //     its on-tree flag and propagates its own join toward the core, once per
-//     announce round; tree state expires after TreeTimeout unless refreshed.
+//     announce round; tree state expires after treeTimeout unless refreshed.
 //  4. Data is link-layer broadcast; on-tree nodes (and the core) rebroadcast
 //     it, suppressing duplicates with the shared sliding window. Because
 //     every on-tree node relays regardless of which direction the packet
@@ -43,17 +43,27 @@ import (
 	"meshcast/internal/trace"
 )
 
+// The protocol's fixed timing, aligned with the paper's ODMRP timing so
+// protocol comparisons differ in mechanism, not tuning: announce every 3 s,
+// tree timeout 3 × announce.
+const (
+	// announceInterval is the period between CORE ANNOUNCE floods of an
+	// acting core.
+	announceInterval = 3 * time.Second
+	// treeTimeout is how long the on-tree flag stays set after the last
+	// TREE JOIN refreshed it.
+	treeTimeout = 9 * time.Second
+	// coreTimeout is how long a suppressed source waits without hearing its
+	// adopted core before reclaiming the core role (core failover).
+	coreTimeout = 7 * time.Second
+	// announceJitter decorrelates the announce flood; joinJitter does the
+	// same for join propagation.
+	announceJitter = 4 * time.Millisecond
+	joinJitter     = 2 * time.Millisecond
+)
+
 // Params configures the protocol.
 type Params struct {
-	// AnnounceInterval is the period between CORE ANNOUNCE floods of an
-	// acting core.
-	AnnounceInterval time.Duration
-	// TreeTimeout is how long the on-tree flag stays set after the last
-	// TREE JOIN refreshed it.
-	TreeTimeout time.Duration
-	// CoreTimeout is how long a suppressed source waits without hearing its
-	// adopted core before reclaiming the core role (core failover).
-	CoreTimeout time.Duration
 	// JoinDelta (δ) is how long a member or sender accumulates duplicate
 	// announces before joining along the best path. Zero selects
 	// first-copy behavior.
@@ -64,28 +74,18 @@ type Params struct {
 	DupAlpha time.Duration
 	// TTL bounds announce propagation in hops.
 	TTL uint8
-	// AnnounceJitter decorrelates the announce flood; DataJitter and
-	// JoinJitter do the same for data rebroadcast and join propagation.
-	AnnounceJitter time.Duration
-	DataJitter     time.Duration
-	JoinJitter     time.Duration
+	// DataJitter decorrelates data rebroadcast.
+	DataJitter time.Duration
 }
 
-// DefaultParams returns the link-quality configuration, aligned with the
-// paper's ODMRP timing so protocol comparisons differ in mechanism, not
-// tuning: δ = 30 ms, α = 20 ms, announce every 3 s, tree timeout 3 ×
-// announce.
+// DefaultParams returns the link-quality configuration: δ = 30 ms,
+// α = 20 ms, as for ODMRP.
 func DefaultParams() Params {
 	return Params{
-		AnnounceInterval: 3 * time.Second,
-		TreeTimeout:      9 * time.Second,
-		CoreTimeout:      7 * time.Second,
-		JoinDelta:        30 * time.Millisecond,
-		DupAlpha:         20 * time.Millisecond,
-		TTL:              32,
-		AnnounceJitter:   4 * time.Millisecond,
-		DataJitter:       time.Millisecond,
-		JoinJitter:       2 * time.Millisecond,
+		JoinDelta:  30 * time.Millisecond,
+		DupAlpha:   20 * time.Millisecond,
+		TTL:        32,
+		DataJitter: time.Millisecond,
 	}
 }
 
@@ -109,19 +109,20 @@ func ParamsFor(k metric.Kind) Params {
 }
 
 // policy is MCST as the flood-round kernel sees it: CORE ANNOUNCE floods
-// answered by TREE JOIN grafts, timed by params. The tree is shared, so the
-// core relays other senders' data by role (OriginRelays).
+// answered by TREE JOIN grafts, timed by the constants above and params. The
+// tree is shared, so the core relays other senders' data by role
+// (OriginRelays).
 func policy(params Params) multicast.Policy {
 	return multicast.Policy{
 		FloodKind:     packet.TypeCoreAnnounce,
 		GraftKind:     packet.TypeTreeJoin,
-		FloodInterval: params.AnnounceInterval,
-		FlagTimeout:   params.TreeTimeout,
+		FloodInterval: announceInterval,
+		FlagTimeout:   treeTimeout,
 		Delta:         params.JoinDelta,
 		Alpha:         params.DupAlpha,
 		TTL:           params.TTL,
-		FloodJitter:   params.AnnounceJitter,
-		GraftJitter:   params.JoinJitter,
+		FloodJitter:   announceJitter,
+		GraftJitter:   joinJitter,
 		DataJitter:    params.DataJitter,
 		OriginRelays:  true,
 	}
@@ -143,7 +144,6 @@ type Router struct {
 	CoreHandovers uint64
 
 	engine *sim.Engine
-	params Params
 
 	// sources marks groups this node actively sends to.
 	sources map[packet.GroupID]bool
@@ -159,7 +159,6 @@ func New(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *link
 	return &Router{
 		Kernel:   multicast.NewKernel(engine, id, pm, table, policy(params)),
 		engine:   engine,
-		params:   params,
 		sources:  make(map[packet.GroupID]bool),
 		cores:    make(map[packet.GroupID]*coreBinding),
 		failover: make(map[packet.GroupID]bool),
@@ -201,7 +200,7 @@ func (r *Router) StopSource(group packet.GroupID) {
 }
 
 func (r *Router) coreFresh(b *coreBinding) bool {
-	return r.engine.Now() < b.lastHeard+r.params.CoreTimeout
+	return r.engine.Now() < b.lastHeard+coreTimeout
 }
 
 // Handle processes a received MCST packet. It reports whether the packet
@@ -262,7 +261,7 @@ func (r *Router) adoptCore(p *packet.Packet, from packet.NodeID) bool {
 }
 
 // armFailover schedules the core-liveness watchdog for a suppressed source:
-// if the adopted core stays silent past CoreTimeout, the source reclaims the
+// if the adopted core stays silent past coreTimeout, the source reclaims the
 // core role and resumes announcing. At most one watchdog is pending per
 // group; it re-arms itself while the core stays alive and disarms when this
 // node stops sourcing or becomes core through another path.
@@ -271,7 +270,7 @@ func (r *Router) armFailover(group packet.GroupID) {
 		return
 	}
 	r.failover[group] = true
-	r.engine.Schedule(r.params.CoreTimeout, func() {
+	r.engine.Schedule(coreTimeout, func() {
 		delete(r.failover, group)
 		if !r.sources[group] || r.Originating(group) {
 			return

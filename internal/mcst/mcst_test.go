@@ -33,7 +33,7 @@ var conformance = multicasttest.Harness{
 		return New(engine, id, pm, table, params)
 	},
 	FloodKind:   packet.TypeCoreAnnounce,
-	FlagTimeout: DefaultParams().TreeTimeout,
+	FlagTimeout: treeTimeout,
 }
 
 func TestBestParentSelectionSPP(t *testing.T)                   { conformance.BestPathAfterDelta(t) }
@@ -153,9 +153,9 @@ func TestCoreFailover(t *testing.T) {
 	}
 
 	// The core crashes. The suppressed source's watchdog must reclaim the
-	// role within CoreTimeout of the last announce heard.
+	// role within coreTimeout of the last announce heard.
 	r1.Reset()
-	f.Engine.Run(f.Engine.Now() + p.CoreTimeout + 2*p.AnnounceInterval)
+	f.Engine.Run(f.Engine.Now() + coreTimeout + 2*announceInterval)
 	if !r3.Originating(1) {
 		t.Fatal("suppressed source never reclaimed the core role after the core died")
 	}

@@ -2,6 +2,7 @@ package metric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +139,81 @@ func TestWorstIsBeatenByAnyRealPath(t *testing.T) {
 			t.Fatalf("%v: Worst beats a real path", k)
 		}
 	}
+	// And so does every usable cost of a random path, dead links included.
+	if err := quick.Check(func(raw []uint8) bool {
+		for _, k := range All() {
+			m := MustNew(k)
+			c := pathOf(m, raw)
+			if m.Usable(c) && (!m.Better(c, m.Worst()) || m.Better(m.Worst(), c)) {
+				return false
+			}
+		}
+		return true
+	}, seeded()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// seeded makes a property test's inputs the same on every run.
+func seeded() *quick.Config { return &quick.Config{Rand: rand.New(rand.NewSource(1))} }
+
+// linkOf maps a random byte to a link estimate: delivery probability 0 at
+// r = 0 (a dead link), else in (0.05, 1], with pair delay and bandwidth
+// worsening as it falls.
+func linkOf(r uint8) LinkEstimate {
+	if r == 0 {
+		return LinkEstimate{PacketBytes: 512}
+	}
+	df := 0.05 + 0.95*float64(r)/255
+	return LinkEstimate{
+		DeliveryProb: df, PairDelaySeconds: 0.001 + 0.01*(1-df),
+		BandwidthBps: 2e6 * df, PacketBytes: 512,
+	}
+}
+
+// pathOf is the cost under m of the path whose links linkOf draws from raw.
+func pathOf(m PathMetric, raw []uint8) float64 {
+	c := m.Initial()
+	for _, r := range raw {
+		c = m.Accumulate(c, m.LinkCost(linkOf(r)))
+	}
+	return c
+}
+
+// TestBetterIsStrictWeakOrder: on the costs of random paths and Worst,
+// Better is irreflexive, asymmetric and transitive, and incomparability is
+// transitive — the order a label-setting search and the protocol's
+// best-copy choice need.
+func TestBetterIsStrictWeakOrder(t *testing.T) {
+	if err := quick.Check(func(x, y, z []uint8) bool {
+		for _, k := range All() {
+			m := MustNew(k)
+			costs := []float64{pathOf(m, x), pathOf(m, y), pathOf(m, z), m.Worst()}
+			better := m.Better
+			incomparable := func(a, b float64) bool { return !better(a, b) && !better(b, a) }
+			for _, a := range costs {
+				if better(a, a) {
+					return false
+				}
+				for _, b := range costs {
+					if better(a, b) && better(b, a) {
+						return false
+					}
+					for _, c := range costs {
+						if better(a, b) && better(b, c) && !better(a, c) {
+							return false
+						}
+						if incomparable(a, b) && incomparable(b, c) && !incomparable(a, c) {
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}, seeded()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMinHopCountsHops(t *testing.T) {
@@ -207,32 +283,24 @@ func TestSPPBoundedZeroOne(t *testing.T) {
 }
 
 func TestMonotonicity(t *testing.T) {
-	// Adding a link never improves a path, for every metric.
-	if err := quick.Check(func(raw []uint8, extra uint8) bool {
-		if len(raw) > 8 {
-			return true
-		}
+	// Adding a link never improves a path (monotone), and extending two
+	// paths by the same link keeps their order (isotone), for every metric.
+	if err := quick.Check(func(raw, other []uint8, extra uint8) bool {
+		raw, other = raw[:min(len(raw), 8)], other[:min(len(other), 8)]
 		for _, k := range All() {
 			m := MustNew(k)
-			c := m.Initial()
-			for _, r := range raw {
-				df := 0.05 + 0.95*float64(r)/255
-				c = m.Accumulate(c, m.LinkCost(LinkEstimate{
-					DeliveryProb: df, PairDelaySeconds: 0.001 + 0.01*(1-df),
-					BandwidthBps: 2e6 * df, PacketBytes: 512,
-				}))
+			c, d := pathOf(m, raw), pathOf(m, other)
+			l := m.LinkCost(linkOf(extra))
+			c2, d2 := m.Accumulate(c, l), m.Accumulate(d, l)
+			if m.Better(c2, c) || m.Better(d2, d) {
+				return false
 			}
-			df := 0.05 + 0.95*float64(extra)/255
-			c2 := m.Accumulate(c, m.LinkCost(LinkEstimate{
-				DeliveryProb: df, PairDelaySeconds: 0.001 + 0.01*(1-df),
-				BandwidthBps: 2e6 * df, PacketBytes: 512,
-			}))
-			if m.Better(c2, c) {
+			if !m.Better(d, c) && m.Better(d2, c2) || !m.Better(c, d) && m.Better(c2, d2) {
 				return false
 			}
 		}
 		return true
-	}, nil); err != nil {
+	}, seeded()); err != nil {
 		t.Fatal(err)
 	}
 }

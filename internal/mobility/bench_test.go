@@ -21,11 +21,11 @@ func BenchmarkMoverTick1k(b *testing.B) {
 		medium.LinksConsistent(r)
 	}
 	mv.Start()
-	engine.Run(2 * mv.cfg.Tick) // baseline scan and first buckets
+	engine.Run(2 * tickInterval) // baseline scan and first buckets
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Run(engine.Now() + mv.cfg.Tick)
+		engine.Run(engine.Now() + tickInterval)
 	}
 	b.StopTimer()
 	if mv.Moves == 0 || mv.Breaks == 0 {

@@ -15,7 +15,7 @@
 // randomness at all. Fixed-seed runs are byte-identical across repeats.
 //
 // Interaction with topology generators (topology.Metro, SideForDensity,
-// Clustered, Random): the generator's output is the *initial placement*;
+// Random): the generator's output is the *initial placement*;
 // from then on the declared Topology.Area is the contract. NewMover rejects
 // any initial position outside the area, and every model keeps nodes inside
 // it for the whole run — waypoint and RPGM draw (or clamp) targets within
@@ -41,71 +41,41 @@ const (
 )
 
 // Config parameterizes a Mover. The zero value is not valid: MaxSpeedMps
-// must be positive. Remaining zero fields take the documented defaults.
+// must be positive.
 type Config struct {
 	// Model selects the mobility model: "waypoint" (default), "rpgm", or
 	// "corridor".
 	Model string
-	// MinSpeedMps and MaxSpeedMps bound the uniform speed draw per waypoint
-	// leg (per node for corridor). MinSpeedMps defaults to MaxSpeedMps/10 —
-	// strictly positive, because the classic random-waypoint pitfall of a
-	// zero minimum speed is nodes stuck forever on near-zero-speed legs.
-	MinSpeedMps float64
+	// MaxSpeedMps bounds the uniform speed draw per waypoint leg (per node
+	// for corridor). The minimum is MaxSpeedMps/10 — strictly positive,
+	// because the classic random-waypoint pitfall of a zero minimum speed is
+	// nodes stuck forever on near-zero-speed legs.
 	MaxSpeedMps float64
 	// Pause is the waypoint/RPGM dwell time at each target before the next
 	// leg begins.
 	Pause time.Duration
-	// Tick is the position-sampling interval (default 500 ms). Smaller ticks
-	// give smoother motion and more MoveRadio calls.
-	Tick time.Duration
 	// Start and End bound the motion window: positions are static before
 	// Start and after End (End zero means motion never stops). Scenarios set
 	// Start to the traffic warmup so routes form on the initial placement.
 	Start time.Duration
 	End   time.Duration
-	// LinkRangeM is the nominal radio range used for link-break detection
-	// (default 250 m, the paper's WaveLAN range). Each tick the mover diffs
-	// the geometric neighbor graph at this range and reports edges broken
-	// and formed. Negative disables tracking.
-	LinkRangeM float64
-	// Groups is the number of RPGM groups (default n/10, minimum 2).
-	Groups int
-	// GroupRadiusM is the RPGM member spread around the group reference
-	// point (default 100 m).
-	GroupRadiusM float64
-	// Corridors is the number of horizontal lanes for the corridor model
-	// (default 8); lane parity fixes the sweep direction.
-	Corridors int
 }
 
-// withDefaults resolves zero fields against n nodes.
-func (c Config) withDefaults(n int) Config {
-	if c.Model == "" {
-		c.Model = ModelWaypoint
-	}
-	if c.MinSpeedMps <= 0 {
-		c.MinSpeedMps = c.MaxSpeedMps / 10
-	}
-	if c.Tick <= 0 {
-		c.Tick = 500 * time.Millisecond
-	}
-	if c.LinkRangeM == 0 {
-		c.LinkRangeM = 250
-	}
-	if c.Groups <= 0 {
-		c.Groups = n / 10
-		if c.Groups < 2 {
-			c.Groups = 2
-		}
-	}
-	if c.GroupRadiusM <= 0 {
-		c.GroupRadiusM = 100
-	}
-	if c.Corridors <= 0 {
-		c.Corridors = 8
-	}
-	return c
-}
+// The mover's fixed settings.
+const (
+	// tickInterval is the position-sampling interval.
+	tickInterval = 500 * time.Millisecond
+	// linkRangeM is the nominal radio range used for link-break detection,
+	// the paper's WaveLAN range. Each tick the mover diffs the geometric
+	// neighbor graph at this range and reports edges broken and formed.
+	linkRangeM = 250
+	// groupRadiusM is the RPGM member spread around the group reference
+	// point.
+	groupRadiusM = 100
+	// corridors is the number of horizontal lanes for the corridor model;
+	// lane parity fixes the sweep direction.
+	corridors = 8
+)
 
 // Mover samples a mobility model on a virtual-time ticker and applies the
 // positions to the medium. Create with NewMover, then Start.
@@ -118,7 +88,7 @@ type Mover struct {
 	model  model
 	ticker *sim.Ticker
 
-	// Link-break detection state: the neighbor graph at LinkRangeM as of the
+	// Link-break detection state: the neighbor graph at linkRangeM as of the
 	// last scan, as the ascending list of its (i<<32|j) pairs with i < j, a
 	// spare list the next scan fills, and a reusable spatial bucket map at
 	// link-range cell size with each radio's key in it (the phy cell index is
@@ -159,9 +129,8 @@ func NewMover(engine *sim.Engine, medium *phy.Medium, radios []*phy.Radio, area 
 	if cfg.Pause < 0 {
 		return nil, fmt.Errorf("mobility: Pause must not be negative (got %v)", cfg.Pause)
 	}
-	cfg = cfg.withDefaults(n)
-	if !(cfg.MinSpeedMps <= cfg.MaxSpeedMps) {
-		return nil, fmt.Errorf("mobility: MinSpeedMps must be at most MaxSpeedMps %g (got %g)", cfg.MaxSpeedMps, cfg.MinSpeedMps)
+	if cfg.Model == "" {
+		cfg.Model = ModelWaypoint
 	}
 	if cfg.End != 0 && cfg.End < cfg.Start {
 		return nil, fmt.Errorf("mobility: End %v before Start %v", cfg.End, cfg.Start)
@@ -175,25 +144,23 @@ func NewMover(engine *sim.Engine, medium *phy.Medium, radios []*phy.Radio, area 
 		}
 	}
 	mv := &Mover{
-		engine: engine,
-		medium: medium,
-		radios: radios,
-		area:   area,
-		cfg:    cfg,
+		engine:  engine,
+		medium:  medium,
+		radios:  radios,
+		area:    area,
+		cfg:     cfg,
+		cells:   make([]linkCell, n),
+		buckets: make(map[linkCell][]int32),
 	}
 	switch cfg.Model {
 	case ModelWaypoint:
-		mv.model = newWaypoint(area, cfg, initialPositions(radios), rng)
+		mv.model = newWaypoint(area, minSpeed(cfg), cfg.MaxSpeedMps, cfg, initialPositions(radios), rng)
 	case ModelRPGM:
 		mv.model = newRPGM(area, cfg, initialPositions(radios), rng)
 	case ModelCorridor:
 		mv.model = newCorridor(area, cfg, initialPositions(radios), rng)
 	default:
 		return nil, fmt.Errorf("mobility: unknown model %q (want %s, %s, or %s)", cfg.Model, ModelWaypoint, ModelRPGM, ModelCorridor)
-	}
-	if cfg.LinkRangeM > 0 {
-		mv.cells = make([]linkCell, n)
-		mv.buckets = make(map[linkCell][]int32)
 	}
 	return mv, nil
 }
@@ -206,17 +173,17 @@ func initialPositions(radios []*phy.Radio) []geom.Point {
 	return ps
 }
 
-// Config returns the mover's configuration with defaults resolved.
+// Config returns the mover's configuration with the default model resolved.
 func (mv *Mover) Config() Config { return mv.cfg }
 
-// Start begins ticking. The first tick fires one Tick after the current
-// virtual time; ticks before Config.Start establish the link-graph baseline
-// without moving anything.
+// Start begins ticking. The first tick fires one tick interval after the
+// current virtual time; ticks before Config.Start establish the link-graph
+// baseline without moving anything.
 func (mv *Mover) Start() {
 	if mv.ticker != nil {
 		return
 	}
-	mv.ticker = sim.NewTicker(mv.engine, mv.cfg.Tick, 0, nil, mv.tick)
+	mv.ticker = sim.NewTicker(mv.engine, tickInterval, 0, nil, mv.tick)
 }
 
 // Stop halts the mover permanently.
@@ -238,7 +205,7 @@ func (mv *Mover) tick() {
 	}
 	// The graph is a function of the positions: rescan only if one changed
 	// since the last scan, whoever moved it.
-	if mv.buckets != nil && mv.medium.Changes() != mv.scannedAt {
+	if mv.medium.Changes() != mv.scannedAt {
 		mv.scanLinks(now)
 	}
 	if mv.cfg.End != 0 && now > mv.cfg.End {
@@ -246,7 +213,7 @@ func (mv *Mover) tick() {
 	}
 }
 
-// scanLinks rebuilds the geometric neighbor graph at LinkRangeM and diffs it
+// scanLinks rebuilds the geometric neighbor graph at linkRangeM and diffs it
 // against the previous scan's: edges present then and gone now are breaks,
 // new edges are forms. Pure geometry — no RNG — so tracking never perturbs
 // the simulation's draw sequence. The first scan only sets the baseline.
@@ -255,7 +222,7 @@ func (mv *Mover) tick() {
 // radio's pairs come out of its nine buckets in bucket order and are sorted
 // as a run before the next radio's are appended.
 func (mv *Mover) scanLinks(now time.Duration) {
-	size := mv.cfg.LinkRangeM
+	size := float64(linkRangeM)
 	for k, b := range mv.buckets {
 		mv.buckets[k] = b[:0]
 	}

@@ -42,7 +42,7 @@ func trajectoryTrace(t *testing.T, model string, seed uint64, dur time.Duration)
 	topo := metroTopo(t, 40, seed)
 	engine, medium, radios := buildWorld(t, seed, topo)
 	mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(seed^0xabcd), Config{
-		Model: model, MaxSpeedMps: 20, Pause: 200 * time.Millisecond, Tick: 250 * time.Millisecond,
+		Model: model, MaxSpeedMps: 20, Pause: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("NewMover(%s): %v", model, err)
@@ -84,7 +84,7 @@ func TestModelsStayInsideArea(t *testing.T) {
 		topo := metroTopo(t, 60, 11)
 		engine, medium, radios := buildWorld(t, 11, topo)
 		mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(99), Config{
-			Model: model, MaxSpeedMps: 40, Tick: 200 * time.Millisecond,
+			Model: model, MaxSpeedMps: 40,
 		})
 		if err != nil {
 			t.Fatalf("NewMover(%s): %v", model, err)
@@ -130,18 +130,13 @@ func TestNewMoverValidation(t *testing.T) {
 	if _, err := NewMover(engine, medium, radios, small, rng, Config{MaxSpeedMps: 5}); err == nil {
 		t.Fatal("out-of-area initial placement accepted")
 	}
-	if _, err := NewMover(engine, medium, radios, topo.Area, rng, Config{MaxSpeedMps: 5, MinSpeedMps: 9}); err == nil {
-		t.Fatal("MinSpeed > MaxSpeed accepted")
-	}
 	for _, bad := range []Config{
 		{MaxSpeedMps: math.NaN()},
 		{MaxSpeedMps: math.Inf(1)},
 		{MaxSpeedMps: -1},
-		{MaxSpeedMps: 5, MinSpeedMps: math.NaN()},
-		{MaxSpeedMps: 5, MinSpeedMps: math.Inf(1)},
 	} {
-		if _, err := NewMover(engine, medium, radios, topo.Area, rng, bad); err == nil || !strings.Contains(err.Error(), "SpeedMps") {
-			t.Fatalf("speeds %g..%g: %v, want an error naming the speed", bad.MinSpeedMps, bad.MaxSpeedMps, err)
+		if _, err := NewMover(engine, medium, radios, topo.Area, rng, bad); err == nil || !strings.Contains(err.Error(), "MaxSpeedMps") {
+			t.Fatalf("max speed %g: %v, want an error naming the speed", bad.MaxSpeedMps, err)
 		}
 	}
 	if _, err := NewMover(engine, medium, radios, topo.Area, rng, Config{MaxSpeedMps: 5, Start: time.Second, End: time.Millisecond}); err == nil {
@@ -152,7 +147,7 @@ func TestNewMoverValidation(t *testing.T) {
 	}
 }
 
-// TestLinkBreakDetection: two nodes separated beyond LinkRangeM register one
+// TestLinkBreakDetection: two nodes separated beyond link range register one
 // break, and one form when they meet again. The baseline scan must not count
 // the initial edges as forms.
 func TestLinkBreakDetection(t *testing.T) {
@@ -161,11 +156,11 @@ func TestLinkBreakDetection(t *testing.T) {
 		Area:      geom.Square(2000),
 	}
 	engine, medium, radios := buildWorld(t, 5, topo)
-	// Corridor with one lane: both nodes sweep +x at different speeds, so
-	// they separate, and the faster one wraps around to meet the slower.
+	// Both nodes share the bottom corridor lane: they sweep +x at different
+	// speeds, so they separate, and the faster one wraps around to meet the
+	// slower.
 	mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(2), Config{
-		Model: ModelCorridor, Corridors: 1, MinSpeedMps: 1, MaxSpeedMps: 60,
-		Tick: 100 * time.Millisecond, LinkRangeM: 250,
+		Model: ModelCorridor, MaxSpeedMps: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +188,7 @@ func TestMotionWindow(t *testing.T) {
 		initial[i] = r.Pos
 	}
 	mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(4), Config{
-		Model: ModelWaypoint, MaxSpeedMps: 30, Tick: 100 * time.Millisecond,
+		Model: ModelWaypoint, MaxSpeedMps: 30,
 		Start: 2 * time.Second, End: 4 * time.Second,
 	})
 	if err != nil {
@@ -233,7 +228,7 @@ func TestMoverMatchesBruteForceLinks(t *testing.T) {
 	topo := metroTopo(t, 50, 17)
 	engine, medium, radios := buildWorld(t, 17, topo)
 	mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(17), Config{
-		Model: ModelWaypoint, MaxSpeedMps: 25, Tick: 200 * time.Millisecond,
+		Model: ModelWaypoint, MaxSpeedMps: 25,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,25 +251,25 @@ func TestMoverMatchesBruteForceLinks(t *testing.T) {
 	}
 }
 
-// TestLinkCountersMatchBruteForce recounts the LinkRangeM graph over all
+// TestLinkCountersMatchBruteForce recounts the link-range graph over all
 // O(N²) pairs after every tick and requires Breaks and Forms to equal the
 // running sums of its diffs, under every model. Before Config.Start the test
-// moves two radios by hand — onto exactly LinkRangeM apart, which is a link,
+// moves two radios by hand — onto exactly link range apart, which is a link,
 // and a hair beyond, which is not — and leaves one tick with no move at all,
 // which the mover skips without miscounting.
 func TestLinkCountersMatchBruteForce(t *testing.T) {
 	const (
 		nodes   = 200
 		ticks   = 40
-		tick    = 250 * time.Millisecond
-		linkM   = 250.0
+		tick    = tickInterval
+		linkM   = float64(linkRangeM)
 		startAt = 6 * tick
 	)
 	for _, model := range []string{ModelWaypoint, ModelRPGM, ModelCorridor} {
 		topo := metroTopo(t, nodes, 23)
 		engine, medium, radios := buildWorld(t, 23, topo)
 		mv, err := NewMover(engine, medium, radios, topo.Area, sim.NewRNG(23), Config{
-			Model: model, MaxSpeedMps: 40, Pause: 300 * time.Millisecond, Tick: tick, Start: startAt, LinkRangeM: linkM,
+			Model: model, MaxSpeedMps: 40, Pause: 300 * time.Millisecond, Start: startAt,
 		})
 		if err != nil {
 			t.Fatalf("NewMover(%s): %v", model, err)

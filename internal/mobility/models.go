@@ -20,7 +20,7 @@ type model interface {
 // —— Random waypoint ————————————————————————————————————————————————————————
 //
 // Each node repeats: draw a target uniform in the area and a speed uniform
-// in [MinSpeed, MaxSpeed], travel there in a straight line, pause, repeat.
+// in [MaxSpeed/10, MaxSpeed], travel there in a straight line, pause, repeat.
 // The first leg begins at the motion-window start. Targets are drawn inside
 // the area, so waypoint nodes never leave it.
 
@@ -42,14 +42,19 @@ type wpNode struct {
 	idleUntil time.Duration
 }
 
-func newWaypoint(area geom.Rect, cfg Config, initial []geom.Point, rng *sim.RNG) *waypointModel {
-	m := &waypointModel{area: area, min: cfg.MinSpeedMps, max: cfg.MaxSpeedMps, pause: cfg.Pause,
+// newWaypoint walks the initial points with leg speeds drawn from [lo, hi]
+// and cfg's pause and motion start.
+func newWaypoint(area geom.Rect, lo, hi float64, cfg Config, initial []geom.Point, rng *sim.RNG) *waypointModel {
+	m := &waypointModel{area: area, min: lo, max: hi, pause: cfg.Pause,
 		nodes: make([]wpNode, len(initial))}
 	for i, p := range initial {
 		m.nodes[i] = wpNode{rng: rng.Split(), pos: p, idleUntil: cfg.Start}
 	}
 	return m
 }
+
+// minSpeed is the low end of the speed draw: a tenth of the maximum.
+func minSpeed(cfg Config) float64 { return cfg.MaxSpeedMps / 10 }
 
 func (m *waypointModel) position(i int, now time.Duration) geom.Point {
 	n := &m.nodes[i]
@@ -87,9 +92,10 @@ func (m *waypointModel) position(i int, now time.Duration) geom.Point {
 // Groups move coherently: each group's reference point does a random
 // waypoint walk over the whole area, and each member does its own slow
 // waypoint walk *relative* to the reference point, confined to a
-// GroupRadius box. The member position is reference + offset, clamped to
+// groupRadiusM box. The member position is reference + offset, clamped to
 // the area (a reference near the boundary would otherwise push members
-// outside the deployment contract). Node i belongs to group i mod Groups.
+// outside the deployment contract). There are max(2, n/10) groups (at most
+// one per node), and node i belongs to group i mod groups.
 
 type rpgmModel struct {
 	area    geom.Rect
@@ -99,10 +105,7 @@ type rpgmModel struct {
 }
 
 func newRPGM(area geom.Rect, cfg Config, initial []geom.Point, rng *sim.RNG) *rpgmModel {
-	groups := cfg.Groups
-	if groups > len(initial) {
-		groups = len(initial)
-	}
+	groups := min(max(2, len(initial)/10), len(initial))
 	groupOf := make([]int, len(initial))
 	refInit := make([]geom.Point, groups)
 	counts := make([]int, groups)
@@ -118,13 +121,10 @@ func newRPGM(area geom.Rect, cfg Config, initial []geom.Point, rng *sim.RNG) *rp
 	for g := range refInit {
 		refInit[g] = geom.Point{X: refInit[g].X / float64(counts[g]), Y: refInit[g].Y / float64(counts[g])}
 	}
-	refCfg := cfg
-	refs := newWaypoint(area, refCfg, refInit, rng)
+	refs := newWaypoint(area, minSpeed(cfg), cfg.MaxSpeedMps, cfg, refInit, rng)
 	// Members wander the relative box at a quarter of the group speed: the
 	// group carries them; the relative walk only loosens the formation.
-	r := cfg.GroupRadiusM
-	relCfg := cfg
-	relCfg.MinSpeedMps, relCfg.MaxSpeedMps = cfg.MinSpeedMps/4, cfg.MaxSpeedMps/4
+	r := float64(groupRadiusM)
 	relInit := make([]geom.Point, len(initial))
 	for i := range relInit {
 		g := groupOf[i]
@@ -134,7 +134,7 @@ func newRPGM(area geom.Rect, cfg Config, initial []geom.Point, rng *sim.RNG) *rp
 	for i := range relInit {
 		relInit[i] = relBox.Clamp(relInit[i]) // stragglers join the formation
 	}
-	rel := newWaypoint(relBox, relCfg, relInit, rng)
+	rel := newWaypoint(relBox, minSpeed(cfg)/4, cfg.MaxSpeedMps/4, cfg, relInit, rng)
 	return &rpgmModel{area: area, refs: refs, rel: rel, groupOf: groupOf}
 }
 
@@ -146,7 +146,7 @@ func (m *rpgmModel) position(i int, now time.Duration) geom.Point {
 
 // —— Corridor sweeps ———————————————————————————————————————————————————————
 //
-// Vehicle-like motion: the area is divided into Corridors horizontal lanes;
+// Vehicle-like motion: the area is divided into `corridors` horizontal lanes;
 // each node keeps its initial y, sweeps along x at a per-node constant speed
 // in the direction fixed by its lane's parity (adjacent lanes flow opposite
 // ways), and wraps around the area's x extent deterministically — a ring
@@ -165,16 +165,17 @@ type corridorNode struct {
 
 func newCorridor(area geom.Rect, cfg Config, initial []geom.Point, rng *sim.RNG) *corridorModel {
 	m := &corridorModel{area: area, start: cfg.Start, nodes: make([]corridorNode, len(initial))}
-	pitch := area.Height() / float64(cfg.Corridors)
+	pitch := area.Height() / corridors
+	lo, hi := minSpeed(cfg), cfg.MaxSpeedMps
 	for i, p := range initial {
 		lane := int(math.Floor((p.Y - area.Min.Y) / pitch))
 		if lane < 0 {
 			lane = 0
 		}
-		if lane >= cfg.Corridors {
-			lane = cfg.Corridors - 1
+		if lane >= corridors {
+			lane = corridors - 1
 		}
-		v := cfg.MinSpeedMps + rng.Float64()*(cfg.MaxSpeedMps-cfg.MinSpeedMps)
+		v := lo + rng.Float64()*(hi-lo)
 		if lane%2 == 1 {
 			v = -v
 		}

@@ -36,13 +36,14 @@ type Config struct {
 	Probe linkquality.Config
 	// DataPacketBytes is the nominal data payload handed to ETT.
 	DataPacketBytes int
-	// TableStaleAfter expires silent neighbors from the NEIGHBOR TABLE.
-	TableStaleAfter time.Duration
 	// WindowSize is the probe loss-window length.
 	WindowSize int
 	// Tracer, when non-nil, receives this node's packet-journey spans.
 	Tracer *trace.Tracer
 }
+
+// tableStaleAfter expires silent neighbors from the NEIGHBOR TABLE.
+const tableStaleAfter = 2 * time.Minute
 
 // DefaultConfig returns the paper's configuration for a given metric. The
 // protocol's own parameters (δ, α, refresh timing) are derived from the
@@ -54,7 +55,6 @@ func DefaultConfig(k metric.Kind) Config {
 		MAC:             mac.DefaultParams(),
 		Probe:           linkquality.ConfigFor(k),
 		DataPacketBytes: 512,
-		TableStaleAfter: 2 * time.Minute,
 		WindowSize:      linkquality.DefaultWindowSize,
 	}
 }
@@ -81,7 +81,7 @@ func New(engine *sim.Engine, medium *phy.Medium, id packet.NodeID, pos geom.Poin
 	}
 	radio := medium.AttachRadio(id, pos)
 	m := mac.New(engine, radio, cfg.MAC)
-	table := linkquality.NewTable(cfg.DataPacketBytes, cfg.WindowSize, cfg.TableStaleAfter)
+	table := linkquality.NewTable(cfg.DataPacketBytes, cfg.WindowSize, tableStaleAfter)
 	probeCfg := cfg.Probe
 	if probeCfg.Mode == 0 {
 		probeCfg = linkquality.ConfigFor(cfg.Metric)

@@ -31,15 +31,26 @@ import (
 	"meshcast/internal/sim"
 )
 
-// Params configures the protocol.
-type Params struct {
-	// RefreshInterval is the period between JOIN QUERY floods of an active
+// The protocol's fixed timing (paper §3: refresh every 3 s, FG timeout 3 ×
+// refresh).
+const (
+	// refreshInterval is the period between JOIN QUERY floods of an active
 	// source.
-	RefreshInterval time.Duration
-	// FGTimeout is how long a forwarding-group flag stays set after the
+	refreshInterval = 3 * time.Second
+	// fgTimeout is how long a forwarding-group flag stays set after the
 	// last JOIN REPLY refreshed it. ODMRP traditionally uses a small
 	// multiple of the refresh interval.
-	FGTimeout time.Duration
+	fgTimeout = 9 * time.Second
+	// queryJitter is the maximum random delay added before rebroadcasting
+	// a JOIN QUERY, decorrelating the flood.
+	queryJitter = 4 * time.Millisecond
+	// replyJitter is the maximum random delay before propagating a JOIN
+	// REPLY.
+	replyJitter = 2 * time.Millisecond
+)
+
+// Params configures the protocol.
+type Params struct {
 	// MemberDelta (δ) is how long a member accumulates duplicate JOIN
 	// QUERY packets before replying along the best path. Zero selects the
 	// original first-copy behavior.
@@ -50,15 +61,9 @@ type Params struct {
 	DupAlpha time.Duration
 	// TTL bounds query propagation in hops.
 	TTL uint8
-	// QueryJitter is the maximum random delay added before rebroadcasting
-	// a JOIN QUERY, decorrelating the flood.
-	QueryJitter time.Duration
 	// DataJitter is the maximum random delay added before rebroadcasting a
 	// data packet at an FG node.
 	DataJitter time.Duration
-	// ReplyJitter is the maximum random delay before propagating a JOIN
-	// REPLY.
-	ReplyJitter time.Duration
 	// ReplyRetries enables passive-acknowledgment JOIN REPLY
 	// retransmission (an ODMRP robustness mechanism beyond the paper's
 	// version): after sending a reply naming an upstream next hop, the
@@ -72,17 +77,13 @@ type Params struct {
 }
 
 // DefaultParams returns the configuration used by the paper's simulations:
-// δ = 30 ms, α = 20 ms, refresh every 3 s, FG timeout 3 × refresh.
+// δ = 30 ms, α = 20 ms.
 func DefaultParams() Params {
 	return Params{
-		RefreshInterval: 3 * time.Second,
-		FGTimeout:       9 * time.Second,
 		MemberDelta:     30 * time.Millisecond,
 		DupAlpha:        20 * time.Millisecond,
 		TTL:             32,
-		QueryJitter:     4 * time.Millisecond,
 		DataJitter:      time.Millisecond,
-		ReplyJitter:     2 * time.Millisecond,
 		ReplyAckTimeout: 60 * time.Millisecond,
 	}
 }
@@ -103,19 +104,20 @@ func OriginalParams() Params {
 type Edge = multicast.Edge
 
 // policy is ODMRP as the flood-round kernel sees it: JOIN QUERY floods
-// answered by JOIN REPLY grafts, timed by params. The mesh is per source, so
-// a source is not a forwarder of its own group by role (OriginRelays false).
+// answered by JOIN REPLY grafts, timed by the constants above and params.
+// The mesh is per source, so a source is not a forwarder of its own group by
+// role (OriginRelays false).
 func policy(params Params) multicast.Policy {
 	return multicast.Policy{
 		FloodKind:     packet.TypeJoinQuery,
 		GraftKind:     packet.TypeJoinReply,
-		FloodInterval: params.RefreshInterval,
-		FlagTimeout:   params.FGTimeout,
+		FloodInterval: refreshInterval,
+		FlagTimeout:   fgTimeout,
 		Delta:         params.MemberDelta,
 		Alpha:         params.DupAlpha,
 		TTL:           params.TTL,
-		FloodJitter:   params.QueryJitter,
-		GraftJitter:   params.ReplyJitter,
+		FloodJitter:   queryJitter,
+		GraftJitter:   replyJitter,
 		DataJitter:    params.DataJitter,
 	}
 }

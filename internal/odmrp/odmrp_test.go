@@ -34,7 +34,7 @@ var conformance = multicasttest.Harness{
 		return New(engine, id, pm, table, params)
 	},
 	FloodKind:   packet.TypeJoinQuery,
-	FlagTimeout: DefaultParams().FGTimeout,
+	FlagTimeout: fgTimeout,
 }
 
 func TestBestPathSelectionSPP(t *testing.T)                  { conformance.BestPathAfterDelta(t) }

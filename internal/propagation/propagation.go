@@ -122,9 +122,6 @@ func NewTwoRayAt(frequencyHz, heightTxM, heightRxM float64) TwoRay {
 	}
 }
 
-// CrossoverDistanceM returns the Friis/two-ray crossover distance in metres.
-func (t TwoRay) CrossoverDistanceM() float64 { return t.crossover }
-
 // ReceivedPower implements PathLoss.
 func (t TwoRay) ReceivedPower(txPower, d float64) float64 {
 	if d < t.crossover {
@@ -174,16 +171,6 @@ func ReceptionProbability(meanPower, threshold float64) float64 {
 		return 0
 	}
 	return math.Exp(-threshold / meanPower)
-}
-
-// WattsToDBm converts a power in watts to dBm.
-func WattsToDBm(w float64) float64 {
-	return 10 * math.Log10(w*1000)
-}
-
-// DBmToWatts converts a power in dBm to watts.
-func DBmToWatts(dbm float64) float64 {
-	return math.Pow(10, dbm/10) / 1000
 }
 
 // LogNormal models shadow fading: the received power is scaled by a

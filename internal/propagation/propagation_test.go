@@ -38,7 +38,7 @@ func TestTwoRayCarrierSenseRange(t *testing.T) {
 
 func TestTwoRayContinuousAtCrossover(t *testing.T) {
 	m := NewTwoRay()
-	dc := m.CrossoverDistanceM()
+	dc := m.crossover
 	below := m.ReceivedPower(DefaultTxPowerW, dc*0.999)
 	above := m.ReceivedPower(DefaultTxPowerW, dc*1.001)
 	if math.Abs(below-above)/below > 0.02 {
@@ -144,35 +144,6 @@ func TestReceptionProbabilityDecreasesWithDistance(t *testing.T) {
 	}
 	if long > 0.5 {
 		t.Fatalf("245m link delivery = %v, want < 0.5", long)
-	}
-}
-
-func TestDBmConversions(t *testing.T) {
-	tests := []struct {
-		watts float64
-		dbm   float64
-	}{
-		{1, 30},
-		{0.001, 0},
-		{0.2818, 24.5},
-	}
-	for _, tt := range tests {
-		if got := WattsToDBm(tt.watts); math.Abs(got-tt.dbm) > 0.05 {
-			t.Fatalf("WattsToDBm(%v) = %v, want %v", tt.watts, got, tt.dbm)
-		}
-		if got := DBmToWatts(tt.dbm); math.Abs(got-tt.watts)/tt.watts > 0.02 {
-			t.Fatalf("DBmToWatts(%v) = %v, want %v", tt.dbm, got, tt.watts)
-		}
-	}
-}
-
-func TestDBmRoundTrip(t *testing.T) {
-	if err := quick.Check(func(raw uint16) bool {
-		w := 1e-12 + float64(raw)/100
-		back := DBmToWatts(WattsToDBm(w))
-		return math.Abs(back-w)/w < 1e-9
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

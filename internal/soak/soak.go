@@ -168,10 +168,6 @@ func (r *Runner) Addr() string {
 // Fleet exposes the underlying fleet (result collection, tests).
 func (r *Runner) Fleet() *emu.Fleet { return r.fleet }
 
-// FlightDumps reports how many anomaly flight dumps this run has written
-// (0 when telemetry is disabled).
-func (r *Runner) FlightDumps() int { return r.flight.Dumps() }
-
 func (r *Runner) traceStep(step string) {
 	if r.cfg.trace != nil {
 		r.cfg.trace(step)

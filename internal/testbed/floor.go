@@ -52,21 +52,24 @@ func PaperScenario() Scenario {
 	}
 }
 
+// The generated floor's fixed shape. The paper's floor is roughly 73 m ×
+// 26 m (240 × 86 feet) for 8 nodes; a generated floor keeps that width and
+// office density, so its length grows with the node count.
+const (
+	floorWidthM = 26.0
+	// floorLinkRangeM bounds office-to-office connectivity.
+	floorLinkRangeM = 30.0
+	// floorLossyFraction is the target share of lossy links, matching
+	// Figure 4's 4 of 12.
+	floorLossyFraction = 1.0 / 3.0
+)
+
 // FloorConfig shapes a generated office-floor testbed.
 type FloorConfig struct {
 	// Nodes is the router count (≥ 4).
 	Nodes int
 	// Seed drives placement and link classification.
 	Seed uint64
-	// LengthM and WidthM are the floor dimensions. The paper's floor is
-	// roughly 73 m × 26 m (240 × 86 feet); zero values default to a floor
-	// scaled to hold Nodes offices at that density.
-	LengthM, WidthM float64
-	// LinkRangeM bounds office-to-office connectivity (default 30 m).
-	LinkRangeM float64
-	// LossyFraction is the target share of lossy links (default ≈ 1/3,
-	// matching Figure 4's 4 of 12).
-	LossyFraction float64
 	// Groups is the number of multicast sessions to lay out (default 2),
 	// each with one source and two members, like the paper's experiments.
 	Groups int
@@ -80,19 +83,8 @@ func GenerateFloor(cfg FloorConfig) (Scenario, error) {
 	if cfg.Nodes < 4 {
 		return Scenario{}, fmt.Errorf("testbed: floor needs at least 4 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.LengthM == 0 {
-		// Keep the paper's office density: 8 nodes per 73 m of corridor.
-		cfg.LengthM = 73 * float64(cfg.Nodes) / 8
-	}
-	if cfg.WidthM == 0 {
-		cfg.WidthM = 26
-	}
-	if cfg.LinkRangeM == 0 {
-		cfg.LinkRangeM = 30
-	}
-	if cfg.LossyFraction == 0 {
-		cfg.LossyFraction = 1.0 / 3.0
-	}
+	// Keep the paper's office density: 8 nodes per 73 m of corridor.
+	lengthM := 73 * float64(cfg.Nodes) / 8
 	if cfg.Groups == 0 {
 		cfg.Groups = 2
 	}
@@ -100,24 +92,24 @@ func GenerateFloor(cfg FloorConfig) (Scenario, error) {
 	rng := sim.NewRNG(cfg.Seed ^ 0xa5a5a5a55a5a5a5a)
 	const maxAttempts = 200
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		sc, ok := generateFloorOnce(cfg, rng)
+		sc, ok := generateFloorOnce(cfg, lengthM, rng)
 		if ok {
 			return sc, nil
 		}
 	}
 	return Scenario{}, fmt.Errorf("testbed: no connected floor found for %d nodes in %.0fx%.0f m (range %.0f m)",
-		cfg.Nodes, cfg.LengthM, cfg.WidthM, cfg.LinkRangeM)
+		cfg.Nodes, lengthM, floorWidthM, floorLinkRangeM)
 }
 
-func generateFloorOnce(cfg FloorConfig, rng *sim.RNG) (Scenario, bool) {
+func generateFloorOnce(cfg FloorConfig, lengthM float64, rng *sim.RNG) (Scenario, bool) {
 	sc := Scenario{Positions: make(map[packet.NodeID]geom.Point, cfg.Nodes)}
 	// Offices along the corridor: jittered lattice keeps spacing realistic.
 	for i := 0; i < cfg.Nodes; i++ {
 		id := packet.NodeID(i + 1)
 		sc.Nodes = append(sc.Nodes, id)
 		sc.Positions[id] = geom.Point{
-			X: (float64(i) + rng.Float64()) / float64(cfg.Nodes) * cfg.LengthM,
-			Y: rng.Float64() * cfg.WidthM,
+			X: (float64(i) + rng.Float64()) / float64(cfg.Nodes) * lengthM,
+			Y: rng.Float64() * floorWidthM,
 		}
 	}
 	// Candidate links: all pairs within range, sorted by distance.
@@ -130,14 +122,14 @@ func generateFloorOnce(cfg FloorConfig, rng *sim.RNG) (Scenario, bool) {
 		for j := i + 1; j < cfg.Nodes; j++ {
 			a, b := sc.Nodes[i], sc.Nodes[j]
 			d := sc.Positions[a].Distance(sc.Positions[b])
-			if d <= cfg.LinkRangeM {
+			if d <= floorLinkRangeM {
 				cands = append(cands, candidate{a, b, d})
 			}
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	// The longest LossyFraction of links cross the most walls: lossy.
-	lossyFrom := len(cands) - int(float64(len(cands))*cfg.LossyFraction)
+	// The longest floorLossyFraction of links cross the most walls: lossy.
+	lossyFrom := len(cands) - int(float64(len(cands))*floorLossyFraction)
 	for i, c := range cands {
 		class := LowLoss
 		if i >= lossyFrom {

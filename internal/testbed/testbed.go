@@ -101,19 +101,19 @@ type Config struct {
 	TrafficSeconds int
 	// WarmupSeconds lets probes warm up before traffic.
 	WarmupSeconds int
-	// VariationInterval is how often each link redraws its delivery
-	// probability ("these values change fairly quickly", §5.3).
-	VariationInterval time.Duration
 }
+
+// variationInterval is how often each link redraws its delivery probability
+// ("these values change fairly quickly", §5.3).
+const variationInterval = 10 * time.Second
 
 // DefaultConfig mirrors the paper's testbed experiments.
 func DefaultConfig(k metric.Kind, seed uint64) Config {
 	return Config{
-		Metric:            k,
-		Seed:              seed,
-		TrafficSeconds:    400,
-		WarmupSeconds:     100,
-		VariationInterval: 10 * time.Second,
+		Metric:         k,
+		Seed:           seed,
+		TrafficSeconds: 400,
+		WarmupSeconds:  100,
 	}
 }
 
@@ -282,7 +282,7 @@ func RunScenario(cfg Config, sc Scenario) (*Result, error) {
 		}
 		return params.CSThresholdW * 3 // sensed but not decodable
 	})
-	sim.NewTicker(engine, cfg.VariationInterval, cfg.VariationInterval/2, engine.RNG().Split(), func() {
+	sim.NewTicker(engine, variationInterval, variationInterval/2, engine.RNG().Split(), func() {
 		for _, p := range processes {
 			p.step()
 		}

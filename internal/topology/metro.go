@@ -129,34 +129,6 @@ func Metro(rng *sim.RNG, cfg MetroConfig) (*Topology, []int) {
 	return &Topology{Positions: pos, Area: area}, gateways
 }
 
-// Clustered is Metro without gateways, for callers that only want hotspot
-// placement over an explicit area.
-func Clustered(rng *sim.RNG, n int, area geom.Rect, hotspots int, sigmaM, backgroundFrac float64) *Topology {
-	centers := make([]geom.Point, hotspots)
-	for i := range centers {
-		centers[i] = geom.Point{
-			X: area.Min.X + rng.Float64()*area.Width(),
-			Y: area.Min.Y + rng.Float64()*area.Height(),
-		}
-	}
-	pos := make([]geom.Point, n)
-	for i := range pos {
-		if hotspots == 0 || rng.Float64() < backgroundFrac {
-			pos[i] = geom.Point{
-				X: area.Min.X + rng.Float64()*area.Width(),
-				Y: area.Min.Y + rng.Float64()*area.Height(),
-			}
-			continue
-		}
-		c := centers[rng.Intn(hotspots)]
-		pos[i] = geom.Point{
-			X: clamp(c.X+rng.NormFloat64()*sigmaM, area.Min.X, area.Max.X),
-			Y: clamp(c.Y+rng.NormFloat64()*sigmaM, area.Min.Y, area.Max.Y),
-		}
-	}
-	return &Topology{Positions: pos, Area: area}
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"meshcast/internal/geom"
 	"meshcast/internal/sim"
 )
 
@@ -83,24 +82,5 @@ func TestMetroDeterministic(t *testing.T) {
 		if a.Positions[i] != b.Positions[i] {
 			t.Fatalf("node %d placed at %+v then %+v with the same seed", i, a.Positions[i], b.Positions[i])
 		}
-	}
-}
-
-func TestClusteredRespectsArea(t *testing.T) {
-	rng := sim.NewRNG(3)
-	area := geom.Rect{Min: geom.Point{X: -500, Y: 100}, Max: geom.Point{X: 500, Y: 1100}}
-	topo := Clustered(rng, 300, area, 5, 80, 0.2)
-	if topo.NodeCount() != 300 {
-		t.Fatalf("node count = %d", topo.NodeCount())
-	}
-	for i, p := range topo.Positions {
-		if p.X < area.Min.X || p.X > area.Max.X || p.Y < area.Min.Y || p.Y > area.Max.Y {
-			t.Fatalf("node %d at %+v outside area", i, p)
-		}
-	}
-	// hotspots=0 degenerates to uniform placement without panicking.
-	uniform := Clustered(sim.NewRNG(4), 50, area, 0, 0, 0)
-	if uniform.NodeCount() != 50 {
-		t.Fatal("hotspots=0 placement failed")
 	}
 }

@@ -23,8 +23,6 @@ type CBRConfig struct {
 	Jitter time.Duration
 	// Start delays the first packet.
 	Start time.Duration
-	// Stop ends the flow (zero = never).
-	Stop time.Duration
 }
 
 // Source is the slice of the multicast protocol a traffic generator
@@ -109,22 +107,9 @@ func (c *CBR) Resume() {
 }
 
 func (c *CBR) emit() {
-	if c.cfg.Stop > 0 && c.engine.Now() >= c.cfg.Stop {
-		c.StopNow()
-		return
-	}
 	c.router.SendData(c.cfg.Group, c.cfg.PayloadBytes)
 	c.Sent++
 	if c.OnSend != nil {
 		c.OnSend(c.engine.Now())
 	}
-}
-
-// StopNow halts the flow and the source's route-refresh activity.
-func (c *CBR) StopNow() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-		c.ticker = nil
-	}
-	c.router.StopSource(c.cfg.Group)
 }

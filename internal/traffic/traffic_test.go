@@ -90,23 +90,6 @@ func TestCBRStartRegistersSource(t *testing.T) {
 	}
 }
 
-func TestCBRStopAt(t *testing.T) {
-	engine := sim.NewEngine(1)
-	r, _ := newRouter(engine)
-	cbr := NewCBR(engine, r, CBRConfig{
-		Group:        1,
-		PayloadBytes: 100,
-		Interval:     50 * time.Millisecond,
-		Stop:         2 * time.Second,
-	})
-	cbr.Start()
-	engine.Run(10 * time.Second)
-	// ~40 packets in 2 s, then nothing.
-	if cbr.Sent < 35 || cbr.Sent > 45 {
-		t.Fatalf("Sent = %d, want ~40", cbr.Sent)
-	}
-}
-
 func TestCBRStopNow(t *testing.T) {
 	engine := sim.NewEngine(1)
 	r, _ := newRouter(engine)
