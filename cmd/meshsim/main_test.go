@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -259,8 +260,12 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 		}
 	}
 	runSpecOf := func(t *testing.T, s experiments.Spec) error {
+		data, err := json.MarshalIndent(s, "", "  ")
+		if err != nil {
+			return err
+		}
 		path := t.TempDir() + "/spec.json"
-		if err := s.Save(path); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return err
 		}
 		return within(t, func() error { return runSpec(path, defaultOptions()) })

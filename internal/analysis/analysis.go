@@ -35,12 +35,6 @@ func (g *Graph) SetLink(from, to int, e metric.LinkEstimate) {
 	g.est[[2]int{from, to}] = e
 }
 
-// SetLinkSymmetric sets both directions.
-func (g *Graph) SetLinkSymmetric(a, b int, e metric.LinkEstimate) {
-	g.SetLink(a, b, e)
-	g.SetLink(b, a, e)
-}
-
 // Link returns the estimate and whether the link exists.
 func (g *Graph) Link(from, to int) (metric.LinkEstimate, bool) {
 	e, ok := g.est[[2]int{from, to}]

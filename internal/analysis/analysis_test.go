@@ -12,6 +12,12 @@ import (
 	"meshcast/internal/topology"
 )
 
+// setLinkSymmetric sets both directions.
+func (g *Graph) setLinkSymmetric(a, b int, e metric.LinkEstimate) {
+	g.SetLink(a, b, e)
+	g.SetLink(b, a, e)
+}
+
 func est(df float64) metric.LinkEstimate {
 	return metric.LinkEstimate{
 		DeliveryProb:     df,
@@ -24,10 +30,10 @@ func est(df float64) metric.LinkEstimate {
 // figure1Graph builds the paper's Figure 1 example: A(0), B(1), C(2), D(3).
 func figure1Graph() *Graph {
 	g := NewGraph(4)
-	g.SetLinkSymmetric(0, 2, est(1))       // A-C
-	g.SetLinkSymmetric(2, 3, est(1.0/3.0)) // C-D
-	g.SetLinkSymmetric(0, 1, est(0.25))    // A-B
-	g.SetLinkSymmetric(1, 3, est(1))       // B-D
+	g.setLinkSymmetric(0, 2, est(1))       // A-C
+	g.setLinkSymmetric(2, 3, est(1.0/3.0)) // C-D
+	g.setLinkSymmetric(0, 1, est(0.25))    // A-B
+	g.setLinkSymmetric(1, 3, est(1))       // B-D
 	return g
 }
 
@@ -61,11 +67,11 @@ func TestBestRoutesFigure1(t *testing.T) {
 func TestBestRoutesFigure3(t *testing.T) {
 	// A(0) B(1) C(2) D(3) E(4).
 	g := NewGraph(5)
-	g.SetLinkSymmetric(0, 1, est(0.8))
-	g.SetLinkSymmetric(1, 2, est(0.8))
-	g.SetLinkSymmetric(2, 3, est(0.8))
-	g.SetLinkSymmetric(0, 4, est(0.9))
-	g.SetLinkSymmetric(4, 3, est(0.4))
+	g.setLinkSymmetric(0, 1, est(0.8))
+	g.setLinkSymmetric(1, 2, est(0.8))
+	g.setLinkSymmetric(2, 3, est(0.8))
+	g.setLinkSymmetric(0, 4, est(0.9))
+	g.setLinkSymmetric(4, 3, est(0.4))
 
 	etx, err := BestRoutes(g, metric.ETX, 0)
 	if err != nil {
@@ -92,10 +98,10 @@ func TestBestRoutesFigure3(t *testing.T) {
 
 func TestBestRoutesMinHop(t *testing.T) {
 	g := NewGraph(4)
-	g.SetLinkSymmetric(0, 1, est(0.1)) // terrible but 1 hop
-	g.SetLinkSymmetric(0, 2, est(1))
-	g.SetLinkSymmetric(2, 1, est(1))
-	g.SetLinkSymmetric(1, 3, est(1))
+	g.setLinkSymmetric(0, 1, est(0.1)) // terrible but 1 hop
+	g.setLinkSymmetric(0, 2, est(1))
+	g.setLinkSymmetric(2, 1, est(1))
+	g.setLinkSymmetric(1, 3, est(1))
 	r, err := BestRoutes(g, metric.MinHop, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +116,7 @@ func TestBestRoutesMinHop(t *testing.T) {
 
 func TestBestRoutesUnreachable(t *testing.T) {
 	g := NewGraph(3)
-	g.SetLinkSymmetric(0, 1, est(0.9))
+	g.setLinkSymmetric(0, 1, est(0.9))
 	// Node 2 is isolated.
 	for _, k := range metric.All() {
 		r, err := BestRoutes(g, k, 0)
@@ -152,11 +158,11 @@ func TestBestRoutesAgainstBruteForce(t *testing.T) {
 			for j := i + 1; j < n; j++ {
 				switch x := rng.Float64(); {
 				case x < 0.35:
-					g.SetLinkSymmetric(i, j, est(0.3+0.7*rng.Float64()))
+					g.setLinkSymmetric(i, j, est(0.3+0.7*rng.Float64()))
 				case x < 0.45:
 					g.SetLink(i, j, est(0.3+0.7*rng.Float64()))
 				case x < 0.5:
-					g.SetLinkSymmetric(i, j, est(0))
+					g.setLinkSymmetric(i, j, est(0))
 				}
 			}
 		}

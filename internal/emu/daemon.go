@@ -86,7 +86,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, err
 	}
 
-	table := linkquality.NewTable(cfg.PayloadBytes, linkquality.DefaultWindowSize, 2*time.Minute)
+	table := linkquality.NewTable(cfg.PayloadBytes, linkquality.DefaultWindowSize, linkquality.DefaultStaleAfter)
 	prober := linkquality.NewProber(engine, cfg.ID, linkquality.ConfigFor(cfg.Metric))
 	router, err := multicast.New(cfg.Protocol, multicast.Env{
 		Engine: engine,

@@ -369,7 +369,7 @@ func (r *report) churnSection(o Options, rows []churnRow) {
 		"working before. Repair latencies are fractions of the 3 s refresh interval\n" +
 		"because a dense 50-node mesh usually has a surviving forwarder; the\n" +
 		"seconds-scale worst cases (visible per-group in `cmd/meshsim -churn` output)\n" +
-		"correspond to actual tree rebuilds bounded by RefreshInterval + FGTimeout.\n" +
+		"correspond to actual tree rebuilds bounded by the refresh interval plus the forwarding-group timeout (3 s + 9 s).\n" +
 		"\nReproduce a single deterministic churn run (stdout is byte-identical for a\n" +
 		"given seed):\n\n```sh\ngo run ./cmd/meshsim -metric spp -churn 0.25 -seconds 200 -seed 3\n```\n")
 	r.section("Churn — self-healing under node failures", b.String())

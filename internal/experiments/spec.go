@@ -88,15 +88,6 @@ func LoadSpec(path string) (Spec, error) {
 	return spec, nil
 }
 
-// Save writes the spec as indented JSON.
-func (s Spec) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // specKeys names the key behind each ScenarioConfig field Validate checks.
 var specKeys = map[string]string{
 	"Topology":        "nodes",

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,7 +32,11 @@ func validSpec() Spec {
 func TestSpecRoundTripThroughFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scenario.json")
 	orig := validSpec()
-	if err := orig.Save(path); err != nil {
+	data, err := json.MarshalIndent(orig, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSpec(path)

@@ -36,6 +36,9 @@ const (
 	// the 5 s interval is the classic 50 s ETX window — a short history
 	// compared to PP's long EWMA memory (§5.3).
 	DefaultWindowSize = 10
+	// DefaultStaleAfter expires a neighbor from the NEIGHBOR TABLE after two
+	// minutes without a probe, in simulated and live routers alike.
+	DefaultStaleAfter = 2 * time.Minute
 )
 
 // Config describes one node's probing behavior.

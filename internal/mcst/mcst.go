@@ -62,70 +62,28 @@ const (
 	joinJitter     = 2 * time.Millisecond
 )
 
-// Params configures the protocol.
-type Params struct {
-	// JoinDelta (δ) is how long a member or sender accumulates duplicate
-	// announces before joining along the best path. Zero selects
-	// first-copy behavior.
-	JoinDelta time.Duration
-	// DupAlpha (α) is the window after the first copy of an announce during
-	// which improving duplicates are re-flooded. Zero disables duplicate
-	// forwarding.
-	DupAlpha time.Duration
-	// TTL bounds announce propagation in hops.
-	TTL uint8
-	// DataJitter decorrelates data rebroadcast.
-	DataJitter time.Duration
-}
-
-// DefaultParams returns the link-quality configuration: δ = 30 ms,
-// α = 20 ms, as for ODMRP.
-func DefaultParams() Params {
-	return Params{
-		JoinDelta:  30 * time.Millisecond,
-		DupAlpha:   20 * time.Millisecond,
-		TTL:        32,
-		DataJitter: time.Millisecond,
-	}
-}
-
-// OriginalParams returns DefaultParams with the link-quality modifications
-// switched off: first-copy joins, no duplicate re-flooding. Combined with
-// the MinHop metric this is the shortest-delay shared-tree baseline.
-func OriginalParams() Params {
-	p := DefaultParams()
-	p.JoinDelta = 0
-	p.DupAlpha = 0
-	return p
-}
-
-// ParamsFor returns the configuration for a metric: OriginalParams for
-// MinHop, DefaultParams for every link-quality metric.
-func ParamsFor(k metric.Kind) Params {
-	if k == metric.MinHop {
-		return OriginalParams()
-	}
-	return DefaultParams()
-}
-
-// policy is MCST as the flood-round kernel sees it: CORE ANNOUNCE floods
-// answered by TREE JOIN grafts, timed by the constants above and params. The
-// tree is shared, so the core relays other senders' data by role
-// (OriginRelays).
-func policy(params Params) multicast.Policy {
-	return multicast.Policy{
+// policy is MCST under metric k as the flood-round kernel sees it: CORE
+// ANNOUNCE floods answered by TREE JOIN grafts, timed by the constants above.
+// δ and α are ODMRP's 30 ms and 20 ms under every link-quality metric; under
+// MinHop, the shortest-delay shared-tree baseline, both are zero (first-copy
+// joins, no duplicate re-flooding). The tree is shared, so the core relays
+// other senders' data by role (OriginRelays).
+func policy(k metric.Kind) multicast.Policy {
+	p := multicast.Policy{
 		FloodKind:     packet.TypeCoreAnnounce,
 		GraftKind:     packet.TypeTreeJoin,
 		FloodInterval: announceInterval,
 		FlagTimeout:   treeTimeout,
-		Delta:         params.JoinDelta,
-		Alpha:         params.DupAlpha,
-		TTL:           params.TTL,
+		Delta:         30 * time.Millisecond,
+		Alpha:         20 * time.Millisecond,
 		FloodJitter:   announceJitter,
 		GraftJitter:   joinJitter,
-		DataJitter:    params.DataJitter,
 		OriginRelays:  true,
 	}
+	if k == metric.MinHop {
+		p.Delta, p.Alpha = 0, 0
+	}
+	return p
 }
 
 // coreBinding tracks the core a node has adopted for a group.
@@ -154,10 +112,10 @@ type Router struct {
 }
 
 // New creates a router for node id using path metric pm and neighbor table
-// table.
-func New(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table, params Params) *Router {
+// table; pm's kind sets δ and α (policy).
+func New(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table) *Router {
 	return &Router{
-		Kernel:   multicast.NewKernel(engine, id, pm, table, policy(params)),
+		Kernel:   multicast.NewKernel(engine, id, pm, table, policy(pm.Kind())),
 		engine:   engine,
 		sources:  make(map[packet.GroupID]bool),
 		cores:    make(map[packet.GroupID]*coreBinding),

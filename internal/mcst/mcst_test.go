@@ -4,12 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"meshcast/internal/linkquality"
 	"meshcast/internal/metric"
-	"meshcast/internal/multicast"
 	"meshcast/internal/multicast/multicasttest"
 	"meshcast/internal/packet"
-	"meshcast/internal/sim"
 )
 
 // fakeNet is the shared lossless test network building MCST routers.
@@ -17,51 +14,28 @@ type fakeNet struct{ *multicasttest.Net }
 
 func newFakeNet(seed uint64) *fakeNet { return &fakeNet{multicasttest.NewNet(seed)} }
 
-func (f *fakeNet) addNode(id packet.NodeID, kind metric.Kind, params Params) *Router {
+// addNode adds an SPP router.
+func (f *fakeNet) addNode(id packet.NodeID) *Router {
 	table := multicasttest.NewTable()
-	r := New(f.Engine, id, metric.MustNew(kind), table, params)
+	r := New(f.Engine, id, metric.MustNew(metric.SPP), table)
 	f.Attach(r, table)
 	return r
 }
 
-// conformance runs the kernel behaviours under MCST's packets and timing.
-var conformance = multicasttest.Harness{
-	New: func(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table,
-		delta, alpha time.Duration, ttl uint8) multicast.Protocol {
-		params := DefaultParams()
-		params.JoinDelta, params.DupAlpha, params.TTL = delta, alpha, ttl
-		return New(engine, id, pm, table, params)
-	},
-	FloodKind:   packet.TypeCoreAnnounce,
-	FlagTimeout: treeTimeout,
-}
-
-func TestBestParentSelectionSPP(t *testing.T)                   { conformance.BestPathAfterDelta(t) }
-func TestFirstCopyModePicksFirstAnnounce(t *testing.T)          { conformance.FirstCopyAtZeroDelta(t) }
-func TestDuplicateAnnounceForwardingWithinAlpha(t *testing.T)   { conformance.RefloodWithinAlpha(t) }
-func TestDuplicateAnnounceBeyondAlphaNotForwarded(t *testing.T) { conformance.NoRefloodBeyondAlpha(t) }
-func TestStaleAnnounceIgnored(t *testing.T)                     { conformance.StaleRoundIgnored(t) }
-func TestAnnounceTTLBoundsFlood(t *testing.T)                   { conformance.FloodTTLBound(t) }
-func TestDataTTLBoundsForwarding(t *testing.T)                  { conformance.DataTTLBound(t) }
-func TestTreeStateExpires(t *testing.T)                         { conformance.FlagExpires(t) }
-func TestTreeRefreshExtendsExpiry(t *testing.T)                 { conformance.FlagRefreshExtends(t) }
-func TestWarmupFallsBackToFirstCopy(t *testing.T)               { conformance.WarmupFallback(t) }
-func TestSourceDoesNotDeliverOwnData(t *testing.T)              { conformance.OwnEchoIgnored(t) }
-
 // chain builds 1 — 2 — 3 with uniform good links.
-func chain(t *testing.T, params Params) (*fakeNet, *Router, *Router, *Router) {
+func chain(t *testing.T) (*fakeNet, *Router, *Router, *Router) {
 	t.Helper()
 	f := newFakeNet(7)
-	r1 := f.addNode(1, metric.SPP, params)
-	r2 := f.addNode(2, metric.SPP, params)
-	r3 := f.addNode(3, metric.SPP, params)
+	r1 := f.addNode(1)
+	r2 := f.addNode(2)
+	r3 := f.addNode(3)
 	f.Connect(1, 2, time.Millisecond, 0.9, 0.9)
 	f.Connect(2, 3, time.Millisecond, 0.9, 0.9)
 	return f, r1, r2, r3
 }
 
 func TestCoreElectionLowestID(t *testing.T) {
-	f, r1, _, r3 := chain(t, DefaultParams())
+	f, r1, _, r3 := chain(t)
 
 	// The higher-ID source starts first and assumes the core role.
 	r3.StartSource(1)
@@ -86,7 +60,7 @@ func TestCoreElectionLowestID(t *testing.T) {
 }
 
 func TestTreeFormationAndDelivery(t *testing.T) {
-	f, r1, r2, r3 := chain(t, DefaultParams())
+	f, r1, r2, r3 := chain(t)
 	r3.JoinGroup(1)
 	r1.StartSource(1)
 	f.Engine.Run(2 * time.Second)
@@ -121,7 +95,7 @@ func TestTreeFormationAndDelivery(t *testing.T) {
 // and a member at the other: the sender's data travels toward the core and
 // the shared tree carries it down the member branch.
 func TestBidirectionalTree(t *testing.T) {
-	f, r1, _, r3 := chain(t, DefaultParams())
+	f, r1, _, r3 := chain(t)
 	r1.JoinGroup(1)
 	r1.StartSource(1) // core at node 1, also a member for this test
 	r3.StartSource(1) // suppressed sender at the far end
@@ -142,8 +116,7 @@ func TestBidirectionalTree(t *testing.T) {
 }
 
 func TestCoreFailover(t *testing.T) {
-	p := DefaultParams()
-	f, r1, _, r3 := chain(t, p)
+	f, r1, _, r3 := chain(t)
 	r3.StartSource(1)
 	f.Engine.Run(time.Second)
 	r1.StartSource(1)
@@ -165,7 +138,7 @@ func TestCoreFailover(t *testing.T) {
 }
 
 func TestResetPurgesSoftState(t *testing.T) {
-	f, r1, r2, r3 := chain(t, DefaultParams())
+	f, r1, r2, r3 := chain(t)
 	r3.JoinGroup(1)
 	r1.StartSource(1)
 	f.Engine.Run(2 * time.Second)
@@ -200,14 +173,5 @@ func TestResetPurgesSoftState(t *testing.T) {
 	}
 	if !r3.IsMember(1) {
 		t.Fatal("membership is configuration and must survive Reset")
-	}
-}
-
-func TestParamsForMetric(t *testing.T) {
-	if p := ParamsFor(metric.MinHop); p.JoinDelta != 0 || p.DupAlpha != 0 {
-		t.Fatalf("MinHop params = %+v, want first-copy (δ=0, α=0)", p)
-	}
-	if p := ParamsFor(metric.SPP); p.JoinDelta == 0 || p.DupAlpha == 0 {
-		t.Fatalf("link-quality params = %+v, want δ/α enabled", p)
 	}
 }

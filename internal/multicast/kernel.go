@@ -30,11 +30,9 @@ type Policy struct {
 	// Alpha (α) is the window after the first copy in which improving
 	// duplicates are re-flooded; zero disables re-flooding.
 	Delta, Alpha time.Duration
-	// TTL bounds floods and data in hops.
-	TTL uint8
-	// FloodJitter, GraftJitter and DataJitter are the maximum random delays
-	// before rebroadcasting a flood, sending a graft and relaying data.
-	FloodJitter, GraftJitter, DataJitter time.Duration
+	// FloodJitter and GraftJitter are the maximum random delays before
+	// rebroadcasting a flood and sending a graft.
+	FloodJitter, GraftJitter time.Duration
 	// OriginRelays says whether a flood's origin belongs to its own data
 	// plane. A tree core does: it relays by role and sets its flag when a
 	// graft names it, because the shared tree carries other senders' data
@@ -43,6 +41,14 @@ type Policy struct {
 	// flood.
 	OriginRelays bool
 }
+
+// The kernel's fixed limits, the same under every policy.
+const (
+	// ttl bounds floods and data in hops.
+	ttl = 32
+	// dataJitter is the maximum random delay before relaying data.
+	dataJitter = time.Millisecond
+)
 
 // KernelCounters is the kernel's part of a protocol's counter export table,
 // handed to Register: every field of Stats under "<name>.", with the flood
@@ -261,7 +267,7 @@ func (k *Kernel) originate(group packet.GroupID) {
 		PrevHop: k.id,
 		Group:   group,
 		Seq:     seq,
-		TTL:     k.policy.TTL,
+		TTL:     ttl,
 		Cost:    k.pm.Initial(),
 		SentAt:  k.engine.Now(),
 		TraceID: k.Tracer.NewTraceID(k.id),
@@ -284,7 +290,7 @@ func (k *Kernel) SendData(group packet.GroupID, payloadBytes int) {
 		PrevHop:      k.id,
 		Group:        group,
 		Seq:          seq,
-		TTL:          k.policy.TTL,
+		TTL:          ttl,
 		PayloadBytes: payloadBytes,
 		SentAt:       k.engine.Now(),
 		TraceID:      k.Tracer.NewTraceID(k.id),
@@ -579,7 +585,7 @@ func (k *Kernel) HandleData(p *packet.Packet, from packet.NodeID) {
 		fwd.HopCount = p.HopCount + 1
 		fwd.TTL = p.TTL - 1
 		carried = true
-		k.jitterSend(pendingSend{k: k, pkt: fwd, kind: sentData, from: from}, k.policy.DataJitter)
+		k.jitterSend(pendingSend{k: k, pkt: fwd, kind: sentData, from: from}, dataJitter)
 	}
 	if carried {
 		k.edgeUse[Edge{From: from, To: k.id}]++

@@ -2,8 +2,9 @@ package multicast
 
 // White-box tests of the flood-round kernel under a policy that belongs to
 // no protocol: what is asserted on rounds, flags and counters here holds for
-// every protocol that embeds the kernel. Black-box behaviour per protocol is
-// in multicasttest; the protocols' own policy is tested in their packages.
+// every protocol that embeds the kernel. The same behaviours seen from
+// outside, per registered protocol, are TestKernelConformance; the
+// protocols' own policy is tested in their packages.
 
 import (
 	"testing"
@@ -24,8 +25,8 @@ func testPolicy(originRelays bool) Policy {
 	return Policy{
 		FloodKind: testFlood, GraftKind: testGraft,
 		FloodInterval: 3 * time.Second, FlagTimeout: 9 * time.Second,
-		Delta: 30 * time.Millisecond, Alpha: 20 * time.Millisecond, TTL: 32,
-		FloodJitter: 4 * time.Millisecond, GraftJitter: 2 * time.Millisecond, DataJitter: time.Millisecond,
+		Delta: 30 * time.Millisecond, Alpha: 20 * time.Millisecond,
+		FloodJitter: 4 * time.Millisecond, GraftJitter: 2 * time.Millisecond,
 		OriginRelays: originRelays,
 	}
 }

@@ -1,9 +1,8 @@
-// Package multicasttest is the test kit for protocols built on the
+// Package multicasttest is the test network for protocols built on the
 // multicast flood-round kernel: Net, a deterministic lossless network that
-// drives protocol instances without PHY/MAC noise, and Harness, the kernel
-// conformance behaviours every such protocol must show. Each protocol
-// package runs the behaviours from its own tests, under its own packet
-// kinds and parameters; they are written once, here.
+// drives protocol instances without PHY/MAC noise. The white-box tests of
+// every protocol package and the kernel conformance suite of package
+// multicast share it.
 package multicasttest
 
 import (

@@ -5,8 +5,6 @@
 package node
 
 import (
-	"time"
-
 	"meshcast/internal/geom"
 	"meshcast/internal/linkquality"
 	"meshcast/internal/mac"
@@ -26,8 +24,8 @@ type Config struct {
 	// Protocol selects the multicast routing protocol by registered name;
 	// empty means multicast.Default (ODMRP).
 	Protocol string
-	// Tuning optionally carries protocol-specific parameters (e.g.
-	// *odmrp.Params or *mcst.Params); nil lets the protocol derive the
+	// Tuning optionally carries protocol-specific parameters (ODMRP takes
+	// an *odmrp.Params, MCST none); nil lets the protocol derive the
 	// paper's defaults from Metric.
 	Tuning any
 	// MAC configures the 802.11 DCF parameters.
@@ -41,9 +39,6 @@ type Config struct {
 	// Tracer, when non-nil, receives this node's packet-journey spans.
 	Tracer *trace.Tracer
 }
-
-// tableStaleAfter expires silent neighbors from the NEIGHBOR TABLE.
-const tableStaleAfter = 2 * time.Minute
 
 // DefaultConfig returns the paper's configuration for a given metric. The
 // protocol's own parameters (δ, α, refresh timing) are derived from the
@@ -81,7 +76,7 @@ func New(engine *sim.Engine, medium *phy.Medium, id packet.NodeID, pos geom.Poin
 	}
 	radio := medium.AttachRadio(id, pos)
 	m := mac.New(engine, radio, cfg.MAC)
-	table := linkquality.NewTable(cfg.DataPacketBytes, cfg.WindowSize, tableStaleAfter)
+	table := linkquality.NewTable(cfg.DataPacketBytes, cfg.WindowSize, linkquality.DefaultStaleAfter)
 	probeCfg := cfg.Probe
 	if probeCfg.Mode == 0 {
 		probeCfg = linkquality.ConfigFor(cfg.Metric)

@@ -59,11 +59,6 @@ type Params struct {
 	// which improving duplicates are re-forwarded. Zero disables duplicate
 	// forwarding (the original behavior).
 	DupAlpha time.Duration
-	// TTL bounds query propagation in hops.
-	TTL uint8
-	// DataJitter is the maximum random delay added before rebroadcasting a
-	// data packet at an FG node.
-	DataJitter time.Duration
 	// ReplyRetries enables passive-acknowledgment JOIN REPLY
 	// retransmission (an ODMRP robustness mechanism beyond the paper's
 	// version): after sending a reply naming an upstream next hop, the
@@ -82,8 +77,6 @@ func DefaultParams() Params {
 	return Params{
 		MemberDelta:     30 * time.Millisecond,
 		DupAlpha:        20 * time.Millisecond,
-		TTL:             32,
-		DataJitter:      time.Millisecond,
 		ReplyAckTimeout: 60 * time.Millisecond,
 	}
 }
@@ -115,10 +108,8 @@ func policy(params Params) multicast.Policy {
 		FlagTimeout:   fgTimeout,
 		Delta:         params.MemberDelta,
 		Alpha:         params.DupAlpha,
-		TTL:           params.TTL,
 		FloodJitter:   queryJitter,
 		GraftJitter:   replyJitter,
-		DataJitter:    params.DataJitter,
 	}
 }
 

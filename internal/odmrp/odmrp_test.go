@@ -4,12 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"meshcast/internal/linkquality"
 	"meshcast/internal/metric"
-	"meshcast/internal/multicast"
 	"meshcast/internal/multicast/multicasttest"
 	"meshcast/internal/packet"
-	"meshcast/internal/sim"
 )
 
 // fakeNet is the shared lossless test network building ODMRP routers.
@@ -24,30 +21,6 @@ func (f *fakeNet) addNode(id packet.NodeID, kind metric.Kind, params Params) *Ro
 	f.Attach(r, table)
 	return r
 }
-
-// conformance runs the kernel behaviours under ODMRP's packets and timing.
-var conformance = multicasttest.Harness{
-	New: func(engine *sim.Engine, id packet.NodeID, pm metric.PathMetric, table *linkquality.Table,
-		delta, alpha time.Duration, ttl uint8) multicast.Protocol {
-		params := DefaultParams()
-		params.MemberDelta, params.DupAlpha, params.TTL = delta, alpha, ttl
-		return New(engine, id, pm, table, params)
-	},
-	FloodKind:   packet.TypeJoinQuery,
-	FlagTimeout: fgTimeout,
-}
-
-func TestBestPathSelectionSPP(t *testing.T)                  { conformance.BestPathAfterDelta(t) }
-func TestOriginalModePicksFirstCopy(t *testing.T)            { conformance.FirstCopyAtZeroDelta(t) }
-func TestDuplicateQueryForwardingWithinAlpha(t *testing.T)   { conformance.RefloodWithinAlpha(t) }
-func TestDuplicateQueryBeyondAlphaNotForwarded(t *testing.T) { conformance.NoRefloodBeyondAlpha(t) }
-func TestStaleQueryIgnored(t *testing.T)                     { conformance.StaleRoundIgnored(t) }
-func TestQueryTTLBoundsFlood(t *testing.T)                   { conformance.FloodTTLBound(t) }
-func TestDataTTLBoundsForwarding(t *testing.T)               { conformance.DataTTLBound(t) }
-func TestFGFlagExpires(t *testing.T)                         { conformance.FlagExpires(t) }
-func TestFGRefreshExtendsExpiry(t *testing.T)                { conformance.FlagRefreshExtends(t) }
-func TestWarmupFallsBackToFirstCopy(t *testing.T)            { conformance.WarmupFallback(t) }
-func TestSourceDoesNotDeliverOwnData(t *testing.T)           { conformance.OwnEchoIgnored(t) }
 
 // chain builds S(0) — F(1) — M(2) and runs one query round.
 func chain(t *testing.T, kind metric.Kind, params Params) (*fakeNet, *Router, *Router, *Router) {

@@ -25,8 +25,6 @@ func init() {
 		params := ParamsFor(env.Metric.Kind())
 		switch t := tuning.(type) {
 		case nil:
-		case Params:
-			params = t
 		case *Params:
 			if t != nil {
 				params = *t
