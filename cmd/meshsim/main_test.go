@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -242,6 +243,10 @@ func within(t *testing.T, f func() error) error {
 	}
 }
 
+// Second counts for -warmup and -seconds that overflow a time.Duration; only
+// a 64-bit int holds them.
+var warmupPastDuration, secondsPastDuration int64 = 1 << 40, 18446744074
+
 // TestBadInputNamesFlagOrKey drives each rejected (field, value) row through
 // both front ends ScenarioConfig.Validate serves: the flags and a -scenario
 // spec. Every row used to run on the spec path: a negative
@@ -278,7 +283,7 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 			s.Nodes, s.RandomNodes = nil, &experiments.RandomNodesSpec{Count: count, SideM: side}
 		}
 	}
-	for _, tc := range []struct {
+	type badInput struct {
 		name string
 		// flag sets the field through the flags, spec through the spec;
 		// nil when none does.
@@ -286,7 +291,8 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 		spec     func(*experiments.Spec)
 		flagName string
 		key      string
-	}{
+	}
+	rows := []badInput{
 		{"negative send interval", nil, func(s *experiments.Spec) { s.SendIntervalMillis = -10 }, "", "sendIntervalMillis"},
 		{"negative payload", nil, func(s *experiments.Spec) { s.PayloadBytes = -5 }, "", "payloadBytes"},
 		{"payload over the MSDU", nil, func(s *experiments.Spec) { s.PayloadBytes = 70000 }, "", "payloadBytes"},
@@ -296,11 +302,16 @@ func TestBadInputNamesFlagOrKey(t *testing.T) {
 		{"zero side", func(o *options) { o.Side = 0 }, random(3, 0), "-side", "randomNodes"},
 		{"negative side", func(o *options) { o.Side = -500 }, random(3, -500), "-side", "randomNodes"},
 		{"repeated source", nil, func(s *experiments.Spec) { s.Groups[0].Sources = []int{0, 0} }, "", "groups"},
-		{"nodes past the ID space", func(o *options) { o.Nodes = 1e11 }, random(1e11, 1000), "-nodes", "randomNodes"},
-		// The spec's times are 32-bit and cannot overflow.
-		{"warmup past a Duration", func(o *options) { o.Warmup = 1 << 40 }, nil, "-warmup", ""},
-		{"seconds past a Duration", func(o *options) { o.Seconds = 18446744074 }, nil, "-seconds", ""},
-	} {
+		{"nodes past the ID space", func(o *options) { o.Nodes = 1 << 20 }, random(1<<20, 1000), "-nodes", "randomNodes"},
+	}
+	if strconv.IntSize == 64 {
+		// The spec's times are 32-bit and cannot overflow, and neither can
+		// the flags' where int is 32 bits.
+		rows = append(rows,
+			badInput{"warmup past a Duration", func(o *options) { o.Warmup = int(warmupPastDuration) }, nil, "-warmup", ""},
+			badInput{"seconds past a Duration", func(o *options) { o.Seconds = int(secondsPastDuration) }, nil, "-seconds", ""})
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.flag != nil {
 				opt := tinyOptions()

@@ -8,16 +8,18 @@
 //	go run ./cmd/meshstat out/                 # per-layer summary + sparklines
 //	go run ./cmd/meshstat -top 10 out/         # widen the top-counter table
 //	go run ./cmd/meshstat -diff outA/ outB/    # per-counter deltas, A vs B
-//	go run ./cmd/meshstat -watch 127.0.0.1:8420   # live control-plane stream
+//	go run ./cmd/meshstat -watch 127.0.0.1:8420   # poll a live control plane
 //	go run ./cmd/meshstat -journeys out/spans.jsonl  # packet-journey report
 //
-// -watch subscribes to a running control plane's /stats/stream SSE
-// endpoint (etherd -listen / -soak) and renders one line per server
-// window: node liveness, medium state, and the windowed packet delivery
-// ratio with a trailing sparkline — the live view of a fleet dipping
-// under injected faults and recovering. Anomaly events from the stream
-// interleave as their own lines, and a dropped connection reconnects
-// with Last-Event-ID so no window is shown twice.
+// -watch polls a running control plane's GET /stats (etherd -listen /
+// -soak) once a second and renders one line per window between polls:
+// node liveness, medium state, and the window's packet delivery ratio with
+// a trailing sparkline — the live view of a fleet dipping under injected
+// faults and recovering. A window in which the alive count fell, or whose
+// PDR dipped against the armed baseline, is followed by an ANOMALY line. A
+// failed poll prints a line and the next tick polls again; counters that
+// fell (a restarted backend) start a fresh window rather than a negative
+// or duplicated one.
 //
 // -journeys reconstructs per-packet forwarding trees from a span stream
 // (meshsim -spans) and reports the slowest and lossiest journeys with
@@ -97,9 +99,28 @@ func normalizeBase(base string) string {
 	return base
 }
 
+// watchPeriod is how often -watch polls GET /stats.
+const watchPeriod = time.Second
+
+// sparkWindow is how many recent windows the -watch sparkline spans.
+const sparkWindow = 30
+
+// watchSample is one -watch window: the poll's cumulative stats and the
+// counter increments since the previous poll. HasPDR is false on the first
+// poll, after a counter reset and in windows with no expected deliveries.
+type watchSample struct {
+	T     time.Time
+	Err   error
+	Stats ctlplane.Stats
+
+	DeltaExpected, DeltaDelivered uint64
+	PDR                           float64
+	HasPDR                        bool
+}
+
 // watchLine renders one -watch sample: liveness, medium state, windowed
 // PDR with a trailing sparkline of recent windows.
-func watchLine(s ctlplane.WatchSample, history []float64) string {
+func watchLine(s watchSample, history []float64) string {
 	if s.Err != nil {
 		return fmt.Sprintf("%s  poll failed: %v", s.T.Format("15:04:05"), s.Err)
 	}
@@ -120,16 +141,49 @@ func watchLine(s ctlplane.WatchSample, history []float64) string {
 	return line
 }
 
-// runWatch consumes the control plane's /stats/stream until ctx ends. The
-// server paces the windows and computes the deltas; reconnects resume via
-// Last-Event-ID, so restarts show as error lines, never duplicate data.
+// watcher is what -watch carries from one poll to the next.
+type watcher struct {
+	prev    *ctlplane.Stats // the last successful poll
+	dip     telemetry.PDRDipDetector
+	history []float64
+}
+
+// step turns one poll, made at t, into the lines it prints: the window
+// line, then an ANOMALY line if the alive count fell since the last
+// successful poll and one if the window's PDR dipped. A failed poll is one
+// line and changes nothing, so the next window spans the gap.
+func (w *watcher) step(t time.Time, st ctlplane.Stats, err error) []string {
+	if err != nil {
+		return []string{watchLine(watchSample{T: t, Err: err}, nil)}
+	}
+	s := watchSample{T: t, Stats: st}
+	var dip bool
+	s.DeltaExpected, s.DeltaDelivered, s.PDR, dip = w.dip.Window(st.Expected, st.Delivered)
+	if s.HasPDR = s.DeltaExpected > 0; s.HasPDR {
+		w.history = append(w.history, s.PDR)
+		if len(w.history) > sparkWindow {
+			w.history = w.history[len(w.history)-sparkWindow:]
+		}
+	}
+	lines := []string{watchLine(s, w.history)}
+	stamp := t.Format("15:04:05")
+	if w.prev != nil && st.NodesAlive < w.prev.NodesAlive {
+		lines = append(lines, fmt.Sprintf("%s  ANOMALY  node-death alive %d -> %d", stamp, w.prev.NodesAlive, st.NodesAlive))
+	}
+	if dip {
+		lines = append(lines, fmt.Sprintf("%s  ANOMALY  pdr-dip window pdr=%.3f", stamp, s.PDR))
+	}
+	w.prev = &st
+	return lines
+}
+
+// runWatch polls the control plane's GET /stats every watchPeriod until
+// ctx ends, printing what each poll shows.
 func runWatch(ctx context.Context, w io.Writer, base string) error {
 	c := ctlplane.NewClient(normalizeBase(base))
 	// One probe up front so a wrong URL fails fast instead of printing
-	// connection errors forever.
-	probeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	h, err := c.Health(probeCtx)
-	cancel()
+	// poll failures forever.
+	h, err := c.Health(ctx)
 	if err != nil {
 		return fmt.Errorf("meshstat -watch: %w", err)
 	}
@@ -137,23 +191,24 @@ func runWatch(ctx context.Context, w io.Writer, base string) error {
 	if proto == "" {
 		proto = "unknown"
 	}
-	fmt.Fprintf(w, "watching %s/stats/stream (health %s, protocol %s)\n", c.Base, h.Status, proto)
-	const sparkWindow = 30
-	var history []float64
-	for s := range ctlplane.WatchStream(ctx, c) {
-		if s.Anomaly != "" {
-			fmt.Fprintf(w, "%s  ANOMALY  %s\n", s.T.Format("15:04:05"), s.Anomaly)
-			continue
+	fmt.Fprintf(w, "watching %s/stats (health %s, protocol %s)\n", c.Base, h.Status, proto)
+	tick := time.NewTicker(watchPeriod)
+	defer tick.Stop()
+	var wt watcher
+	for {
+		st, err := c.Stats(ctx)
+		if ctx.Err() != nil {
+			return nil
 		}
-		if s.HasPDR {
-			history = append(history, s.PDR)
-			if len(history) > sparkWindow {
-				history = history[len(history)-sparkWindow:]
-			}
+		for _, line := range wt.step(time.Now(), st, err) {
+			fmt.Fprintln(w, line)
 		}
-		fmt.Fprintln(w, watchLine(s, history))
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-tick.C:
+		}
 	}
-	return nil
 }
 
 // runSummary loads one run's artifacts and renders the full report.

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"meshcast/internal/ctlplane"
+	"meshcast/internal/emu"
 	"meshcast/internal/telemetry"
 )
 
@@ -167,7 +171,7 @@ func TestNormalizeBase(t *testing.T) {
 
 func TestWatchLine(t *testing.T) {
 	at := time.Date(2026, 8, 8, 12, 30, 15, 0, time.UTC)
-	s := ctlplane.WatchSample{
+	s := watchSample{
 		T: at,
 		Stats: ctlplane.Stats{
 			NodesAlive: 23,
@@ -200,6 +204,127 @@ func TestWatchLine(t *testing.T) {
 	line = watchLine(s, nil)
 	if !strings.Contains(line, "poll failed") || !strings.Contains(line, "connection refused") {
 		t.Errorf("error sample rendered wrong: %s", line)
+	}
+}
+
+// TestWatchStep feeds sequences of polls through one watcher and checks the
+// lines each poll prints: one substring per line, in order.
+func TestWatchStep(t *testing.T) {
+	at := time.Date(2026, 8, 8, 12, 30, 15, 0, time.UTC)
+	stats := func(alive int, expected, delivered uint64) ctlplane.Stats {
+		return ctlplane.Stats{NodesAlive: alive, NodesTotal: 5, EtherUp: true, Expected: expected, Delivered: delivered}
+	}
+	type poll struct {
+		st   ctlplane.Stats
+		err  error
+		want []string
+	}
+	for _, tc := range []struct {
+		name  string
+		polls []poll
+	}{
+		{"normal window", []poll{
+			{st: stats(5, 100, 90), want: []string{"pdr   -    Δ 0/0"}},
+			{st: stats(5, 200, 180), want: []string{"nodes   5/5    ether up    pdr 0.900  Δ 90/100"}},
+		}},
+		{"node-death", []poll{
+			{st: stats(5, 100, 90), want: []string{"nodes   5/5"}},
+			{st: stats(3, 200, 180), want: []string{"nodes   3/5", "12:30:15  ANOMALY  node-death alive 5 -> 3"}},
+			{st: stats(3, 300, 270), want: []string{"nodes   3/5"}},
+		}},
+		{"dip", []poll{
+			{st: stats(5, 100, 90), want: []string{"pdr   -"}},
+			{st: stats(5, 200, 180), want: []string{"pdr 0.900"}},
+			{st: stats(5, 300, 210), want: []string{"pdr 0.300  Δ 30/100", "12:30:15  ANOMALY  pdr-dip window pdr=0.300"}},
+		}},
+		{"counter reset from a restarted server", []poll{
+			{st: stats(5, 100, 90), want: []string{"pdr   -"}},
+			{st: stats(5, 200, 180), want: []string{"pdr 0.900  Δ 90/100"}},
+			{st: stats(5, 20, 10), want: []string{"pdr   -    Δ 0/0"}},
+			{st: stats(5, 120, 100), want: []string{"pdr 0.900  Δ 90/100"}},
+		}},
+		{"failed poll", []poll{
+			{st: stats(5, 100, 90), want: []string{"pdr   -"}},
+			{err: errors.New("connection refused"), want: []string{"12:30:15  poll failed: connection refused"}},
+			{st: stats(4, 300, 250), want: []string{"pdr 0.800  Δ 160/200", "node-death alive 5 -> 4"}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w watcher
+			for i, p := range tc.polls {
+				lines := w.step(at, p.st, p.err)
+				if len(lines) != len(p.want) {
+					t.Fatalf("poll %d printed %d lines, want %d:\n%s", i, len(lines), len(p.want), strings.Join(lines, "\n"))
+				}
+				for j, want := range p.want {
+					if !strings.Contains(lines[j], want) {
+						t.Errorf("poll %d line %d = %q, want it to contain %q", i, j, lines[j], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// lineWriter hands each Write to a channel, dropping it if the channel is
+// full.
+type lineWriter chan string
+
+func (w lineWriter) Write(p []byte) (int, error) {
+	select {
+	case w <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
+// TestWatchDoesNotHoldShutdown attaches -watch to a control plane served
+// the way etherd -listen serves it and checks that the server's graceful
+// Shutdown is not held up by the watcher.
+func TestWatchDoesNotHoldShutdown(t *testing.T) {
+	medium, err := emu.NewMedium("127.0.0.1:0", emu.NewLinkTable(1), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer medium.Stop()
+	ctl := ctlplane.NewMediumController(medium, func() time.Duration { return 0 })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: ctlplane.NewServer(ctl).Handler()}
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); hs.Serve(ln) }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Room for the header and the first polls' lines: later ones may drop.
+	lines := make(lineWriter, 64)
+	watchDone := make(chan error, 1)
+	go func() { watchDone <- runWatch(ctx, lines, ln.Addr().String()) }()
+	deadline := time.After(5 * time.Second)
+	for seen := false; !seen; {
+		select {
+		case line := <-lines:
+			seen = strings.Contains(line, "nodes ")
+		case <-deadline:
+			t.Fatal("no window line within 5 s")
+		}
+	}
+
+	start := time.Now()
+	shutCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	if err := hs.Shutdown(shutCtx); err != nil {
+		t.Fatalf("Shutdown with a watcher attached: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown with a watcher attached took %v, want under 1 s", took)
+	}
+	<-serveDone
+	cancel()
+	if err := <-watchDone; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,50 +1,34 @@
 package ctlplane
 
 import (
-	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// Client is the retrying control-plane consumer: transient failures
-// (network errors, 5xx) are retried with capped exponential backoff, a
-// Retry-After hint from a shedding server stretches the wait, and every
-// mutation carries an auto-generated Idempotency-Key so a retry after a
-// lost response cannot double-apply.
+// Client reads a control plane: each call is one GET bounded by the HTTP
+// client's timeout. A failed read is the caller's to repeat (meshstat
+// -watch polls again on its next tick).
 type Client struct {
 	// Base is the server's base URL ("http://127.0.0.1:8080").
 	Base string
 	// HTTPClient defaults to a 5 s-timeout client.
 	HTTPClient *http.Client
-	// Retries is how many times a failed request is re-sent (default 4,
-	// i.e. up to 5 attempts).
-	Retries int
-	// Backoff and BackoffMax bound the capped exponential retry delay
-	// (defaults 100 ms and 2 s).
-	Backoff    time.Duration
-	BackoffMax time.Duration
 }
 
-// NewClient builds a client with default timeout/retry/backoff policy.
+// NewClient builds a client with a 5 s request timeout.
 func NewClient(base string) *Client {
 	return &Client{
 		Base:       strings.TrimRight(base, "/"),
 		HTTPClient: &http.Client{Timeout: 5 * time.Second},
-		Retries:    4,
-		Backoff:    100 * time.Millisecond,
-		BackoffMax: 2 * time.Second,
 	}
 }
 
-// APIError is a terminal (non-retryable) server response.
+// APIError is a non-2xx server response.
 type APIError struct {
 	Status  int
 	Message string
@@ -54,126 +38,39 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("ctlplane: server returned %d: %s", e.Status, e.Message)
 }
 
-// newToken draws a fresh idempotency token.
-func newToken() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is unheard of; a time-derived token only
-		// weakens replay protection, it does not break requests.
-		return strconv.FormatInt(time.Now().UnixNano(), 36)
+// get fetches path and decodes the success response body into out.
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return fmt.Errorf("ctlplane: %w", err)
 	}
-	return hex.EncodeToString(b[:])
-}
-
-// retryable classifies a status code: 5xx may succeed on retry, everything
-// else in the error range is the caller's mistake.
-func retryable(status int) bool {
-	return status >= 500 && status != http.StatusNotImplemented
-}
-
-// do runs one logical request with the retry policy. A non-nil out is
-// filled from the success response body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("ctlplane: encode request: %w", err)
-		}
+	resp, err := c.HTTPClient.Do(req)
+	if err != nil {
+		return err
 	}
-	token := ""
-	if method != http.MethodGet {
-		token = newToken()
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	if err != nil {
+		return err
 	}
-	backoff := c.Backoff
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > c.BackoffMax {
-				backoff = c.BackoffMax
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("ctlplane: %w", err)
-		}
-		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if token != "" {
-			// The same token on every attempt is the point: a retry after
-			// a lost response replays, it does not re-mutate.
-			req.Header.Set(IdempotencyHeader, token)
-		}
-		resp, err := c.HTTPClient.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = err
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			if out == nil {
-				return nil
-			}
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("ctlplane: decode %s response: %w", path, err)
-			}
-			return nil
-		}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		msg := strings.TrimSpace(string(data))
 		var ae apiError
 		if json.Unmarshal(data, &ae) == nil && ae.Error != "" {
 			msg = ae.Error
 		}
-		if !retryable(resp.StatusCode) {
-			return &APIError{Status: resp.StatusCode, Message: msg}
-		}
-		lastErr = &APIError{Status: resp.StatusCode, Message: msg}
-		// A shedding server says when to come back; never retry sooner,
-		// and keep the wait within the client's cap.
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-			if hint := time.Duration(ra) * time.Second; hint > backoff {
-				backoff = hint
-			}
-			if backoff > c.BackoffMax {
-				backoff = c.BackoffMax
-			}
-		}
+		return &APIError{Status: resp.StatusCode, Message: msg}
 	}
-	return fmt.Errorf("ctlplane: %s %s failed after %d attempts: %w", method, path, c.Retries+1, lastErr)
-}
-
-// Nodes fetches per-node state.
-func (c *Client) Nodes(ctx context.Context) ([]NodeState, error) {
-	var out []NodeState
-	err := c.do(ctx, http.MethodGet, "/nodes", nil, &out)
-	return out, err
-}
-
-// Links fetches the link-table state.
-func (c *Client) Links(ctx context.Context) (LinksState, error) {
-	var out LinksState
-	err := c.do(ctx, http.MethodGet, "/links", nil, &out)
-	return out, err
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("ctlplane: decode %s response: %w", path, err)
+	}
+	return nil
 }
 
 // Stats fetches the cumulative counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var out Stats
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &out)
+	err := c.get(ctx, "/stats", &out)
 	return out, err
 }
 
@@ -181,37 +78,6 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // call; only transport or server failures error).
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var out Health
-	err := c.do(ctx, http.MethodGet, "/health", nil, &out)
-	return out, err
-}
-
-// Impair replaces one link profile.
-func (c *Client) Impair(ctx context.Context, req ImpairRequest) (LinksState, error) {
-	var out LinksState
-	err := c.do(ctx, http.MethodPost, "/links/impair", req, &out)
-	return out, err
-}
-
-// Partition installs or clears the partition mask.
-func (c *Client) Partition(ctx context.Context, req PartitionRequest) (LinksState, error) {
-	var out LinksState
-	err := c.do(ctx, http.MethodPost, "/links/partition", req, &out)
-	return out, err
-}
-
-// KillNode stops a managed daemon.
-func (c *Client) KillNode(ctx context.Context, node int) error {
-	return c.do(ctx, http.MethodPost, "/nodes/kill", NodeRequest{Node: node}, nil)
-}
-
-// RestartNode revives a killed daemon.
-func (c *Client) RestartNode(ctx context.Context, node int) error {
-	return c.do(ctx, http.MethodPost, "/nodes/restart", NodeRequest{Node: node}, nil)
-}
-
-// InjectScript injects a fault script into the running backend.
-func (c *Client) InjectScript(ctx context.Context, req ScriptRequest) (ScriptResult, error) {
-	var out ScriptResult
-	err := c.do(ctx, http.MethodPost, "/faults/script", req, &out)
+	err := c.get(ctx, "/health", &out)
 	return out, err
 }

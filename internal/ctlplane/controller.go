@@ -6,18 +6,17 @@
 //
 // The package splits three ways: Controller is the behavior a backend
 // exposes, Server maps it onto HTTP with validation, bounded request bodies,
-// idempotent mutations, and load shedding, and Client is the retrying
-// consumer the watch tooling and soak harness build on. There are two
-// backends over one emu.Medium: MediumController is everything that can be
-// said about and done to a medium alone (etherd's, bare), FleetController
-// embeds it and adds the daemons — the roster check in front of link
-// mutations, liveness, lifecycle and script injection.
+// idempotent mutations, and load shedding, and Client is the reader
+// meshstat -watch polls GET /stats with. There are two backends over one
+// emu.Medium: MediumController is everything that can be said about and
+// done to a medium alone (etherd's, bare), FleetController embeds it and
+// adds the daemons — the roster check in front of link mutations, liveness,
+// lifecycle and script injection.
 //
-// The timers in this package — the SSE heartbeat and stream sampler, the
-// client's retry backoff, idempotency-key expiry — run on the wall clock on
-// purpose: they belong to an HTTP connection, which outlives and predates
-// any run, not to the run's engine (CONTRIBUTING "One clock per run"). What
-// they report of the run (uptime, event offsets) is read from its clock.
+// The package keeps no timer of its own: a request is answered from the
+// backend's state, and what it reports of the run (uptime, event offsets)
+// is read from the run's clock (CONTRIBUTING "One clock per run"). Windows
+// over the cumulative counters are the poller's to compute.
 package ctlplane
 
 import (

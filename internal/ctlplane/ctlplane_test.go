@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -337,118 +337,38 @@ func TestServerUnsupported(t *testing.T) {
 	}
 }
 
-func TestClientRetriesWithStableToken(t *testing.T) {
-	var calls atomic.Int32
-	tokens := make(map[string]bool)
-	var mu sync.Mutex
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		tokens[r.Header.Get(IdempotencyHeader)] = true
-		mu.Unlock()
-		if calls.Add(1) <= 2 {
-			http.Error(w, `{"error":"transient"}`, http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"killed":1}`))
+// TestClientReads checks the client's one GET per call: a success body is
+// decoded, an error status surfaces as an APIError carrying the server's
+// message, and the stream route is gone.
+func TestClientReads(t *testing.T) {
+	ctl := &fakeController{stats: Stats{Expected: 10, Delivered: 8, NodesAlive: 3}}
+	srv := newTestServer(t, NewServer(ctl))
+	c := NewClient(srv.URL + "/")
+	st, err := c.Stats(context.Background())
+	if err != nil || st.Expected != 10 || st.Delivered != 8 || st.NodesAlive != 3 {
+		t.Fatalf("Stats() = %+v, %v", st, err)
+	}
+	if h, err := c.Health(context.Background()); err != nil || h.Status != HealthOK {
+		t.Fatalf("Health() = %+v, %v", h, err)
+	}
+
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: "backend gone"})
 	}))
-	defer srv.Close()
-
-	c := NewClient(srv.URL)
-	c.Backoff, c.BackoffMax = time.Millisecond, 4*time.Millisecond
-	if err := c.KillNode(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(tokens) != 1 {
-		t.Fatalf("attempts used %d distinct idempotency tokens, want 1", len(tokens))
-	}
-	for tok := range tokens {
-		if tok == "" {
-			t.Fatal("mutation sent without idempotency token")
-		}
-	}
-}
-
-func TestClientDoesNotRetryBadRequest(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":"df 1.5 out of range [0, 1]"}`))
-	}))
-	defer srv.Close()
-
-	c := NewClient(srv.URL)
-	c.Backoff = time.Millisecond
-	df := 1.5
-	_, err := c.Impair(context.Background(), ImpairRequest{From: 1, To: 2, DF: &df})
+	defer failing.Close()
+	_, err = NewClient(failing.URL).Stats(context.Background())
 	var ae *APIError
-	if err == nil || !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
-		t.Fatalf("err = %v, want APIError 400", err)
+	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError || ae.Message != "backend gone" {
+		t.Fatalf("Stats() against a failing server = %v, want APIError 500 \"backend gone\"", err)
 	}
-	if !strings.Contains(ae.Message, "out of range") {
-		t.Fatalf("message = %q", ae.Message)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("client retried a 400 (%d calls)", calls.Load())
-	}
-}
 
-func asAPIError(err error, out **APIError) bool {
-	for err != nil {
-		if ae, ok := err.(*APIError); ok {
-			*out = ae
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-func TestClientHonorsRetryAfter(t *testing.T) {
-	var calls atomic.Int32
-	var gap atomic.Int64
-	var last atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		now := time.Now().UnixNano()
-		if prev := last.Swap(now); prev != 0 {
-			gap.Store(now - prev)
-		}
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(`{"error":"degraded: test"}`))
-			return
-		}
-		w.Write([]byte(`{"killed":1}`))
-	}))
-	defer srv.Close()
-
-	c := NewClient(srv.URL)
-	c.Backoff, c.BackoffMax = time.Millisecond, 5*time.Second
-	start := time.Now()
-	if err := c.KillNode(context.Background(), 1); err != nil {
+	resp, err := http.Get(srv.URL + "/stats/stream")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want 2", calls.Load())
-	}
-	// The 1 s Retry-After must stretch the 1 ms base backoff.
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Fatalf("client retried after %v, ignoring Retry-After: 1", elapsed)
-	}
-	if got := time.Duration(gap.Load()); got < 900*time.Millisecond {
-		t.Fatalf("inter-attempt gap %v < Retry-After", got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats/stream = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Server limits and timings.
@@ -20,17 +19,6 @@ const (
 	// idempotencyCapacity bounds the replay cache; the oldest entry is
 	// evicted past it.
 	idempotencyCapacity = 1024
-	// streamInterval is the /stats/stream sampling period.
-	streamInterval = time.Second
-	// streamReplay bounds the server-side event ring used for Last-Event-ID
-	// resume.
-	streamReplay = 256
-	// streamHeartbeat is the idle keep-alive comment period on
-	// /stats/stream.
-	streamHeartbeat = 15 * time.Second
-	// maxStreamClients bounds concurrent /stats/stream subscribers; excess
-	// connections are shed with 503 + Retry-After.
-	maxStreamClients = 32
 )
 
 // IdempotencyHeader carries the client token that makes a mutation
@@ -61,12 +49,6 @@ type Server struct {
 	ctl Controller
 	mux *http.ServeMux
 
-	// stream is the /stats/stream fan-out hub; done tears every open
-	// stream down on Close so an embedding http.Server can Shutdown.
-	stream    *streamHub
-	done      chan struct{}
-	closeOnce sync.Once
-
 	mu    sync.Mutex
 	idem  map[string]idemEntry
 	order []string // insertion order, for bounded eviction
@@ -83,9 +65,7 @@ func NewServer(ctl Controller) *Server {
 		ctl:  ctl,
 		mux:  http.NewServeMux(),
 		idem: make(map[string]idemEntry),
-		done: make(chan struct{}),
 	}
-	s.stream = newStreamHub(ctl, s.done)
 	s.mux.HandleFunc("GET /nodes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.ctl.Nodes())
 	})
@@ -100,7 +80,6 @@ func NewServer(ctl Controller) *Server {
 		// failure. Enforcement happens on the mutation paths.
 		writeJSON(w, http.StatusOK, s.ctl.Health())
 	})
-	s.mux.HandleFunc("GET /stats/stream", s.handleStream)
 	s.mux.HandleFunc("POST /links/impair", s.mutation(s.postImpair))
 	s.mux.HandleFunc("POST /links/partition", s.mutation(s.postPartition))
 	s.mux.HandleFunc("POST /nodes/kill", s.mutation(s.postKill))
@@ -111,15 +90,6 @@ func NewServer(ctl Controller) *Server {
 
 // Handler returns the HTTP handler to serve.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Close tears down every open /stats/stream connection and stops the
-// stream producer. Call it before shutting down the embedding http.Server:
-// SSE handlers otherwise never return and Shutdown would hang until its
-// deadline. Close is idempotent; the request/response endpoints keep
-// working.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.done) })
-}
 
 // apiError is the JSON error body.
 type apiError struct {

@@ -292,7 +292,7 @@ func FuzzSpecScenario(f *testing.F) {
 		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 3, SideM: 0} },
 		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 3, SideM: -500} },
 		func(s *Spec) { s.Groups[0].Sources = []int{0, 0} },
-		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 1e11, SideM: 1000} },
+		func(s *Spec) { s.Nodes, s.RandomNodes = nil, &RandomNodesSpec{Count: 1 << 20, SideM: 1000} },
 	} {
 		s := validSpec()
 		mutate(&s)

@@ -238,11 +238,10 @@ type Engine struct {
 	now time.Duration
 	// until is the bound of the Run or RunAll in progress, which StepReserved
 	// must respect like the loop itself does; negative outside a run.
-	until  time.Duration
-	seq    uint64
-	queue  eventQueue
-	halted bool
-	rng    *RNG
+	until time.Duration
+	seq   uint64
+	queue eventQueue
+	rng   *RNG
 	// free recycles fired ScheduleArgPooled events. The pool only holds as
 	// many events as were ever simultaneously pending, so steady-state
 	// scheduling through ScheduleArgPooled allocates nothing.
@@ -317,17 +316,17 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 
 // StepReserved reports whether a sub-event with the reserved key (t, seq), t
 // clamped to the current time as by ArmReserved, is what the run loop would
-// fire next were it queued: the engine is inside a run that has not been
-// halted, t is within the run's bound, and the key precedes every queued
-// event. If so the engine counts the event and advances the clock to t, and
-// the caller — inside its own event's callback — runs the sub-event at once;
-// if not it changes nothing, and the caller arms its event at the key. See the
-// package comment.
+// fire next were it queued: the engine is inside a run, t is within the
+// run's bound, and the key precedes every queued event. If so the engine
+// counts the event and advances the clock to t, and the caller — inside its
+// own event's callback — runs the sub-event at once; if not it changes
+// nothing, and the caller arms its event at the key. See the package
+// comment.
 func (e *Engine) StepReserved(t time.Duration, seq uint64, reserved time.Duration) bool {
 	if t < e.now {
 		t = e.now
 	}
-	if e.halted || t > e.until || !e.queue.allAfter(t, seq) {
+	if t > e.until || !e.queue.allAfter(t, seq) {
 		return false
 	}
 	e.now, e.armed = t, reserved
@@ -463,21 +462,17 @@ func (e *Engine) fire() {
 	e.queue.close()
 }
 
-// Run executes events until the queue empties or the clock passes until.
-// It returns the virtual time at which it stopped. The clock only advances
-// to until when the loop drained: after a Halt it stays at the last executed
-// event, so pending earlier events cannot move it backwards on a subsequent
-// Run or RunAll.
+// Run executes every event due at or before until, then advances the clock
+// to until (never back: a Run whose bound is already past leaves it where
+// it is). It returns the virtual time at which it stopped.
 func (e *Engine) Run(until time.Duration) time.Duration {
 	e.until = until
-	for e.queue.len() > 0 && !e.halted && e.queue.min().at <= until {
+	for e.queue.len() > 0 && e.queue.min().at <= until {
 		e.fire()
 	}
 	e.until = -1
-	if !e.halted {
-		e.now = max(e.now, until)
-		e.armed = e.now
-	}
+	e.now = max(e.now, until)
+	e.armed = e.now
 	e.settle()
 	return e.now
 }
@@ -485,23 +480,14 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 // RunAll executes events until the queue is empty.
 func (e *Engine) RunAll() time.Duration {
 	e.until = math.MaxInt64
-	for e.queue.len() > 0 && !e.halted {
+	for e.queue.len() > 0 {
 		e.fire()
 	}
 	e.until = -1
-	if !e.halted {
-		e.armed = e.now
-	}
+	e.armed = e.now
 	e.settle()
 	return e.now
 }
-
-// Halt stops the run loop after the current event returns. Pending events
-// remain queued; a subsequent Run continues from where the engine stopped.
-func (e *Engine) Halt() { e.halted = true }
-
-// Resume clears a previous Halt.
-func (e *Engine) Resume() { e.halted = false }
 
 // Pending returns the exact number of events still queued; canceled events
 // are removed from the queue at Stop time and never counted.

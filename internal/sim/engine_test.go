@@ -66,12 +66,18 @@ func TestEngineRunUntilStopsEarly(t *testing.T) {
 
 func TestEngineRunResumesAfterUntil(t *testing.T) {
 	e := NewEngine(1)
-	fired := 0
-	e.Schedule(10*time.Second, func() { fired++ })
-	e.Run(5 * time.Second)
+	var firedAt []time.Duration
+	e.Schedule(10*time.Second, func() { firedAt = append(firedAt, e.Now()) })
+	if end := e.Run(5 * time.Second); end != 5*time.Second || e.Now() != 5*time.Second {
+		t.Fatalf("Run(5s) returned %v, Now() %v; want 5s", end, e.Now())
+	}
 	e.Run(20 * time.Second)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 after resumed run", fired)
+	if len(firedAt) != 1 || firedAt[0] != 10*time.Second {
+		t.Fatalf("fired at %v, want [10s] after resumed run", firedAt)
+	}
+	// A bound already behind the clock must not move it backwards.
+	if end := e.Run(15 * time.Second); end != 20*time.Second || e.Now() != 20*time.Second {
+		t.Fatalf("Run(15s) after Run(20s) returned %v, Now() %v; want 20s", end, e.Now())
 	}
 }
 
@@ -167,84 +173,6 @@ func TestScheduleNegativeDelayFiresNow(t *testing.T) {
 	e.RunAll()
 	if at != 2*time.Second {
 		t.Fatalf("negative-delay event fired at %v, want 2s", at)
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	e.Schedule(time.Second, func() {
-		fired++
-		e.Halt()
-	})
-	e.Schedule(2*time.Second, func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 after Halt", fired)
-	}
-	e.Resume()
-	e.RunAll()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after Resume", fired)
-	}
-}
-
-func TestRunAfterHaltKeepsClockMonotonic(t *testing.T) {
-	// Regression: Run used to clamp the clock to until even when halted
-	// with earlier events still pending; the next Run/RunAll then moved
-	// Now() backwards to the pending event's time.
-	e := NewEngine(1)
-	var fireTimes []time.Duration
-	e.Schedule(1*time.Second, func() {
-		fireTimes = append(fireTimes, e.Now())
-		e.Halt()
-	})
-	e.Schedule(2*time.Second, func() { fireTimes = append(fireTimes, e.Now()) })
-	if end := e.Run(10 * time.Second); end != 1*time.Second {
-		t.Fatalf("halted Run returned %v, want 1s (clock must not jump past pending events)", end)
-	}
-	if e.Now() != 1*time.Second {
-		t.Fatalf("Now() after halted Run = %v, want 1s", e.Now())
-	}
-	e.Resume()
-	last := e.Now()
-	if end := e.Run(10 * time.Second); end != 10*time.Second {
-		t.Fatalf("resumed Run returned %v, want 10s", end)
-	}
-	if e.Now() < last {
-		t.Fatalf("clock moved backwards: %v after %v", e.Now(), last)
-	}
-	want := []time.Duration{1 * time.Second, 2 * time.Second}
-	if len(fireTimes) != len(want) {
-		t.Fatalf("fired at %v, want %v", fireTimes, want)
-	}
-	for i := range want {
-		if fireTimes[i] != want[i] {
-			t.Fatalf("fired at %v, want %v", fireTimes, want)
-		}
-	}
-}
-
-func TestRunAllAfterHaltKeepsClockMonotonic(t *testing.T) {
-	e := NewEngine(1)
-	e.Schedule(3*time.Second, func() { e.Halt() })
-	e.Schedule(5*time.Second, func() {})
-	e.Run(time.Minute)
-	if e.Now() != 3*time.Second {
-		t.Fatalf("Now() after halt = %v, want 3s", e.Now())
-	}
-	e.Resume()
-	var seen []time.Duration
-	prev := e.Now()
-	e.Schedule(time.Second, func() { seen = append(seen, e.Now()) })
-	e.RunAll()
-	for _, at := range seen {
-		if at < prev {
-			t.Fatalf("event ran at %v, before resume point %v", at, prev)
-		}
-	}
-	if e.Now() != 5*time.Second {
-		t.Fatalf("final Now() = %v, want 5s", e.Now())
 	}
 }
 

@@ -221,20 +221,19 @@ const (
 // stopped, including from inside sub-event callbacks, for the current instant
 // and for instants before the next sub-event, on a time grid coarse enough
 // that most instants are shared; sub-event callbacks also start frames of
-// their own, and some callbacks halt the engine. The run is driven by Run
-// calls whose bounds advance in steps shorter than a frame, so bounds and
-// halts fall inside batches of in-place steps. All three runs must fire the
-// same callbacks in the same order at the same Now(), return from every Run
-// at the same instant and count the same Processed. A reservation off by one,
-// or a cursor that takes a fresh sequence number when it re-arms, reorders a
-// tie; an in-place step past something queued, past the bound or after a halt
-// fires a callback early.
+// their own. The run is driven by Run calls whose bounds advance in steps
+// shorter than a frame, so bounds fall inside batches of in-place steps. All
+// three runs must fire the same callbacks in the same order at the same
+// Now(), return from every Run at the same instant and count the same
+// Processed. A reservation off by one, or a cursor that takes a fresh
+// sequence number when it re-arms, reorders a tie; an in-place step past
+// something queued or past the bound fires a callback early.
 func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 	const tick = time.Microsecond
 	type result struct {
-		order                 []firing
-		processed, inPlace    uint64
-		cutByBound, cutByHalt int // in-place steps refused at a Run bound / after a Halt
+		order              []firing
+		processed, inPlace uint64
+		cutByBound         int // in-place steps refused at a Run bound
 	}
 	run := func(seed uint64, mode int) (res result) {
 		rng := NewRNG(seed)
@@ -247,9 +246,6 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 				t.Fatalf("seed %d mode %d: callback %d fired at %v, past the Run bound %v", seed, mode, l, e.Now(), until)
 			}
 			res.order = append(res.order, firing{l, e.Now()})
-			if l%41 == 0 {
-				e.Halt()
-			}
 		}
 
 		var stoppable []*Event
@@ -316,10 +312,7 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 				next := active[earliest()]
 				when, seq := next.key()
 				if !e.StepReserved(when, seq, next.fr.t0) {
-					switch {
-					case e.halted:
-						res.cutByHalt++
-					case when > until:
+					if when > until {
 						res.cutByBound++
 					}
 					shared.ArmReserved(when, seq, next.fr.t0)
@@ -379,14 +372,10 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 		for e.Pending() > 0 {
 			now := e.Run(until)
 			res.order = append(res.order, firing{-1, now})
-			switch {
-			case e.halted:
-				e.Resume()
-			case now != until:
-				t.Fatalf("seed %d mode %d: Run(%v) drained and returned %v", seed, mode, until, now)
-			default:
-				until += 2 * tick
+			if now != until {
+				t.Fatalf("seed %d mode %d: Run(%v) returned %v", seed, mode, until, now)
 			}
+			until += 2 * tick
 		}
 		res.processed, res.inPlace = e.Processed, e.InPlace
 		return res
@@ -420,8 +409,8 @@ func TestDeferredCursorsMatchEagerScheduling(t *testing.T) {
 			if got.inPlace*4 < got.processed {
 				t.Fatalf("seed %d: only %d of %d events stepped in place", seed, got.inPlace, got.processed)
 			}
-			if got.cutByBound == 0 || got.cutByHalt == 0 {
-				t.Fatalf("seed %d: %d batches cut by a Run bound, %d by a Halt; want both", seed, got.cutByBound, got.cutByHalt)
+			if got.cutByBound == 0 {
+				t.Fatalf("seed %d: no batch cut by a Run bound", seed)
 			}
 		}
 	}

@@ -86,7 +86,6 @@ type Runner struct {
 	rec       *telemetry.Recorder
 	flight    *telemetry.FlightRecorder
 	coreWatch *telemetry.CounterWatch
-	srv       *ctlplane.Server
 	listener  net.Listener
 	httpSrv   *http.Server
 	// rotateErr is the first series-rotation failure; the run goroutine
@@ -124,14 +123,13 @@ func New(cfg Config) (*Runner, error) {
 	}
 	if cfg.Listen != "" {
 		ctl := ctlplane.NewFleetController(fleet, r.sup)
-		r.srv = ctlplane.NewServer(ctl)
 		ln, err := net.Listen("tcp", cfg.Listen)
 		if err != nil {
 			fleet.Close()
 			return nil, fmt.Errorf("soak: control listener: %w", err)
 		}
 		r.listener = ln
-		r.httpSrv = &http.Server{Handler: r.srv.Handler()}
+		r.httpSrv = &http.Server{Handler: ctlplane.NewServer(ctl).Handler()}
 	}
 	if cfg.TelemetryDir != "" {
 		rec, err := telemetry.NewRecorder(cfg.TelemetryDir, cfg.SampleInterval)
@@ -183,11 +181,11 @@ func (r *Runner) close() {
 
 // Run drives the soak until ctx is canceled, then shuts down gracefully in
 // a fixed order: (1) the control listener stops accepting mutations,
-// (2) the fleet and supervisor stop, (3) the ether drains so in-flight
-// delayed deliveries land, (4) a final telemetry sample is taken and the
-// manifest written. Only then are sockets closed. The order matters: the
-// final sample must still see the drained deliveries, and no control
-// mutation may race the teardown.
+// (2) the fleet and supervisor stop, (3) a final telemetry sample is taken
+// and the manifest written. Only then are sockets closed, and a frame still
+// in the ether's delay queue is lost with them: every daemon has stopped,
+// so none could take it. The order matters: no control mutation may race
+// the teardown, and the final sample sees the stopped fleet.
 func (r *Runner) Run(ctx context.Context) error {
 	run := r.fleet.Driver()
 	if r.rec != nil {
@@ -213,14 +211,8 @@ func (r *Runner) Run(ctx context.Context) error {
 	<-ctx.Done()
 	var firstErr error
 
-	// (1) Stop the control plane: no mutation may race the teardown. Open
-	// /stats/stream connections must be torn down first — their handlers
-	// never return on their own, so Shutdown would otherwise hang until
-	// its deadline.
+	// (1) Stop the control plane: no mutation may race the teardown.
 	r.traceStep("control-stop")
-	if r.srv != nil {
-		r.srv.Close()
-	}
 	if r.httpSrv != nil {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		r.httpSrv.Shutdown(shutCtx)
@@ -239,12 +231,7 @@ func (r *Runner) Run(ctx context.Context) error {
 		firstErr = r.rotateErr
 	}
 
-	// (3) Drain the medium: scheduled delayed deliveries land before the
-	// final sample is taken, so the books balance.
-	r.traceStep("ether-drain")
-	r.fleet.Medium().Drain()
-
-	// (4) Final telemetry sample + manifest.
+	// (3) Final telemetry sample + manifest.
 	r.traceStep("telemetry-final")
 	if r.rec != nil {
 		elapsed := run.Now()

@@ -16,8 +16,8 @@ import (
 )
 
 // TestSoakShutdownOrder runs a tiny soak and checks the graceful-shutdown
-// contract: control listener first, then fleet stop, then ether drain,
-// then the final telemetry sample + manifest — in exactly that order —
+// contract: control listener first, then fleet stop, then the final
+// telemetry sample + manifest — in exactly that order —
 // and that the teardown leaks no goroutine, socket or listener.
 func TestSoakShutdownOrder(t *testing.T) {
 	if testing.Short() {
@@ -73,7 +73,7 @@ func TestSoakShutdownOrder(t *testing.T) {
 	mu.Lock()
 	got := append([]string(nil), steps...)
 	mu.Unlock()
-	want := []string{"control-stop", "fleet-stop", "ether-drain", "telemetry-final"}
+	want := []string{"control-stop", "fleet-stop", "telemetry-final"}
 	if len(got) != len(want) {
 		t.Fatalf("shutdown steps = %v, want %v", got, want)
 	}
